@@ -301,18 +301,16 @@ class RaceDetector:
         return None
 
     # -- engine hook -----------------------------------------------------
-    def on_resume(self, process) -> None:
-        """A process entered a new yield-to-yield atomic section."""
-        self._env = process.env
+    def on_resume(self, env) -> None:
+        """``env`` entered a new atomic section (a process resume or a
+        timer firing)."""
+        self._env = env
         if self._pending_bumps:
             if self.trace is not None:
                 self.trace.append(
-                    {
-                        "event": "resume",
-                        "generation": process.env.yield_generation,
-                    }
+                    {"event": "resume", "generation": env.yield_generation}
                 )
-            self._flush_stale_bumps(process.env.yield_generation)
+            self._flush_stale_bumps(env.yield_generation)
 
     # -- access hooks ----------------------------------------------------
     def on_read(self, obj: Any, part: str, detail: str = "") -> None:

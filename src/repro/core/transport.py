@@ -30,6 +30,12 @@ __all__ = ["MessageRecord", "DropRecord", "MessageBus", "Endpoint"]
 class MessageRecord:
     """One delivered control-plane message, for offline analysis."""
 
+    # The log keeps one of these per message for the life of the bus.
+    __slots__ = (
+        "source", "destination", "name", "channel", "size", "sent_at",
+        "delivered_at", "handler_time",
+    )
+
     source: str
     destination: str
     name: str

@@ -415,12 +415,7 @@ class FiveGCore:
             + self.costs.lan_propagation
             + packet.meta.pop("extra_delay", 0.0)
         )
-
-        def _deliver():
-            yield self.env.timeout(delay)
-            gnb.receive_downlink(packet, ue)
-
-        self.env.process(_deliver())
+        self.env.call_later(delay, gnb.receive_downlink, packet, ue)
 
     def _report_to_smf(self, report: SessionReportRequest) -> None:
         """UPF-C -> SMF downlink data report, then the paging hook."""

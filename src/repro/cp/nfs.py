@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from .context import RegistrationState, SMContext, UEContext
 
@@ -105,7 +105,8 @@ class SMF:
 
     def __init__(self, name: str = "smf"):
         self.name = name
-        self.sm_contexts: Dict[int, SMContext] = {}
+        #: Live SM contexts by ``(supi, pdu_session_id)``.
+        self.sm_contexts: Dict[Tuple[str, int], SMContext] = {}
         self._seid_counter = itertools.count(1)
         self._seq_counter = itertools.count(1)
         self.handled = 0
@@ -117,14 +118,19 @@ class SMF:
         ctx = SMContext(
             supi=supi, pdu_session_id=pdu_session_id, seid=seid, dnn=dnn
         )
-        self.sm_contexts[seid] = ctx
+        self.sm_contexts[supi, pdu_session_id] = ctx
         return ctx
 
     def context_for(self, supi: str, pdu_session_id: int) -> SMContext:
-        for ctx in self.sm_contexts.values():
-            if ctx.supi == supi and ctx.pdu_session_id == pdu_session_id:
-                return ctx
-        raise KeyError(f"no SM context for {supi}/{pdu_session_id}")
+        ctx = self.sm_contexts.get((supi, pdu_session_id))
+        if ctx is None:
+            raise KeyError(f"no SM context for {supi}/{pdu_session_id}")
+        return ctx
+
+    def release_sm_context(self, supi: str, pdu_session_id: int) -> None:
+        """Forget a released session, so a re-established one with the
+        same id resolves to its own (new) SEID."""
+        del self.sm_contexts[supi, pdu_session_id]
 
     def next_sequence(self) -> int:
         return next(self._seq_counter)
@@ -134,12 +140,13 @@ class SMF:
 
     def snapshot(self) -> Dict[str, Any]:
         return {
-            seid: ctx.snapshot() for seid, ctx in self.sm_contexts.items()
+            ctx.seid: ctx.snapshot() for ctx in self.sm_contexts.values()
         }
 
     def restore(self, data: Dict[str, Any]) -> None:
+        contexts = map(SMContext.restore, data.values())
         self.sm_contexts = {
-            int(seid): SMContext.restore(ctx) for seid, ctx in data.items()
+            (ctx.supi, ctx.pdu_session_id): ctx for ctx in contexts
         }
 
 

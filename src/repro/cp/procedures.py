@@ -1001,6 +1001,7 @@ class ProcedureRunner:
             yield from core.n4_exchange(deletion)
             core.dl_routes.pop(sm.dl_teid, None)
             core.ue_ip_pool.release(sm.ue_ip)
+            core.smf.release_sm_context(ue.supi, session_id)
             yield from self._sbi(
                 "smf",
                 "pcf",

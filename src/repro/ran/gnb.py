@@ -121,7 +121,7 @@ class GNodeB:
             if not store.put_nowait_drop(packet):
                 self.dropped += 1
             return
-        self.env.process(self._air_delivery(packet, ue))
+        self.env.call_later(self.radio_latency, self._air_delivery, packet, ue)
 
     def drain_buffer(self, ue: UserEquipment) -> List[Packet]:
         """Release all buffered packets for hairpin forwarding.
@@ -134,8 +134,8 @@ class GNodeB:
             return []
         return store.clear()
 
-    def _air_delivery(self, packet: Packet, ue: UserEquipment):
-        yield self.env.timeout(self.radio_latency)
+    def _air_delivery(self, packet: Packet, ue: UserEquipment) -> None:
+        """The packet reaches the far end of the air hop."""
         if ue.supi in self.connected:
             ue.deliver(packet, self.env.now)
             self.delivered += 1
@@ -150,12 +150,7 @@ class GNodeB:
         self, packet: Packet, forward: Callable[[Packet], None]
     ) -> None:
         """Carry a UE's UL packet over the air, then into the N3 tunnel."""
-
-        def _deliver():
-            yield self.env.timeout(self.radio_latency)
-            forward(packet)
-
-        self.env.process(_deliver())
+        self.env.call_later(self.radio_latency, forward, packet)
 
     def __repr__(self) -> str:
         return (

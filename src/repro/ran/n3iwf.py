@@ -155,26 +155,25 @@ class N3IWF:
         sa.packets += 1
         packet.meta["esp_spi"] = sa.spi
         packet.size += ESP_OVERHEAD
+        delay = self.ipsec_overhead + self.wifi_latency
+        self.env.call_later(delay, self._wifi_delivery, packet, ue)
 
-        def _deliver():
-            yield self.env.timeout(self.ipsec_overhead + self.wifi_latency)
-            if ue.supi in self.connected:
-                ue.deliver(packet, self.env.now)
-                self.delivered += 1
-            else:
-                self.dropped += 1
-
-        self.env.process(_deliver())
+    def _wifi_delivery(self, packet: Packet, ue: UserEquipment) -> None:
+        if ue.supi in self.connected:
+            ue.deliver(packet, self.env.now)
+            self.delivered += 1
+        else:
+            self.dropped += 1
 
     def send_uplink(
         self, packet: Packet, forward: Callable[[Packet], None]
     ) -> None:
-        def _deliver():
-            yield self.env.timeout(self.wifi_latency + self.ipsec_overhead)
-            packet.size = max(0, packet.size - ESP_OVERHEAD)
-            forward(packet)
+        delay = self.wifi_latency + self.ipsec_overhead
+        self.env.call_later(delay, self._decapsulate, packet, forward)
 
-        self.env.process(_deliver())
+    def _decapsulate(self, packet: Packet, forward: Callable[[Packet], None]):
+        packet.size = max(0, packet.size - ESP_OVERHEAD)
+        forward(packet)
 
     def __repr__(self) -> str:
         return (

@@ -25,6 +25,14 @@ Example
 >>> env.run()
 >>> log
 [1.5]
+
+A delay followed by a plain call needs no process at all; a *timer* is
+one heap entry and one dispatch:
+
+>>> env.call_later(0.5, log.append, "timer")
+>>> env.run()
+>>> log
+[1.5, 'timer']
 """
 
 from __future__ import annotations
@@ -218,7 +226,7 @@ class Process(Event):
         self.env._active_process = self
         detector = _races._ACTIVE
         if detector is not None:
-            detector.on_resume(self)
+            detector.on_resume(self.env)
         try:
             if event._ok:
                 target = self._generator.send(event._value)
@@ -227,7 +235,15 @@ class Process(Event):
                 target = self._generator.throw(event._value)
         except StopIteration as stop:
             self.env._active_process = None
-            self.succeed(stop.value)
+            if self.callbacks:
+                self.succeed(stop.value)
+            else:
+                # Nobody is waiting: finish in place, no heap round trip.
+                # A later ``yield`` on this process takes the
+                # already-processed branch below.
+                self._ok = True
+                self._value = stop.value
+                self.callbacks = None
             return
         except Interrupt as exc:
             # An unhandled interrupt terminates the process with a failure.
@@ -329,8 +345,9 @@ class Environment:
         self._heap: List[tuple] = []
         self._counter = itertools.count()
         self._active_process: Optional[Process] = None
-        #: Monotonic count of process resumes; each value identifies
-        #: one yield-to-yield atomic section (see repro.analysis.races).
+        #: Monotonic count of process resumes and timer firings; each
+        #: value identifies one yield-to-yield atomic section (see
+        #: repro.analysis.races).
         self.yield_generation = 0
 
     @property
@@ -367,22 +384,55 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling / execution -------------------------------------------
+    # Heap entries are ``(when, seq, fn, arg)``: a timer carries its
+    # callback and argument tuple, an event carries ``fn=None`` and
+    # itself.  ``seq`` is unique, so comparison never reaches ``fn``.
+    def call_later(
+        self, delay: float, fn: Callable[..., Any], *args: Any
+    ) -> None:
+        """Call ``fn(*args)`` ``delay`` seconds from now.
+
+        A timer is one heap entry dispatched by :meth:`step` without an
+        :class:`Event`, a generator or a :class:`Process`; it shares the
+        FIFO sequence counter, so timers, timeouts and process starts
+        scheduled for the same instant fire in scheduling order.  Use it
+        for "delay, then a plain call"; anything that waits twice, or
+        that someone waits on, is a process.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative timer delay: {delay!r}")
+        heapq.heappush(
+            self._heap, (self._now + delay, next(self._counter), fn, args)
+        )
+
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         if event._scheduled:
             raise SimulationError("event scheduled twice")
         event._scheduled = True
-        heapq.heappush(self._heap, (self._now + delay, next(self._counter), event))
+        heapq.heappush(
+            self._heap, (self._now + delay, next(self._counter), None, event)
+        )
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._heap[0][0] if self._heap else float("inf")
 
     def step(self) -> None:
-        """Process exactly one event."""
+        """Process exactly one event or timer."""
         if not self._heap:
             raise SimulationError("no scheduled events")
-        when, _seq, event = heapq.heappop(self._heap)
+        when, _seq, fn, arg = heapq.heappop(self._heap)
         self._now = when
+        if fn is not None:
+            # A timer firing is one atomic section, like a process
+            # resume, with no acting process.
+            self.yield_generation += 1
+            detector = _races._ACTIVE
+            if detector is not None:
+                detector.on_resume(self)
+            fn(*arg)
+            return
+        event = arg
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)

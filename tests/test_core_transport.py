@@ -158,6 +158,8 @@ class TestLog:
         assert record.total_latency == pytest.approx(
             record.transport_latency + 1e-3
         )
+        # One per message for the life of the bus: no per-record dict.
+        assert not hasattr(record, "__dict__")
 
     def test_records_named_filter(self):
         env, bus = make_bus()

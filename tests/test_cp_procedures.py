@@ -13,6 +13,8 @@ from repro.net import Direction, FiveTuple, Packet
 from repro.ran import CMState, RMState
 from repro.sim import Environment
 
+from .test_sim_engine import count_steps
+
 
 def build(config=None):
     env = Environment()
@@ -180,6 +182,111 @@ class TestIdleAndPaging:
         assert ue.cm_state is CMState.CONNECTED
         assert len(ue.received) == 1
         assert session.buffer.is_empty
+
+
+class TestDownlinkDeliveryPath:
+    """N6 -> UPF-U -> N3 hop -> gNB -> air hop -> UE: two timers."""
+
+    def _connected_ue(self, config=None):
+        env, core, runner, ue = build(config)
+        run_procedures(
+            env, runner.register_ue(ue), runner.establish_session(ue)
+        )
+        return env, core, runner, ue, core.sessions.sessions()[0]
+
+    @staticmethod
+    def _packets(env, session, count):
+        return [
+            Packet(direction=Direction.DOWNLINK, seq=seq,
+                   flow=FiveTuple(src_ip=1, dst_ip=session.ue_ip,
+                                  src_port=80, dst_port=4000),
+                   created_at=env.now)
+            for seq in range(count)
+        ]
+
+    @staticmethod
+    def _record_sends(env, core):
+        """seq -> (sim time the UPF-U released it, its drain delay)."""
+        sent = {}
+        sink = core.upf_u.downlink_sink
+
+        def spy(packet, teid, address):
+            sent[packet.seq] = (env.now, packet.meta.get("extra_delay", 0.0))
+            sink(packet, teid, address)
+
+        core.upf_u.downlink_sink = spy
+        return sent
+
+    @staticmethod
+    def _expected_arrival(core, gnb, sent_at, extra_delay):
+        n3 = (
+            core.costs.forward_latency(core.config.fast_path, len(core.sessions))
+            + core.costs.lan_propagation
+            + extra_delay
+        )
+        return sent_at + n3 + gnb.radio_latency
+
+    @pytest.mark.parametrize("burst_size", [1, 32])
+    def test_two_steps_per_packet_in_injection_order(self, burst_size):
+        env, core, runner, ue, session = self._connected_ue(
+            SystemConfig(burst_size=burst_size, flow_cache=True)
+        )
+        packets = self._packets(env, session, 50)
+        core.inject_downlink_burst(packets)
+        assert count_steps(env) == 2 * len(packets)
+        assert [packet.seq for packet in ue.received] == list(range(50))
+        assert core.gnbs[1].delivered == 50
+
+    def test_delivery_time_is_the_sum_of_the_two_hops(self):
+        env, core, runner, ue, session = self._connected_ue()
+        sent = self._record_sends(env, core)
+        core.inject_downlink_burst(self._packets(env, session, 3))
+        env.run()
+        assert len(ue.received) == 3
+        for packet in ue.received:
+            sent_at, extra_delay = sent[packet.seq]
+            assert extra_delay == 0.0
+            assert packet.delivered_at == self._expected_arrival(
+                core, core.gnbs[1], sent_at, extra_delay
+            )
+
+    def test_drained_packets_carry_their_extra_delay(self):
+        env, core, runner, ue, session = self._connected_ue()
+        run_procedures(env, runner.release_to_idle(ue))
+        core.inject_downlink_burst(self._packets(env, session, 3))
+        assert len(session.buffer) == 3
+        sent = self._record_sends(env, core)
+        run_procedures(env, runner.page_ue(ue))
+        assert [packet.seq for packet in ue.received] == [0, 1, 2]
+        delays = [sent[seq][1] for seq in range(3)]
+        assert 0.0 < delays[0] < delays[1] < delays[2]
+        for packet in ue.received:
+            assert "extra_delay" not in packet.meta
+            assert packet.delivered_at == self._expected_arrival(
+                core, core.gnbs[1], *sent[packet.seq]
+            )
+
+    def test_gnb_buffering_is_decided_at_n3_arrival(self):
+        env, core, runner, ue, session = self._connected_ue()
+        gnb = core.gnbs[1]
+        core.inject_downlink_burst(self._packets(env, session, 2))
+        gnb.start_buffering(ue)  # after the send, before the N3 arrival
+        env.run()
+        assert gnb.buffered_count(ue.supi) == 2
+        assert ue.received == [] and gnb.delivered == 0
+
+    def test_ue_departure_is_decided_at_air_arrival(self):
+        env, core, runner, ue, session = self._connected_ue()
+        gnb = core.gnbs[1]
+        sent = self._record_sends(env, core)
+        core.inject_downlink_burst(self._packets(env, session, 2))
+        arrival = self._expected_arrival(core, gnb, *sent[0])
+        env.run(until=arrival - gnb.radio_latency / 2)  # mid air hop
+        assert gnb.delivered == 0 and gnb.dropped == 0
+        gnb.disconnect(ue)
+        env.run()
+        assert ue.received == []
+        assert gnb.dropped == 2
 
 
 class TestHandover:

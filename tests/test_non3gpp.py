@@ -9,6 +9,8 @@ from repro.ran import N3IWF, RMState, UserEquipment
 from repro.ran.n3iwf import ESP_OVERHEAD
 from repro.sim import Environment
 
+from .test_sim_engine import count_steps
+
 
 class TestEapAkaPrime:
     KEY = "465b5ce8b199b49faa5f0a2ee238a6bc"
@@ -123,6 +125,40 @@ class TestN3IWF:
         )
         env.run()
         assert forwarded[0].size == 300
+
+    def test_one_sim_event_per_wifi_hop(self):
+        env, n3iwf, ue = self._n3iwf_and_ue()
+        n3iwf.establish_signalling_sa(ue)
+        forwarded = []
+        for seq in range(5):
+            n3iwf.receive_downlink(Packet(seq=seq), ue)
+            n3iwf.send_uplink(Packet(seq=seq), forwarded.append)
+        assert count_steps(env) == 10
+        assert [packet.seq for packet in ue.received] == list(range(5))
+        assert [packet.seq for packet in forwarded] == list(range(5))
+        hop = n3iwf.ipsec_overhead + n3iwf.wifi_latency
+        assert {packet.delivered_at for packet in ue.received} == {hop}
+        assert env.now == pytest.approx(hop)
+
+    def test_esp_is_stripped_at_the_far_end_of_the_uplink_hop(self):
+        env, n3iwf, ue = self._n3iwf_and_ue()
+        packet = Packet(size=300 + ESP_OVERHEAD)
+        n3iwf.send_uplink(packet, lambda packet: None)
+        env.run(until=n3iwf.wifi_latency / 2)
+        assert packet.size == 300 + ESP_OVERHEAD  # still on the WiFi leg
+        env.run()
+        assert packet.size == 300
+
+    def test_departure_during_the_wifi_hop_is_a_drop(self):
+        env, n3iwf, ue = self._n3iwf_and_ue()
+        n3iwf.establish_signalling_sa(ue)
+        n3iwf.receive_downlink(Packet(), ue)
+        env.run(until=n3iwf.wifi_latency / 2)
+        assert n3iwf.dropped == 0
+        n3iwf.disconnect(ue)
+        env.run()
+        assert ue.received == []
+        assert (n3iwf.delivered, n3iwf.dropped) == (0, 1)
 
 
 class TestNon3gppProcedures:

@@ -9,6 +9,7 @@ from repro.experiments.scalability import (
     session_scale_sweep,
 )
 from repro.net import Direction, FiveTuple, Packet
+from repro.pfcp.messages import SessionModificationRequest
 from repro.ran import RMState
 from repro.sim import Environment
 
@@ -158,6 +159,46 @@ class TestDeregistration:
 
         env.process(scenario())
         env.run()
+
+    def test_handover_after_reattach_targets_live_session(self):
+        """Deregister -> register -> establish reuses PDU session id 1
+        under a new SEID; the SMF must resolve the id to that one, not
+        to the context the deregistration released."""
+        env, core, runner, ue, detail = connected_ue()
+        modified = []
+        handle = core.upf_c.handle
+
+        def spy(message):
+            if isinstance(message, SessionModificationRequest):
+                modified.append(message.seid)
+            return handle(message)
+
+        core.upf_c.handle = spy
+        fresh = {}
+
+        def scenario():
+            yield from runner.deregister_ue(ue)
+            with pytest.raises(KeyError):
+                core.smf.context_for(ue.supi, 1)
+            yield from runner.register_ue(ue, gnb_id=1)
+            result = yield from runner.establish_session(ue)
+            fresh.update(result.detail)
+            yield from runner.handover(ue, target_gnb_id=2)
+
+        env.process(scenario())
+        env.run()
+        sm = core.smf.context_for(ue.supi, 1)
+        assert sm.seid == fresh["seid"] != detail["seid"]
+        assert modified and set(modified) == {sm.seid}
+        assert sm.gnb_address == core.gnbs[2].address
+        core.inject_downlink(
+            Packet(direction=Direction.DOWNLINK,
+                   flow=FiveTuple(src_ip=1, dst_ip=fresh["ue_ip"],
+                                  src_port=80, dst_port=4000),
+                   created_at=env.now)
+        )
+        env.run()
+        assert core.gnbs[2].delivered == 1
 
 
 class TestScalability:

@@ -7,6 +7,8 @@ from repro.ran import CMState, GNodeB, PDUSession, RMState, UserEquipment
 from repro.ran.ue import StateError
 from repro.sim import Environment
 
+from .test_sim_engine import count_steps
+
 
 class TestUEStateMachine:
     def test_initial_state(self):
@@ -131,6 +133,17 @@ class TestGNodeB:
         env.run()
         assert ue.received == []
         assert gnb.dropped == 1
+
+    def test_one_sim_event_per_air_hop(self):
+        env, gnb, ue = self._gnb_and_ue(radio_latency=0.001)
+        forwarded = []
+        for seq in range(5):
+            gnb.receive_downlink(Packet(seq=seq), ue)
+            gnb.send_uplink(Packet(seq=seq), forwarded.append)
+        assert count_steps(env) == 10
+        assert [packet.seq for packet in ue.received] == list(range(5))
+        assert [packet.seq for packet in forwarded] == list(range(5))
+        assert {packet.delivered_at for packet in ue.received} == {0.001}
 
     def test_teid_allocation_unique(self):
         env, gnb, _ = self._gnb_and_ue()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import races
 from repro.sim import (
     MS,
     US,
@@ -226,6 +227,203 @@ class TestProcesses:
         process = env.process(late())
         env.run()
         assert process.value == "early"
+
+
+def count_steps(env):
+    """Run ``env`` to completion; the number of ``step`` calls it took."""
+    steps = 0
+    while env.peek() != float("inf"):
+        env.step()
+        steps += 1
+    return steps
+
+
+class TestProcessCompletion:
+    def test_unwatched_process_finishes_in_place(self):
+        env = Environment()
+
+        def proc():
+            yield env.timeout(1.0)
+            return "done"
+
+        process = env.process(proc())
+        # Start + timeout; no third heap entry for the completion.
+        assert count_steps(env) == 2
+        assert process.processed and process.value == "done"
+
+    def test_watched_process_completes_through_the_heap(self):
+        env = Environment()
+
+        def child():
+            yield env.timeout(1.0)
+            return "done"
+
+        def parent():
+            return (yield env.process(child()))
+
+        process = env.process(parent())
+        # parent start, child start, timeout, child completion.
+        assert count_steps(env) == 4
+        assert process.value == "done"
+
+    def test_unwatched_failure_still_raises_out_of_run(self):
+        env = Environment()
+
+        def bad():
+            yield env.timeout(1.0)
+            raise RuntimeError("nobody is watching")
+
+        env.process(bad())
+        with pytest.raises(RuntimeError, match="nobody is watching"):
+            env.run()
+
+    def test_yielding_a_finished_process_resumes_on_the_next_tick(self):
+        env = Environment()
+        order = []
+
+        def quick():
+            yield env.timeout(1.0)
+            return "early"
+
+        finished = env.process(quick())
+        env.run()
+
+        def late():
+            order.append((yield finished))
+
+        env.process(late())
+        env.call_later(0.0, order.append, "timer")
+        env.run()
+        # The kick is scheduled when ``late`` first runs, i.e. after
+        # the timer that was already on the heap.
+        assert order == ["timer", "early"]
+        assert env.now == pytest.approx(1.0)
+
+
+class TestTimers:
+    def test_fires_after_delay_with_args(self):
+        env = Environment()
+        seen = []
+        env.call_later(1.5, lambda *args: seen.append((env.now, args)), 1, "a")
+        env.run()
+        assert seen == [(1.5, (1, "a"))]
+
+    def test_same_instant_fifo_with_timeouts_and_process_starts(self):
+        env = Environment()
+        order = []
+
+        def proc(tag):
+            order.append(tag)
+            yield env.timeout(0.0)
+
+        env.call_later(0.0, order.append, "timer-1")
+        env.timeout(0.0).callbacks.append(lambda e: order.append("timeout-1"))
+        env.process(proc("process-1"))
+        env.call_later(0.0, order.append, "timer-2")
+        env.timeout(0.0).callbacks.append(lambda e: order.append("timeout-2"))
+        env.process(proc("process-2"))
+        env.run()
+        assert order == [
+            "timer-1", "timeout-1", "process-1",
+            "timer-2", "timeout-2", "process-2",
+        ]
+
+    def test_later_instant_scheduled_first_fires_last(self):
+        env = Environment()
+        order = []
+        env.call_later(2.0, order.append, "late")
+        env.call_later(1.0, order.append, "early")
+        env.run()
+        assert order == ["early", "late"]
+
+    def test_negative_delay_raises(self):
+        env = Environment()
+        with pytest.raises(SimulationError):
+            env.call_later(-1e-9, print)
+        assert env.peek() == float("inf")
+
+    def test_callback_exception_propagates_out_of_run(self):
+        env = Environment()
+
+        def boom():
+            raise ValueError("in timer")
+
+        env.call_later(1.0, boom)
+        with pytest.raises(ValueError, match="in timer"):
+            env.run()
+        assert env.now == pytest.approx(1.0)
+
+    def test_run_until_leaves_later_timer_pending(self):
+        env = Environment()
+        fired = []
+        env.call_later(5.0, fired.append, "x")
+        env.run(until=2.0)
+        assert fired == [] and env.now == pytest.approx(2.0)
+        assert env.peek() == 5.0
+        env.run()
+        assert fired == ["x"] and env.now == pytest.approx(5.0)
+
+    def test_one_step_and_one_generation_per_firing(self):
+        env = Environment()
+        generations = []
+        for _ in range(3):
+            env.call_later(
+                1.0, lambda: generations.append(env.yield_generation)
+            )
+        assert count_steps(env) == 3
+        assert generations == [1, 2, 3]
+        assert env.active_process is None
+
+    def test_timer_may_schedule_timers(self):
+        env = Environment()
+        hops = []
+
+        def hop(n):
+            hops.append((n, env.now))
+            if n:
+                env.call_later(0.5, hop, n - 1)
+
+        env.call_later(0.5, hop, 2)
+        env.run()
+        assert hops == [(2, 0.5), (1, 1.0), (0, 1.5)]
+
+    def test_firing_is_a_fresh_atomic_section_for_the_race_detector(self):
+        """A rule mutation inside a timer callback must be bumped in
+        that same callback: a bump in the next firing, even at the same
+        instant, is a different section and comes too late."""
+        env = Environment()
+        rules = {}
+        with races.traced(env=env) as det:
+            det.register(rules, "rules", owner="upf-c", rule_parts=("fars",))
+
+            def mutate():
+                with det.role("upf-c"):
+                    det.on_write(rules, "fars", detail="timer, no bump")
+
+            env.call_later(1.0, mutate)
+            env.call_later(1.0, det.on_bump)
+            env.run()
+        [violation] = det.violations
+        assert violation.kind == "missing-epoch-bump"
+        assert violation.second.generation == 1
+        # Reported when the next firing began, not only at finish().
+        assert "before the next yield" in violation.detail
+
+    def test_bump_inside_the_same_firing_discharges_the_mutation(self):
+        env = Environment()
+        rules = {}
+        with races.traced(env=env) as det:
+            det.register(rules, "rules", owner="upf-c", rule_parts=("fars",))
+
+            def mutate_and_bump():
+                with det.role("upf-c"):
+                    det.on_write(rules, "fars", detail="timer, bumped")
+                det.on_bump()
+
+            env.call_later(1.0, mutate_and_bump)
+            env.call_later(1.0, lambda: None)
+            env.run()
+        assert det.violations == []
 
 
 class TestConditions:
