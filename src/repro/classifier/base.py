@@ -29,6 +29,14 @@ class Classifier:
         raise NotImplementedError
 
     def lookup(self, key: Sequence[int]) -> Optional[Rule]:
+        """Best match for ``key``, one value per ``PDI_FIELDS`` entry.
+
+        Keys are in-domain: ``0 <= key[i] <= PDI_FIELDS[i].max_value``
+        (:func:`repro.up.keys.packet_key` builds them so).  A full-range
+        wildcard therefore matches whatever the key holds, and an
+        implementation may skip a dimension no stored rule constrains;
+        what an out-of-domain value matches is unspecified.
+        """
         raise NotImplementedError
 
     def __len__(self) -> int:

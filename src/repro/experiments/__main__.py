@@ -131,8 +131,11 @@ def run_fig11() -> None:
     )
     _print_rows(
         "PDR update latency (us)",
-        ["variant", "update_us"],
-        [(r.variant, r.update_s * 1e6) for r in update_latency()],
+        ["variant", "update_us", "insert_us"],
+        [
+            (r.variant, r.update_s * 1e6, r.insert_s * 1e6)
+            for r in update_latency()
+        ],
     )
 
 

@@ -34,7 +34,7 @@ from ..pfcp import ies as pfcp_ies
 from ..sim import Environment
 from ..up import FAR, FARAction, PDR, SessionTable, UPFSession, UPFUserPlane
 from ..up.flow_cache import SetAssociativeFlowCache
-from ..up.session import packet_key
+from ..up.keys import packet_key
 
 __all__ = [
     "WORKING_SET_SESSIONS",

@@ -238,10 +238,12 @@ def bulk_probe_sweep(
 
 @dataclass
 class UpdateRow:
-    """§5.3 'PDR update comparison': mean single-update latency."""
+    """§5.3 'PDR update comparison': mean single-update latency, and
+    its insert half alone (an update is one insert plus one remove)."""
 
     variant: str
     update_s: float
+    insert_s: float
 
 
 def update_latency(
@@ -257,12 +259,19 @@ def update_latency(
         classifier = classifier_class()
         classifier.extend(rules[:rule_count])
         victims = rules[rule_count:]
+        inserting = 0.0
         begin = time.perf_counter()
         for rule in victims:
+            before = time.perf_counter()
             classifier.insert(rule)
+            inserting += time.perf_counter() - before
             classifier.remove(rule)
         elapsed = time.perf_counter() - begin
         rows.append(
-            UpdateRow(variant=variant, update_s=elapsed / (2 * updates))
+            UpdateRow(
+                variant=variant,
+                update_s=elapsed / (2 * updates),
+                insert_s=inserting / updates,
+            )
         )
     return rows

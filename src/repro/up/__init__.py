@@ -7,14 +7,13 @@ from .flow_cache import (
     FlowCacheEntry,
     RuleEpoch,
 )
+from .keys import packet_key, packet_keys
 from .qos import QerEnforcer, TokenBucket, UsageCounter
 from .rules import FAR, FARAction, PDR, QER, far_from_ie, pdr_from_create_ie
 from .session import (
     SessionTable,
     SessionTableView,
     UPFSession,
-    packet_key,
-    packet_keys,
 )
 from .upf_c import UPFControlPlane
 from .upf_u import ForwardingStats, UPFUserPlane

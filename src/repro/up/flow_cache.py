@@ -11,7 +11,7 @@ and every steady-state packet resolves with a single exact-match probe.
 This module provides that cache:
 
 * **Key** — the packet's exact 20-field classification key
-  (:func:`repro.up.session.packet_key`).  Because the key embeds the
+  (:func:`repro.up.keys.packet_key`).  Because the key embeds the
   session-selecting fields (TEID for UL, UE IP for DL, plus the source
   interface that encodes direction), a key uniquely determines the
   whole decision tuple.

@@ -38,22 +38,12 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional
 
 from ..analysis import races as _races  # repro: noqa[W004] -- race-detector hooks, no-ops unless a detector is installed
+from .keys import packet_key
 
 __all__ = ["HotSessionRecord", "HotSessionStore"]
 
 #: Slab slot of a record not (currently) adopted by any store.
 UNSLABBED = -1
-
-
-def _packet_key(packet):
-    """Late-bound :func:`repro.up.session.packet_key` (session imports
-    this module, so the direct import would be circular).  The first
-    call rebinds the module global to the real function — later calls
-    pay a plain function call, nothing else."""
-    from .session import packet_key
-
-    globals()["_packet_key"] = packet_key
-    return packet_key(packet)
 
 
 class HotSessionRecord:
@@ -113,7 +103,7 @@ class HotSessionRecord:
         if detector is not None:
             detector.on_read(self.cold, "pdrs")
         if key is None:
-            key = _packet_key(packet)
+            key = packet_key(packet)
         rule = self.classifier.lookup(key)
         if rule is None:
             return None

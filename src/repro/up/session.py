@@ -21,11 +21,11 @@ from typing import Callable, Dict, List, Optional, Type
 from ..analysis import races as _races  # repro: noqa[W004] -- race-detector hooks, no-ops unless a detector is installed
 from ..classifier.base import Classifier
 from ..classifier.partition_sort import PartitionSortClassifier
-from ..net.packet import Direction, Packet
-from ..pfcp import ies as pfcp_ies
+from ..net.packet import Packet
 from .buffer import DEFAULT_UPF_BUFFER_PACKETS, SmartBuffer
 from .flow_cache import RuleEpoch
 from .hot_store import HotSessionRecord, HotSessionStore
+from .keys import packet_key, packet_keys
 from .qos import QerEnforcer, UsageCounter
 from .rules import FAR, PDR, QER
 
@@ -36,127 +36,6 @@ __all__ = [
     "SessionTable",
     "SessionTableView",
 ]
-
-
-def packet_key(packet: Packet):
-    """The packet's exact 20-field classification key.
-
-    Built once per packet and shared by the flow cache and the
-    classifier — field order must mirror
-    ``repro.classifier.rule.PDI_FIELDS``.
-    """
-    flow = packet.flow
-    meta = packet.meta
-    get = meta.get
-    tos = packet.tos
-    return (
-        flow.src_ip,
-        flow.dst_ip,
-        flow.src_port,
-        flow.dst_port,
-        flow.protocol,
-        tos,
-        packet.teid or 0,
-        packet.qfi or 0,
-        get("app_id", 0),
-        get("spi", 0),
-        get("flow_label", 0),
-        get("sdf_filter_id", 0),
-        (
-            pfcp_ies.ACCESS
-            if packet.direction is Direction.UPLINK
-            else pfcp_ies.CORE
-        ),
-        get("pdu_type", 0),
-        get("network_instance", 0),
-        tos >> 2,
-        get("session_id", 0),
-        get("slice_id", 0),
-        get("urr_id", 0),
-        get("outer_header", 0),
-    )
-
-
-def packet_keys(packets):
-    """Classification keys for a whole burst, built in one pass.
-
-    The vectorized front half of the burst pipeline: every packet's
-    20-field key is derived before any probe or rule application runs,
-    so the cache can be consulted in bulk and misses grouped by key.
-    A TEID-less uplink packet gets ``None`` — its key would alias
-    TEID 0, so the burst path resolves it individually, exactly like
-    :meth:`UPFUserPlane.process` bypasses the cache for it.
-
-    Key reuse across a burst assumes each element is a distinct packet
-    object; enqueueing the same object twice in one burst is
-    unsupported (the descriptor sanitizer flags the double-enqueue).
-    """
-    uplink = Direction.UPLINK
-    access = pfcp_ies.ACCESS
-    core = pfcp_ies.CORE
-    keys = []
-    append = keys.append
-    for packet in packets:
-        direction = packet.direction
-        teid = packet.teid
-        if direction is uplink and teid is None:
-            append(None)
-            continue
-        flow = packet.flow
-        tos = packet.tos
-        meta = packet.meta
-        if not meta:
-            # Plain data packets carry no meta fields: every meta-
-            # derived key element is its default, so the ten dict
-            # probes collapse away.  This is the vectorization win —
-            # the bulk build touches only real packet state.
-            append((
-                flow.src_ip,
-                flow.dst_ip,
-                flow.src_port,
-                flow.dst_port,
-                flow.protocol,
-                tos,
-                teid or 0,
-                packet.qfi or 0,
-                0,
-                0,
-                0,
-                0,
-                access if direction is uplink else core,
-                0,
-                0,
-                tos >> 2,
-                0,
-                0,
-                0,
-                0,
-            ))
-            continue
-        get = meta.get
-        append((
-            flow.src_ip,
-            flow.dst_ip,
-            flow.src_port,
-            flow.dst_port,
-            flow.protocol,
-            tos,
-            packet.teid or 0,
-            packet.qfi or 0,
-            get("app_id", 0),
-            get("spi", 0),
-            get("flow_label", 0),
-            get("sdf_filter_id", 0),
-            access if packet.direction is uplink else core,
-            get("pdu_type", 0),
-            get("network_instance", 0),
-            tos >> 2,
-            get("session_id", 0),
-            get("slice_id", 0),
-            get("urr_id", 0),
-            get("outer_header", 0),
-        ))
-    return keys
 
 
 class UPFSession:

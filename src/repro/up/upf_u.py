@@ -33,9 +33,10 @@ from .flow_cache import (
     FlowCache,
     FlowCacheEntry,
 )
+from .keys import packet_key, packet_keys
 from .qos import QerEnforcer, UsageCounter
 from .rules import FAR, PDR
-from .session import SessionTable, UPFSession, packet_key, packet_keys
+from .session import SessionTable, UPFSession
 
 __all__ = ["ForwardingStats", "UPFUserPlane"]
 

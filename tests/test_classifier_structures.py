@@ -1,5 +1,7 @@
 """Tests for the three classifier implementations individually."""
 
+import time
+
 import pytest
 
 from repro.classifier import (
@@ -154,6 +156,108 @@ class TestPartitionSortSpecifics:
         assert ps.lookup(Rule.key_from_fields(dst_ip=9)).rule_id == 2
         ps.remove(b)
         assert ps.lookup(Rule.key_from_fields(dst_ip=9)).rule_id == 1
+
+    def test_live_dimensions_follow_the_fields_rules_name(self):
+        """A partition probes only what some rule of it constrains."""
+        teid, qfi, iface = 6, 7, 12
+        order = (iface, teid, qfi) + tuple(
+            d for d in range(len(PDI_FIELDS)) if d not in (iface, qfi, teid)
+        )
+        ps = PartitionSortClassifier(order)
+        ps.insert(Rule.from_fields(
+            priority=1, rule_id=1, teid=exact(7), source_iface=exact(0)))
+        [partition] = ps._partitions
+        assert partition.live == (iface, teid)  # in field_order
+        # Same shape elsewhere: the very same tuple, not a copy.
+        other = PartitionSortClassifier(order)
+        other.insert(Rule.from_fields(
+            priority=1, rule_id=1, teid=exact(9), source_iface=exact(0)))
+        assert other._partitions[0].live is partition.live
+        # A rule naming a so-far-wild field (ordered by its TEID before
+        # the walk gets there) widens the partition ...
+        narrow = Rule.from_fields(
+            priority=2, rule_id=2, teid=exact(8), source_iface=exact(0),
+            qfi=exact(5))
+        ps.insert(narrow)
+        assert ps.num_partitions == 1
+        assert partition.live == (iface, teid, qfi)
+        assert ps.lookup(Rule.key_from_fields(teid=8, qfi=5)) is narrow
+        assert ps.lookup(Rule.key_from_fields(teid=8, qfi=4)) is None
+        # ... and its removal leaves the superset behind, harmlessly.
+        ps.remove(narrow)
+        assert partition.live == (iface, teid, qfi)
+        assert ps.lookup(Rule.key_from_fields(teid=7, qfi=63)).rule_id == 1
+
+    def test_max_priority_follows_its_holders(self):
+        """The partition's max (which prunes lookups) drops only when
+        the last rule holding it leaves, and then to the right value."""
+
+        def template(teid, priority):
+            return Rule.from_fields(
+                priority=priority, rule_id=teid, teid=exact(teid),
+                source_iface=exact(0),
+            )
+
+        ps = PartitionSortClassifier()
+        ps.extend(template(teid, priority)
+                  for teid, priority in ((1, 9), (2, 9), (3, 5), (4, 5)))
+        [partition] = ps._partitions
+        assert (partition.max_priority, partition.max_holders) == (9, 2)
+        ps.remove_by_id(1)
+        assert (partition.max_priority, partition.max_holders) == (9, 1)
+        ps.remove_by_id(2)
+        assert (partition.max_priority, partition.max_holders) == (5, 2)
+        ps.insert(template(5, 5))
+        assert (partition.max_priority, partition.max_holders) == (5, 3)
+        assert ps.lookup(Rule.key_from_fields(teid=3)).rule_id == 3
+
+    @pytest.mark.parametrize("shared_priority", [False, True])
+    def test_update_cost_does_not_grow_with_the_partition(
+        self, shared_priority
+    ):
+        """Insert and remove stay logarithmic: at 16x the rules the
+        per-operation cost stays within 3x (a length recount or a
+        max-priority rescan per update made it ~10-15x) -- also when
+        every rule shares one priority, as same-precedence PDRs do, so
+        each removed rule holds the partition's maximum."""
+
+        def template(teid, priority, rule_id):
+            return Rule.from_fields(
+                priority=7 if shared_priority else priority,
+                rule_id=rule_id, teid=exact(teid), source_iface=exact(0),
+            )
+
+        def per_op(size, probes=256, rounds=5):
+            ps = PartitionSortClassifier()
+            ps.extend(template(2 * i, i + 1, i + 1) for i in range(size))
+            assert ps.num_partitions == 1
+            step = 2 * size // probes
+            # Odd TEIDs spread over the whole order; below every stored
+            # priority, or level with all of them, so no removal has to
+            # look for a new maximum.
+            extra = [
+                template(step * j + 1, 0, size + 1 + j) for j in range(probes)
+            ]
+
+            def timed(operation, operands):
+                # Host time on purpose: the cost under test is real work.
+                start = time.perf_counter()  # repro: noqa[R001]
+                for operand in operands:
+                    operation(operand)
+                return time.perf_counter() - start  # repro: noqa[R001]
+
+            ids = [rule.rule_id for rule in extra]
+            inserts, removes = [], []
+            for _ in range(rounds):
+                inserts.append(timed(ps.insert, extra))
+                removes.append(timed(ps.remove_by_id, ids))
+            assert len(ps) == size and ps.num_partitions == 1
+            return min(inserts), min(removes)
+
+        small_insert, small_remove = per_op(1_000)
+        large_insert, large_remove = per_op(16_000)
+        assert large_insert < 3 * small_insert
+        assert large_remove < 3 * small_remove
 
     def test_empty_partition_cleaned_up(self):
         ps = PartitionSortClassifier()

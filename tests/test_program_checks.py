@@ -353,5 +353,5 @@ class TestRealTreeRegressions:
                         files.append((path, handle.read()))
         report = analyze_program(files)
         assert "repro.up.upf_u.UPFUserPlane._pipeline" in report.hot_path
-        assert "repro.up.session.packet_key" in report.hot_path
+        assert "repro.up.keys.packet_key" in report.hot_path
         assert "repro.up.flow_cache.FlowCache.lookup" in report.hot_path

@@ -16,10 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import races
-from repro.classifier import LinearClassifier, PartitionSortClassifier
+from repro.classifier import (
+    PDI_FIELDS,
+    LinearClassifier,
+    PartitionSortClassifier,
+)
 from repro.cp import FiveGCore, ProcedureRunner, SystemConfig
 from repro.deploy.sharded import ShardedUserPlane
 from repro.net import Direction, FiveTuple, Packet
+from repro.pfcp import ies as pfcp_ies
 from repro.sim import MS, Environment
 from repro.up import (
     FAR,
@@ -75,6 +80,42 @@ class TestPacketKeys:
     def test_matches_packet_key_per_packet(self):
         packets = [ul_packet(1), dl_packet(2), ul_packet(3, src_port=9)]
         assert packet_keys(packets) == [packet_key(p) for p in packets]
+
+    @pytest.mark.parametrize("with_meta", [False, True], ids=["plain", "meta"])
+    @pytest.mark.parametrize("make", [ul_packet, dl_packet], ids=["ul", "dl"])
+    def test_single_and_burst_builders_agree(self, make, with_meta):
+        """One key per packet whichever builder made it, each element
+        where ``PDI_FIELDS`` says and inside that field's domain."""
+        packet = make(1)
+        meta = {
+            name: index + 1
+            for index, name in enumerate((
+                "app_id", "spi", "flow_label", "sdf_filter_id", "pdu_type",
+                "network_instance", "session_id", "slice_id", "urr_id",
+                "outer_header",
+            ))
+        } if with_meta else {}
+        packet.meta.update(meta)
+        key = packet_key(packet)
+        assert packet_keys([packet]) == [key]
+        named = dict(zip((spec.name for spec in PDI_FIELDS), key))
+        uplink = packet.direction is Direction.UPLINK
+        assert named.pop("source_iface") == (
+            pfcp_ies.ACCESS if uplink else pfcp_ies.CORE
+        )
+        assert named.pop("teid") == (packet.teid or 0)
+        assert named.pop("qfi") == (packet.qfi or 0)
+        assert named.pop("tos") == packet.tos
+        assert named.pop("dscp") == packet.tos >> 2
+        flow = packet.flow
+        assert [named.pop(name) for name in (
+            "src_ip", "dst_ip", "src_port", "dst_port", "protocol",
+        )] == [flow.src_ip, flow.dst_ip, flow.src_port, flow.dst_port,
+               flow.protocol]
+        assert named == {name: meta.get(name, 0) for name in named}
+        assert len(named) == 10
+        for value, spec in zip(key, PDI_FIELDS):
+            assert 0 <= value <= spec.max_value, spec.name
 
     def test_teidless_uplink_yields_none(self):
         packet = ul_packet(1)
