@@ -12,12 +12,7 @@ A second suite covers the scale-out axis: ``--suite shard`` runs the
 :mod:`repro.experiments.scalability` and appends to ``BENCH_shard.json``
 (``--reduced`` shrinks it to the CI smoke grid).
 
-A third covers the batching axis: ``--suite burst`` runs the measured
-burst-size sweep from :mod:`repro.experiments.burst` (per-packet cost
-at burst 1/4/8/16/32/64 on the cache-hit path) and appends to
-``BENCH_burst.json``.
-
-A fourth covers the state-layout axis: ``--suite cache`` runs the
+A third covers the state-layout axis: ``--suite cache`` runs the
 measured working-set sweep (per-decision cost over growing session
 counts, hot-slab vs. dict layout) and the flow-cache
 capacity/associativity ablation from :mod:`repro.experiments.cache`,
@@ -31,7 +26,6 @@ Options::
     python benchmarks/record_bench.py --fresh    # start the file over
     python benchmarks/record_bench.py --output other.json
     python benchmarks/record_bench.py --suite shard [--reduced]
-    python benchmarks/record_bench.py --suite burst [--reduced]
     python benchmarks/record_bench.py --suite cache [--reduced]
 """
 
@@ -51,7 +45,6 @@ BENCH_FILE = os.path.join(REPO_ROOT, "benchmarks",
                           "test_bench_platform_micro.py")
 DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_upf.json")
 SHARD_OUTPUT = os.path.join(REPO_ROOT, "BENCH_shard.json")
-BURST_OUTPUT = os.path.join(REPO_ROOT, "BENCH_burst.json")
 CACHE_OUTPUT = os.path.join(REPO_ROOT, "BENCH_cache.json")
 
 
@@ -122,33 +115,6 @@ def run_shard_sweep(reduced: bool = False) -> dict:
         )
     else:
         rows = shard_scale_sweep()
-    return {
-        "recorded_at": datetime.datetime.now(datetime.timezone.utc)
-        .strftime("%Y-%m-%dT%H:%M:%SZ"),
-        "git_rev": git_rev(),
-        "python": platform.python_version(),
-        "reduced": reduced,
-        "rows": [
-            {
-                key: round(value, 4) if isinstance(value, float) else value
-                for key, value in asdict(row).items()
-            }
-            for row in rows
-        ],
-    }
-
-
-def run_burst_sweep(reduced: bool = False) -> dict:
-    """One burst-size sweep record (see experiments.burst)."""
-    sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
-    from dataclasses import asdict
-
-    from repro.experiments.burst import burst_sweep
-
-    if reduced:
-        rows = burst_sweep(packets=16384, repeats=2)
-    else:
-        rows = burst_sweep(packets=131072, repeats=3)
     return {
         "recorded_at": datetime.datetime.now(datetime.timezone.utc)
         .strftime("%Y-%m-%dT%H:%M:%SZ"),
@@ -251,28 +217,24 @@ def main(argv=None) -> int:
         help="discard existing records instead of appending",
     )
     parser.add_argument(
-        "--suite", choices=("micro", "shard", "burst", "cache"),
+        "--suite", choices=("micro", "shard", "cache"),
         default="micro",
         help="micro: pytest-benchmark platform suite; "
         "shard: the sessions x shards scalability sweep; "
-        "burst: the measured burst-size sweep; "
         "cache: the working-set + flow-cache-geometry sweep",
     )
     parser.add_argument(
         "--reduced", action="store_true",
-        help="shard/burst/cache suites: the CI-sized grid",
+        help="shard/cache suites: the CI-sized grid",
     )
     args = parser.parse_args(argv)
     output = args.output or {
         "shard": SHARD_OUTPUT,
-        "burst": BURST_OUTPUT,
         "cache": CACHE_OUTPUT,
     }.get(args.suite, DEFAULT_OUTPUT)
 
     if args.suite == "shard":
         record = run_shard_sweep(reduced=args.reduced)
-    elif args.suite == "burst":
-        record = run_burst_sweep(reduced=args.reduced)
     elif args.suite == "cache":
         record = run_cache_sweep(reduced=args.reduced)
     else:
@@ -287,7 +249,7 @@ def main(argv=None) -> int:
         json.dump(trajectory, handle, indent=2)
         handle.write("\n")
 
-    if args.suite in ("shard", "burst"):
+    if args.suite == "shard":
         print(
             f"recorded {len(record['rows'])} sweep row(s) at "
             f"{record['git_rev']} -> {output}"

@@ -174,45 +174,6 @@ def test_flow_cache_hit_path(benchmark):
     assert upf_u.flow_cache.misses == 1  # only the initial fill missed
 
 
-def test_burst32_hit_path(benchmark):
-    """Raw per-burst cost: 32 packets, every one a cache hit."""
-    from repro.experiments.burst import build_burst_upf, packet_pool
-
-    upf_u = build_burst_upf()
-    pool = packet_pool(flows=FLOWS, pool_size=32)
-    upf_u.process_burst(pool)  # fill
-
-    def cycle():
-        for packet in pool:
-            packet.teid = None  # undo the previous pass's GTP encap
-        return upf_u.process_burst(pool)
-
-    benchmark(cycle)
-    assert upf_u.flow_cache.hits > 0
-    assert upf_u.flow_cache.misses == FLOWS  # only the initial fills
-
-
-def test_burst_steady_state_speedup(benchmark):
-    """Burst-size sweep + regression guard: ``process_burst`` at 32
-    must beat one-packet-per-call by >= 1.5x on the cache-hit path
-    (the ISSUE 8 acceptance bar)."""
-    from repro.experiments.burst import burst_sweep
-
-    def measure():
-        return burst_sweep(packets=32768, repeats=3)
-
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
-    for row in rows:
-        benchmark.extra_info[f"burst_{row.burst_size}_us"] = round(
-            row.per_packet_us, 4
-        )
-        benchmark.extra_info[f"burst_{row.burst_size}_speedup"] = round(
-            row.speedup_vs_burst1, 4
-        )
-    at32 = next(row for row in rows if row.burst_size == 32)
-    assert at32.speedup_vs_burst1 >= 1.5
-
-
 def test_hot_store_steady_state(benchmark):
     """Working-set regression guard for the hot/cold split.
 

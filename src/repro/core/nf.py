@@ -60,7 +60,8 @@ class NetworkFunction:
     #: interleaving a timeout + :meth:`handle` per descriptor.  Only
     #: NFs whose batch handling is semantically equivalent to
     #: descriptor-at-a-time handling should enable it (the UPF-U's
-    #: burst pipeline is property-tested for exactly that).
+    #: ``process_burst`` is: it runs the per-packet pipeline over the
+    #: batch in arrival order).
     burst_mode = False
 
     def __init__(
@@ -150,8 +151,9 @@ class NetworkFunction:
     ) -> Iterable[Descriptor]:
         """Process a polled batch in one shot (``burst_mode`` NFs only).
 
-        The default simply chains :meth:`handle`; burst-capable NFs
-        (the UPF-U) override it with a genuinely amortized pipeline.
+        The default simply chains :meth:`handle`; the UPF-U overrides
+        it to pay the per-call work (role, tracer check, key build)
+        once per batch.
         """
         outputs = []
         for descriptor in descriptors:
@@ -208,7 +210,7 @@ class NetworkFunction:
                 # Amortized path: one timeout covering the whole batch
                 # (identical total to the per-descriptor sum), then the
                 # batch is handled atomically — no yields inside, so
-                # the burst pipeline sees a single simulation instant.
+                # the whole burst sees a single simulation instant.
                 # Tracing falls back to the classic path below for
                 # span-per-descriptor fidelity.
                 work = 0.0

@@ -67,11 +67,11 @@ class SystemConfig:
     #: Independent UPF-U workers behind RSS dispatch (1 = the paper's
     #: single pipeline; >1 activates :mod:`repro.deploy.sharded`).
     upf_shards: int = 1
-    #: Packets the UPF-U handles per burst (DPDK-style amortization).
-    #: 1 = today's one-packet-per-call pipeline; >1 routes platform
-    #: batches and ``inject_*_burst`` through ``process_burst``.
-    #: Property-tested equivalent, so this only trades Python-level
-    #: overhead.
+    #: Packets the UPF-U handles per burst (DPDK-style amortization):
+    #: the ring drain / ``handle_burst`` batch and the ``inject_*_burst``
+    #: chunk handed to ``process_burst``.  1 = one packet per call.
+    #: Both run the same per-packet pipeline, so this only trades
+    #: per-call overhead.
     burst_size: int = 1
 
     @classmethod

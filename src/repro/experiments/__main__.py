@@ -88,6 +88,7 @@ def run_fig09() -> None:
 
 def run_fig10() -> None:
     from .fig10 import (
+        burst_scaling,
         latency_vs_packet_size,
         scaling_40g,
         throughput_vs_packet_size,
@@ -114,6 +115,15 @@ def run_fig10() -> None:
         "40G scaling",
         ["cores", "gbps"],
         [(r.cores, r.mtu_gbps) for r in scaling_40g()],
+    )
+    _print_rows(
+        "Burst scaling (modeled): 68 B forwarding rate vs burst size",
+        ["burst", "L25GC_Mpps", "free5GC_Mpps", "us/pkt"],
+        [
+            (r.burst_size, r.l25gc_mpps, r.free5gc_mpps,
+             r.l25gc_per_packet_us)
+            for r in burst_scaling()
+        ],
     )
 
 
@@ -309,32 +319,6 @@ def run_shard_scale() -> None:
     )
 
 
-def run_burst() -> None:
-    from .burst import burst_sweep
-    from .fig10 import burst_scaling
-
-    # CLI-sized measured sweep; the committed BENCH_burst.json carries
-    # the full grid (python benchmarks/record_bench.py --suite burst).
-    _print_rows(
-        "Burst sweep (measured): per-packet cost on the cache-hit path",
-        ["burst", "us/pkt", "speedup_vs_1", "Mpps"],
-        [
-            (r.burst_size, r.per_packet_us, r.speedup_vs_burst1,
-             r.throughput_pps / 1e6)
-            for r in burst_sweep(packets=16384, repeats=2)
-        ],
-    )
-    _print_rows(
-        "Burst scaling (modeled): 68 B forwarding rate vs burst size",
-        ["burst", "L25GC_Mpps", "free5GC_Mpps", "us/pkt"],
-        [
-            (r.burst_size, r.l25gc_mpps, r.free5gc_mpps,
-             r.l25gc_per_packet_us)
-            for r in burst_scaling()
-        ],
-    )
-
-
 EXPERIMENTS: Dict[str, Callable[[], None]] = {
     "fig06": run_fig06,
     "fig07": run_fig07,
@@ -351,7 +335,6 @@ EXPERIMENTS: Dict[str, Callable[[], None]] = {
     "fig17": run_fig17,
     "scalability": run_scalability,
     "shard-scale": run_shard_scale,
-    "burst": run_burst,
 }
 
 

@@ -16,7 +16,8 @@ Two studies back the hot/cold session-state split:
   capacity/associativity trade: hit rate and per-packet cost as the
   cache shrinks below the flow working set (capacity misses) and as
   associativity drops at fixed capacity (conflict misses, via
-  :class:`~repro.up.flow_cache.SetAssociativeFlowCache`).
+  :class:`SetAssociativeFlowCache`, which lives here because this
+  ablation is its only user).
 
 Records from both land in ``BENCH_cache.json`` via
 ``benchmarks/record_bench.py --suite cache``.
@@ -25,15 +26,16 @@ Records from both land in ``BENCH_cache.json`` via
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Any, Hashable, List, Optional, Sequence
 
 from ..classifier import Rule, exact
 from ..net.packet import Direction, FiveTuple, Packet
 from ..pfcp import ies as pfcp_ies
 from ..sim import Environment
 from ..up import FAR, FARAction, PDR, SessionTable, UPFSession, UPFUserPlane
-from ..up.flow_cache import SetAssociativeFlowCache
+from ..up.flow_cache import FlowCache, FlowCacheEntry, RuleEpoch
 from ..up.keys import packet_key
 
 __all__ = [
@@ -42,6 +44,7 @@ __all__ = [
     "ABLATION_WAYS",
     "WorkingSetRow",
     "CacheAblationRow",
+    "SetAssociativeFlowCache",
     "build_session_table",
     "working_set_packets",
     "working_set_sweep",
@@ -263,6 +266,75 @@ def working_set_sweep(
     return rows
 
 
+class SetAssociativeFlowCache(FlowCache):
+    """A set-associative flow cache for the capacity/associativity
+    ablation.
+
+    Hardware exact-match caches are not fully associative: a key hashes
+    to one of ``capacity // ways`` sets and competes only with the
+    ``ways`` entries of that set, so colliding flows can thrash a set
+    long before the cache is globally full (conflict misses).  This
+    variant reproduces that behavior — per-set LRU over ``ways``
+    entries — so the ablation can separate capacity misses (fixed by a
+    bigger cache) from conflict misses (fixed by more ways).
+
+    Each set is an ``OrderedDict``; every operation binds the set(s) it
+    concerns as ``_entries`` and runs the inherited fully-associative
+    code on it, so :attr:`capacity` is the per-set bound (= ways).  The
+    inherited bulk operations are not set-aware and have no caller.
+    """
+
+    __slots__ = ("_sets",)
+
+    def __init__(self, epoch: RuleEpoch, capacity: int, ways: int) -> None:
+        if ways <= 0 or capacity % ways != 0:
+            raise ValueError(
+                f"ways must divide capacity: ways={ways!r}, "
+                f"capacity={capacity!r}"
+            )
+        super().__init__(epoch, capacity=ways)
+        self._sets: list = [OrderedDict() for _ in range(capacity // ways)]
+
+    def _set_for(self, key: Hashable) -> "OrderedDict":
+        return self._sets[hash(key) % len(self._sets)]
+
+    def lookup(self, key: Hashable) -> Optional[FlowCacheEntry]:
+        self._entries = self._set_for(key)
+        return super().lookup(key)
+
+    def insert(
+        self,
+        key: Hashable,
+        session: Any,
+        pdr: Any,
+        far: Any,
+        enforcer: Any = None,
+        counter: Any = None,
+    ) -> FlowCacheEntry:
+        # A full set evicts even though the cache as a whole may not be
+        # full: the conflict eviction the ablation counts.
+        self._entries = self._set_for(key)
+        return super().insert(key, session, pdr, far, enforcer, counter)
+
+    def purge_session(self, session: Any) -> int:
+        purged = 0
+        for entries in self._sets:
+            self._entries = entries
+            purged += super().purge_session(session)
+        return purged
+
+    def clear(self) -> None:
+        for entries in self._sets:
+            self._entries = entries
+            super().clear()
+
+    def __len__(self) -> int:
+        return sum(len(entries) for entries in self._sets)
+
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._set_for(key)
+
+
 def _build_ablation_upf(
     flows: int, capacity: int, ways: int
 ) -> UPFUserPlane:
@@ -272,8 +344,7 @@ def _build_ablation_upf(
         Environment(), table, flow_cache=True, flow_cache_capacity=capacity
     )
     if ways:
-        # Swap in the set-associative variant (UPF-U private state;
-        # the ablation drives the sequential pipeline only).
+        # Swap in the set-associative variant (UPF-U private state).
         upf_u.flow_cache = SetAssociativeFlowCache(
             table.epoch, capacity=capacity, ways=ways
         )

@@ -46,8 +46,6 @@ __all__ = [
     "CLASSIFIER_VARIANTS",
     "CachedLookupRow",
     "cached_lookup_sweep",
-    "BulkProbeRow",
-    "bulk_probe_sweep",
 ]
 
 #: The swept rule-set sizes (the paper sweeps to several thousand).
@@ -169,69 +167,6 @@ def cached_lookup_sweep(
         cached = (time.perf_counter() - begin) / len(trace)
         rows.append(
             CachedLookupRow(rules=count, uncached_s=uncached, cached_s=cached)
-        )
-    return rows
-
-
-@dataclass
-class BulkProbeRow:
-    """Per-key probe cost: singleton ``lookup`` vs bulk ``lookup_many``
-    at one burst size (both real, wall-clock measurements)."""
-
-    burst_size: int
-    flows: int
-    lookup_s: float
-    lookup_many_s: float
-
-    @property
-    def speedup(self) -> float:
-        return self.lookup_s / self.lookup_many_s
-
-
-def bulk_probe_sweep(
-    burst_sizes: Sequence[int] = (1, 4, 8, 16, 32, 64),
-    flows: int = 64,
-    rules: int = 1000,
-    variant: str = "PDR-PS",
-    trace_len: int = 4096,
-    seed: int = 7,
-) -> List[BulkProbeRow]:
-    """The burst-probe ablation behind ``process_burst``'s cache stage.
-
-    A warm :class:`~repro.up.flow_cache.FlowCache` is probed with the
-    same steady-state trace two ways: one :meth:`~FlowCache.lookup`
-    call per key (an epoch load, an LRU touch, and counter updates
-    each) versus :meth:`~FlowCache.lookup_many` over ``burst_size``
-    chunks (one epoch load per chunk, raw probes only — the LRU /
-    counter effects replay later in ``commit_burst``).  The gap is the
-    per-packet probe overhead the burst pipeline amortizes.
-    """
-    classifier, keys = build_classifier(variant, rules, seed)
-    working_set = keys[:flows]
-    cache = FlowCache(RuleEpoch(), capacity=max(flows * 2, 128))
-    for key in working_set:
-        cache.insert(key, None, classifier.lookup(key), None)
-    trace = [working_set[i % len(working_set)] for i in range(trace_len)]
-    begin = time.perf_counter()
-    for key in trace:
-        cache.lookup(key)
-    single = (time.perf_counter() - begin) / len(trace)
-    rows: List[BulkProbeRow] = []
-    for burst in burst_sizes:
-        chunks = [
-            trace[i:i + burst] for i in range(0, len(trace), burst)
-        ]
-        begin = time.perf_counter()
-        for chunk in chunks:
-            cache.lookup_many(chunk)
-        bulk = (time.perf_counter() - begin) / len(trace)
-        rows.append(
-            BulkProbeRow(
-                burst_size=burst,
-                flows=flows,
-                lookup_s=single,
-                lookup_many_s=bulk,
-            )
         )
     return rows
 

@@ -44,7 +44,6 @@ __all__ = [
     "RuleEpoch",
     "FlowCacheEntry",
     "FlowCache",
-    "SetAssociativeFlowCache",
 ]
 
 #: Default LRU bound.  Sized like OVS's EMC (8k entries): large enough
@@ -221,7 +220,10 @@ class FlowCache:
         return entry
 
     # ------------------------------------------------------------------
-    # Burst data path
+    # Bulk operations.  No caller left in src/ (process_burst probes
+    # per packet, DESIGN §12); kept unchanged because the frozen
+    # benchmarks/e2e drivers and layer probes name all three.  Removal
+    # belongs to a follow-up benchmark issue.
     # ------------------------------------------------------------------
     def lookup_many(self, keys):
         """Bulk exact-match probe over a burst's distinct keys.
@@ -401,142 +403,3 @@ class FlowCache:
         registry.gauge(f"{prefix}.hit_rate").set_function(
             lambda: self.hit_rate
         )
-
-
-class SetAssociativeFlowCache(FlowCache):
-    """A set-associative flow cache for the capacity/associativity
-    ablation.
-
-    Hardware exact-match caches are not fully associative: a key hashes
-    to one of ``capacity // ways`` sets and competes only with the
-    ``ways`` entries of that set, so colliding flows can thrash a set
-    long before the cache is globally full (conflict misses).  This
-    variant reproduces that behavior — per-set LRU over ``ways``
-    entries — so the ablation can separate capacity misses (fixed by a
-    bigger cache) from conflict misses (fixed by more ways).
-
-    Only the sequential data path (:meth:`lookup` / :meth:`insert`) is
-    set-aware; the ablation drives :meth:`UPFUserPlane.process`.  The
-    burst bulk paths are refused rather than silently resolved with
-    full associativity.
-    """
-
-    __slots__ = ("ways", "_sets")
-
-    def __init__(
-        self,
-        epoch: RuleEpoch,
-        capacity: int = DEFAULT_FLOW_CACHE_CAPACITY,
-        ways: int = 4,
-    ) -> None:
-        super().__init__(epoch, capacity)
-        if ways <= 0 or capacity % ways != 0:
-            raise ValueError(
-                f"ways must divide capacity: ways={ways!r}, "
-                f"capacity={capacity!r}"
-            )
-        self.ways = ways
-        self._sets: list = [OrderedDict() for _ in range(capacity // ways)]
-
-    def _set_for(self, key: Hashable) -> "OrderedDict":
-        return self._sets[hash(key) % len(self._sets)]
-
-    def lookup(self, key: Hashable) -> Optional[FlowCacheEntry]:
-        detector = _races._ACTIVE
-        if detector is not None:
-            detector.on_read(self, "entries")
-        entries = self._set_for(key)
-        entry = entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        if entry.generation != self._epoch.value:
-            del entries[key]
-            self.stale += 1
-            self.misses += 1
-            return None
-        entries.move_to_end(key)
-        self.hits += 1
-        return entry
-
-    def insert(
-        self,
-        key: Hashable,
-        session: Any,
-        pdr: Any,
-        far: Any,
-        enforcer: Any = None,
-        counter: Any = None,
-    ) -> FlowCacheEntry:
-        detector = _races._ACTIVE
-        if detector is not None:
-            detector.on_write(
-                self, "entries", value=len(self) + 1,
-                detail=f"insert(seid={getattr(session, 'seid', None)})",
-            )
-        entries = self._set_for(key)
-        if key in entries:
-            del entries[key]
-        elif len(entries) >= self.ways:
-            # Conflict eviction: the set is full even though the cache
-            # as a whole may not be.
-            entries.popitem(last=False)
-            self.evictions += 1
-        entry = FlowCacheEntry(
-            self._epoch.value, session, pdr, far, enforcer, counter
-        )
-        entries[key] = entry
-        self.inserts += 1
-        return entry
-
-    def lookup_many(self, keys):
-        raise NotImplementedError(
-            "SetAssociativeFlowCache supports the sequential pipeline "
-            "only (associativity ablation); use FlowCache for bursts"
-        )
-
-    def touch_burst(self, touch_keys, hits: int) -> None:
-        raise NotImplementedError(
-            "SetAssociativeFlowCache supports the sequential pipeline "
-            "only (associativity ablation); use FlowCache for bursts"
-        )
-
-    def commit_burst(self, keys, resolved, start: int = 0) -> None:
-        raise NotImplementedError(
-            "SetAssociativeFlowCache supports the sequential pipeline "
-            "only (associativity ablation); use FlowCache for bursts"
-        )
-
-    def purge_session(self, session: Any) -> int:
-        detector = _races._ACTIVE
-        if detector is not None:
-            detector.on_write(
-                self, "entries",
-                detail=f"purge_session(seid={getattr(session, 'seid', None)})",
-            )
-        hot = getattr(session, "hot", session)
-        purged = 0
-        for entries in self._sets:
-            dead = [
-                key
-                for key, entry in entries.items()
-                if entry.hot is hot or entry.hot is session
-            ]
-            for key in dead:
-                del entries[key]
-            purged += len(dead)
-        self.purged += purged
-        return purged
-
-    def clear(self) -> None:
-        detector = _races._ACTIVE
-        if detector is not None:
-            detector.on_write(self, "entries", detail="clear()")
-        for entries in self._sets:
-            entries.clear()
-
-    def __len__(self) -> int:
-        return sum(len(entries) for entries in self._sets)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._set_for(key)

@@ -85,12 +85,12 @@ def packet_key(packet: Packet):
 def packet_keys(packets):
     """Classification keys for a whole burst, built in one pass.
 
-    The vectorized front half of the burst pipeline: every packet's
-    20-field key is derived before any probe or rule application runs,
-    so the cache can be consulted in bulk and misses grouped by key.
-    A TEID-less uplink packet gets ``None`` — its key would alias
-    TEID 0, so the burst path resolves it individually, exactly like
-    :meth:`UPFUserPlane.process` bypasses the cache for it.
+    The vectorized front half of :meth:`UPFUserPlane.process_burst`:
+    every packet's 20-field key is derived before any probe or rule
+    application runs (keys depend on packet fields only, so they
+    cannot go stale mid-burst).  A TEID-less uplink packet gets
+    ``None`` — its key would alias TEID 0, so it bypasses the flow
+    cache, exactly as it does under :meth:`UPFUserPlane.process`.
 
     Key reuse across a burst assumes each element is a distinct packet
     object; enqueueing the same object twice in one burst is

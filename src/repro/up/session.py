@@ -266,9 +266,6 @@ class UPFSession:
         """
         return self.hot.match_pdr(packet, key)
 
-    def _packet_key(self, packet: Packet):
-        return packet_key(packet)
-
 
 class SessionTableView(abc.ABC):
     """What the UPF-C needs from a session store.

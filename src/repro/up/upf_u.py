@@ -28,11 +28,7 @@ from ..net.packet import Direction, Packet
 from ..obs import spans as _tracing  # repro: noqa[W004] -- tracing is off-path: span emission is gated on tracer is None
 from ..obs.metrics import MetricsRegistry  # repro: noqa[W004] -- counters only; registry import has no per-packet cost
 from ..pfcp import ies as pfcp_ies
-from .flow_cache import (
-    DEFAULT_FLOW_CACHE_CAPACITY,
-    FlowCache,
-    FlowCacheEntry,
-)
+from .flow_cache import DEFAULT_FLOW_CACHE_CAPACITY, FlowCache
 from .keys import packet_key, packet_keys
 from .qos import QerEnforcer, UsageCounter
 from .rules import FAR, PDR
@@ -117,11 +113,10 @@ class UPFUserPlane(NetworkFunction):
         LRU bound on cached flows (see :mod:`repro.up.flow_cache`).
     burst_size:
         Packets processed per burst.  1 (the default) keeps the
-        one-packet-per-call pipeline; >1 enables :meth:`process_burst`
-        on the platform path (``handle_burst``) and sets the ring
-        drain size.  Burst and sequential processing are
-        property-tested equivalent, so the knob trades Python-level
-        per-packet overhead, not semantics.
+        one-packet-per-call platform path; >1 sets the ring drain size
+        and routes each drained batch through ``handle_burst`` →
+        :meth:`process_burst`.  Both run the same per-packet pipeline,
+        so the knob trades per-call overhead, not semantics.
     """
 
     #: Kernel skb backlog other active sessions pin in the shared
@@ -235,19 +230,28 @@ class UPFUserPlane(NetworkFunction):
         packet: Packet,
         tracer: Optional["_tracing.Tracer"],
         span: Optional["_tracing.Span"],
+        key=None,
     ) -> str:
+        """The one match-action implementation.
+
+        ``key`` is the packet's classification key when the caller has
+        already built it (:meth:`process_burst`, via ``packet_keys``).
+        ``None`` means "not built": the cache-on path builds it here,
+        except for a TEID-less UL packet, whose key would alias TEID 0
+        — that packet bypasses the cache and stays ``None``.
+        """
         stats = self.stats
         cache = self.flow_cache
-        key = None
         if cache is not None and (
-            packet.direction is not Direction.UPLINK
+            key is not None
+            or packet.direction is not Direction.UPLINK
             or packet.teid is not None
         ):
             # Fast path: one exact-match probe replaces session lookup,
             # key build (reused below on miss), classifier walk, and
-            # the FAR/QER/URR dict resolution.  A TEID-less UL packet
-            # bypasses the cache: its key would alias TEID 0.
-            key = packet_key(packet)
+            # the FAR/QER/URR dict resolution.
+            if key is None:
+                key = packet_key(packet)
             entry = cache.lookup(key)
             if tracer is not None:
                 tracer.instant(
@@ -296,7 +300,7 @@ class UPFUserPlane(NetworkFunction):
             if pdr.urr_id is not None
             else None
         )
-        if key is not None:
+        if key is not None and cache is not None:
             # Memoize the decision only — never the QER/URR verdicts,
             # which are per-packet by nature.  The entry pins the hot
             # record, keeping cache hits inside the compact slab.
@@ -310,30 +314,17 @@ class UPFUserPlane(NetworkFunction):
     # Burst API
     # ------------------------------------------------------------------
     def process_burst(self, packets) -> list:
-        """Run the pipeline over a whole burst, amortizing per-packet work.
+        """Run the pipeline over a whole burst, in arrival order.
 
-        Semantically equivalent to ``[self.process(p) for p in
-        packets]`` (property-tested: same outcomes, bit-identical
-        stats, identical flow-cache contents) but structured the way a
-        DPDK fast path is: all classification keys are built up front,
-        the flow cache is probed once per distinct key under a single
-        epoch read, misses are grouped so each distinct flow costs one
-        session + classifier lookup per burst, and FAR/QER/URR apply
-        in a tight loop whose stat deltas fold into
-        :class:`ForwardingStats` once per burst.
-
-        Epoch semantics: a burst executes as one or more *runs*.  All
-        probing and resolution for a run happens under one epoch
-        snapshot; rule applications then replay in arrival order with
-        an epoch check after each applied packet.  When an application
-        bumps the epoch mid-burst (a notify-CP or usage-report callback
-        mutating rules), the remaining pre-resolved decisions are
-        abandoned and the burst resumes as a fresh run from the next
-        packet — so every packet is applied with a decision no staler
-        than one-at-a-time processing would have used.  Cache *contents*
-        stay sequential-identical; only the hit/miss accounting may
-        differ in the (rare) mid-burst-bump case, because aborted-run
-        commits are re-observed as stale entries by the re-run.
+        ``[self.process(p) for p in packets]`` with the per-call
+        overhead taken out: one race-detector role, one tracer check
+        and one vectorized key build (``packet_keys``) per burst, then
+        :meth:`_pipeline` once per packet with its pre-built key.  Each
+        packet is probed, resolved and applied before the next one is
+        looked at, so a rule mutation landing mid-burst (a notify-CP or
+        usage-report callback) is seen by the remaining packets exactly
+        as one-at-a-time processing would see it — there is no second
+        implementation to keep equivalent (DESIGN §12).
 
         Each element of ``packets`` must be a distinct packet object;
         processing the same object twice in one burst is unsupported
@@ -348,237 +339,12 @@ class UPFUserPlane(NetworkFunction):
 
     def _process_burst(self, packets) -> list:
         if _tracing.active() is not None:
-            # Tracing wants a span per packet: fall back to the
-            # classic pipeline, which emits per-stage instants.
+            # Tracing wants a span per packet.
             return [self._process_packet(packet) for packet in packets]
-        n = len(packets)
-        if n == 0:
-            return []
-        keys = packet_keys(packets)
-        outcomes = [None] * n
-        start = 0
-        while start < n:
-            start = self._burst_run(packets, keys, outcomes, start)
-        return outcomes
-
-    def _burst_run(self, packets, keys, outcomes, start: int) -> int:
-        """One epoch-coherent run; returns the index to resume from.
-
-        Probes + resolves every distinct key from ``start`` on under
-        the current epoch, commits the cache effects, then applies
-        decisions in arrival order until the burst ends or the epoch
-        moves (in which case the caller starts a fresh run at the
-        returned index).
-        """
-        n = len(packets)
-        cache = self.flow_cache
-        epoch = self.sessions.epoch
-        epoch_value = epoch.value
-        detector = _races._ACTIVE
-        # Distinct keys in first-occurrence order; every packet gets a
-        # slot index into the per-key plan list so the apply loop
-        # resolves its plan with a list index, not a 20-field hash.
-        distinct_index = {}
-        order_keys = []
-        order_packets = []
-        slots = []
-        index_of = distinct_index.get
-        add_slot = slots.append
-        for i in range(start, n):
-            key = keys[i]
-            if key is None:
-                add_slot(-1)
-                continue
-            slot = index_of(key)
-            if slot is None:
-                slot = len(order_keys)
-                distinct_index[key] = slot
-                order_keys.append(key)
-                order_packets.append(packets[i])
-            add_slot(slot)
-        plans = [None] * len(order_keys)
-        resolved = {}
-        committed = cache is None or not order_keys
-        if not committed:
-            found, stale_keys = cache.lookup_many(order_keys)
-            for key, entry in found.items():
-                plans[distinct_index[key]] = entry
-                resolved[key] = entry
-            if not stale_keys and len(found) == len(order_keys):
-                # All-hit steady state: nothing is stale or to be
-                # inserted, so the per-packet replay is pure LRU
-                # touches and each key ends at its *last* occurrence's
-                # position.  One touch per distinct key in
-                # last-occurrence order is observably identical and
-                # hashes slots (ints), not 20-field keys.
-                seen = set()
-                mark = seen.add
-                order = []
-                for slot in reversed(slots):
-                    if slot >= 0 and slot not in seen:
-                        mark(slot)
-                        order.append(slot)
-                order.reverse()
-                cache.touch_burst(
-                    [order_keys[slot] for slot in order],
-                    len(slots) - slots.count(-1),
-                )
-                committed = True
-        # Slow-path resolution: once per distinct flow, not per packet.
-        # Resolution runs entirely against the hot slab; the cold
-        # session object is never touched here.
-        for slot, key in enumerate(order_keys):
-            if plans[slot] is not None:
-                continue
-            packet = order_packets[slot]
-            hot = self._lookup_hot(packet)
-            if hot is None:
-                plans[slot] = "drop-no-session"
-                continue
-            pdr = hot.match_pdr(packet, key=key)
-            if pdr is None:
-                plans[slot] = "drop-no-pdr"
-                continue
-            if detector is not None:
-                detector.on_read(hot.cold, "fars")
-            far = hot.fars.get(pdr.far_id)
-            if far is None:
-                plans[slot] = "drop-no-far"
-                continue
-            entry = FlowCacheEntry(
-                epoch_value,
-                hot,
-                pdr,
-                far,
-                (
-                    hot.qer_enforcers.get(pdr.qer_id)
-                    if pdr.qer_id is not None
-                    else None
-                ),
-                (
-                    hot.usage_counters.get(pdr.urr_id)
-                    if pdr.urr_id is not None
-                    else None
-                ),
-            )
-            plans[slot] = entry
-            resolved[key] = entry
-        if not committed:
-            # Replay per-packet cache effects (LRU touches, stale
-            # deletions, fills, evictions) in arrival order so the
-            # cache state matches one-at-a-time processing.
-            cache.commit_burst(keys, resolved, start)
-        # Tight apply loop: stat deltas accumulate in locals and fold
-        # once per run; the epoch is re-checked after every applied
-        # packet so a mid-burst rule mutation aborts the run.
-        now = self.env.now
-        drain = self._drain_until
-        access = pfcp_ies.ACCESS
-        notify_cp = self.notify_cp
-        usage_report_sink = self.usage_report_sink
-        uplink_sink = self.uplink_sink
-        downlink_sink = self.downlink_sink
-        f_ul = f_dl = n_buffered = d_action = d_qos = d_buffer = 0
-        d_no_session = d_no_pdr = n_notify = n_usage = 0
-        i = start
-        while i < n:
-            packet = packets[i]
-            slot = slots[i - start]
-            if slot < 0:
-                # TEID-less uplink: no cacheable key — run the classic
-                # per-packet pipeline at this packet's position.
-                outcomes[i] = self._pipeline(packet, None, None)
-                i += 1
-                if epoch.value != epoch_value:
-                    break
-                continue
-            plan = plans[slot]
-            if type(plan) is str:
-                outcomes[i] = plan
-                if plan == "drop-no-session":
-                    d_no_session += 1
-                else:
-                    d_no_pdr += 1
-                i += 1
-                continue
-            hot = plan.hot
-            far = plan.far
-            action = far.action
-            if action.drop:
-                d_action += 1
-                outcomes[i] = "drop-action"
-                i += 1
-                continue
-            enforcer = plan.enforcer
-            if enforcer is not None and not enforcer.admit(packet, now):
-                d_qos += 1
-                outcomes[i] = "drop-qos"
-                i += 1
-                continue
-            counter = plan.counter
-            if counter is not None and counter.account(packet):
-                n_usage += 1
-                # Report path: the one place the steady loop needs the
-                # cold session (the CP callback takes it).
-                usage_report_sink(hot.cold, counter)
-            if action.buffer:
-                # Buffering is a lifecycle transition: dereference the
-                # cold half for the smart buffer and report flag.
-                session = hot.cold
-                buffer = session.buffer
-                if len(buffer) >= self._effective_capacity(session):
-                    buffer.dropped += 1
-                    d_buffer += 1
-                    outcomes[i] = "drop-buffer-full"
-                elif buffer.push(packet):
-                    n_buffered += 1
-                    outcomes[i] = "buffered"
-                else:
-                    d_buffer += 1
-                    outcomes[i] = "drop-buffer-full"
-                if action.notify_cp and not session.report_pending:
-                    session.report_pending = True
-                    n_notify += 1
-                    notify_cp(session)
-            elif not action.forward:
-                d_action += 1
-                outcomes[i] = "drop-action"
-            elif action.destination_interface == access:
-                # Downlink: encapsulate towards the gNB.
-                if action.outer_teid is None or action.outer_address is None:
-                    d_action += 1
-                    outcomes[i] = "drop-action"
-                elif drain and not self._admit_behind_drain(packet, hot):
-                    outcomes[i] = "drop-buffer-full"
-                else:
-                    packet.teid = action.outer_teid
-                    f_dl += 1
-                    downlink_sink(
-                        packet, action.outer_teid, action.outer_address
-                    )
-                    outcomes[i] = "forwarded-dl"
-            else:
-                # Uplink: outer header removed by the PDR; to the DN.
-                if plan.pdr.outer_header_removal:
-                    packet.teid = None
-                f_ul += 1
-                uplink_sink(packet)
-                outcomes[i] = "forwarded-ul"
-            i += 1
-            if epoch.value != epoch_value:
-                break
-        stats = self.stats
-        stats.forwarded_ul += f_ul
-        stats.forwarded_dl += f_dl
-        stats.buffered += n_buffered
-        stats.dropped_no_session += d_no_session
-        stats.dropped_no_pdr += d_no_pdr
-        stats.dropped_action += d_action
-        stats.dropped_buffer_full += d_buffer
-        stats.dropped_qos += d_qos
-        stats.notifications += n_notify
-        stats.usage_reports += n_usage
-        return i
+        return [
+            self._pipeline(packet, None, None, key)
+            for packet, key in zip(packets, packet_keys(packets))
+        ]
 
     def _on_session_removed(self, session: UPFSession) -> None:
         """SessionTable removal hook: drop per-session pipeline state.
@@ -597,14 +363,6 @@ class UPFUserPlane(NetworkFunction):
             else:
                 with detector.role("upf-u"):
                     self.flow_cache.purge_session(session)
-
-    def _lookup_session(self, packet: Packet) -> Optional[UPFSession]:
-        """Cold-session resolve (control-plane / compat callers)."""
-        if packet.direction is Direction.UPLINK:
-            if packet.teid is None:
-                return None
-            return self.sessions.by_teid(packet.teid)
-        return self.sessions.by_ue_ip(packet.flow.dst_ip)
 
     def _lookup_hot(self, packet: Packet):
         """Hot-record resolve: the data-path session lookup.
@@ -680,7 +438,7 @@ class UPFUserPlane(NetworkFunction):
         packet: Packet,
         pdr: PDR,
         far: FAR,
-        hot=None,
+        hot,
     ) -> str:
         action = far.action
         if action.destination_interface == pfcp_ies.ACCESS:
@@ -688,7 +446,9 @@ class UPFUserPlane(NetworkFunction):
             if action.outer_teid is None or action.outer_address is None:
                 self.stats.dropped_action += 1
                 return "drop-action"
-            if hot is not None and not self._admit_behind_drain(
+            # Empty between drains (entries expire), so the steady
+            # state pays a truth test, not a call per DL packet.
+            if self._drain_until and not self._admit_behind_drain(
                 packet, hot
             ):
                 return "drop-buffer-full"
@@ -738,8 +498,11 @@ class UPFUserPlane(NetworkFunction):
         actually in progress.
         """
         drain_until = self._drain_until.get(hot.seid)
+        if drain_until is None:
+            return True
         now = self.env.now
-        if drain_until is None or drain_until <= now:
+        if drain_until <= now:
+            del self._drain_until[hot.seid]  # drain over: expire it
             return True
         session = hot.cold
         reinject = self._reinject_cost()
@@ -774,6 +537,9 @@ class UPFUserPlane(NetworkFunction):
     def _flush_session(self, session: UPFSession) -> int:
         far = self._downlink_far(session)
         released = session.buffer.drain()
+        # Either exit ends the buffering episode: the next one must
+        # notify the CP (page the UE) again.
+        session.report_pending = False
         if far is None or far.action.outer_teid is None:
             self.stats.dropped_action += len(released)
             return 0
@@ -790,7 +556,6 @@ class UPFUserPlane(NetworkFunction):
                 packet, far.action.outer_teid, far.action.outer_address
             )
         self._drain_until[session.seid] = start + len(released) * reinject
-        session.report_pending = False
         tracer = _tracing.active()
         if tracer is not None:
             # The drain's extent is known analytically (serial

@@ -16,7 +16,7 @@ class TestCLI:
         expected = {
             "fig06", "fig07", "fig08", "fig09", "fig10", "fig11", "fig12",
             "table1", "table2", "smart-buffering", "fig15", "fig16",
-            "fig17", "scalability", "shard-scale", "burst",
+            "fig17", "scalability", "shard-scale",
         }
         assert set(EXPERIMENTS) == expected
 

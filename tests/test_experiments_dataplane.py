@@ -13,7 +13,6 @@ from repro.experiments.fig10 import (
 )
 from repro.experiments.fig11 import (
     build_classifier,
-    bulk_probe_sweep,
     lookup_latency_sweep,
     update_latency,
 )
@@ -174,18 +173,3 @@ class TestBurstScaling:
     def test_kernel_path_flat(self, rows):
         kernel = {rows[burst].free5gc_mpps for burst in rows}
         assert len(kernel) == 1
-
-    def test_bulk_probe_sweep_shapes(self):
-        """Measured lookup_many amortization: wall-clock, so only the
-        shape is asserted — bulk probing a warm cache must not be
-        slower than ~the singleton path at a realistic burst size."""
-        rows = bulk_probe_sweep(
-            burst_sizes=(1, 32), flows=8, rules=64, trace_len=2048
-        )
-        assert [row.burst_size for row in rows] == [1, 32]
-        for row in rows:
-            assert row.lookup_s > 0 and row.lookup_many_s > 0
-        # The 32-packet bulk probe skips per-key LRU/counter work; it
-        # should comfortably beat singletons (loose bound: no slower
-        # than 1.5x, to keep CI noise from flaking the suite).
-        assert rows[1].lookup_many_s < rows[1].lookup_s * 1.5

@@ -455,9 +455,12 @@ class TestEpochWiring:
         assert table.epoch.value > before
 
     def test_packet_key_matches_session_key(self):
+        """Classifying on the shared pre-built key == letting the
+        session build its own."""
         packet = ul_packet(3)
         session = make_session(3, LinearClassifier)
-        assert packet_key(packet) == session._packet_key(packet)
+        matched = session.match_pdr(packet, key=packet_key(packet))
+        assert matched is session.match_pdr(packet) is session.pdrs[1]
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,8 @@ the compact hot slab is observationally identical to resolving it
 through the cold-object delegation surface** — same per-packet
 outcomes, bit-identical :class:`ForwardingStats`, identical URR byte
 counts, identical flow-cache contents and counters — over any
-interleaving of packets, session churn, and rule mutations, both
-sequential and burst.  The property test replays randomized op scripts
+interleaving of packets, session churn, and rule mutations.  The
+property test replays randomized op scripts
 against the production stack and a cold-path oracle stack whose only
 difference is ``_lookup_hot`` going table -> ``UPFSession`` -> ``.hot``
 instead of probing the slab.
@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import races
 from repro.classifier import LinearClassifier, PartitionSortClassifier
+from repro.net import Direction
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import Environment
 from repro.up import (
@@ -236,7 +237,12 @@ class ColdPathUPF(UPFUserPlane):
     an observable difference downstream."""
 
     def _lookup_hot(self, packet):
-        session = self._lookup_session(packet)
+        if packet.direction is not Direction.UPLINK:
+            session = self.sessions.by_ue_ip(packet.flow.dst_ip)
+        elif packet.teid is not None:
+            session = self.sessions.by_teid(packet.teid)
+        else:
+            return None
         if session is None:
             return None
         return session.hot
@@ -302,12 +308,8 @@ def _packets_for(run, teidless_variant=3):
     return out
 
 
-def _replay(ops, flow_cache, burst_limits=None):
-    """Drive the production stack and the cold-path oracle in lockstep.
-
-    ``burst_limits`` arms burst mode: packet runs go through
-    ``process_burst`` on both stacks (partitioned identically), so the
-    slab's bulk-probe lane is held to the same oracle."""
+def _replay(ops, flow_cache):
+    """Drive the production stack and the cold-path oracle in lockstep."""
 
     def build(upf_class):
         table = SessionTable()
@@ -320,30 +322,13 @@ def _replay(ops, flow_cache, burst_limits=None):
     hot_table, hot_upf = build(UPFUserPlane)
     cold_table, cold_upf = build(ColdPathUPF)
     hot_out, cold_out = [], []
-    i = 0
-    limits = iter(burst_limits or ())
-    while i < len(ops):
-        op = ops[i][0]
-        if op in ("ul", "dl"):
-            run = [ops[i]]
-            i += 1
-            if burst_limits is not None:
-                limit = next(limits, 4)
-                while (i < len(ops) and ops[i][0] in ("ul", "dl")
-                       and len(run) < limit):
-                    run.append(ops[i])
-                    i += 1
-                hot_out.extend(hot_upf.process_burst(_packets_for(run)))
-                cold_out.extend(cold_upf.process_burst(_packets_for(run)))
-            else:
-                for packet in _packets_for(run):
-                    hot_out.append(hot_upf.process(packet))
-                for packet in _packets_for(run):
-                    cold_out.append(cold_upf.process(packet))
+    for op in ops:
+        if op[0] in ("ul", "dl"):
+            hot_out.extend(hot_upf.process(p) for p in _packets_for([op]))
+            cold_out.extend(cold_upf.process(p) for p in _packets_for([op]))
         else:
-            _mutate(ops[i][0], ops[i][1], hot_table, hot_upf)
-            _mutate(ops[i][0], ops[i][1], cold_table, cold_upf)
-            i += 1
+            _mutate(op[0], op[1], hot_table, hot_upf)
+            _mutate(op[0], op[1], cold_table, cold_upf)
     assert hot_out == cold_out
     assert hot_upf.stats == cold_upf.stats  # bit-identical dataclass
     for seid in SEIDS:
@@ -387,9 +372,3 @@ def test_slab_equals_cold_path_sequential(ops):
 @given(_hot_ops)
 def test_slab_equals_cold_path_cache_off(ops):
     _replay(ops, flow_cache=False)
-
-
-@settings(max_examples=60, deadline=None)
-@given(_hot_ops, st.lists(st.integers(1, 9), max_size=30))
-def test_slab_equals_cold_path_burst(ops, burst_limits):
-    _replay(ops, flow_cache=True, burst_limits=burst_limits)

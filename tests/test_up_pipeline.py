@@ -13,6 +13,8 @@ from repro.pfcp.builder import (
 from repro.pfcp.messages import SessionDeletionRequest
 from repro.sim import Environment
 from repro.up import (
+    FAR,
+    FARAction,
     SessionTable,
     SmartBuffer,
     UPFControlPlane,
@@ -247,6 +249,47 @@ class TestBufferingFlow:
         upf_c.handle(build_buffering_update(seid=1, sequence=4, notify_cp=True))
         upf_u.process(dl_packet(seq=1))
         assert len(reports) == 2  # a fresh episode notifies again
+
+    def test_report_pending_resets_when_flush_has_no_tunnel(self):
+        """A FORW update without an outer header drops the buffered
+        packets — and still ends the episode, so the next one pages."""
+        env, table, upf_u, upf_c, _, dl_sink, reports = build_upf()
+        establish(upf_c)
+        session = table.by_seid(1)
+        buffering = FAR(
+            far_id=2,
+            action=FARAction(forward=False, buffer=True, notify_cp=True),
+        )
+        session.update_far(buffering)
+        assert upf_u.process(dl_packet(seq=0)) == "buffered"
+        # install (not update, which would keep the old outer header)
+        session.install_far(FAR(far_id=2, action=FARAction(forward=True)))
+        assert upf_u.flush_session(session) == 0
+        assert upf_u.stats.dropped_action == 1 and dl_sink == []
+        session.update_far(buffering)
+        assert upf_u.process(dl_packet(seq=1)) == "buffered"
+        assert upf_u.stats.notifications == len(reports) == 2
+
+    def test_drain_entry_expires_once_the_drain_is_over(self):
+        env, table, upf_u, upf_c, _, dl_sink, _ = build_upf()
+        establish(upf_c)
+        upf_c.handle(build_buffering_update(seid=1, sequence=2))
+        for seq in range(3):
+            upf_u.process(dl_packet(seq=seq))
+        upf_c.handle(
+            build_forward_update(seid=1, sequence=3, gnb_address=GNB,
+                                 dl_teid=0x500)
+        )
+        assert upf_u._drain_until[1] > env.now
+        # During the drain a forwarded packet queues behind it...
+        upf_u.process(dl_packet(seq=3))
+        assert dl_sink[-1][0].meta["extra_delay"] > 0
+        # ...and once the clock passes its end the entry is dropped by
+        # the next forwarded packet, which pays no extra delay.
+        env.run(until=upf_u._drain_until[1])
+        assert upf_u.process(dl_packet(seq=4)) == "forwarded-dl"
+        assert upf_u._drain_until == {}
+        assert "extra_delay" not in dl_sink[-1][0].meta
 
     def test_choose_teid_allocates(self):
         env, table, upf_u, upf_c, *_ = build_upf()
