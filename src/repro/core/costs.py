@@ -427,7 +427,15 @@ class CostModel:
         )
 
     def message_cost(self, channel: Channel, size: int = 1024) -> float:
-        """Total one-way cost of one control message on ``channel``."""
+        """Total one-way cost of one control message on ``channel``.
+
+        The sum of the three per-channel parts above, which stay the
+        readable definition (the Fig 6/9 experiments call them one by
+        one).  Per-message callers do not come here each time: a
+        :class:`~repro.core.transport.MessageBus` keeps the value this
+        returns in a ``(channel, size)`` table, so a cost model must
+        not change once a bus has sent through it.
+        """
         return (
             self.serialize_cost(channel)
             + self.protocol_cost(channel, size)

@@ -2,10 +2,12 @@
 
 The control-plane procedures exchange typed messages over a
 :class:`MessageBus`.  Each named endpoint (an NF) registers a handler;
-``send`` schedules delivery after the one-way cost of the configured
-channel (HTTP/JSON, UDP/PFCP, shared memory, SCTP...) from the
-:class:`~repro.core.costs.CostModel`, then charges the receiver's
-handler-processing time before invoking the handler.
+``send`` schedules the arrival as a timer due after the one-way cost of
+the configured channel (HTTP/JSON, UDP/PFCP, shared memory, SCTP...)
+from the :class:`~repro.core.costs.CostModel`; the arrival decides
+whether the endpoint is up and schedules a second timer for the
+receiver's handler-processing time, which invokes the handler and
+triggers the event the sender waits on.  No process is involved.
 
 Every delivery is recorded in :attr:`MessageBus.log`, which the
 experiment harnesses mine for per-message latency (Figs 6, 7, 9) and
@@ -122,6 +124,9 @@ class MessageBus:
         self._latency = self.metrics.histogram(
             "bus.message_latency", "transport + handler latency (s)"
         )
+        #: ``costs.message_cost(channel, size)`` by ``(channel, size)``,
+        #: filled on first use: a cost model does not change once built.
+        self._one_way: Dict[tuple, float] = {}
 
     @property
     def lost(self) -> int:
@@ -174,7 +179,10 @@ class MessageBus:
         """
         channel = channel or self.default_channel
         done = self.env.event()
-        latency = self.costs.message_cost(channel, size)
+        latency = self._one_way.get((channel, size))
+        if latency is None:
+            latency = self.costs.message_cost(channel, size)
+            self._one_way[channel, size] = latency
         work = (
             handler_time
             if handler_time is not None
@@ -197,11 +205,9 @@ class MessageBus:
                 interface=interface or "",
             )
             tracer.attach(message, span)
-        self.env.process(
-            self._deliver(
-                source, destination, message, channel, size, latency,
-                work, label, done, span,
-            )
+        self.env.call_later(
+            latency, self._deliver, source, destination, message, channel,
+            size, self.env.now, work, label, done, span,
         )
         return done
 
@@ -233,14 +239,13 @@ class MessageBus:
         message: Any,
         channel: Channel,
         size: int,
-        latency: float,
+        sent_at: float,
         handler_time: float,
         label: str,
         done: Event,
         span: Any = None,
-    ):
-        sent_at = self.env.now
-        yield self.env.timeout(latency)
+    ) -> None:
+        """The message arrives: drop it, or start the handler hop."""
         endpoint = self.endpoints.get(destination)
         if endpoint is None or not endpoint.alive:
             self._drop(
@@ -256,46 +261,57 @@ class MessageBus:
                 self._finish_span(span, message, dropped=True)
             done.succeed(None)
             return
-        delivered_at = self.env.now
+        record = MessageRecord(
+            source=source,
+            destination=destination,
+            name=label,
+            channel=channel,
+            size=size,
+            sent_at=sent_at,
+            delivered_at=self.env.now,
+            handler_time=handler_time,
+        )
         san = _sanitizer.active()
         if san is not None:
             san.on_deliver(destination, message)
         if handler_time > 0:
-            yield self.env.timeout(handler_time)
+            self.env.call_later(
+                handler_time, self._handle, endpoint, record, message, done, span
+            )
+        else:
+            self._handle(endpoint, record, message, done, span)
+
+    def _handle(
+        self,
+        endpoint: Endpoint,
+        record: MessageRecord,
+        message: Any,
+        done: Event,
+        span: Any,
+    ) -> None:
+        """The handler time has elapsed: run the handler, then finish."""
         extra = endpoint.handler(message, self)
         if extra:
-            yield self.env.timeout(extra)
-            handler_time += extra
+            record.handler_time += extra
+            self.env.call_later(
+                extra, self._complete, record, message, done, span
+            )
+        else:
+            self._complete(record, message, done, span)
+
+    def _complete(
+        self, record: MessageRecord, message: Any, done: Event, span: Any
+    ) -> None:
+        """The last hop: log the record and tell the sender."""
         self._delivered.inc()
-        self._latency.observe(self.env.now - sent_at)
-        self.log.append(
-            MessageRecord(
-                source=source,
-                destination=destination,
-                name=label,
-                channel=channel,
-                size=size,
-                sent_at=sent_at,
-                delivered_at=delivered_at,
-                handler_time=handler_time,
-            )
-        )
+        self._latency.observe(self.env.now - record.sent_at)
+        self.log.append(record)
         if span is not None:
-            self._emit_breakdown(
-                span, channel, size, sent_at, delivered_at, handler_time
-            )
+            self._emit_breakdown(span, record)
             self._finish_span(span, message)
         done.succeed(message)
 
-    def _emit_breakdown(
-        self,
-        span: Any,
-        channel: Channel,
-        size: int,
-        sent_at: float,
-        delivered_at: float,
-        handler_time: float,
-    ) -> None:
+    def _emit_breakdown(self, span: Any, record: MessageRecord) -> None:
         """Attach the Fig 6 cost components as child spans, post hoc.
 
         The intervals are reconstructed from the :class:`CostModel`'s
@@ -305,8 +321,9 @@ class MessageBus:
         tracer = _tracing.active()
         if tracer is None:
             return
-        serialize = self.costs.serialize_cost(channel)
-        deserialize = self.costs.deserialize_cost(channel)
+        sent_at, delivered_at = record.sent_at, record.delivered_at
+        serialize = self.costs.serialize_cost(record.channel)
+        deserialize = self.costs.deserialize_cost(record.channel)
         cursor = sent_at
         for part, width in (
             ("serialize", serialize),
@@ -318,11 +335,11 @@ class MessageBus:
                 category="cost", parent=span,
             )
             cursor += width
-        if handler_time > 0:
+        if record.handler_time > 0:
             tracer.add_span(
                 "handler",
                 start=delivered_at,
-                end=delivered_at + handler_time,
+                end=delivered_at + record.handler_time,
                 category="cost",
                 parent=span,
             )

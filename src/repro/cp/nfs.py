@@ -70,6 +70,17 @@ class AMF:
         ctx.bump()
         return ctx.guti
 
+    def deregister(self, supi: str) -> None:
+        """Forget the registration: a later one starts from scratch and
+        gets a fresh GUTI."""
+        ctx = self.context(supi)
+        ctx.state = RegistrationState.DEREGISTERED
+        ctx.guti = None
+        ctx.security_context = None
+        ctx.serving_gnb_id = None
+        ctx.cm_connected = False
+        ctx.bump()
+
     def release_connection(self, supi: str) -> None:
         ctx = self.context(supi)
         ctx.cm_connected = False
@@ -293,6 +304,12 @@ class PCF:
             "pccRules": {"pcc-1": {"precedence": 255, "qfi": 9}},
         }
         return policy_id
+
+    def delete_am_policy(self, supi: str) -> None:
+        self.am_policies.pop(supi, None)
+
+    def delete_sm_policy(self, supi: str, pdu_session_id: int) -> None:
+        self.sm_policies.pop(f"{supi}/{pdu_session_id}", None)
 
     def handle_message(self, message: Any, bus: Any) -> None:
         self.handled += 1

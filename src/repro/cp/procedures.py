@@ -1010,6 +1010,7 @@ class ProcedureRunner:
                 ),
                 sbi.SubscriptionDataResponse(),
             )
+            core.pcf.delete_sm_policy(ue.supi, session_id)
 
         # 3. AMF: UDM deregistration + AM policy termination.
         yield from self._sbi(
@@ -1024,6 +1025,7 @@ class ProcedureRunner:
             sbi.AmPolicyCreateRequest(supi=ue.supi),
             sbi.SubscriptionDataResponse(),
         )
+        core.pcf.delete_am_policy(ue.supi)
 
         # 4. Deregistration Accept + AN release.
         yield core.ngap_send(
@@ -1036,5 +1038,5 @@ class ProcedureRunner:
         yield core.ngap_send("ran", "amf", ngap.UEContextReleaseComplete())
         gnb.disconnect(ue)
         ue.deregister()
-        core.amf.context(ue.supi).cm_connected = False
+        core.amf.deregister(ue.supi)
         return self._result("deregistration", started_at, messages_before)

@@ -396,8 +396,9 @@ class Environment:
         :class:`Event`, a generator or a :class:`Process`; it shares the
         FIFO sequence counter, so timers, timeouts and process starts
         scheduled for the same instant fire in scheduling order.  Use it
-        for "delay, then a plain call"; anything that waits twice, or
-        that someone waits on, is a process.
+        for "delay, then a plain call", and for a chain of those whose
+        last hop triggers the one event a caller waits on
+        (``MessageBus.send``); code that itself yields is a process.
         """
         if delay < 0:
             raise SimulationError(f"negative timer delay: {delay!r}")

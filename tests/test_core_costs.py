@@ -43,6 +43,18 @@ class TestChannelCosts:
         shm = DEFAULT_COSTS.message_cost(Channel.SHARED_MEMORY)
         assert flat > 5 * shm
 
+    @pytest.mark.parametrize("channel", list(Channel))
+    def test_message_cost_is_the_sum_of_its_parts(self, channel):
+        """The bus memoizes ``message_cost``; the three readable parts
+        (Fig 6/9 call them directly) must add up to it exactly."""
+        for costs in (DEFAULT_COSTS, DEFAULT_COSTS.scaled(copy_per_byte=3e-9)):
+            for size in (0, 64, 256, 512, 768, 1024, 1500, 1 << 20):
+                assert costs.message_cost(channel, size) == (
+                    costs.serialize_cost(channel)
+                    + costs.protocol_cost(channel, size)
+                    + costs.deserialize_cost(channel)
+                )
+
     def test_shared_memory_has_no_copies(self):
         small = DEFAULT_COSTS.protocol_cost(Channel.SHARED_MEMORY, 64)
         large = DEFAULT_COSTS.protocol_cost(Channel.SHARED_MEMORY, 64 << 20)

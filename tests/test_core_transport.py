@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.analysis import races, sanitizer
 from repro.core import Channel, DEFAULT_COSTS, MessageBus
+from repro.obs import spans as obs_spans
 from repro.sim import Environment
+
+from .test_sim_engine import count_steps
 
 
 def make_bus(channel=Channel.SHARED_MEMORY):
@@ -180,3 +184,244 @@ class TestLog:
         bus.send("ran", "amf", Named())
         env.run()
         assert bus.log[0].name == "FancyMessage"
+
+
+class TestTimerChain:
+    """A message is a chain of timers ending in the one event the
+    sender waits on — no process, no generator."""
+
+    @pytest.mark.parametrize(
+        "handler_time, extra, steps",
+        [
+            (1e-3, None, 3),  # arrival, handler, done
+            (0.0, None, 2),  # the handler runs inside the arrival hop
+            (1e-3, 2e-3, 4),  # + the handler's extra time
+            (0.0, 2e-3, 3),
+        ],
+    )
+    def test_steps_per_delivered_message(self, handler_time, extra, steps):
+        env, bus = make_bus()
+        bus.register("amf", lambda message, b: extra)
+        done = bus.send("ran", "amf", "msg", handler_time=handler_time)
+        assert count_steps(env) == steps
+        assert done.processed and done.value == "msg"
+        assert env.active_process is None
+
+    def test_steps_per_dropped_message(self):
+        env, bus = make_bus()
+        done = bus.send("ran", "ghost", "msg")
+        assert count_steps(env) == 2  # arrival, done
+        assert done.processed and done.value is None
+
+    def test_endpoint_dying_in_flight_drops_at_arrival(self):
+        env, bus = make_bus()
+        received, fired = [], []
+        bus.register("amf", lambda message, b: received.append(message))
+        env.run(until=0.125)
+        sent_at = env.now
+        latency = DEFAULT_COSTS.message_cost(Channel.SHARED_MEMORY)
+        done = bus.send("ran", "amf", "msg")
+        done.callbacks.append(lambda ev: fired.append((env.now, ev.value)))
+        env.call_later(latency / 2, bus.set_alive, "amf", False)
+        env.run()
+        assert received == [] and bus.log == []
+        [drop] = bus.drops
+        assert drop.reason == "endpoint-down"
+        assert drop.at == sent_at + latency
+        assert fired == [(sent_at + latency, None)]
+
+    def test_endpoint_dying_during_the_handler_hop_still_delivers(self):
+        env, bus = make_bus()
+        received = []
+        bus.register("amf", lambda message, b: received.append(message))
+        latency = DEFAULT_COSTS.message_cost(Channel.SHARED_MEMORY)
+        done = bus.send("ran", "amf", "msg", handler_time=1e-3)
+        env.call_later(latency + 0.5e-3, bus.set_alive, "amf", False)
+        env.run()
+        assert received == ["msg"] and done.value == "msg"
+        assert bus.drops == [] and bus.total_messages() == 1
+
+    def test_same_instant_messages_complete_in_send_order(self):
+        env, bus = make_bus()
+        handled, completed = [], []
+        bus.register("amf", lambda message, b: handled.append(message))
+        for n in range(8):
+            done = bus.send("ran", "amf", n)
+            done.callbacks.append(lambda ev: completed.append(ev.value))
+        env.run()
+        assert handled == completed == list(range(8))
+        assert [record.sent_at for record in bus.log] == [0.0] * 8
+
+    def test_arrival_shares_the_fifo_order_of_its_instant(self):
+        """The arrival is scheduled by ``send`` itself, so it fires
+        between whatever was scheduled for that instant before and
+        after the ``send``."""
+        env, bus = make_bus()
+        order = []
+        bus.register("amf", lambda message, b: order.append(message))
+        latency = DEFAULT_COSTS.message_cost(Channel.SHARED_MEMORY)
+        env.call_later(latency, order.append, "timer-before")
+        bus.send("ran", "amf", "message", handler_time=0.0)
+        env.timeout(latency).callbacks.append(
+            lambda ev: order.append("timeout-after")
+        )
+        env.call_later(latency, order.append, "timer-after")
+        env.run()
+        assert order == [
+            "timer-before", "message", "timeout-after", "timer-after",
+        ]
+
+    @pytest.mark.parametrize("channel", list(Channel))
+    def test_record_times_are_the_cost_sums_to_the_last_bit(self, channel):
+        env, bus = make_bus()
+        fired = []
+        bus.register("amf", lambda message, b: 0.3e-3)
+        env.run(until=0.125)
+        sent_at = env.now
+        latency = DEFAULT_COSTS.message_cost(channel, 768)
+        done = bus.send(
+            "ran", "amf", "msg", channel=channel, size=768, handler_time=1.1e-3
+        )
+        done.callbacks.append(lambda ev: fired.append(env.now))
+        env.run()
+        [record] = bus.log
+        assert record.channel is channel and record.size == 768
+        assert record.sent_at == sent_at
+        assert record.delivered_at == sent_at + latency
+        assert record.handler_time == 1.1e-3 + 0.3e-3
+        assert fired == [sent_at + latency + 1.1e-3 + 0.3e-3]
+        histogram = bus.metrics.get("bus.message_latency")
+        assert histogram.max == fired[0] - sent_at
+
+    @pytest.mark.parametrize("channel", list(Channel))
+    @pytest.mark.parametrize("size", [256, 512, 768, 1024, 1500])
+    def test_latency_is_exactly_message_cost(self, channel, size):
+        """The per-bus ``(channel, size)`` table holds what
+        ``message_cost`` returned: first use and repeat use alike."""
+        env, bus = make_bus()
+        bus.register("amf", lambda message, b: None)
+        for _ in range(3):
+            bus.send("ran", "amf", "msg", channel=channel, size=size)
+        env.run()
+        # Sent at 0.0, so ``delivered_at`` is the latency itself.
+        expected = DEFAULT_COSTS.message_cost(channel, size)
+        assert [record.delivered_at for record in bus.log] == [expected] * 3
+
+    def test_table_is_per_bus_and_follows_its_cost_model(self):
+        slow = DEFAULT_COSTS.scaled(go_shim_overhead=1e-3)
+        arrivals = []
+        for costs in (DEFAULT_COSTS, slow):
+            env = Environment()
+            bus = MessageBus(env, costs, default_channel=Channel.SHARED_MEMORY)
+            bus.register("amf", lambda message, b: None)
+            bus.send("ran", "amf", "msg")
+            env.run()
+            arrivals.append(bus.log[0].delivered_at)
+        assert arrivals == [
+            DEFAULT_COSTS.message_cost(Channel.SHARED_MEMORY),
+            slow.message_cost(Channel.SHARED_MEMORY),
+        ]
+
+
+class TestUnderInstrumentation:
+    """The timer chain calls the sanitizer, tracer and race-detector
+    hooks where the delivery process did."""
+
+    @staticmethod
+    def _spy(env, san):
+        calls = []
+        for hook in ("on_send", "on_deliver", "on_drop"):
+            def record(*args, _hook=hook, _inner=getattr(san, hook)):
+                calls.append((_hook, args[-1], env.now))
+                _inner(*args)
+
+            setattr(san, hook, record)
+        return calls
+
+    def test_sanitizer_hooks_fire_once_per_message_in_order(self):
+        env, bus = make_bus()
+        bus.register("amf", lambda message, b: 1e-3)
+        latency = DEFAULT_COSTS.message_cost(Channel.SHARED_MEMORY)
+        delivered, dropped = object(), object()
+        with sanitizer.sanitized() as san:
+            calls = self._spy(env, san)
+            bus.send("ran", "amf", delivered, handler_time=1e-3)
+            env.run()
+            sent_at = env.now
+            bus.send("ran", "ghost", dropped)
+            env.run()
+        assert calls == [
+            ("on_send", delivered, 0.0),
+            # At arrival, before the handler hop.
+            ("on_deliver", delivered, latency),
+            ("on_send", dropped, sent_at),
+            ("on_drop", dropped, sent_at + latency),
+        ]
+        assert san.violations == [] and san.leaks() == []
+
+    def test_message_span_keeps_its_cost_children(self):
+        env, bus = make_bus()
+        bus.register("upf", lambda message, b: 0.3e-3)
+        channel, costs = Channel.UDP_PFCP, DEFAULT_COSTS
+        message = object()
+        env.run(until=0.125)
+        sent_at = env.now
+        with obs_spans.tracing(env) as tracer:
+            bus.send(
+                "smf", "upf", message, channel=channel, handler_time=1.1e-3,
+                name="Establish", interface="n4",
+            )
+            env.run()
+            assert tracer.context_of(message) is None
+        [span] = tracer.find(category="message")
+        delivered_at = sent_at + costs.message_cost(channel)
+        assert span.name == "Establish" and span.attrs["interface"] == "n4"
+        assert span.start == sent_at
+        assert span.end == delivered_at + 1.1e-3 + 0.3e-3
+        parts = tracer.children(span)
+        assert [part.name for part in parts] == [
+            "serialize", "protocol", "deserialize", "handler",
+        ]
+        serialize, protocol, deserialize, handler = parts
+        assert serialize.start == sent_at
+        assert serialize.duration == pytest.approx(costs.serialize_cost(channel))
+        assert protocol.start == serialize.end
+        assert protocol.duration == pytest.approx(costs.protocol_cost(channel))
+        assert deserialize.start == pytest.approx(protocol.end)
+        assert deserialize.end == delivered_at
+        assert handler.start == delivered_at
+        assert handler.end == delivered_at + (1.1e-3 + 0.3e-3)
+
+    def test_dropped_message_span_ends_at_arrival(self):
+        env, bus = make_bus()
+        message = object()
+        with obs_spans.tracing(env) as tracer:
+            bus.send("ran", "ghost", message)
+            env.run()
+            assert tracer.context_of(message) is None
+        [span] = tracer.find(category="message")
+        assert span.attrs["dropped"] is True
+        assert span.end == DEFAULT_COSTS.message_cost(Channel.SHARED_MEMORY)
+        assert tracer.children(span) == []
+
+    @pytest.mark.parametrize("handler_time, generation", [(1e-3, 2), (0.0, 1)])
+    def test_handler_is_an_atomic_section_with_no_process(
+        self, handler_time, generation
+    ):
+        env, bus = make_bus()
+        rules, seen = {}, []
+        with races.traced(env=env) as det:
+            det.register(rules, "rules", owner="upf-c", rule_parts=("fars",))
+
+            def handler(message, b):
+                seen.append((env.active_process, env.yield_generation))
+                with det.role("upf-c"):
+                    det.on_write(rules, "fars", detail="bus handler")
+                det.on_bump()
+
+            bus.register("upf", handler)
+            bus.send("smf", "upf", "msg", handler_time=handler_time)
+            env.run()
+        # One section per hop: the handler hop is the second firing.
+        assert seen == [(None, generation)]
+        assert det.violations == []

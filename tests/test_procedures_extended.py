@@ -4,6 +4,7 @@ GTP end markers, and the scalability ablations."""
 import pytest
 
 from repro.cp import FiveGCore, HOState, ProcedureRunner, SystemConfig
+from repro.cp.context import RegistrationState
 from repro.experiments.scalability import (
     classifier_ablation,
     session_scale_sweep,
@@ -130,6 +131,41 @@ class TestDeregistration:
         assert core.ue_ip_pool.in_use == 0
         assert detail["dl_teid"] not in core.dl_routes
         assert not core.gnbs[1].is_connected(ue)
+
+    def test_amf_and_pcf_forget_the_ue(self):
+        """The teardown's policy terminations and the deregistration
+        itself change NF state, not only UE/UPF state."""
+        env, core, runner, ue, detail = connected_ue()
+        ctx = core.amf.context(ue.supi)
+        assert ctx.state is RegistrationState.REGISTERED and ctx.guti
+        assert core.pcf.am_policies and core.pcf.sm_policies
+        version = ctx.version
+
+        env.process(runner.deregister_ue(ue))
+        env.run()
+        assert ctx.state is RegistrationState.DEREGISTERED
+        assert ctx.guti is None and ctx.security_context is None
+        assert ctx.serving_gnb_id is None and not ctx.cm_connected
+        assert ctx.version > version
+        assert core.pcf.am_policies == {} and core.pcf.sm_policies == {}
+
+    def test_reattach_gets_a_fresh_guti_and_policies(self):
+        env, core, runner, ue, detail = connected_ue()
+        old_guti = core.amf.context(ue.supi).guti
+
+        def scenario():
+            yield from runner.deregister_ue(ue)
+            yield from runner.register_ue(ue, gnb_id=1)
+            yield from runner.establish_session(ue)
+
+        env.process(scenario())
+        env.run()
+        ctx = core.amf.context(ue.supi)
+        assert ctx.state is RegistrationState.REGISTERED
+        assert ctx.guti and ctx.guti != old_guti
+        assert ctx.security_context and ctx.serving_gnb_id == 1
+        assert set(core.pcf.am_policies) == {ue.supi}
+        assert set(core.pcf.sm_policies) == {f"{ue.supi}/1"}
 
     def test_data_stops_after_deregistration(self):
         env, core, runner, ue, detail = connected_ue()
