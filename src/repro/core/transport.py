@@ -1,13 +1,24 @@
 """Message-level inter-NF transports.
 
 The control-plane procedures exchange typed messages over a
-:class:`MessageBus`.  Each named endpoint (an NF) registers a handler;
-``send`` schedules the arrival as a timer due after the one-way cost of
-the configured channel (HTTP/JSON, UDP/PFCP, shared memory, SCTP...)
-from the :class:`~repro.core.costs.CostModel`; the arrival decides
-whether the endpoint is up and schedules a second timer for the
-receiver's handler-processing time, which invokes the handler and
-triggers the event the sender waits on.  No process is involved.
+:class:`MessageBus`.  Each named endpoint (an NF) registers a handler.
+A delivered message is one :class:`MessageRecord` and two timers:
+
+* ``send`` builds the record (``sent_at`` = now) and schedules the
+  arrival, due after the one-way cost of the configured channel
+  (HTTP/JSON, UDP/PFCP, shared memory, SCTP...) from the
+  :class:`~repro.core.costs.CostModel`;
+* the arrival (``_deliver``) decides whether the endpoint is up, stamps
+  ``delivered_at`` and schedules the receiver's handler-processing time
+  (a dropped message discards the record and leaves a
+  :class:`DropRecord`);
+* the handler hop invokes the handler, logs the record — the object
+  built at ``send``, nothing is copied — and fires the event the sender
+  waits on *in place* (:meth:`~repro.sim.engine.Event.fire`): the sender
+  resumes inside that hop, at the completion instant, ahead of anything
+  else already queued for it.
+
+No process and no heap-scheduled event is involved.
 
 Every delivery is recorded in :attr:`MessageBus.log`, which the
 experiment harnesses mine for per-message latency (Figs 6, 7, 9) and
@@ -124,8 +135,9 @@ class MessageBus:
         self._latency = self.metrics.histogram(
             "bus.message_latency", "transport + handler latency (s)"
         )
-        #: ``costs.message_cost(channel, size)`` by ``(channel, size)``,
-        #: filled on first use: a cost model does not change once built.
+        #: ``costs.message_cost(channel, size)`` by ``(channel value,
+        #: size)``, filled on first use: a cost model does not change
+        #: once built.
         self._one_way: Dict[tuple, float] = {}
 
     @property
@@ -177,26 +189,36 @@ class MessageBus:
         trace span for per-interface breakdowns; it does not affect
         delivery.
         """
+        env = self.env
         channel = channel or self.default_channel
-        done = self.env.event()
-        latency = self._one_way.get((channel, size))
+        # ``_value_`` is the member's plain string: hashing the member
+        # itself runs ``Enum.__hash__`` in Python on every probe.
+        key = (channel._value_, size)
+        latency = self._one_way.get(key)
         if latency is None:
-            latency = self.costs.message_cost(channel, size)
-            self._one_way[channel, size] = latency
-        work = (
-            handler_time
-            if handler_time is not None
-            else self.costs.handler_processing
+            latency = self._one_way[key] = self.costs.message_cost(channel, size)
+        if handler_time is None:
+            handler_time = self.costs.handler_processing
+        now = env.now
+        record = MessageRecord(
+            source,
+            destination,
+            name or getattr(message, "name", type(message).__name__),
+            channel,
+            size,
+            now,
+            now,  # delivered_at: stamped at arrival
+            handler_time,
         )
-        label = name or getattr(message, "name", type(message).__name__)
-        san = _sanitizer.active()
+        done = Event(env)
+        san = _sanitizer._ACTIVE
         if san is not None:
             san.on_send(source, destination, message)
-        tracer = _tracing.active()
+        tracer = _tracing._ACTIVE
         span = None
         if tracer is not None:
             span = tracer.start_span(
-                label,
+                record.name,
                 category="message",
                 source=source,
                 destination=destination,
@@ -205,21 +227,19 @@ class MessageBus:
                 interface=interface or "",
             )
             tracer.attach(message, span)
-        self.env.call_later(
-            latency, self._deliver, source, destination, message, channel,
-            size, self.env.now, work, label, done, span,
-        )
+        env.call_later(latency, self._deliver, record, message, done, span)
         return done
 
-    def _drop(self, source: str, destination: str, label: str, reason: str) -> None:
+    def _drop(self, record: MessageRecord, reason: str) -> None:
         """The single drop path: record + count, so ``lost`` and
-        ``drops`` cannot diverge."""
+        ``drops`` cannot diverge.  The message's own record never
+        reaches the log; the :class:`DropRecord` is its account."""
         self._lost.inc()
         self.drops.append(
             DropRecord(
-                source=source,
-                destination=destination,
-                name=label,
+                source=record.source,
+                destination=record.destination,
+                name=record.name,
                 reason=reason,
                 at=self.env.now,
             )
@@ -228,55 +248,34 @@ class MessageBus:
     def _finish_span(self, span: Any, message: Any, **attrs: Any) -> None:
         span.end = self.env.now
         span.attrs.update(attrs)
-        tracer = _tracing.active()
+        tracer = _tracing._ACTIVE
         if tracer is not None:
             tracer.detach(message)
 
     def _deliver(
-        self,
-        source: str,
-        destination: str,
-        message: Any,
-        channel: Channel,
-        size: int,
-        sent_at: float,
-        handler_time: float,
-        label: str,
-        done: Event,
-        span: Any = None,
+        self, record: MessageRecord, message: Any, done: Event, span: Any
     ) -> None:
         """The message arrives: drop it, or start the handler hop."""
-        endpoint = self.endpoints.get(destination)
+        endpoint = self.endpoints.get(record.destination)
+        san = _sanitizer._ACTIVE
         if endpoint is None or not endpoint.alive:
             self._drop(
-                source,
-                destination,
-                label,
+                record,
                 "unknown-endpoint" if endpoint is None else "endpoint-down",
             )
-            san = _sanitizer.active()
             if san is not None:
                 san.on_drop(message)
             if span is not None:
                 self._finish_span(span, message, dropped=True)
-            done.succeed(None)
+            done.fire(None)
             return
-        record = MessageRecord(
-            source=source,
-            destination=destination,
-            name=label,
-            channel=channel,
-            size=size,
-            sent_at=sent_at,
-            delivered_at=self.env.now,
-            handler_time=handler_time,
-        )
-        san = _sanitizer.active()
+        record.delivered_at = self.env.now
         if san is not None:
-            san.on_deliver(destination, message)
-        if handler_time > 0:
+            san.on_deliver(record.destination, message)
+        if record.handler_time > 0:
             self.env.call_later(
-                handler_time, self._handle, endpoint, record, message, done, span
+                record.handler_time, self._handle, endpoint, record, message,
+                done, span,
             )
         else:
             self._handle(endpoint, record, message, done, span)
@@ -302,14 +301,14 @@ class MessageBus:
     def _complete(
         self, record: MessageRecord, message: Any, done: Event, span: Any
     ) -> None:
-        """The last hop: log the record and tell the sender."""
+        """The last hop: log the record and resume the sender in place."""
         self._delivered.inc()
         self._latency.observe(self.env.now - record.sent_at)
         self.log.append(record)
         if span is not None:
             self._emit_breakdown(span, record)
             self._finish_span(span, message)
-        done.succeed(message)
+        done.fire(message)
 
     def _emit_breakdown(self, span: Any, record: MessageRecord) -> None:
         """Attach the Fig 6 cost components as child spans, post hoc.
@@ -318,7 +317,7 @@ class MessageBus:
         decomposition of the transport latency that already elapsed —
         no additional simulation events are created.
         """
-        tracer = _tracing.active()
+        tracer = _tracing._ACTIVE
         if tracer is None:
             return
         sent_at, delivered_at = record.sent_at, record.delivered_at

@@ -347,31 +347,35 @@ class FiveGCore:
         )
         return response
 
+    def _n4_send(
+        self, source: str, destination: str, message: PFCPMessage
+    ) -> Event:
+        """One N4 leg.  Shared memory passes the descriptor, so the
+        message is only sized; the kernel-UDP baseline serialises it."""
+        channel = self.config.n4_channel
+        return self.bus.send(
+            source,
+            destination,
+            message,
+            channel=channel,
+            size=(
+                message.wire_size()
+                if channel is Channel.SHARED_MEMORY
+                else len(message.encode())
+            ),
+            handler_time=message.HANDLER_TIME,
+            interface="n4",
+        )
+
     def n4_exchange(self, message: PFCPMessage):
         """One PFCP request/response applied to the UPF-C.
 
         The request's rule changes take effect exactly when the UPF-C
         handler runs — ordering that matters for buffering/flush races.
         """
-        yield self.bus.send(
-            "smf",
-            "upf-c",
-            message,
-            channel=self.config.n4_channel,
-            size=len(message.encode()),
-            handler_time=message.HANDLER_TIME,
-            interface="n4",
-        )
+        yield self._n4_send("smf", "upf-c", message)
         response = self.upf_c.handle(message)
-        yield self.bus.send(
-            "upf-c",
-            "smf",
-            response,
-            channel=self.config.n4_channel,
-            size=len(response.encode()),
-            handler_time=response.HANDLER_TIME,
-            interface="n4",
-        )
+        yield self._n4_send("upf-c", "smf", response)
         return response
 
     def ngap_send(
@@ -421,26 +425,13 @@ class FiveGCore:
         """UPF-C -> SMF downlink data report, then the paging hook."""
 
         def _notify():
-            yield self.bus.send(
-                "upf-c",
-                "smf",
-                report,
-                channel=self.config.n4_channel,
-                size=len(report.encode()),
-                handler_time=report.HANDLER_TIME,
-                interface="n4",
-            )
-            response = SessionReportResponse(
-                seid=report.seid, sequence=report.sequence
-            )
-            yield self.bus.send(
+            yield self._n4_send("upf-c", "smf", report)
+            yield self._n4_send(
                 "smf",
                 "upf-c",
-                response,
-                channel=self.config.n4_channel,
-                size=len(response.encode()),
-                handler_time=response.HANDLER_TIME,
-                interface="n4",
+                SessionReportResponse(
+                    seid=report.seid, sequence=report.sequence
+                ),
             )
             if self.on_report is not None:
                 self.on_report(report)

@@ -321,24 +321,28 @@ class NRF:
     def __init__(self, name: str = "nrf"):
         self.name = name
         self.profiles: Dict[str, Dict[str, Any]] = {}
+        #: ``profiles`` by ``nfType`` then instance id, in registration
+        #: order: every SBI exchange discovers, few calls register.
+        self._by_type: Dict[str, Dict[str, Dict[str, Any]]] = {}
         self.discoveries = 0
         self.handled = 0
 
     def register_nf(self, nf_type: str, instance_id: str, address: str) -> None:
-        self.profiles[instance_id] = {
+        previous = self.profiles.get(instance_id)
+        if previous is not None and previous["nfType"] != nf_type:
+            del self._by_type[previous["nfType"]][instance_id]
+        profile = {
             "nfType": nf_type,
             "nfInstanceId": instance_id,
             "address": address,
             "nfStatus": "REGISTERED",
         }
+        self.profiles[instance_id] = profile
+        self._by_type.setdefault(nf_type, {})[instance_id] = profile
 
     def discover(self, target_nf_type: str) -> List[Dict[str, Any]]:
         self.discoveries += 1
-        return [
-            profile
-            for profile in self.profiles.values()
-            if profile["nfType"] == target_nf_type
-        ]
+        return list(self._by_type.get(target_nf_type, {}).values())
 
     def handle_message(self, message: Any, bus: Any) -> None:
         self.handled += 1

@@ -46,6 +46,7 @@ __all__ = [
     "DownlinkDataReportIE",
     "decode_ies",
     "encode_ies",
+    "ies_size",
     "IE_REGISTRY",
 ]
 
@@ -79,9 +80,20 @@ class IE:
 
     IE_TYPE: ClassVar[int] = 0
     GROUPED: ClassVar[bool] = False
+    #: ``len(payload())`` of a fixed-format IE; None where it depends
+    #: on the instance, which then overrides :meth:`payload_size`.
+    PAYLOAD_SIZE: ClassVar[Optional[int]] = None
 
     def payload(self) -> bytes:
         raise NotImplementedError
+
+    def payload_size(self) -> int:
+        """``len(self.payload())`` without building the bytes."""
+        return self.PAYLOAD_SIZE
+
+    def wire_size(self) -> int:
+        """``len(self.encode())``: the 4-byte TLV header plus payload."""
+        return 4 + self.payload_size()
 
     @classmethod
     def parse(cls, data: bytes) -> "IE":
@@ -95,6 +107,19 @@ class IE:
 def encode_ies(ies: List[IE]) -> bytes:
     """Concatenate the TLV encodings of a list of IEs."""
     return b"".join(ie.encode() for ie in ies)
+
+
+def ies_size(ies: List[IE]) -> int:
+    """``len(encode_ies(ies))`` from the structure alone.
+
+    What a shared-memory N4 leg is sized by: the descriptor is passed,
+    never serialised, but the record keeps the size the bytes would be.
+    """
+    total = 0
+    for ie in ies:
+        size = ie.PAYLOAD_SIZE
+        total += 4 + (ie.payload_size() if size is None else size)
+    return total
 
 
 def decode_ies(data: bytes) -> List[IE]:
@@ -137,6 +162,7 @@ class CauseIE(IE):
     """Cause (type 19)."""
 
     IE_TYPE: ClassVar[int] = 19
+    PAYLOAD_SIZE: ClassVar[int] = struct.calcsize("!B")
     cause: int = CAUSE_ACCEPTED
 
     def payload(self) -> bytes:
@@ -157,6 +183,7 @@ class NodeIdIE(IE):
     """Node ID (type 60), IPv4 form."""
 
     IE_TYPE: ClassVar[int] = 60
+    PAYLOAD_SIZE: ClassVar[int] = struct.calcsize("!BI")
     address: int = 0
 
     def payload(self) -> bytes:
@@ -174,6 +201,7 @@ class FSeidIE(IE):
     """F-SEID (type 57): session endpoint id + IPv4."""
 
     IE_TYPE: ClassVar[int] = 57
+    PAYLOAD_SIZE: ClassVar[int] = struct.calcsize("!BQI")
     seid: int = 0
     address: int = 0
 
@@ -192,6 +220,7 @@ class PdrIdIE(IE):
     """PDR ID (type 56)."""
 
     IE_TYPE: ClassVar[int] = 56
+    PAYLOAD_SIZE: ClassVar[int] = struct.calcsize("!H")
     rule_id: int = 0
 
     def payload(self) -> bytes:
@@ -208,6 +237,7 @@ class FarIdIE(IE):
     """FAR ID (type 108)."""
 
     IE_TYPE: ClassVar[int] = 108
+    PAYLOAD_SIZE: ClassVar[int] = struct.calcsize("!I")
     rule_id: int = 0
 
     def payload(self) -> bytes:
@@ -224,6 +254,7 @@ class QerIdIE(IE):
     """QER ID (type 109)."""
 
     IE_TYPE: ClassVar[int] = 109
+    PAYLOAD_SIZE: ClassVar[int] = struct.calcsize("!I")
     rule_id: int = 0
 
     def payload(self) -> bytes:
@@ -240,6 +271,7 @@ class PrecedenceIE(IE):
     """Precedence (type 29): lower value wins."""
 
     IE_TYPE: ClassVar[int] = 29
+    PAYLOAD_SIZE: ClassVar[int] = struct.calcsize("!I")
     precedence: int = 255
 
     def payload(self) -> bytes:
@@ -256,6 +288,7 @@ class SourceInterfaceIE(IE):
     """Source Interface (type 20): ACCESS (UL) or CORE (DL)."""
 
     IE_TYPE: ClassVar[int] = 20
+    PAYLOAD_SIZE: ClassVar[int] = struct.calcsize("!B")
     interface: int = ACCESS
 
     def payload(self) -> bytes:
@@ -272,6 +305,7 @@ class DestinationInterfaceIE(IE):
     """Destination Interface (type 42)."""
 
     IE_TYPE: ClassVar[int] = 42
+    PAYLOAD_SIZE: ClassVar[int] = struct.calcsize("!B")
     interface: int = CORE
 
     def payload(self) -> bytes:
@@ -293,6 +327,7 @@ class FTeidIE(IE):
     """
 
     IE_TYPE: ClassVar[int] = 21
+    PAYLOAD_SIZE: ClassVar[int] = struct.calcsize("!BIIB")
     teid: int = 0
     address: int = 0
     choose: bool = False
@@ -315,6 +350,7 @@ class UeIpAddressIE(IE):
     """UE IP Address (type 93)."""
 
     IE_TYPE: ClassVar[int] = 93
+    PAYLOAD_SIZE: ClassVar[int] = struct.calcsize("!BI")
     address: int = 0
     source_or_destination: int = 0  # 0 = source (UL), 1 = destination (DL)
 
@@ -342,6 +378,9 @@ class NetworkInstanceIE(IE):
 
     def payload(self) -> bytes:
         return self.instance.encode("ascii")
+
+    def payload_size(self) -> int:
+        return len(self.instance)  # ASCII: one byte per character
 
     @classmethod
     def parse(cls, data: bytes) -> "NetworkInstanceIE":
@@ -387,6 +426,15 @@ class SdfFilterIE(IE):
             out += struct.pack("!I", self.filter_id)
         return out
 
+    def payload_size(self) -> int:
+        return (
+            4 + len(self.flow_description)  # flags, spare, length; ASCII
+            + (0 if self.tos is None else 2)
+            + (0 if self.spi is None else 4)
+            + (0 if self.flow_label is None else 4)
+            + (0 if self.filter_id is None else 4)
+        )
+
     @classmethod
     def parse(cls, data: bytes) -> "SdfFilterIE":
         flags = data[0]
@@ -420,6 +468,7 @@ class QfiIE(IE):
     """QoS Flow Identifier (type 124)."""
 
     IE_TYPE: ClassVar[int] = 124
+    PAYLOAD_SIZE: ClassVar[int] = struct.calcsize("!B")
     qfi: int = 9
 
     def payload(self) -> bytes:
@@ -441,6 +490,7 @@ class ApplyActionIE(IE):
     """
 
     IE_TYPE: ClassVar[int] = 44
+    PAYLOAD_SIZE: ClassVar[int] = struct.calcsize("!B")
     flags: int = ACTION_FORW
 
     def payload(self) -> bytes:
@@ -473,6 +523,7 @@ class OuterHeaderCreationIE(IE):
     """Outer Header Creation (type 84): GTP-U/UDP/IPv4 towards a gNB."""
 
     IE_TYPE: ClassVar[int] = 84
+    PAYLOAD_SIZE: ClassVar[int] = struct.calcsize("!HII")
     teid: int = 0
     address: int = 0
 
@@ -491,6 +542,7 @@ class OuterHeaderRemovalIE(IE):
     """Outer Header Removal (type 95)."""
 
     IE_TYPE: ClassVar[int] = 95
+    PAYLOAD_SIZE: ClassVar[int] = struct.calcsize("!B")
     description: int = 0  # 0 = GTP-U/UDP/IPv4
 
     def payload(self) -> bytes:
@@ -511,6 +563,7 @@ class ReportTypeIE(IE):
     """
 
     IE_TYPE: ClassVar[int] = 39
+    PAYLOAD_SIZE: ClassVar[int] = struct.calcsize("!B")
     dldr: bool = True
     usar: bool = False
 
@@ -535,6 +588,9 @@ class _GroupedIE(IE):
 
     def payload(self) -> bytes:
         return encode_ies(self.children)
+
+    def payload_size(self) -> int:
+        return ies_size(self.children)
 
     @classmethod
     def parse(cls, data: bytes) -> "_GroupedIE":

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Optional, Type
 
 from ..sim.engine import US
-from .ies import IE, decode_ies, encode_ies
+from .ies import IE, decode_ies, encode_ies, ies_size
 
 __all__ = [
     "PFCPHeader",
@@ -121,6 +121,11 @@ class PFCPMessage:
             sequence=self.sequence,
         )
         return header.pack(len(body)) + body
+
+    def wire_size(self) -> int:
+        """``len(self.encode())`` without serialising: the 16-byte
+        session header (8 without SEID) plus each IE's TLV size."""
+        return (16 if self.HAS_SEID else 8) + ies_size(self.ies)
 
     @classmethod
     def from_ies(cls, header: PFCPHeader, ies: List[IE]) -> "PFCPMessage":

@@ -39,6 +39,7 @@ class GateStatusIE(IE):
     """Gate Status (type 25): open/closed per direction."""
 
     IE_TYPE: ClassVar[int] = 25
+    PAYLOAD_SIZE: ClassVar[int] = struct.calcsize("!B")
     ul_gate: int = GATE_OPEN
     dl_gate: int = GATE_OPEN
 
@@ -64,6 +65,7 @@ class MbrIE(IE):
     """Maximum Bit Rate (type 26), kbps per direction."""
 
     IE_TYPE: ClassVar[int] = 26
+    PAYLOAD_SIZE: ClassVar[int] = struct.calcsize("!QQ")
     ul_kbps: int = 0
     dl_kbps: int = 0
 
@@ -84,6 +86,7 @@ class GbrIE(IE):
     """Guaranteed Bit Rate (type 27), kbps per direction."""
 
     IE_TYPE: ClassVar[int] = 27
+    PAYLOAD_SIZE: ClassVar[int] = struct.calcsize("!QQ")
     ul_kbps: int = 0
     dl_kbps: int = 0
 
@@ -110,6 +113,7 @@ class UrrIdIE(IE):
     """URR ID (type 81)."""
 
     IE_TYPE: ClassVar[int] = 81
+    PAYLOAD_SIZE: ClassVar[int] = struct.calcsize("!I")
     rule_id: int = 0
 
     def payload(self) -> bytes:
@@ -126,6 +130,7 @@ class MeasurementMethodIE(IE):
     """Measurement Method (type 62): volume and/or duration."""
 
     IE_TYPE: ClassVar[int] = 62
+    PAYLOAD_SIZE: ClassVar[int] = struct.calcsize("!B")
     volume: bool = True
     duration: bool = False
 
@@ -144,6 +149,7 @@ class VolumeThresholdIE(IE):
     """Volume Threshold (type 31): total bytes before a usage report."""
 
     IE_TYPE: ClassVar[int] = 31
+    PAYLOAD_SIZE: ClassVar[int] = struct.calcsize("!BQ")
     total_bytes: int = 0
 
     def payload(self) -> bytes:
@@ -169,6 +175,7 @@ class VolumeMeasurementIE(IE):
     """Volume Measurement (type 66): bytes counted so far."""
 
     IE_TYPE: ClassVar[int] = 66
+    PAYLOAD_SIZE: ClassVar[int] = struct.calcsize("!BQQQ")
     total_bytes: int = 0
     uplink_bytes: int = 0
     downlink_bytes: int = 0

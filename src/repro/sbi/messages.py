@@ -40,6 +40,18 @@ __all__ = [
 MESSAGE_REGISTRY: Dict[str, Type["SBIMessage"]] = {}
 
 
+def _shared(payload: Any) -> Any:
+    """A field whose default is ``payload`` itself, not a copy of it.
+
+    Every default-constructed instance holds the *same* nested object:
+    messages are frozen, nothing may mutate one after it is sent (the
+    sanitizer enforces that), and :meth:`SBIMessage.to_dict` deep-copies
+    before a codec or a caller gets to write.  Rebuilding the nested
+    dicts per instance was most of what a discovery exchange cost.
+    """
+    return field(default_factory=lambda: payload)
+
+
 def register_message(cls: Type["SBIMessage"]) -> Type["SBIMessage"]:
     """Class decorator adding a message type to the registry."""
     MESSAGE_REGISTRY[cls.__name__] = cls
@@ -78,23 +90,19 @@ class PostSmContextsRequest(SBIMessage):
     pei: str = "imeisv-4370816125816151"
     pdu_session_id: int = 1
     dnn: str = "internet"
-    s_nssai: Dict[str, Any] = field(
-        default_factory=lambda: {"sst": 1, "sd": "010203"}
-    )
+    s_nssai: Dict[str, Any] = _shared({"sst": 1, "sd": "010203"})
     serving_nf_id: str = "0ca2dd1c-4b0c-4a29-88ad-6ba40b2f13d1"
-    serving_network: Dict[str, str] = field(
-        default_factory=lambda: {"mcc": "208", "mnc": "93"}
-    )
-    guami: Dict[str, Any] = field(
-        default_factory=lambda: {
+    serving_network: Dict[str, str] = _shared({"mcc": "208", "mnc": "93"})
+    guami: Dict[str, Any] = _shared(
+        {
             "plmnId": {"mcc": "208", "mnc": "93"},
             "amfId": "cafe00",
         }
     )
     an_type: str = "3GPP_ACCESS"
     rat_type: str = "NR"
-    ue_location: Dict[str, Any] = field(
-        default_factory=lambda: {
+    ue_location: Dict[str, Any] = _shared(
+        {
             "nrLocation": {
                 "tai": {"plmnId": {"mcc": "208", "mnc": "93"}, "tac": "000001"},
                 "ncgi": {
@@ -173,8 +181,8 @@ class UEAuthenticationResponse(SBIMessage):
     autn: str = "bb2c61d3f8e0800032f9c04dd7b8a1c5"
     hxres_star: str = "c4a1d0e9b36f2278a5d4e8f1903b7c62"
     auth_ctx_id: str = "authctx-0001"
-    links: Dict[str, Any] = field(
-        default_factory=lambda: {
+    links: Dict[str, Any] = _shared(
+        {
             "5g-aka": {
                 "href": "http://ausf.5gc.mnc093.mcc208:8000/"
                 "nausf-auth/v1/ue-authentications/authctx-0001/5g-aka-confirmation"
@@ -201,8 +209,8 @@ class N1N2MessageTransfer(SBIMessage):
     """
 
     n1_message_container: Optional[Dict[str, str]] = None
-    n2_info_container: Dict[str, Any] = field(
-        default_factory=lambda: {
+    n2_info_container: Dict[str, Any] = _shared(
+        {
             "n2InformationClass": "SM",
             "smInfo": {
                 "pduSessionId": 1,
@@ -238,8 +246,8 @@ class AmPolicyCreateRequest(SBIMessage):
     supi: str = "imsi-208930000000003"
     access_type: str = "3GPP_ACCESS"
     pei: str = "imeisv-4370816125816151"
-    user_loc: Dict[str, Any] = field(
-        default_factory=lambda: {
+    user_loc: Dict[str, Any] = _shared(
+        {
             "nrLocation": {
                 "tai": {"plmnId": {"mcc": "208", "mnc": "93"}, "tac": "000001"}
             }
@@ -260,9 +268,7 @@ class SmPolicyCreateRequest(SBIMessage):
     notification_uri: str = (
         "http://smf.5gc.mnc093.mcc208:8000/nsmf-callback/v1/sm-policy/1"
     )
-    sl_nssai: Dict[str, Any] = field(
-        default_factory=lambda: {"sst": 1, "sd": "010203"}
-    )
+    sl_nssai: Dict[str, Any] = _shared({"sst": 1, "sd": "010203"})
     ipv4_address: str = "10.60.0.1"
 
 
@@ -272,12 +278,8 @@ class SubscriptionDataRequest(SBIMessage):
     """AMF/SMF -> UDM: fetch subscription data (TS 29.503)."""
 
     supi: str = "imsi-208930000000003"
-    dataset_names: List[str] = field(
-        default_factory=lambda: ["AM", "SMF_SEL", "UEC_SMF"]
-    )
-    plmn_id: Dict[str, str] = field(
-        default_factory=lambda: {"mcc": "208", "mnc": "93"}
-    )
+    dataset_names: List[str] = _shared(["AM", "SMF_SEL", "UEC_SMF"])
+    plmn_id: Dict[str, str] = _shared({"mcc": "208", "mnc": "93"})
 
 
 @register_message
@@ -285,8 +287,8 @@ class SubscriptionDataRequest(SBIMessage):
 class SubscriptionDataResponse(SBIMessage):
     """UDM -> AMF/SMF: the subscription profile."""
 
-    am_data: Dict[str, Any] = field(
-        default_factory=lambda: {
+    am_data: Dict[str, Any] = _shared(
+        {
             "gpsis": ["msisdn-886912345678"],
             "subscribedUeAmbr": {"uplink": "1 Gbps", "downlink": "2 Gbps"},
             "nssai": {
@@ -294,8 +296,8 @@ class SubscriptionDataResponse(SBIMessage):
             },
         }
     )
-    smf_sel_data: Dict[str, Any] = field(
-        default_factory=lambda: {
+    smf_sel_data: Dict[str, Any] = _shared(
+        {
             "subscribedSnssaiInfos": {
                 "01010203": {"dnnInfos": [{"dnn": "internet"}]}
             }
@@ -310,12 +312,8 @@ class NFDiscoveryRequest(SBIMessage):
 
     target_nf_type: str = "SMF"
     requester_nf_type: str = "AMF"
-    service_names: List[str] = field(
-        default_factory=lambda: ["nsmf-pdusession"]
-    )
-    snssais: List[Dict[str, Any]] = field(
-        default_factory=lambda: [{"sst": 1, "sd": "010203"}]
-    )
+    service_names: List[str] = _shared(["nsmf-pdusession"])
+    snssais: List[Dict[str, Any]] = _shared([{"sst": 1, "sd": "010203"}])
 
 
 @register_message
@@ -324,8 +322,8 @@ class NFDiscoveryResponse(SBIMessage):
     """NRF -> requester: matching NF profiles."""
 
     validity_period: int = 100
-    nf_instances: List[Dict[str, Any]] = field(
-        default_factory=lambda: [
+    nf_instances: List[Dict[str, Any]] = _shared(
+        [
             {
                 "nfInstanceId": "9e1b2c3d-4f5a-6b7c-8d9e-0f1a2b3c4d5e",
                 "nfType": "SMF",

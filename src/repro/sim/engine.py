@@ -84,7 +84,7 @@ class Event:
     :meth:`succeed` or :meth:`fail` is called (or, for a
     :class:`Timeout`, when its delay is scheduled at construction).  Once
     the environment pops it from the heap it is *processed* and its
-    callbacks run.
+    callbacks run.  :meth:`fire` does both at once, without the heap.
     """
 
     def __init__(self, env: "Environment"):
@@ -142,6 +142,30 @@ class Event:
         self._ok = False
         self._value = exception
         self.env._schedule(self, delay)
+        return self
+
+    def fire(self, value: Any = None) -> "Event":
+        """Mark the event successful and run its callbacks *now*.
+
+        For the last hop of a timer chain (``MessageBus._complete``):
+        the waiter resumes inside the current timer's step instead of
+        after a heap round trip.  The instant is the same; the order
+        within it is not — the waiter runs before entries already
+        queued for this instant, where :meth:`succeed` would put it
+        after them.  The event ends *processed*, so a later ``yield``
+        on it takes the already-processed branch of ``Process._resume``.
+        Only a timer callback may call it: a resumed waiter is its own
+        atomic section and must not nest inside another process's.
+        """
+        if self._ok is not None:
+            raise SimulationError("event already triggered")
+        if self.env._active_process is not None:
+            raise SimulationError("fire() called from inside a process")
+        self._ok = True
+        self._value = value
+        callbacks, self.callbacks = self.callbacks, None
+        for callback in callbacks:
+            callback(self)
         return self
 
     def defused(self) -> "Event":
@@ -397,8 +421,9 @@ class Environment:
         FIFO sequence counter, so timers, timeouts and process starts
         scheduled for the same instant fire in scheduling order.  Use it
         for "delay, then a plain call", and for a chain of those whose
-        last hop triggers the one event a caller waits on
-        (``MessageBus.send``); code that itself yields is a process.
+        last hop fires the one event a caller waits on
+        (``MessageBus.send``, :meth:`Event.fire`); code that itself
+        yields is a process.
         """
         if delay < 0:
             raise SimulationError(f"negative timer delay: {delay!r}")

@@ -5,7 +5,7 @@ import pytest
 from repro.analysis import races, sanitizer
 from repro.core import Channel, DEFAULT_COSTS, MessageBus
 from repro.obs import spans as obs_spans
-from repro.sim import Environment
+from repro.sim import Environment, Interrupt
 
 from .test_sim_engine import count_steps
 
@@ -187,16 +187,17 @@ class TestLog:
 
 
 class TestTimerChain:
-    """A message is a chain of timers ending in the one event the
-    sender waits on — no process, no generator."""
+    """A message is a chain of timers whose last hop fires the one
+    event the sender waits on, in place — no process, no generator, no
+    heap entry for the event."""
 
     @pytest.mark.parametrize(
         "handler_time, extra, steps",
         [
-            (1e-3, None, 3),  # arrival, handler, done
-            (0.0, None, 2),  # the handler runs inside the arrival hop
-            (1e-3, 2e-3, 4),  # + the handler's extra time
-            (0.0, 2e-3, 3),
+            (1e-3, None, 2),  # arrival, handler (which fires ``done``)
+            (0.0, None, 1),  # the handler runs inside the arrival hop
+            (1e-3, 2e-3, 3),  # + the handler's extra time
+            (0.0, 2e-3, 2),
         ],
     )
     def test_steps_per_delivered_message(self, handler_time, extra, steps):
@@ -210,7 +211,7 @@ class TestTimerChain:
     def test_steps_per_dropped_message(self):
         env, bus = make_bus()
         done = bus.send("ran", "ghost", "msg")
-        assert count_steps(env) == 2  # arrival, done
+        assert count_steps(env) == 1  # the arrival fires ``done``
         assert done.processed and done.value is None
 
     def test_endpoint_dying_in_flight_drops_at_arrival(self):
@@ -271,6 +272,97 @@ class TestTimerChain:
             "timer-before", "message", "timeout-after", "timer-after",
         ]
 
+    def test_sender_resumes_in_place_at_the_completion_instant(self):
+        """Same instant as before, another place in it: the sender runs
+        inside the completing hop, ahead of an entry that was already
+        queued for that instant when the hop fired."""
+        env, bus = make_bus()
+        order = []
+        bus.register("amf", lambda message, b: order.append("handler"))
+        latency = DEFAULT_COSTS.message_cost(Channel.SHARED_MEMORY)
+
+        def sender():
+            value = yield bus.send("ran", "amf", "msg", handler_time=0.0)
+            order.append(("sender", value, env.now))
+
+        env.process(sender())
+        env.step()  # start the sender: the arrival is on the heap
+        env.call_later(latency, order.append, "queued-behind-the-arrival")
+        assert count_steps(env) == 2
+        assert order == [
+            "handler", ("sender", "msg", latency), "queued-behind-the-arrival",
+        ]
+
+    def test_yield_on_a_completed_message_resumes_on_the_next_tick(self):
+        env, bus = make_bus()
+        order = []
+        bus.register("amf", lambda message, b: None)
+
+        def sender():
+            done = bus.send("ran", "amf", "msg")
+            yield env.timeout(1.0)
+            assert done.processed
+            env.call_later(0.0, order.append, "timer")
+            order.append((yield done))
+
+        env.process(sender())
+        env.run()
+        assert order == ["timer", "msg"]
+
+    @pytest.mark.parametrize("first_already_fired", [False, True])
+    def test_all_of_over_two_messages(self, first_already_fired):
+        env, bus = make_bus()
+        got = []
+        bus.register("amf", lambda message, b: None)
+        latency = DEFAULT_COSTS.message_cost(Channel.SHARED_MEMORY)
+
+        def sender():
+            first = bus.send("ran", "amf", "a", handler_time=1e-3)
+            second = bus.send("ran", "amf", "b", handler_time=5e-3)
+            if first_already_fired:
+                yield env.timeout(3e-3)
+                assert first.processed and not second.triggered
+            values = yield env.all_of([first, second])
+            got.append((env.now, values[first], values[second]))
+
+        env.process(sender())
+        env.run()
+        assert got == [(latency + 5e-3, "a", "b")]
+
+    def test_raising_sender_fails_its_process_not_the_bus(self):
+        env, bus = make_bus()
+        bus.register("amf", lambda message, b: None)
+
+        def sender():
+            yield bus.send("ran", "amf", "msg")
+            raise RuntimeError("sender bug")
+
+        process = env.process(sender())
+        with pytest.raises(RuntimeError, match="sender bug"):
+            env.run()
+        assert not process.ok
+        assert bus.total_messages() == 1 and bus.drops == []
+
+    def test_interrupted_sender_is_not_resumed_by_the_completion(self):
+        env, bus = make_bus()
+        trace = []
+        bus.register("amf", lambda message, b: None)
+        latency = DEFAULT_COSTS.message_cost(Channel.SHARED_MEMORY)
+
+        def sender():
+            try:
+                trace.append((yield bus.send("ran", "amf", "msg")))
+            except Interrupt as interrupt:
+                trace.append((env.now, interrupt.cause))
+            yield env.timeout(1.0)
+            trace.append(env.now)
+
+        process = env.process(sender())
+        env.call_later(latency / 2, process.interrupt, "give up")
+        env.run()
+        assert trace == [(latency / 2, "give up"), latency / 2 + 1.0]
+        assert bus.total_messages() == 1  # delivered all the same
+
     @pytest.mark.parametrize("channel", list(Channel))
     def test_record_times_are_the_cost_sums_to_the_last_bit(self, channel):
         env, bus = make_bus()
@@ -325,7 +417,8 @@ class TestTimerChain:
 
 class TestUnderInstrumentation:
     """The timer chain calls the sanitizer, tracer and race-detector
-    hooks where the delivery process did."""
+    hooks where the delivery process did, and all of them have run by
+    the time the sender resumes in place."""
 
     @staticmethod
     def _spy(env, san):
@@ -425,3 +518,62 @@ class TestUnderInstrumentation:
         # One section per hop: the handler hop is the second firing.
         assert seen == [(None, generation)]
         assert det.violations == []
+
+    def test_resumed_sender_is_its_own_atomic_section(self):
+        """The handler's section ends where the sender's begins, inside
+        one ``env.step()``: a bump by the sender comes too late for a
+        rule the handler wrote."""
+        env, bus = make_bus()
+        rules, seen = {}, []
+        with races.traced(env=env) as det:
+            det.register(rules, "rules", owner="upf-c", rule_parts=("fars",))
+
+            def handler(message, b):
+                seen.append(("handler", env.active_process, env.yield_generation))
+                with det.role("upf-c"):
+                    det.on_write(rules, "fars", detail="handler, no bump")
+
+            def sender():
+                yield bus.send("smf", "upf", "msg", handler_time=0.0)
+                seen.append(("sender", env.active_process, env.yield_generation))
+                det.on_bump()
+
+            bus.register("upf", handler)
+            process = env.process(sender())
+            assert count_steps(env) == 2  # sender start, arrival
+        # Start of the sender, the arrival hop, the in-place resume.
+        assert seen == [("handler", None, 2), ("sender", process, 3)]
+        [violation] = det.violations
+        assert violation.kind == "missing-epoch-bump"
+        assert violation.second.generation == 2
+
+    def test_hooks_and_span_are_done_when_the_sender_resumes(self):
+        env, bus = make_bus()
+        bus.register("amf", lambda message, b: None)
+        latency = DEFAULT_COSTS.message_cost(Channel.SHARED_MEMORY)
+        first, second = object(), object()
+        ends = []
+
+        def sender():
+            yield bus.send("ran", "amf", first, handler_time=1e-3, name="first")
+            [span] = tracer.find(category="message")
+            ends.append((span.end, env.now, tracer.context_of(first)))
+            yield bus.send("ran", "ghost", second, name="second")
+
+        with sanitizer.sanitized() as san, obs_spans.tracing(env) as tracer:
+            calls = self._spy(env, san)
+            env.process(sender())
+            env.run()
+        done_at = latency + 1e-3
+        assert ends == [(done_at, done_at, None)]
+        assert calls == [
+            ("on_send", first, 0.0),
+            ("on_deliver", first, latency),
+            # Sent by the sender resumed inside the completing hop.
+            ("on_send", second, done_at),
+            ("on_drop", second, done_at + latency),
+        ]
+        assert [span.end for span in tracer.find(category="message")] == [
+            done_at, done_at + latency,
+        ]
+        assert san.violations == [] and san.leaks() == []

@@ -194,3 +194,24 @@ class TestPCFAndNRF:
 
     def test_nrf_discovery_empty(self):
         assert NRF().discover("UPF") == []
+
+    def test_nrf_discovery_by_type(self):
+        nrf = NRF()
+        nrf.register_nf("SMF", "smf-1", "127.0.0.2")
+        nrf.register_nf("AMF", "amf-1", "127.0.0.3")
+        nrf.register_nf("SMF", "smf-2", "127.0.0.4")
+        found = nrf.discover("SMF")
+        assert found == [nrf.profiles["smf-1"], nrf.profiles["smf-2"]]
+        assert nrf.discover("UPF") == [] and nrf.discoveries == 2
+        # A fresh list per call, the registry's own profiles inside.
+        found.clear()
+        assert len(nrf.discover("SMF")) == 2
+
+    def test_nrf_reregistration_replaces_the_profile(self):
+        nrf = NRF()
+        nrf.register_nf("SMF", "nf-1", "127.0.0.2")
+        nrf.register_nf("SMF", "nf-1", "127.0.0.9")
+        assert [p["address"] for p in nrf.discover("SMF")] == ["127.0.0.9"]
+        nrf.register_nf("AMF", "nf-1", "127.0.0.9")
+        assert nrf.discover("SMF") == []
+        assert nrf.discover("AMF") == [nrf.profiles["nf-1"]]

@@ -9,7 +9,15 @@ from repro.cp import (
     RegistrationState,
     SystemConfig,
 )
+from repro.core import Channel
 from repro.net import Direction, FiveTuple, Packet
+from repro.pfcp import (
+    PFCPMessage,
+    SessionReportResponse,
+    build_buffering_update,
+    build_downlink_report,
+    build_session_establishment,
+)
 from repro.ran import CMState, RMState
 from repro.sim import Environment
 
@@ -422,3 +430,48 @@ class TestAcrossSystems:
             return [record.name for record in core.bus.log]
 
         assert trace(SystemConfig.free5gc) == trace(SystemConfig.l25gc)
+
+
+class TestN4Sizing:
+    """A shared-memory N4 leg passes the descriptor and is only sized;
+    the kernel-UDP baseline serialises.  Both record the same bytes."""
+
+    @pytest.mark.parametrize("channel", [Channel.SHARED_MEMORY, Channel.UDP_PFCP])
+    def test_sizes_and_latencies_are_the_encoded_ones(self, channel, monkeypatch):
+        env, core, runner, ue = build(SystemConfig(n4_channel=channel))
+        establishment = build_session_establishment(
+            seid=7, sequence=1, ue_ip=0x0A3C0001, upf_address=core.UPF_ADDRESS,
+            ul_teid=0x100, gnb_address=core.gnbs[1].address, dl_teid=0x200,
+        )
+        modification = build_buffering_update(seid=7, sequence=2, notify_cp=True)
+        report = build_downlink_report(seid=7, sequence=3)
+        encode, encoded = PFCPMessage.encode, []
+        monkeypatch.setattr(
+            PFCPMessage, "encode",
+            lambda self: encoded.append(self) or encode(self),
+        )
+        exchanged = []
+
+        def scenario():
+            for request in (establishment, modification):
+                exchanged.append(request)
+                exchanged.append((yield from core.n4_exchange(request)))
+
+        env.process(scenario())
+        core._report_to_smf(report)
+        env.run()
+        exchanged += [report, SessionReportResponse(seid=7, sequence=3)]
+        by_name = {record.name: record for record in core.bus.log}
+        assert len(by_name) == len(core.bus.log) == len(exchanged) == 6
+        assert {record.channel for record in core.bus.log} == {channel}
+        if channel is Channel.SHARED_MEMORY:
+            assert encoded == []
+        else:  # each leg serialised exactly once
+            assert sorted(m.name for m in encoded) == sorted(by_name)
+        for message in exchanged:
+            record = by_name[message.name]
+            assert record.size == len(encode(message))
+            assert record.delivered_at == record.sent_at + core.costs.message_cost(
+                channel, record.size
+            )
+            assert record.handler_time == message.HANDLER_TIME

@@ -1,9 +1,10 @@
 """Tests for the PFCP (N4) TLV codecs, messages, and builders."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.pfcp import builder, messages, qos_ies
 from repro.pfcp import (
     ACCESS,
     ACTION_BUFF,
@@ -222,3 +223,156 @@ class TestBuilders:
         assert decoded.find(ies.ReportTypeIE).dldr
         report = decoded.find(ies.DownlinkDataReportIE)
         assert report.child(ies.PdrIdIE).rule_id == 2
+
+
+# ---------------------------------------------------------------------------
+# wire_size() == len(encode()), for everything that can be encoded
+# ---------------------------------------------------------------------------
+U8, U16, U32, U64 = (
+    st.integers(min_value=0, max_value=2**bits - 1) for bits in (8, 16, 32, 64)
+)
+FLAG = st.booleans()
+ASCII = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=80)
+
+
+def _maybe(strategy):
+    return st.none() | strategy
+
+
+#: Every non-grouped IE class with each field inside its wire range.
+SCALAR_FIELDS = {
+    ies.CauseIE: dict(cause=U8),
+    ies.NodeIdIE: dict(address=U32),
+    ies.FSeidIE: dict(seid=U64, address=U32),
+    ies.PdrIdIE: dict(rule_id=U16),
+    ies.FarIdIE: dict(rule_id=U32),
+    ies.QerIdIE: dict(rule_id=U32),
+    ies.PrecedenceIE: dict(precedence=U32),
+    ies.SourceInterfaceIE: dict(interface=U8),
+    ies.DestinationInterfaceIE: dict(interface=U8),
+    ies.FTeidIE: dict(teid=U32, address=U32, choose=FLAG),
+    ies.UeIpAddressIE: dict(
+        address=U32, source_or_destination=st.integers(0, 1)
+    ),
+    ies.NetworkInstanceIE: dict(instance=ASCII),
+    ies.SdfFilterIE: dict(
+        flow_description=ASCII, tos=_maybe(U16), spi=_maybe(U32),
+        flow_label=_maybe(U32), filter_id=_maybe(U32),
+    ),
+    ies.QfiIE: dict(qfi=U8),
+    ies.ApplyActionIE: dict(flags=U8),
+    ies.OuterHeaderCreationIE: dict(teid=U32, address=U32),
+    ies.OuterHeaderRemovalIE: dict(description=U8),
+    ies.ReportTypeIE: dict(dldr=FLAG, usar=FLAG),
+    qos_ies.GateStatusIE: dict(
+        ul_gate=st.integers(0, 3), dl_gate=st.integers(0, 3)
+    ),
+    qos_ies.MbrIE: dict(ul_kbps=U64, dl_kbps=U64),
+    qos_ies.GbrIE: dict(ul_kbps=U64, dl_kbps=U64),
+    qos_ies.UrrIdIE: dict(rule_id=U32),
+    qos_ies.MeasurementMethodIE: dict(volume=FLAG, duration=FLAG),
+    qos_ies.VolumeThresholdIE: dict(total_bytes=U64),
+    qos_ies.VolumeMeasurementIE: dict(
+        total_bytes=U64, uplink_bytes=U64, downlink_bytes=U64
+    ),
+}
+GROUPED = [cls for cls in ies.IE_REGISTRY.values() if cls.GROUPED]
+
+any_scalar = st.one_of(
+    [st.builds(cls, **fields) for cls, fields in SCALAR_FIELDS.items()]
+)
+#: Scalars and grouped IEs nested a few levels deep.
+any_ie = st.recursive(
+    any_scalar,
+    lambda inner: st.builds(
+        lambda cls, children: cls(children=children),
+        st.sampled_from(GROUPED),
+        st.lists(inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+def instances_of(cls):
+    if cls.GROUPED:
+        return st.builds(cls, children=st.lists(any_ie, max_size=5))
+    return st.builds(cls, **SCALAR_FIELDS[cls])
+
+
+class TestWireSize:
+    """The structural size is the encoded length, so a shared-memory N4
+    leg that never serialises records the size a UDP one would send."""
+
+    def test_every_registered_ie_has_a_strategy(self):
+        assert set(SCALAR_FIELDS) | set(GROUPED) == set(ies.IE_REGISTRY.values())
+
+    @pytest.mark.parametrize(
+        "cls", list(ies.IE_REGISTRY.values()), ids=lambda cls: cls.__name__
+    )
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_ie(self, cls, data):
+        ie = data.draw(instances_of(cls))
+        encoded = ie.encode()
+        assert ie.wire_size() == len(encoded)
+        assert ie.payload_size() == len(ie.payload()) == len(encoded) - 4
+
+    @pytest.mark.parametrize(
+        "cls", list(messages.MESSAGE_TYPES.values()), ids=lambda cls: cls.__name__
+    )
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seid=U64,
+        sequence=st.integers(0, 2**24 - 1),
+        message_ies=st.lists(any_ie, max_size=6),
+    )
+    def test_message(self, cls, seid, sequence, message_ies):
+        message = cls(seid=seid, sequence=sequence, ies=message_ies)
+        assert message.wire_size() == len(message.encode())
+
+    def test_every_builder_is_exercised_below(self):
+        assert set(builder.__all__) == {
+            "build_qos_rules", "build_session_establishment",
+            "build_path_switch", "build_buffering_update",
+            "build_forward_update", "build_downlink_report",
+        }
+
+    def test_ies_size_of_nothing(self):
+        assert ies.ies_size([]) == 0
+        assert HeartbeatRequest().wire_size() == len(HeartbeatRequest().encode()) == 8
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seid=U64, sequence=st.integers(0, 2**24 - 1), address=U32, teid=U32,
+        qer_id=_maybe(U32), urr_id=_maybe(U32), threshold=_maybe(U64),
+        flags=st.tuples(FLAG, FLAG),
+    )
+    def test_every_builder_output(
+        self, seid, sequence, address, teid, qer_id, urr_id, threshold, flags
+    ):
+        qos_rules = builder.build_qos_rules(
+            qer_id=qer_id or 1, mbr_ul_kbps=teid, mbr_dl_kbps=address,
+            urr_id=urr_id, volume_threshold_bytes=threshold,
+        )
+        built = [
+            build_session_establishment(
+                seid, sequence, ue_ip=address, upf_address=address,
+                ul_teid=teid, gnb_address=address, dl_teid=teid,
+                smf_address=address, qos_rules=qos_rules if flags[0] else None,
+                qer_id=qer_id, urr_id=urr_id,
+            ),
+            build_path_switch(
+                seid, sequence, new_gnb_address=address, new_dl_teid=teid
+            ),
+            build_buffering_update(
+                seid, sequence, notify_cp=flags[0], choose_new_teid=flags[1],
+                upf_address=address,
+            ),
+            build_forward_update(
+                seid, sequence, gnb_address=address, dl_teid=teid
+            ),
+            build_downlink_report(seid, sequence, pdr_id=teid % 2**16),
+        ]
+        for message in built:
+            assert message.wire_size() == len(message.encode())
+        assert ies.ies_size(qos_rules) == len(encode_ies(qos_rules))

@@ -148,3 +148,32 @@ class TestSampleMessages:
     def test_message_names_match_classes(self):
         for message in sample_messages():
             assert message.name == type(message).__name__
+
+    def test_default_payloads_are_shared_but_to_dict_copies(self):
+        """Default-constructed messages hold the same nested payload
+        (nothing rebuilds it per exchange); the copy ``to_dict`` hands
+        out is the caller's to write."""
+        for cls in map(type, sample_messages()):
+            first, second = cls(), cls()
+            copy = first.to_dict()
+            assert copy == second.to_dict()
+            nested = [
+                name for name, value in copy.items()
+                if isinstance(value, (dict, list))
+            ]
+            for name in nested:
+                assert getattr(first, name) is getattr(second, name)
+                assert copy[name] is not getattr(first, name)
+                copy[name].clear()
+            assert not nested or copy != second.to_dict()
+            assert first == second == cls()
+
+    def test_nested_levels_of_the_copy_are_copies_too(self):
+        from repro.sbi import NFDiscoveryResponse
+
+        first = NFDiscoveryResponse()
+        copy = first.to_dict()
+        copy["nf_instances"][0]["nfServices"][0]["ipEndPoints"].append("x")
+        copy["nf_instances"][0]["nfType"] = "UPF"
+        assert NFDiscoveryResponse().to_dict() == first.to_dict() != copy
+        assert NFDiscoveryResponse().nf_instances[0]["nfType"] == "SMF"

@@ -426,6 +426,146 @@ class TestTimers:
         assert det.violations == []
 
 
+class TestFire:
+    """``Event.fire`` completes an event inside the current timer's
+    step: the same instant as ``succeed``, another place in it."""
+
+    @pytest.mark.parametrize(
+        "trigger, steps, order",
+        [
+            # Process start, the firing timer (which runs the waiter),
+            # the other timer.
+            ("fire", 3, ["waiter", "queued-earlier"]),
+            # + the event's own heap entry, behind the other timer.
+            ("succeed", 4, ["queued-earlier", "waiter"]),
+        ],
+    )
+    def test_waiter_runs_before_entries_already_queued_for_the_instant(
+        self, trigger, steps, order
+    ):
+        env = Environment()
+        seen = []
+        done = env.event()
+
+        def waiter():
+            value = yield done
+            seen.append(("waiter", value, env.now))
+
+        env.process(waiter())
+        env.call_later(1.0, getattr(done, trigger), "value")
+        env.call_later(1.0, lambda: seen.append(("queued-earlier", None, env.now)))
+        assert count_steps(env) == steps
+        assert [name for name, _, _ in seen] == order
+        assert ("waiter", "value", 1.0) in seen
+        assert {at for _, _, at in seen} == {1.0}
+
+    def test_plain_callbacks_run_in_place_in_order(self):
+        env = Environment()
+        done = env.event()
+        seen = []
+        done.callbacks.append(lambda ev: seen.append(("first", ev.value)))
+        done.callbacks.append(lambda ev: seen.append(("second", ev.value)))
+        assert done.fire("v") is done
+        assert seen == [("first", "v"), ("second", "v")]
+        assert done.triggered and done.processed and done.ok
+        assert env.peek() == float("inf")  # nothing went through the heap
+
+    def test_yield_on_a_fired_event_resumes_on_the_next_tick(self):
+        env = Environment()
+        order = []
+        done = env.event()
+        env.call_later(1.0, done.fire, "early")
+        env.run()
+
+        def late():
+            order.append((yield done))
+
+        env.process(late())
+        env.call_later(0.0, order.append, "timer")
+        env.run()
+        assert order == ["timer", "early"]
+
+    def test_triggers_once(self):
+        env = Environment()
+        fired = env.event().fire()
+        for again in (fired.fire, fired.succeed):
+            with pytest.raises(SimulationError, match="already triggered"):
+                again()
+        with pytest.raises(SimulationError, match="already triggered"):
+            env.event().succeed().fire()
+
+    def test_only_a_timer_callback_may_fire(self):
+        env = Environment()
+        done = env.event()
+
+        def proc():
+            yield env.timeout(1.0)
+            done.fire()
+
+        env.process(proc())
+        with pytest.raises(SimulationError, match="inside a process"):
+            env.run()
+        assert not done.triggered
+
+    def test_raising_waiter_still_fails_its_process(self):
+        env = Environment()
+        done = env.event()
+        after = []
+
+        def bad():
+            yield done
+            raise RuntimeError("boom")
+
+        def hop():
+            done.fire()
+            after.append(env.now)
+
+        process = env.process(bad())
+        env.call_later(1.0, hop)
+        with pytest.raises(RuntimeError, match="boom"):
+            env.run()
+        # The failure is the process's, not the firing timer's.
+        assert after == [1.0]
+        assert not process.ok and env.active_process is None
+
+    def test_interrupt_after_an_in_place_resume_detaches_the_new_wait(self):
+        env = Environment()
+        done = env.event()
+        trace = []
+
+        def sleeper():
+            trace.append((yield done))
+            try:
+                yield env.timeout(100.0)
+            except Interrupt as interrupt:
+                trace.append((env.now, interrupt.cause))
+
+        process = env.process(sleeper())
+        env.call_later(1.0, done.fire, "fired")
+        env.call_later(2.0, process.interrupt, "wake up")
+        env.run()
+        assert trace == ["fired", (2.0, "wake up")]
+
+    def test_interrupt_queued_before_the_fire_wins_the_instant(self):
+        env = Environment()
+        done = env.event()
+        trace = []
+
+        def sleeper():
+            try:
+                trace.append((yield done))
+            except Interrupt as interrupt:
+                trace.append((env.now, interrupt.cause))
+
+        process = env.process(sleeper())
+        env.call_later(1.0, process.interrupt, "first")
+        env.call_later(1.0, done.fire, "too late")
+        env.run()
+        # Detached by the interrupt, so the fire resumed nobody.
+        assert trace == [(1.0, "first")]
+        assert done.processed and not process.is_alive
+
+
 class TestConditions:
     def test_all_of_waits_for_all(self):
         env = Environment()
