@@ -236,6 +236,10 @@ class FiveGCore:
         self.ue_ip_pool = AddressAllocator("10.60.0.0", 16)
         #: DL routing: TEID -> (gNB, UE); kept by the procedures.
         self.dl_routes: Dict[int, Tuple[GNodeB, UserEquipment]] = {}
+        #: DL packets the UPF-U forwarded to a TEID with no route.
+        self.dl_unrouted = 0
+        #: (session count, N3 delay at it); costs are fixed after first use.
+        self._n3_delay: Tuple[int, float] = (-1, 0.0)
         #: Packets that reached the data network (UL sink).
         self.dn_received: List[Packet] = []
         #: Called when a downlink data report arrives at the SMF
@@ -407,19 +411,23 @@ class FiveGCore:
     def _downlink_to_ran(self, packet: Packet, teid: int, address: int) -> None:
         route = self.dl_routes.get(teid)
         if route is None:
+            self.dl_unrouted += 1
             return
         gnb, ue = route
         # N3 wire + forwarding latency of the selected data path,
         # inflated by concurrent-session contention; packets released
         # from (or queued behind) a buffer drain additionally carry the
         # extra delay the UPF-U computed.
-        active = max(1, len(self.sessions))
-        delay = (
-            self.costs.forward_latency(self.config.fast_path, active)
-            + self.costs.lan_propagation
-            + packet.meta.pop("extra_delay", 0.0)
-        )
-        self.env.call_later(delay, gnb.receive_downlink, packet, ue)
+        active, delay = self._n3_delay
+        if active != len(self.sessions):
+            active = len(self.sessions)
+            delay = self.costs.forward_latency(
+                self.config.fast_path, max(1, active)
+            ) + self.costs.lan_propagation
+            self._n3_delay = (active, delay)
+        if packet.meta:
+            delay += packet.meta.pop("extra_delay", 0.0)
+        self.env.call_together(delay, gnb.receive_downlink, packet, ue)
 
     def _report_to_smf(self, report: SessionReportRequest) -> None:
         """UPF-C -> SMF downlink data report, then the paging hook."""
@@ -463,6 +471,7 @@ class FiveGCore:
         registry.gauge("sessions.active").set_function(
             lambda: len(self.sessions)
         )
+        registry.gauge("n3.dl_unrouted").set_function(lambda: self.dl_unrouted)
         return registry
 
     # ------------------------------------------------------------------

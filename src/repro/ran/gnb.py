@@ -121,7 +121,7 @@ class GNodeB:
             if not store.put_nowait_drop(packet):
                 self.dropped += 1
             return
-        self.env.call_later(self.radio_latency, self._air_delivery, packet, ue)
+        self.env.call_together(self.radio_latency, self._air_delivery, packet, ue)
 
     def drain_buffer(self, ue: UserEquipment) -> List[Packet]:
         """Release all buffered packets for hairpin forwarding.

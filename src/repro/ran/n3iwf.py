@@ -156,7 +156,7 @@ class N3IWF:
         packet.meta["esp_spi"] = sa.spi
         packet.size += ESP_OVERHEAD
         delay = self.ipsec_overhead + self.wifi_latency
-        self.env.call_later(delay, self._wifi_delivery, packet, ue)
+        self.env.call_together(delay, self._wifi_delivery, packet, ue)
 
     def _wifi_delivery(self, packet: Packet, ue: UserEquipment) -> None:
         if ue.supi in self.connected:

@@ -369,6 +369,9 @@ class Environment:
         self._heap: List[tuple] = []
         self._counter = itertools.count()
         self._active_process: Optional[Process] = None
+        #: Open :meth:`call_together` batches, ``(when, fn) -> [args, ...]``;
+        #: each has exactly one heap entry, so it is empty when the heap is.
+        self._batches: dict = {}
         #: Monotonic count of process resumes and timer firings; each
         #: value identifies one yield-to-yield atomic section (see
         #: repro.analysis.races).
@@ -423,13 +426,60 @@ class Environment:
         for "delay, then a plain call", and for a chain of those whose
         last hop fires the one event a caller waits on
         (``MessageBus.send``, :meth:`Event.fire`); code that itself
-        yields is a process.
+        yields is a process.  Items that cross one delay to one callback
+        together (a packet hop) share an entry, and give up this FIFO
+        contract, through the sibling :meth:`call_together`.
         """
         if delay < 0:
             raise SimulationError(f"negative timer delay: {delay!r}")
         heapq.heappush(
             self._heap, (self._now + delay, next(self._counter), fn, args)
         )
+
+    def call_together(
+        self, delay: float, fn: Callable[..., Any], *args: Any
+    ) -> None:
+        """Call ``fn(*args)`` ``delay`` seconds from now, on a timer
+        shared with every other item due at that instant for ``fn``.
+
+        The first item for a ``(now + delay, fn)`` pushes one heap entry
+        and opens a batch, later ones join it, and the entry runs ``fn``
+        per item in arrival order.  Each item fires at the instant
+        :meth:`call_later` would give it, but in its batch's FIFO slot:
+        it can pass an unrelated entry scheduled earlier for that
+        instant.  A firing batch is one atomic section for the race
+        detector (one ``on_resume``, one ``yield_generation`` bump).
+        An item pushed for the same instant and callback meanwhile
+        opens a fresh batch; if an item raises, the unfired rest is
+        back on the heap, in the batch's slot (``seq`` is below every
+        entry still queued for the instant), before the exception
+        leaves :meth:`step`.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative timer delay: {delay!r}")
+        when = self._now + delay
+        batch = self._batches.get((when, fn))
+        if batch is None:
+            self._batches[when, fn] = batch = []
+            slot = (when, next(self._counter), fn)
+            heapq.heappush(self._heap, (*slot[:2], self._fire_batch, slot))
+        batch.append(args)
+
+    def _fire_batch(self, *slot: Any) -> None:
+        when, seq, fn = slot
+        items = iter(self._batches.pop((when, fn)))
+        try:
+            for args in items:
+                fn(*args)
+        except BaseException:
+            rest = list(items)
+            reopened = self._batches.get((when, fn))
+            if reopened is not None:
+                reopened[:0] = rest
+            elif rest:
+                self._batches[when, fn] = rest
+                heapq.heappush(self._heap, (when, seq, self._fire_batch, slot))
+            raise
 
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         if event._scheduled:

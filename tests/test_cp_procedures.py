@@ -193,7 +193,8 @@ class TestIdleAndPaging:
 
 
 class TestDownlinkDeliveryPath:
-    """N6 -> UPF-U -> N3 hop -> gNB -> air hop -> UE: two timers."""
+    """N6 -> UPF-U -> N3 hop -> gNB -> air hop -> UE: two timers per
+    injection instant, shared by every packet that crosses together."""
 
     def _connected_ue(self, config=None):
         env, core, runner, ue = build(config)
@@ -236,14 +237,21 @@ class TestDownlinkDeliveryPath:
 
     @pytest.mark.parametrize("burst_size", [1, 32])
     def test_two_steps_per_packet_in_injection_order(self, burst_size):
+        """Two steps per injection *instant*: the 50 packets (50 bursts
+        of 1, or 32 + 18) leave the UPF-U at one instant, so they share
+        the N3 timer and then the air timer."""
         env, core, runner, ue, session = self._connected_ue(
             SystemConfig(burst_size=burst_size, flow_cache=True)
         )
-        packets = self._packets(env, session, 50)
-        core.inject_downlink_burst(packets)
-        assert count_steps(env) == 2 * len(packets)
+        core.inject_downlink_burst(self._packets(env, session, 50))
+        assert count_steps(env) == 2
         assert [packet.seq for packet in ue.received] == list(range(50))
         assert core.gnbs[1].delivered == 50
+        # A second instant is a second pair of timers.
+        env.run(until=env.now + 1.0)
+        core.inject_downlink_burst(self._packets(env, session, 50))
+        assert count_steps(env) == 2
+        assert core.gnbs[1].delivered == 100
 
     def test_delivery_time_is_the_sum_of_the_two_hops(self):
         env, core, runner, ue, session = self._connected_ue()
@@ -274,6 +282,42 @@ class TestDownlinkDeliveryPath:
                 core, core.gnbs[1], *sent[packet.seq]
             )
 
+    def test_n3_delay_follows_the_session_count_between_bursts(self):
+        """The hop delay is kept per session count; a count change
+        between two bursts must show in the second one's arrivals."""
+        env, core, runner, ue, session = self._connected_ue()
+        sent = self._record_sends(env, core)
+
+        def hop_times():
+            ue.received.clear()
+            core.inject_downlink_burst(self._packets(env, session, 3))
+            env.run()
+            assert len(ue.received) == 3
+            for packet in ue.received:
+                assert packet.delivered_at == self._expected_arrival(
+                    core, core.gnbs[1], *sent[packet.seq]
+                )
+            return {p.delivered_at - sent[p.seq][0] for p in ue.received}
+
+        alone = hop_times()
+        other = core.add_ue("imsi-208930000000004")
+        run_procedures(
+            env, runner.register_ue(other), runner.establish_session(other)
+        )
+        assert len(core.sessions) == 2
+        shared = hop_times()
+        assert len(alone) == len(shared) == 1 and alone != shared
+
+    def test_unrouted_downlink_is_counted_not_scheduled(self):
+        env, core, runner, ue, session = self._connected_ue()
+        registry = core.metrics_registry()
+        core.dl_routes.clear()
+        core.inject_downlink_burst(self._packets(env, session, 4))
+        assert env.peek() == float("inf")
+        assert core.dl_unrouted == 4
+        assert registry.gauge("n3.dl_unrouted").value == 4
+        assert ue.received == [] and core.gnbs[1].dropped == 0
+
     def test_gnb_buffering_is_decided_at_n3_arrival(self):
         env, core, runner, ue, session = self._connected_ue()
         gnb = core.gnbs[1]
@@ -295,6 +339,27 @@ class TestDownlinkDeliveryPath:
         env.run()
         assert ue.received == []
         assert gnb.dropped == 2
+
+    def test_a_shared_timer_still_decides_per_packet_at_arrival(self):
+        """Two UEs' packets cross both hops in one batch; the gNB starts
+        buffering for one of them mid-N3: only that UE's are held."""
+        env, core, runner, ue, session = self._connected_ue()
+        other = core.add_ue("imsi-208930000000004")
+        run_procedures(
+            env, runner.register_ue(other), runner.establish_session(other)
+        )
+        gnb = core.gnbs[1]
+        packets = [
+            packet
+            for upf_session in core.sessions.sessions()
+            for packet in self._packets(env, upf_session, 2)
+        ]
+        core.inject_downlink_burst(packets)
+        gnb.start_buffering(other)  # after the send, before the N3 arrival
+        assert count_steps(env) == 2
+        assert gnb.buffered_count(other.supi) == 2 and other.received == []
+        assert [packet.seq for packet in ue.received] == [0, 1]
+        assert gnb.delivered == 2 and gnb.dropped == 0
 
 
 class TestHandover:

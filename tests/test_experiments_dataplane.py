@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.classifier import Rule
 from repro.experiments.fig10 import (
     BURST_SIZES,
     PACKET_SIZES,
@@ -119,14 +120,23 @@ class TestFig11:
             for name in ("PDR-LL", "PDR-TSS_Worst")
         )
 
-    def test_crossover_ll_beats_structures_when_tiny(self):
+    def test_crossover_ll_beats_structures_when_tiny(self, monkeypatch):
         """With 2 PDRs per session, the linear list is competitive
-        (the paper: 'PDR-LL may be acceptable')."""
-        rows = lookup_latency_sweep(
-            rule_counts=(2,), variants=("PDR-LL", "PDR-PS")
-        )
-        tiny = rows[0]
-        assert tiny.latency_s["PDR-LL"] < 5 * tiny.latency_s["PDR-PS"]
+        (the paper: 'PDR-LL may be acceptable'): a lookup evaluates at
+        most both rules.  Counted, not timed; the wall-clock ratio
+        (LL < 5x PS at 2 rules) is asserted on the Fig 11 table in
+        ``benchmarks/test_bench_fig11_classifier.py``."""
+        classifier, keys = build_classifier("PDR-LL", 2)
+        evaluated = []
+        matches = Rule.matches
+
+        def counting_matches(rule, key):
+            evaluated.append(rule)
+            return matches(rule, key)
+
+        monkeypatch.setattr(Rule, "matches", counting_matches)
+        assert all(classifier.lookup(key) is not None for key in keys)
+        assert len(keys) <= len(evaluated) <= 2 * len(keys)
 
     def test_update_ordering(self):
         """LL cheapest, the structures the same order of magnitude

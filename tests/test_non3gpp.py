@@ -127,13 +127,15 @@ class TestN3IWF:
         assert forwarded[0].size == 300
 
     def test_one_sim_event_per_wifi_hop(self):
+        """DL packets that land together share the hop's timer; UL goes
+        to a caller-supplied ``forward``, one timer each."""
         env, n3iwf, ue = self._n3iwf_and_ue()
         n3iwf.establish_signalling_sa(ue)
         forwarded = []
         for seq in range(5):
             n3iwf.receive_downlink(Packet(seq=seq), ue)
             n3iwf.send_uplink(Packet(seq=seq), forwarded.append)
-        assert count_steps(env) == 10
+        assert count_steps(env) == 1 + 5
         assert [packet.seq for packet in ue.received] == list(range(5))
         assert [packet.seq for packet in forwarded] == list(range(5))
         hop = n3iwf.ipsec_overhead + n3iwf.wifi_latency

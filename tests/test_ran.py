@@ -134,13 +134,31 @@ class TestGNodeB:
         assert ue.received == []
         assert gnb.dropped == 1
 
+    def test_departure_mid_flight_loses_only_that_ues_packets(self):
+        """Two UEs' packets share the air timer; who is still connected
+        is decided per packet when it lands."""
+        env, gnb, ue = self._gnb_and_ue(radio_latency=0.001)
+        leaver = UserEquipment(supi="imsi-leaver")
+        leaver.register(1, "guti-2")
+        gnb.connect(leaver)
+        for seq in range(2):
+            gnb.receive_downlink(Packet(seq=seq), ue)
+            gnb.receive_downlink(Packet(seq=seq), leaver)
+        gnb.disconnect(leaver)
+        assert count_steps(env) == 1
+        assert [packet.seq for packet in ue.received] == [0, 1]
+        assert leaver.received == []
+        assert gnb.delivered == 2 and gnb.dropped == 2
+
     def test_one_sim_event_per_air_hop(self):
+        """The DL packets land together, so they share the hop's timer;
+        UL goes to a caller-supplied ``forward``, one timer each."""
         env, gnb, ue = self._gnb_and_ue(radio_latency=0.001)
         forwarded = []
         for seq in range(5):
             gnb.receive_downlink(Packet(seq=seq), ue)
             gnb.send_uplink(Packet(seq=seq), forwarded.append)
-        assert count_steps(env) == 10
+        assert count_steps(env) == 1 + 5
         assert [packet.seq for packet in ue.received] == list(range(5))
         assert [packet.seq for packet in forwarded] == list(range(5))
         assert {packet.delivered_at for packet in ue.received} == {0.001}

@@ -1,6 +1,8 @@
 """Tests for the discrete-event simulation engine."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.analysis import races
 from repro.sim import (
@@ -564,6 +566,209 @@ class TestFire:
         # Detached by the interrupt, so the fire resumed nobody.
         assert trace == [(1.0, "first")]
         assert done.processed and not process.is_alive
+
+
+class TestCallTogether:
+    """``call_together`` coalesces items per ``(instant, callback)``:
+    the fire times of ``call_later``, another order within an instant."""
+
+    def test_items_for_one_instant_and_callback_share_one_step(self):
+        env = Environment()
+        seen = []
+
+        def callback(*args):
+            seen.append((env.now, env.yield_generation, args))
+
+        env.call_together(1.5, callback, 1, "a")
+        env.call_together(1.5, callback, 2)
+        env.call_together(1.5, callback)
+        assert count_steps(env) == 1
+        # One firing, one atomic section, arrival order.
+        assert seen == [(1.5, 1, (1, "a")), (1.5, 1, (2,)), (1.5, 1, ())]
+        assert env._batches == {}
+
+    @pytest.mark.parametrize(
+        "schedule, steps, order",
+        [
+            ("call_later", 3, ["a-1", "b", "a-2"]),
+            # a-2 joins a-1's slot, ahead of b which was scheduled first.
+            ("call_together", 2, ["a-1", "a-2", "b"]),
+        ],
+    )
+    def test_an_item_takes_its_batch_slot_in_the_instant(
+        self, schedule, steps, order
+    ):
+        env = Environment()
+        seen = []
+        a = lambda tag: seen.append((tag, env.now))  # noqa: E731
+        getattr(env, schedule)(1.0, a, "a-1")
+        env.call_later(1.0, lambda: seen.append(("b", env.now)))
+        getattr(env, schedule)(1.0, a, "a-2")
+        assert count_steps(env) == steps
+        assert [tag for tag, _ in seen] == order
+        assert {at for _, at in seen} == {1.0}
+
+    def test_another_callback_or_instant_is_another_batch(self):
+        env = Environment()
+        seen = []
+        first, second = seen.append, lambda tag: seen.append(tag)
+        env.call_together(2.0, first, "first@2")
+        env.call_together(1.0, first, "first@1")
+        env.call_together(1.0, second, "second@1")
+        env.run(until=0.5)
+        env.call_together(0.5, first, "first@1, pushed at 0.5")
+        assert count_steps(env) == 3
+        assert seen == [
+            "first@1", "first@1, pushed at 0.5", "second@1", "first@2",
+        ]
+
+    def test_bound_methods_of_one_object_coalesce(self):
+        """``obj.method`` is a new object at each lookup; it must still
+        name the same batch (the gNB hops pass bound methods)."""
+        env = Environment()
+        seen = []
+        env.call_together(1.0, seen.append, 1)
+        env.call_together(1.0, seen.append, 2)
+        assert count_steps(env) == 1 and seen == [1, 2]
+
+    def test_negative_delay_raises(self):
+        env = Environment()
+        with pytest.raises(SimulationError):
+            env.call_together(-1e-9, print)
+        assert env.peek() == float("inf") and env._batches == {}
+
+    def test_item_pushed_while_its_batch_fires_opens_a_fresh_batch(self):
+        env = Environment()
+        seen = []
+
+        def callback(tag):
+            seen.append((tag, env.now, env.yield_generation))
+            if tag == "first":
+                env.call_together(0.0, callback, "nested")
+
+        env.call_together(1.0, callback, "first")
+        env.call_together(1.0, callback, "second")
+        assert count_steps(env) == 2
+        assert seen == [
+            ("first", 1.0, 1), ("second", 1.0, 1), ("nested", 1.0, 2),
+        ]
+
+    def test_a_raising_item_leaves_the_rest_scheduled_in_its_slot(self):
+        env = Environment()
+        seen = []
+
+        def callback(tag):
+            if tag == "bad":
+                raise ValueError("mid-batch")
+            seen.append((tag, env.now))
+
+        for tag in ("ok-1", "bad", "ok-2", "ok-3"):
+            env.call_together(1.0, callback, tag)
+        env.call_later(1.0, seen.append, "queued-later")
+        with pytest.raises(ValueError, match="mid-batch"):
+            env.run()
+        assert seen == [("ok-1", 1.0)]
+        assert env.peek() == 1.0 and len(env._batches) == 1
+        # The rest is one entry, still ahead of the later timer.
+        assert count_steps(env) == 2
+        assert seen == [
+            ("ok-1", 1.0), ("ok-2", 1.0), ("ok-3", 1.0), "queued-later",
+        ]
+        assert env._batches == {}
+
+    def test_a_raising_last_item_leaves_nothing_behind(self):
+        env = Environment()
+
+        def boom():
+            raise ValueError("last")
+
+        env.call_together(1.0, boom)
+        with pytest.raises(ValueError, match="last"):
+            env.run()
+        assert env.peek() == float("inf") and env._batches == {}
+
+    def test_the_rest_goes_ahead_of_a_batch_opened_during_the_firing(self):
+        env = Environment()
+        seen = []
+
+        def callback(tag):
+            if tag == "reenter-then-raise":
+                env.call_together(0.0, callback, "nested")
+                raise ValueError("mid-batch")
+            seen.append(tag)
+
+        env.call_together(1.0, callback, "reenter-then-raise")
+        env.call_together(1.0, callback, "rest")
+        with pytest.raises(ValueError, match="mid-batch"):
+            env.run()
+        assert count_steps(env) == 1
+        assert seen == ["rest", "nested"] and env._batches == {}
+
+    def test_a_firing_batch_is_one_atomic_section_for_the_race_detector(self):
+        """The counterpart of ``TestTimers``' two-timer case: a bump in
+        a later item of the same batch discharges the mutation."""
+        env = Environment()
+        rules = {}
+        with races.traced(env=env) as det:
+            det.register(rules, "rules", owner="upf-c", rule_parts=("fars",))
+
+            def item(bump):
+                if bump:
+                    det.on_bump()
+                else:
+                    with det.role("upf-c"):
+                        det.on_write(rules, "fars", detail="batch item")
+
+            env.call_together(1.0, item, False)
+            env.call_together(1.0, item, True)
+            env.run()
+        assert det.violations == []
+        assert env.yield_generation == 1
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("advance"), st.sampled_from([0.25, 0.5, 1.0])),
+                st.tuples(
+                    st.just("push"),
+                    st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5]),
+                    st.integers(0, 2),
+                ),
+            ),
+            max_size=40,
+        )
+    )
+    def test_same_firings_as_one_call_later_per_item(self, ops):
+        def drive(schedule):
+            env = Environment()
+            fired = []
+            callbacks = [
+                lambda payload, cb=cb: fired.append((env.now, cb, payload))
+                for cb in range(3)
+            ]
+            steps = 0
+            for payload, op in enumerate(ops):
+                if op[0] == "push":
+                    getattr(env, schedule)(op[1], callbacks[op[2]], payload)
+                    continue
+                until = env.now + op[1]
+                while env.peek() <= until:
+                    env.step()
+                    steps += 1
+                    assert env._heap or not env._batches
+                env.run(until=until)
+            steps += count_steps(env)
+            assert env._batches == {}
+            return fired, steps
+
+        together, together_steps = drive("call_together")
+        later, later_steps = drive("call_later")
+        assert sorted(together) == sorted(later)
+        for cb in range(3):
+            assert [f for f in together if f[1] == cb] == [
+                f for f in later if f[1] == cb
+            ]
+        assert together_steps <= later_steps
 
 
 class TestConditions:
