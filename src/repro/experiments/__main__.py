@@ -301,16 +301,15 @@ def run_scalability() -> None:
 def run_shard_scale() -> None:
     from .scalability import shard_scale_sweep
 
-    # CLI-sized sweep; the committed BENCH_shard.json carries the full
-    # 10k -> 1M grid (python benchmarks/record_bench.py --suite shard).
+    # CLI-sized sweep; shard_scale_sweep() defaults to the full
+    # 10k -> 1M grid.
     _print_rows(
         "Scale-out: sessions x UPF-U shards (RSS dispatch)",
-        ["sessions", "shards", "p50_us", "p99_us", "Mpps/shard",
-         "Mpps_total", "skew", "hit_rate"],
+        ["sessions", "shards", "Mpps/shard", "Mpps_total", "skew",
+         "hit_rate"],
         [
-            (r.sessions, r.shards, r.p50_us, r.p99_us,
-             r.modeled_mpps_per_shard, r.modeled_mpps_total,
-             r.load_skew, r.flow_cache_hit_rate)
+            (r.sessions, r.shards, r.modeled_mpps_per_shard,
+             r.modeled_mpps_total, r.load_skew, r.flow_cache_hit_rate)
             for r in shard_scale_sweep(
                 session_counts=(10_000, 125_000),
                 shard_counts=(1, 2, 4, 8),

@@ -15,19 +15,20 @@ count actually bites in our reproduction:
   linear list vs. PartitionSort, as rules-per-session grows (the
   paper's challenge 3 trajectory from 2 rules to hundreds).
 * :func:`shard_scale_sweep` — the scale-out axis: 10k -> 1M+ sessions
-  across 1/2/4/8 UPF-U shards behind RSS dispatch, holding data-plane
-  p99 while reporting modeled Mpps/shard and load skew.  Session
+  across 1/2/4/8 UPF-U shards behind RSS dispatch, reporting load
+  skew, flow-cache hit rate and modeled Mpps/shard.  Session
   *placement* is computed for the full population (that is what load
   skew measures); a bounded resident sample per shard is actually
-  installed and carries the measured traffic, since a million live
-  session contexts would only measure the host's memory bandwidth.
+  installed and carries the traffic.  No host clock is read, so two
+  calls return equal rows; host time per dispatch is the
+  ``deploy.rss_dispatch_ns`` row of ``benchmarks/e2e``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Type
+from typing import Dict, List, Sequence, Type
 
 from ..classifier.base import Classifier
 from ..classifier.linear import LinearClassifier
@@ -177,10 +178,8 @@ class ShardScaleRow:
 
     sessions: int
     shards: int
-    #: Sessions actually installed and carrying the measured traffic.
+    #: Sessions actually installed and carrying the traffic.
     resident_sessions: int
-    p50_us: float
-    p99_us: float
     modeled_mpps_per_shard: float
     #: Aggregate forwarding capacity, discounted by load skew (the
     #: most-loaded shard saturates first).
@@ -255,9 +254,7 @@ def shard_scale_sweep(
     shard_counts: Sequence[int] = (1, 2, 4, 8),
     resident_per_shard: int = 256,
     packets: int = 4000,
-    warmup: int = 500,
     packet_size: int = 128,
-    repeats: int = 3,
     costs: CostModel = DEFAULT_COSTS,
 ) -> List[ShardScaleRow]:
     """Sweep session count x shard count on the sharded user plane.
@@ -265,15 +262,12 @@ def shard_scale_sweep(
     For each cell the *placement* of all N sessions is computed
     through the real dispatch hash (TEID steering included), giving
     the exact load skew; ``resident_per_shard`` of them per shard are
-    fully installed and carry ``packets`` measured packets (alternating
-    UL/DL, round-robin across sessions).  p50/p99 are wall-clock
-    per-packet pipeline times, best of ``repeats`` passes (the usual
-    defence against scheduler noise in percentile comparisons); Mpps
-    is modeled from the calibrated cost model blended with the
-    measured flow-cache hit rate.
+    fully installed and, once every flow has been seen, carry
+    ``packets`` packets (alternating UL/DL, round-robin across
+    sessions).  Mpps is modeled from the calibrated cost model blended
+    with the flow-cache hit rate of those packets.
     """
     from ..deploy.sharded import ShardedUserPlane
-    from ..obs.metrics import MetricsRegistry
 
     rows: List[ShardScaleRow] = []
     for shards in shard_counts:
@@ -286,8 +280,6 @@ def shard_scale_sweep(
                 fast_path=True,
                 costs=costs,
             )
-            registry = MetricsRegistry()
-            plane.register_into(registry)
             router = plane.router
             # Place the full population; install a resident sample.
             per_shard = [0] * shards
@@ -307,7 +299,6 @@ def shard_scale_sweep(
                     resident.append(session)
             mean = sum(per_shard) / shards
             skew = max(per_shard) / mean if mean else 1.0
-            # Pre-built packet pool (construction outside the timing).
             pool = []
             for session in resident:
                 pool.append(
@@ -331,57 +322,13 @@ def shard_scale_sweep(
                         size=packet_size,
                     )
                 )
-            process = plane.process
-            timer = time.perf_counter
-            # Warm every flow at least once so the measured phase sees
-            # the steady state (first-packet misses are setup, not
-            # per-packet behaviour); hit rate is post-warmup only.
-            cell_warmup = max(warmup, len(pool))
-            warm_hits = warm_probes = 0
-            best: Optional[List[float]] = None
-            for repetition in range(repeats):
-                latencies: List[float] = []
-                prelude = cell_warmup if repetition == 0 else 0
-                for iteration in range(prelude + packets):
-                    packet = pool[iteration % len(pool)]
-                    # The pipeline strips/sets the outer header in
-                    # place; restore the template before re-injecting.
-                    restore_teid = packet.teid
-                    begin = timer()
-                    process(packet)
-                    elapsed = timer() - begin
-                    packet.teid = restore_teid
-                    if repetition == 0 and iteration == prelude - 1:
-                        for shard in plane.shards:
-                            cache = shard.upf_u.flow_cache
-                            warm_hits += cache.hits
-                            warm_probes += cache.hits + cache.misses
-                    if iteration >= prelude:
-                        latencies.append(elapsed)
-                        plane.observe_latency(
-                            router.shard_for_packet(packet), elapsed
-                        )
-                latencies.sort()
-                tail = latencies[
-                    min(len(latencies) - 1, int(len(latencies) * 0.99))
-                ]
-                if best is None or tail < best[
-                    min(len(best) - 1, int(len(best) * 0.99))
-                ]:
-                    best = latencies
-            p50 = best[len(best) // 2]
-            p99 = best[min(len(best) - 1, int(len(best) * 0.99))]
-            hits = probes = 0
-            for shard in plane.shards:
-                cache = shard.upf_u.flow_cache
-                hits += cache.hits
-                probes += cache.hits + cache.misses
-            measured_probes = probes - warm_probes
-            hit_rate = (
-                (hits - warm_hits) / measured_probes
-                if measured_probes
-                else 0.0
-            )
+            # Every flow once first: first-packet misses are setup,
+            # not per-packet behaviour, so the hit rate counts only
+            # what follows.
+            warm_hits, warm_probes = _replay(plane, pool, len(pool))
+            hits, probes = _replay(plane, pool, packets)
+            counted = probes - warm_probes
+            hit_rate = (hits - warm_hits) / counted if counted else 0.0
             per_packet = (
                 hit_rate * costs.cached_lookup(True, packet_size)
                 + (1.0 - hit_rate) * costs.per_packet_cost(True, packet_size)
@@ -392,8 +339,6 @@ def shard_scale_sweep(
                     sessions=count,
                     shards=shards,
                     resident_sessions=len(resident),
-                    p50_us=p50 * 1e6,
-                    p99_us=p99 * 1e6,
                     modeled_mpps_per_shard=per_shard_mpps,
                     modeled_mpps_total=per_shard_mpps * shards / skew,
                     load_skew=skew,
@@ -401,6 +346,25 @@ def shard_scale_sweep(
                 )
             )
     return rows
+
+
+def _replay(plane, pool: List[Packet], packets: int) -> tuple:
+    """Run ``packets`` packets round-robin over ``pool``; returns the
+    plane's cumulative flow-cache ``(hits, probes)`` afterwards."""
+    process = plane.process
+    for iteration in range(packets):
+        packet = pool[iteration % len(pool)]
+        # The pipeline strips/sets the outer header in place; restore
+        # the template before the packet comes round again.
+        restore_teid = packet.teid
+        process(packet)
+        packet.teid = restore_teid
+    hits = probes = 0
+    for shard in plane.shards:
+        cache = shard.upf_u.flow_cache
+        hits += cache.hits
+        probes += cache.hits + cache.misses
+    return hits, probes
 
 
 def classifier_ablation(

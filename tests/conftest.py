@@ -17,6 +17,7 @@ appends every recorded access to a JSON-lines trace that
 ``python -m repro.analysis.races PATH`` can replay offline.
 """
 
+import types
 import warnings
 
 import pytest
@@ -56,24 +57,26 @@ def pytest_addoption(parser):
     )
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "no_race: host-time micro-benchmark whose wall-clock "
-        "measurements are skewed by the race detector's access hooks; "
-        "skipped under --race",
-    )
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(owner, "name")`` wraps ``owner.name`` until the test
+    ends and returns an object whose ``calls`` counts its calls: how
+    tier-1 measures work (rules evaluated, sub-tables probed, rule
+    comparisons) without a host clock and without a counter in the
+    code under test."""
 
+    def install(owner, name):
+        original = getattr(owner, name)
+        count = types.SimpleNamespace(calls=0)
 
-def pytest_collection_modifyitems(config, items):
-    if not config.getoption("--race"):
-        return
-    skip = pytest.mark.skip(
-        reason="host-time benchmark; --race instrumentation skews it"
-    )
-    for item in items:
-        if item.get_closest_marker("no_race"):
-            item.add_marker(skip)
+        def counting(*args):
+            count.calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+        return count
+
+    return install
 
 
 @pytest.fixture(autouse=True)

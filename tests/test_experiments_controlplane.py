@@ -20,15 +20,12 @@ class TestFig06:
                              "shm-descriptor"}
 
     def test_shared_memory_eliminates_everything(self, rows):
+        """The modeled protocol cost; that the descriptor codec passes
+        a reference (``encode(m) is m``) is tests/test_sbi_codecs.py's,
+        and its host time the Fig 6 regenerator's."""
         shm = rows["shm-descriptor"]
         assert shm.protocol_s < 1e-5
-        # Reference passing is orders below real serialization.
-        assert shm.serialize_s < rows["json"].serialize_s / 10
-
-    def test_flatbuffers_deserialize_near_zero(self, rows):
-        flat = rows["flatbuffers"]
-        assert flat.deserialize_s < flat.serialize_s / 2
-        assert flat.deserialize_s < rows["json"].deserialize_s / 5
+        assert shm.encoded_bytes == 0
 
     def test_json_bulkiest_encoding(self, rows):
         """JSON's wire form is the largest (CPython's C-accelerated

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.classifier import Rule
+from repro.classifier.partition_sort import _SortableRuleset
+from repro.classifier.tss import _SubTable
 from repro.experiments.fig10 import (
     BURST_SIZES,
     PACKET_SIZES,
@@ -12,11 +14,7 @@ from repro.experiments.fig10 import (
     scaling_40g,
     throughput_vs_packet_size,
 )
-from repro.experiments.fig11 import (
-    build_classifier,
-    lookup_latency_sweep,
-    update_latency,
-)
+from repro.experiments.fig11 import build_classifier
 
 
 class TestFig10Throughput:
@@ -55,7 +53,6 @@ class TestFig10Throughput:
         rows = {
             row.size: row for row in throughput_vs_packet_size(cores=2)
         }
-        ratio = rows[1024].l25gc_uni_gbps / rows[1024].free5gc_uni_gbps
         # free5GC stays single-core in the paper's comparison.
         single = {
             row.size: row for row in throughput_vs_packet_size(cores=1)
@@ -84,73 +81,75 @@ class Test40GScaling:
         assert rows[4] >= 39.0
 
 
+FIG11_RULE_COUNTS = (10, 100, 1000)
+
+
+def lookup_work(variant, rule_count, count):
+    """One Fig 11 point, counted instead of timed: the classifier and
+    the calls ``count`` sees over its 256-key trace.  Host time for the
+    same points is ``benchmarks/test_bench_fig11_classifier.py``."""
+    classifier, keys = build_classifier(variant, rule_count)
+    assert len(keys) == 256
+    count.calls = 0
+    assert all(classifier.lookup(key) is not None for key in keys)
+    return classifier, count.calls
+
+
 class TestFig11:
-    @pytest.fixture(scope="class")
-    def sweep(self):
-        return lookup_latency_sweep(
-            rule_counts=(10, 100, 1000),
-            variants=("PDR-LL", "PDR-TSS_Best", "PDR-TSS_Worst", "PDR-PS"),
-        )
+    def test_linear_grows_linearly(self, count_calls):
+        """PDR-LL evaluates 7.91 / 76.48 / 745.12 rules per lookup."""
+        matches = count_calls(Rule, "matches")
+        evaluated = [
+            lookup_work("PDR-LL", count, matches)[1]
+            for count in FIG11_RULE_COUNTS
+        ]
+        assert evaluated == [2025, 19580, 190751]
 
-    def test_linear_grows_linearly(self, sweep):
-        by_rules = {row.rules: row.latency_s["PDR-LL"] for row in sweep}
-        assert by_rules[1000] > 20 * by_rules[10]
+    def test_tss_best_flat(self, count_calls):
+        """One sub-table, one hash probe per lookup, at every size."""
+        probe = count_calls(_SubTable, "lookup")
+        for count in FIG11_RULE_COUNTS:
+            classifier, probes = lookup_work("PDR-TSS_Best", count, probe)
+            assert (classifier.num_subtables, probes) == (1, 256)
 
-    def test_tss_best_flat(self, sweep):
-        by_rules = {row.rules: row.latency_s["PDR-TSS_Best"] for row in sweep}
-        assert by_rules[1000] < 4 * by_rules[10]
+    def test_tss_worst_explodes(self, count_calls):
+        """PDR-TSS_Worst leaves the chart by ~100 rules (Fig 11a): a
+        sub-table per rule, 3.0 / 10.95 / 349.65 probes per lookup
+        against PDR-TSS_Best's one."""
+        probe = count_calls(_SubTable, "lookup")
+        probed = []
+        for count in FIG11_RULE_COUNTS:
+            classifier, probes = lookup_work("PDR-TSS_Worst", count, probe)
+            assert classifier.num_subtables == count
+            probed.append(probes)
+        assert probed == [768, 2803, 89510]
 
-    def test_tss_worst_explodes(self, sweep):
-        """PDR-TSS_Worst leaves the chart by ~100 rules (Fig 11a)."""
-        for row in sweep:
-            if row.rules >= 100:
-                assert (
-                    row.latency_s["PDR-TSS_Worst"]
-                    > 5 * row.latency_s["PDR-TSS_Best"]
+    def test_partition_sort_best_at_scale(self, count_calls):
+        """PDR-PS holds 2 / 2 / 3 sortable partitions, each answered by
+        one binary search: at most 5 / 11 / 18 head comparisons per
+        lookup where PDR-LL evaluates up to every rule."""
+        search = count_calls(_SortableRuleset, "lookup")
+        shape = []
+        for count in FIG11_RULE_COUNTS:
+            classifier, searches = lookup_work("PDR-PS", count, search)
+            partitions = classifier._partitions
+            assert 256 <= searches <= 256 * len(partitions)
+            # A binary search over n slots compares floor(log2 n) + 1
+            # heads, which is n.bit_length().
+            shape.append(
+                (
+                    len(partitions),
+                    sum(len(p.slots).bit_length() for p in partitions),
                 )
+            )
+        assert shape == [(2, 5), (2, 11), (3, 18)]
 
-    def test_partition_sort_best_at_scale(self, sweep):
-        large = next(row for row in sweep if row.rules == 1000)
-        ps = large.latency_s["PDR-PS"]
-        assert ps <= large.latency_s["PDR-LL"]
-        assert ps <= large.latency_s["PDR-TSS_Worst"]
-        # Highest throughput of all variants (Fig 11b).
-        assert large.throughput_pps("PDR-PS") >= max(
-            large.throughput_pps(name)
-            for name in ("PDR-LL", "PDR-TSS_Worst")
-        )
-
-    def test_crossover_ll_beats_structures_when_tiny(self, monkeypatch):
+    def test_crossover_ll_beats_structures_when_tiny(self, count_calls):
         """With 2 PDRs per session, the linear list is competitive
         (the paper: 'PDR-LL may be acceptable'): a lookup evaluates at
-        most both rules.  Counted, not timed; the wall-clock ratio
-        (LL < 5x PS at 2 rules) is asserted on the Fig 11 table in
-        ``benchmarks/test_bench_fig11_classifier.py``."""
-        classifier, keys = build_classifier("PDR-LL", 2)
-        evaluated = []
-        matches = Rule.matches
-
-        def counting_matches(rule, key):
-            evaluated.append(rule)
-            return matches(rule, key)
-
-        monkeypatch.setattr(Rule, "matches", counting_matches)
-        assert all(classifier.lookup(key) is not None for key in keys)
-        assert len(keys) <= len(evaluated) <= 2 * len(keys)
-
-    def test_update_ordering(self):
-        """LL cheapest, the structures the same order of magnitude
-        (paper: 0.38 / 1.41 / 6.14 us).  LL < PS is asserted on the
-        insert half, where the list only appends: LL's remove-by-id is
-        a linear scan, which at 1000 rules costs about what a whole
-        logarithmic PS update does."""
-        rows = {row.variant: row for row in update_latency()}
-        ll, tss, ps = (
-            rows[name] for name in ("PDR-LL", "PDR-TSS_Best", "PDR-PS")
-        )
-        assert ll.update_s < tss.update_s
-        assert ll.insert_s < ps.insert_s
-        assert ps.update_s < 4 * ll.update_s
+        most both rules."""
+        _, evaluated = lookup_work("PDR-LL", 2, count_calls(Rule, "matches"))
+        assert 256 <= evaluated <= 2 * 256
 
     def test_build_classifier_traces_match(self):
         classifier, keys = build_classifier("PDR-PS", 200)

@@ -5,8 +5,10 @@ import pytest
 
 from repro.cp import FiveGCore, HOState, ProcedureRunner, SystemConfig
 from repro.cp.context import RegistrationState
+from repro.classifier import LinearClassifier, PartitionSortClassifier, Rule
+from repro.classifier.partition_sort import _SortableRuleset
 from repro.experiments.scalability import (
-    classifier_ablation,
+    _session_with_rules,
     session_scale_sweep,
 )
 from repro.net import Direction, FiveTuple, Packet
@@ -256,19 +258,36 @@ class TestScalability:
         per_ue = [row.control_messages / row.sessions for row in rows]
         assert per_ue[0] == per_ue[1]
 
-    @pytest.mark.no_race
-    def test_classifier_ablation_shape(self):
-        """The in-UPF version of Fig 11: PS flat, LL linear, with the
-        paper's ~20x advantage at 500 rules/session."""
-        rows = classifier_ablation(
-            rule_counts=(0, 98, 498), lookups=150
-        )
-        by_rules = {row.rules_per_session: row for row in rows}
-        # At 2 rules, LL is competitive (within noise).
-        assert by_rules[2].speedup() < 3.0
-        # At 500, PartitionSort wins big.
-        assert by_rules[500].speedup() > 8.0
-        # PS lookup cost grows sub-linearly.
-        ps_small = by_rules[2].lookup_us["PDR-PS"]
-        ps_large = by_rules[500].lookup_us["PDR-PS"]
-        assert ps_large < 10 * ps_small
+    def test_classifier_ablation_shape(self, count_calls):
+        """The in-UPF version of Fig 11, counted through
+        ``UPFUserPlane.process``: per packet PDR-LL evaluates every
+        rule of the session (the probe flow matches the demoted
+        catch-all, last in the list) while PDR-PS binary-searches 2 / 4
+        / 4 partitions, at most 2 / 10 / 16 head comparisons -- the
+        paper's ~20x at 500 rules/session.  The host-time form is
+        ``benchmarks/test_bench_ablations.py``."""
+        matches = count_calls(Rule, "matches")
+        search = count_calls(_SortableRuleset, "lookup")
+        packets = 10
+        shape = []
+        for extra in (0, 98, 498):
+            upf_u, packet = _session_with_rules(LinearClassifier, extra)
+            matches.calls = 0
+            for _ in range(packets):
+                assert upf_u.process(packet) == "forwarded-dl"
+            evaluated = matches.calls
+            upf_u, packet = _session_with_rules(
+                PartitionSortClassifier, extra
+            )
+            search.calls = 0
+            for _ in range(packets):
+                assert upf_u.process(packet) == "forwarded-dl"
+            partitions = upf_u.sessions.by_seid(1).classifier._partitions
+            shape.append(
+                (
+                    evaluated / packets,
+                    search.calls / packets,
+                    sum(len(p.slots).bit_length() for p in partitions),
+                )
+            )
+        assert shape == [(2, 2, 2), (100, 4, 10), (500, 4, 16)]

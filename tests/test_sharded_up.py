@@ -887,28 +887,29 @@ def test_sharded_survives_mid_sequence_failover(ops, victim):
 
 
 # ----------------------------------------------------------------------
-# The scalability experiment (smoke; the full sweep is BENCH_shard.json)
+# The scalability experiment (smoke of the 10k -> 1M sweep)
 # ----------------------------------------------------------------------
 class TestShardScaleExperiment:
     def test_sweep_produces_sane_rows(self):
         from repro.experiments.scalability import shard_scale_sweep
 
-        rows = shard_scale_sweep(
-            session_counts=(2_000,),
-            shard_counts=(1, 2),
-            resident_per_shard=32,
-            packets=200,
-            warmup=50,
-            repeats=1,
-        )
-        assert [(r.sessions, r.shards) for r in rows] == [
-            (2_000, 1), (2_000, 2),
-        ]
+        def sweep():
+            return shard_scale_sweep(
+                session_counts=(2_000,),
+                shard_counts=(1, 2),
+                resident_per_shard=32,
+                packets=200,
+            )
+
+        rows = sweep()
+        # Placement, hit rate and modeled Mpps read no clock.
+        assert rows == sweep()
+        assert [
+            (r.sessions, r.shards, r.resident_sessions) for r in rows
+        ] == [(2_000, 1, 32), (2_000, 2, 64)]
         for row in rows:
-            assert row.p50_us > 0 and row.p99_us >= row.p50_us
             assert row.modeled_mpps_per_shard > 0
             assert row.load_skew >= 1.0
-            assert 0.0 <= row.flow_cache_hit_rate <= 1.0
-            assert row.resident_sessions <= row.sessions
+            assert row.flow_cache_hit_rate == 1.0
         single, double = rows
         assert double.modeled_mpps_total > single.modeled_mpps_total
