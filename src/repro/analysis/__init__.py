@@ -1,52 +1,49 @@
 """Static and dynamic correctness analysis for the reproduction.
 
-Two coordinated halves guard the shared-memory core:
+The paper's "zero-cost state update" is lock-free only because the
+UPF-C/UPF-U split is single-writer and rule changes are published by
+an epoch.  This package is what checks that — statically in one tool,
+dynamically in two opt-in runtime detectors:
 
-* :mod:`repro.analysis.lint` — a project-specific AST lint pass
-  (``python -m repro.analysis.lint src tests``) enforcing determinism
-  invariants: no wall-clock time or unseeded randomness in simulation
-  code, no blocking sleeps, frozen message dataclasses, no float
-  equality against ``env.now``, no mutable default arguments.
-* :mod:`repro.analysis.sanitizer` — an opt-in runtime descriptor
-  sanitizer wired into :class:`~repro.core.transport.MessageBus` and
+* ``python -m repro.analysis [paths]`` — **the** static analyser
+  (:mod:`.analyzer`, CLI in :mod:`.__main__`).  One run parses each
+  file once and runs the file-local rules R001–R008 (:mod:`.rules`:
+  determinism, frozen messages, single-writer ownership) and the
+  whole-program checks W001–W008 (:mod:`.program`: per-packet
+  allocation sites, epoch publish on every path, atomic sections,
+  layering, descriptor/session/resource lifecycles, dead config).
+  Exit 0 clean, 1 findings, 2 bad input.  Every exemption is an inline
+  ``# repro: noqa[CODE] -- reason`` on the line it excuses; one that
+  excuses nothing is itself a finding.
+* :mod:`.sanitizer` — an opt-in runtime descriptor sanitizer wired into
+  :class:`~repro.core.transport.MessageBus` and
   :class:`~repro.core.rings.Ring` that stamps each descriptor with an
   owner and content fingerprint and flags mutate-after-send,
   double-enqueue, use-after-dequeue, and (at teardown) leaked
-  descriptors with the offending send site.
-* :mod:`repro.analysis.races` — an opt-in shared-state race detector
-  enforcing the single-writer ownership model of the UPF-C/UPF-U
-  split (§3.2): registered structures (session table, rule maps, flow
-  cache, smart buffers, replica checkpoints) declare an owner role
-  and every access is checked for cross-role same-instant conflicts,
-  non-owner writes, and rule mutations missing a ``RuleEpoch.bump()``.
-  Its static half lives in :mod:`repro.analysis.rules` as R008/R009.
-* :mod:`repro.analysis.dataflow` — a worklist-based typestate engine
-  (``python -m repro.analysis.dataflow src/repro``) that statically
-  verifies the descriptor, session, and resource lifecycles the
-  sanitizer checks at run time: mutate-after-send / double-enqueue on
-  every path (W005), session/rule lifecycle ordering and dangling FAR
-  references (W006), resources leaked on raising paths (W007), and
-  dead configuration nothing observes (W008).  The state names and
-  violation kinds it cites come from :mod:`repro.analysis.lifecycle`,
-  shared verbatim with the sanitizer.
+  descriptors with the offending send site (``pytest --sanitize``).
+* :mod:`.races` — an opt-in shared-state race detector enforcing the
+  single-writer ownership model of the UPF-C/UPF-U split (§3.2):
+  registered structures declare an owner role and every access is
+  checked for cross-role same-instant conflicts, non-owner writes, and
+  rule mutations missing a ``RuleEpoch.bump()`` (``pytest --race``).
+* :mod:`.lifecycle` — the vocabulary all of the above share: state
+  names, violation kinds, the lifecycle API shapes, and the owner table
+  (which attributes are rule containers, which are ``up``-owned).
 
-``python -m repro.analysis all`` runs lint + program + dataflow in one
-command against the committed baselines.  Every analyzer CLI exits 0
-when clean, 1 on findings, and 2 on a stale baseline or budget.
-
-Every perf or scale PR is expected to keep all three static gates
-clean against the committed baselines and the tier-1 suite green under
-both ``pytest --sanitize`` and ``pytest --race``.
+Runtime code imports ``lifecycle``, ``races`` and ``sanitizer`` only;
+the analyser never loads with the data plane.  Every perf or scale PR
+is expected to keep ``python -m repro.analysis`` clean and the tier-1
+suite green under both ``pytest --sanitize`` and ``pytest --race``.
 """
 
 from __future__ import annotations
 
 __all__ = [
-    "dataflow",
+    "analyzer",
+    "astutil",
     "lifecycle",
-    "lint",
+    "program",
     "races",
-    "report",
     "rules",
     "sanitizer",
 ]

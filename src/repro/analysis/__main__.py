@@ -1,89 +1,170 @@
-"""``python -m repro.analysis`` umbrella entry point.
+"""``python -m repro.analysis [paths]`` — the one static-analysis CLI.
 
-``python -m repro.analysis all`` runs every static analyzer in this
-package against its committed defaults, in order:
+Runs R001–R008 and W001–W008 (:func:`repro.analysis.analyzer.analyze`)
+over the given files/directories, default ``src tests``; the
+whole-program checks take the files outside any ``tests/`` directory.
 
-1. ``lint``      — file-local determinism rules (R001+) over
-   ``src``/``tests``, baseline ``analysis-baseline.json``
-2. ``program``   — whole-program W001–W004 over ``src/repro``
-   (budget/baseline auto-picked from the working directory)
-3. ``dataflow``  — typestate W005–W008 over ``src/repro``
-   (baseline auto-picked from the working directory)
+Options
+-------
+``--json``
+    Emit the whole report as one JSON document: findings (with call
+    chains), the codes that ran, the hot-path map, stats, and wall time
+    per phase (parse, each rule, symbols, call graph, each check).
+``--format text|github``
+    ``github`` prints findings as GitHub Actions workflow annotations
+    so they land on PR lines.
+``--select CODES`` / ``--ignore CODES``
+    Comma-separated codes to run / to skip.
+``--list-rules``
+    Print the rule catalog and exit.
+``--graph json|dot``
+    Dump the call graph instead of checking.  ``--graph-focus``
+    restricts the DOT rendering to the subgraph reachable from the
+    given entry points (the UPF-U packet-path figure in the docs).
+``--entry QUALNAME``
+    Override the W001 per-packet entry points (repeatable).
 
-With ``--json`` the three reports are merged into one document keyed
-by stage.  The exit code is the *worst* stage outcome under the shared
-convention: 2 if any stage saw a stale baseline/budget, else 1 if any
-stage has findings, else 0.
+Exit codes: 0 clean, 1 findings (an unused ``repro: noqa`` and a syntax
+error are findings), 2 unreadable input or bad usage.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
-import os
 import sys
-from contextlib import redirect_stdout
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Set, TextIO
 
-from .dataflow.cli import main as dataflow_main
-from .lint import main as lint_main
-from .program.cli import main as program_main
-from .report import EXIT_CLEAN, EXIT_FINDINGS, EXIT_STALE
-
-#: (stage, runner, default paths, explicit baseline file or None when
-#: the stage auto-discovers its own default baseline).
-STAGES = (
-    ("lint", lint_main, ["src", "tests"], "analysis-baseline.json"),
-    ("program", program_main, ["src/repro"], None),
-    ("dataflow", dataflow_main, ["src/repro"], None),
+from .analyzer import (
+    PROGRAM_CHECKS,
+    all_codes,
+    analyze,
+    build_program,
+    load_files,
+    parse_files,
 )
+from .rules import RULE_REGISTRY, Finding
+
+__all__ = ["EXIT_CLEAN", "EXIT_FINDINGS", "EXIT_USAGE", "main"]
+
+#: No unsuppressed findings.
+EXIT_CLEAN = 0
+#: At least one unsuppressed finding.
+EXIT_FINDINGS = 1
+#: Unreadable input or bad usage (argparse's own exit code).
+EXIT_USAGE = 2
+
+
+def github_annotation(finding: Finding) -> str:
+    """Render a finding as a GitHub Actions workflow command so CI
+    findings annotate the offending PR line."""
+    level = "error" if finding.severity == "error" else "warning"
+    # The message payload must be single-line; %0A encodes newlines.
+    message = f"{finding.code} {finding.message}".replace(
+        "%", "%25"
+    ).replace("\r", "").replace("\n", "%0A")
+    return (
+        f"::{level} file={finding.path},line={finding.line},"
+        f"col={finding.col},title={finding.code}::{message}"
+    )
+
+
+def emit_findings(
+    findings: Sequence[Finding],
+    fmt: str = "text",
+    stream: Optional[TextIO] = None,
+) -> None:
+    """Print findings in ``text`` or ``github`` format."""
+    stream = stream if stream is not None else sys.stdout
+    if fmt == "github":
+        for finding in findings:
+            print(github_annotation(finding), file=stream)
+        return
+    for finding in findings:
+        print(finding.format(), file=stream)
+    if findings:
+        print(f"{len(findings)} finding(s)", file=stream)
+
+
+def _codes(raw: Optional[str], parser: argparse.ArgumentParser) -> Set[str]:
+    codes = {code.strip().upper() for code in (raw or "").split(",")}
+    codes.discard("")
+    unknown = codes - set(all_codes())
+    if unknown:
+        parser.error(f"unknown code(s): {', '.join(sorted(unknown))}")
+    return codes
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "Run every static analyzer (lint + program + dataflow) "
-            "against the committed baselines."
+            "Static analysis of the L25GC reproduction: determinism and "
+            "ownership rules (R001-R008), hot-path, epoch-publish, "
+            "atomicity, layering and lifecycle checks (W001-W008)."
         ),
     )
-    parser.add_argument("command", choices=("all",))
+    parser.add_argument("paths", nargs="*", default=["src", "tests"])
     parser.add_argument("--json", action="store_true", dest="as_json")
     parser.add_argument(
         "--format", choices=("text", "github"), default="text"
     )
+    parser.add_argument("--select", metavar="CODES")
+    parser.add_argument("--ignore", metavar="CODES")
+    parser.add_argument("--list-rules", action="store_true")
+    parser.add_argument("--graph", choices=("json", "dot"))
+    parser.add_argument(
+        "--graph-focus",
+        metavar="ENTRIES",
+        help="comma-separated entry qualnames to restrict --graph dot to",
+    )
+    parser.add_argument(
+        "--entry",
+        action="append",
+        metavar="QUALNAME",
+        help="override the W001 hot-path entry points (repeatable)",
+    )
     args = parser.parse_args(argv)
 
-    exits = {}
-    merged = {}
-    for name, run, paths, baseline in STAGES:
-        stage_argv = list(paths)
-        if baseline and os.path.exists(baseline):
-            stage_argv += ["--baseline", baseline]
-        if args.as_json:
-            stage_argv.append("--json")
-            buffer = io.StringIO()
-            with redirect_stdout(buffer):
-                code = run(stage_argv)
-            try:
-                merged[name] = json.loads(buffer.getvalue())
-            except ValueError:
-                merged[name] = {"raw": buffer.getvalue()}
+    if args.list_rules:
+        for code in sorted(RULE_REGISTRY):
+            rule = RULE_REGISTRY[code]
+            doc = (rule.__doc__ or "").strip().split("\n")[0]
+            print(f"{code}  {rule.name:<26} {doc}")
+        for code, (name, doc) in sorted(PROGRAM_CHECKS.items()):
+            print(f"{code}  {name:<26} {doc}")
+        return EXIT_CLEAN
+
+    selected = _codes(args.select, parser) or set(all_codes())
+    selected -= _codes(args.ignore, parser)
+    try:
+        files = load_files(args.paths)
+    except FileNotFoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+
+    if args.graph:
+        program = build_program(parse_files(files)[0])
+        if args.graph == "json":
+            print(program.graph.to_json())
         else:
-            stage_argv += ["--format", args.format]
-            print(f"== {name} ==")
-            code = run(stage_argv)
-        exits[name] = code
+            focus: Optional[List[str]] = args.entry
+            if args.graph_focus:
+                focus = [e.strip() for e in args.graph_focus.split(",")]
+            print(
+                program.graph.to_dot(
+                    entries=focus, stop_modules=program.stops
+                ),
+                end="",
+            )
+        return EXIT_CLEAN
 
+    report = analyze(files, select=selected, entry_points=args.entry)
     if args.as_json:
-        print(json.dumps({"stages": merged, "exit_codes": exits}, indent=2))
-
-    if any(code == EXIT_STALE for code in exits.values()):
-        return EXIT_STALE
-    if any(code == EXIT_FINDINGS for code in exits.values()):
-        return EXIT_FINDINGS
-    return EXIT_CLEAN
+        print(json.dumps(report.to_dict(), indent=2))
+    else:
+        emit_findings(report.findings, fmt=args.format)
+    return EXIT_FINDINGS if report.findings else EXIT_CLEAN
 
 
 if __name__ == "__main__":

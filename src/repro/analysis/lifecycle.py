@@ -1,12 +1,13 @@
 """Canonical lifecycle vocabulary shared by static and dynamic checks.
 
 The dynamic sanitizer (:mod:`repro.analysis.sanitizer`), the race
-detector, and the static typestate checks
-(:mod:`repro.analysis.dataflow`) all reason about the *same* three
-protocols.  This module is the single source of the state names,
-transition tables, and violation-kind strings, so a W005 finding at
-lint time and a sanitizer violation at run time cite identical
-vocabulary and an operator can correlate them 1:1.
+detector, and the static checks (:mod:`repro.analysis.program`,
+:mod:`repro.analysis.rules`) all reason about the *same* three
+protocols and the same single-writer owner table.  This module is the
+single source of the state names, transition tables, violation-kind
+strings and owned-attribute names, so a W005 finding at lint time and a
+sanitizer violation at run time cite identical vocabulary and an
+operator can correlate them 1:1.
 
 Protocols
 ---------
@@ -68,6 +69,8 @@ __all__ = [
     "SESSION_CLASS_SUFFIX",
     "ACQUIRE_METHODS",
     "MAY_FAIL_TRANSITIONS",
+    "RULE_CONTAINERS",
+    "SHARED_STRUCTURES",
 ]
 
 # -- state machines ----------------------------------------------------------
@@ -175,3 +178,24 @@ ACQUIRE_METHODS: Dict[str, str] = {
 #: The static checks give calls to these names a raising edge even when
 #: the receiver's type cannot be resolved.
 MAY_FAIL_TRANSITIONS: FrozenSet[str] = frozenset({"add", "adopt", "pin"})
+
+# -- single-writer owner table (§3.2) ----------------------------------------
+# Declared once: the static ownership rule (R008), the epoch-publish
+# check (W002) and ``UPFSession``'s race-detector registration all read
+# these two tuples, so a new rule container is added in one place.
+
+#: Per-session rule containers.  The UPF-C writes them, the UPF-U reads
+#: them lock-free, and every mutation must be published by
+#: ``RuleEpoch.bump()`` before control returns to the event loop.
+RULE_CONTAINERS: Tuple[str, ...] = (
+    "pdrs", "fars", "qers", "qer_enforcers", "usage_counters",
+)
+
+#: Every attribute of the ``up`` package's shared structures that only
+#: the ``up`` package may write: the rule containers, the UPF-U's
+#: ``report_pending`` flag, the session-table index and the hot-store
+#: slab internals (membership writes are UPF-C-only).
+SHARED_STRUCTURES: Tuple[str, ...] = RULE_CONTAINERS + (
+    "report_pending", "_by_seid",
+    "_teid_index", "_ue_ip_index", "_slab", "_free",
+)

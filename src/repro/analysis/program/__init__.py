@@ -1,42 +1,38 @@
-"""Whole-program static analysis over the L25GC reproduction.
+"""The whole-program half of the analyser: W001–W008.
 
-Layers (each importable on its own):
+Layers (each importable on its own), all working from the files
+:func:`repro.analysis.analyzer.analyze` has already parsed:
 
 * :mod:`.symbols` — project-wide symbol table: modules, classes
   (with MRO), functions, import bindings, annotation-driven types.
 * :mod:`.callgraph` — call graph resolved through the symbol table;
   virtual calls fan out to overrides, unresolvable calls become
   explicit *unknown edges*.
-* :mod:`.summaries` — per-function CFG summaries (allocations, yields,
-  shared reads/writes, epoch bumps) and the path-sensitive
-  interprocedural epoch-bump dataflow.
 * :mod:`.cfg` — statement-level control-flow graphs with def/use
   sets, attribute-write and call-site records, and explicit exception
-  edges; the substrate the typestate engine
-  (:mod:`repro.analysis.dataflow`) solves over.
-* :mod:`.checks` — the four semantic checks W001–W004 producing
-  :class:`~repro.analysis.rules.Finding` objects with call-chain
-  evidence.
+  edges.
+* :mod:`.solver` — the worklist dataflow solver over those CFGs, the
+  interprocedural effect summaries, and :class:`Program`: the one
+  symbol table, call graph and per-function CFG cache a run shares.
+* :mod:`.checks` — the call-graph checks W001–W004.
+* :mod:`.epoch` — W002's ``(pending, bumped)`` lattice.
+* :mod:`.typestate` — the lifecycle lattices W005–W007 and W008.
 
 Nothing in here is imported by runtime code: the per-packet path pays
-zero import-time or runtime cost for the analyzer's existence.
+zero import-time or runtime cost for the analyser's existence.
 """
 
 from .callgraph import CallEdge, CallGraph, UnknownEdge, build_call_graph
 from .cfg import CFG, AttrWrite, CallSite, CFGNode, build_cfg
-from .checks import (
-    DEFAULT_PACKET_ENTRIES,
-    Budget,
-    ProgramFinding,
-    ProgramReport,
-    analyze_program,
-)
-from .summaries import (
-    AllocationSite,
-    FunctionSummary,
-    MutationSite,
-    analyze_epoch_flow,
-    summarize,
+from .checks import DEFAULT_PACKET_ENTRIES, AllocationSite, allocation_sites
+from .epoch import EpochFlow, EpochState, MutationSite, analyze_epoch_flow
+from .solver import (
+    MAX_CHAIN_DEPTH,
+    Analysis,
+    FunctionEffects,
+    Program,
+    compute_effects,
+    solve,
 )
 from .symbols import (
     ClassInfo,
@@ -49,8 +45,8 @@ from .symbols import (
 
 __all__ = [
     "AllocationSite",
+    "Analysis",
     "AttrWrite",
-    "Budget",
     "CFG",
     "CFGNode",
     "CallEdge",
@@ -58,19 +54,22 @@ __all__ = [
     "CallSite",
     "ClassInfo",
     "DEFAULT_PACKET_ENTRIES",
+    "EpochFlow",
+    "EpochState",
+    "FunctionEffects",
     "FunctionInfo",
-    "FunctionSummary",
+    "MAX_CHAIN_DEPTH",
     "ModuleInfo",
     "MutationSite",
-    "ProgramFinding",
-    "ProgramReport",
+    "Program",
     "SymbolTable",
     "UnknownEdge",
+    "allocation_sites",
     "analyze_epoch_flow",
-    "analyze_program",
     "build_call_graph",
     "build_cfg",
     "build_symbol_table",
+    "compute_effects",
     "module_name_for",
-    "summarize",
+    "solve",
 ]

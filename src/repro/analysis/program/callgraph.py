@@ -14,12 +14,12 @@ from __future__ import annotations
 import ast
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..astutil import dotted as _dotted_name, walk_own
 from .symbols import (
     FunctionInfo,
     SymbolTable,
-    _dotted_name,
     _parameter_types,
     infer_expr_type,
 )
@@ -204,18 +204,6 @@ def build_call_graph(table: SymbolTable) -> CallGraph:
     return graph
 
 
-def _iter_own_calls(func: FunctionInfo) -> Iterator[ast.Call]:
-    """Call nodes in the function body, excluding nested defs."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(func.node))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(node, ast.Call):
-            yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
 #: Builtin callables that never resolve to project code.
 _BUILTINS = frozenset({
     "len", "range", "isinstance", "getattr", "setattr", "hasattr", "max",
@@ -247,8 +235,9 @@ def _resolve_function_calls(graph: CallGraph, func: FunctionInfo) -> None:
             if inferred:
                 local_types[node.target.id] = inferred
 
-    for call in _iter_own_calls(func):
-        _resolve_call(graph, func, local_types, call)
+    for node in walk_own(func.node):
+        if isinstance(node, ast.Call):
+            _resolve_call(graph, func, local_types, node)
 
 
 def _resolve_call(

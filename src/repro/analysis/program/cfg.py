@@ -1,8 +1,8 @@
 """Statement-level control-flow graphs with def/use and exception edges.
 
-Grows the PR 5 function summaries into a real CFG so the dataflow
-engine (:mod:`repro.analysis.dataflow`) can run worklist fixpoints per
-function.  Each :class:`CFGNode` covers one statement (compound
+The substrate :func:`~repro.analysis.program.solver.solve` runs its
+worklist fixpoints over: one graph per function, built once per run and
+shared by every path-sensitive check (W002, W005–W007).  Each :class:`CFGNode` covers one statement (compound
 statements contribute a *header* node for their test/iterator plus
 nodes for their bodies) and carries:
 
@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+from ..astutil import NESTED_SCOPES, dotted as _dotted, walk_own as _walk_own
 
 __all__ = ["AttrWrite", "CallSite", "CFGNode", "CFG", "build_cfg"]
 
@@ -102,64 +104,10 @@ class CFG:
     exit: int
     raise_exit: int
 
-    def node(self, index: int) -> CFGNode:
-        return self.nodes[index]
-
-    def predecessors(self) -> Dict[int, List[int]]:
-        preds: Dict[int, List[int]] = {n.index: [] for n in self.nodes}
-        for node in self.nodes:
-            for succ in node.succ:
-                preds[succ].append(node.index)
-            for succ in node.exc_succ:
-                preds[succ].append(node.index)
-        return preds
-
-    def to_dot(self) -> str:
-        lines = [f'digraph "{self.qualname}" {{']
-        for node in self.nodes:
-            lines.append(
-                f'  n{node.index} [label="{node.index}: {node.label}"];'
-            )
-            for succ in node.succ:
-                lines.append(f"  n{node.index} -> n{succ};")
-            for succ in node.exc_succ:
-                lines.append(
-                    f'  n{node.index} -> n{succ} [style=dashed,label="exc"];'
-                )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
 
 # ---------------------------------------------------------------------------
-# Expression walkers (nested function/class bodies are opaque)
+# Expression readers (nested function/class bodies are opaque)
 # ---------------------------------------------------------------------------
-_NESTED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
-
-
-def _walk_own(node: ast.AST):
-    """Yield sub-nodes without descending into nested def/class/lambda."""
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        yield current
-        for child in ast.iter_child_nodes(current):
-            if isinstance(child, _NESTED):
-                continue
-            stack.append(child)
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if isinstance(current, ast.Name):
-        parts.append(current.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _uses_of(*exprs: Optional[ast.AST]) -> Tuple[str, ...]:
     names: List[str] = []
     for expr in exprs:
@@ -338,7 +286,7 @@ class _Builder:
             self.wire(preds, node)
             node.exc_succ.append(self.exc_target)
             return []
-        if isinstance(stmt, _NESTED[:3]):  # nested def/class: opaque bind
+        if isinstance(stmt, NESTED_SCOPES[:3]):  # nested def/class: opaque bind
             node = self.new(
                 f"def {getattr(stmt, 'name', '?')}",
                 stmt.lineno,

@@ -1,21 +1,25 @@
-"""The four whole-program checks over the call graph.
+"""The four call-graph checks W001–W004.
 
 ========  ==================================================================
-W001      Hot-path cost budget: any function reachable from the UPF-U
-          per-packet entry points may allocate (objects, containers,
-          strings, generators) only what the committed budget file
-          grants it.  Intentional costs are explicit entries with a
-          reason; everything else is a regression.
+W001      Hot-path allocation: every allocation *site* (object
+          construction, container/string building, comprehension,
+          generator creation) in a function reachable from the UPF-U
+          per-packet entry points is a finding at the line of the
+          allocating expression.  An intentional cost is excused where
+          it stands — ``# repro: noqa[W001] -- reason`` on that line —
+          so the exemption moves with the code and dies with it (an
+          excuse on a line that no longer allocates is reported).
 W002      Interprocedural epoch bump: a rule-container mutation must be
           published by ``RuleEpoch.bump()`` on every path before
           control returns to the event loop — through calls, so a
           helper's mutation may be discharged by its caller, and a
           ``yield`` with an unpublished mutation is flagged where it
-          happens.
+          happens.  Path-sensitive: the lattice is in :mod:`.epoch`.
 W003      Yield in atomic section: no ``yield`` may be reachable (via
           the call graph) from inside a ``with detector.role(...)``
           block — the sections the race detector treats as atomic must
-          actually be atomic.
+          actually be atomic.  Plain reachability: it asks nothing
+          about paths.
 W004      Layering conformance: import edges may not point up the
           stack (``sim`` imports nothing from the project; ``up`` and
           ``cp`` may not import each other's internals; the
@@ -23,33 +27,31 @@ W004      Layering conformance: import edges may not point up the
           imported from the hot-path package).
 ========  ==================================================================
 
-Findings carry call-chain evidence and flow through the same
-``Finding`` / ``# repro: noqa[...]`` / ``--baseline`` machinery as the
-file-local lint.
+Findings carry call-chain evidence and are suppressed by the same
+inline ``# repro: noqa[...]`` comments as the file-local rules.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
-from ..rules import FileContext, Finding
-from .callgraph import CallGraph, build_call_graph
-from .summaries import (
-    FunctionSummary,
-    analyze_epoch_flow,
-    summarize,
-)
-from .symbols import SymbolTable, build_symbol_table
+from ..astutil import dotted, walk_own
+from ..rules import Finding
+from .epoch import MutationSite, analyze_epoch_flow
+from .solver import Program
+from .symbols import INSTRUMENTATION, FunctionInfo, SymbolTable
 
 __all__ = [
-    "ProgramFinding",
-    "Budget",
-    "ProgramReport",
     "DEFAULT_PACKET_ENTRIES",
-    "analyze_program",
+    "AllocationSite",
+    "allocation_sites",
+    "check_w001",
+    "check_w002",
+    "check_w003",
+    "check_w004",
+    "function_finding",
 ]
 
 #: The UPF-U per-packet entry points (direct API + platform ring path,
@@ -61,325 +63,207 @@ DEFAULT_PACKET_ENTRIES = (
     "repro.up.upf_u.UPFUserPlane.handle_burst",
 )
 
-#: Instrumentation packages: calls into them are gated behind
-#: ``is None`` checks on the fast path, so W001/W003 reachability stops
-#: at their boundary (W004 polices their imports instead).
-_INSTRUMENTATION = ("analysis", "obs")
 
-
-@dataclass(frozen=True)
-class ProgramFinding(Finding):
-    """A lint finding plus its interprocedural evidence chain."""
-
-    chain: Tuple[str, ...] = ()
-
-    def format(self) -> str:
-        base = super().format()
-        if not self.chain:
-            return base
-        steps = "\n".join(f"    {step}" for step in self.chain)
-        return f"{base}\n  call chain:\n{steps}"
-
-    def to_dict(self) -> Dict[str, object]:
-        data = super().to_dict()
-        data["chain"] = list(self.chain)
-        return data
-
-
-class Budget:
-    """The committed per-function allocation budget file.
-
-    Format::
-
-        {
-          "version": 1,
-          "entry_points": ["pkg.mod.Class.method", ...],
-          "budgets": {
-            "pkg.mod.func": {"allocations": 2, "reason": "..."},
-            ...
-          }
-        }
-
-    Every entry is an *explicit, reviewed* cost on the per-packet path;
-    a budget naming a function that no longer exists is stale and fails
-    the run (so budgets cannot quietly outlive refactors).
-    """
-
-    def __init__(
-        self,
-        budgets: Optional[Dict[str, int]] = None,
-        reasons: Optional[Dict[str, str]] = None,
-        entry_points: Optional[Sequence[str]] = None,
-    ) -> None:
-        self.budgets: Dict[str, int] = dict(budgets or {})
-        self.reasons: Dict[str, str] = dict(reasons or {})
-        self.entry_points: Optional[Tuple[str, ...]] = (
-            tuple(entry_points) if entry_points else None
-        )
-
-    @classmethod
-    def load(cls, path: str) -> "Budget":
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        budgets: Dict[str, int] = {}
-        reasons: Dict[str, str] = {}
-        for qualname, entry in (data.get("budgets") or {}).items():
-            if isinstance(entry, dict):
-                budgets[qualname] = int(entry.get("allocations", 0))
-                reasons[qualname] = str(entry.get("reason", ""))
-            else:
-                budgets[qualname] = int(entry)
-        return cls(budgets, reasons, data.get("entry_points"))
-
-    def allowance(self, qualname: str) -> int:
-        return self.budgets.get(qualname, 0)
-
-    def stale_entries(self, table: SymbolTable) -> List[str]:
-        return sorted(
-            qualname
-            for qualname in self.budgets
-            if qualname not in table.functions
-        )
-
-
-@dataclass
-class ProgramReport:
-    """Everything one analysis run produced."""
-
-    table: SymbolTable
-    graph: CallGraph
-    summaries: Dict[str, FunctionSummary]
-    findings: List[ProgramFinding]
-    #: qualname -> witness chain from a packet entry point.
-    hot_path: Dict[str, Tuple[str, ...]]
-    stale_budget_entries: List[str]
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "findings": [f.to_dict() for f in self.findings],
-            "hot_path": {
-                qualname: list(chain)
-                for qualname, chain in sorted(self.hot_path.items())
-            },
-            "stale_budget_entries": self.stale_budget_entries,
-            "stats": {
-                "modules": len(self.table.modules),
-                "functions": len(self.table.functions),
-                "classes": len(self.table.classes),
-                "call_edges": len(self.graph.edges),
-                "unknown_edges": len(self.graph.unknown),
-            },
-        }
-
-
-def _root_packages(table: SymbolTable) -> Set[str]:
-    return {name.split(".")[0] for name in table.modules}
-
-
-def _stop_modules(table: SymbolTable) -> List[str]:
-    """Instrumentation sub-packages of every analyzed root package."""
-    stops: List[str] = []
-    for root in _root_packages(table):
-        for sub in _INSTRUMENTATION:
-            stops.append(f"{root}.{sub}")
-    return stops
-
-
-def analyze_program(
-    files: Sequence[Tuple[str, str]],
-    budget: Optional[Budget] = None,
-    entry_points: Optional[Sequence[str]] = None,
-) -> ProgramReport:
-    """Run the engine and all four checks over ``(path, source)`` pairs."""
-    table = build_symbol_table(files)
-    graph = build_call_graph(table)
-    summaries = summarize(table)
-    budget = budget or Budget()
-
-    entries = list(
-        entry_points
-        if entry_points is not None
-        else (budget.entry_points or DEFAULT_PACKET_ENTRIES)
-    )
-    entries = [e for e in entries if e in table.functions]
-    stop = _stop_modules(table)
-    hot_path = graph.reachable(entries, stop_modules=stop)
-
-    findings: List[ProgramFinding] = []
-    findings.extend(_check_w001(table, summaries, hot_path, budget))
-    findings.extend(_check_w002(table, graph))
-    findings.extend(_check_w003(table, graph, stop))
-    findings.extend(_check_w004(table))
-
-    findings = _apply_noqa(files, findings)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    return ProgramReport(
-        table=table,
-        graph=graph,
-        summaries=summaries,
-        findings=findings,
-        hot_path=hot_path,
-        stale_budget_entries=budget.stale_entries(table),
-    )
-
-
-def _apply_noqa(
-    files: Sequence[Tuple[str, str]], findings: List[ProgramFinding]
-) -> List[ProgramFinding]:
-    contexts: Dict[str, FileContext] = {}
-    for path, source in files:
-        contexts[path] = FileContext.parse(path, source)
-    return [
-        finding
-        for finding in findings
-        if finding.path not in contexts
-        or not contexts[finding.path].is_suppressed(finding)
-    ]
-
-
-def _mk(
-    table: SymbolTable,
-    qualname: str,
+def function_finding(
+    func: FunctionInfo,
     lineno: int,
     code: str,
     message: str,
-    chain: Tuple[str, ...] = (),
-    severity: str = "error",
-) -> ProgramFinding:
-    func = table.functions[qualname]
-    return ProgramFinding(
+    chain: Sequence[str] = (),
+) -> Finding:
+    """An error-severity finding at ``lineno`` of ``func``'s file."""
+    return Finding(
         path=func.path,
         line=lineno,
         col=1,
         code=code,
-        severity=severity,
+        severity="error",
         message=message,
-        chain=chain,
+        chain=tuple(chain),
     )
 
 
 # ---------------------------------------------------------------------------
-# W001 — hot-path cost budget
+# W001 — allocation sites on the per-packet path
 # ---------------------------------------------------------------------------
-def _check_w001(
-    table: SymbolTable,
-    summaries: Dict[str, FunctionSummary],
-    hot_path: Dict[str, Tuple[str, ...]],
-    budget: Budget,
-) -> List[ProgramFinding]:
-    findings: List[ProgramFinding] = []
+@dataclass(frozen=True)
+class AllocationSite:
+    """One statically visible allocation in a function body."""
+
+    lineno: int
+    kind: str  # "list-display", "object-construction", ...
+    detail: str = ""
+
+
+_DISPLAY_KINDS = (
+    (ast.List, "list-display"),
+    (ast.Dict, "dict-display"),
+    (ast.Set, "set-display"),
+    (ast.ListComp, "list-comprehension"),
+    (ast.SetComp, "set-comprehension"),
+    (ast.DictComp, "dict-comprehension"),
+    (ast.GeneratorExp, "generator-expression"),
+    (ast.JoinedStr, "f-string"),
+    (ast.Lambda, "closure"),
+)
+
+_CONSTRUCTOR_BUILTINS = frozenset(
+    {"list", "dict", "set", "bytearray", "frozenset"}
+)
+
+
+def allocation_sites(
+    table: SymbolTable, func: FunctionInfo
+) -> List[AllocationSite]:
+    """The function's own allocation sites, in line order."""
+    own = [node for node in walk_own(func.node) if node is not func.node]
+    # ``a, b = x, y`` compiles to register moves, not a tuple build.
+    swap_values = {
+        id(node.value)
+        for node in own
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Tuple)
+        and any(isinstance(t, ast.Tuple) for t in node.targets)
+    }
+    sites: List[AllocationSite] = []
+    for node in own:
+        for node_type, kind in _DISPLAY_KINDS:
+            if isinstance(node, node_type):
+                sites.append(AllocationSite(node.lineno, kind))
+                break
+        else:
+            if isinstance(node, ast.Tuple) and isinstance(
+                node.ctx, ast.Load
+            ):
+                if node.elts and id(node) not in swap_values:
+                    sites.append(
+                        AllocationSite(node.lineno, "tuple-display")
+                    )
+            elif isinstance(node, ast.Call):
+                name = dotted(node.func)
+                if name is None:
+                    continue
+                if name in _CONSTRUCTOR_BUILTINS:
+                    sites.append(
+                        AllocationSite(
+                            node.lineno, "container-constructor", name
+                        )
+                    )
+                    continue
+                resolved = table.resolve_dotted(func.module, name)
+                if resolved in table.classes:
+                    sites.append(
+                        AllocationSite(
+                            node.lineno,
+                            "object-construction",
+                            resolved.split(".")[-1],
+                        )
+                    )
+                elif resolved in table.functions and table.functions[
+                    resolved
+                ].is_generator:
+                    sites.append(
+                        AllocationSite(
+                            node.lineno,
+                            "generator-creation",
+                            resolved.split(".")[-1],
+                        )
+                    )
+    sites.sort(key=lambda site: site.lineno)
+    return sites
+
+
+def check_w001(
+    program: Program, hot_path: Dict[str, Tuple[str, ...]]
+) -> List[Finding]:
+    """``hot_path`` maps each function reachable from the packet entry
+    points to its witness chain (``CallGraph.reachable``)."""
+    table = program.table
+    findings: List[Finding] = []
     for qualname, chain in sorted(hot_path.items()):
-        summary = summaries.get(qualname)
-        if summary is None or not summary.allocations:
-            continue
-        count = len(summary.allocations)
-        allowed = budget.allowance(qualname)
-        if count <= allowed:
-            continue
-        kinds = ", ".join(
-            f"{site.kind}@{site.lineno}"
-            + (f" ({site.detail})" if site.detail else "")
-            for site in summary.allocations[:6]
-        )
-        if count > 6:
-            kinds += ", ..."
-        findings.append(
-            _mk(
-                table,
-                qualname,
-                table.functions[qualname].lineno,
-                "W001",
-                f"{qualname.split('.')[-1]}() is on the UPF-U per-packet "
-                f"path and has {count} allocation site(s) over its budget "
-                f"of {allowed}: {kinds}; grant an explicit budget entry "
-                "with a reason, or hoist the allocation off the hot path",
-                chain=tuple(f"-> {step}" for step in chain),
+        func = table.functions[qualname]
+        for site in allocation_sites(table, func):
+            what = site.kind + (f" ({site.detail})" if site.detail else "")
+            findings.append(
+                function_finding(
+                    func,
+                    site.lineno,
+                    "W001",
+                    f"allocation site on the UPF-U per-packet path: {what} "
+                    f"in {func.name}(); hoist it off the hot path, or "
+                    "excuse it on this line with "
+                    "`# repro: noqa[W001] -- reason`",
+                    chain=[f"-> {step}" for step in chain],
+                )
             )
-        )
     return findings
 
 
 # ---------------------------------------------------------------------------
 # W002 — interprocedural epoch bump
 # ---------------------------------------------------------------------------
-def _check_w002(
-    table: SymbolTable, graph: CallGraph
-) -> List[ProgramFinding]:
-    flow = analyze_epoch_flow(graph)
-    findings: List[ProgramFinding] = []
-    reported: Set[Tuple[str, str, int]] = set()
+def check_w002(program: Program) -> List[Finding]:
+    table = program.table
+    flow = analyze_epoch_flow(program)
+    findings: List[Finding] = []
+    reported: Set[MutationSite] = set()
 
-    for qualname, yield_line, (site, chain) in flow.yield_violations:
-        key = (site.qualname, site.attr, site.lineno)
-        if key in reported:
-            continue
-        reported.add(key)
+    def report(site: MutationSite, message: str, origin: str, chain) -> None:
+        if site in reported:
+            return
+        reported.add(site)
+        steps = [f"-> {origin}"] + [f"-> {hop}" for hop in chain]
+        steps.append(
+            f"-> mutation of .{site.attr} at {site.qualname}:{site.lineno}"
+        )
         findings.append(
-            _mk(
-                table,
-                site.qualname,
+            function_finding(
+                table.functions[site.qualname],
                 site.lineno,
                 "W002",
                 f"rule container .{site.attr} mutated in "
                 f"{site.qualname.split('.')[-1]}() is not published by "
-                f"RuleEpoch.bump() before the yield at "
-                f"{qualname.split('.')[-1]}():{yield_line}; the flow "
-                "cache serves stale decisions once control returns to "
-                "the event loop",
-                chain=_w002_chain(qualname, chain, site),
+                f"RuleEpoch.bump() {message}",
+                chain=steps,
             )
         )
 
-    for root in graph.roots():
-        for site, chain in flow.pending_at_exit.get(root, ()):
-            key = (site.qualname, site.attr, site.lineno)
-            if key in reported:
-                continue
-            reported.add(key)
-            findings.append(
-                _mk(
-                    table,
-                    site.qualname,
-                    site.lineno,
-                    "W002",
-                    f"rule container .{site.attr} mutated in "
-                    f"{site.qualname.split('.')[-1]}() is not published "
-                    "by RuleEpoch.bump() on every path before control "
-                    f"returns to the event loop (entered via "
-                    f"{root.split('.')[-1]}()); flow-cache readers keep "
-                    "serving the old rules",
-                    chain=_w002_chain(root, chain, site),
-                )
+    for qualname, yield_line, (site, chain) in flow.yield_violations:
+        report(
+            site,
+            f"before the yield at {qualname.split('.')[-1]}():"
+            f"{yield_line}; the flow cache serves stale decisions once "
+            "control returns to the event loop",
+            qualname,
+            chain,
+        )
+    for root in program.graph.roots():
+        summary = flow.summaries.get(root)
+        for site, chain in summary.pending if summary else ():
+            report(
+                site,
+                "on every path before control returns to the event loop "
+                f"(entered via {root.split('.')[-1]}()); flow-cache "
+                "readers keep serving the old rules",
+                root,
+                chain,
             )
     return findings
-
-
-def _w002_chain(
-    origin: str, chain: Tuple[str, ...], site
-) -> Tuple[str, ...]:
-    steps = [f"-> {origin}"]
-    for hop in chain:
-        steps.append(f"-> {hop}")
-    steps.append(f"-> mutation of .{site.attr} at {site.qualname}:{site.lineno}")
-    return tuple(steps)
 
 
 # ---------------------------------------------------------------------------
 # W003 — yield reachable inside an atomic section
 # ---------------------------------------------------------------------------
-def _check_w003(
-    table: SymbolTable, graph: CallGraph, stop: Sequence[str]
-) -> List[ProgramFinding]:
-    findings: List[ProgramFinding] = []
-    for qualname, func in sorted(table.functions.items()):
+def check_w003(program: Program) -> List[Finding]:
+    findings: List[Finding] = []
+    for qualname, func in sorted(program.table.functions.items()):
         for stmt in ast.walk(func.node):
-            if not isinstance(stmt, (ast.With, ast.AsyncWith)):
-                continue
-            if not _is_role_with(stmt):
-                continue
-            findings.extend(
-                _atomic_section_findings(table, graph, stop, qualname, stmt)
-            )
+            if isinstance(
+                stmt, (ast.With, ast.AsyncWith)
+            ) and _is_role_with(stmt):
+                findings.extend(
+                    _atomic_section_findings(program, func, stmt)
+                )
     return findings
 
 
@@ -396,13 +280,11 @@ def _is_role_with(stmt: ast.AST) -> bool:
 
 
 def _atomic_section_findings(
-    table: SymbolTable,
-    graph: CallGraph,
-    stop: Sequence[str],
-    qualname: str,
-    stmt: ast.AST,
-) -> List[ProgramFinding]:
-    findings: List[ProgramFinding] = []
+    program: Program, func: FunctionInfo, stmt: ast.AST
+) -> List[Finding]:
+    table, graph, stop = program.table, program.graph, program.stops
+    qualname = func.qualname
+    findings: List[Finding] = []
     body_lines = _body_line_range(stmt)
     # Direct yield inside the atomic block body.
     for node in ast.walk(stmt):
@@ -410,9 +292,8 @@ def _atomic_section_findings(
             body_lines[0] <= node.lineno <= body_lines[1]
         ):
             findings.append(
-                _mk(
-                    table,
-                    qualname,
+                function_finding(
+                    func,
                     stmt.lineno,
                     "W003",
                     f"atomic section in {qualname.split('.')[-1]}() "
@@ -434,9 +315,8 @@ def _atomic_section_findings(
         info = table.functions.get(callee)
         if info is not None and info.is_generator:
             findings.append(
-                _mk(
-                    table,
-                    qualname,
+                function_finding(
+                    func,
                     stmt.lineno,
                     "W003",
                     f"generator {callee.split('.')[-1]}() is reachable "
@@ -444,8 +324,8 @@ def _atomic_section_findings(
                     f"{qualname.split('.')[-1]}(); a helper that yields "
                     "breaks the section the race detector treats as "
                     "atomic",
-                    chain=(f"-> {qualname}:{stmt.lineno} (with .role(...))",)
-                    + tuple(f"-> {step}" for step in chain),
+                    chain=[f"-> {qualname}:{stmt.lineno} (with .role(...))"]
+                    + [f"-> {step}" for step in chain],
                 )
             )
     return findings
@@ -478,80 +358,57 @@ def _body_line_range(stmt: ast.AST) -> Tuple[int, int]:
 # ---------------------------------------------------------------------------
 # W004 — layering conformance
 # ---------------------------------------------------------------------------
-def _check_w004(table: SymbolTable) -> List[ProgramFinding]:
-    findings: List[ProgramFinding] = []
+def check_w004(table: SymbolTable) -> List[Finding]:
+    findings: List[Finding] = []
+
+    def within(name: str, package: str) -> bool:
+        return name == package or name.startswith(package + ".")
+
     for name, module in sorted(table.modules.items()):
         root = name.split(".")[0]
-        sim_pkg = f"{root}.sim"
-        up_pkg = f"{root}.up"
-        cp_pkg = f"{root}.cp"
-        in_sim = name == sim_pkg or name.startswith(sim_pkg + ".")
-        in_up = name == up_pkg or name.startswith(up_pkg + ".")
-        in_cp = name == cp_pkg or name.startswith(cp_pkg + ".")
+        sim_pkg, up_pkg, cp_pkg = f"{root}.sim", f"{root}.up", f"{root}.cp"
+
+        def flag(lineno: int, message: str) -> None:
+            findings.append(
+                Finding(
+                    path=module.path,
+                    line=lineno,
+                    col=1,
+                    code="W004",
+                    severity="error",
+                    message=f"layering: {message}",
+                )
+            )
+
         for target, lineno in module.import_edges:
             if target.split(".")[0] != root:
                 continue
-            if in_sim and not (
-                target == sim_pkg or target.startswith(sim_pkg + ".")
+            if within(name, sim_pkg) and not within(target, sim_pkg):
+                flag(
+                    lineno,
+                    f"sim module {name} imports {target}; the simulation "
+                    "kernel sits at the bottom of the stack and imports "
+                    "nothing above it",
+                )
+            for side, mine, other, theirs in (
+                ("up", up_pkg, "cp", cp_pkg),
+                ("cp", cp_pkg, "up", up_pkg),
             ):
-                findings.append(
-                    ProgramFinding(
-                        path=module.path,
-                        line=lineno,
-                        col=1,
-                        code="W004",
-                        severity="error",
-                        message=(
-                            f"layering: sim module {name} imports "
-                            f"{target}; the simulation kernel sits at "
-                            "the bottom of the stack and imports "
-                            "nothing above it"
-                        ),
+                if within(name, mine) and target.startswith(theirs + "."):
+                    flag(
+                        lineno,
+                        f"{side} module {name} imports {other} internals "
+                        f"({target}); cross-plane access goes through the "
+                        f"package facade (import the {other} package, not "
+                        "its submodules)",
                     )
-                )
-            if in_up and target.startswith(cp_pkg + "."):
-                findings.append(
-                    _layer_finding(module, lineno, name, target, "up", "cp")
-                )
-            if in_cp and target.startswith(up_pkg + "."):
-                findings.append(
-                    _layer_finding(module, lineno, name, target, "cp", "up")
-                )
-            if in_up and any(
-                target == f"{root}.{sub}"
-                or target.startswith(f"{root}.{sub}.")
-                for sub in _INSTRUMENTATION
+            if within(name, up_pkg) and any(
+                within(target, f"{root}.{sub}") for sub in INSTRUMENTATION
             ):
-                findings.append(
-                    ProgramFinding(
-                        path=module.path,
-                        line=lineno,
-                        col=1,
-                        code="W004",
-                        severity="error",
-                        message=(
-                            f"layering: hot-path module {name} imports "
-                            f"instrumentation package {target}; "
-                            "analysis/obs must never be imported from "
-                            "the per-packet forwarding path"
-                        ),
-                    )
+                flag(
+                    lineno,
+                    f"hot-path module {name} imports instrumentation "
+                    f"package {target}; analysis/obs must never be "
+                    "imported from the per-packet forwarding path",
                 )
     return findings
-
-
-def _layer_finding(
-    module, lineno: int, name: str, target: str, side: str, other: str
-) -> ProgramFinding:
-    return ProgramFinding(
-        path=module.path,
-        line=lineno,
-        col=1,
-        code="W004",
-        severity="error",
-        message=(
-            f"layering: {side} module {name} imports {other} internals "
-            f"({target}); cross-plane access goes through the package "
-            f"facade (import the {other} package, not its submodules)"
-        ),
-    )

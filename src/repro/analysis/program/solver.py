@@ -1,10 +1,12 @@
 """Worklist-based forward dataflow solver over the program CFGs.
 
-The generic half of the typestate engine: an :class:`Analysis` supplies
-the lattice (``initial``/``join``/``equals``) and the transfer
-function; :func:`solve` runs the standard chaotic-iteration worklist to
-a fixpoint over one :class:`~repro.analysis.program.cfg.CFG` and
-returns the in-state of every node.
+The one engine that answers "which states reach here": an
+:class:`Analysis` supplies the lattice (``initial``/``join``, equality
+of states) and the transfer function; :func:`solve` runs the standard
+chaotic-iteration worklist to a fixpoint over one
+:class:`~repro.analysis.program.cfg.CFG` and returns the in-state of
+every node.  W002 (:mod:`.epoch`) and W005–W007 (:mod:`.typestate`)
+are all lattices on it.
 
 Transfer functions return **two** out-states — ``(normal, exc)`` — so
 an analysis can model statements whose effect differs on the
@@ -16,7 +18,7 @@ they consider infeasible (calls whose callees provably do not raise).
 
 Interprocedural context is supplied separately: the checks consult
 :class:`FunctionEffects` summaries (computed by a bounded fixpoint over
-the PR 5 call graph) at call sites instead of inlining callees, which
+the call graph) at call sites instead of inlining callees, which
 bounds the analysis to one CFG at a time while still propagating
 mutate/send/raise behavior through helpers — the "bounded context"
 design from the whole-program checks.
@@ -29,14 +31,24 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..program.cfg import CFG, CFGNode, build_cfg
-from ..program.symbols import FunctionInfo, SymbolTable
+from ..astutil import walk_own
+from ..lifecycle import DESCRIPTOR_HANDOFF_METHODS, SEND_METHODS
+from .callgraph import CallGraph
+from .cfg import CFG, CFGNode, build_cfg
+from .symbols import (
+    FunctionInfo,
+    SymbolTable,
+    infer_expr_type,
+    instrumentation_modules,
+)
 
 __all__ = [
+    "Program",
     "Analysis",
     "solve",
     "FunctionEffects",
     "compute_effects",
+    "resolve_call_targets",
     "MAX_CHAIN_DEPTH",
 ]
 
@@ -45,8 +57,40 @@ __all__ = [
 MAX_CHAIN_DEPTH = 4
 
 
+class Program:
+    """What one run shares between the whole-program checks: the one
+    symbol table, the one call graph, and one CFG per function, built
+    the first time a check asks for it."""
+
+    def __init__(self, table: SymbolTable, graph: CallGraph) -> None:
+        self.table = table
+        self.graph = graph
+        #: Module-name prefixes of the instrumentation packages.
+        self.stops = instrumentation_modules(table)
+        self._cfgs: Dict[str, CFG] = {}
+        self._effects: Optional[Dict[str, "FunctionEffects"]] = None
+
+    def cfg(self, qualname: str) -> CFG:
+        cfg = self._cfgs.get(qualname)
+        if cfg is None:
+            cfg = build_cfg(self.table.functions[qualname].node, qualname)
+            self._cfgs[qualname] = cfg
+        return cfg
+
+    @property
+    def cfgs_built(self) -> int:
+        return len(self._cfgs)
+
+    @property
+    def effects(self) -> Dict[str, "FunctionEffects"]:
+        """Interprocedural effect summaries (computed on first use)."""
+        if self._effects is None:
+            self._effects = compute_effects(self.table)
+        return self._effects
+
+
 class Analysis:
-    """Interface a typestate check implements for :func:`solve`."""
+    """Interface a path-sensitive check implements for :func:`solve`."""
 
     def initial(self, cfg: CFG) -> object:
         raise NotImplementedError
@@ -143,17 +187,6 @@ class FunctionEffects:
     may_raise: Optional[Tuple[str, ...]] = None
 
 
-def _own_stmts(func: ast.AST):
-    """Statements of a function body, nested defs excluded."""
-    from ..program.cfg import _walk_own
-    for node in _walk_own(func):
-        if node is not func and isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef)
-        ):
-            continue
-        yield node
-
-
 def _param_names(func: ast.AST) -> List[str]:
     args = func.args
     names = [a.arg for a in (
@@ -162,21 +195,12 @@ def _param_names(func: ast.AST) -> List[str]:
     return names
 
 
-def _instrumentation_modules(table: SymbolTable) -> Tuple[str, ...]:
-    roots = {name.split(".")[0] for name in table.modules}
-    return tuple(
-        f"{root}.{sub}" for root in roots for sub in ("analysis", "obs")
-    )
-
-
-def _resolve_call_targets(
+def resolve_call_targets(
     table: SymbolTable,
     func: FunctionInfo,
     call: ast.Call,
 ) -> List[str]:
     """Qualnames a call may dispatch to (best effort, virtual fan-out)."""
-    from ..program.symbols import infer_expr_type
-
     targets: List[str] = []
     callee = call.func
     if isinstance(callee, ast.Name):
@@ -197,10 +221,8 @@ def _resolve_call_targets(
 
 def compute_effects(
     table: SymbolTable,
-    send_methods: Sequence[str] = ("send", "enqueue"),
-    handoff_methods: Sequence[str] = (
-        "enqueue", "send_to_nf", "send_out",
-    ),
+    send_methods: Sequence[str] = tuple(SEND_METHODS),
+    handoff_methods: Sequence[str] = tuple(DESCRIPTOR_HANDOFF_METHODS),
 ) -> Dict[str, FunctionEffects]:
     """Bounded-context interprocedural effect summaries for every
     function in the table.
@@ -216,7 +238,7 @@ def compute_effects(
     """
     send_set = frozenset(send_methods)
     handoff_set = frozenset(handoff_methods)
-    stops = _instrumentation_modules(table)
+    stops = instrumentation_modules(table)
     effects: Dict[str, FunctionEffects] = {}
     param_index: Dict[str, Dict[str, int]] = {}
 
@@ -229,7 +251,7 @@ def compute_effects(
         params = _param_names(func.node)
         index = {name: i for i, name in enumerate(params)}
         param_index[qualname] = index
-        for stmt in _own_stmts(func.node):
+        for stmt in walk_own(func.node):
             if isinstance(stmt, (ast.Raise, ast.Assert)):
                 if eff.may_raise is None:
                     kind = "raise" if isinstance(stmt, ast.Raise) else "assert"
@@ -291,10 +313,10 @@ def compute_effects(
                 continue
             eff = effects[qualname]
             index = param_index.get(qualname, {})
-            for call in _own_stmts(func.node):
+            for call in walk_own(func.node):
                 if not isinstance(call, ast.Call):
                     continue
-                for target in _resolve_call_targets(table, func, call):
+                for target in resolve_call_targets(table, func, call):
                     callee = effects.get(target)
                     if callee is None or callee is eff:
                         continue
@@ -335,8 +357,3 @@ def _absorb(
                     own_map[own_pos] = chain
                     changed = True
     return changed
-
-
-def cfg_for(func: FunctionInfo) -> CFG:
-    """The CFG of one symbol-table function."""
-    return build_cfg(func.node, func.qualname)

@@ -1,10 +1,10 @@
-"""Project-wide symbol table for the whole-program analysis.
+"""Project-wide symbol table for the whole-program checks.
 
-One pass over every ``*.py`` file builds :class:`SymbolTable`: modules
-with their import bindings, classes with resolved base classes and
-per-attribute types, and functions with qualified names.  Everything
-downstream — the call graph, the CFG summaries, the W-checks — resolves
-names through this table instead of re-walking ASTs.
+One pass over the already-parsed files builds :class:`SymbolTable`:
+modules with their import bindings, classes with resolved base classes
+and per-attribute types, and functions with qualified names.
+Everything downstream — the call graph, the CFGs, the W-checks —
+resolves names through this table instead of re-walking ASTs.
 
 Names are qualified as ``package.module.Class.method``; module names
 are derived from the filesystem (the longest chain of directories
@@ -19,6 +19,9 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..astutil import dotted as _dotted_name, walk_own
+from ..rules import FileContext
+
 __all__ = [
     "FunctionInfo",
     "ClassInfo",
@@ -26,7 +29,15 @@ __all__ = [
     "SymbolTable",
     "module_name_for",
     "build_symbol_table",
+    "infer_expr_type",
+    "instrumentation_modules",
 ]
+
+#: Instrumentation sub-packages: calls into them are gated behind
+#: ``is None`` checks on the fast path, so reachability (W001/W003) and
+#: the effect summaries stop at their boundary, and W004 polices who
+#: may import them instead.
+INSTRUMENTATION = ("analysis", "obs")
 
 
 def module_name_for(path: str) -> str:
@@ -224,15 +235,13 @@ class SymbolTable:
         return None
 
 
-def _dotted_name(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
+def instrumentation_modules(table: "SymbolTable") -> Tuple[str, ...]:
+    """``<root>.analysis`` / ``<root>.obs`` of every analyzed root
+    package, as module-name prefixes."""
+    roots = sorted({name.split(".")[0] for name in table.modules})
+    return tuple(
+        f"{root}.{sub}" for root in roots for sub in INSTRUMENTATION
+    )
 
 
 def _decorator_names(node: ast.AST) -> Tuple[str, ...]:
@@ -247,28 +256,10 @@ def _decorator_names(node: ast.AST) -> Tuple[str, ...]:
 
 def _contains_yield(node: ast.AST) -> bool:
     """Yield/YieldFrom directly in this function (not nested defs)."""
-    for child in ast.walk(node):
-        if isinstance(child, (ast.Yield, ast.YieldFrom)):
-            if _owning_function(node, child):
-                return True
-    return False
-
-
-def _owning_function(func: ast.AST, target: ast.AST) -> bool:
-    """True when ``target`` belongs to ``func`` itself, not a nested
-    function/lambda inside it (one stackless re-walk)."""
-    stack: List[Tuple[ast.AST, bool]] = [(child, True) for child in
-                                         ast.iter_child_nodes(func)]
-    while stack:
-        node, direct = stack.pop()
-        if node is target:
-            return direct
-        nested = isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        )
-        for child in ast.iter_child_nodes(node):
-            stack.append((child, direct and not nested))
-    return False
+    return any(
+        isinstance(child, (ast.Yield, ast.YieldFrom))
+        for child in walk_own(node)
+    )
 
 
 def _absolute_import(
@@ -289,10 +280,9 @@ def _absolute_import(
     return ".".join(base) if base else None
 
 
-def build_symbol_table(
-    files: Sequence[Tuple[str, str]]
-) -> SymbolTable:
-    """Build the table from ``(path, source)`` pairs.
+def build_symbol_table(contexts: Sequence[FileContext]) -> SymbolTable:
+    """Build the table from parsed files (nothing is re-read or
+    re-parsed here).
 
     Resolution runs in passes: collect definitions, then import
     bindings, then class bases/subclasses, then annotations and
@@ -302,10 +292,10 @@ def build_symbol_table(
     parsed: List[Tuple[ModuleInfo, ast.Module]] = []
 
     # Pass 1 — modules, classes, functions.
-    for path, source in files:
-        name = module_name_for(path)
-        tree = ast.parse(source, filename=path)
-        info = ModuleInfo(name=name, path=path, tree=tree)
+    for ctx in contexts:
+        name = module_name_for(ctx.path)
+        tree = ctx.tree
+        info = ModuleInfo(name=name, path=ctx.path, tree=tree)
         table.modules[name] = info
         parsed.append((info, tree))
         _collect_definitions(table, info, tree)

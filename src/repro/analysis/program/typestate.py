@@ -25,17 +25,18 @@ W008      Dead config: a ``*Config`` dataclass field no expression in
           can observe.
 ========  ==================================================================
 
-Findings carry path/call-chain evidence and flow through the same
-``Finding`` / ``# repro: noqa[...]`` / ``--baseline`` machinery as the
-file-local lint and the whole-program checks.
+Findings carry path/call-chain evidence and are suppressed by the
+same inline ``# repro: noqa[...]`` comments as every other check.  The
+state names and violation kinds come from
+:mod:`repro.analysis.lifecycle`, shared verbatim with the sanitizer.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from ..astutil import MUTATING_METHODS, dotted as _dotted_text
 from ..lifecycle import (
     ACQUIRE_METHODS,
     DANGLING_RULE_REF,
@@ -54,113 +55,37 @@ from ..lifecycle import (
     SESSION_REMOVE_METHODS,
     USE_AFTER_REMOVE,
 )
-from ..program.cfg import CFG, CFGNode, CallSite, build_cfg
-from ..program.checks import ProgramFinding, _apply_noqa, _stop_modules
-from ..rules import _MUTATING_METHODS
-from ..program.symbols import (
-    FunctionInfo,
-    SymbolTable,
-    build_symbol_table,
-)
-from .engine import (
+from ..rules import Finding
+from .cfg import CFG, CFGNode, CallSite
+from .checks import function_finding
+from .solver import (
     Analysis,
     FunctionEffects,
-    compute_effects,
+    Program,
+    resolve_call_targets,
     solve,
-    _resolve_call_targets,
 )
+from .symbols import FunctionInfo, SymbolTable
 
-__all__ = [
-    "CHECK_CODES",
-    "DataflowReport",
-    "analyze_dataflow",
-]
-
-CHECK_CODES = ("W005", "W006", "W007", "W008")
+__all__ = ["check_typestate", "check_w008"]
 
 
-@dataclass
-class DataflowReport:
-    """Result of one typestate analysis run."""
-
-    table: SymbolTable
-    findings: List[ProgramFinding]
-    stats: Dict[str, int] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "findings": [f.to_dict() for f in self.findings],
-            "stats": dict(self.stats),
-        }
+def check_typestate(program: Program, code: str) -> List[Finding]:
+    """Run one of the per-function lattices (W005/W006/W007) over every
+    function outside the instrumentation packages."""
+    check = _PATH_CHECKS[code]
+    findings: List[Finding] = []
+    for qualname in sorted(program.table.functions):
+        func = program.table.functions[qualname]
+        if not func.module.startswith(program.stops):
+            findings.extend(check(program, func))
+    return findings
 
 
-def analyze_dataflow(
-    files: Sequence[Tuple[str, str]],
-    checks: Optional[Sequence[str]] = None,
-) -> DataflowReport:
-    """Run the typestate checks over (path, source) pairs."""
-    wanted = set(checks if checks is not None else CHECK_CODES)
-    table = build_symbol_table(files)
-    effects = compute_effects(
-        table,
-        send_methods=tuple(SEND_METHODS),
-        handoff_methods=tuple(DESCRIPTOR_HANDOFF_METHODS),
-    )
-    stops = tuple(_stop_modules(table))
-    findings: List[ProgramFinding] = []
-    cfgs = 0
-    for qualname in sorted(table.functions):
-        func = table.functions[qualname]
-        if stops and func.module.startswith(stops):
-            continue
-        cfg = build_cfg(func.node, qualname)
-        cfgs += 1
-        if "W005" in wanted:
-            findings.extend(_check_w005(table, func, cfg, effects))
-        if "W006" in wanted:
-            findings.extend(_check_w006(table, func, cfg))
-        if "W007" in wanted:
-            findings.extend(_check_w007(table, func, cfg, effects))
-    if "W008" in wanted:
-        findings.extend(_check_w008(table, stops))
-    findings = _apply_noqa(files, findings)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.code, f.message))
-    return DataflowReport(
-        table=table,
-        findings=findings,
-        stats={
-            "functions": len(table.functions),
-            "cfgs": cfgs,
-            "raising_functions": sum(
-                1 for e in effects.values() if e.may_raise
-            ),
-        },
-    )
-
-
-def _mk(
-    func: FunctionInfo,
-    lineno: int,
-    code: str,
-    message: str,
-    chain: Tuple[str, ...] = (),
-    severity: str = "error",
-) -> ProgramFinding:
-    return ProgramFinding(
-        path=func.path,
-        line=lineno,
-        col=1,
-        code=code,
-        severity=severity,
-        message=message,
-        chain=chain,
-    )
-
-
-def _base_var(dotted: Optional[str]) -> Optional[str]:
-    if not dotted:
+def _base_var(name: Optional[str]) -> Optional[str]:
+    if not name:
         return None
-    return dotted.split(".", 1)[0]
+    return name.split(".", 1)[0]
 
 
 def _is_method_call(call: CallSite) -> bool:
@@ -221,19 +146,16 @@ class _W005State(Analysis):
         return result, result
 
 
-def _check_w005(
-    table: SymbolTable,
-    func: FunctionInfo,
-    cfg: CFG,
-    effects: Dict[str, FunctionEffects],
-) -> List[ProgramFinding]:
+def _check_w005(program: Program, func: FunctionInfo) -> List[Finding]:
+    table, effects = program.table, program.effects
+    cfg = program.cfg(func.qualname)
     states = solve(cfg, _W005State(func.qualname))
-    findings: Dict[Tuple[int, str], ProgramFinding] = {}
+    findings: Dict[Tuple[int, str], Finding] = {}
 
     def emit(lineno, kind, message, chain):
         findings.setdefault(
             (lineno, message),
-            _mk(func, lineno, "W005", message, chain=tuple(chain)),
+            function_finding(func, lineno, "W005", message, chain),
         )
 
     for node in cfg.nodes:
@@ -281,7 +203,7 @@ def _check_w005(
             recv_base = _base_var(call.receiver)
             if (
                 recv_base in sent
-                and call.name in _MUTATING_METHODS
+                and call.name in MUTATING_METHODS
                 and call.receiver != recv_base
             ):
                 _, step = sent[recv_base]
@@ -306,7 +228,7 @@ def _check_w005(
             if not sent_args:
                 continue
             shift = 1 if _is_method_call(call) else 0
-            for target in _resolve_call_targets(table, func, call.node):
+            for target in resolve_call_targets(table, func, call.node):
                 eff = effects.get(target)
                 if eff is None:
                     continue
@@ -521,11 +443,6 @@ class _W006State(Analysis):
                 facts.pop(arg.id, None)
 
 
-def _dotted_text(node: ast.AST) -> Optional[str]:
-    from ..program.cfg import _dotted
-    return _dotted(node)
-
-
 def _constant_kwarg(call: CallSite, kwarg: str) -> Optional[int]:
     """Constant int value of ``kwarg`` on the (sole) ctor argument."""
     for arg in list(call.args) + [
@@ -540,16 +457,15 @@ def _constant_kwarg(call: CallSite, kwarg: str) -> Optional[int]:
     return None
 
 
-def _check_w006(
-    table: SymbolTable, func: FunctionInfo, cfg: CFG
-) -> List[ProgramFinding]:
+def _check_w006(program: Program, func: FunctionInfo) -> List[Finding]:
+    cfg = program.cfg(func.qualname)
     states = solve(cfg, _W006State(func.qualname))
-    findings: Dict[Tuple[int, str], ProgramFinding] = {}
+    findings: Dict[Tuple[int, str], Finding] = {}
 
     def emit(lineno, message, chain):
         findings.setdefault(
             (lineno, message),
-            _mk(func, lineno, "W006", message, chain=tuple(chain)),
+            function_finding(func, lineno, "W006", message, chain),
         )
 
     for node in cfg.nodes:
@@ -628,7 +544,7 @@ def _check_w006(
                 if far_id not in fars:
                     findings.setdefault(
                         (lineno, f"dangling-{var}-{far_id}"),
-                        _mk(
+                        function_finding(
                             func,
                             lineno,
                             "W006",
@@ -699,7 +615,7 @@ class _W007State(Analysis):
                 "raise (lifecycle contract)",
             )
         else:
-            for target in _resolve_call_targets(
+            for target in resolve_call_targets(
                 self.table, self.func, call.node
             ):
                 eff = self.effects.get(target)
@@ -884,13 +800,11 @@ def _acquire_test_polarity(test: ast.expr):
     return None
 
 
-def _check_w007(
-    table: SymbolTable,
-    func: FunctionInfo,
-    cfg: CFG,
-    effects: Dict[str, FunctionEffects],
-) -> List[ProgramFinding]:
-    analysis = _W007State(func.qualname, table, func, effects)
+def _check_w007(program: Program, func: FunctionInfo) -> List[Finding]:
+    cfg = program.cfg(func.qualname)
+    analysis = _W007State(
+        func.qualname, program.table, func, program.effects
+    )
     states = solve(cfg, analysis)
     leaked = states.get(cfg.raise_exit)
     if not leaked:
@@ -927,7 +841,7 @@ def _check_w007(
             if key not in witnesses:
                 witnesses[key] = (node.lineno, raise_why)
 
-    findings: List[ProgramFinding] = []
+    findings: List[Finding] = []
     seen: Set[Tuple[str, str, str]] = set()
     for res in sorted(leaked):
         kind, rkey, desc, step, _failed = res
@@ -937,7 +851,7 @@ def _check_w007(
         seen.add(key)
         lineno, why = witnesses.get(key, (func.lineno, ()))
         findings.append(
-            _mk(
+            function_finding(
                 func,
                 lineno,
                 "W007",
@@ -957,10 +871,9 @@ def _check_w007(
 # ===========================================================================
 # W008 — constant-propagation dead config
 # ===========================================================================
-def _check_w008(
-    table: SymbolTable, stops: Tuple[str, ...]
-) -> List[ProgramFinding]:
-    findings: List[ProgramFinding] = []
+def check_w008(program: Program) -> List[Finding]:
+    table, stops = program.table, program.stops
+    findings: List[Finding] = []
 
     # Every attribute name read anywhere in the analyzed tree.
     reads: Set[str] = set()
@@ -1001,7 +914,7 @@ def _check_w008(
             if name.startswith("_") or name in reads:
                 continue
             findings.append(
-                ProgramFinding(
+                Finding(
                     path=cls.path,
                     line=stmt.lineno,
                     col=1,
@@ -1025,7 +938,7 @@ def _check_w008(
         if stops and module.startswith(stops):
             continue
         findings.append(
-            ProgramFinding(
+            Finding(
                 path=path,
                 line=lineno,
                 col=1,
@@ -1042,3 +955,7 @@ def _check_w008(
             )
         )
     return findings
+
+
+#: The per-function lattices :func:`check_typestate` dispatches to.
+_PATH_CHECKS = {"W005": _check_w005, "W006": _check_w006, "W007": _check_w007}

@@ -60,6 +60,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .lifecycle import RULE_CONTAINERS  # noqa: F401  (read by up/session.py as _races.RULE_CONTAINERS)
 from .sanitizer import _canon, _diff, _short
 
 __all__ = [

@@ -1,10 +1,13 @@
-"""Pluggable lint rules for the determinism / zero-copy invariants.
+"""The file-local rules R001–R008 and the types every check shares.
 
 Each rule is a subclass of :class:`Rule` registered through
-:func:`register_rule`; the runner in :mod:`repro.analysis.lint` feeds
-every rule a parsed :class:`FileContext` and collects the
-:class:`Finding` objects it yields.  Rules are purely syntactic (AST +
-source text) so the pass stays fast and dependency-free.
+:func:`register_rule`; :func:`repro.analysis.analyzer.analyze` parses
+every file once into a :class:`FileContext`, feeds it to each rule and
+collects the :class:`Finding` objects it yields.  Rules are purely
+syntactic (AST + source text), so the pass stays fast and
+dependency-free.  The whole-program checks W001–W008
+(:mod:`repro.analysis.program`) report through the same
+:class:`Finding` and are suppressed by the same comments.
 
 Rule catalog
 ------------
@@ -27,32 +30,41 @@ R006      Mutable default argument (list/dict/set) in ``src/repro``.
 R007      ``print()`` in library code under ``src/repro`` — results
           belong in return values, metrics, or spans
           (:mod:`repro.obs`), not stdout.  CLI entry points
-          (``__main__.py``, the lint runner) and ``experiments/`` /
-          ``benchmarks/`` harnesses are exempt.
-R008      Mutation of a shared UPF structure (PDR/FAR/QER/URR maps,
-          session-table indexes, ``report_pending``) from a module
-          outside the owning ``up`` package — the single-writer
-          ownership model (§3.2) routes all rule changes through the
-          UPF-C's PFCP handlers.
-R009      A function mutates a rule container (``.pdrs``, ``.fars``,
-          QER/URR maps) without calling ``.bump()`` on a rule epoch in
-          the same function body, so flow-cache readers never observe
-          the change.  ``__init__`` (construction before any reader
-          exists) is exempt.
+          (``__main__.py``) and ``experiments/`` / ``benchmarks/``
+          harnesses are exempt.
+R008      Mutation of a shared UPF structure (the
+          :data:`~repro.analysis.lifecycle.SHARED_STRUCTURES`: rule
+          maps, session-table indexes, ``report_pending``) from
+          production code outside the owning ``up`` package — the
+          single-writer ownership model (§3.2) routes all rule changes
+          through the UPF-C's PFCP handlers.  Test code is out of
+          scope: the race-detector tests seed such writes on purpose.
 ========  ==================================================================
 
-Findings on a line carrying ``# repro: noqa`` (all rules) or
-``# repro: noqa[R001,R005]`` (specific rules) are suppressed.
+Exemptions are inline: a finding on a line whose *comment* carries
+``repro: noqa[R001,R005] -- reason`` (the listed codes) or a bare
+``repro: noqa`` (every code) is suppressed.  Only comment tokens count —
+the same text inside a string or docstring is neither a suppression nor
+an unused one.  A suppression that excuses nothing is itself reported
+(:data:`UNUSED_SUPPRESSION`), so an exemption cannot outlive its debt.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
+import io
 import re
+import tokenize
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple, Type
 
+from .astutil import attr_mutations, dotted as _dotted
+from .lifecycle import SHARED_STRUCTURES
+
 __all__ = [
+    "SYNTAX_ERROR",
+    "UNUSED_SUPPRESSION",
     "Finding",
     "FileContext",
     "Rule",
@@ -61,10 +73,19 @@ __all__ = [
     "all_rules",
 ]
 
+#: A file that does not parse.  Always reported, never suppressible;
+#: the file is left out of every other check.
+SYNTAX_ERROR = "R000"
+#: A ``repro: noqa`` comment that excused no finding of this run.
+#: Always reported, suppressible by nothing.
+UNUSED_SUPPRESSION = "U001"
+
 
 @dataclass(frozen=True)
 class Finding:
-    """One lint violation, formatted as ``file:line:code message``."""
+    """One violation, formatted as ``file:line:col: CODE [sev] message``;
+    ``chain`` is the interprocedural evidence of a whole-program check
+    (call chain or path steps, outermost first)."""
 
     path: str
     line: int
@@ -72,12 +93,17 @@ class Finding:
     code: str
     severity: str
     message: str
+    chain: Tuple[str, ...] = ()
 
     def format(self) -> str:
-        return (
+        base = (
             f"{self.path}:{self.line}:{self.col}: "
             f"{self.code} [{self.severity}] {self.message}"
         )
+        if not self.chain:
+            return base
+        steps = "\n".join(f"    {step}" for step in self.chain)
+        return f"{base}\n  call chain:\n{steps}"
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -87,6 +113,7 @@ class Finding:
             "code": self.code,
             "severity": self.severity,
             "message": self.message,
+            "chain": list(self.chain),
         }
 
 
@@ -95,31 +122,43 @@ _NOQA_RE = re.compile(
 )
 
 
+def _suppressions(source: str) -> Dict[int, frozenset]:
+    """line -> suppressed codes (empty set = every code), read from
+    the file's COMMENT tokens only."""
+    noqa: Dict[int, frozenset] = {}
+    if "noqa" not in source:
+        return noqa  # skip the tokenizer for the common file
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type != tokenize.COMMENT:
+            continue
+        match = _NOQA_RE.search(token.string)
+        if match:
+            noqa[token.start[0]] = frozenset(
+                code.strip().upper()
+                for code in (match.group("codes") or "").split(",")
+                if code.strip()
+            )
+    return noqa
+
+
 @dataclass
 class FileContext:
-    """A parsed source file handed to every rule."""
+    """One source file, read and parsed once; the R-rules, the symbol
+    table and the suppression filter all work from this object."""
 
     path: str  # normalized posix-style path as given on the CLI
     source: str
-    tree: ast.AST
+    tree: ast.Module
     #: line number -> set of suppressed codes (empty set = all codes)
     noqa: Dict[int, frozenset] = field(default_factory=dict)
 
     @classmethod
     def parse(cls, path: str, source: str) -> "FileContext":
+        """Raises :class:`SyntaxError` for a file that does not parse."""
         tree = ast.parse(source, filename=path)
-        noqa: Dict[int, frozenset] = {}
-        for lineno, line in enumerate(source.splitlines(), start=1):
-            match = _NOQA_RE.search(line)
-            if match:
-                codes = match.group("codes")
-                if codes:
-                    noqa[lineno] = frozenset(
-                        c.strip().upper() for c in codes.split(",") if c.strip()
-                    )
-                else:
-                    noqa[lineno] = frozenset()
-        return cls(path=path, source=source, tree=tree, noqa=noqa)
+        return cls(
+            path=path, source=source, tree=tree, noqa=_suppressions(source)
+        )
 
     def is_suppressed(self, finding: Finding) -> bool:
         codes = self.noqa.get(finding.line)
@@ -135,6 +174,17 @@ class FileContext:
     def path_endswith(self, *suffixes: str) -> bool:
         norm = self.path.replace("\\", "/")
         return any(norm.endswith(suffix) for suffix in suffixes)
+
+    @functools.cached_property
+    def nodes(self) -> Tuple[ast.AST, ...]:
+        """Every node of the tree, walked once for all the rules."""
+        return tuple(ast.walk(self.tree))
+
+    @property
+    def is_test(self) -> bool:
+        """Under a ``tests/`` directory: out of scope for the ownership
+        rule and the whole-program checks, which judge production code."""
+        return self.path_has("tests")
 
 
 RULE_REGISTRY: Dict[str, Type["Rule"]] = {}
@@ -182,18 +232,6 @@ class Rule:
         )
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 # ---------------------------------------------------------------------------
 # R001 — wall-clock time
 # ---------------------------------------------------------------------------
@@ -224,7 +262,7 @@ class WallClockRule(Rule):
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         in_bench = ctx.path_has("experiments", "benchmarks")
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             dotted = _dotted(node.func)
@@ -279,7 +317,7 @@ class UnseededRandomRule(Rule):
     }
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             dotted = _dotted(node.func)
@@ -317,12 +355,12 @@ class BlockingSleepRule(Rule):
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         sleep_aliases = {"time.sleep"}
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.ImportFrom) and node.module == "time":
                 for alias in node.names:
                     if alias.name == "sleep":
                         sleep_aliases.add(alias.asname or alias.name)
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             dotted = _dotted(node.func)
@@ -358,7 +396,7 @@ class FrozenMessageRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if not ctx.path_endswith(*self.MESSAGE_MODULES):
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.ClassDef):
                 continue
             for decorator in node.decorator_list:
@@ -406,7 +444,7 @@ class NowEqualityRule(Rule):
     name = "float-eq-now"
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Compare):
                 continue
             if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
@@ -450,7 +488,7 @@ class MutableDefaultRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if not ctx.path_has("repro", "src"):
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             defaults: List[Tuple[ast.AST, str]] = []
@@ -498,12 +536,9 @@ class PrintInLibraryRule(Rule):
     name = "print-in-library"
     severity = "warning"
 
-    #: Paths allowed to print: console entry points, the lint runner,
-    #: and the race-trace replayer (their findings are their stdout
-    #: contract).
-    EXEMPT_SUFFIXES = ("__main__.py", "analysis/lint.py",
-                       "analysis/races.py", "analysis/program/cli.py",
-                       "analysis/report.py", "analysis/dataflow/cli.py")
+    #: Paths allowed to print: console entry points and the
+    #: race-trace replayer (their findings are their stdout contract).
+    EXEMPT_SUFFIXES = ("__main__.py", "analysis/races.py")
     EXEMPT_DIRS = ("experiments", "benchmarks")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -513,7 +548,7 @@ class PrintInLibraryRule(Rule):
             return
         if ctx.path_endswith(*self.EXEMPT_SUFFIXES):
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             if isinstance(node.func, ast.Name) and node.func.id == "print":
@@ -523,65 +558,6 @@ class PrintInLibraryRule(Rule):
                     "print() in library code; return data, record a "
                     "metric, or emit a span via repro.obs instead",
                 )
-
-
-# ---------------------------------------------------------------------------
-# Shared-state ownership helpers (R008 / R009)
-# ---------------------------------------------------------------------------
-
-#: Method names that mutate a dict/list container in place.
-_MUTATING_METHODS = frozenset({
-    "pop", "popitem", "clear", "update", "setdefault",
-    "append", "extend", "insert", "remove",
-})
-
-
-def _attr_mutations(
-    tree: ast.AST, attrs: frozenset
-) -> Iterator[Tuple[ast.AST, str, Optional[str]]]:
-    """Yield ``(node, attr, receiver)`` for each in-place mutation of an
-    attribute named in ``attrs``.
-
-    Covers rebinding (``x.attr = v``, ``x.attr += v``), item writes
-    (``x.attr[k] = v``, ``del x.attr[k]``, ``x.attr[k] += v``) and
-    mutating method calls (``x.attr.pop(k)``...).  ``receiver`` is the
-    base name the attribute hangs off (``"session"`` for
-    ``session.pdrs``), or None for computed receivers.
-    """
-
-    def receiver_name(attr_node: ast.Attribute) -> Optional[str]:
-        value = attr_node.value
-        if isinstance(value, ast.Name):
-            return value.id
-        return None
-
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign) else [node.target]
-            )
-            for target in targets:
-                if isinstance(target, ast.Attribute) and target.attr in attrs:
-                    yield node, target.attr, receiver_name(target)
-                elif isinstance(target, ast.Subscript) and isinstance(
-                    target.value, ast.Attribute
-                ) and target.value.attr in attrs:
-                    yield node, target.value.attr, receiver_name(target.value)
-        elif isinstance(node, ast.Delete):
-            for target in node.targets:
-                if isinstance(target, ast.Subscript) and isinstance(
-                    target.value, ast.Attribute
-                ) and target.value.attr in attrs:
-                    yield node, target.value.attr, receiver_name(target.value)
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in _MUTATING_METHODS
-                and isinstance(func.value, ast.Attribute)
-                and func.value.attr in attrs
-            ):
-                yield node, func.value.attr, receiver_name(func.value)
 
 
 # ---------------------------------------------------------------------------
@@ -598,21 +574,11 @@ class NonOwnerMutationRule(Rule):
     code = "R008"
     name = "non-owner-shared-write"
 
-    #: Attribute names registered with the race detector, owned by the
-    #: ``up`` package.
-    SHARED_ATTRS = frozenset({
-        "pdrs", "fars", "qers", "qer_enforcers", "usage_counters",
-        "report_pending", "_by_seid",
-        # Hot-store slab internals (replaced the dual _by_teid /
-        # _by_ue_ip object dicts); membership writes stay UPF-C-only.
-        "_teid_index", "_ue_ip_index", "_slab", "_free",
-    })
-
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.path_has("up"):
+        if ctx.is_test or ctx.path_has("up"):
             return
-        for node, attr, receiver in _attr_mutations(
-            ctx.tree, self.SHARED_ATTRS
+        for node, attr, receiver in attr_mutations(
+            ctx.tree, SHARED_STRUCTURES
         ):
             if receiver == "self":
                 # A class defining its own attribute of the same name
@@ -625,55 +591,3 @@ class NonOwnerMutationRule(Rule):
                 "owning up/ package; route the change through the "
                 "UPF-C PFCP handlers (single-writer model, §3.2)",
             )
-
-
-# ---------------------------------------------------------------------------
-# R009 — rule mutation without an epoch bump
-# ---------------------------------------------------------------------------
-@register_rule
-class MissingEpochBumpRule(Rule):
-    """Rule changes are *published* by ``RuleEpoch.bump()``; the flow
-    cache compares its snapshot epoch against the table's on every hit.
-    A function that mutates ``.pdrs``/``.fars``/QER/URR containers but
-    never bumps an epoch leaves stale fast-path entries serving the old
-    rules indefinitely."""
-
-    code = "R009"
-    name = "missing-epoch-bump"
-
-    RULE_ATTRS = frozenset({
-        "pdrs", "fars", "qers", "qer_enforcers", "usage_counters",
-    })
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if node.name == "__init__":
-                # Construction happens before any reader holds a
-                # snapshot; there is nothing to publish yet.
-                continue
-            mutations = list(_attr_mutations(node, self.RULE_ATTRS))
-            if not mutations:
-                continue
-            if self._has_bump(node):
-                continue
-            first, attr, _ = mutations[0]
-            yield self.finding(
-                ctx,
-                first,
-                f"{node.name}() mutates rule container .{attr} without "
-                "calling .bump() on a rule epoch in the same function; "
-                "flow-cache readers will keep serving the old rules",
-            )
-
-    @staticmethod
-    def _has_bump(func: ast.AST) -> bool:
-        for node in ast.walk(func):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "bump"
-            ):
-                return True
-        return False

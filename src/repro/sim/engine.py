@@ -41,7 +41,7 @@ import heapq
 import itertools
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
-from ..analysis import races as _races
+from ..analysis import races as _races  # repro: noqa[W004] -- race-detector hooks (pending epoch bumps are flushed at yield boundaries); every call is gated on `_ACTIVE is None`
 
 #: One microsecond, in simulation seconds.
 US = 1e-6

@@ -94,13 +94,7 @@ class UPFSession:
                 label=f"session(seid={seid})",
                 owner="upf-c",
                 parts={"report_pending": "upf-u"},
-                rule_parts=(
-                    "pdrs",
-                    "fars",
-                    "qers",
-                    "qer_enforcers",
-                    "usage_counters",
-                ),
+                rule_parts=_races.RULE_CONTAINERS,
             )
             detector.register(
                 self.buffer,

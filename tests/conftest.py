@@ -69,9 +69,9 @@ def count_calls(monkeypatch):
         original = getattr(owner, name)
         count = types.SimpleNamespace(calls=0)
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             count.calls += 1
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counting)
         return count

@@ -12,8 +12,9 @@ Three kinds of coverage:
 * the trace/replay pipeline — ``--race-trace`` JSON lines replayed
   through ``python -m repro.analysis.races``.
 
-The seeded fixtures intentionally violate the single-writer lint rules
-and carry ``repro: noqa`` markers — they are the bug, on purpose.
+The seeded fixtures intentionally violate the single-writer model —
+they are the bug, on purpose — which is why the static ownership rule
+R008 judges production code only and leaves ``tests/`` alone.
 """
 
 import json
@@ -300,7 +301,7 @@ class TestSeededMissingEpochBump:
 
             def buggy_cp(session):
                 with det.role("upf-c"):
-                    session.fars[9] = "far"  # repro: noqa[R008,R009] — seeded bug
+                    session.fars[9] = "far"  # seeded bug
                     det.on_write(
                         session,
                         "fars",
@@ -322,7 +323,7 @@ class TestSeededMissingEpochBump:
         with races.traced() as det:
             session = _session()
             with det.role("upf-c"):
-                session.fars[9] = "far"  # repro: noqa[R008,R009] — seeded bug
+                session.fars[9] = "far"  # seeded bug
                 det.on_write(session, "fars", detail="no bump, no yield")
         [violation] = det.violations
         assert violation.kind == "missing-epoch-bump"

@@ -11,7 +11,7 @@ import textwrap
 import pytest
 
 from repro.analysis import lifecycle, sanitizer
-from repro.analysis.dataflow import analyze_dataflow
+from repro.analysis.analyzer import analyze
 
 
 def run_checks(tmp_path, tree, checks=None):
@@ -21,7 +21,9 @@ def run_checks(tmp_path, tree, checks=None):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source))
         files.append((str(path), path.read_text()))
-    return analyze_dataflow(files, checks=checks)
+    return analyze(
+        files, select=checks or ["W005", "W006", "W007", "W008"]
+    )
 
 
 def codes(report):
@@ -429,15 +431,22 @@ class TestW008DeadConfig:
 
 class TestSharedMachinery:
     def test_multi_code_noqa_suppresses_both(self, tmp_path):
-        report = run_checks(tmp_path, {
+        tree = {
             "pkg/__init__.py": "",
             "pkg/up.py": """
                 def emit(chan, desc):
                     chan.send(desc)
                     desc.seq = 2  # repro: noqa[W005,W006]
             """,
-        }, checks=["W005", "W006"])
-        assert report.findings == []
+        }
+        report = run_checks(tmp_path, tree, checks=["W005"])
+        assert report.findings == []  # W006 did not run: not judged
+        assert report.suppressed == 1
+        # With W006 running too, its half of the comment excuses
+        # nothing, which is itself reported.
+        report = run_checks(tmp_path, tree, checks=["W005", "W006"])
+        assert codes(report) == ["U001"]
+        assert "W006 does not fire here" in report.findings[0].message
 
     def test_noqa_for_other_code_does_not_suppress(self, tmp_path):
         report = run_checks(tmp_path, {

@@ -3,13 +3,14 @@
 import ast
 import textwrap
 
-from repro.analysis.dataflow import (
+from repro.analysis.program import (
     Analysis,
+    build_cfg,
+    build_symbol_table,
     compute_effects,
     solve,
 )
-from repro.analysis.program.cfg import build_cfg
-from repro.analysis.program.symbols import build_symbol_table
+from repro.analysis.rules import FileContext
 
 
 def cfg_of(source, name="f"):
@@ -208,7 +209,7 @@ def table_in(tmp_path, tree):
         path = tmp_path / relpath
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source))
-        files.append((str(path), path.read_text()))
+        files.append(FileContext.parse(str(path), path.read_text()))
     return build_symbol_table(files)
 
 

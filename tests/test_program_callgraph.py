@@ -7,6 +7,7 @@ from repro.analysis.program import (
     build_symbol_table,
     module_name_for,
 )
+from repro.analysis.rules import FileContext
 
 
 def write_pkg(tmp_path, files):
@@ -25,7 +26,10 @@ def write_pkg(tmp_path, files):
 
 
 def graph_for(tmp_path, files):
-    table = build_symbol_table(write_pkg(tmp_path, files))
+    table = build_symbol_table([
+        FileContext.parse(path, source)
+        for path, source in write_pkg(tmp_path, files)
+    ])
     return table, build_call_graph(table)
 
 

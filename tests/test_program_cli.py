@@ -1,4 +1,10 @@
-"""CLI tests for ``python -m repro.analysis.program``."""
+"""The whole-program checks (W001–W004) through ``python -m repro.analysis``.
+
+These cases predate the single CLI (they drove the retired
+``repro.analysis.program`` entry point) and keep their names because
+the tier-1 floor lists them; new CLI behaviour is tested in
+``tests/test_analysis_cli.py``.
+"""
 
 import json
 import os
@@ -8,7 +14,7 @@ import textwrap
 
 import pytest
 
-from repro.analysis.program import cli
+from repro.analysis.__main__ import main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -36,13 +42,12 @@ def fixture_dir(tmp_path, monkeypatch):
         path = tmp_path / relpath
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source))
-    # Keep the repo's committed default budget/baseline out of scope.
     monkeypatch.chdir(tmp_path)
     return tmp_path
 
 
 def run_cli(args):
-    return cli.main(args)
+    return main(args)
 
 
 class TestFindingsAndFilters:
@@ -66,9 +71,11 @@ class TestFindingsAndFilters:
         assert code == 0
         assert capsys.readouterr().out == ""
 
-    def test_unknown_code_rejected(self, fixture_dir):
-        with pytest.raises(SystemExit, match="unknown check code"):
-            run_cli(["pkg", "--select", "R001"])
+    def test_unknown_code_rejected(self, fixture_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["pkg", "--select", "W009"])
+        assert exc.value.code == 2
+        assert "unknown code(s): W009" in capsys.readouterr().err
 
 
 class TestOutputs:
@@ -109,59 +116,51 @@ class TestOutputs:
         assert '"UPF.process" -> "UPF._helper"' in out
 
 
+EXCUSED_HELPER = """
+    class UPF:
+        def process(self, pkt):
+            return self._helper(pkt)
+
+        def _helper(self, pkt):
+            return %s  # repro: noqa[W001] -- fixture
+"""
+
+
 class TestBaselineAndBudget:
-    def test_write_then_apply_baseline(self, fixture_dir, capsys):
-        assert run_cli(
-            ["pkg", "--entry", ENTRY, "--write-baseline", "base.json"]
-        ) == 0
-        capsys.readouterr()
-        code = run_cli(
-            ["pkg", "--entry", ENTRY, "--baseline", "base.json"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "2 baselined finding(s) suppressed" in out
+    """No budget or baseline file is read any more; what they granted
+    and guarded is an inline comment (names are the tier-1 floor's)."""
 
     def test_budget_grants_intentional_allocations(self, fixture_dir, capsys):
-        (fixture_dir / "budget.json").write_text(json.dumps({
-            "version": 1,
-            "entry_points": [ENTRY],
-            "budgets": {
-                "pkg.up.mod.UPF._helper": {
-                    "allocations": 1, "reason": "fixture"
-                },
-            },
-        }))
-        code = run_cli(
-            ["pkg", "--budget", "budget.json", "--select", "W001"]
+        (fixture_dir / "pkg/up/mod.py").write_text(
+            textwrap.dedent(EXCUSED_HELPER % "[pkt]")
         )
+        code = run_cli(["pkg", "--entry", ENTRY, "--select", "W001"])
         assert code == 0
 
     def test_stale_budget_entry_fails_hard(self, fixture_dir, capsys):
-        (fixture_dir / "budget.json").write_text(json.dumps({
-            "version": 1,
-            "budgets": {
-                "pkg.up.mod.UPF.gone": {"allocations": 1, "reason": "x"},
-            },
-        }))
-        code = run_cli(["pkg", "--budget", "budget.json"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "stale budget entry" in err
-        assert "pkg.up.mod.UPF.gone" in err
+        # The allocation is gone, its exemption is not: exit 1.
+        (fixture_dir / "pkg/up/mod.py").write_text(
+            textwrap.dedent(EXCUSED_HELPER % "pkt")
+        )
+        code = run_cli(["pkg", "--entry", ENTRY, "--select", "W001"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "U001" in out and "W001 does not fire here" in out
 
     def test_default_config_picked_up_from_cwd(self, fixture_dir, capsys):
-        (fixture_dir / cli.DEFAULT_BUDGET_FILE).write_text(json.dumps({
-            "version": 1,
-            "entry_points": [ENTRY],
-            "budgets": {
-                "pkg.up.mod.UPF._helper": {
-                    "allocations": 1, "reason": "fixture"
-                },
-            },
-        }))
-        code = run_cli(["pkg", "--select", "W001"])
-        assert code == 0
+        # With no path argument the CLI analyses ``src tests`` of the
+        # working directory — and reads nothing else from it: a stray
+        # budget/baseline file excuses nothing.
+        (fixture_dir / "pkg").rename(fixture_dir / "src")
+        (fixture_dir / "tests").mkdir()
+        for stray in ("analysis-budget.json", "analysis-baseline.json"):
+            (fixture_dir / stray).write_text('{"version": 1}')
+        code = run_cli(["--select", "W004", "--json"])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert [f["path"] for f in data["findings"]] == [
+            os.path.join("src", "sim", "engine.py")
+        ]
 
 
 class TestRepoIntegration:
@@ -169,19 +168,24 @@ class TestRepoIntegration:
         self, monkeypatch, capsys
     ):
         monkeypatch.chdir(REPO_ROOT)
-        code = run_cli([os.path.join("src", "repro"), "--json"])
+        code = run_cli([os.path.join("src", "repro"), "--json",
+                        "--select", "W001,W002,W003,W004"])
         data = json.loads(capsys.readouterr().out)
         assert code == 0
         assert data["findings"] == []
-        assert data["suppressed"] == 1  # sim's baselined races import
+        assert data["suppressed"] == 18  # 9 W001 sites + 9 W004 imports
 
     def test_analyzer_is_not_imported_by_runtime_code(self):
         # Acceptance: disabled, the analyzer adds zero import-time cost.
+        # The runtime set is exactly the vocabulary and the two opt-in
+        # detectors.
         script = (
-            "import sys; import repro.up, repro.cp, repro.sim; "
-            "assert not any(m.startswith(('repro.analysis.program', "
-            "'repro.analysis.dataflow')) "
-            "for m in sys.modules), sorted(sys.modules)"
+            "import sys; "
+            "import repro.up, repro.cp, repro.sim, repro.deploy; "
+            "loaded = sorted(m for m in sys.modules "
+            "if m.startswith('repro.analysis.')); "
+            "assert loaded == ['repro.analysis.lifecycle', "
+            "'repro.analysis.races', 'repro.analysis.sanitizer'], loaded"
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
