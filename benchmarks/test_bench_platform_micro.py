@@ -2,7 +2,7 @@
 measures: GTP-U encap/decap and the resiliency checkpoint delta.
 
 Rings, the mempool, RSS dispatch, the flow-cache probe and the session
-slab are timed by the per-layer rows of ``benchmarks/e2e``
+lookup are timed by the per-layer rows of ``benchmarks/e2e``
 (``core.ring_*``, ``core.pool_alloc_free_ns``, ``deploy.rss_dispatch_ns``,
 ``up.cache_probe_ns``, ``up.slab_resolve_ns``).
 """

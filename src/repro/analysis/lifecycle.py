@@ -28,7 +28,7 @@ Protocols
   or ``installed``; ``remove`` of a never-installed session and any
   rule use after ``remove`` are violations.
 
-**Resource** (slab slot / buffer entry / pinned shard)::
+**Resource** (pool entry / buffer entry / pinned shard)::
 
     held -> released
 
@@ -91,7 +91,7 @@ DESCRIPTOR_TRANSITIONS: Dict[str, Tuple[str, ...]] = {
 #: Session protocol states.
 SESSION_STATES: Tuple[str, ...] = ("created", "installed", "removed")
 
-#: Resource (slab slot / buffer entry / pinned shard) states.
+#: Resource (pool entry / buffer entry / pinned shard) states.
 RESOURCE_STATES: Tuple[str, ...] = ("held", "released")
 
 #: The transports' runtime ownership states (values of the sanitizer's
@@ -163,21 +163,20 @@ SESSION_INSTALL_TRANSFER: FrozenSet[str] = SESSION_ESTABLISH_METHODS
 SESSION_CLASS_SUFFIX = "Session"
 
 #: Resource-acquisition methods and their paired release method.
-#: ``adopt`` = hot-store slab slot, ``pin`` = load-balancer shard
-#: affinity, ``acquire`` = generic pool checkout.
+#: ``pin`` = load-balancer shard affinity, ``acquire`` = generic pool
+#: checkout.
 ACQUIRE_METHODS: Dict[str, str] = {
-    "adopt": "release",
     "pin": "release",
     "acquire": "release",
 }
 
 #: Lifecycle transitions whose implementations validate their argument
 #: and may raise (documented API contract: ``SessionTable.add`` rejects
-#: duplicate SEID/TEID/UE-IP, ``HotSessionStore.adopt`` rejects
-#: duplicate slots, ``UEAwareLoadBalancer.pin`` rejects full units).
+#: duplicate SEID/TEID/UE-IP, ``UEAwareLoadBalancer.pin`` rejects full
+#: units).
 #: The static checks give calls to these names a raising edge even when
 #: the receiver's type cannot be resolved.
-MAY_FAIL_TRANSITIONS: FrozenSet[str] = frozenset({"add", "adopt", "pin"})
+MAY_FAIL_TRANSITIONS: FrozenSet[str] = frozenset({"add", "pin"})
 
 # -- single-writer owner table (§3.2) ----------------------------------------
 # Declared once: the static ownership rule (R008), the epoch-publish
@@ -193,9 +192,8 @@ RULE_CONTAINERS: Tuple[str, ...] = (
 
 #: Every attribute of the ``up`` package's shared structures that only
 #: the ``up`` package may write: the rule containers, the UPF-U's
-#: ``report_pending`` flag, the session-table index and the hot-store
-#: slab internals (membership writes are UPF-C-only).
+#: ``report_pending`` flag and the session table's three maps
+#: (membership writes are UPF-C-only).
 SHARED_STRUCTURES: Tuple[str, ...] = RULE_CONTAINERS + (
-    "report_pending", "_by_seid",
-    "_teid_index", "_ue_ip_index", "_slab", "_free",
+    "report_pending", "_by_seid", "_teid_index", "_ue_ip_index",
 )

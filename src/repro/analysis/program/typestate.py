@@ -13,10 +13,10 @@ W006      Session/rule lifecycle (``created -> installed -> removed``):
           session twice, removing a never-established session, and a
           PDR whose constant ``far_id`` references a FAR that is not
           installed on some path through the handler.
-W007      Exception-safety resource leaks: a function acquires a slab
-          slot (``adopt``), shard pin (``pin``), pool entry
-          (``acquire``), or holds a removed session, and a raising edge
-          exists on which the release/re-install is not post-dominant.
+W007      Exception-safety resource leaks: a function acquires a shard
+          pin (``pin``) or pool entry (``acquire``), or holds a
+          removed session, and a raising edge exists on which the
+          release/re-install is not post-dominant.
           One release attempt on the recovery path discharges the
           obligation (bounded recovery).
 W008      Dead config: a ``*Config`` dataclass field no expression in
@@ -571,7 +571,6 @@ def _check_w006(program: Program, func: FunctionInfo) -> List[Finding]:
 _Resource = Tuple[str, str, str, str, int]
 
 _ACQUIRE_KINDS = {
-    "adopt": "slab slot",
     "pin": "shard pin",
     "acquire": "pool entry",
 }

@@ -250,8 +250,9 @@ class CostModel:
     #: Load-to-use latency of a DRAM access on an LLC miss.
     dram_latency: float = 0.090 * US
     #: Bytes of session state one packet's decision touches in the
-    #: hot/cold slab layout: one dense-index probe plus one compact
-    #: hot record — a cache line.
+    #: layout a C UPF keeps in hugepages (5GC²ache): one hash-bucket
+    #: probe plus one packed 64 B decision record — a cache line.
+    #: Modeled; the Python session table has no such layout.
     hot_record_bytes: int = 64
     #: Bytes the dict-of-objects layout drags through the hierarchy per
     #: decision: the hash bucket, the session object header and its
@@ -325,9 +326,9 @@ class CostModel:
         the cache term contributes only the *delta* over that baseline.
         At small session counts this reproduces the headline numbers
         exactly; past LLC capacity the DRAM term dominates and the
-        modeled rate falls off the 5GC²ache cliff — later for the
-        compact hot slab (64 B/session) than for the dict-of-objects
-        layout (~1 KB/session).
+        modeled rate falls off the 5GC²ache cliff — later for packed
+        64 B decision records than for the dict-of-objects layout
+        (~1 KB/session).
         """
         base = self.per_packet_cost(fast_path, size)
         calibrated = self.state_access_latency(1, hot_layout=True)

@@ -467,7 +467,6 @@ class FiveGCore:
             self.upf_u.tx_ring.register_into(registry)
             if self.upf_u.flow_cache is not None:
                 self.upf_u.flow_cache.register_into(registry)
-            self.sessions.hot_store.register_into(registry)
         registry.gauge("sessions.active").set_function(
             lambda: len(self.sessions)
         )

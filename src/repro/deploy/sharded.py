@@ -268,6 +268,11 @@ class ShardedSessionTable(SessionTableView):
         return self._shard_by_seid.get(seid)
 
     def add(self, session: UPFSession) -> None:
+        if session.seid in self._shard_by_seid:
+            # Checked before the pin: the recovery below would release
+            # the resident session's pin, and a shard table only knows
+            # the SEIDs it holds itself.
+            raise ValueError(f"duplicate SEID {session.seid}")
         shard = self.router.shard_for_ue_ip(session.ue_ip)
         if self.router.shard_for_teid(session.ul_teid) != shard:
             raise ValueError(
@@ -610,12 +615,6 @@ class ShardedUserPlane:
                 registry.gauge(
                     f"flow_cache_hit_rate{{shard={index}}}"
                 ).set_function(lambda c=cache: c.hit_rate)
-            # Per-shard hot-slab occupancy: each shard's table owns an
-            # independent HotSessionStore, so slab residency (the
-            # working-set the cache-cost model prices) is per shard.
-            shard.table.hot_store.register_into(
-                registry, prefix=f"hot_store{{shard={index}}}"
-            )
             shard.upf_u.stats.register_into(
                 registry, prefix=f"{prefix}{{shard={index}}}"
             )
@@ -639,9 +638,6 @@ class ShardedUserPlane:
             lambda: len(self.shards)
         )
         registry.gauge("shard.load_skew").set_function(self.load_skew)
-        registry.gauge("hot_store.live").set_function(
-            lambda: sum(len(s.table.hot_store) for s in self.shards)
-        )
 
 
 class ShardedUPFControlPlane(UPFControlPlane):

@@ -262,7 +262,7 @@ def burst_scaling(
 #: Session counts swept by the LLC-cliff study (log-spaced so the
 #: L1 -> LLC -> DRAM transitions of both layouts land inside the sweep:
 #: the dict layout overflows a 32 MB LLC near 32 K sessions at
-#: ~1 KB/session, the 64 B hot slab not until ~512 K).
+#: ~1 KB/session, packed 64 B records not until ~512 K).
 SESSION_COUNTS = (
     1, 100, 1_000, 10_000, 32_000, 100_000, 320_000, 1_000_000, 3_200_000,
 )
@@ -276,7 +276,7 @@ class LlcCliffRow:
     :meth:`~repro.core.costs.CostModel.cache_aware_forwarding_rate_pps`
     term: per-packet cost gains a session-state access component priced
     by where the session working set lives (L1 / LLC / DRAM).  The
-    ``hot`` series uses the compact 64 B/session slab layout, the
+    ``hot`` series models packed 64 B/session decision records, the
     ``dict`` series the ~1 KB/session dict-of-objects layout — the rate
     cliffs when each working set overflows LLC, and the hot layout's
     cliff lands ~an order of magnitude more sessions out.
@@ -299,7 +299,7 @@ def llc_cliff(
     size: int = 68,
     cores: int = 1,
 ) -> List[LlcCliffRow]:
-    """Forwarding rate vs. active sessions, hot-slab vs. dict layout.
+    """Modeled forwarding rate vs. active sessions, packed vs. dict layout.
 
     CPU-limited (not line-rate-capped) for the same reason as
     :func:`flow_cache_ablation`: the study isolates what state layout

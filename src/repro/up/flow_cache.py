@@ -81,34 +81,34 @@ class RuleEpoch:
 class FlowCacheEntry:
     """One memoized pipeline decision, stamped with its fill epoch.
 
-    Since the hot/cold split the entry pins the *hot* session record
-    (:class:`~repro.up.hot_store.HotSessionRecord`), not the cold
-    session object — a cache hit stays entirely within the compact
-    decision state.  :attr:`session` dereferences to the cold half for
-    callers (tests, experiments) that want the full session; arbitrary
-    fill values without a ``cold`` backref pass through unchanged.
+    Attributes
+    ----------
+    generation:
+        ``RuleEpoch.value`` at fill time; a stale stamp is a miss.
+    session:
+        The :class:`~repro.up.session.UPFSession` the slow path
+        resolved — the very object the session table holds, so a hit
+        buffers, meters and reports against live state.
+    pdr, far, enforcer, counter:
+        The matched rule, its forwarding action, and the QER enforcer
+        / URR counter it names (None when it names none).  Only the
+        match is cached: QER/URR verdicts are per packet.
     """
 
-    __slots__ = ("generation", "hot", "pdr", "far", "enforcer", "counter")
+    __slots__ = ("generation", "session", "pdr", "far", "enforcer", "counter")
 
-    def __init__(self, generation, hot, pdr, far, enforcer, counter):
+    def __init__(self, generation, session, pdr, far, enforcer, counter):
         self.generation = generation
-        self.hot = hot
+        self.session = session
         self.pdr = pdr
         self.far = far
         self.enforcer = enforcer
         self.counter = counter
 
-    @property
-    def session(self):
-        """The cold session behind :attr:`hot` (compat surface)."""
-        hot = self.hot
-        return getattr(hot, "cold", hot)
-
     def __repr__(self) -> str:
         return (
             f"FlowCacheEntry(gen={self.generation}, "
-            f"seid={getattr(self.hot, 'seid', None)}, "
+            f"seid={getattr(self.session, 'seid', None)}, "
             f"pdr={getattr(self.pdr, 'pdr_id', self.pdr)})"
         )
 
@@ -351,14 +351,9 @@ class FlowCache:
                 self, "entries",
                 detail=f"purge_session(seid={getattr(session, 'seid', None)})",
             )
-        # Entries pin hot records; accept either half as the handle so
-        # lifecycle code can purge with whatever it holds.
-        hot = getattr(session, "hot", session)
         entries = self._entries
         dead = [
-            key
-            for key, entry in entries.items()
-            if entry.hot is hot or entry.hot is session
+            key for key, entry in entries.items() if entry.session is session
         ]
         for key in dead:
             del entries[key]

@@ -1,7 +1,7 @@
 """The 20-field classification key of a packet.
 
-Defined below both ``session`` and ``hot_store`` in the import order,
-so each imports :func:`packet_key` and :func:`packet_keys` plainly.
+Defined below ``session`` and ``upf_u`` in the import order, so each
+imports :func:`packet_key` and :func:`packet_keys` plainly.
 """
 
 from __future__ import annotations

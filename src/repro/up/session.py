@@ -16,7 +16,7 @@ extended to the cache layer.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, List, Optional, Type
+from typing import Callable, Dict, List, NamedTuple, Optional, Type
 
 from ..analysis import races as _races  # repro: noqa[W004] -- race-detector hooks, no-ops unless a detector is installed
 from ..classifier.base import Classifier
@@ -24,7 +24,6 @@ from ..classifier.partition_sort import PartitionSortClassifier
 from ..net.packet import Packet
 from .buffer import DEFAULT_UPF_BUFFER_PACKETS, SmartBuffer
 from .flow_cache import RuleEpoch
-from .hot_store import HotSessionRecord, HotSessionStore
 from .keys import packet_key, packet_keys
 from .qos import QerEnforcer, UsageCounter
 from .rules import FAR, PDR, QER
@@ -39,16 +38,13 @@ __all__ = [
 
 
 class UPFSession:
-    """One PDU session's user-plane state — the *cold* half.
+    """One PDU session's user-plane state (§3.2's session context).
 
-    The per-packet decision state (PDI match classifier, rule dicts,
-    FAR actions, QER/URR refs, epoch stamp) lives on :attr:`hot`, a
-    compact :class:`~repro.up.hot_store.HotSessionRecord` the UPF-U
-    resolves through the session table's slab.  This object keeps what
-    the data path touches only on reports and lifecycle transitions:
-    the smart buffer, the report-pending flag, raw QER rule records.
-    The rule-management API is unchanged — reads and mutators delegate
-    to the hot record, so control-plane code never sees the split.
+    The UPF-C writes the rule sets, the UPF-U reads them per packet and
+    owns the runtime state (smart buffer, report-pending flag); both
+    hold this one object, found through the :class:`SessionTable`'s two
+    hash tables.  The attribute set is closed (``__slots__``): per-
+    session state is declared here or it does not exist.
 
     Parameters
     ----------
@@ -63,6 +59,21 @@ class UPFSession:
         L25GC, PDR-LL in the 3GPP baseline).
     """
 
+    __slots__ = (
+        "seid",
+        "ue_ip",
+        "ul_teid",
+        "classifier",
+        "pdrs",
+        "fars",
+        "qers",
+        "qer_enforcers",
+        "usage_counters",
+        "epoch",
+        "buffer",
+        "_report_pending",
+    )
+
     def __init__(
         self,
         seid: int,
@@ -72,15 +83,22 @@ class UPFSession:
         buffer_capacity: int = DEFAULT_UPF_BUFFER_PACKETS,
     ):
         self.seid = seid
-        #: The hot decision record; standalone (index -1) until
-        #: :meth:`SessionTable.add` adopts it into the shard's slab.
-        #: A fresh epoch is rebound to the table's shared one on add.
-        self.hot = HotSessionRecord(
-            seid, ue_ip, ul_teid, classifier_class(), RuleEpoch(), cold=self
-        )
+        self.ue_ip = ue_ip
+        self.ul_teid = ul_teid
+        #: The PDR lookup structure (PDI match fields live inside).
+        self.classifier: Classifier = classifier_class()
+        self.pdrs: Dict[int, PDR] = {}
+        self.fars: Dict[int, FAR] = {}
         #: Raw QER rule records (control-plane state; the data path
-        #: reads the derived enforcers off the hot record instead).
+        #: reads the derived enforcers instead).
         self.qers: Dict[int, QER] = {}
+        #: Installed QoS enforcers (gate + MBR policer), by QER id.
+        self.qer_enforcers: Dict[int, QerEnforcer] = {}
+        #: Installed usage counters, by URR id.
+        self.usage_counters: Dict[int, UsageCounter] = {}
+        #: Rule-mutation epoch; rebound to the table's shared epoch by
+        #: :meth:`SessionTable.add` so one counter covers all sessions.
+        self.epoch = RuleEpoch()
         self.buffer = SmartBuffer(buffer_capacity)
         #: Set while the CP has been notified of buffered DL data and
         #: paging is in flight (suppresses duplicate reports).
@@ -117,50 +135,6 @@ class UPFSession:
                 detail=f"report_pending = {value}",
             )
         self._report_pending = value
-
-    # -- hot-record delegation ---------------------------------------------
-    # The decision state moved to the compact hot record; these keep
-    # the pre-split read surface (control plane, tests, experiments)
-    # byte-for-byte compatible.
-    @property
-    def ue_ip(self) -> int:
-        return self.hot.ue_ip
-
-    @property
-    def ul_teid(self) -> int:
-        return self.hot.ul_teid
-
-    @property
-    def pdrs(self) -> Dict[int, PDR]:
-        return self.hot.pdrs
-
-    @property
-    def fars(self) -> Dict[int, FAR]:
-        return self.hot.fars
-
-    @property
-    def qer_enforcers(self) -> Dict[int, "QerEnforcer"]:
-        """Installed QoS enforcers (gate + MBR policer), by QER id."""
-        return self.hot.qer_enforcers
-
-    @property
-    def usage_counters(self) -> Dict[int, "UsageCounter"]:
-        """Installed usage counters, by URR id."""
-        return self.hot.usage_counters
-
-    @property
-    def classifier(self) -> Classifier:
-        return self.hot.classifier
-
-    @property
-    def epoch(self) -> RuleEpoch:
-        """Rule-mutation epoch; rebound to the table's shared epoch by
-        :meth:`SessionTable.add` so one counter covers all sessions."""
-        return self.hot.epoch
-
-    @epoch.setter
-    def epoch(self, value: RuleEpoch) -> None:
-        self.hot.epoch = value
 
     # -- rule management ----------------------------------------------------
     def install_pdr(self, pdr: PDR) -> None:
@@ -255,10 +229,17 @@ class UPFSession:
 
         ``key`` accepts a pre-built classification key so callers that
         already derived it (the flow-cache miss path) don't pay the
-        20-field build twice.  Delegates to the hot record — the same
-        code path the UPF-U pipeline runs against the slab.
+        20-field build twice.
         """
-        return self.hot.match_pdr(packet, key)
+        detector = _races._ACTIVE
+        if detector is not None:
+            detector.on_read(self, "pdrs")
+        if key is None:
+            key = packet_key(packet)
+        rule = self.classifier.lookup(key)
+        if rule is None:
+            return None
+        return self.pdrs.get(rule.rule_id)
 
 
 class SessionTableView(abc.ABC):
@@ -306,16 +287,24 @@ class SessionTableView(abc.ABC):
         """Register a callback invoked with each removed session."""
 
 
+class SessionIndex(NamedTuple):
+    """The data path's read-only view of the two hash tables.
+
+    Each field is a dict's bound ``get``: a probe is one C call and
+    carries no race-detector hook (the pipeline records its own read).
+    """
+
+    by_teid: Callable[[int], Optional[UPFSession]]
+    by_ue_ip: Callable[[int], Optional[UPFSession]]
+
+
 class SessionTable(SessionTableView):
     """The UPF's dual hash tables: TEID -> session, UE IP -> session.
 
-    Since the hot/cold split, the dual data-path keys live in the
-    :class:`~repro.up.hot_store.HotSessionStore` slab (small-int
-    indices, compact records); the table keeps only the SEID map for
-    N4 addressing.  :meth:`by_teid` / :meth:`by_ue_ip` resolve through
-    the slab and return the cold session for control-plane callers —
-    the UPF-U pipeline probes :attr:`hot_store` directly and never
-    touches the cold object on the steady-state path.
+    Both point at the same :class:`UPFSession` the SEID map (N4
+    addressing) holds.  :meth:`by_teid` / :meth:`by_ue_ip` are the
+    control-plane lookups and record a race-detector membership read;
+    the UPF-U pipeline probes :attr:`index` instead.
 
     The table owns the shared rule-mutation :attr:`epoch` consulted by
     the UPF-U's flow cache; membership changes bump it, and sessions
@@ -323,9 +312,15 @@ class SessionTable(SessionTableView):
     """
 
     def __init__(self) -> None:
-        #: The compact hot-record slab holding the TEID / UE-IP keys.
-        self.hot_store = HotSessionStore()
         self._by_seid: Dict[int, UPFSession] = {}
+        self._teid_index: Dict[int, UPFSession] = {}
+        self._ue_ip_index: Dict[int, UPFSession] = {}
+        #: What the UPF-U probes per packet.
+        self.index = SessionIndex(
+            self._teid_index.get, self._ue_ip_index.get
+        )
+        # Pinned by the frozen benchmarks/e2e/layers.py (ROADMAP item 1).
+        self.hot_store = self.index
         #: Shared generation counter for epoch-based cache invalidation.
         self.epoch = RuleEpoch()
         self._removal_listeners: List[Callable[[UPFSession], None]] = []
@@ -349,11 +344,15 @@ class SessionTable(SessionTableView):
     def add(self, session: UPFSession) -> None:
         if session.seid in self._by_seid:
             raise ValueError(f"duplicate SEID {session.seid}")
-        # adopt() raises the duplicate-TEID / duplicate-UE-IP errors
-        # before any map is touched, so a failed add leaves the table
-        # unchanged.
-        self.hot_store.adopt(session.hot)
+        if session.ul_teid in self._teid_index:
+            raise ValueError(f"duplicate UL TEID {session.ul_teid}")
+        if session.ue_ip in self._ue_ip_index:
+            raise ValueError(f"duplicate UE IP {session.ue_ip}")
+        # Every key checked before any map is touched: a failed add
+        # leaves the table unchanged.
         self._by_seid[session.seid] = session
+        self._teid_index[session.ul_teid] = session
+        self._ue_ip_index[session.ue_ip] = session
         # Adopt the shared epoch: any later rule change on this session
         # invalidates the whole cache with one integer bump.
         session.epoch = self.epoch
@@ -371,7 +370,8 @@ class SessionTable(SessionTableView):
         session = self._by_seid.pop(seid, None)
         if session is None:
             return None
-        self.hot_store.release(session.hot)
+        del self._teid_index[session.ul_teid]
+        del self._ue_ip_index[session.ue_ip]
         detector = _races._ACTIVE
         if detector is not None:
             detector.on_write(
@@ -390,16 +390,14 @@ class SessionTable(SessionTableView):
         detector = _races._ACTIVE
         if detector is not None:
             detector.on_read(self, "sessions")
-        record = self.hot_store.by_teid(teid)
-        return None if record is None else record.cold
+        return self._teid_index.get(teid)
 
     def by_ue_ip(self, ue_ip: int) -> Optional[UPFSession]:
         """DL lookup: which session owns this UE address?"""
         detector = _races._ACTIVE
         if detector is not None:
             detector.on_read(self, "sessions")
-        record = self.hot_store.by_ue_ip(ue_ip)
-        return None if record is None else record.cold
+        return self._ue_ip_index.get(ue_ip)
 
     def by_seid(self, seid: int) -> Optional[UPFSession]:
         detector = _races._ACTIVE

@@ -163,7 +163,18 @@ class UPFControlPlane:
             session.install_qer_enforcer(self._decode_qer(qer_ie))
         for urr_ie in message.find_all(qos_ies.CreateUrrIE):
             session.install_usage_counter(self._decode_urr(urr_ie))
-        self.sessions.add(session)
+        try:
+            self.sessions.add(session)
+        except ValueError:
+            # A retransmitted or colliding request (duplicate SEID, UL
+            # TEID or UE IP; sharded: a TEID steered off the UE-IP
+            # bucket).  add() left the table as it was; answer instead
+            # of letting the error escape the N4 handler.
+            return SessionEstablishmentResponse(
+                seid=message.seid,
+                sequence=message.sequence,
+                ies=[pfcp_ies.CauseIE(cause=pfcp_ies.CAUSE_REQUEST_REJECTED)],
+            )
         return SessionEstablishmentResponse(
             seid=message.seid,
             sequence=message.sequence,

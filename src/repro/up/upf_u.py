@@ -149,12 +149,6 @@ class UPFUserPlane(NetworkFunction):
             env, name, service_id, instance_id=instance_id, costs=costs
         )
         self.sessions = sessions
-        #: The compact hot-record slab the steady-state pipeline
-        #: resolves against (hot/cold split): probes return
-        #: :class:`~repro.up.hot_store.HotSessionRecord` and the cold
-        #: session object is dereferenced only on reports and
-        #: lifecycle transitions.
-        self.hot_sessions = sessions.hot_store
         #: Exact-match microflow cache (None when disabled).
         self.flow_cache: Optional[FlowCache] = (
             FlowCache(sessions.epoch, capacity=flow_cache_capacity)
@@ -260,7 +254,7 @@ class UPFUserPlane(NetworkFunction):
             if entry is not None:
                 outcome = self._apply(
                     packet,
-                    entry.hot,
+                    entry.session,
                     entry.pdr,
                     entry.far,
                     entry.enforcer,
@@ -269,15 +263,15 @@ class UPFUserPlane(NetworkFunction):
                 if tracer is not None:
                     tracer.instant("far-apply", parent=span, outcome=outcome)
                 return outcome
-        hot = self._lookup_hot(packet)
+        session = self._lookup_session(packet)
         if tracer is not None:
             tracer.instant(
-                "session-lookup", parent=span, hit=hot is not None
+                "session-lookup", parent=span, hit=session is not None
             )
-        if hot is None:
+        if session is None:
             stats.dropped_no_session += 1
             return "drop-no-session"
-        pdr = hot.match_pdr(packet, key=key)
+        pdr = session.match_pdr(packet, key=key)
         if tracer is not None:
             tracer.instant("pdr-match", parent=span, matched=pdr is not None)
         if pdr is None:
@@ -285,27 +279,26 @@ class UPFUserPlane(NetworkFunction):
             return "drop-no-pdr"
         detector = _races._ACTIVE
         if detector is not None:
-            detector.on_read(hot.cold, "fars")
-        far = hot.fars.get(pdr.far_id)
+            detector.on_read(session, "fars")
+        far = session.fars.get(pdr.far_id)
         if far is None:
             stats.dropped_no_pdr += 1
             return "drop-no-far"
         enforcer = (
-            hot.qer_enforcers.get(pdr.qer_id)
+            session.qer_enforcers.get(pdr.qer_id)
             if pdr.qer_id is not None
             else None
         )
         counter = (
-            hot.usage_counters.get(pdr.urr_id)
+            session.usage_counters.get(pdr.urr_id)
             if pdr.urr_id is not None
             else None
         )
         if key is not None and cache is not None:
             # Memoize the decision only — never the QER/URR verdicts,
-            # which are per-packet by nature.  The entry pins the hot
-            # record, keeping cache hits inside the compact slab.
-            cache.insert(key, hot, pdr, far, enforcer, counter)
-        outcome = self._apply(packet, hot, pdr, far, enforcer, counter)
+            # which are per-packet by nature.
+            cache.insert(key, session, pdr, far, enforcer, counter)
+        outcome = self._apply(packet, session, pdr, far, enforcer, counter)
         if tracer is not None:
             tracer.instant("far-apply", parent=span, outcome=outcome)
         return outcome
@@ -364,14 +357,12 @@ class UPFUserPlane(NetworkFunction):
                 with detector.role("upf-u"):
                     self.flow_cache.purge_session(session)
 
-    def _lookup_hot(self, packet: Packet):
-        """Hot-record resolve: the data-path session lookup.
+    def _lookup_session(self, packet: Packet) -> Optional[UPFSession]:
+        """The data-path session lookup (§3.2): TEID for UL, UE IP for DL.
 
-        Probes the compact slab directly (§3.2's dual hash keys live
-        there since the hot/cold split).  The race-detector read is
-        recorded against the session table — the registered owner of
-        membership — exactly as the pre-split ``by_teid``/``by_ue_ip``
-        lookups did.
+        Probes the table's index directly; the race-detector read is
+        recorded here, against the session table — the registered
+        owner of membership.
         """
         detector = _races._ACTIVE
         if detector is not None:
@@ -379,21 +370,19 @@ class UPFUserPlane(NetworkFunction):
         if packet.direction is Direction.UPLINK:
             if packet.teid is None:
                 return None
-            return self.hot_sessions.by_teid(packet.teid)
-        return self.hot_sessions.by_ue_ip(packet.flow.dst_ip)
+            return self.sessions.index.by_teid(packet.teid)
+        return self.sessions.index.by_ue_ip(packet.flow.dst_ip)
 
     def _apply(
         self,
         packet: Packet,
-        hot,
+        session: UPFSession,
         pdr: PDR,
         far: FAR,
         enforcer: Optional[QerEnforcer] = None,
         counter: Optional[UsageCounter] = None,
     ) -> str:
-        """Apply one pre-resolved decision (``hot`` is the session's
-        :class:`~repro.up.hot_store.HotSessionRecord`; the cold session
-        is dereferenced only on report/buffer transitions)."""
+        """Apply one pre-resolved decision (slow path or cache hit)."""
         action = far.action
         stats = self.stats
         if action.drop:
@@ -410,9 +399,8 @@ class UPFUserPlane(NetworkFunction):
         # when the volume threshold trips.
         if counter is not None and counter.account(packet):
             stats.usage_reports += 1
-            self.usage_report_sink(hot.cold, counter)
+            self.usage_report_sink(session, counter)
         if action.buffer:
-            session = hot.cold
             if len(session.buffer) >= self._effective_capacity(session):
                 session.buffer.dropped += 1
                 stats.dropped_buffer_full += 1
@@ -431,14 +419,14 @@ class UPFUserPlane(NetworkFunction):
         if not action.forward:
             stats.dropped_action += 1
             return "drop-action"
-        return self._forward(packet, pdr, far, hot)
+        return self._forward(packet, pdr, far, session)
 
     def _forward(
         self,
         packet: Packet,
         pdr: PDR,
         far: FAR,
-        hot,
+        session: UPFSession,
     ) -> str:
         action = far.action
         if action.destination_interface == pfcp_ies.ACCESS:
@@ -449,7 +437,7 @@ class UPFUserPlane(NetworkFunction):
             # Empty between drains (entries expire), so the steady
             # state pays a truth test, not a call per DL packet.
             if self._drain_until and not self._admit_behind_drain(
-                packet, hot
+                packet, session
             ):
                 return "drop-buffer-full"
             packet.teid = action.outer_teid
@@ -484,34 +472,30 @@ class UPFUserPlane(NetworkFunction):
         others = max(0, len(self.sessions) - 1)
         return max(0, capacity - others * self.SHARED_BACKLOG_PER_SESSION)
 
-    def _admit_behind_drain(self, packet: Packet, hot) -> bool:
+    def _admit_behind_drain(
+        self, packet: Packet, session: UPFSession
+    ) -> bool:
         """Queue a forwarded packet behind an in-progress drain.
 
         Buffered packets re-inject serially; packets arriving before
         the drain completes wait their turn (extending it).  Returns
         False (and counts a drop) when the drain queue exceeds the
         effective buffer capacity.
-
-        Takes the hot record: the common no-drain case resolves on
-        ``hot.seid`` alone, and the cold session (for buffer capacity
-        and drop accounting) is dereferenced only while a drain is
-        actually in progress.
         """
-        drain_until = self._drain_until.get(hot.seid)
+        drain_until = self._drain_until.get(session.seid)
         if drain_until is None:
             return True
         now = self.env.now
         if drain_until <= now:
-            del self._drain_until[hot.seid]  # drain over: expire it
+            del self._drain_until[session.seid]  # drain over: expire it
             return True
-        session = hot.cold
         reinject = self._reinject_cost()
         backlog = (drain_until - now) / reinject
         if backlog >= self._effective_capacity(session):
             self.stats.dropped_buffer_full += 1
             session.buffer.dropped += 1
             return False
-        self._drain_until[hot.seid] = drain_until + reinject
+        self._drain_until[session.seid] = drain_until + reinject
         packet.meta["extra_delay"] = drain_until + reinject - now
         return True
 

@@ -12,12 +12,14 @@ from repro.cp import (
 from repro.core import Channel
 from repro.net import Direction, FiveTuple, Packet
 from repro.pfcp import (
+    CAUSE_REQUEST_REJECTED,
     PFCPMessage,
     SessionReportResponse,
     build_buffering_update,
     build_downlink_report,
     build_session_establishment,
 )
+from repro.pfcp.ies import CauseIE, FTeidIE
 from repro.ran import CMState, RMState
 from repro.sim import Environment
 
@@ -540,3 +542,83 @@ class TestN4Sizing:
                 channel, record.size
             )
             assert record.handler_time == message.HANDLER_TIME
+
+
+class TestDuplicateEstablishment:
+    """A retransmitted or colliding N4 Session Establishment Request is
+    answered ``Request rejected``; the UPF's state is untouched."""
+
+    UE_IP = 0x0A3C0001
+
+    def _state(self, core):
+        sessions = core.sessions.sessions()
+        tables = getattr(core.sessions, "tables", [core.sessions])
+        lb = getattr(core.upf_u, "lb", None)
+        return (
+            sorted((s.seid, s.ul_teid, s.ue_ip) for s in sessions),
+            [core.sessions.by_seid(s.seid) is s
+             and core.sessions.by_teid(s.ul_teid) is s
+             and core.sessions.by_ue_ip(s.ue_ip) is s for s in sessions],
+            [(len(table), table.epoch.value) for table in tables],
+            lb and (dict(lb.affinity),
+                    {uid: unit.sessions for uid, unit in lb.units.items()}),
+        )
+
+    def _exchange(self, env, core, **fields):
+        request = build_session_establishment(
+            sequence=1, upf_address=core.UPF_ADDRESS,
+            gnb_address=core.gnbs[1].address, dl_teid=0x200, **fields,
+        )
+        return run_procedures(env, core.n4_exchange(request))[0]
+
+    def _established(self, shards):
+        env, core, _runner, _ue = build(SystemConfig(upf_shards=shards))
+        router = getattr(core.upf_c, "router", None)
+        steer = router.steer_teid if router else (lambda ue_ip, base: base)
+        # A second UE address on the first one's shard, so a clashing
+        # TEID is rejected as a duplicate, not as mis-steered.
+        other_ip = next(
+            ip for ip in range(self.UE_IP + 1, self.UE_IP + 4096)
+            if router is None
+            or router.shard_for_ue_ip(ip) == router.shard_for_ue_ip(self.UE_IP)
+        )
+        teid = steer(self.UE_IP, 0x100)
+        accepted = self._exchange(
+            env, core, seid=7, ue_ip=self.UE_IP, ul_teid=teid
+        )
+        assert accepted.find(CauseIE).accepted
+        return env, core, steer, teid, other_ip
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    @pytest.mark.parametrize("clash", ["seid", "ul_teid", "ue_ip"])
+    def test_colliding_request_is_rejected_and_changes_nothing(
+        self, clash, shards
+    ):
+        env, core, steer, teid, other_ip = self._established(shards)
+        fields = {
+            "seid": dict(seid=7, ue_ip=other_ip,
+                         ul_teid=steer(other_ip, 0x300)),
+            "ul_teid": dict(seid=8, ue_ip=other_ip, ul_teid=teid),
+            "ue_ip": dict(seid=8, ue_ip=self.UE_IP,
+                          ul_teid=steer(self.UE_IP, 0x300)),
+        }[clash]
+        before = self._state(core)
+        response = self._exchange(env, core, **fields)
+        assert response.find(CauseIE).cause == CAUSE_REQUEST_REJECTED
+        assert response.find(FTeidIE) is None
+        assert self._state(core) == before
+        assert len(core.sessions) == 1
+
+    def test_sharded_teid_off_the_ue_ip_bucket_is_rejected(self):
+        env, core, steer, teid, other_ip = self._established(4)
+        router = core.upf_c.router
+        stray = next(
+            t for t in range(0x300, 0x300 + 4096)
+            if router.shard_for_teid(t) != router.shard_for_ue_ip(other_ip)
+        )
+        before = self._state(core)
+        response = self._exchange(
+            env, core, seid=8, ue_ip=other_ip, ul_teid=stray
+        )
+        assert response.find(CauseIE).cause == CAUSE_REQUEST_REJECTED
+        assert self._state(core) == before

@@ -284,7 +284,7 @@ class TestW007LeakOnRaise:
             "pkg/up.py": """
                 class Store:
                     def grab(self, slot, limit):
-                        self.slab.adopt(slot)
+                        self.pool.acquire(slot)
                         if slot > limit:
                             raise ValueError(slot)
             """,
@@ -292,8 +292,8 @@ class TestW007LeakOnRaise:
         assert codes(report) == ["W007"]
         finding = report.findings[0]
         assert lifecycle.LEAK_ON_RAISE in finding.message
-        assert "slab slot" in finding.message
-        assert any("adopt() acquires" in s for s in finding.chain)
+        assert "pool entry" in finding.message
+        assert any("acquire() acquires" in s for s in finding.chain)
         assert any("state 'held'" in s for s in finding.chain)
 
     def test_release_on_recovery_path_is_clean(self, tmp_path):
@@ -302,11 +302,11 @@ class TestW007LeakOnRaise:
             "pkg/up.py": """
                 class Store:
                     def grab(self, slot):
-                        self.slab.adopt(slot)
+                        self.pool.acquire(slot)
                         try:
                             self.table.add(slot)
                         except Exception:
-                            self.slab.release(slot)
+                            self.pool.release(slot)
                             raise
             """,
         }, checks=["W007"])

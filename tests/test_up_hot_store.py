@@ -1,21 +1,26 @@
-"""Hot/cold session-state split: slab unit tests + equivalence property.
+"""Session table: the two data-path hash tables against the N4 view.
 
-The invariant that matters: **resolving the per-packet decision through
-the compact hot slab is observationally identical to resolving it
-through the cold-object delegation surface** — same per-packet
-outcomes, bit-identical :class:`ForwardingStats`, identical URR byte
-counts, identical flow-cache contents and counters — over any
-interleaving of packets, session churn, and rule mutations.  The
-property test replays randomized op scripts
-against the production stack and a cold-path oracle stack whose only
-difference is ``_lookup_hot`` going table -> ``UPFSession`` -> ``.hot``
-instead of probing the slab.
+One :class:`UPFSession` per PDU session, reached three ways: by SEID
+(N4), and by UL TEID / UE IP (the paper's two hash tables, §3.2).  The
+invariant that matters: **the index the UPF-U probes per packet
+(``SessionTable.index``) and the lookups the UPF-C takes
+(``by_teid`` / ``by_ue_ip``) resolve every key to the same object** —
+same per-packet outcomes, bit-identical :class:`ForwardingStats`,
+identical URR byte counts, identical flow-cache contents and counters —
+over any interleaving of packets, session churn, and rule mutations.
+The property test replays randomized op scripts against the production
+stack and an oracle stack whose only difference is the session lookup
+going through the control-plane methods.
 
-The unit tests pin the slab mechanics individually: dense-index
-assignment, free-list recycling, duplicate-key rejection before any
-mutation, churn accounting, and the gauge surface.  The race tests
-assert the split preserved the pre-split ownership semantics (UPF-C
-owns membership and rules, UPF-U reads them on the data path).
+The unit tests pin membership: every key is checked before any of the
+three maps is touched, a repeated add or an unknown remove changes
+nothing, ``add`` rebinds the session's epoch to the table's.  The race
+tests assert the ownership semantics (UPF-C owns membership and rules,
+UPF-U reads them on the data path).
+
+Class and test names predate the one-session-object table (they date
+from the hot/cold slab this file was written for) and are kept because
+the suite's floor tracks tests by id.
 """
 
 import pytest
@@ -25,137 +30,80 @@ from hypothesis import strategies as st
 from repro.analysis import races
 from repro.classifier import LinearClassifier, PartitionSortClassifier
 from repro.net import Direction
-from repro.obs.metrics import MetricsRegistry
 from repro.sim import Environment
 from repro.up import (
     FAR,
     FARAction,
-    RuleEpoch,
     SessionTable,
     UPFSession,
     UPFUserPlane,
 )
-from repro.up.hot_store import UNSLABBED, HotSessionRecord, HotSessionStore
 
 from .test_up_flow_cache import UE_BASE, dl_packet, make_session, ul_packet
 
 
-def _record(seid, classifier_class=LinearClassifier):
-    return HotSessionRecord(
-        seid=seid,
-        ue_ip=UE_BASE + seid,
-        ul_teid=0x100 + seid,
-        classifier=classifier_class(),
-        epoch=RuleEpoch(),
+def _snapshot(table):
+    """Everything a rejected add/remove must leave alone."""
+    return (
+        sorted(table._by_seid), sorted(table._teid_index),
+        sorted(table._ue_ip_index), table.epoch.value,
     )
 
 
 # ----------------------------------------------------------------------
-# HotSessionStore slab mechanics
+# Membership: all-or-nothing adds and removes
 # ----------------------------------------------------------------------
 class TestHotSessionStore:
-    def test_adopt_assigns_dense_indices(self):
-        store = HotSessionStore()
-        records = [_record(seid) for seid in (1, 2, 3)]
-        assert [store.adopt(r) for r in records] == [0, 1, 2]
-        assert [r.index for r in records] == [0, 1, 2]
-        assert len(store) == store.slab_size == 3
-        for record in records:
-            assert store.by_teid(record.ul_teid) is record
-            assert store.by_ue_ip(record.ue_ip) is record
-            assert store.by_index(record.index) is record
-
-    def test_release_recycles_through_free_list(self):
-        store = HotSessionStore()
-        records = [_record(seid) for seid in (1, 2, 3)]
-        for record in records:
-            store.adopt(record)
-        store.release(records[1])
-        assert records[1].index == UNSLABBED
-        assert store.by_teid(records[1].ul_teid) is None
-        assert store.by_ue_ip(records[1].ue_ip) is None
-        assert len(store) == 2 and store.slab_size == 3
-        # The freed middle slot is reused — the slab stays dense.
-        replacement = _record(4)
-        assert store.adopt(replacement) == 1
-        assert store.slab_size == 3
-        assert store.by_index(1) is replacement
-
     def test_duplicate_keys_rejected_before_any_mutation(self):
-        store = HotSessionStore()
-        store.adopt(_record(1))
-        same_teid = _record(2)
-        same_teid.ul_teid = 0x101
+        table = SessionTable()
+        table.add(make_session(1, LinearClassifier))
+        before = _snapshot(table)
+        same_teid = UPFSession(seid=2, ue_ip=UE_BASE + 2, ul_teid=0x101)
         with pytest.raises(ValueError, match="duplicate UL TEID"):
-            store.adopt(same_teid)
-        same_ip = _record(3)
-        same_ip.ue_ip = UE_BASE + 1
+            table.add(same_teid)
+        same_ip = UPFSession(seid=3, ue_ip=UE_BASE + 1, ul_teid=0x103)
         with pytest.raises(ValueError, match="duplicate UE IP"):
-            store.adopt(same_ip)
-        # Nothing leaked from the rejected adopts.
-        assert same_teid.index == same_ip.index == UNSLABBED
-        assert len(store) == store.slab_size == 1
-        assert store.adopted == 1
+            table.add(same_ip)
+        # Nothing leaked from the rejected adds: not the SEID, not the
+        # key that did not clash, not the shared epoch.
+        assert _snapshot(table) == before
+        assert same_teid.epoch is not table.epoch
+        assert same_ip.epoch is not table.epoch
 
     def test_double_adopt_and_foreign_release_rejected(self):
-        store = HotSessionStore()
-        record = _record(1)
-        store.adopt(record)
-        with pytest.raises(ValueError, match="already slabbed"):
-            store.adopt(record)
-        stranger = _record(2)
-        with pytest.raises(ValueError, match="not resident"):
-            store.release(stranger)
-        other = HotSessionStore()
-        resident_elsewhere = _record(3)
-        other.adopt(resident_elsewhere)
-        with pytest.raises(ValueError, match="not resident"):
-            store.release(resident_elsewhere)
-
-    def test_churn_accounting_and_peak(self):
-        store = HotSessionStore()
-        records = [_record(seid) for seid in (1, 2, 3)]
-        for record in records:
-            store.adopt(record)
-        for record in records[:2]:
-            store.release(record)
-        store.adopt(_record(4))
-        assert (store.adopted, store.released) == (4, 2)
-        assert store.peak_live == 3
-        assert len(store) == 2
-        assert [r.seid for r in store.records()] == [4, 3]
-
-    def test_register_into_exports_live_gauges(self):
-        store = HotSessionStore()
-        registry = MetricsRegistry()
-        store.register_into(registry)
-        record = _record(1)
-        store.adopt(record)
-        store.adopt(_record(2))
-        store.release(record)
-        assert registry.gauge("hot_store.live").value == 1
-        assert registry.gauge("hot_store.slab_size").value == 2
-        assert registry.gauge("hot_store.peak_live").value == 2
-        assert registry.gauge("hot_store.adopted").value == 2
-        assert registry.gauge("hot_store.released").value == 1
+        table = SessionTable()
+        session = make_session(1, LinearClassifier)
+        table.add(session)
+        removed = []
+        table.add_removal_listener(removed.append)
+        before = _snapshot(table)
+        with pytest.raises(ValueError, match="duplicate SEID"):
+            table.add(session)
+        assert table.remove(2) is None  # never installed here
+        other = SessionTable()
+        other.add(make_session(3, LinearClassifier))
+        assert table.remove(3) is None  # resident elsewhere
+        assert _snapshot(table) == before
+        assert removed == [] and len(other) == 1
 
 
 # ----------------------------------------------------------------------
-# SessionTable <-> slab integration and the delegation surface
+# SessionTable: one object behind the three maps
 # ----------------------------------------------------------------------
 class TestSessionTableSlab:
     def test_add_adopts_and_remove_releases(self):
         table = SessionTable()
         session = make_session(1, LinearClassifier)
         table.add(session)
-        assert session.hot.index != UNSLABBED
-        assert table.hot_store.by_teid(session.ul_teid) is session.hot
+        assert table.index.by_teid(session.ul_teid) is session
+        assert table.index.by_ue_ip(session.ue_ip) is session
         assert table.by_teid(session.ul_teid) is session
         assert table.by_ue_ip(session.ue_ip) is session
-        table.remove(1)
-        assert session.hot.index == UNSLABBED
+        assert table.remove(1) is session
+        assert table.index.by_teid(session.ul_teid) is None
+        assert table.index.by_ue_ip(session.ue_ip) is None
         assert table.by_teid(session.ul_teid) is None
-        assert len(table.hot_store) == 0
+        assert len(table) == 0
 
     def test_duplicate_add_leaves_table_and_slab_unchanged(self):
         table = SessionTable()
@@ -166,38 +114,22 @@ class TestSessionTableSlab:
         with pytest.raises(ValueError, match="duplicate UE IP"):
             table.add(clash)
         assert table.by_seid(2) is None
-        assert len(table.hot_store) == 1
-
-    def test_hot_record_shares_rule_state_with_cold_session(self):
-        """The delegation properties and the hot record read the same
-        underlying containers — rule installs are visible to both."""
-        session = make_session(1, LinearClassifier, qer=True, urr=True)
-        assert session.pdrs is session.hot.pdrs
-        assert session.fars is session.hot.fars
-        assert session.qer_enforcers is session.hot.qer_enforcers
-        assert session.usage_counters is session.hot.usage_counters
-        assert session.classifier is session.hot.classifier
-        assert session.epoch is session.hot.epoch
-        session.update_far(FAR(far_id=9, action=FARAction(drop=True)))
-        assert session.hot.fars[9] is session.fars[9]
+        assert table.index.by_teid(0x999) is None
+        assert len(table) == 1
 
     def test_install_rebinds_epoch_on_hot_record(self):
         table = SessionTable()
         session = make_session(1, LinearClassifier)
         assert session.epoch is not table.epoch
         table.add(session)
-        assert session.hot.epoch is table.epoch
         assert session.epoch is table.epoch
-
-    def test_match_pdr_equivalent_through_both_surfaces(self):
-        session = make_session(1, LinearClassifier)
-        packet = ul_packet(1)
-        assert session.match_pdr(packet) is session.hot.match_pdr(packet)
-        assert session.match_pdr(packet).pdr_id == 1
+        stamp = table.epoch.value
+        session.update_far(FAR(far_id=9, action=FARAction(drop=True)))
+        assert table.epoch.value == stamp + 1
 
 
 # ----------------------------------------------------------------------
-# Ownership: the split preserves pre-split race semantics
+# Ownership: membership is UPF-C state, the data path only reads it
 # ----------------------------------------------------------------------
 class TestSlabRaceSemantics:
     def test_membership_and_data_path_roles_are_clean(self):
@@ -216,8 +148,8 @@ class TestSlabRaceSemantics:
         assert det.violations == [], det.report()
 
     def test_upf_u_adding_membership_is_flagged(self):
-        """Slab membership is UPF-C-owned state; a data-plane role
-        mutating it must still trip the detector after the split."""
+        """Membership is UPF-C-owned state; a data-plane role mutating
+        it must trip the detector."""
         with races.traced() as det:
             table = SessionTable()
             with det.role("upf-u"):
@@ -226,26 +158,22 @@ class TestSlabRaceSemantics:
 
 
 # ----------------------------------------------------------------------
-# Property: slab resolution == cold-object resolution
+# Property: data-path index == control-plane view under churn
 # ----------------------------------------------------------------------
-class ColdPathUPF(UPFUserPlane):
-    """The oracle: identical pipeline, but the session lookup resolves
-    through the cold delegation surface (table probe -> ``UPFSession``
-    -> ``.hot``) instead of probing the slab directly.  Any divergence
-    between the two lookups — a stale index map, a record the table
-    knows but the slab lost, mismatched rule containers — surfaces as
-    an observable difference downstream."""
+class ControlPlaneViewUPF(UPFUserPlane):
+    """The oracle: identical pipeline, but the session lookup takes the
+    route the UPF-C takes (``SessionTable.by_teid`` / ``by_ue_ip``)
+    instead of probing the data-path index.  Any divergence between
+    the two — a key one map lost, a stale entry for a removed session,
+    two maps naming different objects — surfaces as an observable
+    difference downstream."""
 
-    def _lookup_hot(self, packet):
+    def _lookup_session(self, packet):
         if packet.direction is not Direction.UPLINK:
-            session = self.sessions.by_ue_ip(packet.flow.dst_ip)
-        elif packet.teid is not None:
-            session = self.sessions.by_teid(packet.teid)
-        else:
-            return None
-        if session is None:
-            return None
-        return session.hot
+            return self.sessions.by_ue_ip(packet.flow.dst_ip)
+        if packet.teid is not None:
+            return self.sessions.by_teid(packet.teid)
+        return None
 
 
 SEIDS = (1, 2, 3)
@@ -309,7 +237,7 @@ def _packets_for(run, teidless_variant=3):
 
 
 def _replay(ops, flow_cache):
-    """Drive the production stack and the cold-path oracle in lockstep."""
+    """Drive the production stack and the oracle in lockstep."""
 
     def build(upf_class):
         table = SessionTable()
@@ -320,7 +248,7 @@ def _replay(ops, flow_cache):
         return table, upf
 
     hot_table, hot_upf = build(UPFUserPlane)
-    cold_table, cold_upf = build(ColdPathUPF)
+    cold_table, cold_upf = build(ControlPlaneViewUPF)
     hot_out, cold_out = [], []
     for op in ops:
         if op[0] in ("ul", "dl"):
@@ -335,11 +263,17 @@ def _replay(ops, flow_cache):
         hot_session = hot_table.by_seid(seid)
         cold_session = cold_table.by_seid(seid)
         assert (hot_session is None) == (cold_session is None)
+        # The three maps agree for every live session and miss for
+        # every removed one.
+        teid, ue_ip = 0x100 + seid, UE_BASE + seid
+        index = hot_table.index
+        assert index.by_teid(teid) is hot_session
+        assert index.by_ue_ip(ue_ip) is hot_session
+        assert hot_table.by_teid(teid) is hot_session
+        assert hot_table.by_ue_ip(ue_ip) is hot_session
         if hot_session is not None:
-            # The slab and the table agree on membership...
-            record = hot_table.hot_store.by_teid(hot_session.ul_teid)
-            assert record is hot_session.hot
-            # ...and URR accounting (cold state) matched the oracle.
+            assert (hot_session.ul_teid, hot_session.ue_ip) == (teid, ue_ip)
+            # URR accounting matched the oracle.
             if 1 in hot_session.usage_counters:
                 for attr in ("uplink_bytes", "downlink_bytes"):
                     assert (
@@ -353,13 +287,9 @@ def _replay(ops, flow_cache):
         for name in ("hits", "misses", "stale", "inserts", "evictions",
                      "purged"):
             assert getattr(hc, name) == getattr(cc, name), name
-    # Slab invariants hold after arbitrary churn.
-    store = hot_table.hot_store
-    assert len(store) == sum(
-        1 for seid in SEIDS if hot_table.by_seid(seid) is not None
-    )
-    for record in store.records():
-        assert store.by_index(record.index) is record
+    live = sum(1 for seid in SEIDS if hot_table.by_seid(seid) is not None)
+    assert len(hot_table) == live
+    assert len(hot_table._teid_index) == len(hot_table._ue_ip_index) == live
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.lifecycle import RULE_CONTAINERS
 from repro.net import Direction, FiveTuple, Packet
 from repro.pfcp import ies as pfcp_ies
 from repro.pfcp.builder import (
@@ -132,6 +133,27 @@ class TestSessionTable:
         assert table.by_teid(10) is None
         assert table.by_ue_ip(1) is None
         assert table.remove(1) is None
+
+    def test_session_object_is_closed(self):
+        """Per-session state is what ``UPFSession.__slots__`` declares:
+        a later change cannot quietly grow it, and every rule container
+        the analyser tracks is one of the declared attributes."""
+        session = UPFSession(seid=1, ue_ip=UE_IP, ul_teid=0x100)
+        with pytest.raises(AttributeError):
+            session.scratch = 1
+        assert not hasattr(session, "__dict__")
+        assert set(RULE_CONTAINERS) <= set(UPFSession.__slots__)
+
+    def test_cached_decision_holds_the_table_s_session(self):
+        """One object per session: what the pipeline memoizes after a
+        miss, and applies on the hit, is what N4 addresses by SEID."""
+        _env, table, upf_u, upf_c, *_ = build_upf(flow_cache=True)
+        establish(upf_c)
+        assert upf_u.process(dl_packet()) == "forwarded-dl"  # miss
+        assert upf_u.process(dl_packet()) == "forwarded-dl"  # hit
+        assert (upf_u.flow_cache.misses, upf_u.flow_cache.hits) == (1, 1)
+        (entry,) = upf_u.flow_cache._entries.values()
+        assert entry.session is table.by_seid(1)
 
 
 class TestRuleDecoding:
