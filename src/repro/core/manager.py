@@ -17,10 +17,27 @@ from ..sim.engine import MS, Environment
 from ..sim.queues import Store
 from .costs import DEFAULT_COSTS, CostModel
 from .nf import NetworkFunction, NFStatus
-from .pool import Descriptor, PacketAction, SharedMemoryPool
+from .pool import (
+    Descriptor,
+    PacketAction,
+    PoolExhaustedError,
+    SharedMemoryPool,
+)
 from .rings import RingFullError
 
-__all__ = ["NFManager", "ServiceEntry"]
+__all__ = ["DROP_REASONS", "NFManager", "ServiceEntry"]
+
+#: Why the manager dropped a descriptor: no RUNNING instance of the
+#: target service, mempool exhausted at arrival, target Rx ring full
+#: (at arrival or when routing), ``OUT`` to a port that does not exist,
+#: and an NF's own ``DROP`` (or an unchained ``NEXT``) action.
+DROP_REASONS = (
+    "no-instance",
+    "pool-exhausted",
+    "rx-ring-full",
+    "bad-port",
+    "drop-action",
+)
 
 
 @dataclass
@@ -44,13 +61,17 @@ class ServiceEntry:
         Smooth weighted round robin (the nginx algorithm): every
         instance's current weight grows by its configured weight each
         round, the largest wins and is decremented by the total — a
-        canary configured at 10 % receives exactly one in ten.
+        canary configured at 10 % receives exactly one in ten.  With
+        no weights it is the first running instance.
         """
+        if not self.weights:
+            for nf in self.instances:
+                if nf.status is NFStatus.RUNNING:
+                    return nf
+            return None
         running = self.running_instances()
         if not running:
             return None
-        if not self.weights:
-            return running[0]
         total = sum(self.weights.get(nf.instance_id, 0.0) for nf in running)
         if total <= 0:
             return running[0]
@@ -98,7 +119,8 @@ class NFManager:
         self.pool = SharedMemoryPool(pool_size, file_prefix)
         self.services: Dict[int, ServiceEntry] = {}
         self.ports: List[Store] = [Store(env) for _ in range(num_ports)]
-        self.dropped = 0
+        #: Descriptors the manager dropped, by reason (:data:`DROP_REASONS`).
+        self.drops: Dict[str, int] = dict.fromkeys(DROP_REASONS, 0)
         self.routed = 0
         self.transmitted = 0
         #: Callbacks invoked with the failed NF when liveness monitoring
@@ -107,6 +129,11 @@ class NFManager:
         self._nfs: List[NetworkFunction] = []
         self._running = False
         self._monitor_interval = 2 * MS
+
+    @property
+    def dropped(self) -> int:
+        """Descriptors dropped for any reason."""
+        return sum(self.drops.values())
 
     # ------------------------------------------------------------------
     # Registration
@@ -146,23 +173,24 @@ class NFManager:
         service's Rx ring (models packet arrival from a NIC port).
 
         Returns False when the packet had to be dropped (no instance,
-        full ring, or exhausted pool).
+        exhausted pool, or full ring), counted under that reason in
+        :attr:`drops`.
         """
         entry = self.services.get(service_id)
         target = entry.pick() if entry else None
         if target is None:
-            self.dropped += 1
+            self.drops["no-instance"] += 1
             return False
         try:
             descriptor = self.pool.alloc(payload)
-        except Exception:
-            self.dropped += 1
+        except PoolExhaustedError:
+            self.drops["pool-exhausted"] += 1
             return False
         try:
             target.rx_ring.enqueue(descriptor)
         except RingFullError:
             descriptor.free()
-            self.dropped += 1
+            self.drops["rx-ring-full"] += 1
             return False
         return True
 
@@ -172,14 +200,14 @@ class NFManager:
             entry = self.services.get(descriptor.destination)
             target = entry.pick() if entry else None
             if target is None:
-                self.dropped += 1
+                self.drops["no-instance"] += 1
                 descriptor.free()
                 return
             try:
                 target.rx_ring.enqueue(descriptor)
                 self.routed += 1
             except RingFullError:
-                self.dropped += 1
+                self.drops["rx-ring-full"] += 1
                 descriptor.free()
         elif action == PacketAction.OUT:
             port = descriptor.destination
@@ -189,10 +217,10 @@ class NFManager:
                 self.ports[port].put_nowait(payload)
                 self.transmitted += 1
             else:
-                self.dropped += 1
+                self.drops["bad-port"] += 1
                 descriptor.free()
         else:  # DROP / NEXT without a chain
-            self.dropped += 1
+            self.drops["drop-action"] += 1
             descriptor.free()
 
     # ------------------------------------------------------------------

@@ -219,8 +219,7 @@ class NetworkFunction:
                 if work > 0:
                     yield self.env.timeout(work)
                 if self.status in (NFStatus.STOPPED, NFStatus.FAILED):
-                    for descriptor in batch:
-                        descriptor.free()
+                    self.pool.free_burst(batch)
                     continue
                 for out in self.handle_burst(batch):
                     self._tx(out)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 __all__ = [
     "Descriptor",
@@ -72,6 +72,11 @@ class Descriptor:
     _pool: Optional["SharedMemoryPool"] = field(
         default=None, repr=False, compare=False
     )
+    #: True while the descriptor sits on its pool's free list; what
+    #: makes a second free of the same descriptor detectable.
+    _on_free_list: bool = field(
+        default=False, init=False, repr=False, compare=False
+    )
 
     def set_action(self, action: str, destination: int = 0) -> "Descriptor":
         """Set the manager action; returns self for chaining."""
@@ -112,6 +117,8 @@ class SharedMemoryPool:
         self._free: List[Descriptor] = [
             Descriptor(_pool=self) for _ in range(size)
         ]
+        for descriptor in self._free:
+            descriptor._on_free_list = True
         self._attached: Dict[str, int] = {}
         self.allocations = 0
         self.alloc_failures = 0
@@ -149,6 +156,7 @@ class SharedMemoryPool:
             self.alloc_failures += 1
             raise PoolExhaustedError(f"pool {self.file_prefix!r} exhausted")
         descriptor = self._free.pop()
+        descriptor._on_free_list = False
         descriptor.payload = payload
         descriptor.action = PacketAction.DROP
         descriptor.destination = 0
@@ -158,10 +166,23 @@ class SharedMemoryPool:
 
     def free(self, descriptor: Descriptor) -> None:
         """Return a descriptor to the pool."""
-        if descriptor._pool is not self:
-            raise ValueError("descriptor belongs to a different pool")
-        if len(self._free) >= self.size:
-            raise ValueError("double free of descriptor")
-        descriptor.payload = None
-        descriptor.meta.clear()
-        self._free.append(descriptor)
+        self.free_burst((descriptor,))
+
+    def free_burst(self, descriptors: Iterable[Descriptor]) -> None:
+        """Return a batch of descriptors in one call, in order (DPDK's
+        ``rte_mempool_put_bulk``).
+
+        Each descriptor is checked as it is returned: one from another
+        pool, or one already on the free list (a double free), raises
+        :class:`ValueError` and is not returned; those before it are.
+        """
+        free_list = self._free
+        for descriptor in descriptors:
+            if descriptor._pool is not self:
+                raise ValueError("descriptor belongs to a different pool")
+            if descriptor._on_free_list:
+                raise ValueError("double free of descriptor")
+            descriptor._on_free_list = True
+            descriptor.payload = None
+            descriptor.meta.clear()
+            free_list.append(descriptor)

@@ -8,12 +8,19 @@ buffer with separate head/tail counters, batch operations, and watermark
 statistics.  It is a real data structure — the micro-benchmarks in
 ``benchmarks/`` measure it directly.
 
-The accounting ledger (``enqueued`` / ``dequeued`` / ``dropped`` /
-``enqueue_failures`` / ``high_watermark``) is backed by
-:mod:`repro.obs.metrics` primitives; the int-returning attribute views
-and :meth:`Ring.stats` are kept for compatibility, and
-:meth:`Ring.register_into` exports the same objects into a
-:class:`~repro.obs.metrics.MetricsRegistry` — one tally, two views.
+As in ``rte_ring``, the free-running head and tail indices *are* the
+accounting ledger: ``enqueued`` is the head, ``dequeued`` is the tail
+less the descriptors :meth:`Ring.clear` discarded.  ``dropped``,
+``enqueue_failures`` and ``high_watermark`` are plain int attributes,
+and :meth:`Ring.register_into` exports all of them into a
+:class:`~repro.obs.metrics.MetricsRegistry` as callback gauges — one
+tally, read where it is kept.
+
+A burst is one ring operation, all or nothing: :meth:`Ring.enqueue_burst`
+shows every accepted descriptor to the sanitizer/tracer hooks before it
+stores any, and :meth:`Ring.dequeue_burst` takes the whole burst out of
+the ring before it shows any — so a hook that raises never leaves half a
+burst behind.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..analysis import sanitizer as _sanitizer
 from ..obs import spans as _tracing
-from ..obs.metrics import Counter, Gauge, MetricsRegistry
+from ..obs.metrics import MetricsRegistry
 
 __all__ = ["Ring", "RingFullError", "RingEmptyError"]
 
@@ -52,6 +59,9 @@ class Ring:
         index arithmetic is a mask operation, as in ``rte_ring``.
     name:
         Identification for debugging and statistics.
+
+    Every slot outside ``[tail, head)`` holds ``None``: a descriptor
+    that left the ring is never pinned by it.
     """
 
     __slots__ = (
@@ -60,11 +70,9 @@ class Ring:
         "_slots",
         "_head",
         "_tail",
-        "_enqueued",
-        "_dequeued",
-        "_dropped",
-        "_enqueue_failures",
-        "_high_watermark",
+        "dropped",
+        "enqueue_failures",
+        "high_watermark",
     )
 
     def __init__(self, capacity: int = 1024, name: str = "ring"):
@@ -74,13 +82,14 @@ class Ring:
         self.name = name
         self._mask = size - 1
         self._slots: List[Any] = [None] * size
-        self._head = 0  # next slot to write (producer)
-        self._tail = 0  # next slot to read (consumer)
-        self._enqueued = Counter(f"ring.{name}.enqueued")
-        self._dequeued = Counter(f"ring.{name}.dequeued")
-        self._dropped = Counter(f"ring.{name}.dropped")
-        self._enqueue_failures = Counter(f"ring.{name}.enqueue_failures")
-        self._high_watermark = Gauge(f"ring.{name}.high_watermark")
+        self._head = 0  # next slot to write (producer); = enqueued
+        self._tail = 0  # next slot to read (consumer); = dequeued + dropped
+        #: Descriptors discarded by :meth:`clear`.
+        self.dropped = 0
+        #: Descriptors refused because the ring was full.
+        self.enqueue_failures = 0
+        #: Highest occupancy ever reached.
+        self.high_watermark = 0
 
     # -- inspection ---------------------------------------------------------
     @property
@@ -94,7 +103,7 @@ class Ring:
     @property
     def free_count(self) -> int:
         """Slots currently available to the producer."""
-        return self.capacity - len(self)
+        return self._mask + 1 - (self._head - self._tail)
 
     @property
     def is_empty(self) -> bool:
@@ -102,39 +111,30 @@ class Ring:
 
     @property
     def is_full(self) -> bool:
-        return len(self) == self.capacity
+        return self._head - self._tail > self._mask
 
-    # -- counter views (compatibility with the pre-obs int attributes) ------
     @property
     def enqueued(self) -> int:
-        return self._enqueued.value
+        """Descriptors ever stored: the head index."""
+        return self._head
 
     @property
     def dequeued(self) -> int:
-        return self._dequeued.value
-
-    @property
-    def dropped(self) -> int:
-        return self._dropped.value
-
-    @property
-    def enqueue_failures(self) -> int:
-        return self._enqueue_failures.value
-
-    @property
-    def high_watermark(self) -> int:
-        return int(self._high_watermark.value)
+        """Descriptors ever handed to the consumer."""
+        return self._tail - self.dropped
 
     def register_into(self, registry: MetricsRegistry) -> None:
-        """Export this ring's counters/watermark into ``registry``."""
-        for metric in (
-            self._enqueued,
-            self._dequeued,
-            self._dropped,
-            self._enqueue_failures,
-            self._high_watermark,
+        """Export this ring's ledger and occupancy into ``registry``."""
+        for tally in (
+            "enqueued",
+            "dequeued",
+            "dropped",
+            "enqueue_failures",
+            "high_watermark",
         ):
-            registry.register(metric)
+            registry.gauge(f"ring.{self.name}.{tally}").set_function(
+                lambda tally=tally: getattr(self, tally)
+            )
         registry.gauge(f"ring.{self.name}.occupancy").set_function(
             lambda: len(self)
         )
@@ -142,54 +142,77 @@ class Ring:
     # -- single operations ----------------------------------------------------
     def enqueue(self, descriptor: Any) -> None:
         """Push one descriptor; raises :class:`RingFullError` when full."""
-        if self.is_full:
-            self._enqueue_failures.inc()
+        head = self._head
+        if head - self._tail > self._mask:
+            self.enqueue_failures += 1
             raise RingFullError(f"{self.name}: ring full ({self.capacity})")
-        san = _sanitizer.active()
+        san = _sanitizer._ACTIVE
         if san is not None:
             san.on_enqueue(self.name, descriptor)
-        tracer = _tracing.active()
+        tracer = _tracing._ACTIVE
         if tracer is not None:
             tracer.on_ring_enqueue(self.name, descriptor)
-        self._slots[self._head & self._mask] = descriptor
-        self._head += 1
-        self._enqueued.inc()
-        self._high_watermark.set_max(len(self))
+        self._slots[head & self._mask] = descriptor
+        head += 1
+        self._head = head
+        if head - self._tail > self.high_watermark:
+            self.high_watermark = head - self._tail
 
     def dequeue(self) -> Any:
         """Pop one descriptor; raises :class:`RingEmptyError` when empty."""
-        if self.is_empty:
+        tail = self._tail
+        if self._head == tail:
             raise RingEmptyError(f"{self.name}: ring empty")
-        index = self._tail & self._mask
+        index = tail & self._mask
         descriptor = self._slots[index]
         self._slots[index] = None
-        self._tail += 1
-        self._dequeued.inc()
-        san = _sanitizer.active()
+        self._tail = tail + 1
+        san = _sanitizer._ACTIVE
         if san is not None:
             san.on_dequeue(self.name, descriptor)
-        tracer = _tracing.active()
+        tracer = _tracing._ACTIVE
         if tracer is not None:
             tracer.on_ring_dequeue(self.name, descriptor)
         return descriptor
 
     # -- batch operations (the common fast path in ONVM) -----------------------
     def enqueue_burst(self, descriptors: Sequence[Any]) -> int:
-        """Push as many of ``descriptors`` as fit; returns how many."""
-        space = self.free_count
-        count = min(space, len(descriptors))
-        san = _sanitizer.active()
-        tracer = _tracing.active()
-        for i in range(count):
-            if san is not None:
-                san.on_enqueue(self.name, descriptors[i])
-            if tracer is not None:
-                tracer.on_ring_enqueue(self.name, descriptors[i])
-            self._slots[self._head & self._mask] = descriptors[i]
-            self._head += 1
-        self._enqueued.inc(count)
-        self._enqueue_failures.inc(len(descriptors) - count)
-        self._high_watermark.set_max(len(self))
+        """Push as many of ``descriptors`` as fit; returns how many.
+
+        The accepted prefix is shown to the hooks first and then stored
+        as one slice; a hook that raises leaves the ring, and its
+        tallies, as they were.
+        """
+        head = self._head
+        occupancy = head - self._tail
+        total = len(descriptors)
+        count = self._mask + 1 - occupancy
+        if total < count:
+            count = total
+        elif count < total:
+            descriptors = descriptors[:count]
+        san = _sanitizer._ACTIVE
+        tracer = _tracing._ACTIVE
+        if san is not None or tracer is not None:
+            for descriptor in descriptors:
+                if san is not None:
+                    san.on_enqueue(self.name, descriptor)
+                if tracer is not None:
+                    tracer.on_ring_enqueue(self.name, descriptor)
+        slots = self._slots
+        start = head & self._mask
+        end = start + count
+        if end <= len(slots):
+            slots[start:end] = descriptors
+        else:
+            split = len(slots) - start
+            slots[start:] = descriptors[:split]
+            slots[:end - len(slots)] = descriptors[split:]
+        self._head = head + count
+        self.enqueue_failures += total - count
+        occupancy += count
+        if occupancy > self.high_watermark:
+            self.high_watermark = occupancy
         return count
 
     def dequeue_burst(self, max_count: int) -> List[Any]:
@@ -198,29 +221,40 @@ class Ring:
         Stats-equivalent to ``count`` singleton :meth:`dequeue` calls:
         ``dequeued`` advances by exactly the number of descriptors
         returned, and the sanitizer/tracer see each descriptor
-        individually.  A non-positive ``max_count`` pops nothing (a
-        negative count must never reach the monotonic counter).
+        individually, in order — after the whole burst has left the
+        ring.  A non-positive ``max_count`` pops nothing.
         """
-        count = max(0, min(max_count, len(self)))
-        out: List[Any] = []
-        san = _sanitizer.active()
-        tracer = _tracing.active()
-        for _ in range(count):
-            index = self._tail & self._mask
-            descriptor = self._slots[index]
-            self._slots[index] = None
-            self._tail += 1
-            if san is not None:
-                san.on_dequeue(self.name, descriptor)
-            if tracer is not None:
-                tracer.on_ring_dequeue(self.name, descriptor)
-            out.append(descriptor)
-        self._dequeued.inc(count)
+        tail = self._tail
+        count = self._head - tail
+        if max_count < count:
+            count = max_count
+        if count <= 0:
+            return []
+        slots = self._slots
+        start = tail & self._mask
+        end = start + count
+        if end <= len(slots):
+            out = slots[start:end]
+            slots[start:end] = [None] * count
+        else:
+            end -= len(slots)
+            out = slots[start:] + slots[:end]
+            slots[start:] = [None] * (len(slots) - start)
+            slots[:end] = [None] * end
+        self._tail = tail + count
+        san = _sanitizer._ACTIVE
+        tracer = _tracing._ACTIVE
+        if san is not None or tracer is not None:
+            for descriptor in out:
+                if san is not None:
+                    san.on_dequeue(self.name, descriptor)
+                if tracer is not None:
+                    tracer.on_ring_dequeue(self.name, descriptor)
         return out
 
     def peek(self) -> Optional[Any]:
         """The oldest descriptor without removing it, or None."""
-        if self.is_empty:
+        if self._head == self._tail:
             return None
         return self._slots[self._tail & self._mask]
 
@@ -231,9 +265,9 @@ class Ring:
         ledger stays balanced (``enqueued == dequeued + dropped + len``)
         and sanitizer/watermark numbers remain consistent.
         """
-        count = len(self)
-        san = _sanitizer.active()
-        tracer = _tracing.active()
+        count = self._head - self._tail
+        san = _sanitizer._ACTIVE
+        tracer = _tracing._ACTIVE
         if count and (san is not None or tracer is not None):
             live = [
                 self._slots[index & self._mask]
@@ -243,10 +277,9 @@ class Ring:
                 san.on_clear(self.name, live)
             if tracer is not None:
                 tracer.on_ring_clear(self.name, live)
-        for i in range(len(self._slots)):
-            self._slots[i] = None
+        self._slots[:] = [None] * len(self._slots)
         self._tail = self._head
-        self._dropped.inc(count)
+        self.dropped += count
         return count
 
     def stats(self) -> Dict[str, int]:

@@ -9,8 +9,9 @@ first-class measurement layer:
   of a 3GPP procedure with per-NF, per-interface, and
   per-cost-component timing.
 * :mod:`repro.obs.metrics` — counters, gauges, and fixed-bucket
-  histograms behind a :class:`MetricsRegistry`; platform tallies like
-  ``MessageBus.lost`` and ``Ring.stats()`` are thin views over these.
+  histograms behind a :class:`MetricsRegistry`; ``MessageBus.lost`` is
+  a thin view over a counter, and a ``Ring`` exports the ledger it
+  keeps in its own indices as callback gauges (``register_into``).
 * :mod:`repro.obs.export` — Chrome-trace/Perfetto JSON for spans,
   flat JSON/CSV for metrics, plus an ASCII tree renderer.
 * :mod:`repro.obs.breakdown` — Fig 6 (serialize/protocol/deserialize)

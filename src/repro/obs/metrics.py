@@ -314,7 +314,7 @@ class MetricsRegistry:
         return metric
 
     def register(self, metric: Metric) -> Metric:
-        """Adopt an externally constructed metric (e.g. a Ring's own)."""
+        """Adopt an externally constructed metric (e.g. the bus's own)."""
         existing = self._metrics.get(metric.name)
         if existing is not None and existing is not metric:
             raise ValueError(f"metric name already registered: {metric.name}")

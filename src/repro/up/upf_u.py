@@ -176,6 +176,10 @@ class UPFUserPlane(NetworkFunction):
             self.burst_mode = True
             self.burst = burst_size
         self.stats = ForwardingStats()
+        #: ``per_packet_cost(fast_path, size)`` by packet size: the value
+        #: the cost model returns, so simulated time is bit-identical
+        #: (``costs`` and ``fast_path`` are not changed after set-up).
+        self._packet_cost: Dict[int, float] = {}
         #: Absolute time each session's drain completes (serial
         #: re-injection of buffered packets); packets arriving before
         #: then queue behind the drain.
@@ -567,7 +571,11 @@ class UPFUserPlane(NetworkFunction):
     def processing_time(self, descriptor: Descriptor) -> float:
         packet = descriptor.payload
         size = packet.size if isinstance(packet, Packet) else 64
-        return self.costs.per_packet_cost(self.fast_path, size)
+        cost = self._packet_cost.get(size)
+        if cost is None:
+            cost = self.costs.per_packet_cost(self.fast_path, size)
+            self._packet_cost[size] = cost
+        return cost
 
     def handle(self, descriptor: Descriptor):
         packet = descriptor.payload
@@ -577,7 +585,8 @@ class UPFUserPlane(NetworkFunction):
         return ()
 
     def handle_burst(self, descriptors):
-        """Platform burst path: one :meth:`process_burst` per poll.
+        """Platform burst path: one :meth:`process_burst` per poll, then
+        the batch goes back to the pool in one ``free_burst`` call.
 
         The run loop has already charged the batch's summed processing
         time, so the whole burst executes at a single simulation
@@ -591,6 +600,5 @@ class UPFUserPlane(NetworkFunction):
         ]
         if packets:
             self.process_burst(packets)
-        for descriptor in descriptors:
-            descriptor.free()
+        self.pool.free_burst(descriptors)
         return ()

@@ -8,7 +8,9 @@ from repro.core import (
     NFManager,
     NFStatus,
     PacketAction,
+    ServiceEntry,
 )
+from repro.core.manager import DROP_REASONS
 from repro.sim import MS, Environment
 
 
@@ -32,8 +34,16 @@ class ChainNF(NetworkFunction):
         return (descriptor,)
 
 
-def build(env, nf_classes):
-    manager = NFManager(env, pool_size=256)
+class BadPortNF(NetworkFunction):
+    """Transmits out of a port the manager does not have."""
+
+    def handle(self, descriptor):
+        descriptor.set_action(PacketAction.OUT, 9)
+        return (descriptor,)
+
+
+def build(env, nf_classes, pool_size=256):
+    manager = NFManager(env, pool_size=pool_size)
     nfs = []
     for index, item in enumerate(nf_classes):
         cls, kwargs = item if isinstance(item, tuple) else (item, {})
@@ -140,6 +150,120 @@ class TestRouting:
         assert set(stats) == {
             "routed", "transmitted", "dropped", "pool_in_use", "nfs"
         }
+
+
+def _no_instance(env):
+    manager, (nf,) = build(env, [CountingNF])
+    nf.fail()
+    return manager, 1
+
+
+def _pool_exhausted(env):
+    manager, _ = build(env, [CountingNF], pool_size=1)
+    return manager, 2
+
+
+def _rx_ring_full_at_inject(env):
+    manager, _ = build(env, [(CountingNF, {"ring_size": 1})])
+    return manager, 2
+
+
+def _rx_ring_full_at_route(env):
+    # Both descriptors reach the Tx ring within one manager poll; the
+    # second finds the one-slot Rx ring of service 2 still occupied.
+    manager, _ = build(
+        env,
+        [(ChainNF, {"next_service": 2}), (CountingNF, {"ring_size": 1})],
+    )
+    return manager, 2
+
+
+def _bad_port(env):
+    manager, _ = build(env, [BadPortNF])
+    return manager, 1
+
+
+def _drop_action(env):
+    manager, _ = build(env, [NetworkFunction])  # forwards with DROP
+    return manager, 1
+
+
+class TestDropReasons:
+    """Every injected packet leaves through a port or is counted under
+    exactly one named drop reason."""
+
+    @pytest.mark.parametrize(
+        "reason, scenario",
+        [
+            ("no-instance", _no_instance),
+            ("pool-exhausted", _pool_exhausted),
+            ("rx-ring-full", _rx_ring_full_at_inject),
+            ("rx-ring-full", _rx_ring_full_at_route),
+            ("bad-port", _bad_port),
+            ("drop-action", _drop_action),
+        ],
+        ids=[
+            "no-instance",
+            "pool-exhausted",
+            "rx-ring-full-at-inject",
+            "rx-ring-full-at-route",
+            "bad-port",
+            "drop-action",
+        ],
+    )
+    def test_each_reason_is_counted_once(self, reason, scenario):
+        env = Environment()
+        manager, injected = scenario(env)
+        for index in range(injected):
+            manager.inject(f"pkt-{index}", service_id=1)
+        env.run(until=10 * MS)
+        expected = dict.fromkeys(DROP_REASONS, 0)
+        expected[reason] = 1
+        assert manager.drops == expected
+        assert manager.dropped == manager.stats()["dropped"] == 1
+        assert manager.transmitted + manager.dropped == injected
+        assert manager.pool.in_use == 0
+
+    def test_an_allocator_fault_is_not_a_drop(self, monkeypatch):
+        env = Environment()
+        manager, _ = build(env, [CountingNF])
+
+        def broken(payload=None):
+            raise RuntimeError("allocator bug")
+
+        monkeypatch.setattr(manager.pool, "alloc", broken)
+        with pytest.raises(RuntimeError, match="allocator bug"):
+            manager.inject("pkt", service_id=1)
+        assert manager.dropped == 0
+
+
+class TestPick:
+    @staticmethod
+    def _entry(env, statuses):
+        entry = ServiceEntry(1)
+        for index, status in enumerate(statuses):
+            nf = NetworkFunction(env, f"nf-{index}", 1, instance_id=index)
+            nf.status = status
+            entry.instances.append(nf)
+        return entry
+
+    def test_unweighted_pick_skips_instances_not_running(self, count_calls):
+        entry = self._entry(
+            Environment(),
+            [NFStatus.FROZEN, NFStatus.FAILED, NFStatus.RUNNING, NFStatus.RUNNING],
+        )
+        listing = count_calls(entry, "running_instances")
+        assert entry.pick() is entry.instances[2]
+        assert listing.calls == 0
+
+    def test_unweighted_pick_with_nothing_running_is_none(self, count_calls):
+        entry = self._entry(
+            Environment(),
+            [NFStatus.STARTING, NFStatus.FROZEN, NFStatus.STOPPED],
+        )
+        listing = count_calls(entry, "running_instances")
+        assert entry.pick() is None
+        assert listing.calls == 0
 
 
 class TestCanary:

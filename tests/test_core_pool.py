@@ -45,6 +45,40 @@ class TestAllocation:
         with pytest.raises(ValueError):
             pool.free(descriptor)
 
+    def test_double_free_raises_while_another_descriptor_is_out(self):
+        pool = SharedMemoryPool(size=4)
+        first = pool.alloc()
+        pool.alloc()  # keeps the pool short of full
+        first.free()
+        with pytest.raises(ValueError, match="double free"):
+            first.free()
+        assert pool.in_use == 1
+        assert pool.alloc() is not pool.alloc()  # no descriptor handed out twice
+
+    def test_free_burst_returns_the_batch(self):
+        pool = SharedMemoryPool(size=4)
+        batch = [pool.alloc(payload=seq) for seq in range(3)]
+        pool.free_burst(batch)
+        assert pool.in_use == 0
+        assert all(descriptor.payload is None for descriptor in batch)
+        with pytest.raises(ValueError, match="double free"):
+            pool.free(batch[1])
+
+    def test_free_burst_rejects_a_descriptor_freed_twice(self):
+        pool = SharedMemoryPool(size=4)
+        first, second, _ = (pool.alloc() for _ in range(3))
+        with pytest.raises(ValueError, match="double free"):
+            pool.free_burst([first, second, first])
+        assert pool.in_use == 1  # the two before the repeat went back once
+        assert len({id(pool.alloc()) for _ in range(3)}) == 3
+
+    def test_free_burst_rejects_a_foreign_descriptor(self):
+        pool_a, pool_b = SharedMemoryPool(size=2), SharedMemoryPool(size=2)
+        with pytest.raises(ValueError, match="different pool"):
+            pool_b.free_burst([pool_b.alloc(), pool_a.alloc()])
+        assert pool_b.in_use == 0
+        assert pool_a.in_use == 1
+
     def test_foreign_descriptor_rejected(self):
         pool_a = SharedMemoryPool(size=1)
         pool_b = SharedMemoryPool(size=1)

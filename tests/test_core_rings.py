@@ -1,10 +1,15 @@
 """Tests for the SPSC descriptor rings."""
 
+import itertools
+from collections import deque
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Ring, RingEmptyError, RingFullError
+from repro.analysis.sanitizer import SanitizerError, sanitized
+from repro.core import Descriptor, Ring, RingEmptyError, RingFullError
+from repro.obs.metrics import MetricsRegistry
 
 
 class TestBasics:
@@ -240,3 +245,130 @@ class TestDequeueBurstEquivalence:
             ]
             assert got == singles
             assert burst_ring.stats() == single_ring.stats()
+
+
+_OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("enqueue"), st.just(1)),
+        st.tuples(st.just("enqueue_burst"), st.integers(0, 10)),
+        st.tuples(st.just("dequeue"), st.just(1)),
+        st.tuples(st.just("dequeue_burst"), st.integers(-1, 10)),
+        st.tuples(st.just("peek"), st.just(0)),
+        st.tuples(st.just("clear"), st.just(0)),
+    ),
+    max_size=300,
+)
+
+
+class TestAgainstDequeModel:
+    """Every operation against a ``deque`` over many wraps of the
+    indices: contents, order, the ledger, and empty vacated slots."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(capacity=st.sampled_from([1, 2, 8]), operations=_OPERATIONS)
+    def test_ring_matches_model(self, capacity, operations):
+        ring = Ring(capacity)
+        model = deque()
+        fresh = itertools.count(1)
+        failures = high_watermark = 0
+        for operation, count in operations:
+            if operation == "enqueue":
+                item = next(fresh)
+                if len(model) == capacity:
+                    with pytest.raises(RingFullError):
+                        ring.enqueue(item)
+                    failures += 1
+                else:
+                    ring.enqueue(item)
+                    model.append(item)
+            elif operation == "enqueue_burst":
+                items = [next(fresh) for _ in range(count)]
+                fit = min(count, capacity - len(model))
+                assert ring.enqueue_burst(items) == fit
+                model.extend(items[:fit])
+                failures += count - fit
+            elif operation == "dequeue":
+                if model:
+                    assert ring.dequeue() == model.popleft()
+                else:
+                    with pytest.raises(RingEmptyError):
+                        ring.dequeue()
+            elif operation == "dequeue_burst":
+                taken = max(0, min(count, len(model)))
+                expected = [model.popleft() for _ in range(taken)]
+                assert ring.dequeue_burst(count) == expected
+            elif operation == "peek":
+                assert ring.peek() == (model[0] if model else None)
+            else:
+                assert ring.clear() == len(model)
+                model.clear()
+            high_watermark = max(high_watermark, len(model))
+
+            assert len(ring) == len(model)
+            assert ring.enqueued == ring.dequeued + ring.dropped + len(ring)
+            assert ring.enqueue_failures == failures
+            assert ring.high_watermark == high_watermark
+            # The queued window holds the model in order, and every
+            # other slot is empty: nothing that left pins an object.
+            live = [
+                ring._slots[index & ring._mask]
+                for index in range(ring._tail, ring._head)
+            ]
+            assert live == list(model)
+            assert sum(slot is not None for slot in ring._slots) == len(model)
+
+
+class TestAtomicBursts:
+    """A burst is one ring operation: a hook that raises part-way
+    through never leaves half a burst in (or out of) the ring."""
+
+    def test_dequeue_burst_is_all_out_before_a_hook_raises(self):
+        ring = Ring(4, name="rx")
+        descriptors = [Descriptor(payload={"seq": seq}) for seq in range(4)]
+        with sanitized(strict=True):
+            ring.enqueue(descriptors[0])
+            ring.enqueue(descriptors[1])
+            ring.dequeue_burst(2)  # head/tail now straddle the wrap
+            ring.enqueue_burst(descriptors)
+            descriptors[2].payload["seq"] = 99  # mutate while queued
+            with pytest.raises(SanitizerError, match="mutate-after-send"):
+                ring.dequeue_burst(4)
+        assert ring.is_empty
+        assert ring.dequeued == 6
+        assert ring.enqueued == ring.dequeued + ring.dropped
+        assert ring._slots == [None] * 4
+
+    def test_enqueue_burst_stores_nothing_when_a_hook_raises(self):
+        ring, other = Ring(4, name="rx"), Ring(4, name="tx")
+        descriptors = [Descriptor(payload={"seq": seq}) for seq in range(3)]
+        with sanitized(strict=True):
+            other.enqueue(descriptors[1])
+            with pytest.raises(SanitizerError, match="double-enqueue"):
+                ring.enqueue_burst(descriptors)  # [1] still on "tx"
+        assert ring.is_empty
+        assert ring.enqueued == 0
+        assert ring.enqueue_failures == 0
+        assert ring.high_watermark == 0
+        assert ring._slots == [None] * 4
+
+
+class TestRegistryExport:
+    def test_register_into_exports_the_ledger_as_live_gauges(self):
+        ring = Ring(4, name="rx")
+        registry = MetricsRegistry()
+        ring.register_into(registry)
+        ring.enqueue_burst(list(range(6)))
+        ring.dequeue()
+        ring.clear()
+        ring.enqueue("x")
+        assert {
+            name: (registry.get(name).kind, registry.get(name).value)
+            for name in registry.names()
+        } == {
+            "ring.rx.enqueued": ("gauge", 5),
+            "ring.rx.dequeued": ("gauge", 1),
+            "ring.rx.dropped": ("gauge", 3),
+            "ring.rx.enqueue_failures": ("gauge", 2),
+            "ring.rx.high_watermark": ("gauge", 4),
+            "ring.rx.occupancy": ("gauge", 1),
+        }

@@ -17,7 +17,7 @@ from repro.up import SessionTable, UPFControlPlane, UPFUserPlane
 UE_IP = 0x0A3C0001
 
 
-def build_platform(fast_path=True):
+def build_platform(fast_path=True, burst_size=1):
     env = Environment()
     manager = NFManager(env, pool_size=4096)
     table = SessionTable()
@@ -28,6 +28,7 @@ def build_platform(fast_path=True):
         service_id=2,
         downlink_sink=lambda p, t, a: delivered.append(p),
         fast_path=fast_path,
+        burst_size=burst_size,
     )
     upf_c = UPFControlPlane(table, upf_u=upf_u, address=1)
     upf_c.handle(
@@ -62,6 +63,60 @@ class TestUPFOnPlatform:
         assert upf_u.handled == 50
         # All descriptors returned to the pool.
         assert manager.pool.in_use == 0
+
+    @pytest.mark.parametrize("burst_size", [1, 32])
+    def test_every_packet_is_conserved_at_the_modeled_instant(
+        self, burst_size
+    ):
+        """Mixed sizes through the Rx ring, the poll loop and the pool:
+        each packet delivered once, in order, each descriptor back in
+        the pool exactly once, and the last packet handled at the
+        instant the per-descriptor costs give when added in order."""
+        env, manager, upf_u, delivered = build_platform(burst_size=burst_size)
+        finished = []
+
+        def sink(packet, teid, address):
+            delivered.append(packet)
+            finished.append(env.now)
+
+        returned = []  # every descriptor handed to handle / handle_burst
+        handle, handle_burst = upf_u.handle, upf_u.handle_burst
+
+        def record_one(descriptor):
+            returned.append(descriptor)
+            return handle(descriptor)
+
+        def record_batch(descriptors):
+            returned.extend(descriptors)
+            return handle_burst(descriptors)
+
+        upf_u.downlink_sink = sink
+        upf_u.handle, upf_u.handle_burst = record_one, record_batch
+        count = 96
+        sizes = [(64, 128, 1500)[seq % 3] for seq in range(count)]
+        for seq, size in enumerate(sizes):
+            assert manager.inject(dl_packet(seq, size), service_id=2)
+        env.run(until=10 * MS)
+
+        assert [p.seq for p in delivered] == list(range(count))
+        assert upf_u.handled == count
+        assert manager.pool.in_use == 0
+        assert upf_u.rx_ring.enqueued == upf_u.rx_ring.dequeued == count
+        # The poll loop charges each drained batch as one timeout: the
+        # batch's costs summed one descriptor at a time, in order.
+        expected = 0.0
+        for begin in range(0, count, burst_size):
+            work = 0.0
+            for size in sizes[begin:begin + burst_size]:
+                work += DEFAULT_COSTS.per_packet_cost(True, size)
+            expected += work
+        assert finished[-1] == expected
+        assert len(returned) == count
+        held = manager.pool.alloc()  # the pool is no longer full
+        for descriptor in returned:
+            if descriptor is not held:
+                with pytest.raises(ValueError, match="double free"):
+                    descriptor.free()
 
     @pytest.mark.parametrize("fast_path", [True, False], ids=["dpdk", "kernel"])
     def test_poll_loop_charges_per_packet_cost(self, fast_path):
