@@ -52,8 +52,6 @@ class SystemConfig:
     #: Buffer handover DL traffic at the UPF (L25GC §3.3) instead of
     #: the source gNB with hairpin routing (3GPP default).
     smart_handover_buffering: bool = True
-    #: Model free5GC's per-call NRF discovery round trips on the SBI.
-    nrf_discovery: bool = True
     #: L25GC buffers per session (§3.3); free5GC's paging/HO buffer
     #: shares memory with other sessions' kernel backlog.
     session_scoped_buffering: bool = True
@@ -299,40 +297,35 @@ class FiveGCore:
         destination: str,
         request: SBIMessage,
         response: SBIMessage,
-        discovery: Optional[bool] = None,
         request_handler_time: Optional[float] = None,
-        response_handler_time: Optional[float] = None,
     ):
-        """One SBI request/response, optionally preceded by NRF discovery.
+        """One SBI request/response, preceded by NRF discovery.
 
-        free5GC consults the NRF when the client has no cached profile
-        for the producer; modelling it as an explicit exchange keeps the
-        message counts honest for both systems (L25GC also discovers —
-        just over shared memory).
+        free5GC's OpenAPI consumers do not cache producer profiles, so
+        they consult the NRF per request; L25GC issues the same
+        discovery exchange, only over shared memory.  Modelling it as an
+        explicit exchange keeps the message counts honest for both.
         """
-        if discovery is None:
-            discovery = self.config.nrf_discovery
-        if discovery:
-            yield self.bus.send(
-                source,
-                "nrf",
-                NFDiscoveryRequest(
-                    target_nf_type=destination.upper(),
-                    requester_nf_type=source.upper(),
-                ),
-                size=512,
-                handler_time=self.costs.handler_processing / 2,
-                interface="sbi",
-            )
-            self.nrf.discover(destination.upper())
-            yield self.bus.send(
-                "nrf",
-                source,
-                NFDiscoveryResponse(),
-                size=1500,
-                handler_time=self.costs.handler_processing / 2,
-                interface="sbi",
-            )
+        yield self.bus.send(
+            source,
+            "nrf",
+            NFDiscoveryRequest(
+                target_nf_type=destination.upper(),
+                requester_nf_type=source.upper(),
+            ),
+            size=512,
+            handler_time=self.costs.handler_processing / 2,
+            interface="sbi",
+        )
+        self.nrf.discover(destination.upper())
+        yield self.bus.send(
+            "nrf",
+            source,
+            NFDiscoveryResponse(),
+            size=1500,
+            handler_time=self.costs.handler_processing / 2,
+            interface="sbi",
+        )
         yield self.bus.send(
             source,
             destination,
@@ -342,12 +335,7 @@ class FiveGCore:
             interface="sbi",
         )
         yield self.bus.send(
-            destination,
-            source,
-            response,
-            size=768,
-            handler_time=response_handler_time,
-            interface="sbi",
+            destination, source, response, size=768, interface="sbi"
         )
         return response
 

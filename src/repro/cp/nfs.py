@@ -19,7 +19,16 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .context import RegistrationState, SMContext, UEContext
 
-__all__ = ["AMF", "SMF", "AUSF", "UDM", "PCF", "NRF", "AuthVector"]
+__all__ = [
+    "AMF", "SMF", "AUSF", "UDM", "PCF", "NRF", "AuthVector",
+    "SERVING_NETWORK", "NON3GPP_NETWORK", "res_star", "at_res",
+]
+
+#: The serving network name 5G-AKA binds RES* to.
+SERVING_NETWORK = "5G:mnc093.mcc208.3gppnetwork.org"
+#: The access network name EAP-AKA' binds CK'/IK' to (untrusted
+#: non-3GPP access through an N3IWF).
+NON3GPP_NETWORK = "5G:NR:non3gpp"
 
 
 @dataclass
@@ -34,6 +43,17 @@ class AuthVector:
 
 def _digest(*parts: str) -> str:
     return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()[:32]
+
+
+def res_star(key: str, rand: str, serving_network: str) -> str:
+    """5G-AKA RES*: what the UE answers a challenge with, and the XRES*
+    the AUSF expects — one derivation for both sides."""
+    return _digest("xres*", key, rand, serving_network)
+
+
+def at_res(key: str, rand: str, network_name: str) -> str:
+    """EAP-AKA' AT_RES, derived alike by the UE and the AUSF."""
+    return _digest("at-res", key, rand, network_name)
 
 
 class AMF:
@@ -173,25 +193,21 @@ class AUSF:
         """Derive the AKA vector from the subscriber key."""
         rand = _digest("rand", supi, serving_network)
         autn = _digest("autn", key, rand)
-        xres_star = _digest("xres*", key, rand, serving_network)
         vector = AuthVector(
             rand=rand,
             autn=autn,
-            hxres_star=_digest("hxres*", xres_star),
+            hxres_star=_digest("hxres*", res_star(key, rand, serving_network)),
             kausf=_digest("kausf", key, rand),
         )
         self.pending[supi] = vector
         return vector
 
-    def confirm(self, supi: str, res_star: str, key: str) -> Optional[str]:
+    def confirm(self, supi: str, response: str, key: str) -> Optional[str]:
         """Verify RES*; returns KSEAF on success, None on failure."""
         vector = self.pending.get(supi)
         if vector is None:
             return None
-        expected = _digest(
-            "xres*", key, vector.rand, "5G:mnc093.mcc208.3gppnetwork.org"
-        )
-        if res_star != expected:
+        if response != res_star(key, vector.rand, SERVING_NETWORK):
             return None
         del self.pending[supi]
         return _digest("kseaf", vector.kausf)
@@ -224,8 +240,7 @@ class AUSF:
         vector = self.pending.get(f"eap:{supi}")
         if vector is None:
             return None
-        expected = _digest("at-res", key, vector.rand, network_name)
-        if response != expected:
+        if response != at_res(key, vector.rand, network_name):
             return None
         del self.pending[f"eap:{supi}"]
         return _digest("kseaf", vector.kausf)

@@ -1,12 +1,16 @@
-"""The 3GPP control-plane procedures (TS 23.502), as DES processes.
+"""The 3GPP control-plane procedures (TS 23.502) as step tables.
 
-Each procedure is a generator that drives the exact message sequence of
-the specification over the core's configured transports: UE
-registration (§4.2.2.2), PDU session establishment (§4.3.2.2), the N2
-handover (§4.9.1.3) and paging / network-triggered service request
-(§4.2.3.3).  The sequences are *identical* for free5GC and L25GC —
-only the per-message channel costs differ, which is precisely how the
-paper argues 3GPP compliance while cutting latency.
+A procedure is a tuple of :class:`Step` rows, and one runner,
+:meth:`ProcedureRunner._steps`, drives every table over the core's
+configured transports.  The sequences are *identical* for free5GC and
+L25GC — only the per-message channel costs differ, which is precisely
+how the paper argues 3GPP compliance while cutting latency.
+
+A row's ``apply`` runs when the row's exchange completes and is the
+only place NF, RAN, UE or SM-context state changes, so "message *k*
+completed" and "state change *k*" are one event.  Branches (the N2
+handover's cancel) and loops (one release per PDU session at
+deregistration) stay in the public methods, which pick the tables.
 
 Every procedure returns an :class:`EventResult` with its completion
 time and message count; the Fig 8 experiment is a thin sweep over
@@ -16,16 +20,12 @@ these.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
-from ..net.packet import Direction, Packet, PacketKind
+from ..net.packet import Packet, PacketKind
 from ..obs import spans as _tracing
-from ..pfcp.builder import (
-    build_buffering_update,
-    build_forward_update,
-    build_path_switch,
-    build_session_establishment,
-)
+from ..pfcp.builder import (build_buffering_update, build_forward_update,
+                            build_path_switch, build_session_establishment)
 from ..pfcp.ies import FTeidIE
 from ..pfcp.messages import SessionDeletionRequest
 from ..ran import ngap
@@ -33,8 +33,9 @@ from ..ran.ue import PDUSession, UserEquipment
 from ..sbi import messages as sbi
 from .context import HOState
 from .core5g import FiveGCore
+from .nfs import NON3GPP_NETWORK, SERVING_NETWORK, at_res, res_star
 
-__all__ = ["EventResult", "ProcedureRunner"]
+__all__ = ["EventResult", "ProcedureRunner", "Run", "Step"]
 
 
 @dataclass
@@ -53,519 +54,715 @@ class EventResult:
         return self.completed_at - self.started_at
 
 
+class Step(NamedTuple):
+    """One row of a procedure table."""
+
+    #: ``"radio"`` (``build`` returns the leg's duration), ``"ngap"`` (a
+    #: message), ``"sbi"`` (a request/response pair) or ``"n4"`` (PFCP).
+    kind: str
+    src: str
+    dst: str
+    #: ``build(run)`` makes a fresh message per send: the sanitizer and
+    #: the tracer key in-flight messages by ``id()``, so one template
+    #: sent by two concurrent procedures would be a double enqueue.  It
+    #: may draw the SMF's PFCP sequence number and changes nothing else.
+    build: Callable[["Run"], Any]
+    #: The ``CostModel`` attribute timing the receiver's handler.
+    handler: Optional[str] = None
+    #: ``apply(run, response)``, run once the exchange completed.
+    apply: Optional[Callable[["Run", Any], Any]] = None
+    #: A semantic span (a paper-named sub-phase) around the exchange.
+    span: Optional[str] = None
+
+
+class Run:
+    """One procedure call: the state its rows share, the PFCP requests
+    they build and the state changes they apply (the methods taking a
+    ``response``).  Created at the procedure's first resume: drivers
+    build a wave of generators before any of them runs.
+    """
+
+    __slots__ = ("core", "costs", "ue", "supi", "gnb", "target",
+                 "pdu_session_id", "sm", "vector", "kseaf", "sa", "dl_teid",
+                 "forwarding_teid", "hairpinned", "started_at",
+                 "messages_before")
+
+    def __init__(self, runner: "ProcedureRunner", ue: UserEquipment,
+                 gnb_id: Optional[int] = None, pdu_session_id: int = 1,
+                 target_gnb_id: Optional[int] = None):
+        core = self.core = runner.core
+        self.costs = runner.costs
+        self.ue = ue
+        self.supi = ue.supi
+        #: The RAN node serving the UE at the start (a handover's source).
+        gnbs = core.gnbs
+        self.gnb = gnbs[ue.serving_gnb_id if gnb_id is None else gnb_id]
+        self.target = None if target_gnb_id is None else gnbs[target_gnb_id]
+        self.pdu_session_id = pdu_session_id
+        #: ``sa``: the IPsec SA a non-3GPP procedure opened.  ``dl_teid``:
+        #: the one a RAN node allocated (a new session's, a handover
+        #: target's; None while the target refuses).
+        self.sm = self.vector = self.kseaf = self.sa = self.dl_teid = None
+        self.forwarding_teid = self.hairpinned = 0
+        self.started_at = core.env.now
+        self.messages_before = core.bus.total_messages()
+
+    def smart(self) -> bool:
+        return self.core.config.smart_handover_buffering
+
+    # -- PFCP requests -----------------------------------------------------
+    def establishment(self):
+        # The DL endpoint at the gNB is not known yet, so the DL FAR
+        # starts in buffering mode — exactly free5GC's behaviour.
+        core, sm = self.core, self.sm
+        return build_session_establishment(
+            seid=sm.seid, sequence=core.smf.next_sequence(), ue_ip=sm.ue_ip,
+            upf_address=core.UPF_ADDRESS, ul_teid=sm.ul_teid, gnb_address=0,
+            dl_teid=0, smf_address=core.UPF_ADDRESS)
+
+    def forward_to_new(self):
+        return build_forward_update(
+            seid=self.sm.seid, sequence=self.core.smf.next_sequence(),
+            gnb_address=self.gnb.address, dl_teid=self.dl_teid)
+
+    def forward_again(self):
+        """Back to the session's own tunnel (paging, a cancelled HO)."""
+        sm = self.sm
+        return build_forward_update(
+            seid=sm.seid, sequence=self.core.smf.next_sequence(),
+            gnb_address=sm.gnb_address, dl_teid=sm.dl_teid)
+
+    def buffer_for_paging(self):
+        return build_buffering_update(
+            seid=self.sm.seid, sequence=self.core.smf.next_sequence(),
+            notify_cp=True)
+
+    def buffer_for_handover(self):
+        # A TEID for the target; L25GC piggybacks the BUFF action on this
+        # same message (§3.3), the 3GPP flow sends the F-TEID alone.
+        prep = build_buffering_update(
+            seid=self.sm.seid, sequence=self.core.smf.next_sequence(),
+            notify_cp=False, choose_new_teid=True,
+            upf_address=self.core.UPF_ADDRESS)
+        if self.smart():
+            return prep
+        ies = [ie for ie in prep.ies if isinstance(ie, FTeidIE)]
+        return replace(prep, ies=ies)
+
+    def path_switch(self):
+        # The same message drains the smart buffer, in order.
+        return build_path_switch(
+            seid=self.sm.seid, sequence=self.core.smf.next_sequence(),
+            new_gnb_address=self.target.address, new_dl_teid=self.dl_teid)
+
+    def deletion(self):
+        return SessionDeletionRequest(
+            seid=self.sm.seid, sequence=self.core.smf.next_sequence())
+
+    # -- applies -------------------------------------------------------------
+    def challenge(self, _) -> None:
+        udm = self.core.udm
+        self.vector = self.core.ausf.challenge(
+            udm.deconceal_suci(self.supi), SERVING_NETWORK,
+            udm.subscriber_key(self.supi))
+
+    def confirm(self, _) -> None:
+        # The UE answers with the RES* its USIM derives from the key the
+        # UDM was provisioned with (no registration-reject branch).
+        udm = self.core.udm
+        key = udm.subscriber_key(self.supi)
+        self.kseaf = self.core.ausf.confirm(
+            udm.deconceal_suci(self.supi),
+            res_star(key, self.vector.rand, SERVING_NETWORK), key)
+        if self.kseaf is None:
+            raise RuntimeError(f"{self.supi}: 5G-AKA confirmation failed")
+
+    def eap_challenge(self, _) -> None:
+        self.vector = self.core.ausf.eap_aka_prime_challenge(
+            self.supi, NON3GPP_NETWORK, self.core.udm.subscriber_key(self.supi)
+        )
+
+    def eap_confirm(self, _) -> None:
+        key = self.core.udm.subscriber_key(self.supi)
+        self.kseaf = self.core.ausf.eap_aka_prime_confirm(
+            self.supi, at_res(key, self.vector.rand, NON3GPP_NETWORK),
+            NON3GPP_NETWORK, key)
+        if self.kseaf is None:
+            raise RuntimeError(f"{self.supi}: EAP-AKA' confirmation failed")
+
+    def secured(self, _) -> None:
+        self.core.amf.complete_security(self.supi, self.kseaf)
+
+    def am_policy(self, _) -> None:
+        self.core.pcf.create_am_policy(self.supi)
+
+    def signalling_sa(self, _) -> None:
+        self.sa = self.gnb.establish_signalling_sa(self.ue)
+        self.secured(_)
+
+    def registered(self, _) -> None:
+        guti = self.core.amf.complete_registration(self.supi, self.gnb.gnb_id)
+        self.ue.register(self.gnb.gnb_id, guti)
+
+    def sm_context(self, _) -> None:
+        self.sm = self.core.smf.create_sm_context(
+            self.supi, self.pdu_session_id)
+        self.sm.ue_ip = self.core.ue_ip_pool.allocate()
+
+    def ul_tunnel(self, _) -> None:
+        # SMF-assigned here; a UPF choosing it via CHOOSE is not modelled.
+        self.sm.ul_teid = self.core.upf_c.allocate_teid(ue_ip=self.sm.ue_ip)
+
+    def dl_tunnel(self, _) -> None:
+        self.dl_teid = self.gnb.allocate_dl_teid()
+
+    def activated(self, _) -> None:
+        sm, gnb = self.sm, self.gnb
+        sm.dl_teid = self.dl_teid
+        sm.gnb_address = gnb.address
+        sm.bump()
+        self.core.dl_routes[self.dl_teid] = (gnb, self.ue)
+        self.ue.add_session(
+            PDUSession(session_id=self.pdu_session_id, ue_ip=sm.ue_ip))
+
+    def activated_over_ipsec(self, _) -> None:
+        self.activated(_)
+        self.sa = self.gnb.establish_child_sa(self.ue, self.pdu_session_id)
+
+    def deactivated(self, _) -> None:
+        self.sm.up_active = False
+        self.sm.bump()
+
+    def idle(self, _) -> None:
+        self.ue.go_idle()
+        self.core.amf.release_connection(self.supi)
+
+    def reactivated(self, _) -> None:
+        self.sm.up_active = True
+        self.sm.bump()
+        self.ue.wake()
+        self.core.amf.resume_connection(self.supi)
+
+    def preparing(self, _) -> None:
+        self.sm.ho_state = HOState.PREPARING
+        self.sm.bump()
+        if not self.smart():
+            # 3GPP flow: the UPF keeps forwarding; the *source gNB*
+            # buffers from the moment the UE detaches.
+            self.gnb.start_buffering(self.ue)
+
+    def forwarding(self, response) -> None:
+        allocated = response.find(FTeidIE)
+        self.forwarding_teid = allocated.teid if allocated else 0
+
+    def admit(self, _) -> None:
+        # A refusal leaves ``dl_teid`` None: the method takes HO_CANCEL.
+        if self.target.can_admit(self.ue):
+            self.dl_teid = self.target.allocate_dl_teid()
+
+    def hairpin(self) -> None:
+        """3GPP indirect forwarding: the source gNB's buffered packets
+        go back through the UPF, which sends them on."""
+        for packet in self.gnb.drain_buffer(self.ue):
+            self.hairpinned += 1
+            packet.meta["hairpinned"] = True
+            self.core.upf_u.process(packet)
+
+    def cancelled(self, _) -> None:
+        if not self.smart():
+            self.hairpin()
+        sm = self.sm
+        sm.ho_state = HOState.NONE
+        sm.target_gnb_address = sm.target_dl_teid = 0
+        sm.bump()
+
+    def prepared(self, _) -> None:
+        sm = self.sm
+        sm.target_gnb_address = self.target.address
+        sm.target_dl_teid = self.dl_teid
+        sm.ho_state = HOState.PREPARED
+        sm.bump()
+
+    def moved(self, _) -> None:
+        # The UE detaches: from here DL data must be buffered.
+        self.gnb.disconnect(self.ue)
+        self.target.connect(self.ue)
+
+    def synchronized(self, _) -> None:
+        self.ue.hand_over(self.target.gnb_id)
+
+    def route_to_target(self, _) -> None:
+        self.core.dl_routes[self.dl_teid] = (self.target, self.ue)
+
+    def switched(self, _) -> int:
+        """The UPF forwards to the target now: its endpoint becomes the
+        session's and the source tunnel's route goes.  Returns the
+        source TEID."""
+        sm = self.sm
+        source_teid = sm.dl_teid
+        self.core.dl_routes.pop(source_teid, None)
+        if sm.ho_state is HOState.PREPARED:  # N2: promote the staged target
+            sm.commit_handover()
+        else:  # Xn: the path switch is the core's first word of the target
+            sm.gnb_address, sm.dl_teid = self.target.address, self.dl_teid
+            sm.bump()
+        return source_teid
+
+    def n2_switched(self, _) -> None:
+        source_teid = self.switched(_)
+        if not self.smart():
+            self.hairpin()
+        # GTP-U End Marker on the old tunnel: no more packets will
+        # arrive on it (TS 29.281 §5.1).
+        self.gnb.receive_downlink(Packet(
+            size=36, kind=PacketKind.CONTROL, teid=source_teid,
+            meta={"gtp_message": "end-marker"},
+        ), self.ue)
+
+    def xn_prepared(self, _) -> None:
+        self.dl_teid = self.target.allocate_dl_teid()
+        # The source forwards in-flight data straight to the target.
+        self.gnb.start_buffering(self.ue)
+
+    def xn_synchronized(self, _) -> None:
+        self.synchronized(_)
+        for packet in self.gnb.drain_buffer(self.ue):
+            self.target.receive_downlink(packet, self.ue)
+
+    def relocated(self, _) -> None:
+        self.core.amf.relocate(self.supi, self.target.gnb_id)
+
+    def session_released(self, _) -> None:
+        core, sm = self.core, self.sm
+        core.dl_routes.pop(sm.dl_teid, None)
+        core.ue_ip_pool.release(sm.ue_ip)
+        core.smf.release_sm_context(self.supi, self.pdu_session_id)
+
+    def deregistered(self, _) -> None:
+        self.gnb.disconnect(self.ue)
+        self.ue.deregister()
+        self.core.amf.deregister(self.supi)
+
+
+#: ``Step.handler`` of the handover's mobility-update fetch: half a
+#: subscription fetch, resolved by the runner (not a cost field).
+HALF_FETCH = "subscription_fetch/2"
+#: Every other ``Step.handler`` the tables name.
+_HANDLERS = (
+    "auth_processing", "gnb_processing", "policy_decision",
+    "smf_context_setup", "subscription_fetch", "suci_deconcealment",
+)
+
+
+# -- row constructors --------------------------------------------------
+def _leg(build: Callable[[Run], float], apply=None) -> Step:
+    """A radio / Wi-Fi / backhaul leg: no bus message, only its time."""
+    return Step("radio", "ue", "ran", build, apply=apply)
+
+
+def _to_amf(build, apply=None) -> Step:
+    return Step("ngap", "ran", "amf", build, apply=apply)
+
+
+def _to_ran(build, handler=None, apply=None) -> Step:
+    return Step("ngap", "amf", "ran", build, handler, apply)
+
+
+def _n4(build, apply=None, span=None) -> Step:
+    return Step("n4", "smf", "upf-c", build, apply=apply, span=span)
+
+
+def _update(apply=None, echo=False, **request) -> Step:
+    """AMF -> SMF UpdateSMContext; ``echo``: the response acknowledges
+    the requested hoState."""
+    ack = request.get("ho_state") if echo else None
+    return Step("sbi", "amf", "smf", lambda r: (
+        sbi.UpdateSmContextRequest(**request),
+        sbi.UpdateSmContextResponse(ho_state=ack),
+    ), apply=apply)
+
+
+def _data(src: str, *datasets: str, handler=None, apply=None) -> Step:
+    """A subscription-data fetch from the UDM."""
+    return Step("sbi", src, "udm", lambda r: (
+        sbi.SubscriptionDataRequest(supi=r.supi, dataset_names=list(datasets)),
+        sbi.SubscriptionDataResponse(),
+    ), handler, apply)
+
+
+def _am_policy(handler=None, apply=None, **fields) -> Step:
+    return Step("sbi", "amf", "pcf", lambda r: (
+        sbi.AmPolicyCreateRequest(supi=r.supi, **fields),
+        sbi.SubscriptionDataResponse(),
+    ), handler, apply)
+
+
+def _sm_policy(handler=None, apply=None) -> Step:
+    return Step("sbi", "smf", "pcf", lambda r: (
+        sbi.SmPolicyCreateRequest(
+            supi=r.supi, pdu_session_id=r.pdu_session_id),
+        sbi.SubscriptionDataResponse(),
+    ), handler, apply)
+
+
+def _ausf(request, apply=None, **response) -> Step:
+    """AMF -> AUSF: authentication start or confirmation."""
+    return Step("sbi", "amf", "ausf", lambda r: (
+        request(), sbi.UEAuthenticationResponse(**response),
+    ), "auth_processing", apply)
+
+
+def _n1n2(**response) -> Step:
+    """SMF -> AMF: N1/N2 payloads for the RAN."""
+    return Step("sbi", "smf", "amf", lambda r: (
+        sbi.N1N2MessageTransfer(pdu_session_id=r.pdu_session_id),
+        sbi.N1N2MessageTransferResponse(**response)))
+
+
+# -- the tables (a row two tables use is one object) -------------------
+_REGISTRATION_REQUEST = _to_amf(lambda r: ngap.InitialUEMessage(
+    nas=ngap.RegistrationRequest(supi=r.supi),
+), lambda r, _: r.core.amf.begin_authentication(r.supi))
+_AUTH_REQUEST = _to_ran(lambda r: ngap.DownlinkNASTransport(
+    nas=ngap.AuthenticationRequest(rand=r.vector.rand, autn=r.vector.autn)
+))
+_AUTH_RESPONSE = _to_amf(
+    lambda r: ngap.UplinkNASTransport(nas=ngap.AuthenticationResponse())
+)
+_SECURITY_MODE_COMMAND = _to_ran(
+    lambda r: ngap.DownlinkNASTransport(nas=ngap.SecurityModeCommand())
+)
+_AM_DATA = _data("amf", "AM", handler="subscription_fetch")
+_ACCEPT = _to_ran(
+    lambda r: ngap.InitialContextSetupRequest(nas=ngap.RegistrationAccept()),
+    "gnb_processing",
+)
+_CONTEXT_SETUP_RESPONSE = _to_amf(lambda r: ngap.InitialContextSetupResponse())
+_ACTIVATE = _update(up_cnx_state="ACTIVATING")
+_N1N2 = _n1n2()
+_NAS_LEG = _leg(
+    lambda r: r.costs.radio_message + r.costs.ue_nas_processing
+)
+_NAS_ROUND_TRIP = _leg(
+    lambda r: 2 * r.costs.radio_message + r.costs.ue_nas_processing
+)
+_WIFI_ROUND_TRIP = _leg(
+    lambda r: 2 * r.gnb.wifi_latency + r.costs.ue_nas_processing
+)
+_RADIO_MESSAGE = _leg(lambda r: r.costs.radio_message)
+_MOVE = _RADIO_MESSAGE._replace(apply=Run.moved)
+_RELEASE_COMMAND = _to_ran(lambda r: ngap.UEContextReleaseCommand())
+
+#: UE registration (TS 23.502 §4.2.2.2); the gNB connects the UE first.
+REGISTRATION = (
+    _NAS_LEG,
+    _REGISTRATION_REQUEST,
+    _ausf(sbi.UEAuthenticationRequest),
+    _data("ausf", "AUTH", handler="suci_deconcealment", apply=Run.challenge),
+    _AUTH_REQUEST,
+    _NAS_ROUND_TRIP,
+    _AUTH_RESPONSE,
+    _ausf(sbi.AuthConfirmationRequest, Run.confirm),
+    _SECURITY_MODE_COMMAND,
+    _NAS_ROUND_TRIP,
+    _to_amf(
+        lambda r: ngap.UplinkNASTransport(nas=ngap.SecurityModeComplete()),
+        Run.secured),
+    _AM_DATA,
+    _data("amf", "SMF_SEL", "UEC_SMF", handler="subscription_fetch"),
+    _am_policy("policy_decision", Run.am_policy),
+    _ACCEPT,
+    _NAS_ROUND_TRIP,
+    _CONTEXT_SETUP_RESPONSE,
+    _to_amf(
+        lambda r: ngap.UplinkNASTransport(nas=ngap.RegistrationComplete()),
+        Run.registered),
+)
+
+#: Registration via untrusted non-3GPP access (TS 23.502 §4.12.2): IKEv2
+#: SA_INIT, EAP-AKA' in IKE_AUTH, the IPsec signalling SA on EAP-Success,
+#: then NAS over IPsec.
+REGISTRATION_NON3GPP = (
+    _leg(lambda r: 2 * r.gnb.wifi_latency + r.costs.gnb_processing),
+    _leg(lambda r: 2 * r.gnb.wifi_latency),
+    _REGISTRATION_REQUEST,
+    _ausf(sbi.UEAuthenticationRequest, auth_type="EAP_AKA_PRIME"),
+    _data(
+        "ausf", "AUTH", handler="suci_deconcealment", apply=Run.eap_challenge),
+    _AUTH_REQUEST,
+    _WIFI_ROUND_TRIP,
+    _AUTH_RESPONSE,
+    _ausf(
+        sbi.AuthConfirmationRequest, Run.eap_confirm,
+        auth_type="EAP_AKA_PRIME"),
+    _SECURITY_MODE_COMMAND,
+    _WIFI_ROUND_TRIP._replace(apply=Run.signalling_sa),
+    _AM_DATA,
+    _am_policy(
+        "policy_decision", Run.am_policy, access_type="NON_3GPP_ACCESS"),
+    _ACCEPT,
+    _WIFI_ROUND_TRIP,
+    _CONTEXT_SETUP_RESPONSE._replace(apply=Run.registered),
+)
+
+#: PDU session establishment (TS 23.502 §4.3.2.2).
+SESSION = (
+    _NAS_LEG,
+    _to_amf(lambda r: ngap.UplinkNASTransport(
+        nas=ngap.PDUSessionEstablishmentRequest(
+            supi=r.supi, pdu_session_id=r.pdu_session_id))),
+    Step("sbi", "amf", "smf", lambda r: (
+        sbi.PostSmContextsRequest(
+            supi=r.supi, pdu_session_id=r.pdu_session_id),
+        sbi.PostSmContextsResponse(),
+    ), "smf_context_setup", Run.sm_context),
+    _data("smf", "SM", handler="subscription_fetch"),
+    _sm_policy(
+        "policy_decision",
+        lambda r, _: r.core.pcf.create_sm_policy(r.supi, r.pdu_session_id)),
+    # DN-side authorization (DN-AAA / address configuration).
+    _leg(lambda r: r.costs.dn_authorization, Run.ul_tunnel),
+    _n4(Run.establishment),
+    _N1N2,
+    _to_ran(lambda r: ngap.PDUSessionResourceSetupRequest(
+        pdu_session_id=r.pdu_session_id, ul_teid=r.sm.ul_teid,
+        upf_address=r.core.UPF_ADDRESS,
+        nas=ngap.PDUSessionEstablishmentAccept(
+            pdu_session_id=r.pdu_session_id),
+    ), "gnb_processing"),
+    _NAS_ROUND_TRIP._replace(apply=Run.dl_tunnel),
+    _to_amf(lambda r: ngap.PDUSessionResourceSetupResponse(
+        pdu_session_id=r.pdu_session_id, dl_teid=r.dl_teid,
+        gnb_address=r.gnb.address)),
+    _ACTIVATE,
+    _n4(Run.forward_to_new, Run.activated),
+)
+
+#: Over non-3GPP access the last row also opens the IPsec child SA.
+SESSION_NON3GPP = SESSION[:-1] + (
+    SESSION[-1]._replace(apply=Run.activated_over_ipsec),
+)
+
+#: AN release: the UE goes idle, the DL FAR flips to BUFF+NOCP.
+AN_RELEASE = (
+    _to_amf(lambda r: ngap.UEContextReleaseCommand()),
+    _update(up_cnx_state="DEACTIVATED"),
+    _n4(Run.buffer_for_paging, Run.deactivated),
+    _to_ran(lambda r: ngap.UEContextReleaseComplete(), apply=Run.idle),
+)
+
+#: Paging / network-triggered service request (TS 23.502 §4.2.3.3); the
+#: DL FAR forwards again once the RAN resources are in place (§4.2.3.2).
+PAGING = (
+    _n1n2(cause="ATTEMPTING_TO_REACH_UE"),
+    _to_ran(lambda r: ngap.PagingMessage(supi=r.supi)),
+    _leg(lambda r: (
+        r.costs.paging_wakeup + r.costs.radio_message
+        + r.costs.ue_nas_processing)),
+    _to_amf(
+        lambda r: ngap.InitialUEMessage(nas=ngap.ServiceRequest(supi=r.supi))),
+    _ACTIVATE,
+    _to_ran(
+        lambda r: ngap.InitialContextSetupRequest(nas=ngap.ServiceAccept()),
+        "gnb_processing"),
+    _RADIO_MESSAGE,
+    _CONTEXT_SETUP_RESPONSE,
+    _n4(Run.forward_again, Run.reactivated),
+)
+
+#: N2 handover (TS 23.502 §4.9.1.3): preparation, then the target admits
+#: (HO_EXECUTION) or refuses (HO_CANCEL).
+HO_PREPARATION = (
+    _RADIO_MESSAGE,
+    _to_amf(lambda r: ngap.HandoverRequired(target_gnb_id=r.target.gnb_id)),
+    _update(Run.preparing, echo=True, ho_state="PREPARING"),
+    _n4(
+        Run.buffer_for_handover, Run.forwarding,
+        span="pfcp-session-modification-buffering"),
+    _N1N2,
+    _to_ran(lambda r: ngap.HandoverRequest(
+        pdu_session_id=r.pdu_session_id, ul_teid=r.sm.ul_teid,
+        upf_address=r.core.UPF_ADDRESS,
+    ), "gnb_processing", Run.admit),
+)
+
+#: Preparation failure: back to direct forwarding, drain anything held.
+HO_CANCEL = (
+    _to_amf(lambda r: ngap.HandoverRequired(cause="no-resources")),
+    _update(cause="HO_PREPARATION_FAILURE"),
+    _n4(Run.forward_again, Run.cancelled),
+)
+
+HO_EXECUTION = (
+    _to_amf(lambda r: ngap.HandoverRequestAcknowledge(
+        pdu_session_id=r.pdu_session_id, dl_teid=r.dl_teid,
+        gnb_address=r.target.address,
+    ), Run.prepared),
+    _update(
+        echo=True, ho_state="PREPARED", n2_sm_info_type="HANDOVER_REQ_ACK"),
+    _to_ran(lambda r: ngap.HandoverCommand(target_gnb_id=r.target.gnb_id)),
+    _MOVE,
+    _leg(lambda r: r.costs.radio_sync, Run.synchronized),
+    _to_amf(lambda r: ngap.HandoverNotify()),
+    _update(echo=True, ho_state="COMPLETED"),
+    # Mobility update at the UDM, source release, PCF update.  The SMF
+    # defers the FAR path switch until the whole handover transaction
+    # commits (as free5GC does when tearing down indirect forwarding),
+    # so buffering spans the procedure.
+    _data("amf", "AM", handler=HALF_FETCH),
+    _update(cause="SOURCE_RESOURCES_RELEASED"),
+    _am_policy("policy_decision", Run.route_to_target),
+    # The UPF-C flips the FAR inside this exchange, so the smart
+    # buffer's drain span nests under the path-switch step.
+    _n4(Run.path_switch, Run.n2_switched, span="pfcp-path-switch"),
+    _RELEASE_COMMAND._replace(apply=Run.relocated),
+)
+
+#: Xn handover (TS 23.502 §4.9.1.2): preparation and execution between
+#: the gNBs, then only a Path Switch Request reaches the core.
+XN_HANDOVER = (
+    _RADIO_MESSAGE,
+    _leg(
+        lambda r: 2 * r.costs.sctp_message + r.costs.gnb_processing,
+        Run.xn_prepared),
+    _MOVE,
+    _leg(lambda r: r.costs.radio_sync, Run.xn_synchronized),
+    _to_amf(lambda r: ngap.PathSwitchRequest(
+        dl_teid=r.dl_teid, gnb_address=r.target.address)),
+    _update(
+        Run.route_to_target,
+        ho_state="COMPLETED", n2_sm_info_type="PATH_SWITCH_REQ"),
+    _n4(Run.path_switch, Run.switched),
+    _to_ran(lambda r: ngap.PathSwitchRequest(), apply=Run.relocated),
+)
+
+#: UE-initiated deregistration (TS 23.502 §4.2.2.3): the request, then
+#: SESSION_RELEASE per PDU session, then DEREGISTRATION.
+DEREGISTRATION_REQUEST = (
+    _NAS_LEG,
+    _to_amf(lambda r: ngap.UplinkNASTransport(nas=ngap.RegistrationRequest(
+        supi=r.supi, registration_type="deregistration"))),
+)
+
+SESSION_RELEASE = (
+    _update(cause="REL_DUE_TO_DEREGISTRATION"),
+    _n4(Run.deletion, Run.session_released),
+    _sm_policy(apply=lambda r, _: r.core.pcf.delete_sm_policy(
+        r.supi, r.pdu_session_id)),
+)
+
+DEREGISTRATION = (
+    _data("amf", "DEREG"),
+    _am_policy(apply=lambda r, _: r.core.pcf.delete_am_policy(r.supi)),
+    _to_ran(
+        lambda r: ngap.DownlinkNASTransport(nas=ngap.RegistrationAccept())),
+    _RADIO_MESSAGE,
+    _RELEASE_COMMAND,
+    _to_amf(lambda r: ngap.UEContextReleaseComplete(), Run.deregistered),
+)
+
+
 class ProcedureRunner:
     """Runs the 3GPP procedures on a :class:`FiveGCore`."""
 
     def __init__(self, core: FiveGCore):
         self.core = core
         self.env = core.env
-        self.costs = core.costs
+        self.costs = costs = core.costs
+        #: Handler time per ``Step.handler``, resolved once: a cost
+        #: model does not change once built.
+        self._times = {name: getattr(costs, name) for name in _HANDLERS}
+        self._times[None] = None
+        self._times[HALF_FETCH] = costs.subscription_fetch / 2
 
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    def _radio(self, duration: float):
-        tracer = _tracing.active()
-        if tracer is not None:
-            # The radio leg's extent is known up front; record it
-            # without adding any event beyond the timeout itself.
-            tracer.add_span(
-                "radio",
-                start=self.env.now,
-                end=self.env.now + duration,
-                category="radio",
-            )
-        return self.env.timeout(duration)
+    def _steps(self, run: Run, table: Tuple[Step, ...]):
+        """Drive one table: each row's exchange, then its ``apply``."""
+        core, env, times = self.core, self.env, self._times
+        for kind, src, dst, build, handler, apply, span in table:
+            if kind == "ngap":
+                response = yield core.ngap_send(
+                    src, dst, build(run), times[handler])
+            elif kind == "sbi":
+                request, response = build(run)
+                yield from core.sbi_exchange(
+                    src, dst, request, response, times[handler])
+            elif kind == "radio":
+                duration = build(run)
+                tracer = _tracing._ACTIVE
+                if tracer is not None:  # its extent is known: no event
+                    now = env.now
+                    tracer.add_span("radio", start=now, end=now + duration,
+                                    category="radio")
+                response = yield env.timeout(duration)
+            else:
+                tracer = _tracing._ACTIVE
+                step = tracer.begin(span) if span and tracer else None
+                response = yield from core.n4_exchange(build(run))
+                if step is not None:
+                    tracer.finish(step)
+            if apply is not None:
+                apply(run, response)
 
-    def _step(self, name: str, **attrs: Any) -> Optional[_tracing.Span]:
-        """Open a named semantic step span (paper-named sub-phases)."""
-        tracer = _tracing.active()
-        if tracer is None:
-            return None
-        return tracer.begin(name, **attrs)
-
-    def _end_step(self, step: Optional[_tracing.Span], **attrs: Any) -> None:
-        if step is None:
-            return
-        tracer = _tracing.active()
-        if tracer is not None:
-            tracer.finish(step, **attrs)
-
-    def _needs_discovery(self, source: str, destination: str) -> bool:
-        # free5GC consults the NRF per SBI request (its OpenAPI
-        # consumers do not cache producer profiles); L25GC issues the
-        # same discovery exchanges, only over shared memory.  N4 and
-        # NGAP legs never involve the NRF.
-        return self.core.config.nrf_discovery
-
-    def _sbi(
-        self,
-        source: str,
-        destination: str,
-        request: sbi.SBIMessage,
-        response: sbi.SBIMessage,
-        request_handler_time: Optional[float] = None,
-        response_handler_time: Optional[float] = None,
-    ):
-        return self.core.sbi_exchange(
-            source,
-            destination,
-            request,
-            response,
-            discovery=self._needs_discovery(source, destination),
-            request_handler_time=request_handler_time,
-            response_handler_time=response_handler_time,
-        )
-
-    def _result(
-        self, event: str, started_at: float, messages_before: int, **detail: Any
-    ) -> EventResult:
+    def _result(self, run: Run, event: str, **detail: Any) -> EventResult:
         return EventResult(
-            event=event,
-            system=self.core.config.name,
-            started_at=started_at,
-            completed_at=self.env.now,
-            messages=self.core.bus.total_messages() - messages_before,
-            detail=detail,
-        )
+            event, self.core.config.name, run.started_at, self.env.now,
+            self.core.bus.total_messages() - run.messages_before, detail)
 
-    # ------------------------------------------------------------------
-    # UE registration (TS 23.502 §4.2.2.2)
-    # ------------------------------------------------------------------
+    def _on_session(self, ue: UserEquipment, pdu_session_id: int,
+                    target_gnb_id: Optional[int] = None) -> Run:
+        """A run on one of the UE's established PDU sessions."""
+        run = Run(self, ue, pdu_session_id=pdu_session_id,
+                  target_gnb_id=target_gnb_id)
+        run.sm = self.core.smf.context_for(ue.supi, pdu_session_id)
+        return run
+
+    def _session_result(self, run: Run, **detail: Any) -> EventResult:
+        sm = run.sm
+        return self._result(
+            run, "session-request", seid=sm.seid, ue_ip=sm.ue_ip,
+            ul_teid=sm.ul_teid, dl_teid=sm.dl_teid, **detail)
+
+    # -- the procedures ---------------------------------------------------
     @_tracing.traced("registration")
     def register_ue(self, ue: UserEquipment, gnb_id: int = 1):
         """Initial registration: auth, security mode, policy, accept."""
-        core, costs = self.core, self.costs
-        started_at = self.env.now
-        messages_before = core.bus.total_messages()
-        gnb = core.gnbs[gnb_id]
-        gnb.connect(ue)
+        run = Run(self, ue, gnb_id)
+        run.gnb.connect(ue)  # RRC connection precedes the first radio leg
+        yield from self._steps(run, REGISTRATION)
+        return self._result(run, "registration")
 
-        # 1. RRC setup + Registration Request over N1/N2.
-        yield self._radio(costs.radio_message + costs.ue_nas_processing)
-        yield core.ngap_send(
-            "ran",
-            "amf",
-            ngap.InitialUEMessage(nas=ngap.RegistrationRequest(supi=ue.supi)),
-        )
-        core.amf.begin_authentication(ue.supi)
-
-        # 2. Authentication: AMF -> AUSF -> UDM (vector derivation).
-        yield from self._sbi(
-            "amf",
-            "ausf",
-            sbi.UEAuthenticationRequest(),
-            sbi.UEAuthenticationResponse(),
-            request_handler_time=costs.auth_processing,
-        )
-        yield from self._sbi(
-            "ausf",
-            "udm",
-            sbi.SubscriptionDataRequest(
-                supi=ue.supi, dataset_names=["AUTH"]
-            ),
-            sbi.SubscriptionDataResponse(),
-            request_handler_time=costs.suci_deconcealment,
-        )
-        supi = core.udm.deconceal_suci(ue.supi)
-        vector = core.ausf.challenge(
-            supi, "5G:mnc093.mcc208.3gppnetwork.org",
-            core.udm.subscriber_key(ue.supi),
-        )
-
-        # 3. Challenge to the UE and its response.
-        yield core.ngap_send(
-            "amf",
-            "ran",
-            ngap.DownlinkNASTransport(
-                nas=ngap.AuthenticationRequest(rand=vector.rand, autn=vector.autn)
-            ),
-        )
-        yield self._radio(2 * costs.radio_message + costs.ue_nas_processing)
-        yield core.ngap_send(
-            "ran",
-            "amf",
-            ngap.UplinkNASTransport(nas=ngap.AuthenticationResponse()),
-        )
-        yield from self._sbi(
-            "amf",
-            "ausf",
-            sbi.AuthConfirmationRequest(),
-            sbi.UEAuthenticationResponse(),
-            request_handler_time=costs.auth_processing,
-        )
-
-        # 4. NAS security mode.
-        yield core.ngap_send(
-            "amf",
-            "ran",
-            ngap.DownlinkNASTransport(nas=ngap.SecurityModeCommand()),
-        )
-        yield self._radio(2 * costs.radio_message + costs.ue_nas_processing)
-        yield core.ngap_send(
-            "ran",
-            "amf",
-            ngap.UplinkNASTransport(nas=ngap.SecurityModeComplete()),
-        )
-        core.amf.complete_security(ue.supi, "kseaf")
-
-        # 5. UDM registration + subscription data + AM policy.
-        yield from self._sbi(
-            "amf",
-            "udm",
-            sbi.SubscriptionDataRequest(supi=ue.supi, dataset_names=["AM"]),
-            sbi.SubscriptionDataResponse(),
-            request_handler_time=costs.subscription_fetch,
-        )
-        yield from self._sbi(
-            "amf",
-            "udm",
-            sbi.SubscriptionDataRequest(
-                supi=ue.supi, dataset_names=["SMF_SEL", "UEC_SMF"]
-            ),
-            sbi.SubscriptionDataResponse(),
-            request_handler_time=costs.subscription_fetch,
-        )
-        yield from self._sbi(
-            "amf",
-            "pcf",
-            sbi.AmPolicyCreateRequest(supi=ue.supi),
-            sbi.SubscriptionDataResponse(),
-            request_handler_time=costs.policy_decision,
-        )
-        core.pcf.create_am_policy(ue.supi)
-
-        # 6. Registration Accept / Complete.
-        yield core.ngap_send(
-            "amf",
-            "ran",
-            ngap.InitialContextSetupRequest(nas=ngap.RegistrationAccept()),
-            handler_time=costs.gnb_processing,
-        )
-        yield self._radio(2 * costs.radio_message + costs.ue_nas_processing)
-        yield core.ngap_send("ran", "amf", ngap.InitialContextSetupResponse())
-        yield core.ngap_send(
-            "ran",
-            "amf",
-            ngap.UplinkNASTransport(nas=ngap.RegistrationComplete()),
-        )
-        guti = core.amf.complete_registration(ue.supi, gnb_id)
-        ue.register(gnb_id, guti)
-        return self._result("registration", started_at, messages_before)
-
-    # ------------------------------------------------------------------
-    # Registration via untrusted non-3GPP access (TS 23.502 §4.12.2)
-    # ------------------------------------------------------------------
     @_tracing.traced("registration-non3gpp")
     def register_ue_non3gpp(self, ue: UserEquipment, n3iwf_id: int = 100):
-        """Registration through an N3IWF with EAP-AKA' authentication.
-
-        The WiFi/IoT access path the paper calls out (§2.2): IKEv2
-        SA_INIT, EAP-AKA' carried in IKE_AUTH exchanges, an IPsec
-        signalling SA, then NAS over IPsec for the registration accept.
-        """
-        core, costs = self.core, self.costs
-        started_at = self.env.now
-        messages_before = core.bus.total_messages()
-        n3iwf = core.gnbs[n3iwf_id]
-        wifi_rtt = 2 * n3iwf.wifi_latency
-
-        # 1. IKE_SA_INIT exchange (DH + nonces) over WiFi.
-        yield self._radio(wifi_rtt + costs.gnb_processing)
-
-        # 2. IKE_AUTH #1: the UE's identity reaches the AMF.
-        yield self._radio(wifi_rtt)
-        yield core.ngap_send(
-            "ran",
-            "amf",
-            ngap.InitialUEMessage(nas=ngap.RegistrationRequest(supi=ue.supi)),
-        )
-        core.amf.begin_authentication(ue.supi)
-
-        # 3. EAP-AKA' start: AMF -> AUSF -> UDM.
-        yield from self._sbi(
-            "amf",
-            "ausf",
-            sbi.UEAuthenticationRequest(),
-            sbi.UEAuthenticationResponse(auth_type="EAP_AKA_PRIME"),
-            request_handler_time=costs.auth_processing,
-        )
-        yield from self._sbi(
-            "ausf",
-            "udm",
-            sbi.SubscriptionDataRequest(supi=ue.supi, dataset_names=["AUTH"]),
-            sbi.SubscriptionDataResponse(),
-            request_handler_time=costs.suci_deconcealment,
-        )
-        network_name = "5G:NR:non3gpp"
-        vector = core.ausf.eap_aka_prime_challenge(
-            ue.supi, network_name, core.udm.subscriber_key(ue.supi)
-        )
-
-        # 4. EAP-Request/AKA'-Challenge down to the UE (IKE_AUTH leg),
-        #    EAP-Response back up.
-        yield core.ngap_send(
-            "amf",
-            "ran",
-            ngap.DownlinkNASTransport(
-                nas=ngap.AuthenticationRequest(
-                    rand=vector.rand, autn=vector.autn
-                )
-            ),
-        )
-        yield self._radio(wifi_rtt + costs.ue_nas_processing)
-        yield core.ngap_send(
-            "ran",
-            "amf",
-            ngap.UplinkNASTransport(nas=ngap.AuthenticationResponse()),
-        )
-        yield from self._sbi(
-            "amf",
-            "ausf",
-            sbi.AuthConfirmationRequest(),
-            sbi.UEAuthenticationResponse(auth_type="EAP_AKA_PRIME"),
-            request_handler_time=costs.auth_processing,
-        )
-
-        # 5. EAP-Success + the IPsec signalling SA comes up.
-        yield core.ngap_send(
-            "amf",
-            "ran",
-            ngap.DownlinkNASTransport(nas=ngap.SecurityModeCommand()),
-        )
-        yield self._radio(wifi_rtt + costs.ue_nas_processing)
-        signalling_sa = n3iwf.establish_signalling_sa(ue)
-        core.amf.complete_security(ue.supi, "kseaf-eap")
-
-        # 6. Subscription + policy, as for 3GPP access.
-        yield from self._sbi(
-            "amf",
-            "udm",
-            sbi.SubscriptionDataRequest(supi=ue.supi, dataset_names=["AM"]),
-            sbi.SubscriptionDataResponse(),
-            request_handler_time=costs.subscription_fetch,
-        )
-        yield from self._sbi(
-            "amf",
-            "pcf",
-            sbi.AmPolicyCreateRequest(
-                supi=ue.supi, access_type="NON_3GPP_ACCESS"
-            ),
-            sbi.SubscriptionDataResponse(),
-            request_handler_time=costs.policy_decision,
-        )
-        core.pcf.create_am_policy(ue.supi)
-
-        # 7. Registration Accept over NAS-in-IPsec.
-        yield core.ngap_send(
-            "amf",
-            "ran",
-            ngap.InitialContextSetupRequest(nas=ngap.RegistrationAccept()),
-            handler_time=costs.gnb_processing,
-        )
-        yield self._radio(wifi_rtt + costs.ue_nas_processing)
-        yield core.ngap_send("ran", "amf", ngap.InitialContextSetupResponse())
-        guti = core.amf.complete_registration(ue.supi, n3iwf_id)
-        ue.register(n3iwf_id, guti)
+        """Registration through an N3IWF with EAP-AKA' authentication:
+        the Wi-Fi/IoT access path the paper calls out (§2.2)."""
+        run = Run(self, ue, n3iwf_id)
+        yield from self._steps(run, REGISTRATION_NON3GPP)
         return self._result(
-            "registration-non3gpp",
-            started_at,
-            messages_before,
-            signalling_spi=signalling_sa.spi,
-        )
+            run, "registration-non3gpp", signalling_spi=run.sa.spi)
+
+    @_tracing.traced("session-request")
+    def establish_session(self, ue: UserEquipment, pdu_session_id: int = 1):
+        """UE-requested PDU session establishment."""
+        run = Run(self, ue, pdu_session_id=pdu_session_id)
+        yield from self._steps(run, SESSION)
+        return self._session_result(run)
 
     @_tracing.traced("session-request-non3gpp")
-    def establish_session_non3gpp(
-        self, ue: UserEquipment, pdu_session_id: int = 1
-    ):
+    def establish_session_non3gpp(self, ue: UserEquipment,
+                                  pdu_session_id: int = 1):
         """PDU session over non-3GPP access: the standard procedure
         plus an IPsec child SA for the user plane."""
-        core = self.core
-        n3iwf = core.gnbs[ue.serving_gnb_id]
-        result = yield from self.establish_session(ue, pdu_session_id)
-        child_sa = n3iwf.establish_child_sa(ue, pdu_session_id)
-        result.detail["child_spi"] = child_sa.spi
-        return result
+        run = Run(self, ue, pdu_session_id=pdu_session_id)
+        yield from self._steps(run, SESSION_NON3GPP)
+        return self._session_result(run, child_spi=run.sa.spi)
 
-    # ------------------------------------------------------------------
-    # PDU session establishment (TS 23.502 §4.3.2.2)
-    # ------------------------------------------------------------------
-    @_tracing.traced("session-request")
-    def establish_session(
-        self, ue: UserEquipment, pdu_session_id: int = 1
-    ):
-        """UE-requested PDU session establishment."""
-        core, costs = self.core, self.costs
-        started_at = self.env.now
-        messages_before = core.bus.total_messages()
-        gnb = core.gnbs[ue.serving_gnb_id]
-
-        # 1. NAS request rides N1 to the AMF.
-        yield self._radio(costs.radio_message + costs.ue_nas_processing)
-        yield core.ngap_send(
-            "ran",
-            "amf",
-            ngap.UplinkNASTransport(
-                nas=ngap.PDUSessionEstablishmentRequest(
-                    supi=ue.supi, pdu_session_id=pdu_session_id
-                )
-            ),
-        )
-
-        # 2. AMF -> SMF: create the SM context.
-        yield from self._sbi(
-            "amf",
-            "smf",
-            sbi.PostSmContextsRequest(
-                supi=ue.supi, pdu_session_id=pdu_session_id
-            ),
-            sbi.PostSmContextsResponse(),
-            request_handler_time=costs.smf_context_setup,
-        )
-        sm = core.smf.create_sm_context(ue.supi, pdu_session_id)
-        sm.ue_ip = core.ue_ip_pool.allocate()
-
-        # 3. SMF fetches SM subscription data and the SM policy.
-        yield from self._sbi(
-            "smf",
-            "udm",
-            sbi.SubscriptionDataRequest(
-                supi=ue.supi, dataset_names=["SM"]
-            ),
-            sbi.SubscriptionDataResponse(),
-            request_handler_time=costs.subscription_fetch,
-        )
-        yield from self._sbi(
-            "smf",
-            "pcf",
-            sbi.SmPolicyCreateRequest(
-                supi=ue.supi, pdu_session_id=pdu_session_id
-            ),
-            sbi.SubscriptionDataResponse(),
-            request_handler_time=costs.policy_decision,
-        )
-        core.pcf.create_sm_policy(ue.supi, pdu_session_id)
-
-        # 4. N4 session establishment at the UPF (UL TEID chosen later
-        #    by UPF via CHOOSE is modeled as SMF-assigned here; the DL
-        #    endpoint at the gNB is not known yet, so the DL FAR starts
-        #    in buffering mode -- exactly free5GC's behaviour).
-        # DN-side authorization (DN-AAA / address configuration); a
-        # transport-independent leg of session establishment.
-        yield self._radio(costs.dn_authorization)
-
-        sm.ul_teid = core.upf_c.allocate_teid(ue_ip=sm.ue_ip)
-        establishment = build_session_establishment(
-            seid=sm.seid,
-            sequence=core.smf.next_sequence(),
-            ue_ip=sm.ue_ip,
-            upf_address=core.UPF_ADDRESS,
-            ul_teid=sm.ul_teid,
-            gnb_address=0,
-            dl_teid=0,
-            smf_address=core.UPF_ADDRESS,
-        )
-        yield from core.n4_exchange(establishment)
-
-        # 5. SMF -> AMF -> gNB: N2 resource setup.
-        yield from self._sbi(
-            "smf",
-            "amf",
-            sbi.N1N2MessageTransfer(pdu_session_id=pdu_session_id),
-            sbi.N1N2MessageTransferResponse(),
-        )
-        yield core.ngap_send(
-            "amf",
-            "ran",
-            ngap.PDUSessionResourceSetupRequest(
-                pdu_session_id=pdu_session_id,
-                ul_teid=sm.ul_teid,
-                upf_address=core.UPF_ADDRESS,
-                nas=ngap.PDUSessionEstablishmentAccept(
-                    pdu_session_id=pdu_session_id
-                ),
-            ),
-            handler_time=costs.gnb_processing,
-        )
-        yield self._radio(2 * costs.radio_message + costs.ue_nas_processing)
-        dl_teid = gnb.allocate_dl_teid()
-        yield core.ngap_send(
-            "ran",
-            "amf",
-            ngap.PDUSessionResourceSetupResponse(
-                pdu_session_id=pdu_session_id,
-                dl_teid=dl_teid,
-                gnb_address=gnb.address,
-            ),
-        )
-
-        # 6. AMF -> SMF -> UPF: install the gNB endpoint (activates DL).
-        yield from self._sbi(
-            "amf",
-            "smf",
-            sbi.UpdateSmContextRequest(up_cnx_state="ACTIVATING"),
-            sbi.UpdateSmContextResponse(),
-        )
-        switch = build_forward_update(
-            seid=sm.seid,
-            sequence=core.smf.next_sequence(),
-            gnb_address=gnb.address,
-            dl_teid=dl_teid,
-        )
-        yield from core.n4_exchange(switch)
-        sm.dl_teid = dl_teid
-        sm.gnb_address = gnb.address
-        sm.bump()
-        core.dl_routes[dl_teid] = (gnb, ue)
-        ue.add_session(
-            PDUSession(session_id=pdu_session_id, ue_ip=sm.ue_ip)
-        )
-        return self._result(
-            "session-request",
-            started_at,
-            messages_before,
-            seid=sm.seid,
-            ue_ip=sm.ue_ip,
-            ul_teid=sm.ul_teid,
-            dl_teid=dl_teid,
-        )
-
-    # ------------------------------------------------------------------
-    # AN release: UE goes idle (paging precondition)
-    # ------------------------------------------------------------------
     @_tracing.traced("release-to-idle")
     def release_to_idle(self, ue: UserEquipment, pdu_session_id: int = 1):
         """UE-inactivity AN release: DL FAR flips to BUFF+NOCP."""
-        core, costs = self.core, self.costs
-        started_at = self.env.now
-        messages_before = core.bus.total_messages()
-        sm = core.smf.context_for(ue.supi, pdu_session_id)
+        run = self._on_session(ue, pdu_session_id)
+        yield from self._steps(run, AN_RELEASE)
+        return self._result(run, "an-release")
 
-        yield core.ngap_send(
-            "ran", "amf", ngap.UEContextReleaseCommand()
-        )
-        yield from self._sbi(
-            "amf",
-            "smf",
-            sbi.UpdateSmContextRequest(up_cnx_state="DEACTIVATED"),
-            sbi.UpdateSmContextResponse(),
-        )
-        buffering = build_buffering_update(
-            seid=sm.seid,
-            sequence=core.smf.next_sequence(),
-            notify_cp=True,
-        )
-        yield from core.n4_exchange(buffering)
-        sm.up_active = False
-        sm.bump()
-        yield core.ngap_send("amf", "ran", ngap.UEContextReleaseComplete())
-        ue.go_idle()
-        core.amf.release_connection(ue.supi)
-        return self._result("an-release", started_at, messages_before)
-
-    # ------------------------------------------------------------------
-    # Paging / network-triggered service request (TS 23.502 §4.2.3.3)
-    # ------------------------------------------------------------------
     @_tracing.traced("paging")
     def page_ue(self, ue: UserEquipment, pdu_session_id: int = 1):
         """From the DL data report to reactivated DL forwarding.
@@ -574,469 +771,53 @@ class ProcedureRunner:
         (that exchange is accounted by the caller /
         :meth:`FiveGCore._report_to_smf`).
         """
-        core, costs = self.core, self.costs
-        started_at = self.env.now
-        messages_before = core.bus.total_messages()
-        sm = core.smf.context_for(ue.supi, pdu_session_id)
-        gnb = core.gnbs[ue.serving_gnb_id]
+        run = self._on_session(ue, pdu_session_id)
+        yield from self._steps(run, PAGING)
+        return self._result(run, "paging")
 
-        # 1. SMF asks the AMF to reach the UE.
-        yield from self._sbi(
-            "smf",
-            "amf",
-            sbi.N1N2MessageTransfer(pdu_session_id=pdu_session_id),
-            sbi.N1N2MessageTransferResponse(
-                cause="ATTEMPTING_TO_REACH_UE"
-            ),
-        )
-
-        # 2. The AMF pages; the UE wakes and sends a Service Request.
-        yield core.ngap_send(
-            "amf", "ran", ngap.PagingMessage(supi=ue.supi)
-        )
-        yield self._radio(
-            costs.paging_wakeup + costs.radio_message + costs.ue_nas_processing
-        )
-        yield core.ngap_send(
-            "ran",
-            "amf",
-            ngap.InitialUEMessage(nas=ngap.ServiceRequest(supi=ue.supi)),
-        )
-
-        # 3. AMF -> SMF: activate the user plane.
-        yield from self._sbi(
-            "amf",
-            "smf",
-            sbi.UpdateSmContextRequest(up_cnx_state="ACTIVATING"),
-            sbi.UpdateSmContextResponse(),
-        )
-
-        # 4. N2 context setup towards the gNB and the radio leg.
-        yield core.ngap_send(
-            "amf",
-            "ran",
-            ngap.InitialContextSetupRequest(nas=ngap.ServiceAccept()),
-            handler_time=costs.gnb_processing,
-        )
-        yield self._radio(costs.radio_message)
-        yield core.ngap_send(
-            "ran", "amf", ngap.InitialContextSetupResponse()
-        )
-
-        # 5. SMF -> UPF: forward again (drains the smart buffer) once
-        #    the RAN resources are in place (TS 23.502 §4.2.3.2 order).
-        reactivate = build_forward_update(
-            seid=sm.seid,
-            sequence=core.smf.next_sequence(),
-            gnb_address=sm.gnb_address,
-            dl_teid=sm.dl_teid,
-        )
-        yield from core.n4_exchange(reactivate)
-        sm.up_active = True
-        sm.bump()
-        ue.wake()
-        core.amf.resume_connection(ue.supi)
-        return self._result("paging", started_at, messages_before)
-
-    # ------------------------------------------------------------------
-    # N2 handover (TS 23.502 §4.9.1.3)
-    # ------------------------------------------------------------------
     @_tracing.traced("handover")
-    def handover(
-        self,
-        ue: UserEquipment,
-        target_gnb_id: int,
-        pdu_session_id: int = 1,
-    ):
+    def handover(self, ue: UserEquipment, target_gnb_id: int,
+                 pdu_session_id: int = 1):
         """N2 (inter-gNB via AMF) handover of one PDU session.
 
         Downlink packets are buffered during the handover: at the UPF
         (smart buffering, both evaluated systems per Fig 8's setup), or
         at the source gNB with hairpin re-routing when
         ``smart_handover_buffering`` is off (the 3GPP default analyzed
-        in §5.4.2).
+        in §5.4.2).  A target that refuses admission cancels it.
         """
-        core, costs = self.core, self.costs
-        started_at = self.env.now
-        messages_before = core.bus.total_messages()
-        sm = core.smf.context_for(ue.supi, pdu_session_id)
-        source_gnb = core.gnbs[ue.serving_gnb_id]
-        target_gnb = core.gnbs[target_gnb_id]
-        smart = core.config.smart_handover_buffering
-
-        # 1. Measurement report; source gNB decides to hand over.
-        yield self._radio(costs.radio_message)
-        yield core.ngap_send(
-            "ran",
-            "amf",
-            ngap.HandoverRequired(target_gnb_id=target_gnb_id),
-        )
-
-        # 2. AMF -> SMF: handover preparation.
-        yield from self._sbi(
-            "amf",
-            "smf",
-            sbi.UpdateSmContextRequest(ho_state="PREPARING"),
-            sbi.UpdateSmContextResponse(ho_state="PREPARING"),
-        )
-        sm.ho_state = HOState.PREPARING
-        sm.bump()
-
-        # 3. SMF -> UPF: allocate a TEID for the target; L25GC
-        #    piggybacks the BUFF action on this same message (§3.3).
-        prep = build_buffering_update(
-            seid=sm.seid,
-            sequence=core.smf.next_sequence(),
-            notify_cp=False,
-            choose_new_teid=True,
-            upf_address=core.UPF_ADDRESS,
-        )
-        if not smart:
-            # 3GPP flow: the UPF keeps forwarding; the *source gNB*
-            # buffers from the moment the UE detaches.
-            prep = replace(
-                prep, ies=[ie for ie in prep.ies if isinstance(ie, FTeidIE)]
-            )
-            source_gnb.start_buffering(ue)
-        step = self._step(
-            "pfcp-session-modification-buffering", buffering_ie=smart
-        )
-        response = yield from core.n4_exchange(prep)
-        self._end_step(step)
-        allocated = response.find(FTeidIE)
-        forwarding_teid = allocated.teid if allocated else 0
-
-        # 4. SMF -> AMF: N2 SM information for the target gNB.
-        yield from self._sbi(
-            "smf",
-            "amf",
-            sbi.N1N2MessageTransfer(pdu_session_id=pdu_session_id),
-            sbi.N1N2MessageTransferResponse(),
-        )
-
-        # 5. AMF -> target gNB: Handover Request / Acknowledge.  The
-        #    target may refuse (admission control) — preparation
-        #    failure cancels the handover and reverts the UPF state.
-        yield core.ngap_send(
-            "amf",
-            "ran",
-            ngap.HandoverRequest(
-                pdu_session_id=pdu_session_id,
-                ul_teid=sm.ul_teid,
-                upf_address=core.UPF_ADDRESS,
-            ),
-            handler_time=costs.gnb_processing,
-        )
-        if not target_gnb.can_admit(ue):
-            yield core.ngap_send(
-                "ran", "amf", ngap.HandoverRequired(cause="no-resources")
-            )
-            yield from self._sbi(
-                "amf",
-                "smf",
-                sbi.UpdateSmContextRequest(cause="HO_PREPARATION_FAILURE"),
-                sbi.UpdateSmContextResponse(),
-            )
-            # Revert: resume direct forwarding / drain anything held.
-            revert = build_forward_update(
-                seid=sm.seid,
-                sequence=core.smf.next_sequence(),
-                gnb_address=sm.gnb_address,
-                dl_teid=sm.dl_teid,
-            )
-            yield from core.n4_exchange(revert)
-            if not smart:
-                for packet in source_gnb.drain_buffer(ue):
-                    core.upf_u.process(packet)
-            sm.ho_state = HOState.NONE
-            sm.target_gnb_address = 0
-            sm.target_dl_teid = 0
-            sm.bump()
+        run = self._on_session(ue, pdu_session_id, target_gnb_id)
+        yield from self._steps(run, HO_PREPARATION)
+        if run.dl_teid is None:
+            yield from self._steps(run, HO_CANCEL)
             return self._result(
-                "handover-cancelled",
-                started_at,
-                messages_before,
-                cause="no-resources",
-            )
-        target_dl_teid = target_gnb.allocate_dl_teid()
-        yield core.ngap_send(
-            "ran",
-            "amf",
-            ngap.HandoverRequestAcknowledge(
-                pdu_session_id=pdu_session_id,
-                dl_teid=target_dl_teid,
-                gnb_address=target_gnb.address,
-            ),
-        )
-        sm.target_gnb_address = target_gnb.address
-        sm.target_dl_teid = target_dl_teid
-        sm.ho_state = HOState.PREPARED
-        sm.bump()
-
-        # 6. AMF -> SMF: handover prepared (target tunnel staged).
-        yield from self._sbi(
-            "amf",
-            "smf",
-            sbi.UpdateSmContextRequest(
-                ho_state="PREPARED",
-                n2_sm_info_type="HANDOVER_REQ_ACK",
-            ),
-            sbi.UpdateSmContextResponse(ho_state="PREPARED"),
-        )
-
-        # 7. Handover Command to the UE via the source gNB.
-        yield core.ngap_send(
-            "amf",
-            "ran",
-            ngap.HandoverCommand(target_gnb_id=target_gnb_id),
-        )
-        yield self._radio(costs.radio_message)
-        # The UE detaches: from here DL data must be buffered.
-        source_gnb.disconnect(ue)
-        target_gnb.connect(ue)
-
-        # 8. The UE synchronizes with the target cell.
-        yield self._radio(costs.radio_sync)
-        ue.hand_over(target_gnb_id)
-        yield core.ngap_send("ran", "amf", ngap.HandoverNotify())
-
-        # 9. AMF -> SMF: handover complete.
-        yield from self._sbi(
-            "amf",
-            "smf",
-            sbi.UpdateSmContextRequest(ho_state="COMPLETED"),
-            sbi.UpdateSmContextResponse(ho_state="COMPLETED"),
-        )
-
-        # 10. Mobility registration update with the UDM, source
-        #     resource release, and the PCF mobility update.  The SMF
-        #     defers the FAR path switch until the whole handover
-        #     transaction commits (as free5GC does when tearing down
-        #     indirect forwarding), so buffering spans the procedure.
-        yield from self._sbi(
-            "amf",
-            "udm",
-            sbi.SubscriptionDataRequest(
-                supi=ue.supi, dataset_names=["AM"]
-            ),
-            sbi.SubscriptionDataResponse(),
-            request_handler_time=costs.subscription_fetch / 2,
-        )
-        yield from self._sbi(
-            "amf",
-            "smf",
-            sbi.UpdateSmContextRequest(cause="SOURCE_RESOURCES_RELEASED"),
-            sbi.UpdateSmContextResponse(),
-        )
-        yield from self._sbi(
-            "amf",
-            "pcf",
-            sbi.AmPolicyCreateRequest(supi=ue.supi),
-            sbi.SubscriptionDataResponse(),
-            request_handler_time=costs.policy_decision,
-        )
-
-        # 11. SMF -> UPF: switch the DL path to the target gNB (the
-        #     same message drains the smart buffer, in order).
-        switch = build_path_switch(
-            seid=sm.seid,
-            sequence=core.smf.next_sequence(),
-            new_gnb_address=target_gnb.address,
-            new_dl_teid=target_dl_teid,
-        )
-        core.dl_routes[target_dl_teid] = (target_gnb, ue)
-        # The UPF-C applies the FAR flip inside this exchange, so the
-        # smart buffer's drain span nests under the path-switch step.
-        step = self._step("pfcp-path-switch")
-        yield from core.n4_exchange(switch)
-        self._end_step(step)
-        sm.commit_handover()
-
-        hairpinned = 0
-        if not smart:
-            # 3GPP indirect forwarding: the source gNB's buffered
-            # packets hairpin back through the UPF to the target gNB.
-            for packet in source_gnb.drain_buffer(ue):
-                hairpinned += 1
-                packet.meta["hairpinned"] = True
-                core.upf_u.process(packet)
-
-        # GTP-U End Marker towards the source gNB: tells it no more
-        # packets will arrive on the old tunnel (TS 29.281 §5.1).
-        end_marker = Packet(
-            size=36,
-            kind=PacketKind.CONTROL,
-            teid=sm.dl_teid,
-            meta={"gtp_message": "end-marker"},
-        )
-        source_gnb.receive_downlink(end_marker, ue)
-
-        yield core.ngap_send(
-            "amf", "ran", ngap.UEContextReleaseCommand()
-        )
-        core.amf.relocate(ue.supi, target_gnb_id)
+                run, "handover-cancelled", cause="no-resources")
+        yield from self._steps(run, HO_EXECUTION)
         return self._result(
-            "handover",
-            started_at,
-            messages_before,
-            target_dl_teid=target_dl_teid,
-            forwarding_teid=forwarding_teid,
-            hairpinned=hairpinned,
-        )
+            run, "handover", target_dl_teid=run.dl_teid,
+            forwarding_teid=run.forwarding_teid, hairpinned=run.hairpinned)
 
-    # ------------------------------------------------------------------
-    # Xn handover (TS 23.502 §4.9.1.2)
-    # ------------------------------------------------------------------
     @_tracing.traced("xn-handover")
-    def xn_handover(
-        self,
-        ue: UserEquipment,
-        target_gnb_id: int,
-        pdu_session_id: int = 1,
-    ):
+    def xn_handover(self, ue: UserEquipment, target_gnb_id: int,
+                    pdu_session_id: int = 1):
         """Xn-based (gNB-to-gNB) handover with a path switch request.
 
-        The preparation happens over the inter-gNB Xn interface without
-        the 5GC; only the final Path Switch Request touches the AMF/SMF.
         The paper notes X2/Xn-style handover "is relatively small (or
-        nonexistent)" in deployments — this procedure exists for the
-        comparison: far fewer core messages than the N2 flow.
+        nonexistent)" in deployments; it is here for the comparison: far
+        fewer core messages than the N2 flow.
         """
-        core, costs = self.core, self.costs
-        started_at = self.env.now
-        messages_before = core.bus.total_messages()
-        sm = core.smf.context_for(ue.supi, pdu_session_id)
-        source_gnb = core.gnbs[ue.serving_gnb_id]
-        target_gnb = core.gnbs[target_gnb_id]
+        run = self._on_session(ue, pdu_session_id, target_gnb_id)
+        yield from self._steps(run, XN_HANDOVER)
+        return self._result(run, "xn-handover", target_dl_teid=run.dl_teid)
 
-        # 1. Xn preparation: measurement, HO request/ack between gNBs
-        #    (radio/backhaul legs, no core involvement).
-        yield self._radio(costs.radio_message)
-        yield self._radio(2 * costs.sctp_message + costs.gnb_processing)
-        target_dl_teid = target_gnb.allocate_dl_teid()
-
-        # 2. Execution: the UE moves; the source forwards in-flight
-        #    data directly to the target over Xn (no hairpin).
-        source_gnb.start_buffering(ue)
-        yield self._radio(costs.radio_message)
-        source_gnb.disconnect(ue)
-        target_gnb.connect(ue)
-        yield self._radio(costs.radio_sync)
-        ue.hand_over(target_gnb_id)
-        for packet in source_gnb.drain_buffer(ue):
-            target_gnb.receive_downlink(packet, ue)
-
-        # 3. Path Switch Request through the AMF to the SMF/UPF.
-        yield core.ngap_send(
-            "ran",
-            "amf",
-            ngap.PathSwitchRequest(
-                dl_teid=target_dl_teid, gnb_address=target_gnb.address
-            ),
-        )
-        yield from self._sbi(
-            "amf",
-            "smf",
-            sbi.UpdateSmContextRequest(
-                ho_state="COMPLETED", n2_sm_info_type="PATH_SWITCH_REQ"
-            ),
-            sbi.UpdateSmContextResponse(),
-        )
-        switch = build_path_switch(
-            seid=sm.seid,
-            sequence=core.smf.next_sequence(),
-            new_gnb_address=target_gnb.address,
-            new_dl_teid=target_dl_teid,
-        )
-        core.dl_routes[target_dl_teid] = (target_gnb, ue)
-        yield from core.n4_exchange(switch)
-        sm.gnb_address = target_gnb.address
-        sm.dl_teid = target_dl_teid
-        sm.bump()
-        yield core.ngap_send(
-            "amf", "ran", ngap.PathSwitchRequest()  # acknowledge
-        )
-        core.amf.relocate(ue.supi, target_gnb_id)
-        return self._result(
-            "xn-handover",
-            started_at,
-            messages_before,
-            target_dl_teid=target_dl_teid,
-        )
-
-    # ------------------------------------------------------------------
-    # UE-initiated deregistration (TS 23.502 §4.2.2.3)
-    # ------------------------------------------------------------------
     @_tracing.traced("deregistration")
     def deregister_ue(self, ue: UserEquipment):
         """Tear everything down: sessions, policies, registration."""
-        core, costs = self.core, self.costs
-        started_at = self.env.now
-        messages_before = core.bus.total_messages()
-        gnb = core.gnbs[ue.serving_gnb_id]
-
-        # 1. NAS Deregistration Request.
-        yield self._radio(costs.radio_message + costs.ue_nas_processing)
-        yield core.ngap_send(
-            "ran",
-            "amf",
-            ngap.UplinkNASTransport(nas=ngap.RegistrationRequest(
-                supi=ue.supi, registration_type="deregistration"
-            )),
-        )
-
-        # 2. Release every PDU session: AMF -> SMF -> UPF (N4 delete),
-        #    SMF -> PCF policy termination.
+        run = Run(self, ue)
+        yield from self._steps(run, DEREGISTRATION_REQUEST)
         for session_id in list(ue.sessions):
-            sm = core.smf.context_for(ue.supi, session_id)
-            yield from self._sbi(
-                "amf",
-                "smf",
-                sbi.UpdateSmContextRequest(cause="REL_DUE_TO_DEREGISTRATION"),
-                sbi.UpdateSmContextResponse(),
-            )
-            deletion = SessionDeletionRequest(
-                seid=sm.seid, sequence=core.smf.next_sequence()
-            )
-            yield from core.n4_exchange(deletion)
-            core.dl_routes.pop(sm.dl_teid, None)
-            core.ue_ip_pool.release(sm.ue_ip)
-            core.smf.release_sm_context(ue.supi, session_id)
-            yield from self._sbi(
-                "smf",
-                "pcf",
-                sbi.SmPolicyCreateRequest(
-                    supi=ue.supi, pdu_session_id=session_id
-                ),
-                sbi.SubscriptionDataResponse(),
-            )
-            core.pcf.delete_sm_policy(ue.supi, session_id)
-
-        # 3. AMF: UDM deregistration + AM policy termination.
-        yield from self._sbi(
-            "amf",
-            "udm",
-            sbi.SubscriptionDataRequest(supi=ue.supi, dataset_names=["DEREG"]),
-            sbi.SubscriptionDataResponse(),
-        )
-        yield from self._sbi(
-            "amf",
-            "pcf",
-            sbi.AmPolicyCreateRequest(supi=ue.supi),
-            sbi.SubscriptionDataResponse(),
-        )
-        core.pcf.delete_am_policy(ue.supi)
-
-        # 4. Deregistration Accept + AN release.
-        yield core.ngap_send(
-            "amf",
-            "ran",
-            ngap.DownlinkNASTransport(nas=ngap.RegistrationAccept()),
-        )
-        yield self._radio(costs.radio_message)
-        yield core.ngap_send("amf", "ran", ngap.UEContextReleaseCommand())
-        yield core.ngap_send("ran", "amf", ngap.UEContextReleaseComplete())
-        gnb.disconnect(ue)
-        ue.deregister()
-        core.amf.deregister(ue.supi)
-        return self._result("deregistration", started_at, messages_before)
+            run.pdu_session_id = session_id
+            run.sm = self.core.smf.context_for(ue.supi, session_id)
+            yield from self._steps(run, SESSION_RELEASE)
+        yield from self._steps(run, DEREGISTRATION)
+        return self._result(run, "deregistration")

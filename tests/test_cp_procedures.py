@@ -1,5 +1,7 @@
 """Tests for the 3GPP procedures on the assembled core."""
 
+import hashlib
+
 import pytest
 
 from repro.cp import (
@@ -10,6 +12,7 @@ from repro.cp import (
     SystemConfig,
 )
 from repro.core import Channel
+from repro.cp.nfs import AUSF
 from repro.net import Direction, FiveTuple, Packet
 from repro.pfcp import (
     CAUSE_REQUEST_REJECTED,
@@ -69,6 +72,30 @@ class TestRegistration:
         (result,) = run_procedures(env, runner.register_ue(ue))
         assert result.messages == core.bus.total_messages()
         assert result.messages >= 20  # auth + security + policy + accept
+
+    @pytest.mark.parametrize("access", ["3gpp", "non3gpp"])
+    def test_authentication_is_confirmed(self, access):
+        """The AUSF checks the UE's RES* / AT_RES and hands the AMF the
+        KSEAF it derives: no vector stays pending."""
+        env, core, runner, ue = build()
+        key = core.udm.subscriber_key(ue.supi)
+        if access == "3gpp":
+            procedure = runner.register_ue(ue)
+            vector = AUSF().challenge(
+                ue.supi, "5G:mnc093.mcc208.3gppnetwork.org", key
+            )
+        else:
+            core.add_n3iwf(100)
+            procedure = runner.register_ue_non3gpp(ue, n3iwf_id=100)
+            vector = AUSF().eap_aka_prime_challenge(
+                ue.supi, "5G:NR:non3gpp", key
+            )
+        run_procedures(env, procedure)
+        assert core.ausf.pending == {}
+        kseaf = hashlib.sha256(
+            f"kseaf|{vector.kausf}".encode()
+        ).hexdigest()[:32]
+        assert core.amf.context(ue.supi).security_context == kseaf
 
 
 class TestSessionEstablishment:

@@ -98,7 +98,7 @@ class TestXnHandover:
 
 class TestEndMarker:
     def test_end_marker_sent_to_source_gnb(self):
-        env, core, runner, ue, _ = connected_ue()
+        env, core, runner, ue, detail = connected_ue()
         source = core.gnbs[1]
         markers = []
         original = source.receive_downlink
@@ -116,7 +116,39 @@ class TestEndMarker:
         env.process(scenario())
         env.run()
         assert len(markers) == 1
-        assert markers[0].teid is not None
+        # The marker closes the *old* tunnel (TS 29.281 §5.1).
+        assert markers[0].teid == detail["dl_teid"]
+
+
+class TestHandoverRoutes:
+    """A handover retires the source tunnel's DL route: the route table
+    holds one entry per live session, however often the UE moves."""
+
+    @pytest.mark.parametrize(
+        "factory", [SystemConfig.l25gc, SystemConfig.free5gc],
+        ids=["l25gc", "free5gc"],
+    )
+    def test_ping_pong_leaves_one_route_per_session(self, factory):
+        env, core, runner, ue, detail = connected_ue(factory())
+        routes = []
+
+        def live_route():
+            sm = core.smf.context_for(ue.supi, 1)
+            gnb, _ = core.dl_routes[sm.dl_teid]
+            routes.append((len(core.dl_routes), gnb.gnb_id))
+
+        def scenario():
+            for target in (2, 1, 2, 1):
+                yield from runner.handover(ue, target_gnb_id=target)
+                live_route()
+            yield from runner.xn_handover(ue, target_gnb_id=2)
+            live_route()
+            yield from runner.deregister_ue(ue)
+
+        env.process(scenario())
+        env.run()
+        assert routes == [(1, 2), (1, 1), (1, 2), (1, 1), (1, 2)]
+        assert core.dl_routes == {}
 
 
 class TestDeregistration:
