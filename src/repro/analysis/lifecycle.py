@@ -163,8 +163,8 @@ SESSION_INSTALL_TRANSFER: FrozenSet[str] = SESSION_ESTABLISH_METHODS
 SESSION_CLASS_SUFFIX = "Session"
 
 #: Resource-acquisition methods and their paired release method.
-#: ``pin`` = load-balancer shard affinity, ``acquire`` = generic pool
-#: checkout.
+#: ``pin`` = a load-balancer affinity (the guard idiom W007's fixtures
+#: exercise), ``acquire`` = generic pool checkout.
 ACQUIRE_METHODS: Dict[str, str] = {
     "pin": "release",
     "acquire": "release",
@@ -172,8 +172,8 @@ ACQUIRE_METHODS: Dict[str, str] = {
 
 #: Lifecycle transitions whose implementations validate their argument
 #: and may raise (documented API contract: ``SessionTable.add`` rejects
-#: duplicate SEID/TEID/UE-IP, ``UEAwareLoadBalancer.pin`` rejects full
-#: units).
+#: duplicate SEID/TEID/UE-IP; ``pin`` is assumed to refuse a full or
+#: failed unit).
 #: The static checks give calls to these names a raising edge even when
 #: the receiver's type cannot be resolved.
 MAY_FAIL_TRANSITIONS: FrozenSet[str] = frozenset({"add", "pin"})

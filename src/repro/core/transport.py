@@ -123,15 +123,15 @@ class MessageBus:
         self.endpoints: Dict[str, Endpoint] = {}
         self.log: List[MessageRecord] = []
         self.drops: List[DropRecord] = []
-        #: Source of truth for the bus's tallies; :attr:`lost` and the
-        #: ``drops`` list are views/records over these counters.
+        #: ``log`` and ``drops`` are the bus's ledger; ``bus.delivered``
+        #: and ``bus.lost`` are callback gauges over their lengths.
         self.metrics = MetricsRegistry()
-        self._delivered = self.metrics.counter(
+        self.metrics.gauge(
             "bus.delivered", "messages delivered to a live endpoint"
-        )
-        self._lost = self.metrics.counter(
+        ).set_function(lambda: len(self.log))
+        self.metrics.gauge(
             "bus.lost", "messages the bus could not deliver"
-        )
+        ).set_function(lambda: len(self.drops))
         self._latency = self.metrics.histogram(
             "bus.message_latency", "transport + handler latency (s)"
         )
@@ -142,9 +142,8 @@ class MessageBus:
 
     @property
     def lost(self) -> int:
-        """Total undelivered messages — a view over the ``bus.lost``
-        counter, so it can never diverge from ``len(drops)``."""
-        return self._lost.value
+        """Total undelivered messages: ``len(drops)``, the one record."""
+        return len(self.drops)
 
     # ------------------------------------------------------------------
     def register(
@@ -231,10 +230,8 @@ class MessageBus:
         return done
 
     def _drop(self, record: MessageRecord, reason: str) -> None:
-        """The single drop path: record + count, so ``lost`` and
-        ``drops`` cannot diverge.  The message's own record never
+        """The single drop path.  The message's own record never
         reaches the log; the :class:`DropRecord` is its account."""
-        self._lost.inc()
         self.drops.append(
             DropRecord(
                 source=record.source,
@@ -302,7 +299,6 @@ class MessageBus:
         self, record: MessageRecord, message: Any, done: Event, span: Any
     ) -> None:
         """The last hop: log the record and resume the sender in place."""
-        self._delivered.inc()
         self._latency.observe(self.env.now - record.sent_at)
         self.log.append(record)
         if span is not None:

@@ -282,12 +282,6 @@ class FiveGCore:
         self.udm.provision(supi)
         return ue
 
-    def gnb_by_address(self, address: int) -> Optional[GNodeB]:
-        for gnb in self.gnbs.values():
-            if gnb.address == address:
-                return gnb
-        return None
-
     # ------------------------------------------------------------------
     # Control-plane exchange helpers (generators for procedures)
     # ------------------------------------------------------------------
@@ -438,23 +432,16 @@ class FiveGCore:
     def metrics_registry(self) -> MetricsRegistry:
         """Assemble one registry over the core's live tallies.
 
-        The bus counters, the UPF-U rings and forwarding stats, and the
+        The bus tallies, the UPF-U rings and forwarding stats, and the
         session count are all registered as the *same* objects (or
         callback gauges over them) — a snapshot view, not a copy.
         """
         registry = MetricsRegistry()
         for metric in self.bus.metrics:
             registry.register(metric)
-        if getattr(self.upf_u, "shards", None) is not None:
-            # Sharded facade: per-shard series plus aggregate gauges
-            # under the same names the single pipeline exports.
-            self.upf_u.register_into(registry)
-        else:
-            self.upf_u.stats.register_into(registry)
-            self.upf_u.rx_ring.register_into(registry)
-            self.upf_u.tx_ring.register_into(registry)
-            if self.upf_u.flow_cache is not None:
-                self.upf_u.flow_cache.register_into(registry)
+        # Either plane: the sharded facade adds per-shard series beside
+        # aggregates under the names the single pipeline exports.
+        self.upf_u.register_into(registry)
         registry.gauge("sessions.active").set_function(
             lambda: len(self.sessions)
         )
@@ -473,15 +460,6 @@ class FiveGCore:
 
     def inject_downlink_burst(self, packets) -> list:
         """A DL burst arrives from the DN (N6), ``burst_size`` at a time."""
-        return self._inject_burst(packets)
-
-    def inject_uplink_burst(self, packets) -> list:
-        """A UL burst arrives from the RAN (N3), ``burst_size`` at a time."""
-        for packet in packets:
-            packet.direction = Direction.UPLINK
-        return self._inject_burst(packets)
-
-    def _inject_burst(self, packets) -> list:
         burst_size = max(1, self.config.burst_size)
         outcomes: list = []
         for begin in range(0, len(packets), burst_size):

@@ -82,30 +82,6 @@ class UEAwareLoadBalancer:
         self.assignments += 1
         return chosen
 
-    def pin(self, supi: str, unit_id: int) -> bool:
-        """Pin a UE to a specific unit (hash-decided placement).
-
-        The sharded deployment decides placement with the RSS /
-        consistent-hash layer; the LB still stamps the per-unit session
-        counters (its §4 resiliency-counter role).  Returns False —
-        counting a rejection — when the unit is missing, unhealthy, or
-        full.  Re-pinning to a new unit moves the session count.
-        """
-        unit = self.units.get(unit_id)
-        existing = self.affinity.get(supi)
-        if existing == unit_id:
-            return True
-        if unit is None or not unit.has_room:
-            self.rejected += 1
-            return False
-        if existing is not None:
-            old = self.units[existing]
-            old.sessions = max(0, old.sessions - 1)
-        unit.sessions += 1
-        self.affinity[supi] = unit_id
-        self.assignments += 1
-        return True
-
     def release(self, supi: str) -> None:
         """Drop a UE's session (deregistration).
 

@@ -4,8 +4,7 @@ One UPF-U pipeline serves every UE from a single ``SessionTable`` /
 ``FlowCache``; the ROADMAP's "millions of users" needs horizontal
 scale-out.  This module runs N independent UPF-U workers behind the
 NIC-style dispatch the paper already leans on (§4: RSS segregates
-packets into per-unit receive queues; the UE-aware LB stamps the
-per-unit session counters):
+packets into per-unit receive queues):
 
 * :class:`ShardRouter` — an RSS indirection table programmed from a
   consistent-hash ring.  Data-plane dispatch is two table lookups:
@@ -20,9 +19,14 @@ per-unit session counters):
   UPF-C routes PFCP establish/modify/delete through unchanged.
 * :class:`ShardedUserPlane` — the facade owning per-shard
   ``SessionTable`` + ``UPFUserPlane`` (each with its own ``FlowCache``
-  and ``RuleEpoch``), the LB handles, and the failure/rebalance path.
+  and ``RuleEpoch``) and the failure/rebalance path.
 * :class:`ShardedUPFControlPlane` — the N4 endpoint whose CHOOSE
   F-TEID allocations are steered.
+
+Each fact has one record: where a session lives is the shard table
+holding it (plus a SEID index written beside it), and which shards
+serve is the router's membership.  The UE-aware load balancer pins
+UEs to whole 5GC units, never sessions to shards.
 
 Ownership is unchanged from the single-UPF split: the UPF-C role is
 the only writer of session membership and rules (on every shard); each
@@ -39,7 +43,7 @@ from typing import Callable, Dict, List, Optional
 from ..analysis import races as _races
 from ..core.costs import DEFAULT_COSTS, CostModel
 from ..net.packet import Direction, Packet
-from ..obs.metrics import Histogram, MetricsRegistry
+from ..obs.metrics import MetricsRegistry
 from ..up import (
     DEFAULT_FLOW_CACHE_CAPACITY,
     ForwardingStats,
@@ -49,7 +53,6 @@ from ..up import (
     UPFSession,
     UPFUserPlane,
 )
-from .lb import UEAwareLoadBalancer, UnitHandle
 from .rss import DEFAULT_RSS_KEY, toeplitz_hash32, toeplitz_windows
 
 __all__ = [
@@ -244,34 +247,24 @@ class ShardedSessionTable(SessionTableView):
     Routes by the same hashes as the data plane: ``add`` places the
     session on the shard its UE IP's bucket maps to (after checking
     the UL TEID was steered into the same bucket), lookups route by
-    key, and ``rehome`` implements the rebalance move.  Membership
-    stays single-writer: only the "upf-c" role calls the mutators, on
-    whichever shard table they resolve to.
+    key, and ``rehome`` implements the rebalance move.  The shard
+    tables are the only record of placement; ``_shard_by_seid`` is
+    their SEID index, written only after a table accepted the session.
+    Membership stays single-writer: only the "upf-c" role calls the
+    mutators, on whichever shard table they resolve to.
     """
 
-    def __init__(
-        self,
-        router: ShardRouter,
-        tables: List[SessionTable],
-        lb: Optional[UEAwareLoadBalancer] = None,
-    ):
+    def __init__(self, router: ShardRouter, tables: List[SessionTable]):
         self.router = router
         self.tables = tables
-        self.lb = lb
         self._shard_by_seid: Dict[int, int] = {}
-
-    @staticmethod
-    def _lb_key(seid: int) -> str:
-        return f"seid-{seid}"
 
     def shard_of(self, seid: int) -> Optional[int]:
         return self._shard_by_seid.get(seid)
 
     def add(self, session: UPFSession) -> None:
         if session.seid in self._shard_by_seid:
-            # Checked before the pin: the recovery below would release
-            # the resident session's pin, and a shard table only knows
-            # the SEIDs it holds itself.
+            # A shard table only knows the SEIDs it holds itself.
             raise ValueError(f"duplicate SEID {session.seid}")
         shard = self.router.shard_for_ue_ip(session.ue_ip)
         if self.router.shard_for_teid(session.ul_teid) != shard:
@@ -280,26 +273,13 @@ class ShardedSessionTable(SessionTableView):
                 f"shard than UE IP {session.ue_ip:#x}; allocate TEIDs "
                 "via ShardRouter.steer_teid"
             )
-        if self.lb is not None and not self.lb.pin(
-            self._lb_key(session.seid), shard
-        ):
-            raise ValueError(f"shard {shard} rejected session {session.seid}")
-        try:
-            self.tables[shard].add(session)
-        except Exception:
-            # add() rejects duplicate SEID/TEID/UE-IP; the pin taken
-            # above must not outlive the failed install.
-            if self.lb is not None:
-                self.lb.release(self._lb_key(session.seid))
-            raise
+        self.tables[shard].add(session)
         self._shard_by_seid[session.seid] = shard
 
     def remove(self, seid: int) -> Optional[UPFSession]:
         shard = self._shard_by_seid.pop(seid, None)
         if shard is None:
             return None
-        if self.lb is not None:
-            self.lb.release(self._lb_key(seid))
         return self.tables[shard].remove(seid)
 
     def rehome(self, seid: int, target: int) -> bool:
@@ -325,8 +305,6 @@ class ShardedSessionTable(SessionTableView):
             self.tables[shard].add(session)
             raise
         self._shard_by_seid[seid] = target
-        if self.lb is not None:
-            self.lb.pin(self._lb_key(seid), target)
         return True
 
     def by_seid(self, seid: int) -> Optional[UPFSession]:
@@ -359,12 +337,11 @@ class ShardedSessionTable(SessionTableView):
 
 @dataclass
 class UPFShard:
-    """One worker: its table, pipeline and LB handle."""
+    """One worker: its table and pipeline."""
 
     shard_id: int
     table: SessionTable
     upf_u: UPFUserPlane
-    unit: UnitHandle
 
 
 class ShardedUserPlane:
@@ -393,13 +370,11 @@ class ShardedUserPlane:
         flow_cache: bool = True,
         flow_cache_capacity: int = DEFAULT_FLOW_CACHE_CAPACITY,
         burst_size: int = 1,
-        capacity_sessions_per_shard: int = 1_000_000,
         table_size: int = 128,
         rss_key: bytes = DEFAULT_RSS_KEY,
     ):
         self.env = env
         self.router = ShardRouter(num_shards, table_size, rss_key)
-        self.lb = UEAwareLoadBalancer()
         self.shards: List[UPFShard] = []
         self._notify_cp = notify_cp or (lambda session: None)
         self._usage_report_sink: Callable = lambda session, counter: None
@@ -420,23 +395,14 @@ class ShardedUserPlane:
                 flow_cache_capacity=flow_cache_capacity,
                 burst_size=burst_size,
             )
-            unit = UnitHandle(
-                unit_id=shard_id,
-                capacity_sessions=capacity_sessions_per_shard,
-            )
-            self.lb.add_unit(unit)
-            self.shards.append(UPFShard(shard_id, table, upf_u, unit))
+            self.shards.append(UPFShard(shard_id, table, upf_u))
         self.sessions = ShardedSessionTable(
-            self.router, [shard.table for shard in self.shards], lb=self.lb
+            self.router, [shard.table for shard in self.shards]
         )
         #: Packets dispatched to each shard (RSS queue depth proxy).
         self.dispatched: List[int] = [0] * num_shards
         self.failovers = 0
         self.sessions_rehomed = 0
-        #: Per-shard data-plane latency histograms, populated by
-        #: :meth:`register_into`; experiments feed them via
-        #: :meth:`observe_latency`.
-        self._latency: Dict[int, Histogram] = {}
 
     # -- data plane ---------------------------------------------------------
     def process(self, packet: Packet) -> str:
@@ -529,11 +495,12 @@ class ShardedUserPlane:
         return hits / probes if probes else 0.0
 
     def load_skew(self) -> float:
-        """max/mean sessions per healthy shard (1.0 = perfect)."""
+        """max/mean sessions per serving shard (1.0 = perfect)."""
+        members = self.router._members
         counts = [
             len(shard.table)
             for shard in self.shards
-            if shard.unit.healthy
+            if shard.shard_id in members
         ]
         if not counts:
             return 1.0
@@ -542,21 +509,21 @@ class ShardedUserPlane:
 
     # -- failure / rebalance ------------------------------------------------
     def mark_failed(self, shard_id: int) -> int:
-        """Fail a shard: LB counter, ring removal, session rebalance.
+        """Fail a shard: ring removal, then session rebalance.
 
-        Returns the number of sessions moved.  Rebalance is
-        control-plane work (membership writes), so it runs under the
-        "upf-c" role; each move fires the failed shard's removal
-        listeners, purging its flow-cache entries and drain state.
+        Returns the number of sessions moved.  The router refuses to
+        remove the last serving shard; that ``ValueError`` leaves
+        everything unchanged.  Rebalance is control-plane work
+        (membership writes), so it runs under the "upf-c" role; each
+        move fires the failed shard's removal listeners, purging its
+        flow-cache entries and drain state.
         """
-        self.lb.mark_failed(shard_id)
         self.router.remove_shard(shard_id)
         self.failovers += 1
         return self._rebalance()
 
     def mark_recovered(self, shard_id: int) -> int:
         """Readmit a shard and pull its buckets' sessions back."""
-        self.lb.mark_recovered(shard_id)
         self.router.add_shard(shard_id)
         return self._rebalance()
 
@@ -581,18 +548,10 @@ class ShardedUserPlane:
         return len(moves)
 
     # -- observability ------------------------------------------------------
-    def observe_latency(self, shard_id: int, seconds: float) -> None:
-        """Feed one measured per-packet latency into the shard's
-        histogram (no wall-clock reads inside the library)."""
-        histogram = self._latency.get(shard_id)
-        if histogram is not None:
-            histogram.observe(seconds)
-
     def register_into(
         self, registry: MetricsRegistry, prefix: str = "upf_u"
     ) -> None:
-        """Per-shard gauges/histograms plus single-UPF-compatible
-        aggregates.
+        """Per-shard gauges plus single-UPF-compatible aggregates.
 
         Shard series use the label convention ``name{shard=i}``; the
         aggregate gauges keep the unsharded names (``upf_u.forwarded``,
@@ -617,9 +576,6 @@ class ShardedUserPlane:
                 ).set_function(lambda c=cache: c.hit_rate)
             shard.upf_u.stats.register_into(
                 registry, prefix=f"{prefix}{{shard={index}}}"
-            )
-            self._latency[index] = registry.histogram(
-                f"{prefix}.latency_s{{shard={index}}}"
             )
         for spec in fields(ForwardingStats):
             registry.gauge(f"{prefix}.{spec.name}").set_function(

@@ -7,7 +7,6 @@ strings and handle prefix arithmetic for the classifier.
 
 from __future__ import annotations
 
-import struct
 from typing import Iterator, Tuple
 
 __all__ = [
@@ -72,18 +71,6 @@ def ip_in_prefix(value: int, address: int, length: int) -> bool:
     """True if ``value`` falls inside ``address/length``."""
     low, high = prefix_range(address, length)
     return low <= value <= high
-
-
-def pack_ipv4(value: int) -> bytes:
-    """Pack an integer IPv4 address to 4 network-order bytes."""
-    return struct.pack("!I", value)
-
-
-def unpack_ipv4(data: bytes) -> int:
-    """Unpack 4 network-order bytes into an integer IPv4 address."""
-    if len(data) != 4:
-        raise ValueError(f"expected 4 bytes, got {len(data)}")
-    return struct.unpack("!I", data)[0]
 
 
 class AddressAllocator:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..net.packet import Packet
 
@@ -89,10 +89,6 @@ class LatencySeries:
         if latency is None:
             raise ValueError("packet missing timestamps")
         self.record(packet.created_at, latency)
-
-    def record_packets(self, packets: Iterable[Packet]) -> None:
-        for packet in packets:
-            self.record_one_way(packet)
 
     def __len__(self) -> int:
         return len(self.samples)

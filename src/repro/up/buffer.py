@@ -71,10 +71,3 @@ class SmartBuffer:
         self._packets = []
         self.drained_total += len(released)
         return released
-
-    def peek_all(self) -> List[Packet]:
-        """Read-only snapshot in arrival order."""
-        detector = _races._ACTIVE
-        if detector is not None:
-            detector.on_read(self, "packets")
-        return list(self._packets)

@@ -602,3 +602,15 @@ class UPFUserPlane(NetworkFunction):
             self.process_burst(packets)
         self.pool.free_burst(descriptors)
         return ()
+
+    # ------------------------------------------------------------------
+    # Observability
+    # ------------------------------------------------------------------
+    def register_into(self, registry: MetricsRegistry) -> None:
+        """Export the forwarding stats, both rings and the flow cache as
+        live views (the sharded facade has the same method)."""
+        self.stats.register_into(registry)
+        self.rx_ring.register_into(registry)
+        self.tx_ring.register_into(registry)
+        if self.flow_cache is not None:
+            self.flow_cache.register_into(registry)

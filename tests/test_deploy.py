@@ -115,26 +115,6 @@ class TestLoadBalancer:
         assert lb.units[0].sessions == 0
         assert lb.units[1].sessions == 6
 
-    def test_pin_places_and_moves(self):
-        lb = self._lb()
-        assert lb.pin("seid-1", 2)
-        assert lb.distribution()[2] == 1
-        assert lb.pin("seid-1", 2)  # idempotent
-        assert lb.distribution()[2] == 1
-        assert lb.pin("seid-1", 0)  # re-pin moves the count
-        assert lb.distribution() == {0: 1, 1: 0, 2: 0}
-        assert lb.assignments == 2
-
-    def test_pin_rejects_missing_full_or_failed_units(self):
-        lb = self._lb(units=2, capacity=1)
-        assert not lb.pin("seid-1", 9)  # no such unit
-        lb.pin("seid-2", 0)
-        assert not lb.pin("seid-3", 0)  # full
-        lb.mark_failed(1)
-        assert not lb.pin("seid-4", 1)  # unhealthy
-        assert lb.rejected == 3
-        assert "seid-3" not in lb.affinity
-
 
 class TestToeplitzKnownAnswers:
     """Microsoft's RSS verification suite (the de-facto conformance

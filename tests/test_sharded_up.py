@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.analysis import races
 from repro.classifier import LinearClassifier, Rule, exact
-from repro.deploy.lb import UEAwareLoadBalancer, UnitHandle
 from repro.deploy.rss import DEFAULT_RSS_KEY, toeplitz_hash32
 from repro.deploy.sharded import (
     ShardRouter,
@@ -166,6 +165,23 @@ def build_sharded(num_shards=4, **kwargs):
     return ShardedUserPlane(Environment(), num_shards, **kwargs)
 
 
+def assert_one_ledger(up):
+    """Placement has one record, the shard tables (the SEID index is
+    written beside them); serving shards have one, the router's
+    membership."""
+    view = up.sessions
+    for shard in up.shards:
+        for session in shard.table.sessions():
+            assert view.shard_of(session.seid) == shard.shard_id
+    # With the loop above: every indexed SEID sits in exactly the
+    # table shard_of names, and in no other.
+    assert len(view) == sum(len(table) for table in view.tables)
+    members = up.router._members
+    counts = [len(up.shards[shard_id].table) for shard_id in members]
+    mean = sum(counts) / len(counts)
+    assert up.load_skew() == (max(counts) / mean if mean else 1.0)
+
+
 # ----------------------------------------------------------------------
 # TEID steering: the GF(2) algebra
 # ----------------------------------------------------------------------
@@ -293,10 +309,10 @@ class TestShardRouter:
 # ShardedSessionTable: the UPF-C's shard-aware view
 # ----------------------------------------------------------------------
 class TestShardedSessionTable:
-    def _view(self, num_shards=4, lb=None):
+    def _view(self, num_shards=4):
         router = ShardRouter(num_shards)
         tables = [SessionTable() for _ in range(num_shards)]
-        return router, tables, ShardedSessionTable(router, tables, lb=lb)
+        return router, tables, ShardedSessionTable(router, tables)
 
     def test_add_places_on_the_ue_ip_shard(self):
         router, tables, view = self._view()
@@ -358,46 +374,39 @@ class TestShardedSessionTable:
         assert sorted(removed) == [1, 2, 3, 4]
 
     def test_lb_counters_track_placement(self):
-        lb = UEAwareLoadBalancer()
-        for unit_id in range(4):
-            lb.add_unit(UnitHandle(unit_id=unit_id, capacity_sessions=100))
-        router, tables, view = self._view(lb=lb)
+        # The shard tables are the placement record: each session sits
+        # in exactly the table shard_of names.
+        _, tables, view = self._view()
         for seid in range(1, 9):
             view.add(make_session(seid))
-        assert lb.distribution() == {
-            shard: len(table) for shard, table in enumerate(tables)
-        }
+        for seid in range(1, 9):
+            holders = [
+                shard for shard, table in enumerate(tables)
+                if table.by_seid(seid) is not None
+            ]
+            assert holders == [view.shard_of(seid)]
+        shard = view.shard_of(1)
+        before = len(tables[shard])
         view.remove(1)
-        assert sum(lb.distribution().values()) == 7
-
-    def test_full_unit_rejects_placement(self):
-        lb = UEAwareLoadBalancer()
-        for unit_id in range(4):
-            lb.add_unit(UnitHandle(unit_id=unit_id, capacity_sessions=0))
-        _, _, view = self._view(lb=lb)
-        with pytest.raises(ValueError, match="rejected"):
-            view.add(make_session(1))
-        assert lb.rejected == 1
-        assert len(view) == 0
+        assert len(tables[shard]) == before - 1
+        assert sum(len(table) for table in tables) == len(view) == 7
 
     def test_failed_add_releases_the_shard_pin(self):
         # Regression (found by the W007 typestate check): a duplicate
-        # UE-IP/TEID rejection in the shard table used to leak the pin
-        # taken just before — the unit's session counter stayed
-        # incremented for a session that was never installed.
-        lb = UEAwareLoadBalancer()
-        for unit_id in range(4):
-            lb.add_unit(UnitHandle(unit_id=unit_id, capacity_sessions=100))
-        _, _, view = self._view(lb=lb)
+        # UE-IP/TEID rejection in the shard table used to leak the
+        # placement record taken just before.  A rejected add must
+        # leave every table, the view's size and the SEID index as
+        # they were.
+        _, tables, view = self._view()
         view.add(make_session(1))
-        before = lb.distribution()
+        before = [table.sessions() for table in tables]
         dup = UPFSession(
             seid=2, ue_ip=UE_BASE + 1, ul_teid=steered_teid(1),
         )
         with pytest.raises(ValueError):
             view.add(dup)
-        assert lb.distribution() == before
-        assert "seid-2" not in lb.affinity
+        assert [table.sessions() for table in tables] == before
+        assert len(view) == 1
         assert view.shard_of(2) is None
 
     def test_failed_rehome_restores_the_source_shard(self):
@@ -562,17 +571,42 @@ class TestShardedUserPlane:
         )
         assert hits == 8
 
-    def test_observe_latency_feeds_the_shard_histogram(self):
-        up = build_sharded(2)
-        registry = MetricsRegistry()
-        up.observe_latency(0, 1.0)  # before registration: dropped
-        up.register_into(registry)
-        for value in (1e-6, 2e-6, 3e-6):
-            up.observe_latency(1, value)
-        histogram = registry.histogram("upf_u.latency_s{shard=1}")
-        assert histogram.count == 3
-        assert histogram.p99() == pytest.approx(3e-6, rel=0.25)
-        assert registry.histogram("upf_u.latency_s{shard=0}").count == 0
+    def test_refused_failover_of_the_last_shard_changes_nothing(self):
+        # Regression: the refusal used to come after the shard had been
+        # marked unhealthy elsewhere, so every later establishment was
+        # rejected while the router still sent all traffic to it.
+        up = build_sharded()
+        cp = ShardedUPFControlPlane(up)
+        for seid in range(1, 9):
+            up.sessions.add(make_session(seid))
+        for shard_id in (0, 1, 2):
+            up.mark_failed(shard_id)
+        skew, failovers = up.load_skew(), up.failovers
+        with pytest.raises(ValueError, match="last shard"):
+            up.mark_failed(3)
+        assert up.load_skew() == skew
+        assert up.failovers == failovers
+        ue_ip = UE_BASE + 99
+        ul_teid = cp.allocate_teid(ue_ip=ue_ip)
+        response = cp.handle(
+            build_session_establishment(
+                seid=99,
+                sequence=1,
+                ue_ip=ue_ip,
+                upf_address=cp.address,
+                ul_teid=ul_teid,
+                gnb_address=GNB,
+                dl_teid=0x500 + 99,
+            )
+        )
+        assert response.find(pfcp_ies.CauseIE).cause == (
+            pfcp_ies.CAUSE_ACCEPTED
+        )
+        assert up.sessions.shard_of(99) == 3
+        packet = ul_packet(99)
+        packet.teid = ul_teid
+        assert up.process(packet) == "forwarded-ul"
+        assert up.process(dl_packet(99)) == "forwarded-dl"
 
 
 # ----------------------------------------------------------------------
@@ -638,12 +672,15 @@ class TestShardedControlPlane:
     def test_deletion_releases_the_shard(self):
         up, cp = self._cp()
         self._establish(cp, seid=1)
-        assert len(up.sessions) == 1
-        assert sum(up.lb.distribution().values()) == 1
+        shard = up.sessions.shard_of(1)
+        assert [len(s.table) for s in up.shards] == [
+            int(s.shard_id == shard) for s in up.shards
+        ]
         cp.handle(SessionDeletionRequest(seid=1, sequence=3))
         assert len(up.sessions) == 0
         assert up.sessions.by_seid(1) is None
-        assert sum(up.lb.distribution().values()) == 0
+        assert up.sessions.shard_of(1) is None
+        assert [len(s.table) for s in up.shards] == [0] * len(up.shards)
 
     def test_establishments_spread_over_shards(self):
         up, cp = self._cp()
@@ -861,6 +898,7 @@ def test_sharded_equals_unsharded(ops):
         # Partitioning the key space must not change a single
         # forwarding decision, ever.
         assert sharded.outcomes == cached.outcomes == plain.outcomes
+        assert_one_ledger(sharded.upf)
     assert sharded.upf.stats == cached.upf.stats == plain.upf.stats
     assert sharded.usage_totals() == plain.usage_totals()
 
@@ -876,13 +914,17 @@ def test_sharded_survives_mid_sequence_failover(ops, victim):
     for op, seid, variant in ops[:half]:
         sharded.step(op, seid, variant)
         plain.step(op, seid, variant)
+        assert_one_ledger(sharded.upf)
     before = len(sharded.view)
     sharded.upf.mark_failed(victim)
     assert len(sharded.view) == before  # rebalance loses nothing
+    assert len(sharded.upf.shards[victim].table) == 0
+    assert_one_ledger(sharded.upf)
     for op, seid, variant in ops[half:]:
         sharded.step(op, seid, variant)
         plain.step(op, seid, variant)
         assert sharded.outcomes == plain.outcomes
+        assert_one_ledger(sharded.upf)
     assert sharded.upf.stats == plain.upf.stats
 
 
