@@ -20,15 +20,19 @@ A delivered message is one :class:`MessageRecord` and two timers:
 
 No process and no heap-scheduled event is involved.
 
-Every delivery is recorded in :attr:`MessageBus.log`, which the
-experiment harnesses mine for per-message latency (Figs 6, 7, 9) and
-message counts.
+The bus keeps the last :attr:`MessageBus.LOG_CAPACITY` deliveries in
+:attr:`MessageBus.log` and the last as many drops in
+:attr:`MessageBus.drops` — bounded windows the experiment harnesses mine
+for per-message latency (Figs 6, 7, 9) — beside exact counts of both
+(:meth:`MessageBus.total_messages`, :attr:`MessageBus.lost`), so its
+memory does not grow with the number of messages it has carried.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from ..analysis import sanitizer as _sanitizer
 from ..obs import spans as _tracing
@@ -43,7 +47,7 @@ __all__ = ["MessageRecord", "DropRecord", "MessageBus", "Endpoint"]
 class MessageRecord:
     """One delivered control-plane message, for offline analysis."""
 
-    # The log keeps one of these per message for the life of the bus.
+    # Built per message; the log retains the last LOG_CAPACITY of them.
     __slots__ = (
         "source", "destination", "name", "channel", "size", "sent_at",
         "delivered_at", "handler_time",
@@ -111,6 +115,11 @@ class MessageBus:
         an L25GC one (SHARED_MEMORY).
     """
 
+    #: Records retained in ``log`` and in ``drops``: the per-queue bound
+    #: of the paper's LB packet log
+    #: (:class:`~repro.resiliency.logger.PacketLogger`).
+    LOG_CAPACITY = 4096
+
     def __init__(
         self,
         env: Environment,
@@ -121,17 +130,21 @@ class MessageBus:
         self.costs = costs
         self.default_channel = default_channel
         self.endpoints: Dict[str, Endpoint] = {}
-        self.log: List[MessageRecord] = []
-        self.drops: List[DropRecord] = []
-        #: ``log`` and ``drops`` are the bus's ledger; ``bus.delivered``
-        #: and ``bus.lost`` are callback gauges over their lengths.
+        #: The bus's ledger: the last ``LOG_CAPACITY`` records of each
+        #: kind, and exact counts of all of them.  ``bus.delivered`` and
+        #: ``bus.lost`` are callback gauges over the counts.
+        self.log: Deque[MessageRecord] = deque(maxlen=self.LOG_CAPACITY)
+        self.drops: Deque[DropRecord] = deque(maxlen=self.LOG_CAPACITY)
+        self.delivered = 0
+        #: Undelivered messages, including drops older than the window.
+        self.lost = 0
         self.metrics = MetricsRegistry()
         self.metrics.gauge(
             "bus.delivered", "messages delivered to a live endpoint"
-        ).set_function(lambda: len(self.log))
+        ).set_function(lambda: self.delivered)
         self.metrics.gauge(
             "bus.lost", "messages the bus could not deliver"
-        ).set_function(lambda: len(self.drops))
+        ).set_function(lambda: self.lost)
         self._latency = self.metrics.histogram(
             "bus.message_latency", "transport + handler latency (s)"
         )
@@ -139,11 +152,6 @@ class MessageBus:
         #: size)``, filled on first use: a cost model does not change
         #: once built.
         self._one_way: Dict[tuple, float] = {}
-
-    @property
-    def lost(self) -> int:
-        """Total undelivered messages: ``len(drops)``, the one record."""
-        return len(self.drops)
 
     # ------------------------------------------------------------------
     def register(
@@ -232,6 +240,7 @@ class MessageBus:
     def _drop(self, record: MessageRecord, reason: str) -> None:
         """The single drop path.  The message's own record never
         reaches the log; the :class:`DropRecord` is its account."""
+        self.lost += 1
         self.drops.append(
             DropRecord(
                 source=record.source,
@@ -300,6 +309,7 @@ class MessageBus:
     ) -> None:
         """The last hop: log the record and resume the sender in place."""
         self._latency.observe(self.env.now - record.sent_at)
+        self.delivered += 1
         self.log.append(record)
         if span is not None:
             self._emit_breakdown(span, record)
@@ -341,8 +351,11 @@ class MessageBus:
 
     # ------------------------------------------------------------------
     def records_named(self, label: str) -> List[MessageRecord]:
-        """All delivery records for messages with the given label."""
+        """The retained delivery records (the last ``LOG_CAPACITY``)
+        for messages with the given label."""
         return [record for record in self.log if record.name == label]
 
     def total_messages(self) -> int:
-        return len(self.log)
+        """Every message delivered over the bus's life, not only the
+        retained window."""
+        return self.delivered

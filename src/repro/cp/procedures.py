@@ -85,7 +85,7 @@ class Run:
     __slots__ = ("core", "costs", "ue", "supi", "gnb", "target",
                  "pdu_session_id", "sm", "vector", "kseaf", "sa", "dl_teid",
                  "forwarding_teid", "hairpinned", "started_at",
-                 "messages_before")
+                 "messages")
 
     def __init__(self, runner: "ProcedureRunner", ue: UserEquipment,
                  gnb_id: Optional[int] = None, pdu_session_id: int = 1,
@@ -105,7 +105,9 @@ class Run:
         self.sm = self.vector = self.kseaf = self.sa = self.dl_teid = None
         self.forwarding_teid = self.hairpinned = 0
         self.started_at = core.env.now
-        self.messages_before = core.bus.total_messages()
+        #: Bus messages this run's rows sent: counted per row, because
+        #: the bus total also moves with every concurrent procedure.
+        self.messages = 0
 
     def smart(self) -> bool:
         return self.core.config.smart_handover_buffering
@@ -680,9 +682,11 @@ class ProcedureRunner:
         core, env, times = self.core, self.env, self._times
         for kind, src, dst, build, handler, apply, span in table:
             if kind == "ngap":
+                run.messages += 1
                 response = yield core.ngap_send(
                     src, dst, build(run), times[handler])
             elif kind == "sbi":
+                run.messages += 4  # NRF discovery + request/response
                 request, response = build(run)
                 yield from core.sbi_exchange(
                     src, dst, request, response, times[handler])
@@ -695,6 +699,7 @@ class ProcedureRunner:
                                     category="radio")
                 response = yield env.timeout(duration)
             else:
+                run.messages += 2  # PFCP request + response
                 tracer = _tracing._ACTIVE
                 step = tracer.begin(span) if span and tracer else None
                 response = yield from core.n4_exchange(build(run))
@@ -706,7 +711,7 @@ class ProcedureRunner:
     def _result(self, run: Run, event: str, **detail: Any) -> EventResult:
         return EventResult(
             event, self.core.config.name, run.started_at, self.env.now,
-            self.core.bus.total_messages() - run.messages_before, detail)
+            run.messages, detail)
 
     def _on_session(self, ue: UserEquipment, pdu_session_id: int,
                     target_gnb_id: Optional[int] = None) -> Run:

@@ -12,18 +12,25 @@ since the last checkpoint *and* recovering in-flight data packets
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Any, Deque, Dict, List, Tuple
 
 from ..net.packet import Direction, PacketKind
 
 __all__ = ["LoggedPacket", "PacketLogger"]
 
+_COUNTER = attrgetter("counter")
+
 
 @dataclass
 class LoggedPacket:
     """One logged message with its LB counter stamp."""
+
+    __slots__ = ("counter", "direction", "kind", "payload")
 
     counter: int
     direction: Direction
@@ -37,7 +44,8 @@ class PacketLogger:
     Parameters
     ----------
     data_capacity:
-        Per-queue capacity for the two data queues (tail drop).
+        Per-queue capacity for the two data queues; overflow drops the
+        oldest entry.
     control_capacity:
         Per-queue capacity for the two control queues; sized larger
         relative to their traffic so control is never lost to a data
@@ -53,11 +61,11 @@ class PacketLogger:
 
     def __init__(self, data_capacity: int = 4096, control_capacity: int = 4096):
         self._counter = itertools.count(1)
-        self._queues: Dict[Tuple[Direction, PacketKind], List[LoggedPacket]] = {
-            key: [] for key in self.QUEUES
-        }
-        self._capacities = {
-            key: control_capacity if key[1] is PacketKind.CONTROL else data_capacity
+        #: Each queue is a ring in counter order: overflow evicts its
+        #: head, an acknowledgement pops heads.
+        self._queues: Dict[Tuple[Direction, PacketKind], Deque[LoggedPacket]] = {
+            key: deque(maxlen=control_capacity
+                       if key[1] is PacketKind.CONTROL else data_capacity)
             for key in self.QUEUES
         }
         self.logged = 0
@@ -78,8 +86,7 @@ class PacketLogger:
         """
         counter = next(self._counter)
         queue = self._queues[(direction, kind)]
-        if len(queue) >= self._capacities[(direction, kind)]:
-            queue.pop(0)
+        if len(queue) == queue.maxlen:  # the append evicts the head
             self.dropped += 1
         queue.append(
             LoggedPacket(
@@ -104,9 +111,9 @@ class PacketLogger:
         """
         removed = 0
         for queue in self._queues.values():
-            keep = [entry for entry in queue if entry.counter > counter]
-            removed += len(queue) - len(keep)
-            queue[:] = keep
+            while queue and queue[0].counter <= counter:
+                queue.popleft()
+                removed += 1
         self.released += removed
         self.acked_counter = max(self.acked_counter, counter)
         return removed
@@ -116,27 +123,12 @@ class PacketLogger:
         """All logged entries newer than ``after_counter`` in counter
         order, merged across the four queues.
 
-        This is the replica's replay stream: repeatedly pick the queue
-        whose head has the lowest counter, preserving the original
+        This is the replica's replay stream: each queue is already in
+        counter order, so a merge of the four preserves the original
         processing order.
         """
-        heads = {key: 0 for key in self.QUEUES}
-        merged: List[LoggedPacket] = []
-        while True:
-            best_key: Optional[Tuple[Direction, PacketKind]] = None
-            best_counter = None
-            for key in self.QUEUES:
-                queue = self._queues[key]
-                index = heads[key]
-                while index < len(queue) and queue[index].counter <= after_counter:
-                    index += 1
-                heads[key] = index
-                if index < len(queue):
-                    counter = queue[index].counter
-                    if best_counter is None or counter < best_counter:
-                        best_counter = counter
-                        best_key = key
-            if best_key is None:
-                return merged
-            merged.append(self._queues[best_key][heads[best_key]])
-            heads[best_key] += 1
+        return [
+            entry
+            for entry in heapq.merge(*self._queues.values(), key=_COUNTER)
+            if entry.counter > after_counter
+        ]

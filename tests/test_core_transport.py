@@ -1,5 +1,8 @@
 """Tests for the message-level bus."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.analysis import races, sanitizer
@@ -103,7 +106,7 @@ class TestDelivery:
         bus.register("amf", lambda message, b: None)
         bus.send("ran", "amf", "msg")
         env.run()
-        assert bus.drops == []
+        assert not bus.drops
         assert bus.lost == 0
 
     def test_set_alive_unknown_raises(self):
@@ -162,7 +165,7 @@ class TestLog:
         assert record.total_latency == pytest.approx(
             record.transport_latency + 1e-3
         )
-        # One per message for the life of the bus: no per-record dict.
+        # One per message, LOG_CAPACITY of them retained: no per-record dict.
         assert not hasattr(record, "__dict__")
 
     def test_records_named_filter(self):
@@ -184,6 +187,58 @@ class TestLog:
         bus.send("ran", "amf", Named())
         env.run()
         assert bus.log[0].name == "FancyMessage"
+
+
+class TestBoundedLedger:
+    """``log`` and ``drops`` keep the last ``LOG_CAPACITY`` records; the
+    counts stay exact however many messages the bus has carried."""
+
+    CAPACITY = MessageBus.LOG_CAPACITY
+
+    @staticmethod
+    def _send(env, bus, count):
+        for n in range(count):
+            bus.send("ran", "amf", n, name=f"m{n}", handler_time=0.0)
+        env.run()
+
+    def test_memory_is_flat_in_messages_carried(self):
+        env, bus = make_bus()
+        bus.register("amf", lambda message, b: None)
+        tracemalloc.start()
+        try:
+            self._send(env, bus, self.CAPACITY)
+            gc.collect()
+            before, _ = tracemalloc.get_traced_memory()
+            self._send(env, bus, 2 * self.CAPACITY)
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert bus.total_messages() == 3 * self.CAPACITY
+        assert after - before < 16 * 1024
+
+    def test_log_window_after_a_wrap(self):
+        env, bus = make_bus()
+        bus.register("amf", lambda message, b: None)
+        self._send(env, bus, self.CAPACITY + 5)
+        assert len(bus.log) == self.CAPACITY
+        assert bus.log[0].name == "m5"
+        assert bus.log[-1].name == f"m{self.CAPACITY + 4}"
+        assert bus.total_messages() == self.CAPACITY + 5
+        assert bus.metrics.get("bus.delivered").value == self.CAPACITY + 5
+        assert bus.records_named("m0") == []
+        assert len(bus.records_named("m5")) == 1
+
+    def test_drop_window_after_a_wrap(self):
+        env, bus = make_bus()
+        bus.register("amf", lambda message, b: None)
+        bus.set_alive("amf", False)
+        self._send(env, bus, self.CAPACITY + 5)
+        assert len(bus.drops) == self.CAPACITY
+        assert bus.drops[0].name == "m5"
+        assert bus.lost == self.CAPACITY + 5
+        assert bus.metrics.get("bus.lost").value == self.CAPACITY + 5
+        assert bus.total_messages() == 0 and not bus.log
 
 
 class TestTimerChain:
@@ -225,7 +280,7 @@ class TestTimerChain:
         done.callbacks.append(lambda ev: fired.append((env.now, ev.value)))
         env.call_later(latency / 2, bus.set_alive, "amf", False)
         env.run()
-        assert received == [] and bus.log == []
+        assert received == [] and not bus.log
         [drop] = bus.drops
         assert drop.reason == "endpoint-down"
         assert drop.at == sent_at + latency
@@ -240,7 +295,7 @@ class TestTimerChain:
         env.call_later(latency + 0.5e-3, bus.set_alive, "amf", False)
         env.run()
         assert received == ["msg"] and done.value == "msg"
-        assert bus.drops == [] and bus.total_messages() == 1
+        assert not bus.drops and bus.total_messages() == 1
 
     def test_same_instant_messages_complete_in_send_order(self):
         env, bus = make_bus()
@@ -341,7 +396,7 @@ class TestTimerChain:
         with pytest.raises(RuntimeError, match="sender bug"):
             env.run()
         assert not process.ok
-        assert bus.total_messages() == 1 and bus.drops == []
+        assert bus.total_messages() == 1 and not bus.drops
 
     def test_interrupted_sender_is_not_resumed_by_the_completion(self):
         env, bus = make_bus()

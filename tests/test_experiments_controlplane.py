@@ -109,6 +109,15 @@ class TestFig08:
         for event in one:
             assert two[event] == pytest.approx(one[event], rel=0.10)
 
+    def test_two_users_report_each_procedures_own_messages(self):
+        """A concurrent user's messages are not added to the count."""
+        one = {r.event: r.messages for r in event_completion_times(num_ues=1)}
+        two = {r.event: r.messages for r in event_completion_times(num_ues=2)}
+        assert two == one == {
+            "registration": 32, "session-request": 27, "handover": 38,
+            "paging": 14,
+        }
+
 
 class TestFig09:
     @pytest.fixture(scope="class")

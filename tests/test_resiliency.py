@@ -176,6 +176,91 @@ class TestPacketLogger:
         assert len(counters) == len(stamps)
 
 
+class ListLogger:
+    """The four queues as plain lists, each operation written out."""
+
+    def __init__(self, data_capacity, control_capacity):
+        self.queues = {key: [] for key in PacketLogger.QUEUES}
+        self.capacity = {
+            key: control_capacity if key[1] is PacketKind.CONTROL
+            else data_capacity
+            for key in PacketLogger.QUEUES
+        }
+        self.counter = self.dropped = self.released = self.acked_counter = 0
+
+    def stamp(self, payload, direction, kind):
+        self.counter += 1
+        queue = self.queues[direction, kind]
+        queue.append((self.counter, payload))
+        if len(queue) > self.capacity[direction, kind]:
+            del queue[0]
+            self.dropped += 1
+        return self.counter
+
+    def release_through(self, counter):
+        removed = 0
+        for key, queue in self.queues.items():
+            keep = [entry for entry in queue if entry[0] > counter]
+            removed += len(queue) - len(keep)
+            self.queues[key] = keep
+        self.released += removed
+        self.acked_counter = max(self.acked_counter, counter)
+        return removed
+
+    def replay_order(self, after_counter):
+        entries = [entry for queue in self.queues.values() for entry in queue]
+        return sorted(entry for entry in entries if entry[0] > after_counter)
+
+
+_LOGGER_OPS = st.one_of(
+    st.tuples(
+        st.just("stamp"),
+        st.sampled_from(list(Direction)),
+        st.sampled_from(list(PacketKind)),
+    ),
+    st.tuples(st.just("release"), st.integers(0, 40)),
+    st.tuples(st.just("replay"), st.integers(0, 40)),
+)
+
+
+class TestPacketLoggerModel:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data_capacity=st.integers(1, 5),
+        control_capacity=st.integers(1, 5),
+        ops=st.lists(_LOGGER_OPS, max_size=40),
+    )
+    def test_rings_match_the_list_model(
+        self, data_capacity, control_capacity, ops
+    ):
+        logger = PacketLogger(data_capacity, control_capacity)
+        model = ListLogger(data_capacity, control_capacity)
+        for step, (op, *args) in enumerate(ops):
+            if op == "stamp":
+                direction, kind = args
+                assert logger.stamp(step, direction, kind) == model.stamp(
+                    step, direction, kind
+                )
+            elif op == "release":
+                assert logger.release_through(args[0]) == (
+                    model.release_through(args[0])
+                )
+            else:
+                assert [
+                    (entry.counter, entry.payload)
+                    for entry in logger.replay_order(args[0])
+                ] == model.replay_order(args[0])
+            for key, queue in model.queues.items():
+                assert [
+                    (entry.counter, entry.payload)
+                    for entry in logger._queues[key]
+                ] == queue
+            assert len(logger) == sum(map(len, model.queues.values()))
+            assert (logger.dropped, logger.released, logger.acked_counter) == (
+                model.dropped, model.released, model.acked_counter
+            )
+
+
 # ---------------------------------------------------------------------------
 # Failure detection
 # ---------------------------------------------------------------------------
