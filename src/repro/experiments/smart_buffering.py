@@ -23,10 +23,11 @@ from dataclasses import dataclass
 from typing import Dict
 
 from ..cp.core5g import SystemConfig
-from ..net.packet import Direction, FiveTuple, Packet
+from ..net.packet import FiveTuple
 from ..ran.gnb import GNodeB
 from ..sim.engine import MS, Environment
 from ..sim.queues import Store
+from ..traffic.generator import ConstantRateGenerator
 
 __all__ = [
     "BufferingCase",
@@ -75,16 +76,10 @@ def simulated_drops(
     rate for the handover window and count the tail drops."""
     env = Environment()
     store = Store(env, capacity=queue_length)
-
-    def feed():
-        interval = 1.0 / dl_rate_pps
-        elapsed = 0.0
-        while elapsed < handover_s:
-            store.put_nowait_drop(Packet(direction=Direction.DOWNLINK))
-            yield env.timeout(interval)
-            elapsed += interval
-
-    env.process(feed())
+    ConstantRateGenerator(
+        env, store.put_nowait_drop, rate_pps=dl_rate_pps, flow=FiveTuple(),
+        duration=handover_s,
+    )
     env.run()
     return store.drops
 

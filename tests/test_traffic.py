@@ -6,6 +6,7 @@ import pytest
 
 from repro.net import FiveTuple, Packet
 from repro.sim import Environment
+from repro.sim.engine import Process
 from repro.traffic import (
     ConstantRateGenerator,
     LatencySeries,
@@ -65,6 +66,158 @@ class TestGenerator:
         with pytest.raises(ValueError):
             ConstantRateGenerator(env, lambda p: None, rate_pps=0,
                                   flow=FiveTuple())
+
+
+class ProcessRateGenerator:
+    """The constant-rate source as a process (one timeout and one resume
+    per packet): the schedule :class:`ConstantRateGenerator` keeps."""
+
+    def __init__(self, env, sink, rate_pps, flow, start=0.0, duration=None):
+        self.env, self.sink, self.rate_pps, self.flow = env, sink, rate_pps, flow
+        self.start, self.duration = start, duration
+        self.emitted, self._stopped = 0, False
+        env.process(self._run())
+
+    def stop(self):
+        self._stopped = True
+
+    def _run(self):
+        interval = 1.0 / self.rate_pps
+        if self.start > 0:
+            yield self.env.timeout(self.start)
+        elapsed = 0.0
+        while not self._stopped:
+            if self.duration is not None and elapsed >= self.duration:
+                break
+            self.sink(Packet(flow=self.flow, seq=self.emitted,
+                             created_at=self.env.now))
+            self.emitted += 1
+            yield self.env.timeout(interval)
+            elapsed += interval
+
+
+def counted_steps(env):
+    """Count ``env.step`` calls from outside, as the e2e harness does."""
+    steps = [0]
+    step = env.step
+
+    def counted_step():
+        steps[0] += 1
+        step()
+
+    env.step = counted_step
+    return steps
+
+
+class TestTimerChain:
+    """The timer chain against the process it replaced: same packets at
+    the same instants, in the same order against same-instant rivals,
+    the same final clock and the same number of engine steps."""
+
+    def _run(self, source_class, rate, start, duration, stop_at):
+        env = Environment()
+        steps = counted_steps(env)
+        trace = []
+        interval = 1.0 / rate
+
+        def rival_process():
+            yield env.timeout(start)
+            for _ in range(12):
+                trace.append(("process", env.now))
+                yield env.timeout(interval)
+
+        def rival_timer(left):
+            trace.append(("timer", env.now))
+            if left:
+                env.call_later(interval, rival_timer, left - 1)
+
+        def sink(packet):
+            trace.append(("packet", packet.created_at, packet.seq))
+            # Due with the next packet: ordered by who pushed first.
+            env.call_later(interval, trace.append, ("echo", packet.seq))
+
+        env.process(rival_process())
+        source = source_class(
+            env, sink, rate_pps=rate, flow=FiveTuple(), start=start,
+            duration=duration,
+        )
+        env.call_later(start, rival_timer, 12)
+        if stop_at is not None:
+            env.call_later(stop_at, source.stop)
+        env.run()
+        return trace, source.emitted, env.now, steps[0]
+
+    @pytest.mark.parametrize("rate", [64, 100, 1000, 1024])
+    @pytest.mark.parametrize("start", [0.0, 0.5])
+    @pytest.mark.parametrize(
+        "packets, stopped",
+        [(0, False), (8, False), (9, True)],
+        ids=["empty", "bounded", "stopped"],
+    )
+    def test_schedule_matches_the_process(self, rate, start, packets, stopped):
+        # Bounded windows are drift-free here, so the process's
+        # accumulated ``elapsed`` test and the fixed count agree.
+        duration, stop_at = packets / rate, None
+        if stopped:
+            duration, stop_at = None, start + (packets - 0.5) / rate
+        new = self._run(ConstantRateGenerator, rate, start, duration, stop_at)
+        old = self._run(ProcessRateGenerator, rate, start, duration, stop_at)
+        assert new == old
+        assert new[1] == packets
+
+    def test_no_process_per_packet(self, count_calls):
+        resumes = count_calls(Process, "_resume")
+        timeouts = count_calls(Environment, "timeout")
+        env = Environment()
+        steps = counted_steps(env)
+        sink = []
+        ConstantRateGenerator(
+            env, sink.append, rate_pps=1000, flow=FiveTuple(), duration=0.1
+        )
+        env.run()
+        assert len(sink) == 100
+        assert (resumes.calls, timeouts.calls) == (0, 0)
+        assert steps[0] == 100 + 1
+
+    def test_a_raising_sink_leaves_run(self):
+        env = Environment()
+        sink = []
+
+        def failing(packet):
+            if packet.seq == 3:
+                raise RuntimeError("sink failed")
+            sink.append(packet)
+
+        generator = ConstantRateGenerator(
+            env, failing, rate_pps=100, flow=FiveTuple(), duration=1.0
+        )
+        with pytest.raises(RuntimeError, match="sink failed"):
+            env.run()
+        assert [packet.seq for packet in sink] == [0, 1, 2]
+        assert generator.emitted == 3
+        # The chain ended with the exception: nothing is left to fire.
+        env.run()
+        assert generator.emitted == 3
+
+    @pytest.mark.parametrize(
+        "rate, duration, count",
+        [
+            (10_000, 0.5, 5_000),
+            (100, 0.1, 10),
+            (20_000, 0.13, 2_600),
+            # duration * rate is 700.0000000000001: the count rounds it.
+            (10_000, 0.07, 700),
+        ],
+    )
+    def test_count_is_exact_under_float_drift(self, rate, duration, count):
+        env = Environment()
+        sink = []
+        ConstantRateGenerator(
+            env, sink.append, rate_pps=rate, flow=FiveTuple(), duration=duration
+        )
+        env.run()
+        assert len(sink) == count
+        assert [packet.seq for packet in sink] == list(range(count))
 
 
 class TestPercentile:
