@@ -8,7 +8,7 @@ spectrum or base station involved.
     python examples/non3gpp_access.py
 """
 
-from repro.cp import FiveGCore, ProcedureRunner, SystemConfig
+from repro.cp import FiveGCore, SystemConfig, scenario
 from repro.net import Direction, FiveTuple, Packet, int_to_ip
 from repro.sim import Environment
 
@@ -17,22 +17,16 @@ def main() -> None:
     env = Environment()
     core = FiveGCore(env, SystemConfig.l25gc())
     n3iwf = core.add_n3iwf(100)
-    runner = ProcedureRunner(core)
-    device = core.add_ue("imsi-208930000042001")  # a WiFi sensor
-    detail = {}
-
-    def scenario():
-        result = yield from runner.register_ue_non3gpp(device, n3iwf_id=100)
-        print(f"EAP-AKA' registration : {result.duration * 1e3:6.1f} ms "
-              f"(signalling SA spi={result.detail['signalling_spi']:#x})")
-        result = yield from runner.establish_session_non3gpp(device)
-        detail.update(result.detail)
-        print(f"PDU session over IPsec: {result.duration * 1e3:6.1f} ms "
-              f"(child SA spi={result.detail['child_spi']:#x}, "
-              f"IP {int_to_ip(result.detail['ue_ip'])})")
-
-    env.process(scenario())
-    env.run()
+    supi = "imsi-208930000042001"  # a WiFi sensor
+    (_, result), (_, session) = scenario.run(core, {supi: [
+        ("register_non3gpp", 100), ("establish_non3gpp", 1),
+    ]})
+    print(f"EAP-AKA' registration : {result.duration * 1e3:6.1f} ms "
+          f"(signalling SA spi={result.detail['signalling_spi']:#x})")
+    detail = session.detail
+    print(f"PDU session over IPsec: {session.duration * 1e3:6.1f} ms "
+          f"(child SA spi={detail['child_spi']:#x}, "
+          f"IP {int_to_ip(detail['ue_ip'])})")
 
     # Downlink telemetry command to the sensor.
     core.inject_downlink(Packet(
@@ -51,7 +45,7 @@ def main() -> None:
                        src_port=40000, dst_port=8883),
     ))
     env.run()
-    received = device.received[0]
+    received = core.ues[supi].received[0]
     print(f"downlink delivered    : {received.size} B on the wire "
           f"(ESP spi={received.meta['esp_spi']:#x}, "
           f"{received.latency * 1e3:.1f} ms over WiFi)")

@@ -3,7 +3,8 @@
 
 Runs the full UE lifecycle — registration, PDU session establishment,
 uplink/downlink traffic, idle transition, paging — on the simulated
-shared-memory core, and prints what happened at each step.
+shared-memory core, and prints what happened at each step.  Each step
+is a scenario (:mod:`repro.cp.scenario`): the UE's operations as data.
 
     python examples/quickstart.py
 
@@ -16,72 +17,56 @@ does exactly this).
 import os
 
 from repro import obs
-from repro.cp import FiveGCore, ProcedureRunner, SystemConfig
+from repro.cp import FiveGCore, SystemConfig, scenario
 from repro.net import Direction, FiveTuple, Packet, int_to_ip
 from repro.sim import Environment
+
+SUPI = "imsi-208930000000003"
 
 
 def main() -> None:
     env = Environment()
     core = FiveGCore(env, SystemConfig.l25gc())
-    runner = ProcedureRunner(core)
-    ue = core.add_ue("imsi-208930000000003")
     trace_path = os.environ.get("REPRO_TRACE")
     tracer = obs.enable(env) if trace_path else None
-
-    def scenario():
-        # 1. Register the UE (authentication, security mode, policy).
-        result = yield from runner.register_ue(ue, gnb_id=1)
+    try:
+        # 1. Register the UE (authentication, security mode, policy),
+        # 2. then establish a PDU session; the UPF installs UL/DL rules.
+        (_, result), (_, session) = scenario.run(
+            core, {SUPI: [("register", 1), ("establish", 1)]})
         print(f"registration  : {result.duration * 1e3:7.1f} ms "
               f"({result.messages} control messages)")
-
-        # 2. Establish a PDU session; the UPF installs UL/DL rules.
-        result = yield from runner.establish_session(ue, pdu_session_id=1)
-        ue_ip = result.detail["ue_ip"]
-        print(f"pdu session   : {result.duration * 1e3:7.1f} ms "
+        ue_ip = session.detail["ue_ip"]
+        print(f"pdu session   : {session.duration * 1e3:7.1f} ms "
               f"(UE IP {int_to_ip(ue_ip)}, UL TEID "
-              f"{result.detail['ul_teid']:#x})")
+              f"{session.detail['ul_teid']:#x})")
 
         # 3. Uplink + downlink user traffic through the UPF.
-        uplink = Packet(
+        core.inject_uplink(Packet(
             direction=Direction.UPLINK,
-            teid=result.detail["ul_teid"],
+            teid=session.detail["ul_teid"],
             flow=FiveTuple(src_ip=ue_ip, dst_ip=0x08080808,
                            src_port=40000, dst_port=443),
-        )
-        core.inject_uplink(uplink)
-        downlink = Packet(
-            direction=Direction.DOWNLINK,
-            flow=FiveTuple(src_ip=0x08080808, dst_ip=ue_ip,
-                           src_port=443, dst_port=40000),
-            created_at=env.now,
-        )
-        core.inject_downlink(downlink)
-        yield env.timeout(0.001)
-        print(f"data plane    : {core.upf_u.stats.forwarded} packets "
-              f"forwarded (UL {core.upf_u.stats.forwarded_ul}, "
-              f"DL {core.upf_u.stats.forwarded_dl})")
-
-        # 4. Idle transition, then a downlink packet pages the UE back.
-        yield from runner.release_to_idle(ue)
-        print(f"ue state      : {ue.cm_state.value}")
-        core.on_report = lambda report: env.process(wake())
-
-        def wake():
-            result = yield from runner.page_ue(ue)
-            print(f"paging        : {result.duration * 1e3:7.1f} ms "
-                  f"-> {ue.cm_state.value}")
-
+        ))
         core.inject_downlink(Packet(
             direction=Direction.DOWNLINK,
             flow=FiveTuple(src_ip=0x08080808, dst_ip=ue_ip,
                            src_port=443, dst_port=40000),
             created_at=env.now,
         ))
-
-    env.process(scenario())
-    try:
         env.run()
+        print(f"data plane    : {core.upf_u.stats.forwarded} packets "
+              f"forwarded (UL {core.upf_u.stats.forwarded_ul}, "
+              f"DL {core.upf_u.stats.forwarded_dl})")
+
+        # 4. Idle transition, then a downlink packet's data report
+        # pages the UE back.
+        scenario.run(core, {SUPI: [("idle",)]})
+        print(f"ue state      : {core.ues[SUPI].cm_state.value}")
+        [(_, result)] = scenario.run(
+            core, {SUPI: [("downlink", 1000, 0.001), ("report",), ("page",)]})
+        print(f"paging        : {result.duration * 1e3:7.1f} ms "
+              f"-> {core.ues[SUPI].cm_state.value}")
     finally:
         if tracer is not None:
             obs.disable()

@@ -1,7 +1,7 @@
 """Control plane: NFs, contexts, 5GC assembly, 3GPP procedures."""
 
 from .context import HOState, RegistrationState, SMContext, UEContext
-from .core5g import FiveGCore, SystemConfig
+from .core5g import SYSTEMS, FiveGCore, SystemConfig
 from .nfs import AMF, AUSF, NRF, PCF, SMF, UDM, AuthVector
 from .procedures import EventResult, ProcedureRunner
 
@@ -12,6 +12,7 @@ __all__ = [
     "UEContext",
     "FiveGCore",
     "SystemConfig",
+    "SYSTEMS",
     "AMF",
     "AUSF",
     "NRF",

@@ -35,7 +35,7 @@ from ..up import (
 )
 from .nfs import AMF, AUSF, NRF, PCF, SMF, UDM
 
-__all__ = ["SystemConfig", "FiveGCore"]
+__all__ = ["SystemConfig", "SYSTEMS", "FiveGCore"]
 
 
 @dataclass
@@ -121,6 +121,14 @@ class SystemConfig:
     def l25gc(cls) -> "SystemConfig":
         """The full L25GC: shared memory everywhere, PDR-PS, smart HO."""
         return cls(name="l25gc")
+
+
+#: The three systems of the evaluation by name, in the paper's order.
+SYSTEMS: Dict[str, Callable[[], SystemConfig]] = {
+    "free5gc": SystemConfig.free5gc,
+    "onvm-upf": SystemConfig.onvm_upf,
+    "l25gc": SystemConfig.l25gc,
+}
 
 
 class FiveGCore:

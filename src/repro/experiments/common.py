@@ -1,36 +1,29 @@
-"""Shared scenario builders for the per-figure experiment modules.
+"""Shared helpers for the per-figure experiment modules.
 
 Everything here is deterministic: the same configuration produces the
 same numbers, so the benchmark suite can assert the paper's shape
-(who wins, by what factor) without tolerance gymnastics.
+(who wins, by what factor) without tolerance gymnastics.  The UE
+events themselves are scenarios (:mod:`repro.cp.scenario`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict
 
 from ..core.costs import DEFAULT_COSTS, CostModel
+from ..cp import scenario
 from ..cp.core5g import FiveGCore, SystemConfig
-from ..cp.procedures import EventResult, ProcedureRunner
-from ..net.packet import Direction, FiveTuple, Packet
+from ..cp.procedures import EventResult
+from ..ran.ue import UserEquipment
 from ..sim.engine import Environment
-from ..traffic.generator import ConstantRateGenerator
 from ..traffic.measurement import LatencySeries
 
 __all__ = [
-    "ALL_SYSTEMS",
     "UE_EVENTS",
     "run_ue_events",
-    "DataPlaneScenario",
+    "data_plane_core",
+    "latency_series",
 ]
-
-#: The three systems of the evaluation, in the paper's order.
-ALL_SYSTEMS: Dict[str, Callable[[], SystemConfig]] = {
-    "free5gc": SystemConfig.free5gc,
-    "onvm-upf": SystemConfig.onvm_upf,
-    "l25gc": SystemConfig.l25gc,
-}
 
 #: Fig 8's UE events, in the paper's order.
 UE_EVENTS = ("registration", "session-request", "handover", "paging")
@@ -47,137 +40,32 @@ def run_ue_events(
     concurrently (the paper checked 1 vs 2 users and saw no perceptible
     difference); the returned results are those of the first UE.
     """
-    env = Environment()
-    core = FiveGCore(env, config, costs=costs)
-    runner = ProcedureRunner(core)
-    results: Dict[str, EventResult] = {}
-
-    def lifecycle(index: int):
-        ue = core.add_ue(f"imsi-20893000000{index:04d}")
-        keep = index == 0
-        result = yield from runner.register_ue(ue, gnb_id=1)
-        if keep:
-            results["registration"] = result
-        result = yield from runner.establish_session(ue, pdu_session_id=1)
-        if keep:
-            results["session-request"] = result
-        result = yield from runner.handover(ue, target_gnb_id=2)
-        if keep:
-            results["handover"] = result
-        yield from runner.release_to_idle(ue)
-        result = yield from runner.page_ue(ue)
-        if keep:
-            results["paging"] = result
-
-    for index in range(num_ues):
-        env.process(lifecycle(index))
-    env.run()
-    missing = [event for event in UE_EVENTS if event not in results]
-    if missing:
-        raise RuntimeError(f"events did not complete: {missing}")
-    return results
+    core = FiveGCore(Environment(), config, costs=costs)
+    supis = [f"imsi-20893000000{index:04d}" for index in range(num_ues)]
+    results = scenario.run(core, dict.fromkeys(supis, scenario.UE_LIFECYCLE))
+    return {
+        result.event: result
+        for supi, result in results
+        if supi == supis[0] and result.event in UE_EVENTS
+    }
 
 
-@dataclass
-class SessionInfo:
-    """Bookkeeping for one UE's data session in a scenario."""
+def data_plane_core(
+    config: SystemConfig, costs: CostModel = DEFAULT_COSTS
+) -> FiveGCore:
+    """A core for the paging/handover data-plane experiments (Figs
+    13-14) with the RAN-side radio latency zeroed: the paper's testbed
+    terminates measurements at the RAN simulator host, so the base RTT
+    reflects only the core's forwarding path."""
+    core = FiveGCore(Environment(), config, costs=costs)
+    for gnb in core.gnbs.values():
+        gnb.radio_latency = 0.0
+    return core
 
-    supi: str
-    ue_ip: int = 0
-    flow: Optional[FiveTuple] = None
-    series: LatencySeries = field(default_factory=LatencySeries)
 
-
-class DataPlaneScenario:
-    """A core with registered UEs and downlink traffic plumbing.
-
-    Used by the paging/handover/failover data-plane experiments
-    (Figs 13-16).  The RAN-side radio latency is zeroed: the paper's
-    testbed terminates measurements at the RAN simulator host, so the
-    base RTT reflects only the core's forwarding path.
-    """
-
-    DN_IP = 0x08080808
-
-    def __init__(
-        self,
-        config: SystemConfig,
-        costs: CostModel = DEFAULT_COSTS,
-        num_ues: int = 1,
-    ):
-        self.env = Environment()
-        self.config = config
-        self.costs = costs
-        self.core = FiveGCore(self.env, config, costs=costs)
-        for gnb in self.core.gnbs.values():
-            gnb.radio_latency = 0.0
-        self.runner = ProcedureRunner(self.core)
-        self.sessions: List[SessionInfo] = [
-            SessionInfo(supi=f"imsi-20893000001{index:04d}")
-            for index in range(num_ues)
-        ]
-        self.generators: List[ConstantRateGenerator] = []
-        self._setup_done = False
-
-    # ------------------------------------------------------------------
-    def setup(self) -> None:
-        """Register every UE and establish its PDU session (instant
-        relative to the measurement window — run before t=0 traffic)."""
-        if self._setup_done:
-            raise RuntimeError("setup already ran")
-
-        def prepare(info: SessionInfo):
-            ue = self.core.add_ue(info.supi)
-            yield from self.runner.register_ue(ue, gnb_id=1)
-            result = yield from self.runner.establish_session(ue)
-            info.ue_ip = result.detail["ue_ip"]
-            info.flow = FiveTuple(
-                src_ip=self.DN_IP,
-                dst_ip=info.ue_ip,
-                src_port=80,
-                dst_port=40000,
-            )
-
-        for info in self.sessions:
-            self.env.process(prepare(info))
-        self.env.run()
-        self._setup_done = True
-        # Collect deliveries into each session's latency series.
-        for info in self.sessions:
-            ue = self.core.ues[info.supi]
-            series = info.series
-            original_deliver = ue.deliver
-
-            def hooked(packet: Packet, now: float, _orig=original_deliver, _series=series):
-                _orig(packet, now)
-                _series.record_one_way(packet)
-
-            ue.deliver = hooked  # type: ignore[method-assign]
-
-    # ------------------------------------------------------------------
-    def start_downlink(
-        self,
-        info: SessionInfo,
-        rate_pps: float = 10_000,
-        size: int = 128,
-        start: float = 0.0,
-        duration: Optional[float] = None,
-    ) -> ConstantRateGenerator:
-        """Constant-rate DL traffic from the DN towards one UE."""
-        if info.flow is None:
-            raise RuntimeError("call setup() first")
-        generator = ConstantRateGenerator(
-            self.env,
-            sink=self.core.inject_downlink,
-            rate_pps=rate_pps,
-            flow=info.flow,
-            size=size,
-            direction=Direction.DOWNLINK,
-            start=start,
-            duration=duration,
-        )
-        self.generators.append(generator)
-        return generator
-
-    def ue(self, info: SessionInfo):
-        return self.core.ues[info.supi]
+def latency_series(ue: UserEquipment) -> LatencySeries:
+    """The one-way latencies of every packet ``ue`` received."""
+    series = LatencySeries()
+    for packet in ue.received:
+        series.record_one_way(packet)
+    return series

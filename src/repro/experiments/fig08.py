@@ -21,9 +21,12 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from ..core.costs import DEFAULT_COSTS, CostModel
+from ..cp import scenario
+from ..cp.core5g import SYSTEMS, FiveGCore
 from ..obs import breakdown as _breakdown
 from ..obs import spans as _tracing
-from .common import ALL_SYSTEMS, UE_EVENTS, run_ue_events
+from ..sim.engine import Environment
+from .common import UE_EVENTS, run_ue_events
 
 __all__ = [
     "EventLatencyRow",
@@ -53,7 +56,7 @@ def event_completion_times(
     """Fig 8's bar groups, with per-event message counts."""
     durations: Dict[str, Dict[str, float]] = {}
     messages: Dict[str, int] = {}
-    for system, config_factory in ALL_SYSTEMS.items():
+    for system, config_factory in SYSTEMS.items():
         results = run_ue_events(config_factory(), costs=costs, num_ues=num_ues)
         durations[system] = {
             event: result.duration for event, result in results.items()
@@ -85,32 +88,14 @@ def event_interface_breakdown(
     trace-derived message count (``messages``) — the same numbers the
     pre-obs code kept in hand-rolled tallies.
     """
-    from ..cp.core5g import FiveGCore
-    from ..cp.procedures import ProcedureRunner
-    from ..sim.engine import Environment
-
     out: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for system, config_factory in ALL_SYSTEMS.items():
-        config = config_factory()
-        # run_ue_events builds its own Environment internally, so the
-        # traced variant reproduces its (short) single-UE lifecycle
-        # here with a local env the tracer can clock against.
+    for system, config_factory in SYSTEMS.items():
         env = Environment()
-        core = FiveGCore(env, config, costs=costs)
-        runner = ProcedureRunner(core)
+        core = FiveGCore(env, config_factory(), costs=costs)
         tracer = _tracing.enable(env)
         try:
-            ue = core.add_ue("imsi-208930000000001")
-
-            def lifecycle():
-                yield from runner.register_ue(ue, gnb_id=1)
-                yield from runner.establish_session(ue, pdu_session_id=1)
-                yield from runner.handover(ue, target_gnb_id=2)
-                yield from runner.release_to_idle(ue)
-                yield from runner.page_ue(ue)
-
-            env.process(lifecycle())
-            env.run()
+            scenario.run(
+                core, {"imsi-208930000000001": scenario.UE_LIFECYCLE})
         finally:
             _tracing.disable()
 

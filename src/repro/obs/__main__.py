@@ -26,6 +26,9 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
+from ..cp import scenario
+from ..cp.core5g import SYSTEMS, FiveGCore
+from ..sim.engine import Environment
 from . import breakdown as _breakdown
 from . import export as _export
 from . import spans as _spans
@@ -40,31 +43,11 @@ PROCEDURES = {
 
 
 def _run_lifecycle(system: str):
-    from ..cp.core5g import FiveGCore, SystemConfig
-    from ..cp.procedures import ProcedureRunner
-    from ..sim.engine import Environment
-
-    factories = {
-        "free5gc": SystemConfig.free5gc,
-        "onvm-upf": SystemConfig.onvm_upf,
-        "l25gc": SystemConfig.l25gc,
-    }
     env = Environment()
-    core = FiveGCore(env, factories[system]())
-    runner = ProcedureRunner(core)
+    core = FiveGCore(env, SYSTEMS[system]())
     tracer = _spans.enable(env)
     try:
-        ue = core.add_ue("imsi-208930000000003")
-
-        def lifecycle():
-            yield from runner.register_ue(ue, gnb_id=1)
-            yield from runner.establish_session(ue, pdu_session_id=1)
-            yield from runner.handover(ue, target_gnb_id=2)
-            yield from runner.release_to_idle(ue)
-            yield from runner.page_ue(ue)
-
-        env.process(lifecycle())
-        env.run()
+        scenario.run(core, {"imsi-208930000000003": scenario.UE_LIFECYCLE})
     finally:
         _spans.disable()
     return tracer, core
@@ -118,11 +101,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         choices=sorted(PROCEDURES) + ["all"],
         default="registration",
     )
-    parser.add_argument(
-        "--system",
-        choices=("free5gc", "onvm-upf", "l25gc"),
-        default="l25gc",
-    )
+    parser.add_argument("--system", choices=SYSTEMS, default="l25gc")
     parser.add_argument("--chrome-trace", metavar="PATH")
     parser.add_argument("--metrics", metavar="PATH",
                         help="write a metrics dump (.json or .csv)")

@@ -203,25 +203,15 @@ def reattach_time(costs: CostModel = DEFAULT_COSTS) -> float:
     # Measured free5GC procedure times from the Fig 8 experiment; we
     # re-derive them here from the message sequences to avoid constants.
     from ..baselines import free5gc
-    from ..cp.procedures import ProcedureRunner
+    from ..cp import scenario
 
-    env = Environment()
-    core = free5gc(env)
-    runner = ProcedureRunner(core)
-    ue = core.add_ue("imsi-208930000000099")
-    durations: Dict[str, float] = {}
-
-    def scenario():
-        registration = yield from runner.register_ue(ue, gnb_id=2)
-        durations["registration"] = registration.duration
-        session = yield from runner.establish_session(ue)
-        durations["session"] = session.duration
-
-    env.process(scenario())
-    env.run()
+    (_, registration), (_, session) = scenario.run(
+        free5gc(Environment()),
+        {"imsi-208930000000099": [("register", 2), ("establish", 1)]},
+    )
     return (
         costs.failure_detection
         + costs.sctp_message  # failure notification to the UE via gNB
-        + durations["registration"]
-        + durations["session"]
+        + registration.duration
+        + session.duration
     )

@@ -155,6 +155,14 @@ class TestShortRunRegressions:
         assert observation.handover_time_s > 0
         assert len(observation.series) > 0
 
+    def test_fig14_handover_after_the_traffic(self):
+        """Table 2's "RTT after" over an empty window is absent too."""
+        observation = handover_data_plane(
+            SystemConfig.l25gc(), handover_at=2.5, run_until=2.5
+        )
+        assert math.isnan(observation.rtt_after_handover_s)
+        assert observation.handover_time_s > 0
+
 
 class TestSmartBufferingEquations:
     def test_eq1_equal_buffers(self):

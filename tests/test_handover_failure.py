@@ -1,28 +1,17 @@
 """Tests for the handover preparation-failure (admission control) path."""
 
-import pytest
-
-from repro.cp import FiveGCore, HOState, ProcedureRunner, SystemConfig
+from repro.cp import HOState
 from repro.net import Direction, FiveTuple, Packet
 from repro.sim import Environment
 
+from .test_cp_procedures import attached, run_ops
 
-def connected_ue(config=None, target_max_ues=None):
-    env = Environment()
-    core = FiveGCore(env, config or SystemConfig.l25gc())
-    core.gnbs[2].max_ues = target_max_ues
-    runner = ProcedureRunner(core)
-    ue = core.add_ue("imsi-208930000008101")
-    detail = {}
 
-    def setup():
-        yield from runner.register_ue(ue, gnb_id=1)
-        result = yield from runner.establish_session(ue)
-        detail.update(result.detail)
-
-    env.process(setup())
-    env.run()
-    return env, core, runner, ue, detail
+def refusing_target():
+    """An attached UE whose handover target gNB admits nobody."""
+    core, ue, detail = attached()
+    core.gnbs[2].max_ues = 0
+    return core, ue, detail
 
 
 class TestAdmissionControl:
@@ -38,15 +27,8 @@ class TestAdmissionControl:
         assert not gnb.can_admit(second)
 
     def test_refused_handover_cancels(self):
-        env, core, runner, ue, detail = connected_ue(target_max_ues=0)
-        results = []
-
-        def scenario():
-            results.append((yield from runner.handover(ue, 2)))
-
-        env.process(scenario())
-        env.run()
-        result = results[0]
+        core, ue, _ = refusing_target()
+        [result] = run_ops(core, ue, ("handover", 2))
         assert result.event == "handover-cancelled"
         assert result.detail["cause"] == "no-resources"
         # The UE never moved.
@@ -58,70 +40,37 @@ class TestAdmissionControl:
         assert sm.gnb_address == core.gnbs[1].address
 
     def test_data_still_flows_after_cancel(self):
-        env, core, runner, ue, detail = connected_ue(target_max_ues=0)
-
-        def scenario():
-            yield from runner.handover(ue, 2)
-
-        env.process(scenario())
-        env.run()
+        core, ue, detail = refusing_target()
+        run_ops(core, ue, ("handover", 2))
         core.inject_downlink(
             Packet(direction=Direction.DOWNLINK,
                    flow=FiveTuple(src_ip=1, dst_ip=detail["ue_ip"],
                                   src_port=80, dst_port=4000),
-                   created_at=env.now)
+                   created_at=core.env.now)
         )
-        env.run()
+        core.env.run()
         assert core.gnbs[1].delivered == 1
 
     def test_buffered_packets_released_on_cancel(self):
         """Traffic buffered during the failed preparation is not lost."""
-        env, core, runner, ue, detail = connected_ue(target_max_ues=0)
-
-        def traffic():
-            for seq in range(20):
-                core.inject_downlink(
-                    Packet(direction=Direction.DOWNLINK, seq=seq,
-                           flow=FiveTuple(src_ip=1, dst_ip=detail["ue_ip"],
-                                          src_port=80, dst_port=4000),
-                           created_at=env.now)
-                )
-                yield env.timeout(0.002)
-
-        def move():
-            yield env.timeout(0.005)
-            yield from runner.handover(ue, 2)
-
-        env.process(traffic())
-        env.process(move())
-        env.run()
+        core, ue, _ = refusing_target()
+        run_ops(core, ue, ("downlink", 500, 0.04), ("wait", 0.005),
+                ("handover", 2))
         assert len(ue.received) == 20
         received = [packet.seq for packet in ue.received]
         assert received == sorted(received)
 
     def test_retry_succeeds_after_capacity_frees(self):
-        env, core, runner, ue, detail = connected_ue(target_max_ues=0)
-        outcomes = []
-
-        def scenario():
-            outcomes.append((yield from runner.handover(ue, 2)))
-            core.gnbs[2].max_ues = None  # capacity restored
-            outcomes.append((yield from runner.handover(ue, 2)))
-
-        env.process(scenario())
-        env.run()
-        assert outcomes[0].event == "handover-cancelled"
-        assert outcomes[1].event == "handover"
+        core, ue, _ = refusing_target()
+        [refused] = run_ops(core, ue, ("handover", 2))
+        core.gnbs[2].max_ues = None  # capacity restored
+        [admitted] = run_ops(core, ue, ("handover", 2))
+        assert refused.event == "handover-cancelled"
+        assert admitted.event == "handover"
         assert ue.serving_gnb_id == 2
 
     def test_cancel_cheaper_than_full_handover(self):
-        env, core, runner, ue, _ = connected_ue(target_max_ues=0)
-        outcomes = []
-
-        def scenario():
-            outcomes.append((yield from runner.handover(ue, 2)))
-
-        env.process(scenario())
-        env.run()
+        core, ue, _ = refusing_target()
+        [result] = run_ops(core, ue, ("handover", 2))
         # No radio sync happened: the cancel completes much faster.
-        assert outcomes[0].duration < 0.06
+        assert result.duration < 0.06

@@ -13,9 +13,9 @@ from dataclasses import replace
 import pytest
 
 from repro.core import Channel, DEFAULT_COSTS
+from repro.cp import scenario
 from repro.cp.core5g import FiveGCore, SystemConfig
-from repro.cp.procedures import ProcedureRunner
-from repro.experiments.common import DataPlaneScenario
+from repro.experiments.common import data_plane_core
 from repro.obs import (
     Tracer,
     chrome_trace,
@@ -41,19 +41,13 @@ def run_lifecycle(system_factory, procedures=("register",)):
     """Run selected procedures on a fresh core under tracing."""
     env = Environment()
     core = FiveGCore(env, system_factory())
-    runner = ProcedureRunner(core)
+    ops = [("register", 1)]
+    if "session" in procedures:
+        ops.append(("establish", 1))
+    if "handover" in procedures:
+        ops.append(("handover", 2))
     with obs_spans.tracing(env) as tracer:
-        ue = core.add_ue("imsi-208930000000001")
-
-        def lifecycle():
-            yield from runner.register_ue(ue, gnb_id=1)
-            if "session" in procedures:
-                yield from runner.establish_session(ue, pdu_session_id=1)
-            if "handover" in procedures:
-                yield from runner.handover(ue, target_gnb_id=2)
-
-        env.process(lifecycle())
-        env.run()
+        scenario.run(core, {"imsi-208930000000001": ops})
     return tracer, core
 
 
@@ -301,22 +295,14 @@ class TestHandoverSpanTree:
     @pytest.fixture(scope="class")
     def handover_trace(self):
         config = replace(SystemConfig.l25gc(), smart_handover_buffering=True)
-        scenario = DataPlaneScenario(config, num_ues=1)
-        scenario.setup()
-        env = scenario.env
-        info = scenario.sessions[0]
-        tracer = obs_spans.enable(env)
+        core = data_plane_core(config)
+        supi = "imsi-208930000010000"
+        scenario.run(core, {supi: [("register", 1), ("establish", 1)]})
+        tracer = obs_spans.enable(core.env)
         try:
-            scenario.start_downlink(info, rate_pps=2000, duration=0.4)
-
-            def do_handover():
-                yield env.timeout(0.05)
-                yield from scenario.runner.handover(
-                    scenario.ue(info), target_gnb_id=2
-                )
-
-            env.process(do_handover())
-            env.run()
+            scenario.run(core, {supi: [
+                ("downlink", 2000, 0.4), ("wait", 0.05), ("handover", 2),
+            ]})
         finally:
             obs_spans.disable()
         return tracer
@@ -420,31 +406,18 @@ class TestZeroPerturbation:
     def _timed_lifecycle(self, trace: bool):
         env = Environment()
         core = FiveGCore(env, SystemConfig.l25gc())
-        runner = ProcedureRunner(core)
-        durations = {}
-
-        def lifecycle():
-            ue = core.add_ue("imsi-208930000000001")
-            for name, call in (
-                ("registration", lambda: runner.register_ue(ue, gnb_id=1)),
-                ("session-request",
-                 lambda: runner.establish_session(ue, pdu_session_id=1)),
-                ("handover", lambda: runner.handover(ue, target_gnb_id=2)),
-                ("release-to-idle", lambda: runner.release_to_idle(ue)),
-                ("paging", lambda: runner.page_ue(ue)),
-            ):
-                started = env.now
-                yield from call()
-                durations[name] = env.now - started
-
+        ops = {"imsi-208930000000001": scenario.UE_LIFECYCLE}
         if trace:
             with obs_spans.tracing(env) as tracer:
-                env.process(lifecycle())
-                env.run()
+                results = scenario.run(core, ops)
         else:
             tracer = None
-            env.process(lifecycle())
-            env.run()
+            results = scenario.run(core, ops)
+        names = ("registration", "session-request", "handover",
+                 "release-to-idle", "paging")
+        durations = {
+            name: result.duration for name, (_, result) in zip(names, results)
+        }
         return durations, env.now, tracer
 
     def test_traced_run_is_bit_identical(self):
