@@ -21,9 +21,8 @@ Tracing is **off by default** and opt-in via the context manager::
 
     from repro import obs
 
-    with obs.tracing(env) as tracer:
-        env.process(runner.register_ue(ue, gnb_id=1))
-        env.run()
+    with obs.tracing(core.env) as tracer:
+        scenario.run(core, {supi: [("register", 1)]})
     print(obs.render_tree(tracer))
 
 It reads only ``env.now`` (never the wall clock — R001) and creates no

@@ -8,7 +8,7 @@ events of one session (idle, handover) must not disturb the others.
 
 import pytest
 
-from repro.cp import FiveGCore, ProcedureRunner, SystemConfig
+from repro.cp import FiveGCore, SystemConfig, scenario
 from repro.net import Direction, FiveTuple, Packet
 from repro.sim import Environment
 
@@ -18,25 +18,15 @@ SUPI = "imsi-208930000060001"
 @pytest.fixture
 def gateway():
     """A registered UE with three PDU sessions."""
-    env = Environment()
-    core = FiveGCore(env, SystemConfig.l25gc())
+    core = FiveGCore(Environment(), SystemConfig.l25gc())
     for gnb in core.gnbs.values():
         gnb.radio_latency = 0.0
-    runner = ProcedureRunner(core)
-    ue = core.add_ue(SUPI)
-    details = {}
-
-    def setup():
-        yield from runner.register_ue(ue, gnb_id=1)
-        for session_id in (1, 2, 3):
-            result = yield from runner.establish_session(
-                ue, pdu_session_id=session_id
-            )
-            details[session_id] = result.detail
-
-    env.process(setup())
-    env.run()
-    return env, core, runner, ue, details
+    _, *sessions = scenario.run(core, {SUPI: [
+        ("register", 1), ("establish", 1), ("establish", 2), ("establish", 3),
+    ]})
+    details = {index: result.detail
+               for index, (_, result) in enumerate(sessions, start=1)}
+    return core, core.ues[SUPI], details
 
 
 def dl(ue_ip, seq=None):
@@ -50,7 +40,7 @@ def dl(ue_ip, seq=None):
 
 class TestMultiSessionUE:
     def test_distinct_resources_per_session(self, gateway):
-        env, core, runner, ue, details = gateway
+        core, ue, details = gateway
         ips = {detail["ue_ip"] for detail in details.values()}
         seids = {detail["seid"] for detail in details.values()}
         teids = {detail["ul_teid"] for detail in details.values()}
@@ -59,28 +49,20 @@ class TestMultiSessionUE:
         assert set(ue.sessions) == {1, 2, 3}
 
     def test_traffic_demultiplexed_by_session(self, gateway):
-        env, core, runner, ue, details = gateway
+        core, ue, details = gateway
         for session_id, detail in details.items():
             for _ in range(session_id):  # 1, 2, 3 packets
                 core.inject_downlink(dl(detail["ue_ip"]))
-        env.run()
+        core.env.run()
         # 6 packets total, all to the same UE, via 3 different tunnels.
         assert len(ue.received) == 6
         teids = [packet.teid for packet in ue.received]
         assert len(set(teids)) == 3
 
     def test_idle_buffers_every_session_independently(self, gateway):
-        env, core, runner, ue, details = gateway
-
-        def idle():
-            # AN release deactivates each session's DL FAR.
-            for session_id in (1, 2, 3):
-                yield from runner.release_to_idle(
-                    ue, pdu_session_id=session_id
-                )
-
-        env.process(idle())
-        env.run()
+        core, ue, details = gateway
+        # AN release deactivates each session's DL FAR.
+        scenario.run(core, {SUPI: [("idle", 1), ("idle", 2), ("idle", 3)]})
         for session_id, detail in details.items():
             core.inject_downlink(dl(detail["ue_ip"]))
         sessions = {
@@ -93,17 +75,11 @@ class TestMultiSessionUE:
     def test_handover_moves_all_traffic_of_the_ue(self, gateway):
         """The N2 handover procedure switches session 1; the others
         keep flowing through their own tunnels regardless."""
-        env, core, runner, ue, details = gateway
-
-        def move():
-            yield from runner.handover(ue, target_gnb_id=2,
-                                       pdu_session_id=1)
-
-        env.process(move())
-        env.run()
+        core, ue, details = gateway
+        scenario.run(core, {SUPI: [("handover", 2)]})
         core.inject_downlink(dl(details[1]["ue_ip"]))
         core.inject_downlink(dl(details[2]["ue_ip"]))
-        env.run()
+        core.env.run()
         # Session 1 arrives at the target gNB; session 2's route still
         # points at its established tunnel (source gNB, where the
         # radio link no longer is -- in a full multi-session HO the SMF
@@ -111,13 +87,8 @@ class TestMultiSessionUE:
         assert core.gnbs[2].delivered >= 1
 
     def test_deregistration_releases_everything(self, gateway):
-        env, core, runner, ue, details = gateway
-
-        def teardown():
-            yield from runner.deregister_ue(ue)
-
-        env.process(teardown())
-        env.run()
+        core, ue, details = gateway
+        scenario.run(core, {SUPI: [("deregister",)]})
         assert len(core.sessions) == 0
         assert core.ue_ip_pool.in_use == 0
         assert ue.sessions == {}

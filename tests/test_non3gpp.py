@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cp import FiveGCore, ProcedureRunner, SystemConfig
+from repro.cp import FiveGCore, SystemConfig, scenario
 from repro.cp.nfs import AUSF, UDM
 from repro.net import Direction, FiveTuple, Packet
 from repro.ran import N3IWF, RMState, UserEquipment
@@ -164,30 +164,23 @@ class TestN3IWF:
 
 
 class TestNon3gppProcedures:
+    SUPI = "imsi-208930000007001"
+
     def _core(self):
-        env = Environment()
-        core = FiveGCore(env, SystemConfig.l25gc())
+        core = FiveGCore(Environment(), SystemConfig.l25gc())
         n3iwf = core.add_n3iwf(100)
         n3iwf.wifi_latency = 0.0  # zeroed for base-RTT style checks
-        runner = ProcedureRunner(core)
-        ue = core.add_ue("imsi-208930000007001")
-        return env, core, runner, ue, n3iwf
+        return core, n3iwf
 
     def test_registration_via_n3iwf(self):
-        env, core, runner, ue, n3iwf = self._core()
-        results = []
-
-        def scenario():
-            results.append(
-                (yield from runner.register_ue_non3gpp(ue, n3iwf_id=100))
-            )
-
-        env.process(scenario())
-        env.run()
+        core, n3iwf = self._core()
+        [(_, result)] = scenario.run(
+            core, {self.SUPI: [("register_non3gpp", 100)]})
+        ue = core.ues[self.SUPI]
         assert ue.rm_state is RMState.REGISTERED
         assert ue.serving_gnb_id == 100
         assert n3iwf.sa_for(ue.supi, None) is not None
-        assert results[0].event == "registration-non3gpp"
+        assert result.event == "registration-non3gpp"
 
     def test_duplicate_ran_node_id_rejected(self):
         env = Environment()
@@ -196,16 +189,10 @@ class TestNon3gppProcedures:
             core.add_n3iwf(1)  # collides with gNB 1
 
     def test_session_and_data_over_ipsec(self):
-        env, core, runner, ue, n3iwf = self._core()
-        detail = {}
-
-        def scenario():
-            yield from runner.register_ue_non3gpp(ue, n3iwf_id=100)
-            result = yield from runner.establish_session_non3gpp(ue)
-            detail.update(result.detail)
-
-        env.process(scenario())
-        env.run()
+        core, _ = self._core()
+        _, (_, session) = scenario.run(core, {self.SUPI: [
+            ("register_non3gpp", 100), ("establish_non3gpp", 1)]})
+        detail = session.detail
         assert "child_spi" in detail
         core.inject_downlink(
             Packet(
@@ -213,29 +200,21 @@ class TestNon3gppProcedures:
                 size=200,
                 flow=FiveTuple(src_ip=1, dst_ip=detail["ue_ip"],
                                src_port=80, dst_port=4000),
-                created_at=env.now,
+                created_at=core.env.now,
             )
         )
-        env.run()
+        core.env.run()
+        ue = core.ues[self.SUPI]
         assert len(ue.received) == 1
         assert ue.received[0].meta["esp_spi"] == detail["child_spi"]
         assert ue.received[0].size == 200 + ESP_OVERHEAD
 
     def test_non3gpp_slower_than_3gpp_registration(self):
         """The WiFi leg + EAP round trips cost more than NR access."""
-        env, core, runner, ue, n3iwf = self._core()
+        core, n3iwf = self._core()
         n3iwf.wifi_latency = 0.004
-        durations = {}
-
-        def scenario():
-            result = yield from runner.register_ue_non3gpp(
-                ue, n3iwf_id=100
-            )
-            durations["non3gpp"] = result.duration
-            other = core.add_ue("imsi-208930000007002")
-            result = yield from runner.register_ue(other, gnb_id=1)
-            durations["3gpp"] = result.duration
-
-        env.process(scenario())
-        env.run()
-        assert durations["non3gpp"] > durations["3gpp"]
+        [(_, wifi)] = scenario.run(
+            core, {self.SUPI: [("register_non3gpp", 100)]})
+        [(_, nr)] = scenario.run(
+            core, {"imsi-208930000007002": [("register", 1)]})
+        assert wifi.duration > nr.duration

@@ -18,7 +18,8 @@ import pytest
 
 from repro.analysis import races
 from repro.classifier import PDI_FIELDS, LinearClassifier
-from repro.cp import FiveGCore, ProcedureRunner, SystemConfig
+from repro.cp import FiveGCore, SystemConfig, scenario
+from repro.cp.scenario import ATTACH
 from repro.deploy.sharded import ShardedUserPlane
 from repro.net import Direction, FiveTuple, Packet
 from repro.obs import spans as obs_spans
@@ -431,17 +432,9 @@ class TestFullSystemBurst:
         core = FiveGCore(env, config)
         for gnb in core.gnbs.values():
             gnb.radio_latency = 0.0
-        runner = ProcedureRunner(core)
-        ue = core.add_ue("imsi-208930000009001")
-        detail = {}
-
-        def lifecycle():
-            yield from runner.register_ue(ue, gnb_id=1)
-            result = yield from runner.establish_session(ue)
-            detail.update(result.detail)
-
-        env.process(lifecycle())
-        env.run()
+        supi = "imsi-208930000009001"
+        _, (_, session) = scenario.run(core, {supi: ATTACH})
+        detail, ue = session.detail, core.ues[supi]
         outcomes = core.inject_downlink_burst(
             [
                 Packet(

@@ -366,7 +366,8 @@ class TestDrainStateLifecycle:
 # ----------------------------------------------------------------------
 class TestFullSystemWiring:
     def _core_with_traffic(self, flow_cache):
-        from repro.cp import FiveGCore, ProcedureRunner, SystemConfig
+        from repro.cp import FiveGCore, SystemConfig, scenario
+        from repro.cp.scenario import ATTACH
         from repro.sim import Environment as CoreEnv
 
         env = CoreEnv()
@@ -375,17 +376,9 @@ class TestFullSystemWiring:
         core = FiveGCore(env, config)
         for gnb in core.gnbs.values():
             gnb.radio_latency = 0.0
-        runner = ProcedureRunner(core)
-        ue = core.add_ue("imsi-208930000009001")
-        detail = {}
-
-        def lifecycle():
-            yield from runner.register_ue(ue, gnb_id=1)
-            result = yield from runner.establish_session(ue)
-            detail.update(result.detail)
-
-        env.process(lifecycle())
-        env.run()
+        _, (_, session) = scenario.run(
+            core, {"imsi-208930000009001": ATTACH})
+        detail = session.detail
         for _ in range(20):
             core.inject_downlink(
                 Packet(
@@ -398,7 +391,7 @@ class TestFullSystemWiring:
                 )
             )
         env.run()
-        return core, ue
+        return core, core.ues["imsi-208930000009001"]
 
     def test_config_flag_enables_cache_and_exports_gauges(self):
         core, ue = self._core_with_traffic(True)
