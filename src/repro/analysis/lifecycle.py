@@ -141,7 +141,6 @@ SESSION_INSTALL_METHODS: FrozenSet[str] = frozenset({
     "remove_pdr",
     "install_far",
     "update_far",
-    "install_qer",
     "install_qer_enforcer",
     "install_usage_counter",
     "match_pdr",
@@ -187,7 +186,7 @@ MAY_FAIL_TRANSITIONS: FrozenSet[str] = frozenset({"add", "pin"})
 #: them lock-free, and every mutation must be published by
 #: ``RuleEpoch.bump()`` before control returns to the event loop.
 RULE_CONTAINERS: Tuple[str, ...] = (
-    "pdrs", "fars", "qers", "qer_enforcers", "usage_counters",
+    "pdrs", "fars", "qer_enforcers", "usage_counters",
 )
 
 #: Every attribute of the ``up`` package's shared structures that only

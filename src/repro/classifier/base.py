@@ -21,6 +21,10 @@ class Classifier:
 
     name = "abstract"
 
+    # Empty, so a subclass that declares ``__slots__`` has no
+    # ``__dict__``: a classifier is per-session state.
+    __slots__ = ()
+
     def insert(self, rule: Rule) -> None:
         raise NotImplementedError
 

@@ -29,7 +29,10 @@ from __future__ import annotations
 import random
 from typing import List, Sequence, Tuple
 
-from .rule import NUM_FIELDS, PDI_FIELDS, PacketKey, Rule, exact, prefix, wildcard
+from .rule import (
+    FULL_DOMAIN, NUM_FIELDS, PDI_FIELDS, PacketKey, Rule, exact, prefix,
+    wildcard,
+)
 
 __all__ = ["ClassBenchGenerator", "PROFILE_BEST", "PROFILE_WORST", "PROFILE_MIXED"]
 
@@ -129,7 +132,7 @@ class ClassBenchGenerator:
     def _best_case_ranges(self, index: int) -> List[Tuple[int, int]]:
         """All rules exact in the same fields: one TSS signature."""
         rng = self._rng
-        ranges = [wildcard(spec) for spec in PDI_FIELDS]
+        ranges = list(FULL_DOMAIN)
         ranges[_FIELD_INDEX["src_ip"]] = exact(rng.randint(0, 2**32 - 1))
         ranges[_FIELD_INDEX["dst_ip"]] = exact(rng.randint(0, 2**32 - 1))
         ranges[_FIELD_INDEX["src_port"]] = exact(rng.randint(0, 65535))
@@ -147,7 +150,7 @@ class ClassBenchGenerator:
         rule lands in its own tuple — the tuple-space-explosion shape.
         """
         rng = self._rng
-        ranges = [wildcard(spec) for spec in PDI_FIELDS]
+        ranges = list(FULL_DOMAIN)
         # 33 x 33 combinations of (src, dst) prefix lengths, extended by
         # the teid prefix when more are needed.
         src_len = index % 33

@@ -28,15 +28,15 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .base import Classifier
-from .rule import NUM_FIELDS, PDI_FIELDS, Rule, wildcard
+from .rule import FULL_DOMAIN, NUM_FIELDS, Rule
 
 __all__ = ["PartitionSortClassifier"]
 
 _Dims = Tuple[int, ...]
 
-#: Each field's match-anything range; a dimension is *live* in a
-#: partition once some rule there differs from this.
-_FULL_DOMAIN = tuple(wildcard(spec) for spec in PDI_FIELDS)
+#: The field order of a classifier built without one: shared, so a
+#: session's classifier does not own a copy.
+_DEFAULT_ORDER: _Dims = tuple(range(NUM_FIELDS))
 
 
 @lru_cache(maxsize=4096)
@@ -88,7 +88,8 @@ class _SortableRuleset:
     slot, kept in descending priority.
 
     ``live`` is the ``field_order`` subsequence of dimensions on which
-    some rule this partition has held is not the full-domain wildcard;
+    some rule this partition has held is not the full-domain wildcard
+    (:data:`~repro.classifier.rule.FULL_DOMAIN`);
     ``dead`` is the rest.  On a dead dimension every stored rule is the
     same wildcard, which contains any in-domain key value, so
     :meth:`lookup` walks ``live`` only, reading ``rule.ranges``
@@ -156,7 +157,7 @@ class _SortableRuleset:
             self.slots.insert(index, [rule])
             ranges = rule.ranges
             extra = tuple(
-                [d for d in self.dead if ranges[d] != _FULL_DOMAIN[d]]
+                [d for d in self.dead if ranges[d] != FULL_DOMAIN[d]]
             )
             if extra:
                 self.live, self.dead = _widened(
@@ -230,9 +231,11 @@ class PartitionSortClassifier(Classifier):
 
     name = "PDR-PS"
 
+    __slots__ = ("_field_order", "_partitions", "_count", "_by_id")
+
     def __init__(self, field_order: Optional[Sequence[int]] = None):
-        self._field_order: _Dims = tuple(
-            field_order if field_order is not None else range(NUM_FIELDS)
+        self._field_order: _Dims = (
+            _DEFAULT_ORDER if field_order is None else tuple(field_order)
         )
         self._partitions: List[_SortableRuleset] = []
         self._count = 0

@@ -21,6 +21,7 @@ __all__ = [
     "FieldSpec",
     "PDI_FIELDS",
     "NUM_FIELDS",
+    "FULL_DOMAIN",
     "Rule",
     "exact",
     "wildcard",
@@ -68,6 +69,17 @@ PDI_FIELDS: Tuple[FieldSpec, ...] = (
 
 NUM_FIELDS = len(PDI_FIELDS)
 
+#: Each field's largest value, in :data:`PDI_FIELDS` order.
+_MAX_VALUES: Tuple[int, ...] = tuple(spec.max_value for spec in PDI_FIELDS)
+
+#: Each field's match-anything range, in :data:`PDI_FIELDS` order.
+#: Immutable and shared: a rule starts from ``list(FULL_DOMAIN)`` and
+#: replaces only the fields it constrains, so the wildcards of every
+#: installed rule are these 20 tuples, not fresh copies.
+FULL_DOMAIN: Tuple[Tuple[int, int], ...] = tuple(
+    (0, top) for top in _MAX_VALUES
+)
+
 #: A packet, for classification purposes: one value per PDI field.
 PacketKey = Tuple[int, ...]
 
@@ -107,7 +119,7 @@ def _prefix_length(spec: FieldSpec, lo: int, hi: int) -> Optional[int]:
     return spec.bits - span.bit_length() + 1
 
 
-@dataclass
+@dataclass(slots=True)
 class Rule:
     """A PDR viewed as a classifier rule.
 
@@ -134,10 +146,10 @@ class Rule:
             raise ValueError(
                 f"rule needs {NUM_FIELDS} ranges, got {len(self.ranges)}"
             )
-        for spec, (lo, hi) in zip(PDI_FIELDS, self.ranges):
-            if not 0 <= lo <= hi <= spec.max_value:
+        for index, (lo, hi) in enumerate(self.ranges):
+            if not 0 <= lo <= hi <= _MAX_VALUES[index]:
                 raise ValueError(
-                    f"bad range for {spec.name}: [{lo}, {hi}]"
+                    f"bad range for {PDI_FIELDS[index].name}: [{lo}, {hi}]"
                 )
 
     def matches(self, key: Sequence[int]) -> bool:
@@ -162,7 +174,7 @@ class Rule:
 
     def is_wildcard(self, field_index: int) -> bool:
         lo, hi = self.ranges[field_index]
-        return lo == 0 and hi == PDI_FIELDS[field_index].max_value
+        return lo == 0 and hi == _MAX_VALUES[field_index]
 
     def specificity(self) -> int:
         """Total matched-prefix bits; used as a default priority."""
@@ -185,9 +197,7 @@ class Rule:
         >>> r = Rule.from_fields(dst_ip=exact(0x0A3C0001), protocol=exact(17))
         """
         by_name = {spec.name: i for i, spec in enumerate(PDI_FIELDS)}
-        ranges: List[Tuple[int, int]] = [
-            wildcard(spec) for spec in PDI_FIELDS
-        ]
+        ranges: List[Tuple[int, int]] = list(FULL_DOMAIN)
         for name, value_range in field_ranges.items():
             if name not in by_name:
                 raise ValueError(f"unknown PDI field: {name}")

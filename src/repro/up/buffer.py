@@ -26,6 +26,10 @@ DEFAULT_UPF_BUFFER_PACKETS = 3000
 class SmartBuffer:
     """A bounded in-order packet buffer for one PDU session."""
 
+    __slots__ = (
+        "capacity", "_packets", "buffered_total", "dropped", "drained_total",
+    )
+
     def __init__(self, capacity: int = DEFAULT_UPF_BUFFER_PACKETS):
         if capacity <= 0:
             raise ValueError(f"buffer capacity must be positive: {capacity}")

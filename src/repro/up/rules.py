@@ -1,4 +1,4 @@
-"""User-plane rule state: PDRs, FARs, QERs as installed in the UPF.
+"""User-plane rule state: PDRs and FARs as installed in the UPF.
 
 The UPF-C decodes PFCP IEs into these runtime structures and stores
 them in the session context that lives in shared memory (§3.2, "zero
@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..classifier.rule import Rule, exact, wildcard
-from ..classifier.rule import PDI_FIELDS
+from ..classifier.rule import FULL_DOMAIN, PDI_FIELDS, Rule, exact
 from ..pfcp import ies as pfcp_ies
 
-__all__ = ["PDR", "FAR", "QER", "FARAction", "pdr_from_create_ie", "far_from_ie"]
+__all__ = ["PDR", "FAR", "FARAction", "pdr_from_create_ie", "far_from_ie"]
 
 _FIELD_INDEX = {spec.name: i for i, spec in enumerate(PDI_FIELDS)}
 
@@ -26,7 +25,7 @@ _FIELD_INDEX = {spec.name: i for i, spec in enumerate(PDI_FIELDS)}
 _MAX_PRECEDENCE = 1 << 16
 
 
-@dataclass
+@dataclass(slots=True)
 class FARAction:
     """The decoded Apply Action + forwarding parameters of a FAR."""
 
@@ -40,7 +39,7 @@ class FARAction:
     destination_interface: int = pfcp_ies.CORE
 
 
-@dataclass
+@dataclass(slots=True)
 class FAR:
     """Forwarding Action Rule."""
 
@@ -48,18 +47,7 @@ class FAR:
     action: FARAction = field(default_factory=FARAction)
 
 
-@dataclass
-class QER:
-    """QoS Enforcement Rule (rate limits per QoS flow)."""
-
-    qer_id: int
-    qfi: int = 9
-    mbr_uplink: Optional[float] = None  # bits/second
-    mbr_downlink: Optional[float] = None
-    gate_open: bool = True
-
-
-@dataclass
+@dataclass(slots=True)
 class PDR:
     """Packet Detection Rule as installed in the data plane."""
 
@@ -81,8 +69,13 @@ class PDR:
 def _rule_from_pdi(
     pdi: pfcp_ies.PdiIE, pdr_id: int, far_id: int, precedence: int
 ) -> Rule:
-    """Convert a PDI grouped IE into a 20-dimension classifier rule."""
-    ranges = [wildcard(spec) for spec in PDI_FIELDS]
+    """Convert a PDI grouped IE into a 20-dimension classifier rule.
+
+    Unconstrained fields keep the shared
+    :data:`~repro.classifier.rule.FULL_DOMAIN` tuples, so a PDR owns
+    only the ranges its PDI names.
+    """
+    ranges = list(FULL_DOMAIN)
     source = pdi.child(pfcp_ies.SourceInterfaceIE)
     if source is not None:
         ranges[_FIELD_INDEX["source_iface"]] = exact(source.interface)

@@ -26,7 +26,7 @@ from .buffer import DEFAULT_UPF_BUFFER_PACKETS, SmartBuffer
 from .flow_cache import RuleEpoch
 from .keys import packet_key, packet_keys
 from .qos import QerEnforcer, UsageCounter
-from .rules import FAR, PDR, QER
+from .rules import FAR, PDR
 
 __all__ = [
     "packet_key",
@@ -66,7 +66,6 @@ class UPFSession:
         "classifier",
         "pdrs",
         "fars",
-        "qers",
         "qer_enforcers",
         "usage_counters",
         "epoch",
@@ -89,9 +88,6 @@ class UPFSession:
         self.classifier: Classifier = classifier_class()
         self.pdrs: Dict[int, PDR] = {}
         self.fars: Dict[int, FAR] = {}
-        #: Raw QER rule records (control-plane state; the data path
-        #: reads the derived enforcers instead).
-        self.qers: Dict[int, QER] = {}
         #: Installed QoS enforcers (gate + MBR policer), by QER id.
         self.qer_enforcers: Dict[int, QerEnforcer] = {}
         #: Installed usage counters, by URR id.
@@ -191,11 +187,6 @@ class UPFSession:
             action.outer_address = new.outer_address
             action.destination_interface = new.destination_interface
         self._note_rule_write("fars", self.fars, f"update_far({far.far_id})")
-        self.epoch.bump()
-
-    def install_qer(self, qer: QER) -> None:
-        self.qers[qer.qer_id] = qer
-        self._note_rule_write("qers", self.qers, f"install_qer({qer.qer_id})")
         self.epoch.bump()
 
     def install_qer_enforcer(self, enforcer: "QerEnforcer") -> None:

@@ -10,6 +10,7 @@ from repro.classifier import (
     prefix,
     wildcard,
 )
+from repro.classifier.rule import FULL_DOMAIN
 
 
 class TestFieldHelpers:
@@ -61,6 +62,17 @@ class TestRule:
         spec_max = PDI_FIELDS[7].max_value  # qfi: 6 bits
         with pytest.raises(ValueError):
             Rule.from_fields(qfi=(0, spec_max + 1))
+
+    @pytest.mark.parametrize("index", range(NUM_FIELDS))
+    def test_constructor_checks_each_field_s_bound(self, index):
+        """``Rule(...)`` reads its bounds from a precomputed tuple: each
+        field's own maximum is accepted and one past it rejected."""
+        spec = PDI_FIELDS[index]
+        ranges = list(FULL_DOMAIN)
+        assert Rule(ranges=tuple(ranges)).is_wildcard(index)
+        ranges[index] = (0, spec.max_value + 1)
+        with pytest.raises(ValueError, match=f"bad range for {spec.name}"):
+            Rule(ranges=tuple(ranges))
 
     def test_inverted_range_raises(self):
         with pytest.raises(ValueError):

@@ -440,7 +440,6 @@ class TestW002MutationTable:
         ("remove_pdr", 0),
         ("install_far", 0),
         ("update_far", 0),  # the insert branch
-        ("install_qer", 0),
         ("install_qer_enforcer", 0),
         ("install_usage_counter", 0),
     ])

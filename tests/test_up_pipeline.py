@@ -1,8 +1,14 @@
 """Tests for the user plane: rules, sessions, buffer, UPF-C/UPF-U."""
 
+import gc
+import tracemalloc
+
 import pytest
 
+from repro.analysis import races, sanitizer
 from repro.analysis.lifecycle import RULE_CONTAINERS
+from repro.classifier.partition_sort import PartitionSortClassifier
+from repro.classifier.rule import FULL_DOMAIN
 from repro.net import Direction, FiveTuple, Packet
 from repro.pfcp import ies as pfcp_ies
 from repro.pfcp.builder import (
@@ -137,12 +143,34 @@ class TestSessionTable:
     def test_session_object_is_closed(self):
         """Per-session state is what ``UPFSession.__slots__`` declares:
         a later change cannot quietly grow it, and every rule container
-        the analyser tracks is one of the declared attributes."""
-        session = UPFSession(seid=1, ue_ip=UE_IP, ul_teid=0x100)
-        with pytest.raises(AttributeError):
-            session.scratch = 1
-        assert not hasattr(session, "__dict__")
+        the analyser tracks is one of the declared attributes.  What a
+        decoded session owns -- its PDRs and their rules, its FARs and
+        their actions, its buffer and its classifier -- is closed too."""
+        _env, table, _upf_u, upf_c, *_ = build_upf()
+        establish(upf_c)
+        session = table.by_seid(1)
+        pdr, far = session.pdrs[1], session.fars[1]
+        assert isinstance(session.classifier, PartitionSortClassifier)
+        for obj in (
+            session, pdr, pdr.match, far, far.action, session.buffer,
+            session.classifier,
+        ):
+            assert not hasattr(obj, "__dict__"), type(obj).__name__
+            with pytest.raises(AttributeError):
+                obj.undeclared = 1
         assert set(RULE_CONTAINERS) <= set(UPFSession.__slots__)
+
+    def test_rules_share_the_full_domain_wildcards(self):
+        """A decoded PDR owns only the ranges its PDI names; every other
+        field is the one shared ``FULL_DOMAIN`` tuple."""
+        _env, table, _upf_u, upf_c, *_ = build_upf()
+        establish(upf_c)
+        for pdr in table.by_seid(1).pdrs.values():
+            ranges = pdr.match.ranges
+            shared = [r is w for r, w in zip(ranges, FULL_DOMAIN)]
+            constrained = [r != w for r, w in zip(ranges, FULL_DOMAIN)]
+            assert shared == [not c for c in constrained]
+            assert sum(constrained) == 2  # source_iface + TEID / UE IP
 
     def test_cached_decision_holds_the_table_s_session(self):
         """One object per session: what the pipeline memoizes after a
@@ -154,6 +182,52 @@ class TestSessionTable:
         assert (upf_u.flow_cache.misses, upf_u.flow_cache.hits) == (1, 1)
         (entry,) = upf_u.flow_cache._entries.values()
         assert entry.session is table.by_seid(1)
+
+
+class TestSessionBytes:
+    """Bytes per installed session are pinned (§3.2: the session
+    context is the table the paper shards to 1M sessions).  A two-PDR
+    session installed over N4 costs at most ``BOUND`` bytes under
+    tracemalloc, and the cost per session does not grow with the table.
+    """
+
+    BOUND = 3500
+
+    @pytest.fixture(autouse=True)
+    def _plain_layout(self):
+        if races.active() is not None or sanitizer.active() is not None:
+            pytest.skip(
+                "the race detector registers each session and its buffer "
+                "and the sanitizer tracks descriptors: bytes measured "
+                "under either are not the plain session layout's"
+            )
+
+    @staticmethod
+    def _bytes_per_session(count):
+        _env, table, _upf_u, upf_c, *_ = build_upf()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for n in range(count):
+                establish(
+                    upf_c, seid=n + 1, ue_ip=UE_IP + n, ul_teid=0x100 + n,
+                    dl_teid=0x500 + n,
+                )
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == count
+        assert all(len(s.pdrs) == 2 for s in table.sessions())
+        return (after - before) / count
+
+    def test_bytes_per_session_are_bounded_and_flat(self):
+        small = self._bytes_per_session(1_000)
+        large = self._bytes_per_session(4_000)
+        assert small <= self.BOUND
+        assert large <= self.BOUND
+        assert abs(large - small) <= 0.05 * small
 
 
 class TestRuleDecoding:
