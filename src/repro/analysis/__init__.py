@@ -9,9 +9,10 @@ dynamically in two opt-in runtime detectors:
   (:mod:`.analyzer`, CLI in :mod:`.__main__`).  One run parses each
   file once and runs the file-local rules R001–R008 (:mod:`.rules`:
   determinism, frozen messages, single-writer ownership) and the
-  whole-program checks W001–W008 (:mod:`.program`: per-packet
+  whole-program checks W001–W009 (:mod:`.program`: per-packet
   allocation sites, epoch publish on every path, atomic sections,
-  layering, descriptor/session/resource lifecycles, dead config).
+  layering, descriptor/session/resource lifecycles, dead config, code
+  that only tests reach).
   Exit 0 clean, 1 findings, 2 bad input.  Every exemption is an inline
   ``# repro: noqa[CODE] -- reason`` on the line it excuses; one that
   excuses nothing is itself a finding.

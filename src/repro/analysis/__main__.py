@@ -1,8 +1,11 @@
 """``python -m repro.analysis [paths]`` — the one static-analysis CLI.
 
-Runs R001–R008 and W001–W008 (:func:`repro.analysis.analyzer.analyze`)
-over the given files/directories, default ``src tests``; the
-whole-program checks take the files outside any ``tests/`` directory.
+Runs R001–R008 and W001–W009 (:func:`repro.analysis.analyzer.analyze`)
+over the given files/directories, default ``src tests`` plus
+``examples benchmarks`` where they exist; the whole-program checks take
+the files outside any ``tests/`` directory, and W009 roots its reach at
+``tests/conftest.py``, ``examples/``, ``benchmarks/`` and the
+``__main__`` modules.
 
 Options
 -------
@@ -25,15 +28,17 @@ Options
     Override the W001 per-packet entry points (repeatable).
 
 Exit codes: 0 clean, 1 findings (an unused ``repro: noqa`` and a syntax
-error are findings), 2 unreadable input or bad usage.
+error are findings), 2 unreadable input or bad usage (including an
+``--entry`` or ``--graph-focus`` qualname that names no function).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from typing import List, Optional, Sequence, Set, TextIO
+from typing import Iterable, List, Optional, Sequence, Set, TextIO
 
 from .analyzer import (
     PROGRAM_CHECKS,
@@ -43,6 +48,7 @@ from .analyzer import (
     load_files,
     parse_files,
 )
+from .program.symbols import SymbolTable
 from .rules import RULE_REGISTRY, Finding
 
 __all__ = ["EXIT_CLEAN", "EXIT_FINDINGS", "EXIT_USAGE", "main"]
@@ -95,16 +101,32 @@ def _codes(raw: Optional[str], parser: argparse.ArgumentParser) -> Set[str]:
     return codes
 
 
+def _report_unresolved(
+    entries: Optional[Iterable[str]], table: Optional[SymbolTable]
+) -> bool:
+    """Print each command-line qualname that names no function and say
+    whether there was one: a check rooted at nothing would pass having
+    checked nothing."""
+    missing = [
+        entry for entry in entries or ()
+        if table is not None and entry not in table.functions
+    ]
+    for entry in missing:
+        print(f"error: no function named {entry}", file=sys.stderr)
+    return bool(missing)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
             "Static analysis of the L25GC reproduction: determinism and "
             "ownership rules (R001-R008), hot-path, epoch-publish, "
-            "atomicity, layering and lifecycle checks (W001-W008)."
+            "atomicity, layering, lifecycle and reach checks "
+            "(W001-W009)."
         ),
     )
-    parser.add_argument("paths", nargs="*", default=["src", "tests"])
+    parser.add_argument("paths", nargs="*")
     parser.add_argument("--json", action="store_true", dest="as_json")
     parser.add_argument(
         "--format", choices=("text", "github"), default="text"
@@ -137,20 +159,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     selected = _codes(args.select, parser) or set(all_codes())
     selected -= _codes(args.ignore, parser)
+    paths = args.paths or ["src", "tests"] + [
+        root for root in ("examples", "benchmarks") if os.path.isdir(root)
+    ]
     try:
-        files = load_files(args.paths)
+        files = load_files(paths)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     if args.graph:
         program = build_program(parse_files(files)[0])
+        focus: Optional[List[str]] = args.entry
+        if args.graph_focus:
+            focus = [e.strip() for e in args.graph_focus.split(",")]
+        if _report_unresolved(focus, program.table):
+            return EXIT_USAGE
         if args.graph == "json":
             print(program.graph.to_json())
         else:
-            focus: Optional[List[str]] = args.entry
-            if args.graph_focus:
-                focus = [e.strip() for e in args.graph_focus.split(",")]
             print(
                 program.graph.to_dot(
                     entries=focus, stop_modules=program.stops
@@ -160,6 +187,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CLEAN
 
     report = analyze(files, select=selected, entry_points=args.entry)
+    if _report_unresolved(args.entry, report.table):
+        return EXIT_USAGE
     if args.as_json:
         print(json.dumps(report.to_dict(), indent=2))
     else:

@@ -5,9 +5,11 @@ One run reads and parses every file once (one
 the symbol table and the suppression filter), builds one symbol table,
 one call graph and one CFG per function over the production files
 (those outside any ``tests/`` directory), runs R001–R008 and W001–W008
-over them, and only then filters: it sees every finding before any is
-suppressed, which is what lets it report a ``repro: noqa`` that excused
-nothing.
+over them, runs W009 over every file (its roots are ``tests/conftest.py``,
+``examples/``, ``benchmarks/`` and the ``__main__`` modules; it runs
+only when those are in the set, and builds no program), and only then
+filters: it sees every finding before any is suppressed, which is what
+lets it report a ``repro: noqa`` that excused nothing.
 
 Exemptions are inline comments and nothing else — there is no baseline
 or budget file.  The property those guarded ("a suppression cannot
@@ -24,14 +26,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
+    Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
 from .program.callgraph import CallGraph, build_call_graph
@@ -42,6 +37,7 @@ from .program.checks import (
     check_w003,
     check_w004,
 )
+from .program.reach import check_w009, has_roots
 from .program.solver import Program
 from .program.symbols import SymbolTable, build_symbol_table
 from .program.typestate import check_typestate, check_w008
@@ -86,6 +82,9 @@ PROGRAM_CHECKS: Dict[str, Tuple[str, str]] = {
              "Resource still held on a raising path."),
     "W008": ("dead-config",
              "Config flag or metric instrument nothing observes."),
+    "W009": ("unreached-definition",
+             "Definition no user-run root (__main__, conftest, examples/, "
+             "benchmarks/) reaches."),
 }
 
 
@@ -171,7 +170,8 @@ class Report:
     #: How many findings an inline ``noqa`` excused.
     suppressed: int = 0
     #: The codes that ran (a selected W001 with no resolvable entry
-    #: point did not).
+    #: point did not, nor a W009 whose roots are not in the analysed
+    #: set).
     codes: Tuple[str, ...] = ()
     #: None when no whole-program check was selected.
     table: Optional[SymbolTable] = None
@@ -236,7 +236,7 @@ def analyze(
         ))
         ran.add(code)
 
-    if wanted & set(PROGRAM_CHECKS):
+    if wanted & set(PROGRAM_CHECKS) - {"W009"}:
         program = build_program(contexts, timed)
         table = program.table
         entries = [
@@ -274,6 +274,10 @@ def analyze(
             unknown_edges=len(program.graph.unknown),
             cfgs=program.cfgs_built,
         )
+
+    if "W009" in wanted and has_roots(contexts):
+        findings.extend(timed("W009", lambda: check_w009(contexts)))
+        ran.add("W009")
 
     report.codes = tuple(sorted(ran))
     kept, report.suppressed = timed("suppressions", lambda: _filter(

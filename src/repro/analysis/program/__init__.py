@@ -1,4 +1,4 @@
-"""The whole-program half of the analyser: W001–W008.
+"""The whole-program half of the analyser: W001–W009.
 
 Layers (each importable on its own), all working from the files
 :func:`repro.analysis.analyzer.analyze` has already parsed:
@@ -17,6 +17,8 @@ Layers (each importable on its own), all working from the files
 * :mod:`.checks` — the call-graph checks W001–W004.
 * :mod:`.epoch` — W002's ``(pending, bumped)`` lattice.
 * :mod:`.typestate` — the lifecycle lattices W005–W007 and W008.
+* :mod:`.reach` — W009, a name fixpoint from what a user runs over the
+  parsed trees (no symbol table, no call graph).
 
 Nothing in here is imported by runtime code: the per-packet path pays
 zero import-time or runtime cost for the analyser's existence.

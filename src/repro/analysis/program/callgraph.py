@@ -65,12 +65,6 @@ class CallGraph:
     def callees(self, qualname: str) -> List[CallEdge]:
         return self._out.get(qualname, [])
 
-    def callers(self, qualname: str) -> List[CallEdge]:
-        return self._in.get(qualname, [])
-
-    def unknown_from(self, qualname: str) -> List[UnknownEdge]:
-        return [u for u in self.unknown if u.caller == qualname]
-
     def roots(self) -> List[str]:
         """Functions with no known caller — the event-loop boundary.
 

@@ -292,15 +292,6 @@ class RaceDetector:
         finally:
             self._roles.pop()
 
-    def current_role(self) -> Optional[str]:
-        if self._roles:
-            return self._roles[-1]
-        env = self._env
-        proc = env._active_process if env is not None else None
-        if proc is not None:
-            return getattr(proc, "name", None)
-        return None
-
     # -- engine hook -----------------------------------------------------
     def on_resume(self, env) -> None:
         """``env`` entered a new atomic section (a process resume or a

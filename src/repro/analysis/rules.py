@@ -5,7 +5,7 @@ Each rule is a subclass of :class:`Rule` registered through
 every file once into a :class:`FileContext`, feeds it to each rule and
 collects the :class:`Finding` objects it yields.  Rules are purely
 syntactic (AST + source text), so the pass stays fast and
-dependency-free.  The whole-program checks W001–W008
+dependency-free.  The whole-program checks W001–W009
 (:mod:`repro.analysis.program`) report through the same
 :class:`Finding` and are suppressed by the same comments.
 
@@ -70,7 +70,6 @@ __all__ = [
     "Rule",
     "RULE_REGISTRY",
     "register_rule",
-    "all_rules",
 ]
 
 #: A file that does not parse.  Always reported, never suppressible;
@@ -198,11 +197,6 @@ def register_rule(cls: Type["Rule"]) -> Type["Rule"]:
         raise ValueError(f"duplicate rule code {cls.code}")
     RULE_REGISTRY[cls.code] = cls
     return cls
-
-
-def all_rules() -> List["Rule"]:
-    """Fresh instances of every registered rule, ordered by code."""
-    return [RULE_REGISTRY[code]() for code in sorted(RULE_REGISTRY)]
 
 
 class Rule:

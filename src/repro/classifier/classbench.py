@@ -108,15 +108,6 @@ class ClassBenchGenerator:
             out.append(self._key_within(rule))
         return out
 
-    def random_keys(self, count: int) -> List[PacketKey]:
-        """Uniform random keys (mostly misses) for negative testing."""
-        return [
-            tuple(
-                self._rng.randint(0, spec.max_value) for spec in PDI_FIELDS
-            )
-            for _ in range(count)
-        ]
-
     # ------------------------------------------------------------------
     def _rule(self, index: int, priority: int, total: int) -> Rule:
         if self.profile == PROFILE_BEST:
@@ -233,19 +224,6 @@ class ClassBenchGenerator:
             if roll <= cumulative:
                 return length
         return 32
-
-    def _port_range(self) -> Tuple[int, int]:
-        """Wildcard, exact, or a power-of-two block."""
-        rng = self._rng
-        spec = PDI_FIELDS[_FIELD_INDEX["src_port"]]
-        roll = rng.random()
-        if roll < 0.45:
-            return wildcard(spec)
-        if roll < 0.80:
-            return exact(rng.randint(0, 65535))
-        # Power-of-two aligned block: e.g. [1024, 2047].
-        length = rng.choice((2, 4, 5, 6, 8, 10))
-        return prefix(spec, rng.randint(0, 65535), length)
 
     def _key_within(self, rule: Rule) -> PacketKey:
         return tuple(

@@ -243,13 +243,6 @@ class PartitionSortClassifier(Classifier):
         #: one dict probe, then binary-search only its partition.
         self._by_id: Dict[int, Rule] = {}
 
-    @property
-    def num_partitions(self) -> int:
-        """Sortable ruleset count — typically far below TSS's tuple
-        count for the same rules (the paper's 'fewer partitioned rule
-        sets, yielding more consistent performance')."""
-        return len(self._partitions)
-
     def insert(self, rule: Rule) -> None:
         # Try existing partitions, largest first — the original
         # heuristic, which keeps the partition count low.

@@ -172,18 +172,6 @@ class Rule:
             for spec, (lo, hi) in zip(PDI_FIELDS, self.ranges)
         )
 
-    def is_wildcard(self, field_index: int) -> bool:
-        lo, hi = self.ranges[field_index]
-        return lo == 0 and hi == _MAX_VALUES[field_index]
-
-    def specificity(self) -> int:
-        """Total matched-prefix bits; used as a default priority."""
-        total = 0
-        for spec, (lo, hi) in zip(PDI_FIELDS, self.ranges):
-            span = hi - lo + 1
-            total += spec.bits - (span.bit_length() - 1)
-        return total
-
     @classmethod
     def from_fields(
         cls,
@@ -208,14 +196,3 @@ class Rule:
             rule_id=rule_id,
             far_id=far_id,
         )
-
-    @staticmethod
-    def key_from_fields(**field_values: int) -> PacketKey:
-        """A packet key naming only the non-zero fields."""
-        by_name = {spec.name: i for i, spec in enumerate(PDI_FIELDS)}
-        key = [0] * NUM_FIELDS
-        for name, value in field_values.items():
-            if name not in by_name:
-                raise ValueError(f"unknown PDI field: {name}")
-            key[by_name[name]] = value
-        return tuple(key)

@@ -98,11 +98,6 @@ class TupleSpaceClassifier(Classifier):
         #: rules() snapshot and go straight to the owning sub-table.
         self._by_id: Dict[int, Rule] = {}
 
-    @property
-    def num_subtables(self) -> int:
-        """Sub-table count — N probes per lookup in the worst case."""
-        return len(self._tables)
-
     def insert(self, rule: Rule) -> None:
         signature = rule.tuple_signature()
         if any(length is None for length in signature):

@@ -31,7 +31,7 @@ All times are in seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from ..sim.engine import MS, US
@@ -60,8 +60,9 @@ class Channel(Enum):
 class CostModel:
     """Per-operation latency constants (seconds).
 
-    Instances are immutable in spirit: use :meth:`scaled` to derive
-    variants rather than mutating the shared :data:`DEFAULT_COSTS`.
+    Instances are immutable in spirit: derive a variant with
+    ``dataclasses.replace`` rather than mutating the shared
+    :data:`DEFAULT_COSTS`.
     """
 
     # ------------------------------------------------------------------
@@ -539,10 +540,6 @@ class CostModel:
             else self.kernel_multisession_factor
         )
         return base * (1.0 + factor * max(0, active_sessions - 1))
-
-    def scaled(self, **overrides: float) -> "CostModel":
-        """A copy with selected constants replaced."""
-        return replace(self, **overrides)
 
 
 #: The calibrated default cost model used throughout the reproduction.

@@ -127,10 +127,6 @@ class NetworkFunction:
     def stop(self) -> None:
         self.status = NFStatus.STOPPED
 
-    @property
-    def is_alive(self) -> bool:
-        return self.status in (NFStatus.RUNNING, NFStatus.STARTING)
-
     # ------------------------------------------------------------------
     # Message handling — subclasses override
     # ------------------------------------------------------------------

@@ -119,7 +119,6 @@ class SharedMemoryPool:
         ]
         for descriptor in self._free:
             descriptor._on_free_list = True
-        self._attached: Dict[str, int] = {}
         self.allocations = 0
         self.alloc_failures = 0
 
@@ -135,17 +134,8 @@ class SharedMemoryPool:
                 f"{nf_name}: prefix {file_prefix!r} does not match pool "
                 f"{self.file_prefix!r}"
             )
-        self._attached[nf_name] = self._attached.get(nf_name, 0) + 1
-
-    def is_attached(self, nf_name: str) -> bool:
-        return self._attached.get(nf_name, 0) > 0
 
     # -- allocation ------------------------------------------------------
-    @property
-    def available(self) -> int:
-        """Free descriptors remaining."""
-        return len(self._free)
-
     @property
     def in_use(self) -> int:
         return self.size - len(self._free)

@@ -25,7 +25,7 @@ burst behind.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from ..analysis import sanitizer as _sanitizer
 from ..obs import spans as _tracing
@@ -38,7 +38,7 @@ class RingFullError(Exception):
     """Raised by :meth:`Ring.enqueue` when no slot is free."""
 
 
-class RingEmptyError(Exception):
+class RingEmptyError(Exception):  # repro: noqa[W009] -- raised by the exempt reference Ring.dequeue
     """Raised by :meth:`Ring.dequeue` when no descriptor is queued."""
 
 
@@ -101,15 +101,6 @@ class Ring:
         return self._head - self._tail
 
     @property
-    def free_count(self) -> int:
-        """Slots currently available to the producer."""
-        return self._mask + 1 - (self._head - self._tail)
-
-    @property
-    def is_empty(self) -> bool:
-        return self._head == self._tail
-
-    @property
     def is_full(self) -> bool:
         return self._head - self._tail > self._mask
 
@@ -158,7 +149,7 @@ class Ring:
         if head - self._tail > self.high_watermark:
             self.high_watermark = head - self._tail
 
-    def dequeue(self) -> Any:
+    def dequeue(self) -> Any:  # repro: noqa[W009] -- the reference dequeue_burst is checked against (test_core_rings.py::test_stats_identical_to_singleton_dequeues)
         """Pop one descriptor; raises :class:`RingEmptyError` when empty."""
         tail = self._tail
         if self._head == tail:
@@ -251,12 +242,6 @@ class Ring:
                 if tracer is not None:
                     tracer.on_ring_dequeue(self.name, descriptor)
         return out
-
-    def peek(self) -> Optional[Any]:
-        """The oldest descriptor without removing it, or None."""
-        if self._head == self._tail:
-            return None
-        return self._slots[self._tail & self._mask]
 
     def clear(self) -> int:
         """Drop everything; returns the number of discarded descriptors.

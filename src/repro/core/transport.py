@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, Optional
 
 from ..analysis import sanitizer as _sanitizer
 from ..obs import spans as _tracing
@@ -168,7 +168,7 @@ class MessageBus:
         self.endpoints[name] = endpoint
         return endpoint
 
-    def set_alive(self, name: str, alive: bool) -> None:
+    def set_alive(self, name: str, alive: bool) -> None:  # repro: noqa[W009] -- the kill(nf) seam ROADMAP items 4b and 7 drive
         """Mark an endpoint up or down (failure injection)."""
         if name not in self.endpoints:
             raise KeyError(f"unknown endpoint: {name}")
@@ -350,11 +350,6 @@ class MessageBus:
             )
 
     # ------------------------------------------------------------------
-    def records_named(self, label: str) -> List[MessageRecord]:
-        """The retained delivery records (the last ``LOG_CAPACITY``)
-        for messages with the given label."""
-        return [record for record in self.log if record.name == label]
-
     def total_messages(self) -> int:
         """Every message delivered over the bus's life, not only the
         retained window."""

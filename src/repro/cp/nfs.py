@@ -275,11 +275,6 @@ class UDM:
             raise KeyError(f"unknown subscriber: {supi}")
         return self.subscribers[supi]["key"]
 
-    def subscription_data(self, supi: str, dataset: str) -> Dict[str, Any]:
-        if supi not in self.subscribers:
-            raise KeyError(f"unknown subscriber: {supi}")
-        return self.subscribers[supi].get(dataset, {})
-
     def deconceal_suci(self, suci: str) -> str:
         """Map a SUCI back to its SUPI (ECIES deconcealment, modeled)."""
         # suci-0-<mcc>-<mnc>-0000-0-0-<msin> -> imsi-<mcc><mnc><msin>

@@ -53,9 +53,6 @@ class UEAwareLoadBalancer:
     def mark_failed(self, unit_id: int) -> None:
         self.units[unit_id].healthy = False
 
-    def mark_recovered(self, unit_id: int) -> None:
-        self.units[unit_id].healthy = True
-
     # ------------------------------------------------------------------
     def assign(self, supi: str) -> Optional[UnitHandle]:
         """The unit serving this UE, allocating one if new.

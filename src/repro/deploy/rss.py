@@ -138,12 +138,6 @@ class RSSIndirection:
         value = hash_five_tuple(flow, key)
         return self.table[value % len(self.table)]
 
-    def queue_for_word(
-        self, value: int, key: bytes = DEFAULT_RSS_KEY
-    ) -> int:
-        """Queue for a single 32-bit hash input (TEID / UE IP)."""
-        return self.table[toeplitz_hash32(value, key) % len(self.table)]
-
     def dispatch(self, packets: Sequence[Packet]) -> List[List[Packet]]:
         """Split a burst into per-queue lists (same flow -> same queue)."""
         queues: List[List[Packet]] = [[] for _ in range(self.num_queues)]

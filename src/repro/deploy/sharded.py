@@ -172,7 +172,7 @@ class ShardRouter:
         self._ring.sort()
         self._members.add(shard)
 
-    def add_shard(self, shard: int) -> List[int]:
+    def add_shard(self, shard: int) -> List[int]:  # repro: noqa[W009] -- readmits a recovered shard for ShardedUserPlane.mark_recovered (ROADMAP item 7)
         """(Re-)admit a shard; returns the buckets that moved."""
         if shard in self._members:
             return []
@@ -522,7 +522,7 @@ class ShardedUserPlane:
         self.failovers += 1
         return self._rebalance()
 
-    def mark_recovered(self, shard_id: int) -> int:
+    def mark_recovered(self, shard_id: int) -> int:  # repro: noqa[W009] -- the recovery half of per-shard S-BFD failover, ROADMAP item 7
         """Readmit a shard and pull its buckets' sessions back."""
         self.router.add_shard(shard_id)
         return self._rebalance()

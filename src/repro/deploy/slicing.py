@@ -18,7 +18,7 @@ __all__ = ["SNssai", "NetworkSlice", "SliceManager"]
 
 
 @dataclass(frozen=True)
-class SNssai:
+class SNssai:  # repro: noqa[W009] -- ROADMAP item 8 wires slices end to end or deletes this module
     """Single Network Slice Selection Assistance Information."""
 
     sst: int  # slice/service type: 1 eMBB, 2 URLLC, 3 mIoT
@@ -29,7 +29,7 @@ class SNssai:
 
 
 @dataclass
-class NetworkSlice:
+class NetworkSlice:  # repro: noqa[W009] -- ROADMAP item 8 wires slices end to end or deletes this module
     """One slice: its S-NSSAI, service-id block and member units."""
 
     snssai: SNssai
@@ -50,7 +50,7 @@ class NetworkSlice:
         return self.service_id_base + function_index
 
 
-class SliceManager:
+class SliceManager:  # repro: noqa[W009] -- ROADMAP item 8 wires slices end to end or deletes this module
     """Registry + selection across network slices."""
 
     def __init__(self, service_id_width: int = 16):

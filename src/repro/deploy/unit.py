@@ -85,13 +85,6 @@ class CanaryController:
         )
         self.history.append(fraction)
 
-    def promote(self) -> None:
-        """Canary becomes the stable version (100 % of traffic)."""
-        self.set_canary_share(1.0)
-
-    def rollback(self) -> None:
-        """Abort the rollout; all traffic back to stable."""
-        self.set_canary_share(0.0)
 
 
 class PlacementEngine:

@@ -127,6 +127,21 @@ def run_fig10() -> None:
     )
 
 
+def run_llc_cliff() -> None:
+    from .fig10 import llc_cliff
+
+    _print_rows(
+        "LLC cliff (modeled): 68 B forwarding rate vs active sessions",
+        ["sessions", "hot_Mpps", "dict_Mpps", "hot/dict", "hot_MB",
+         "dict_MB"],
+        [
+            (r.sessions, r.hot_mpps, r.dict_mpps, r.hot_advantage,
+             r.hot_working_set_bytes / 1e6, r.dict_working_set_bytes / 1e6)
+            for r in llc_cliff()
+        ],
+    )
+
+
 def run_fig11() -> None:
     from .fig11 import CLASSIFIER_VARIANTS, lookup_latency_sweep, update_latency
 
@@ -324,6 +339,7 @@ EXPERIMENTS: Dict[str, Callable[[], None]] = {
     "fig08": run_fig08,
     "fig09": run_fig09,
     "fig10": run_fig10,
+    "llc-cliff": run_llc_cliff,
     "fig11": run_fig11,
     "fig12": run_fig12,
     "table1": run_table1,

@@ -9,10 +9,8 @@ completion times.  Expected shape, per the paper:
 * paging lands near 59 ms vs 28 ms, handover near 227 ms vs 130 ms
   (these durations also drive Tables 1-2).
 
-:func:`event_interface_breakdown` decomposes each event's wall time by
-interface (SBI / N4 / NGAP / radio).  It runs the same lifecycle under
-:mod:`repro.obs` tracing and queries the span tree — no bespoke
-message accounting; the trace is the accounting.
+``python -m repro.obs`` decomposes each event's wall time by interface
+(SBI / N4 / NGAP / radio) from the span tree of the same lifecycle.
 """
 
 from __future__ import annotations
@@ -21,17 +19,12 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from ..core.costs import DEFAULT_COSTS, CostModel
-from ..cp import scenario
-from ..cp.core5g import SYSTEMS, FiveGCore
-from ..obs import breakdown as _breakdown
-from ..obs import spans as _tracing
-from ..sim.engine import Environment
+from ..cp.core5g import SYSTEMS
 from .common import UE_EVENTS, run_ue_events
 
 __all__ = [
     "EventLatencyRow",
     "event_completion_times",
-    "event_interface_breakdown",
 ]
 
 
@@ -75,38 +68,3 @@ def event_completion_times(
         )
         for event in UE_EVENTS
     ]
-
-
-def event_interface_breakdown(
-    costs: CostModel = DEFAULT_COSTS,
-) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Per-system, per-event wall time split by interface (seconds).
-
-    Returns ``{system: {event: {"sbi": ..., "n4": ..., "ngap": ...,
-    "radio": ..., "other": ..., "total": ...}}}``.  The split is
-    derived entirely from the trace's message and radio spans, plus the
-    trace-derived message count (``messages``) — the same numbers the
-    pre-obs code kept in hand-rolled tallies.
-    """
-    out: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for system, config_factory in SYSTEMS.items():
-        env = Environment()
-        core = FiveGCore(env, config_factory(), costs=costs)
-        tracer = _tracing.enable(env)
-        try:
-            scenario.run(
-                core, {"imsi-208930000000001": scenario.UE_LIFECYCLE})
-        finally:
-            _tracing.disable()
-
-        per_event: Dict[str, Dict[str, float]] = {}
-        for root in tracer.roots():
-            if root.name not in UE_EVENTS:
-                continue
-            split = _breakdown.interface_breakdown(tracer, root)
-            split["messages"] = float(
-                len(tracer.find(category="message", within=root))
-            )
-            per_event[root.name] = split
-        out[system] = per_event
-    return out

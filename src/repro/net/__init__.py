@@ -3,7 +3,6 @@
 from .addresses import (
     AddressAllocator,
     int_to_ip,
-    ip_in_prefix,
     ip_to_int,
     prefix_mask,
     prefix_range,
@@ -25,7 +24,6 @@ from .pcap import PcapWriter, read_pcap, write_gtp_trace
 __all__ = [
     "AddressAllocator",
     "int_to_ip",
-    "ip_in_prefix",
     "ip_to_int",
     "prefix_mask",
     "prefix_range",

@@ -14,7 +14,6 @@ __all__ = [
     "int_to_ip",
     "prefix_range",
     "prefix_mask",
-    "ip_in_prefix",
     "AddressAllocator",
 ]
 
@@ -65,12 +64,6 @@ def prefix_range(address: int, length: int) -> Tuple[int, int]:
     low = address & mask
     high = low | (~mask & _MAX_IPV4)
     return low, high
-
-
-def ip_in_prefix(value: int, address: int, length: int) -> bool:
-    """True if ``value`` falls inside ``address/length``."""
-    low, high = prefix_range(address, length)
-    return low <= value <= high
 
 
 class AddressAllocator:

@@ -29,8 +29,6 @@ _packet_ids = itertools.count(1)
 MIN_FRAME = 64
 #: Ethernet + IPv4 + UDP overhead bytes.
 HEADER_OVERHEAD = 14 + 20 + 8
-#: GTP-U adds outer IPv4 + UDP + GTP (8B base + 8B ext) on N3.
-GTP_OVERHEAD = 20 + 8 + 16
 
 
 class Direction(Enum):
@@ -124,10 +122,6 @@ class Packet:
         if self.created_at is None or self.delivered_at is None:
             return None
         return self.delivered_at - self.created_at
-
-    def encapsulated_size(self) -> int:
-        """Wire size once wrapped in GTP-U on the N3 interface."""
-        return self.size + GTP_OVERHEAD
 
     def to_bytes(self) -> bytes:
         """Render the inner user packet as real bytes.

@@ -45,11 +45,8 @@ PROCEDURES = {
 def _run_lifecycle(system: str):
     env = Environment()
     core = FiveGCore(env, SYSTEMS[system]())
-    tracer = _spans.enable(env)
-    try:
+    with _spans.tracing(env) as tracer:
         scenario.run(core, {"imsi-208930000000003": scenario.UE_LIFECYCLE})
-    finally:
-        _spans.disable()
     return tracer, core
 
 

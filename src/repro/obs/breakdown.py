@@ -45,14 +45,6 @@ class MessageBreakdown:
     total: float
     components: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def transport(self) -> float:
-        """Serialize + protocol + deserialize — the Fig 6 'message cost'."""
-        return sum(
-            self.components.get(part, 0.0)
-            for part in ("serialize", "protocol", "deserialize")
-        )
-
 
 def message_breakdowns(
     tracer: Tracer,

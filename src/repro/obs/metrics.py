@@ -60,7 +60,7 @@ class Counter:
     def value(self) -> int:
         return self._value
 
-    def inc(self, amount: int = 1) -> None:
+    def inc(self, amount: int = 1) -> None:  # repro: noqa[W009] -- the named drop/outcome counters of ROADMAP item 6 count with it
         if amount < 0:
             raise ValueError(f"counter {self.name}: negative increment {amount}")
         self._value += amount
@@ -78,7 +78,7 @@ class Counter:
 class Gauge:
     """A level that can move both ways, or a live view over other state.
 
-    A gauge either stores a value (``set`` / ``add`` / ``set_max``) or
+    A gauge either stores a value (``set`` / ``add``) or
     wraps a zero-argument callable (``set_function``) so existing
     attributes — ``len(ring)``, a dataclass field — can be exported
     without duplicating state.  The callable form is what lets legacy
@@ -108,12 +108,6 @@ class Gauge:
     def add(self, delta: float) -> None:
         self._fn = None
         self._value += delta
-
-    def set_max(self, value: float) -> None:
-        """Keep the running maximum (high-watermark semantics)."""
-        self._fn = None
-        if value > self._value:
-            self._value = value
 
     def set_function(self, fn: Callable[[], float]) -> None:
         self._fn = fn

@@ -23,41 +23,7 @@ __all__ = [
     "build_buffering_update",
     "build_forward_update",
     "build_downlink_report",
-    "build_qos_rules",
 ]
-
-
-def build_qos_rules(
-    qer_id: int = 1,
-    qfi: int = 9,
-    mbr_ul_kbps: int = 0,
-    mbr_dl_kbps: int = 0,
-    urr_id: Optional[int] = None,
-    volume_threshold_bytes: Optional[int] = None,
-) -> List[ies.IE]:
-    """Create QER (gate + MBR) and optionally a URR with a volume
-    threshold — the per-flow QoS treatment of §3.4/Appendix A."""
-    out: List[ies.IE] = [
-        qos_ies.CreateQerIE(
-            children=[
-                ies.QerIdIE(rule_id=qer_id),
-                ies.QfiIE(qfi=qfi),
-                qos_ies.GateStatusIE(),
-                qos_ies.MbrIE(ul_kbps=mbr_ul_kbps, dl_kbps=mbr_dl_kbps),
-            ]
-        )
-    ]
-    if urr_id is not None:
-        children: List[ies.IE] = [
-            qos_ies.UrrIdIE(rule_id=urr_id),
-            qos_ies.MeasurementMethodIE(volume=True),
-        ]
-        if volume_threshold_bytes is not None:
-            children.append(
-                qos_ies.VolumeThresholdIE(total_bytes=volume_threshold_bytes)
-            )
-        out.append(qos_ies.CreateUrrIE(children=children))
-    return out
 
 
 def _uplink_pdr(pdr_id: int, teid: int, upf_address: int, far_id: int) -> ies.CreatePdrIE:
@@ -114,7 +80,7 @@ def build_session_establishment(
 ) -> SessionEstablishmentRequest:
     """The SMF's N4 session establishment: UL+DL PDRs and FARs.
 
-    ``qos_rules`` (from :func:`build_qos_rules`) attaches QER/URR
+    ``qos_rules`` (``CreateQerIE``/``CreateUrrIE`` trees) attaches QER/URR
     creations; ``qer_id``/``urr_id`` reference them from both PDRs.
     """
     ul_far = ies.CreateFarIE(

@@ -599,9 +599,6 @@ class _GroupedIE(IE):
     def child(self, cls_: Type[IE]) -> Optional[IE]:
         return _first(self.children, cls_)
 
-    def children_of(self, cls_: Type[IE]) -> List[IE]:
-        return [ie for ie in self.children if isinstance(ie, cls_)]
-
 
 @_register
 @dataclass(frozen=True)

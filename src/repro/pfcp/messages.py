@@ -1,10 +1,9 @@
 """PFCP messages (3GPP TS 29.244) with header codec.
 
-Implements the node and session messages the 5GC session procedures
-exchange on N4: association setup, heartbeat, session establishment /
-modification / deletion / report.  Message encode/decode produces real
-bytes (header + TLV IEs) and is exercised both by unit tests and by the
-Fig 7 benchmark.
+Implements the session messages the 5GC session procedures exchange on
+N4: session establishment / modification / deletion / report.  Message
+encode/decode produces real bytes (header + TLV IEs) and is exercised
+both by unit tests and by the Fig 7 benchmark.
 
 Each message class also carries ``HANDLER_TIME`` — the UPF-C/SMF
 handler processing cost the paper identifies as the dominant, channel-
@@ -23,10 +22,6 @@ from .ies import IE, decode_ies, encode_ies, ies_size
 __all__ = [
     "PFCPHeader",
     "PFCPMessage",
-    "HeartbeatRequest",
-    "HeartbeatResponse",
-    "AssociationSetupRequest",
-    "AssociationSetupResponse",
     "SessionEstablishmentRequest",
     "SessionEstablishmentResponse",
     "SessionModificationRequest",
@@ -51,7 +46,8 @@ def _register(cls: Type["PFCPMessage"]) -> Type["PFCPMessage"]:
 class PFCPHeader:
     """The PFCP message header (version 1).
 
-    Session messages carry an 8-byte SEID; node messages do not.
+    Session messages carry an 8-byte SEID; a header without one (a
+    node message, which this package does not model) still round-trips.
     """
 
     message_type: int = 0
@@ -98,7 +94,6 @@ class PFCPMessage:
     """Base PFCP message: a header plus a list of IEs."""
 
     MESSAGE_TYPE: ClassVar[int] = 0
-    HAS_SEID: ClassVar[bool] = True
     #: UPF/SMF handler processing for this message type (seconds).
     #: Establishment installs full rule sets; modification touches
     #: existing ones; reports only notify.  These land Fig 7's totals
@@ -117,15 +112,15 @@ class PFCPMessage:
         body = encode_ies(self.ies)
         header = PFCPHeader(
             message_type=self.MESSAGE_TYPE,
-            seid=self.seid if self.HAS_SEID else None,
+            seid=self.seid,
             sequence=self.sequence,
         )
         return header.pack(len(body)) + body
 
     def wire_size(self) -> int:
         """``len(self.encode())`` without serialising: the 16-byte
-        session header (8 without SEID) plus each IE's TLV size."""
-        return (16 if self.HAS_SEID else 8) + ies_size(self.ies)
+        session header plus each IE's TLV size."""
+        return 16 + ies_size(self.ies)
 
     @classmethod
     def from_ies(cls, header: PFCPHeader, ies: List[IE]) -> "PFCPMessage":
@@ -151,41 +146,6 @@ def decode_message(data: bytes) -> PFCPMessage:
     if cls is None:
         raise ValueError(f"unknown PFCP message type {header.message_type}")
     return cls.from_ies(header, decode_ies(body))
-
-
-# ---------------------------------------------------------------------------
-# Node messages
-# ---------------------------------------------------------------------------
-@_register
-@dataclass(frozen=True)
-class HeartbeatRequest(PFCPMessage):
-    MESSAGE_TYPE: ClassVar[int] = 1
-    HAS_SEID: ClassVar[bool] = False
-    HANDLER_TIME: ClassVar[float] = 20.0 * US
-
-
-@_register
-@dataclass(frozen=True)
-class HeartbeatResponse(PFCPMessage):
-    MESSAGE_TYPE: ClassVar[int] = 2
-    HAS_SEID: ClassVar[bool] = False
-    HANDLER_TIME: ClassVar[float] = 20.0 * US
-
-
-@_register
-@dataclass(frozen=True)
-class AssociationSetupRequest(PFCPMessage):
-    MESSAGE_TYPE: ClassVar[int] = 5
-    HAS_SEID: ClassVar[bool] = False
-    HANDLER_TIME: ClassVar[float] = 300.0 * US
-
-
-@_register
-@dataclass(frozen=True)
-class AssociationSetupResponse(PFCPMessage):
-    MESSAGE_TYPE: ClassVar[int] = 6
-    HAS_SEID: ClassVar[bool] = False
-    HANDLER_TIME: ClassVar[float] = 300.0 * US
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ packet-loss arithmetic of §5.4.2 (Eq. 1) emerges from the model.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..net.packet import Packet
 from ..sim.engine import Environment
@@ -85,9 +85,6 @@ class GNodeB:
         """
         self.connected.pop(ue.supi, None)
 
-    def is_connected(self, ue: UserEquipment) -> bool:
-        return ue.supi in self.connected
-
     def allocate_dl_teid(self) -> int:
         """A fresh DL tunnel endpoint for a PDU session or handover."""
         teid = self._next_dl_teid
@@ -102,13 +99,6 @@ class GNodeB:
         self._buffers.setdefault(
             ue.supi, Store(self.env, capacity=self._buffer_capacity)
         )
-
-    def is_buffering(self, ue_supi: str) -> bool:
-        return ue_supi in self._buffers
-
-    def buffered_count(self, ue_supi: str) -> int:
-        store = self._buffers.get(ue_supi)
-        return len(store) if store else 0
 
     def receive_downlink(self, packet: Packet, ue: UserEquipment) -> None:
         """A DL packet arrived from the UPF over N3.
@@ -142,15 +132,6 @@ class GNodeB:
         else:
             # The UE left mid-flight (handover race): the packet is lost.
             self.dropped += 1
-
-    # ------------------------------------------------------------------
-    # Uplink data
-    # ------------------------------------------------------------------
-    def send_uplink(
-        self, packet: Packet, forward: Callable[[Packet], None]
-    ) -> None:
-        """Carry a UE's UL packet over the air, then into the N3 tunnel."""
-        self.env.call_later(self.radio_latency, forward, packet)
 
     def __repr__(self) -> str:
         return (

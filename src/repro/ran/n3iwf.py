@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from ..net.packet import Packet
 from ..sim.engine import Environment
@@ -136,9 +136,6 @@ class N3IWF:
     def disconnect(self, ue: UserEquipment) -> None:
         self.release_ue(ue)
 
-    def is_connected(self, ue: UserEquipment) -> bool:
-        return ue.supi in self.connected
-
     def allocate_dl_teid(self) -> int:
         teid = self._next_dl_teid
         self._next_dl_teid += 1
@@ -164,16 +161,6 @@ class N3IWF:
             self.delivered += 1
         else:
             self.dropped += 1
-
-    def send_uplink(
-        self, packet: Packet, forward: Callable[[Packet], None]
-    ) -> None:
-        delay = self.wifi_latency + self.ipsec_overhead
-        self.env.call_later(delay, self._decapsulate, packet, forward)
-
-    def _decapsulate(self, packet: Packet, forward: Callable[[Packet], None]):
-        packet.size = max(0, packet.size - ESP_OVERHEAD)
-        forward(packet)
 
     def __repr__(self) -> str:
         return (

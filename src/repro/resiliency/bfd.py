@@ -25,9 +25,6 @@ class ProbeTarget:
     def fail(self) -> None:
         self.reachable = False
 
-    def recover(self) -> None:
-        self.reachable = True
-
 
 class ProbeAgent:
     """S-BFD initiator at the LB node.

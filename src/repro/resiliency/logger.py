@@ -99,9 +99,6 @@ class PacketLogger:
     def __len__(self) -> int:
         return sum(len(queue) for queue in self._queues.values())
 
-    def queue_depth(self, direction: Direction, kind: PacketKind) -> int:
-        return len(self._queues[(direction, kind)])
-
     # ------------------------------------------------------------------
     def release_through(self, counter: int) -> int:
         """Drop logged entries with counter <= ``counter``.

@@ -128,9 +128,3 @@ class RemoteReplica:
     def activate(self) -> None:
         self.frozen = False
 
-    def state_of(self, nf_name: str) -> Dict[str, Any]:
-        store = self.ensure_store(nf_name)
-        detector = _races.active()
-        if detector is not None:
-            detector.on_read(store, "state")
-        return store.state

@@ -225,7 +225,7 @@ class FlatView:
     on demand, and the vtable itself parses lazily on first access.
     """
 
-    __slots__ = ("_data", "_vtable_offset", "_vtable", "_type_name")
+    __slots__ = ("_data", "_vtable_offset", "_vtable")
 
     def __init__(self, data: bytes):
         if len(data) < 8:
@@ -233,16 +233,13 @@ class FlatView:
         (self._vtable_offset,) = struct.unpack_from("!I", data, 0)
         self._data = data
         self._vtable: Optional[Dict[str, int]] = None
-        self._type_name: Optional[str] = None
 
     def _load_vtable(self) -> Dict[str, int]:
         if self._vtable is None:
             pos = self._vtable_offset
             data = self._data
             (name_len,) = struct.unpack_from("!H", data, pos)
-            pos += 2
-            self._type_name = data[pos : pos + name_len].decode("utf-8")
-            pos += name_len
+            pos += 2 + name_len  # the type name: the caller knows the type
             (count,) = struct.unpack_from("!H", data, pos)
             pos += 2
             table: Dict[str, int] = {}
@@ -256,12 +253,6 @@ class FlatView:
                 table[key] = offset
             self._vtable = table
         return self._vtable
-
-    @property
-    def type_name(self) -> str:
-        self._load_vtable()
-        assert self._type_name is not None
-        return self._type_name
 
     def keys(self) -> List[str]:
         return list(self._load_vtable().keys())
@@ -278,11 +269,6 @@ class FlatView:
         if key in self:
             return self[key]
         return default
-
-    def to_message(self) -> SBIMessage:
-        """Fully materialize the typed message (eager path)."""
-        body = {key: self[key] for key in self.keys()}
-        return MESSAGE_REGISTRY[self.type_name].from_dict(body)
 
 
 class FlatCodec(Codec):

@@ -34,7 +34,6 @@ __all__ = [
     "NFDiscoveryResponse",
     "MESSAGE_REGISTRY",
     "register_message",
-    "sample_messages",
 ]
 
 MESSAGE_REGISTRY: Dict[str, Type["SBIMessage"]] = {}
@@ -346,11 +345,3 @@ class NFDiscoveryResponse(SBIMessage):
         ]
     )
 
-
-def sample_messages() -> List[SBIMessage]:
-    """One default-valued instance of every registered message type.
-
-    Used by the serialization benchmarks (Figs 6 and 9) and by codec
-    round-trip property tests.
-    """
-    return [cls() for cls in MESSAGE_REGISTRY.values()]

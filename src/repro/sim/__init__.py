@@ -11,30 +11,23 @@ The public surface:
 from .engine import (
     MS,
     US,
-    AllOf,
-    AnyOf,
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Timeout,
 )
-from .queues import PriorityStore, QueueFullError, Resource, Store
+from .queues import QueueFullError, Resource, Store
 from .rng import StreamRNG
 
 __all__ = [
     "MS",
     "US",
-    "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "SimulationError",
     "Timeout",
-    "PriorityStore",
     "QueueFullError",
     "Resource",
     "Store",

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 from ..analysis import races as _races  # repro: noqa[W004] -- race-detector hooks (pending epoch bumps are flushed at yield boundaries); every call is gated on `_ACTIVE is None`
 
@@ -55,26 +55,12 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "AllOf",
-    "AnyOf",
-    "Interrupt",
     "SimulationError",
 ]
 
 
 class SimulationError(Exception):
     """Raised for invalid uses of the simulation API."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process when :meth:`Process.interrupt` is called.
-
-    The ``cause`` attribute carries the value passed to ``interrupt``.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -168,18 +154,6 @@ class Event:
             callback(self)
         return self
 
-    def defused(self) -> "Event":
-        """Mark a failed event as handled so it does not crash the run."""
-        self._defused = True
-        return self
-
-    # -- composition -----------------------------------------------------
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.env, [self, other])
-
 
 class Timeout(Event):
     """An event that fires after a fixed simulated delay."""
@@ -212,35 +186,11 @@ class Process(Event):
         super().__init__(env)
         self.name = name
         self._generator = generator
-        self._target: Optional[Event] = None
         # Kick-start on the next tick.
         init = Event(env)
         init._ok = True
         init.callbacks.append(self._resume)
         env._schedule(init, 0.0)
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not finished."""
-        return self._ok is None
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self.is_alive:
-            raise SimulationError("cannot interrupt a finished process")
-        if (
-            self._target is not None
-            and self._target.callbacks is not None
-            and self._resume in self._target.callbacks
-        ):
-            self._target.callbacks.remove(self._resume)
-        self._target = None
-        kick = Event(self.env)
-        kick._ok = False
-        kick._value = Interrupt(cause)
-        kick._defused = True
-        kick.callbacks.append(self._resume)
-        self.env._schedule(kick, 0.0)
 
     # -- internal --------------------------------------------------------
     def _resume(self, event: Event) -> None:
@@ -269,11 +219,6 @@ class Process(Event):
                 self._value = stop.value
                 self.callbacks = None
             return
-        except Interrupt as exc:
-            # An unhandled interrupt terminates the process with a failure.
-            self.env._active_process = None
-            self.fail(exc)
-            return
         except BaseException as exc:  # model bug: propagate as failure
             self.env._active_process = None
             self.fail(exc)
@@ -283,7 +228,6 @@ class Process(Event):
             raise SimulationError(
                 f"process yielded a non-event: {target!r}; yield env.timeout(...)"
             )
-        self._target = target
         if target.processed:
             # Already fired: resume on the next scheduling tick.
             kick = Event(self.env)
@@ -298,61 +242,6 @@ class Process(Event):
             if not target._ok:
                 target._defused = True
             target.callbacks.append(self._resume)
-
-
-class _Condition(Event):
-    """Base for AllOf/AnyOf composite events."""
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self._events = list(events)
-        self._remaining = len(self._events)
-        if not self._events:
-            self.succeed({})
-            return
-        for ev in self._events:
-            if ev.processed:
-                self._check(ev)
-            else:
-                ev.callbacks.append(self._check)
-
-    def _collect(self) -> dict:
-        return {
-            ev: ev._value
-            for ev in self._events
-            if ev.triggered and ev._ok
-        }
-
-    def _check(self, event: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Fires when every component event has fired."""
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed(self._collect())
-
-
-class AnyOf(_Condition):
-    """Fires as soon as any component event fires."""
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self.succeed(self._collect())
 
 
 class Environment:
@@ -382,11 +271,6 @@ class Environment:
         """Current simulated time in seconds."""
         return self._now
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
-
     # -- event construction ----------------------------------------------
     def event(self) -> Event:
         """Create a fresh, untriggered event."""
@@ -401,14 +285,6 @@ class Environment:
     ) -> Process:
         """Start a new process from a generator."""
         return Process(self, generator, name=name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """An event that fires when all of ``events`` have fired."""
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """An event that fires when the first of ``events`` fires."""
-        return AnyOf(self, events)
 
     # -- scheduling / execution -------------------------------------------
     # Heap entries are ``(when, seq, fn, arg)``: a timer carries its
@@ -488,10 +364,6 @@ class Environment:
         heapq.heappush(
             self._heap, (self._now + delay, next(self._counter), None, event)
         )
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._heap[0][0] if self._heap else float("inf")
 
     def step(self) -> None:
         """Process exactly one event or timer."""

@@ -2,9 +2,9 @@
 
 :class:`Store` is an unbounded-or-bounded FIFO whose ``get`` returns an
 event; a process does ``item = yield store.get()`` and is suspended until
-an item is available.  :class:`PriorityStore` pops the smallest item
-first.  :class:`Resource` models a counted resource (e.g. CPU cores) with
-``request``/``release`` semantics.
+an item is available; producers never block (``put_nowait`` raises on a
+full store, ``put_nowait_drop`` tail-drops).  :class:`Resource` models a
+counted resource (e.g. CPU cores) with ``request``/``release`` semantics.
 
 These primitives deliberately mirror SimPy's API surface so the models in
 :mod:`repro` read like standard DES code.
@@ -12,13 +12,12 @@ These primitives deliberately mirror SimPy's API surface so the models in
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import Any, Deque, List, Optional
 
 from .engine import Environment, Event, SimulationError
 
-__all__ = ["Store", "PriorityStore", "Resource", "QueueFullError"]
+__all__ = ["Store", "Resource", "QueueFullError"]
 
 
 class QueueFullError(Exception):
@@ -43,7 +42,6 @@ class Store:
         self.capacity = capacity
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple] = deque()
         #: Number of items dropped by :meth:`put_nowait_drop`.
         self.drops = 0
 
@@ -60,20 +58,6 @@ class Store:
         return self.capacity is not None and len(self._items) >= self.capacity
 
     # -- producers ---------------------------------------------------------
-    def put(self, item: Any) -> Event:
-        """Enqueue ``item``; the returned event fires once it is stored."""
-        event = self.env.event()
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            event.succeed()
-        elif not self.is_full:
-            self._append(item)
-            event.succeed()
-        else:
-            self._putters.append((event, item))
-        return event
-
     def put_nowait(self, item: Any) -> None:
         """Enqueue immediately; raise :class:`QueueFullError` when full."""
         if self._getters:
@@ -81,7 +65,7 @@ class Store:
             return
         if self.is_full:
             raise QueueFullError(f"store full (capacity={self.capacity})")
-        self._append(item)
+        self._items.append(item)
 
     def put_nowait_drop(self, item: Any) -> bool:
         """Enqueue if space allows; drop (and count) otherwise.
@@ -101,92 +85,16 @@ class Store:
         """Dequeue an item; the returned event fires with the item."""
         event = self.env.event()
         if self._items:
-            event.succeed(self._popleft())
-            self._admit_putter()
+            event.succeed(self._items.popleft())
         else:
             self._getters.append(event)
         return event
-
-    def get_nowait(self) -> Any:
-        """Dequeue immediately; raise :class:`SimulationError` if empty."""
-        if not self._items:
-            raise SimulationError("store empty")
-        item = self._popleft()
-        self._admit_putter()
-        return item
 
     def clear(self) -> List[Any]:
         """Remove and return all queued items."""
         drained = list(self._items)
         self._items.clear()
-        while self._putters and not self.is_full:
-            self._admit_putter()
         return drained
-
-    # -- internals ------------------------------------------------------------
-    def _append(self, item: Any) -> None:
-        self._items.append(item)
-
-    def _popleft(self) -> Any:
-        return self._items.popleft()
-
-    def _admit_putter(self) -> None:
-        if self._putters and not self.is_full:
-            event, item = self._putters.popleft()
-            self._append(item)
-            event.succeed()
-
-
-class PriorityStore(Store):
-    """A store that always yields the smallest item first.
-
-    Items must be mutually orderable; use ``(priority, seq, payload)``
-    tuples to get stable FIFO ordering within a priority class.
-    """
-
-    def __init__(self, env: Environment, capacity: Optional[int] = None):
-        super().__init__(env, capacity)
-        self._heap: List[Any] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def items(self) -> List[Any]:
-        return sorted(self._heap)
-
-    @property
-    def is_full(self) -> bool:
-        return self.capacity is not None and len(self._heap) >= self.capacity
-
-    def _append(self, item: Any) -> None:
-        heapq.heappush(self._heap, item)
-
-    def _popleft(self) -> Any:
-        return heapq.heappop(self._heap)
-
-    def clear(self) -> List[Any]:
-        drained = sorted(self._heap)
-        self._heap.clear()
-        while self._putters and not self.is_full:
-            self._admit_putter()
-        return drained
-
-    def get(self) -> Event:
-        event = self.env.event()
-        if self._heap:
-            event.succeed(self._popleft())
-            self._admit_putter()
-        else:
-            self._getters.append(event)
-        return event
-
-    def get_nowait(self) -> Any:
-        if not self._heap:
-            raise SimulationError("store empty")
-        item = self._popleft()
-        self._admit_putter()
-        return item
 
 
 class Resource:
@@ -214,11 +122,6 @@ class Resource:
     def in_use(self) -> int:
         """Number of currently granted requests."""
         return self._in_use
-
-    @property
-    def queued(self) -> int:
-        """Number of requests waiting for a free slot."""
-        return len(self._waiters)
 
     def request(self) -> Event:
         """Acquire a slot; the event fires once granted."""

@@ -153,19 +153,6 @@ class TCPStats:
         )
         return 8.0 * delivered / (end - start)
 
-    def goodput_timeline(self, bucket: float = 0.1) -> List[Tuple[float, float]]:
-        """(bucket start, goodput bps) series for the goodput plots."""
-        if not self.delivery_series:
-            return []
-        buckets: dict = {}
-        for when, size in self.delivery_series:
-            key = int(when / bucket)
-            buckets[key] = buckets.get(key, 0) + size
-        return [
-            (key * bucket, 8.0 * total / bucket)
-            for key, total in sorted(buckets.items())
-        ]
-
 
 class TCPConnection:
     """One Reno sender transferring ``total_bytes`` downlink.

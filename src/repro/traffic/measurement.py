@@ -52,17 +52,6 @@ class Summary:
     base_rtt: float
     elevated_count: int
 
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "p50": self.p50,
-            "p99": self.p99,
-            "max": self.maximum,
-            "base_rtt": self.base_rtt,
-            "elevated": self.elevated_count,
-        }
-
 
 class LatencySeries:
     """Accumulates (send time, one-way latency) samples.

@@ -42,10 +42,6 @@ class SmartBuffer:
     def __len__(self) -> int:
         return len(self._packets)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self._packets
-
     def push(self, packet: Packet) -> bool:
         """Buffer a packet; False (and counted) when full.
 

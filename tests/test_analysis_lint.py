@@ -18,7 +18,7 @@ import pytest
 from repro.analysis import rules as rules_mod
 from repro.analysis.__main__ import github_annotation, main
 from repro.analysis.analyzer import analyze, iter_python_files, load_files
-from repro.analysis.rules import RULE_REGISTRY, Finding, all_rules
+from repro.analysis.rules import RULE_REGISTRY, Finding
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -53,9 +53,6 @@ class TestRegistry:
             "R001", "R002", "R003", "R004", "R005", "R006", "R007",
             "R008",
         }
-
-    def test_all_rules_instantiates_in_code_order(self):
-        assert [r.code for r in all_rules()] == sorted(RULE_REGISTRY)
 
     def test_duplicate_code_rejected(self):
         with pytest.raises(ValueError):

@@ -343,13 +343,13 @@ class TestDetectorCore:
 
     def test_role_stack_nests_and_restores(self):
         det = races.RaceDetector()
-        assert det.current_role() is None
+        assert det._roles == []
         with det.role("upf-c"):
-            assert det.current_role() == "upf-c"
+            assert det._roles == ["upf-c"]
             with det.role("upf-u"):
-                assert det.current_role() == "upf-u"
-            assert det.current_role() == "upf-c"
-        assert det.current_role() is None
+                assert det._roles == ["upf-c", "upf-u"]
+            assert det._roles == ["upf-c"]
+        assert det._roles == []
 
     def test_repeat_violations_deduplicate_with_count(self):
         with races.traced() as det:
@@ -427,7 +427,7 @@ class TestCleanScenarios:
             # The paging cycle completed and the report flag is down
             # again — cleared by the UPF-U's flush, not by the UPF-C.
             assert len(core.ues[SUPI].received) == 1
-            assert session.buffer.is_empty
+            assert len(session.buffer) == 0
             assert session.report_pending is False
         assert det.violations == [], det.report()
 
@@ -470,8 +470,8 @@ class TestCleanScenarios:
             env.run(until=env.now + 1.0)
             framework.stop()
 
-            survivor.amf.restore(framework.remote.state_of("amf"))
-            survivor.smf.restore(framework.remote.state_of("smf"))
+            survivor.amf.restore(framework.remote.stores["amf"].state)
+            survivor.smf.restore(framework.remote.stores["smf"].state)
             survivor.ues[ue.supi] = ue
             survivor.gnbs[1].connect(ue)
             sm = survivor.smf.context_for(ue.supi, 1)

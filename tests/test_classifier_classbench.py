@@ -73,9 +73,3 @@ class TestTraces:
         rules = generator.rules(50)
         for key in generator.matching_keys(rules, 100):
             assert any(rule.matches(key) for rule in rules)
-
-    def test_random_keys_shape(self):
-        generator = ClassBenchGenerator(seed=4)
-        keys = generator.random_keys(10)
-        assert len(keys) == 10
-        assert all(len(key) == 20 for key in keys)

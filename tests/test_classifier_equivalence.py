@@ -22,6 +22,10 @@ from repro.classifier import (
     wildcard,
 )
 
+from repro.classifier.rule import FULL_DOMAIN
+
+from .test_classifier_rule import key_of
+
 _FIELD_INDEX = {spec.name: i for i, spec in enumerate(PDI_FIELDS)}
 
 
@@ -102,7 +106,7 @@ def test_equivalence_on_random_misses(probe_ip, data):
     partition = PartitionSortClassifier()
     for classifier in (linear, tss, partition):
         classifier.extend(rules)
-    key = Rule.key_from_fields(src_ip=probe_ip, dst_ip=probe_ip ^ 0x5A5A5A5A)
+    key = key_of(src_ip=probe_ip, dst_ip=probe_ip ^ 0x5A5A5A5A)
     _assert_agree(linear, (tss, partition), key)
 
 
@@ -114,7 +118,10 @@ def test_equivalence_on_random_misses(probe_ip, data):
 def test_equivalence_on_classbench(seed, profile):
     generator = ClassBenchGenerator(seed=seed, profile=profile)
     rules = generator.rules(60)
-    keys = generator.matching_keys(rules, 30) + generator.random_keys(10)
+    keys = generator.matching_keys(rules, 30) + [
+        tuple(generator._rng.randint(0, spec.max_value) for spec in PDI_FIELDS)
+        for _ in range(10)
+    ]
     linear = LinearClassifier()
     tss = TupleSpaceClassifier()
     partition = PartitionSortClassifier()
@@ -171,9 +178,9 @@ def _keys_around(draw, rule, field_order):
         draw(st.integers(0, min(spec.max_value, 15))) for spec in PDI_FIELDS
     ]
     for dim, (lo, hi) in enumerate(rule.ranges):
-        if not rule.is_wildcard(dim):
+        if rule.ranges[dim] != FULL_DOMAIN[dim]:
             hit[dim] = draw(st.integers(lo, hi))
-    late = [dim for dim in field_order if not rule.is_wildcard(dim)][-1]
+    late = [dim for dim in field_order if rule.ranges[dim] != FULL_DOMAIN[dim]][-1]
     lo, hi = rule.ranges[late]
     near = list(hit)
     near[late] = hi + 1 if hi < PDI_FIELDS[late].max_value else lo - 1

@@ -13,6 +13,15 @@ from repro.classifier import (
 from repro.classifier.rule import FULL_DOMAIN
 
 
+def key_of(**field_values):
+    """A packet key naming only the non-zero fields."""
+    by_name = {spec.name: i for i, spec in enumerate(PDI_FIELDS)}
+    out = [0] * NUM_FIELDS
+    for name, value in field_values.items():
+        out[by_name[name]] = value
+    return tuple(out)
+
+
 class TestFieldHelpers:
     def test_twenty_fields(self):
         """The paper employs up to 20 PDI IEs per PDR (§3.4)."""
@@ -48,7 +57,7 @@ class TestRule:
             if spec.name == "dst_ip":
                 assert rule.ranges[index] == (7, 7)
             else:
-                assert rule.is_wildcard(index)
+                assert rule.ranges[index] == FULL_DOMAIN[index]
 
     def test_unknown_field_raises(self):
         with pytest.raises(ValueError):
@@ -69,7 +78,7 @@ class TestRule:
         field's own maximum is accepted and one past it rejected."""
         spec = PDI_FIELDS[index]
         ranges = list(FULL_DOMAIN)
-        assert Rule(ranges=tuple(ranges)).is_wildcard(index)
+        assert Rule(ranges=tuple(ranges)).ranges[index] == FULL_DOMAIN[index]
         ranges[index] = (0, spec.max_value + 1)
         with pytest.raises(ValueError, match=f"bad range for {spec.name}"):
             Rule(ranges=tuple(ranges))
@@ -82,9 +91,9 @@ class TestRule:
         rule = Rule.from_fields(
             dst_ip=exact(100), protocol=exact(17), dst_port=(1000, 2000)
         )
-        hit = Rule.key_from_fields(dst_ip=100, protocol=17, dst_port=1500)
-        miss_port = Rule.key_from_fields(dst_ip=100, protocol=17, dst_port=99)
-        miss_ip = Rule.key_from_fields(dst_ip=101, protocol=17, dst_port=1500)
+        hit = key_of(dst_ip=100, protocol=17, dst_port=1500)
+        miss_port = key_of(dst_ip=100, protocol=17, dst_port=99)
+        miss_ip = key_of(dst_ip=101, protocol=17, dst_port=1500)
         assert rule.matches(hit)
         assert not rule.matches(miss_port)
         assert not rule.matches(miss_ip)
@@ -102,12 +111,3 @@ class TestRule:
     def test_tuple_signature_non_prefix_is_none(self):
         rule = Rule.from_fields(dst_port=(5, 9))  # span 5: not a prefix
         assert rule.tuple_signature()[3] is None
-
-    def test_specificity(self):
-        broad = Rule.from_fields()
-        narrow = Rule.from_fields(dst_ip=exact(1), src_ip=exact(2))
-        assert narrow.specificity() > broad.specificity()
-
-    def test_key_from_fields_unknown_raises(self):
-        with pytest.raises(ValueError):
-            Rule.key_from_fields(nonsense=1)

@@ -14,6 +14,8 @@ from repro.classifier import (
 )
 from repro.classifier import partition_sort
 
+from .test_classifier_rule import key_of
+
 ALL_CLASSES = [LinearClassifier, TupleSpaceClassifier, PartitionSortClassifier]
 
 
@@ -24,14 +26,14 @@ def classifier(request):
 
 class TestCommonBehaviour:
     def test_empty_lookup_misses(self, classifier):
-        assert classifier.lookup(Rule.key_from_fields()) is None
+        assert classifier.lookup(key_of()) is None
         assert len(classifier) == 0
 
     def test_single_rule_hit_and_miss(self, classifier):
         rule = Rule.from_fields(priority=5, rule_id=1, dst_ip=exact(42))
         classifier.insert(rule)
-        assert classifier.lookup(Rule.key_from_fields(dst_ip=42)) is rule
-        assert classifier.lookup(Rule.key_from_fields(dst_ip=43)) is None
+        assert classifier.lookup(key_of(dst_ip=42)) is rule
+        assert classifier.lookup(key_of(dst_ip=43)) is None
 
     def test_highest_priority_wins(self, classifier):
         low = Rule.from_fields(priority=1, rule_id=1, dst_ip=exact(42))
@@ -40,17 +42,17 @@ class TestCommonBehaviour:
         )
         classifier.insert(low)
         classifier.insert(high)
-        key = Rule.key_from_fields(dst_ip=42, protocol=17)
+        key = key_of(dst_ip=42, protocol=17)
         assert classifier.lookup(key).rule_id == 2
         # A key not matching the specific rule falls to the general one.
-        key2 = Rule.key_from_fields(dst_ip=42, protocol=6)
+        key2 = key_of(dst_ip=42, protocol=6)
         assert classifier.lookup(key2).rule_id == 1
 
     def test_remove(self, classifier):
         rule = Rule.from_fields(priority=1, rule_id=7, dst_ip=exact(1))
         classifier.insert(rule)
         assert classifier.remove(rule)
-        assert classifier.lookup(Rule.key_from_fields(dst_ip=1)) is None
+        assert classifier.lookup(key_of(dst_ip=1)) is None
         assert not classifier.remove(rule)
         assert len(classifier) == 0
 
@@ -59,8 +61,8 @@ class TestCommonBehaviour:
         new = Rule.from_fields(priority=1, rule_id=7, dst_ip=exact(2))
         classifier.insert(old)
         classifier.update(new)
-        assert classifier.lookup(Rule.key_from_fields(dst_ip=1)) is None
-        assert classifier.lookup(Rule.key_from_fields(dst_ip=2)) is new
+        assert classifier.lookup(key_of(dst_ip=1)) is None
+        assert classifier.lookup(key_of(dst_ip=2)) is new
         assert len(classifier) == 1
 
     def test_remove_by_id(self, classifier):
@@ -82,7 +84,7 @@ class TestCommonBehaviour:
         classifier.insert(rule)
         assert classifier.remove_by_id(3)
         classifier.insert(rule)
-        assert classifier.lookup(Rule.key_from_fields(dst_ip=7)) is rule
+        assert classifier.lookup(key_of(dst_ip=7)) is rule
 
     def test_rules_snapshot(self, classifier):
         generated = ClassBenchGenerator(seed=1).rules(20)
@@ -98,12 +100,12 @@ class TestTSSSpecifics:
     def test_single_signature_single_subtable(self):
         tss = TupleSpaceClassifier()
         tss.extend(ClassBenchGenerator(seed=2, profile="best").rules(100))
-        assert tss.num_subtables == 1
+        assert len(tss._tables) == 1
 
     def test_worst_case_many_subtables(self):
         tss = TupleSpaceClassifier()
         tss.extend(ClassBenchGenerator(seed=2, profile="worst").rules(100))
-        assert tss.num_subtables == 100
+        assert len(tss._tables) == 100
 
     def test_non_prefix_range_rejected(self):
         tss = TupleSpaceClassifier()
@@ -114,9 +116,9 @@ class TestTSSSpecifics:
         tss = TupleSpaceClassifier()
         rule = Rule.from_fields(priority=1, rule_id=1, dst_ip=exact(5))
         tss.insert(rule)
-        assert tss.num_subtables == 1
+        assert len(tss._tables) == 1
         tss.remove(rule)
-        assert tss.num_subtables == 0
+        assert len(tss._tables) == 0
 
 
 class TestPartitionSortSpecifics:
@@ -125,7 +127,7 @@ class TestPartitionSortSpecifics:
         ps.extend(ClassBenchGenerator(seed=3).rules(500))
         # The paper's point: PartitionSort needs far fewer partitions
         # than TSS needs sub-tables.
-        assert ps.num_partitions <= 12
+        assert len(ps._partitions) <= 12
 
     def test_nested_intervals_split_partitions(self):
         """Nested (overlapping-unequal) ranges cannot share a sortable
@@ -140,9 +142,9 @@ class TestPartitionSortSpecifics:
         )
         ps.insert(outer)
         ps.insert(inner)
-        assert ps.num_partitions == 2
+        assert len(ps._partitions) == 2
         # Both still findable; the more specific, higher-priority wins.
-        key = Rule.key_from_fields(src_ip=0x0A010203)
+        key = key_of(src_ip=0x0A010203)
         assert ps.lookup(key).rule_id == 2
 
     def test_identical_ranges_share_slot(self):
@@ -151,10 +153,10 @@ class TestPartitionSortSpecifics:
         b = Rule.from_fields(priority=5, rule_id=2, dst_ip=exact(9))
         ps.insert(a)
         ps.insert(b)
-        assert ps.num_partitions == 1
-        assert ps.lookup(Rule.key_from_fields(dst_ip=9)).rule_id == 2
+        assert len(ps._partitions) == 1
+        assert ps.lookup(key_of(dst_ip=9)).rule_id == 2
         ps.remove(b)
-        assert ps.lookup(Rule.key_from_fields(dst_ip=9)).rule_id == 1
+        assert ps.lookup(key_of(dst_ip=9)).rule_id == 1
 
     def test_live_dimensions_follow_the_fields_rules_name(self):
         """A partition probes only what some rule of it constrains."""
@@ -178,14 +180,14 @@ class TestPartitionSortSpecifics:
             priority=2, rule_id=2, teid=exact(8), source_iface=exact(0),
             qfi=exact(5))
         ps.insert(narrow)
-        assert ps.num_partitions == 1
+        assert len(ps._partitions) == 1
         assert partition.live == (iface, teid, qfi)
-        assert ps.lookup(Rule.key_from_fields(teid=8, qfi=5)) is narrow
-        assert ps.lookup(Rule.key_from_fields(teid=8, qfi=4)) is None
+        assert ps.lookup(key_of(teid=8, qfi=5)) is narrow
+        assert ps.lookup(key_of(teid=8, qfi=4)) is None
         # ... and its removal leaves the superset behind, harmlessly.
         ps.remove(narrow)
         assert partition.live == (iface, teid, qfi)
-        assert ps.lookup(Rule.key_from_fields(teid=7, qfi=63)).rule_id == 1
+        assert ps.lookup(key_of(teid=7, qfi=63)).rule_id == 1
 
     def test_max_priority_follows_its_holders(self):
         """The partition's max (which prunes lookups) drops only when
@@ -208,7 +210,7 @@ class TestPartitionSortSpecifics:
         assert (partition.max_priority, partition.max_holders) == (5, 2)
         ps.insert(template(5, 5))
         assert (partition.max_priority, partition.max_holders) == (5, 3)
-        assert ps.lookup(Rule.key_from_fields(teid=3)).rule_id == 3
+        assert ps.lookup(key_of(teid=3)).rule_id == 3
 
     @pytest.mark.parametrize("shared_priority", [False, True])
     def test_update_cost_does_not_grow_with_the_partition(
@@ -255,7 +257,7 @@ class TestPartitionSortSpecifics:
             for rule in extra:
                 ps.remove_by_id(rule.rule_id)
             removing = compared.calls - inserting
-            assert len(ps) == size and ps.num_partitions == 1
+            assert len(ps) == size and len(ps._partitions) == 1
             assert rescans.calls == walks == 0
             return inserting, removing
 
@@ -269,7 +271,7 @@ class TestPartitionSortSpecifics:
         rule = Rule.from_fields(priority=1, rule_id=1, dst_ip=exact(1))
         ps.insert(rule)
         ps.remove(rule)
-        assert ps.num_partitions == 0
+        assert len(ps._partitions) == 0
 
 
 class TestLinearSpecifics:
@@ -284,4 +286,4 @@ class TestLinearSpecifics:
         linear.extend(rules)
         stored = linear.rules()
         assert [rule.priority for rule in stored] == [3, 2, 1]
-        assert linear.lookup(Rule.key_from_fields(dst_ip=1)).priority == 3
+        assert linear.lookup(key_of(dst_ip=1)).priority == 3

@@ -14,7 +14,8 @@ class TestCLI:
 
     def test_registry_covers_every_figure(self):
         expected = {
-            "fig06", "fig07", "fig08", "fig09", "fig10", "fig11", "fig12",
+            "fig06", "fig07", "fig08", "fig09", "fig10", "llc-cliff",
+            "fig11", "fig12",
             "table1", "table2", "smart-buffering", "fig15", "fig16",
             "fig17", "scalability", "shard-scale",
         }

@@ -96,7 +96,7 @@ class TestLifecycle:
         manager, (nf,) = build(env, [CountingNF])
         env.run(until=1 * MS)
         nf.fail()
-        assert not nf.is_alive
+        assert nf.status is NFStatus.FAILED
         manager.inject("pkt", service_id=1)
         env.run(until=5 * MS)
         assert nf.handled == 0

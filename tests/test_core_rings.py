@@ -42,19 +42,11 @@ class TestBasics:
 
     def test_len_and_flags(self):
         ring = Ring(4)
-        assert ring.is_empty and not ring.is_full
+        assert len(ring) == 0 and not ring.is_full
         for value in range(4):
             ring.enqueue(value)
-        assert ring.is_full and not ring.is_empty
-        assert len(ring) == 4
-        assert ring.free_count == 0
-
-    def test_peek(self):
-        ring = Ring(4)
-        assert ring.peek() is None
-        ring.enqueue("x")
-        assert ring.peek() == "x"
-        assert len(ring) == 1  # peek does not consume
+        assert ring.is_full
+        assert len(ring) == 4 == ring.capacity
 
     def test_wraparound(self):
         ring = Ring(4)
@@ -69,7 +61,7 @@ class TestBasics:
         for value in range(3):
             ring.enqueue(value)
         assert ring.clear() == 3
-        assert ring.is_empty
+        assert len(ring) == 0
 
     def test_high_watermark(self):
         ring = Ring(8)
@@ -166,13 +158,10 @@ class TestEdgeCases:
         ring = Ring(4)
         ring.enqueue("a")
         ring.enqueue("b")
-        assert ring.peek() == "a"
         assert ring.clear() == 2
-        assert ring.peek() is None
-        assert ring.is_empty
+        assert len(ring) == 0
         # The ring is immediately reusable after a clear.
         ring.enqueue("c")
-        assert ring.peek() == "c"
         assert ring.dequeue() == "c"
 
     def test_clear_accounts_discards_in_stats(self):
@@ -253,7 +242,6 @@ _OPERATIONS = st.lists(
         st.tuples(st.just("enqueue_burst"), st.integers(0, 10)),
         st.tuples(st.just("dequeue"), st.just(1)),
         st.tuples(st.just("dequeue_burst"), st.integers(-1, 10)),
-        st.tuples(st.just("peek"), st.just(0)),
         st.tuples(st.just("clear"), st.just(0)),
     ),
     max_size=300,
@@ -297,8 +285,6 @@ class TestAgainstDequeModel:
                 taken = max(0, min(count, len(model)))
                 expected = [model.popleft() for _ in range(taken)]
                 assert ring.dequeue_burst(count) == expected
-            elif operation == "peek":
-                assert ring.peek() == (model[0] if model else None)
             else:
                 assert ring.clear() == len(model)
                 model.clear()
@@ -333,7 +319,7 @@ class TestAtomicBursts:
             descriptors[2].payload["seq"] = 99  # mutate while queued
             with pytest.raises(SanitizerError, match="mutate-after-send"):
                 ring.dequeue_burst(4)
-        assert ring.is_empty
+        assert len(ring) == 0
         assert ring.dequeued == 6
         assert ring.enqueued == ring.dequeued + ring.dropped
         assert ring._slots == [None] * 4
@@ -345,7 +331,7 @@ class TestAtomicBursts:
             other.enqueue(descriptors[1])
             with pytest.raises(SanitizerError, match="double-enqueue"):
                 ring.enqueue_burst(descriptors)  # [1] still on "tx"
-        assert ring.is_empty
+        assert len(ring) == 0
         assert ring.enqueued == 0
         assert ring.enqueue_failures == 0
         assert ring.high_watermark == 0

@@ -172,7 +172,7 @@ class TestUDM:
     def test_subscription_data(self):
         udm = UDM()
         udm.provision("imsi-1")
-        assert "subscribedUeAmbr" in udm.subscription_data("imsi-1", "am_data")
+        assert "subscribedUeAmbr" in udm.subscribers["imsi-1"]["am_data"]
 
 
 class TestPCFAndNRF:

@@ -206,7 +206,7 @@ class TestIdleAndPaging:
         run_ops(core, ue, ("downlink", 1000, 0.001), ("report",), ("page",))
         assert ue.cm_state is CMState.CONNECTED
         assert len(ue.received) == 1
-        assert session.buffer.is_empty
+        assert len(session.buffer) == 0
 
 
 class TestDownlinkDeliveryPath:
@@ -325,7 +325,7 @@ class TestDownlinkDeliveryPath:
         registry = core.metrics_registry()
         core.dl_routes.clear()
         core.inject_downlink_burst(self._packets(env, session, 4))
-        assert env.peek() == float("inf")
+        assert not env._heap  # nothing scheduled
         assert core.dl_unrouted == 4
         assert registry.gauge("n3.dl_unrouted").value == 4
         assert ue.received == [] and core.gnbs[1].dropped == 0
@@ -336,7 +336,7 @@ class TestDownlinkDeliveryPath:
         core.inject_downlink_burst(self._packets(env, session, 2))
         gnb.start_buffering(ue)  # after the send, before the N3 arrival
         env.run()
-        assert gnb.buffered_count(ue.supi) == 2
+        assert len(gnb._buffers[ue.supi]) == 2
         assert ue.received == [] and gnb.delivered == 0
 
     def test_ue_departure_is_decided_at_air_arrival(self):
@@ -367,7 +367,7 @@ class TestDownlinkDeliveryPath:
         core.inject_downlink_burst(packets)
         gnb.start_buffering(other)  # after the send, before the N3 arrival
         assert count_steps(env) == 2
-        assert gnb.buffered_count(other.supi) == 2 and other.received == []
+        assert len(gnb._buffers[other.supi]) == 2 and other.received == []
         assert [packet.seq for packet in ue.received] == [0, 1]
         assert gnb.delivered == 2 and gnb.dropped == 0
 
@@ -380,8 +380,8 @@ class TestHandover:
         core, ue, _ = attached()
         [result] = run_ops(core, ue, ("handover", 2))
         assert ue.serving_gnb_id == 2
-        assert core.gnbs[2].is_connected(ue)
-        assert not core.gnbs[1].is_connected(ue)
+        assert ue.supi in core.gnbs[2].connected
+        assert ue.supi not in core.gnbs[1].connected
         sm = core.smf.context_for(ue.supi, 1)
         assert sm.ho_state is HOState.COMPLETED
         assert sm.gnb_address == core.gnbs[2].address

@@ -171,7 +171,7 @@ class TestUmbrella:
         assert code == 0
         assert data["findings"] == []
         expected = [f"R00{n}" for n in range(1, 9)] + [
-            f"W00{n}" for n in range(1, 9)
+            f"W00{n}" for n in range(1, 10)
         ]
         assert data["codes"] == expected
         assert list(data["timings"]) == (

@@ -38,6 +38,8 @@ EXPERIMENT_GOLDEN = {
     "fig16": "e82384e771f26e3a64a0122e2d8f93cdc0b03311cd94db78f9d3e804dd55a613",
     "fig17": "0ed6e57d99c089abd2f7ad29ad1c5d8cb7d68efab46074c0fb895c5a560feaee",
     "shard-scale": "9aa2463be37a992d7b598c8ed74d9284be36c33fa869517120821e897f5c1a8e",
+    # Recorded when the modeled LLC-cliff table became a subcommand.
+    "llc-cliff": "4e0f0a9a630af7ea9921d1ff608cc01a6325f3356a6b416019d0990ece3a7bda",
 }
 
 OBS_GOLDEN = {

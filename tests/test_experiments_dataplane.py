@@ -110,7 +110,7 @@ class TestFig11:
         probe = count_calls(_SubTable, "lookup")
         for count in FIG11_RULE_COUNTS:
             classifier, probes = lookup_work("PDR-TSS_Best", count, probe)
-            assert (classifier.num_subtables, probes) == (1, 256)
+            assert (len(classifier._tables), probes) == (1, 256)
 
     def test_tss_worst_explodes(self, count_calls):
         """PDR-TSS_Worst leaves the chart by ~100 rules (Fig 11a): a
@@ -120,7 +120,7 @@ class TestFig11:
         probed = []
         for count in FIG11_RULE_COUNTS:
             classifier, probes = lookup_work("PDR-TSS_Worst", count, probe)
-            assert classifier.num_subtables == count
+            assert len(classifier._tables) == count
             probed.append(probes)
         assert probed == [768, 2803, 89510]
 

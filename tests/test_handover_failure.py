@@ -33,8 +33,8 @@ class TestAdmissionControl:
         assert result.detail["cause"] == "no-resources"
         # The UE never moved.
         assert ue.serving_gnb_id == 1
-        assert core.gnbs[1].is_connected(ue)
-        assert not core.gnbs[2].is_connected(ue)
+        assert ue.supi in core.gnbs[1].connected
+        assert ue.supi not in core.gnbs[2].connected
         sm = core.smf.context_for(ue.supi, 1)
         assert sm.ho_state is HOState.NONE
         assert sm.gnb_address == core.gnbs[1].address

@@ -110,10 +110,10 @@ class TestResiliencyIntegration:
 
         # Rebuild an AMF and SMF from the remote replica's state.
         amf_clone = AMF()
-        amf_clone.restore(framework.remote.state_of("amf"))
+        amf_clone.restore(framework.remote.stores["amf"].state)
         assert amf_clone.context(ue.supi).guti == ue.guti
         smf_clone = SMF()
-        smf_clone.restore(framework.remote.state_of("smf"))
+        smf_clone.restore(framework.remote.stores["smf"].state)
         restored = smf_clone.context_for(ue.supi, 1)
         original = core.smf.context_for(ue.supi, 1)
         assert restored.ue_ip == original.ue_ip

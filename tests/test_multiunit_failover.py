@@ -88,8 +88,8 @@ def fail_over(region, primary, ue, detail):
     assert survivor is not primary
 
     # Restore control-plane state from the remote replica.
-    survivor.amf.restore(framework.remote.state_of("amf"))
-    survivor.smf.restore(framework.remote.state_of("smf"))
+    survivor.amf.restore(framework.remote.stores["amf"].state)
+    survivor.smf.restore(framework.remote.stores["smf"].state)
     survivor.ues[ue.supi] = ue
     survivor.gnbs[1].connect(ue)
 

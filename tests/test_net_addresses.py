@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.net import (
     AddressAllocator,
     int_to_ip,
-    ip_in_prefix,
     ip_to_int,
     prefix_mask,
     prefix_range,
@@ -60,7 +59,8 @@ class TestPrefixes:
         st.integers(min_value=0, max_value=32),
     )
     def test_address_always_within_own_prefix(self, address, length):
-        assert ip_in_prefix(address, address, length)
+        low, high = prefix_range(address, length)
+        assert low <= address <= high
 
     @given(
         st.integers(min_value=0, max_value=0xFFFFFFFF),

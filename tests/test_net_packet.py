@@ -40,10 +40,6 @@ class TestPacket:
         assert Packet(size=100).payload_size == 100 - 42
         assert Packet(size=10).payload_size == 0
 
-    def test_encapsulated_size(self):
-        packet = Packet(size=100)
-        assert packet.encapsulated_size() == 100 + 44
-
     def test_defaults(self):
         packet = Packet()
         assert packet.direction is Direction.DOWNLINK

@@ -115,41 +115,19 @@ class TestN3IWF:
         n3iwf.establish_child_sa(ue, 1)
         assert n3iwf.release_ue(ue) == 2
         assert n3iwf.sa_for(ue.supi, None) is None
-        assert not n3iwf.is_connected(ue)
-
-    def test_uplink_strips_esp(self):
-        env, n3iwf, ue = self._n3iwf_and_ue()
-        forwarded = []
-        n3iwf.send_uplink(
-            Packet(size=300 + ESP_OVERHEAD), forwarded.append
-        )
-        env.run()
-        assert forwarded[0].size == 300
+        assert ue.supi not in n3iwf.connected
 
     def test_one_sim_event_per_wifi_hop(self):
-        """DL packets that land together share the hop's timer; UL goes
-        to a caller-supplied ``forward``, one timer each."""
+        """DL packets that land together share the hop's timer."""
         env, n3iwf, ue = self._n3iwf_and_ue()
         n3iwf.establish_signalling_sa(ue)
-        forwarded = []
         for seq in range(5):
             n3iwf.receive_downlink(Packet(seq=seq), ue)
-            n3iwf.send_uplink(Packet(seq=seq), forwarded.append)
-        assert count_steps(env) == 1 + 5
+        assert count_steps(env) == 1
         assert [packet.seq for packet in ue.received] == list(range(5))
-        assert [packet.seq for packet in forwarded] == list(range(5))
         hop = n3iwf.ipsec_overhead + n3iwf.wifi_latency
         assert {packet.delivered_at for packet in ue.received} == {hop}
         assert env.now == pytest.approx(hop)
-
-    def test_esp_is_stripped_at_the_far_end_of_the_uplink_hop(self):
-        env, n3iwf, ue = self._n3iwf_and_ue()
-        packet = Packet(size=300 + ESP_OVERHEAD)
-        n3iwf.send_uplink(packet, lambda packet: None)
-        env.run(until=n3iwf.wifi_latency / 2)
-        assert packet.size == 300 + ESP_OVERHEAD  # still on the WiFi leg
-        env.run()
-        assert packet.size == 300
 
     def test_departure_during_the_wifi_hop_is_a_drop(self):
         env, n3iwf, ue = self._n3iwf_and_ue()

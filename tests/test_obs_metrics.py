@@ -46,14 +46,6 @@ class TestGauge:
         gauge.add(-3)
         assert gauge.value == 7
 
-    def test_set_max_keeps_high_watermark(self):
-        gauge = Gauge("watermark")
-        gauge.set_max(5)
-        gauge.set_max(3)
-        assert gauge.value == 5
-        gauge.set_max(9)
-        assert gauge.value == 9
-
     def test_callback_view(self):
         backing = [1, 2, 3]
         gauge = Gauge("length")

@@ -254,7 +254,10 @@ class TestFig6Breakdown:
             # serialize + protocol + deserialize is exactly the wire
             # time the bus charged for this message.
             assert row.components["protocol"] > 0
-            assert row.transport == pytest.approx(
+            assert sum(
+                row.components.get(part, 0.0)
+                for part in ("serialize", "protocol", "deserialize")
+            ) == pytest.approx(
                 row.total - row.components.get("handler", 0.0)
             )
 
@@ -431,24 +434,29 @@ class TestZeroPerturbation:
             assert root.duration == pytest.approx(duration)
 
     def test_fig08_unchanged_after_traced_breakdown(self):
-        from repro.experiments.fig08 import (
-            event_completion_times,
-            event_interface_breakdown,
-        )
+        from repro.experiments.common import UE_EVENTS
+        from repro.experiments.fig08 import event_completion_times
 
         before = {
             row.event: row.l25gc_s for row in event_completion_times()
         }
-        breakdown = event_interface_breakdown()
+        env = Environment()
+        core = FiveGCore(env, SystemConfig.l25gc())
+        with obs_spans.tracing(env) as tracer:
+            scenario.run(core, {"imsi-208930000000001": scenario.UE_LIFECYCLE})
         after = {
             row.event: row.l25gc_s for row in event_completion_times()
         }
         assert before == after
-        # The traced run reproduces the same event durations.
+        # The traced run's interface split adds up to the same event
+        # durations.
+        totals = {
+            root.name: interface_breakdown(tracer, root)["total"]
+            for root in tracer.roots() if root.name in UE_EVENTS
+        }
+        assert set(totals) == set(before)
         for event, duration in before.items():
-            assert breakdown["l25gc"][event]["total"] == pytest.approx(
-                duration, rel=1e-9
-            )
+            assert totals[event] == pytest.approx(duration, rel=1e-9)
 
 
 class TestObsCLI:

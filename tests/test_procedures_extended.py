@@ -101,7 +101,7 @@ class TestDeregistration:
         assert len(core.sessions) == 0
         assert core.ue_ip_pool.in_use == 0
         assert detail["dl_teid"] not in core.dl_routes
-        assert not core.gnbs[1].is_connected(ue)
+        assert ue.supi not in core.gnbs[1].connected
 
     def test_amf_and_pcf_forget_the_ue(self):
         """The teardown's policy terminations and the deregistration

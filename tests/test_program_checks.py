@@ -1,5 +1,5 @@
-"""W001–W004 semantic checks on seeded fixtures plus regression tests
-for the true positives they surfaced in the real tree."""
+"""W001–W004 and W009 semantic checks on seeded fixtures plus regression
+tests for the true positives they surfaced in the real tree."""
 
 import os
 import textwrap
@@ -468,3 +468,118 @@ class TestW002MutationTable:
         # which both update the existing FAR 2, i.e. take that branch.
         mutated = _without_bump(_session_source()[1], "update_far", 1)
         assert self._w002(up_files, mutated) == []
+
+
+class TestW009UnreachedDefinition:
+    """W009 roots reach at what a user runs (``__main__``, the
+    conftest plugin, ``examples/``, ``benchmarks/``) and follows
+    references, not only calls."""
+
+    ROOTS = {
+        "pkg/__init__.py": "",
+        "tests/conftest.py": "",
+        "examples/demo.py": "import pkg.mod\n",
+        "benchmarks/bench.py": "",
+    }
+
+    def run(self, tmp_path, mod, **extra):
+        files = {**self.ROOTS, "pkg/mod.py": mod, **extra}
+        return run_checks(tmp_path, files, select=["W009"])
+
+    def test_a_def_only_a_test_calls_is_one_finding(self, tmp_path):
+        report = self.run(tmp_path, """
+            def used():
+                return helper_in_use()
+
+            def helper_in_use():
+                return 1
+
+            def helper():
+                return 2
+        """, **{
+            "examples/demo.py": "from pkg.mod import used\nused()\n",
+            "tests/test_mod.py": "from pkg.mod import helper\nhelper()\n",
+        })
+        assert codes(report) == ["W009"]
+        assert "`helper`" in report.findings[0].message
+
+    @pytest.mark.parametrize("mod,example", [
+        pytest.param("""
+            class Run:
+                def ship(self):
+                    pass
+
+            ROWS = [dict(apply=Run.ship)]
+        """, "", id="step-table-attribute"),
+        pytest.param("""
+            class Gen:
+                def start(self, env):
+                    env.call_later(1.0, self._emit)
+
+                def _emit(self):
+                    pass
+        """, "from pkg.mod import Gen\nGen().start(env)\n", id="call-later"),
+        pytest.param("""
+            class Runner:
+                def register_ue(self):
+                    pass
+
+            OPS = {"register": "register_ue"}
+        """, "from pkg.mod import OPS, Runner\n"
+             "getattr(Runner(), OPS['register'])()\n", id="getattr-string"),
+        pytest.param("""
+            HANDLERS = []
+
+            def register(fn):
+                HANDLERS.append(fn)
+                return fn
+
+            @register
+            def on_message():
+                pass
+        """, "", id="registering-decorator"),
+        pytest.param("""
+            def main():
+                pass
+
+            if __name__ == "__main__":
+                main()
+        """, "", id="main-block"),
+    ])
+    def test_a_reference_reaches(self, tmp_path, mod, example):
+        report = self.run(
+            tmp_path, mod, **{"examples/demo.py": example or "import pkg\n"}
+        )
+        assert "W009" in report.codes
+        assert report.findings == []
+
+    def test_an_unreached_class_is_reported_once(self, tmp_path):
+        report = self.run(tmp_path, """
+            class Dead:
+                def first(self):
+                    pass
+
+                def second(self):
+                    pass
+        """)
+        assert codes(report) == ["W009"]
+        assert "`Dead`" in report.findings[0].message
+
+    def test_noqa_suppresses_and_a_stale_one_is_u001(self, tmp_path):
+        report = self.run(tmp_path, """
+            def kept():  # repro: noqa[W009] -- a reason
+                pass
+        """)
+        assert report.findings == [] and report.suppressed == 1
+        report = self.run(tmp_path, """
+            def main():  # repro: noqa[W009] -- a reason
+                pass
+
+            main()
+        """)
+        assert codes(report) == ["U001"]
+
+    def test_does_not_run_without_its_roots(self, tmp_path):
+        files = {"pkg/__init__.py": "", "pkg/mod.py": "def dead():\n    pass\n"}
+        report = run_checks(tmp_path, files, select=["W009"])
+        assert "W009" not in report.codes and report.findings == []

@@ -73,9 +73,9 @@ class TestFindingsAndFilters:
 
     def test_unknown_code_rejected(self, fixture_dir, capsys):
         with pytest.raises(SystemExit) as exc:
-            run_cli(["pkg", "--select", "W009"])
+            run_cli(["pkg", "--select", "W099"])
         assert exc.value.code == 2
-        assert "unknown code(s): W009" in capsys.readouterr().err
+        assert "unknown code(s): W099" in capsys.readouterr().err
 
 
 class TestOutputs:
@@ -149,7 +149,8 @@ class TestBaselineAndBudget:
 
     def test_default_config_picked_up_from_cwd(self, fixture_dir, capsys):
         # With no path argument the CLI analyses ``src tests`` of the
-        # working directory — and reads nothing else from it: a stray
+        # working directory (and ``examples benchmarks`` where they
+        # exist) — and reads nothing else from it: a stray
         # budget/baseline file excuses nothing.
         (fixture_dir / "pkg").rename(fixture_dir / "src")
         (fixture_dir / "tests").mkdir()

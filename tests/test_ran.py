@@ -95,7 +95,7 @@ class TestGNodeB:
             gnb.receive_downlink(Packet(), ue)
         env.run()
         assert ue.received == []
-        assert gnb.buffered_count(ue.supi) == 5
+        assert len(gnb._buffers[ue.supi]) == 5
 
     def test_buffer_tail_drop(self):
         """Challenge 2: the gNB's buffer is small; overflow is loss."""
@@ -103,7 +103,7 @@ class TestGNodeB:
         gnb.start_buffering(ue)
         for _ in range(10):
             gnb.receive_downlink(Packet(), ue)
-        assert gnb.buffered_count(ue.supi) == 3
+        assert len(gnb._buffers[ue.supi]) == 3
         assert gnb.dropped == 7
 
     def test_default_buffer_is_about_2mb(self):
@@ -120,7 +120,7 @@ class TestGNodeB:
             gnb.receive_downlink(packet, ue)
         drained = gnb.drain_buffer(ue)
         assert [packet.seq for packet in drained] == [0, 1, 2, 3]
-        assert not gnb.is_buffering(ue.supi)
+        assert ue.supi not in gnb._buffers
 
     def test_drain_without_buffering_is_empty(self):
         env, gnb, ue = self._gnb_and_ue()
@@ -151,16 +151,12 @@ class TestGNodeB:
         assert gnb.delivered == 2 and gnb.dropped == 2
 
     def test_one_sim_event_per_air_hop(self):
-        """The DL packets land together, so they share the hop's timer;
-        UL goes to a caller-supplied ``forward``, one timer each."""
+        """The DL packets land together, so they share the hop's timer."""
         env, gnb, ue = self._gnb_and_ue(radio_latency=0.001)
-        forwarded = []
         for seq in range(5):
             gnb.receive_downlink(Packet(seq=seq), ue)
-            gnb.send_uplink(Packet(seq=seq), forwarded.append)
-        assert count_steps(env) == 1 + 5
+        assert count_steps(env) == 1
         assert [packet.seq for packet in ue.received] == list(range(5))
-        assert [packet.seq for packet in forwarded] == list(range(5))
         assert {packet.delivered_at for packet in ue.received} == {0.001}
 
     def test_teid_allocation_unique(self):
@@ -168,10 +164,3 @@ class TestGNodeB:
         teids = {gnb.allocate_dl_teid() for _ in range(100)}
         assert len(teids) == 100
 
-    def test_uplink_forwarding(self):
-        env, gnb, ue = self._gnb_and_ue(radio_latency=0.002)
-        forwarded = []
-        gnb.send_uplink(Packet(seq=9), forwarded.append)
-        env.run()
-        assert len(forwarded) == 1
-        assert env.now == pytest.approx(0.002)

@@ -118,7 +118,7 @@ class TestPacketLogger:
         logger.stamp("d", Direction.DOWNLINK, PacketKind.DATA)
         for direction in Direction:
             for kind in PacketKind:
-                assert logger.queue_depth(direction, kind) == 1
+                assert len(logger._queues[direction, kind]) == 1
 
     def test_data_flood_cannot_evict_control(self):
         """§3.5.1: separate queues protect control packets."""
@@ -126,8 +126,8 @@ class TestPacketLogger:
         logger.stamp("ctl", Direction.DOWNLINK, PacketKind.CONTROL)
         for index in range(100):
             logger.stamp(index, Direction.DOWNLINK, PacketKind.DATA)
-        assert logger.queue_depth(Direction.DOWNLINK, PacketKind.CONTROL) == 1
-        assert logger.queue_depth(Direction.DOWNLINK, PacketKind.DATA) == 5
+        assert len(logger._queues[Direction.DOWNLINK, PacketKind.CONTROL]) == 1
+        assert len(logger._queues[Direction.DOWNLINK, PacketKind.DATA]) == 5
         assert logger.dropped == 95
 
     def test_release_through(self):
@@ -296,7 +296,7 @@ class TestProbeAgent:
         env.run(until=1 * MS)
         target.fail()
         env.run(until=5 * MS)
-        target.recover()
+        target.reachable = True  # back up
         env.run(until=10 * MS)
         target.fail()
         env.run(until=15 * MS)
@@ -339,7 +339,7 @@ class TestReplicas:
         store.update({"sessions": {"1": {"teid": 5}}})
         counter = remote.receive_delta("smf", store.delta_since_last(3))
         assert counter == 3
-        assert remote.state_of("smf") == {"sessions": {"1": {"teid": 5}}}
+        assert remote.stores["smf"].state == {"sessions": {"1": {"teid": 5}}}
 
     def test_frozen_replica_consumed_no_cpu(self):
         replica = LocalReplica("amf", factory=AMF)

@@ -8,11 +8,8 @@ from repro.analysis import races
 from repro.sim import (
     MS,
     US,
-    AllOf,
-    AnyOf,
     Environment,
     Event,
-    Interrupt,
     SimulationError,
 )
 
@@ -82,9 +79,21 @@ class TestEvents:
             env.run()
 
     def test_defused_failure_does_not_crash(self):
+        # A failure that a waiting process receives is defused: the
+        # process handles it and the run goes on.
         env = Environment()
-        env.event().fail(ValueError("boom")).defused()
+        failed = env.event()
+
+        def catcher():
+            try:
+                yield failed
+            except ValueError:
+                return "caught"
+
+        process = env.process(catcher())
+        failed.fail(ValueError("boom"))
         env.run()  # no raise
+        assert process.value == "caught"
 
     def test_value_before_trigger_raises(self):
         env = Environment()
@@ -174,37 +183,6 @@ class TestProcesses:
         env.run()
         assert result.value == "inside"
 
-    def test_interrupt_wakes_process(self):
-        env = Environment()
-        trace = []
-
-        def sleeper():
-            try:
-                yield env.timeout(100.0)
-            except Interrupt as interrupt:
-                trace.append((env.now, interrupt.cause))
-
-        process = env.process(sleeper())
-
-        def interrupter():
-            yield env.timeout(1.0)
-            process.interrupt("wake up")
-
-        env.process(interrupter())
-        env.run()
-        assert trace == [(1.0, "wake up")]
-
-    def test_interrupt_finished_process_raises(self):
-        env = Environment()
-
-        def quick():
-            yield env.timeout(0.1)
-
-        process = env.process(quick())
-        env.run()
-        with pytest.raises(SimulationError):
-            process.interrupt()
-
     def test_is_alive(self):
         env = Environment()
 
@@ -212,9 +190,9 @@ class TestProcesses:
             yield env.timeout(1.0)
 
         process = env.process(proc())
-        assert process.is_alive
+        assert not process.triggered
         env.run()
-        assert not process.is_alive
+        assert process.triggered and process.ok
 
     def test_waiting_on_already_processed_event(self):
         env = Environment()
@@ -231,10 +209,15 @@ class TestProcesses:
         assert process.value == "early"
 
 
+def next_time(env):
+    """When the next heap entry is due (``inf`` on an empty heap)."""
+    return env._heap[0][0] if env._heap else float("inf")
+
+
 def count_steps(env):
     """Run ``env`` to completion; the number of ``step`` calls it took."""
     steps = 0
-    while env.peek() != float("inf"):
+    while env._heap:
         env.step()
         steps += 1
     return steps
@@ -342,7 +325,7 @@ class TestTimers:
         env = Environment()
         with pytest.raises(SimulationError):
             env.call_later(-1e-9, print)
-        assert env.peek() == float("inf")
+        assert next_time(env) == float("inf")
 
     def test_callback_exception_propagates_out_of_run(self):
         env = Environment()
@@ -361,7 +344,7 @@ class TestTimers:
         env.call_later(5.0, fired.append, "x")
         env.run(until=2.0)
         assert fired == [] and env.now == pytest.approx(2.0)
-        assert env.peek() == 5.0
+        assert next_time(env) == 5.0
         env.run()
         assert fired == ["x"] and env.now == pytest.approx(5.0)
 
@@ -374,7 +357,7 @@ class TestTimers:
             )
         assert count_steps(env) == 3
         assert generations == [1, 2, 3]
-        assert env.active_process is None
+        assert env._active_process is None
 
     def test_timer_may_schedule_timers(self):
         env = Environment()
@@ -470,7 +453,7 @@ class TestFire:
         assert done.fire("v") is done
         assert seen == [("first", "v"), ("second", "v")]
         assert done.triggered and done.processed and done.ok
-        assert env.peek() == float("inf")  # nothing went through the heap
+        assert next_time(env) == float("inf")  # nothing went through the heap
 
     def test_yield_on_a_fired_event_resumes_on_the_next_tick(self):
         env = Environment()
@@ -528,44 +511,7 @@ class TestFire:
             env.run()
         # The failure is the process's, not the firing timer's.
         assert after == [1.0]
-        assert not process.ok and env.active_process is None
-
-    def test_interrupt_after_an_in_place_resume_detaches_the_new_wait(self):
-        env = Environment()
-        done = env.event()
-        trace = []
-
-        def sleeper():
-            trace.append((yield done))
-            try:
-                yield env.timeout(100.0)
-            except Interrupt as interrupt:
-                trace.append((env.now, interrupt.cause))
-
-        process = env.process(sleeper())
-        env.call_later(1.0, done.fire, "fired")
-        env.call_later(2.0, process.interrupt, "wake up")
-        env.run()
-        assert trace == ["fired", (2.0, "wake up")]
-
-    def test_interrupt_queued_before_the_fire_wins_the_instant(self):
-        env = Environment()
-        done = env.event()
-        trace = []
-
-        def sleeper():
-            try:
-                trace.append((yield done))
-            except Interrupt as interrupt:
-                trace.append((env.now, interrupt.cause))
-
-        process = env.process(sleeper())
-        env.call_later(1.0, process.interrupt, "first")
-        env.call_later(1.0, done.fire, "too late")
-        env.run()
-        # Detached by the interrupt, so the fire resumed nobody.
-        assert trace == [(1.0, "first")]
-        assert done.processed and not process.is_alive
+        assert not process.ok and env._active_process is None
 
 
 class TestCallTogether:
@@ -635,7 +581,7 @@ class TestCallTogether:
         env = Environment()
         with pytest.raises(SimulationError):
             env.call_together(-1e-9, print)
-        assert env.peek() == float("inf") and env._batches == {}
+        assert next_time(env) == float("inf") and env._batches == {}
 
     def test_item_pushed_while_its_batch_fires_opens_a_fresh_batch(self):
         env = Environment()
@@ -668,7 +614,7 @@ class TestCallTogether:
         with pytest.raises(ValueError, match="mid-batch"):
             env.run()
         assert seen == [("ok-1", 1.0)]
-        assert env.peek() == 1.0 and len(env._batches) == 1
+        assert next_time(env) == 1.0 and len(env._batches) == 1
         # The rest is one entry, still ahead of the later timer.
         assert count_steps(env) == 2
         assert seen == [
@@ -685,7 +631,7 @@ class TestCallTogether:
         env.call_together(1.0, boom)
         with pytest.raises(ValueError, match="last"):
             env.run()
-        assert env.peek() == float("inf") and env._batches == {}
+        assert next_time(env) == float("inf") and env._batches == {}
 
     def test_the_rest_goes_ahead_of_a_batch_opened_during_the_firing(self):
         env = Environment()
@@ -752,7 +698,7 @@ class TestCallTogether:
                     getattr(env, schedule)(op[1], callbacks[op[2]], payload)
                     continue
                 until = env.now + op[1]
-                while env.peek() <= until:
+                while next_time(env) <= until:
                     env.step()
                     steps += 1
                     assert env._heap or not env._batches
@@ -769,44 +715,6 @@ class TestCallTogether:
                 f for f in later if f[1] == cb
             ]
         assert together_steps <= later_steps
-
-
-class TestConditions:
-    def test_all_of_waits_for_all(self):
-        env = Environment()
-
-        def proc():
-            yield env.all_of([env.timeout(1.0), env.timeout(3.0)])
-            return env.now
-
-        process = env.process(proc())
-        env.run()
-        assert process.value == 3.0
-
-    def test_any_of_fires_on_first(self):
-        env = Environment()
-
-        def proc():
-            yield env.any_of([env.timeout(1.0), env.timeout(3.0)])
-            return env.now
-
-        process = env.process(proc())
-        env.run()
-        assert process.value == 1.0
-
-    def test_and_or_operators(self):
-        env = Environment()
-        both = env.timeout(1.0) & env.timeout(2.0)
-        either = env.timeout(1.0) | env.timeout(2.0)
-        assert isinstance(both, AllOf)
-        assert isinstance(either, AnyOf)
-        env.run()
-        assert both.triggered and either.triggered
-
-    def test_empty_all_of_fires_immediately(self):
-        env = Environment()
-        condition = env.all_of([])
-        assert condition.triggered
 
 
 class TestDeterminism:
@@ -837,9 +745,3 @@ class TestDeterminism:
             return trace
 
         assert run_once() == run_once()
-
-    def test_peek(self):
-        env = Environment()
-        assert env.peek() == float("inf")
-        env.timeout(4.0)
-        assert env.peek() == 4.0

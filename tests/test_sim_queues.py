@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import (
     Environment,
-    PriorityStore,
     QueueFullError,
     Resource,
     SimulationError,
@@ -18,7 +17,7 @@ class TestStore:
         store = Store(env)
 
         def proc():
-            yield store.put("a")
+            store.put_nowait("a")
             item = yield store.get()
             return item
 
@@ -37,7 +36,7 @@ class TestStore:
 
         def producer():
             yield env.timeout(2.0)
-            yield store.put("x")
+            store.put_nowait("x")
 
         env.process(consumer())
         env.process(producer())
@@ -49,7 +48,16 @@ class TestStore:
         store = Store(env)
         for value in (1, 2, 3):
             store.put_nowait(value)
-        assert [store.get_nowait() for _ in range(3)] == [1, 2, 3]
+        assert store.items == [1, 2, 3]
+        got = []
+
+        def consumer():
+            for _ in range(3):
+                got.append((yield store.get()))
+
+        env.process(consumer())
+        env.run()
+        assert got == [1, 2, 3]
 
     def test_bounded_put_nowait_raises(self):
         env = Environment()
@@ -66,31 +74,6 @@ class TestStore:
         assert not store.put_nowait_drop("dropped")
         assert store.drops == 1
         assert store.items == ["keep"]
-
-    def test_blocking_put_admitted_after_get(self):
-        env = Environment()
-        store = Store(env, capacity=1)
-        store.put_nowait("first")
-        admitted = []
-
-        def producer():
-            yield store.put("second")
-            admitted.append(env.now)
-
-        def consumer():
-            yield env.timeout(1.0)
-            yield store.get()
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert admitted == [1.0]
-        assert store.items == ["second"]
-
-    def test_get_nowait_empty_raises(self):
-        env = Environment()
-        with pytest.raises(SimulationError):
-            Store(env).get_nowait()
 
     def test_clear_returns_items(self):
         env = Environment()
@@ -120,50 +103,6 @@ class TestStore:
         env.run()
         assert results == ["direct"]
         assert len(store) == 0
-
-
-class TestPriorityStore:
-    def test_orders_by_priority(self):
-        env = Environment()
-        store = PriorityStore(env)
-        for item in ((3, "c"), (1, "a"), (2, "b")):
-            store.put_nowait(item)
-        assert store.get_nowait() == (1, "a")
-        assert store.get_nowait() == (2, "b")
-        assert store.get_nowait() == (3, "c")
-
-    def test_len_and_items_sorted(self):
-        env = Environment()
-        store = PriorityStore(env)
-        store.put_nowait(5)
-        store.put_nowait(1)
-        assert len(store) == 2
-        assert store.items == [1, 5]
-
-    def test_blocking_get(self):
-        env = Environment()
-        store = PriorityStore(env)
-        got = []
-
-        def consumer():
-            got.append((yield store.get()))
-
-        env.process(consumer())
-
-        def producer():
-            yield env.timeout(1.0)
-            store.put_nowait(7)
-
-        env.process(producer())
-        env.run()
-        assert got == [7]
-
-    def test_capacity_respected(self):
-        env = Environment()
-        store = PriorityStore(env, capacity=1)
-        store.put_nowait(1)
-        with pytest.raises(QueueFullError):
-            store.put_nowait(2)
 
 
 class TestResource:
@@ -204,10 +143,10 @@ class TestResource:
             resource.release()
 
         env.process(holder())
-        env.process(waiter())
+        waiting = env.process(waiter())
         env.run(until=5.0)
         assert resource.in_use == 1
-        assert resource.queued == 1
+        assert not waiting.triggered  # queued behind the holder
 
     def test_invalid_capacity(self):
         env = Environment()

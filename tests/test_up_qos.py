@@ -5,13 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import Direction, FiveTuple, Packet
-from repro.pfcp import decode_message
-from repro.pfcp.builder import build_qos_rules, build_session_establishment
+from repro.pfcp import decode_message, ies
+from repro.pfcp.builder import build_session_establishment
 from repro.pfcp.qos_ies import (
     CreateQerIE,
     CreateUrrIE,
     GateStatusIE,
     MbrIE,
+    MeasurementMethodIE,
     UsageReportIE,
     UrrIdIE,
     VolumeMeasurementIE,
@@ -31,6 +32,25 @@ from repro.up import (
 UE_IP = 0x0A3C0001
 
 
+def build_qos_rules(
+    qer_id=1, qfi=9, mbr_ul_kbps=0, mbr_dl_kbps=0, urr_id=None,
+    volume_threshold_bytes=None,
+):
+    """A QER (gate + MBR) and optionally a URR with a volume threshold:
+    the ``qos_rules`` of an N4 establishment, as a test input (the SMF
+    sends none)."""
+    out = [CreateQerIE(children=[
+        ies.QerIdIE(rule_id=qer_id), ies.QfiIE(qfi=qfi), GateStatusIE(),
+        MbrIE(ul_kbps=mbr_ul_kbps, dl_kbps=mbr_dl_kbps),
+    ])]
+    if urr_id is not None:
+        children = [UrrIdIE(rule_id=urr_id), MeasurementMethodIE(volume=True)]
+        if volume_threshold_bytes is not None:
+            children.append(VolumeThresholdIE(total_bytes=volume_threshold_bytes))
+        out.append(CreateUrrIE(children=children))
+    return out
+
+
 class TestTokenBucket:
     def test_admits_within_burst(self):
         bucket = TokenBucket(rate_bps=8_000, burst_bytes=1000)
@@ -47,7 +67,7 @@ class TestTokenBucket:
     def test_never_exceeds_burst(self):
         bucket = TokenBucket(rate_bps=8_000, burst_bytes=500)
         bucket.admit(0, now=100.0)  # long idle
-        assert bucket.tokens == pytest.approx(500)
+        assert bucket._tokens == pytest.approx(500)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -85,7 +105,7 @@ class TestTokenBucket:
         refill at the bucket depth — the long idle gap is not credit."""
         bucket = TokenBucket(rate_bps=8_000, burst_bytes=500)
         assert bucket.admit(400, now=1e9)  # ~125 MB "refilled" if uncapped
-        assert bucket.tokens == pytest.approx(100)
+        assert bucket._tokens == pytest.approx(100)
         # A burst-sized draw right after must fail: only depth remains.
         assert not bucket.admit(500, now=1e9)
 
@@ -94,15 +114,15 @@ class TestTokenBucket:
         refill and must never drive the token count negative."""
         bucket = TokenBucket(rate_bps=8_000, burst_bytes=1000)
         assert bucket.admit(1000, now=1.0)
-        assert bucket.tokens == pytest.approx(0.0)
+        assert bucket._tokens == pytest.approx(0.0)
         # Earlier timestamp: elapsed < 0, refill skipped, no admit.
         assert not bucket.admit(1, now=0.5)
-        assert bucket.tokens >= 0.0
-        assert bucket.tokens == pytest.approx(0.0)
+        assert bucket._tokens >= 0.0
+        assert bucket._tokens == pytest.approx(0.0)
         # _last_refill stays at the later stamp: moving forward again
         # refills from 1.0, not from the skewed 0.5.
         assert bucket.admit(100, now=1.1)  # 0.1 s x 1000 B/s = 100 B
-        assert bucket.tokens == pytest.approx(0.0)
+        assert bucket._tokens == pytest.approx(0.0)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -126,7 +146,7 @@ class TestTokenBucket:
         bucket = TokenBucket(rate_bps=1e6, burst_bytes=1500)
         for size, now in draws:
             bucket.admit(size, now)
-            assert 0.0 <= bucket.tokens <= bucket.burst_bytes + 1e-9
+            assert 0.0 <= bucket._tokens <= bucket.burst_bytes + 1e-9
 
 
 class TestQerEnforcer:
