@@ -121,9 +121,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro.analysis",
         description=(
             "Static analysis of the L25GC reproduction: determinism and "
-            "ownership rules (R001-R008), hot-path, epoch-publish, "
-            "atomicity, layering, lifecycle and reach checks "
-            "(W001-W009)."
+            "ownership rules (R001-R008), hot-path, layering, "
+            "lifecycle and reach checks (W001, W004-W009)."
         ),
     )
     parser.add_argument("paths", nargs="*")

@@ -4,8 +4,8 @@ One run reads and parses every file once (one
 :class:`~repro.analysis.rules.FileContext` each, shared by the R-rules,
 the symbol table and the suppression filter), builds one symbol table,
 one call graph and one CFG per function over the production files
-(those outside any ``tests/`` directory), runs R001–R008 and W001–W008
-over them, runs W009 over every file (its roots are ``tests/conftest.py``,
+(those outside any ``tests/`` directory), runs R001–R008, W001 and
+W004–W008 over them, runs W009 over every file (its roots are ``tests/conftest.py``,
 ``examples/``, ``benchmarks/`` and the ``__main__`` modules; it runs
 only when those are in the set, and builds no program), and only then
 filters: it sees every finding before any is suppressed, which is what
@@ -33,8 +33,6 @@ from .program.callgraph import CallGraph, build_call_graph
 from .program.checks import (
     DEFAULT_PACKET_ENTRIES,
     check_w001,
-    check_w002,
-    check_w003,
     check_w004,
 )
 from .program.reach import check_w009, has_roots
@@ -64,12 +62,6 @@ __all__ = [
 PROGRAM_CHECKS: Dict[str, Tuple[str, str]] = {
     "W001": ("hot-path-allocation",
              "Allocation site on the UPF-U per-packet path."),
-    "W002": ("unpublished-rule-mutation",
-             "Rule-container mutation not followed by RuleEpoch.bump() "
-             "on every path."),
-    "W003": ("yield-in-atomic-section",
-             "yield reachable from inside a `with detector.role(...)` "
-             "block."),
     "W004": ("layering",
              "Import edge pointing up the stack (sim/up/cp/"
              "instrumentation)."),
@@ -251,8 +243,6 @@ def analyze(
             entries, stop_modules=program.stops
         )
         checks: Dict[str, Callable[[], List[Finding]]] = {
-            "W002": lambda: check_w002(program),
-            "W003": lambda: check_w003(program),
             "W004": lambda: check_w004(table),
             "W005": lambda: check_typestate(program, "W005"),
             "W006": lambda: check_typestate(program, "W006"),

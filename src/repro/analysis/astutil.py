@@ -2,7 +2,7 @@
 
 One copy each of the dotted-name reader, the walker that stays inside
 one function's own scope, and the in-place attribute-mutation matcher
-(R008 and W002 ask the same question of different attribute sets).
+(R008 asks it of the ``up`` package's shared attributes).
 """
 
 from __future__ import annotations

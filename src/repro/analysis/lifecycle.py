@@ -178,13 +178,13 @@ ACQUIRE_METHODS: Dict[str, str] = {
 MAY_FAIL_TRANSITIONS: FrozenSet[str] = frozenset({"add", "pin"})
 
 # -- single-writer owner table (§3.2) ----------------------------------------
-# Declared once: the static ownership rule (R008), the epoch-publish
-# check (W002) and ``UPFSession``'s race-detector registration all read
-# these two tuples, so a new rule container is added in one place.
+# Declared once: the static ownership rule (R008) reads these two
+# tuples, so a new rule container is added in one place.
 
 #: Per-session rule containers.  The UPF-C writes them, the UPF-U reads
-#: them lock-free, and every mutation must be published by
-#: ``RuleEpoch.bump()`` before control returns to the event loop.
+#: them lock-free; inside ``up/`` only ``UPFSession``'s own mutators
+#: write them, each ending in the ``_publish`` call that bumps the
+#: ``RuleEpoch`` (R008 flags a write through any other receiver).
 RULE_CONTAINERS: Tuple[str, ...] = (
     "pdrs", "fars", "qer_enforcers", "usage_counters",
 )

@@ -1,4 +1,4 @@
-"""The whole-program half of the analyser: W001–W009.
+"""The whole-program half of the analyser: W001 and W004–W009.
 
 Layers (each importable on its own), all working from the files
 :func:`repro.analysis.analyzer.analyze` has already parsed:
@@ -14,8 +14,7 @@ Layers (each importable on its own), all working from the files
 * :mod:`.solver` — the worklist dataflow solver over those CFGs, the
   interprocedural effect summaries, and :class:`Program`: the one
   symbol table, call graph and per-function CFG cache a run shares.
-* :mod:`.checks` — the call-graph checks W001–W004.
-* :mod:`.epoch` — W002's ``(pending, bumped)`` lattice.
+* :mod:`.checks` — the call-graph checks W001 and W004.
 * :mod:`.typestate` — the lifecycle lattices W005–W007 and W008.
 * :mod:`.reach` — W009, a name fixpoint from what a user runs over the
   parsed trees (no symbol table, no call graph).
@@ -27,7 +26,6 @@ zero import-time or runtime cost for the analyser's existence.
 from .callgraph import CallEdge, CallGraph, UnknownEdge, build_call_graph
 from .cfg import CFG, AttrWrite, CallSite, CFGNode, build_cfg
 from .checks import DEFAULT_PACKET_ENTRIES, AllocationSite, allocation_sites
-from .epoch import EpochFlow, EpochState, MutationSite, analyze_epoch_flow
 from .solver import (
     MAX_CHAIN_DEPTH,
     Analysis,
@@ -56,18 +54,14 @@ __all__ = [
     "CallSite",
     "ClassInfo",
     "DEFAULT_PACKET_ENTRIES",
-    "EpochFlow",
-    "EpochState",
     "FunctionEffects",
     "FunctionInfo",
     "MAX_CHAIN_DEPTH",
     "ModuleInfo",
-    "MutationSite",
     "Program",
     "SymbolTable",
     "UnknownEdge",
     "allocation_sites",
-    "analyze_epoch_flow",
     "build_call_graph",
     "build_cfg",
     "build_symbol_table",

@@ -55,28 +55,13 @@ class CallGraph:
     edges: List[CallEdge] = field(default_factory=list)
     unknown: List[UnknownEdge] = field(default_factory=list)
     _out: Dict[str, List[CallEdge]] = field(default_factory=dict)
-    _in: Dict[str, List[CallEdge]] = field(default_factory=dict)
 
     def add(self, edge: CallEdge) -> None:
         self.edges.append(edge)
         self._out.setdefault(edge.caller, []).append(edge)
-        self._in.setdefault(edge.callee, []).append(edge)
 
     def callees(self, qualname: str) -> List[CallEdge]:
         return self._out.get(qualname, [])
-
-    def roots(self) -> List[str]:
-        """Functions with no known caller — the event-loop boundary.
-
-        These are the entry points control returns from: test
-        harnesses, engine callbacks, and CLI code invoke them
-        dynamically, which the static graph cannot see.
-        """
-        return sorted(
-            qualname
-            for qualname in self.table.functions
-            if qualname not in self._in
-        )
 
     def reachable(
         self,

@@ -2,7 +2,7 @@
 
 The substrate :func:`~repro.analysis.program.solver.solve` runs its
 worklist fixpoints over: one graph per function, built once per run and
-shared by every path-sensitive check (W002, W005–W007).  Each :class:`CFGNode` covers one statement (compound
+shared by every path-sensitive check (W005–W007).  Each :class:`CFGNode` covers one statement (compound
 statements contribute a *header* node for their test/iterator plus
 nodes for their bodies) and carries:
 

@@ -1,4 +1,4 @@
-"""The four call-graph checks W001–W004.
+"""The two call-graph checks W001 and W004.
 
 ========  ==================================================================
 W001      Hot-path allocation: every allocation *site* (object
@@ -9,17 +9,6 @@ W001      Hot-path allocation: every allocation *site* (object
           it stands — ``# repro: noqa[W001] -- reason`` on that line —
           so the exemption moves with the code and dies with it (an
           excuse on a line that no longer allocates is reported).
-W002      Interprocedural epoch bump: a rule-container mutation must be
-          published by ``RuleEpoch.bump()`` on every path before
-          control returns to the event loop — through calls, so a
-          helper's mutation may be discharged by its caller, and a
-          ``yield`` with an unpublished mutation is flagged where it
-          happens.  Path-sensitive: the lattice is in :mod:`.epoch`.
-W003      Yield in atomic section: no ``yield`` may be reachable (via
-          the call graph) from inside a ``with detector.role(...)``
-          block — the sections the race detector treats as atomic must
-          actually be atomic.  Plain reachability: it asks nothing
-          about paths.
 W004      Layering conformance: import edges may not point up the
           stack (``sim`` imports nothing from the project; ``up`` and
           ``cp`` may not import each other's internals; the
@@ -35,11 +24,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..astutil import dotted, walk_own
 from ..rules import Finding
-from .epoch import MutationSite, analyze_epoch_flow
 from .solver import Program
 from .symbols import INSTRUMENTATION, FunctionInfo, SymbolTable
 
@@ -48,8 +36,6 @@ __all__ = [
     "AllocationSite",
     "allocation_sites",
     "check_w001",
-    "check_w002",
-    "check_w003",
     "check_w004",
     "function_finding",
 ]
@@ -197,162 +183,6 @@ def check_w001(
                 )
             )
     return findings
-
-
-# ---------------------------------------------------------------------------
-# W002 — interprocedural epoch bump
-# ---------------------------------------------------------------------------
-def check_w002(program: Program) -> List[Finding]:
-    table = program.table
-    flow = analyze_epoch_flow(program)
-    findings: List[Finding] = []
-    reported: Set[MutationSite] = set()
-
-    def report(site: MutationSite, message: str, origin: str, chain) -> None:
-        if site in reported:
-            return
-        reported.add(site)
-        steps = [f"-> {origin}"] + [f"-> {hop}" for hop in chain]
-        steps.append(
-            f"-> mutation of .{site.attr} at {site.qualname}:{site.lineno}"
-        )
-        findings.append(
-            function_finding(
-                table.functions[site.qualname],
-                site.lineno,
-                "W002",
-                f"rule container .{site.attr} mutated in "
-                f"{site.qualname.split('.')[-1]}() is not published by "
-                f"RuleEpoch.bump() {message}",
-                chain=steps,
-            )
-        )
-
-    for qualname, yield_line, (site, chain) in flow.yield_violations:
-        report(
-            site,
-            f"before the yield at {qualname.split('.')[-1]}():"
-            f"{yield_line}; the flow cache serves stale decisions once "
-            "control returns to the event loop",
-            qualname,
-            chain,
-        )
-    for root in program.graph.roots():
-        summary = flow.summaries.get(root)
-        for site, chain in summary.pending if summary else ():
-            report(
-                site,
-                "on every path before control returns to the event loop "
-                f"(entered via {root.split('.')[-1]}()); flow-cache "
-                "readers keep serving the old rules",
-                root,
-                chain,
-            )
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# W003 — yield reachable inside an atomic section
-# ---------------------------------------------------------------------------
-def check_w003(program: Program) -> List[Finding]:
-    findings: List[Finding] = []
-    for qualname, func in sorted(program.table.functions.items()):
-        for stmt in ast.walk(func.node):
-            if isinstance(
-                stmt, (ast.With, ast.AsyncWith)
-            ) and _is_role_with(stmt):
-                findings.extend(
-                    _atomic_section_findings(program, func, stmt)
-                )
-    return findings
-
-
-def _is_role_with(stmt: ast.AST) -> bool:
-    for item in stmt.items:
-        expr = item.context_expr
-        if (
-            isinstance(expr, ast.Call)
-            and isinstance(expr.func, ast.Attribute)
-            and expr.func.attr == "role"
-        ):
-            return True
-    return False
-
-
-def _atomic_section_findings(
-    program: Program, func: FunctionInfo, stmt: ast.AST
-) -> List[Finding]:
-    table, graph, stop = program.table, program.graph, program.stops
-    qualname = func.qualname
-    findings: List[Finding] = []
-    body_lines = _body_line_range(stmt)
-    # Direct yield inside the atomic block body.
-    for node in ast.walk(stmt):
-        if isinstance(node, (ast.Yield, ast.YieldFrom)) and (
-            body_lines[0] <= node.lineno <= body_lines[1]
-        ):
-            findings.append(
-                function_finding(
-                    func,
-                    stmt.lineno,
-                    "W003",
-                    f"atomic section in {qualname.split('.')[-1]}() "
-                    f"yields at line {node.lineno}: a role-scoped block "
-                    "is one yield-to-yield atomic section and must not "
-                    "suspend",
-                    chain=(f"-> {qualname}:{node.lineno} (yield)",),
-                )
-            )
-    # Yields smuggled in through callees.
-    seeds = [
-        edge.callee
-        for edge in graph.callees(qualname)
-        if body_lines[0] <= edge.lineno <= body_lines[1]
-        and not _in_modules(table, edge.callee, stop)
-    ]
-    chains = graph.reachable(seeds, stop_modules=stop)
-    for callee, chain in sorted(chains.items()):
-        info = table.functions.get(callee)
-        if info is not None and info.is_generator:
-            findings.append(
-                function_finding(
-                    func,
-                    stmt.lineno,
-                    "W003",
-                    f"generator {callee.split('.')[-1]}() is reachable "
-                    f"from the atomic section in "
-                    f"{qualname.split('.')[-1]}(); a helper that yields "
-                    "breaks the section the race detector treats as "
-                    "atomic",
-                    chain=[f"-> {qualname}:{stmt.lineno} (with .role(...))"]
-                    + [f"-> {step}" for step in chain],
-                )
-            )
-    return findings
-
-
-def _in_modules(
-    table: SymbolTable, qualname: str, prefixes: Sequence[str]
-) -> bool:
-    info = table.functions.get(qualname)
-    if info is None:
-        return False
-    return any(
-        info.module == prefix or info.module.startswith(prefix + ".")
-        for prefix in prefixes
-    )
-
-
-def _body_line_range(stmt: ast.AST) -> Tuple[int, int]:
-    first = stmt.body[0].lineno if stmt.body else stmt.lineno
-    last = stmt.lineno
-    for node in ast.walk(stmt):
-        lineno = getattr(node, "end_lineno", None) or getattr(
-            node, "lineno", None
-        )
-        if lineno is not None:
-            last = max(last, lineno)
-    return first, last
 
 
 # ---------------------------------------------------------------------------

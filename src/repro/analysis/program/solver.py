@@ -5,8 +5,7 @@ The one engine that answers "which states reach here": an
 of states) and the transfer function; :func:`solve` runs the standard
 chaotic-iteration worklist to a fixpoint over one
 :class:`~repro.analysis.program.cfg.CFG` and returns the in-state of
-every node.  W002 (:mod:`.epoch`) and W005–W007 (:mod:`.typestate`)
-are all lattices on it.
+every node.  W005–W007 (:mod:`.typestate`) are lattices on it.
 
 Transfer functions return **two** out-states — ``(normal, exc)`` — so
 an analysis can model statements whose effect differs on the
@@ -53,7 +52,7 @@ __all__ = [
 ]
 
 #: Bounded interprocedural context: effect chains stop growing past
-#: this many call steps (matching the epoch-flow fixpoint's bound).
+#: this many call steps.
 MAX_CHAIN_DEPTH = 4
 
 

@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 #: Instrumentation sub-packages: calls into them are gated behind
-#: ``is None`` checks on the fast path, so reachability (W001/W003) and
+#: ``is None`` checks on the fast path, so reachability (W001) and
 #: the effect summaries stop at their boundary, and W004 polices who
 #: may import them instead.
 INSTRUMENTATION = ("analysis", "obs")

@@ -37,7 +37,10 @@ R008      Mutation of a shared UPF structure (the
           maps, session-table indexes, ``report_pending``) from
           production code outside the owning ``up`` package — the
           single-writer ownership model (§3.2) routes all rule changes
-          through the UPF-C's PFCP handlers.  Test code is out of
+          through the UPF-C's PFCP handlers.  Inside ``up`` a rule
+          map (:data:`~repro.analysis.lifecycle.RULE_CONTAINERS`) is
+          written only by its own session (``self``), whose mutators
+          publish each write to the flow cache.  Test code is out of
           scope: the race-detector tests seed such writes on purpose.
 ========  ==================================================================
 
@@ -60,7 +63,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple, Type
 
 from .astutil import attr_mutations, dotted as _dotted
-from .lifecycle import SHARED_STRUCTURES
+from .lifecycle import RULE_CONTAINERS, SHARED_STRUCTURES
 
 __all__ = [
     "SYNTAX_ERROR",
@@ -530,9 +533,9 @@ class PrintInLibraryRule(Rule):
     name = "print-in-library"
     severity = "warning"
 
-    #: Paths allowed to print: console entry points and the
-    #: race-trace replayer (their findings are their stdout contract).
-    EXEMPT_SUFFIXES = ("__main__.py", "analysis/races.py")
+    #: Paths allowed to print: console entry points (their findings
+    #: are their stdout contract).
+    EXEMPT_SUFFIXES = ("__main__.py",)
     EXEMPT_DIRS = ("experiments", "benchmarks")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -563,25 +566,35 @@ class NonOwnerMutationRule(Rule):
     and session indexes are written only by the ``up`` package (PFCP
     handlers on the C side, runtime state on the U side).  A mutation
     reaching in from any other module bypasses both the epoch publish
-    protocol and the race detector's ownership model."""
+    protocol and the race detector's ownership model.  Inside ``up``
+    the rule maps are the session's own: a handler writing
+    ``session.fars[...]`` instead of calling ``update_far`` skips the
+    publish, and the flow cache keeps serving the old rule."""
 
     code = "R008"
     name = "non-owner-shared-write"
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.is_test or ctx.path_has("up"):
+        if ctx.is_test:
             return
-        for node, attr, receiver in attr_mutations(
-            ctx.tree, SHARED_STRUCTURES
-        ):
+        inside_up = ctx.path_has("up")
+        watched = RULE_CONTAINERS if inside_up else SHARED_STRUCTURES
+        for node, attr, receiver in attr_mutations(ctx.tree, watched):
             if receiver == "self":
                 # A class defining its own attribute of the same name
-                # owns it; the shared structures are never `self` here.
+                # owns it; inside up/ that is the session's mutators.
                 continue
-            yield self.finding(
-                ctx,
-                node,
-                f"mutation of shared UPF structure .{attr} outside the "
-                "owning up/ package; route the change through the "
-                "UPF-C PFCP handlers (single-writer model, §3.2)",
-            )
+            if inside_up:
+                message = (
+                    f"direct write of rule map .{attr} through "
+                    f"{receiver or 'a computed receiver'}; call the "
+                    "session's mutator, which publishes the change "
+                    "(RuleEpoch bump) to the flow cache"
+                )
+            else:
+                message = (
+                    f"mutation of shared UPF structure .{attr} outside "
+                    "the owning up/ package; route the change through "
+                    "the UPF-C PFCP handlers (single-writer model, §3.2)"
+                )
+            yield self.finding(ctx, node, message)

@@ -41,7 +41,7 @@ import heapq
 import itertools
 from typing import Any, Callable, Generator, List, Optional
 
-from ..analysis import races as _races  # repro: noqa[W004] -- race-detector hooks (pending epoch bumps are flushed at yield boundaries); every call is gated on `_ACTIVE is None`
+from ..analysis import races as _races  # repro: noqa[W004] -- race-detector hooks (section boundaries, timer firings); every call is gated on `_ACTIVE is None`
 
 #: One microsecond, in simulation seconds.
 US = 1e-6
@@ -378,6 +378,12 @@ class Environment:
             detector = _races._ACTIVE
             if detector is not None:
                 detector.on_resume(self)
+                detector.firing = True
+                try:
+                    fn(*arg)
+                finally:
+                    detector.firing = False
+                return
             fn(*arg)
             return
         event = arg

@@ -1,12 +1,10 @@
 """Traffic generation and measurement (the MoonGen/Wireshark stand-ins)."""
 
 from .generator import ConstantRateGenerator
-from .measurement import LatencySeries, Summary, percentile, summarize
+from .measurement import LatencySeries, percentile
 
 __all__ = [
     "ConstantRateGenerator",
     "LatencySeries",
-    "Summary",
     "percentile",
-    "summarize",
 ]

@@ -2,18 +2,19 @@
 
 The experiments mine :class:`LatencySeries` for the RTT-over-time plots
 (Figs 13-16) and the summary rows of Tables 1-2 ("base RTT", "RTT
-after paging", "# packets with higher RTT", "# packets dropped").
+after paging", "# packets with higher RTT", "# packets dropped"), each
+computed in its figure module from :meth:`LatencySeries.window` and
+:func:`percentile`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..net.packet import Packet
 
-__all__ = ["LatencySeries", "summarize", "Summary", "percentile"]
+__all__ = ["LatencySeries", "percentile"]
 
 
 def percentile(values: Sequence[float], fraction: float) -> float:
@@ -38,19 +39,6 @@ def percentile(values: Sequence[float], fraction: float) -> float:
         return ordered[low]
     weight = rank - low
     return ordered[low] * (1 - weight) + ordered[high] * weight
-
-
-@dataclass
-class Summary:
-    """Latency summary over one run (one row of Table 1/2)."""
-
-    count: int
-    mean: float
-    p50: float
-    p99: float
-    maximum: float
-    base_rtt: float
-    elevated_count: int
 
 
 class LatencySeries:
@@ -109,29 +97,3 @@ class LatencySeries:
             for sent, one_way in self.samples
             if start <= sent < end
         ]
-
-
-def summarize(
-    series: LatencySeries, elevated_factor: float = 3.0
-) -> Summary:
-    """Table-1/2-style summary.
-
-    ``base_rtt`` is the median of the quietest decile (the steady
-    state); a packet counts as *elevated* when its RTT exceeds
-    ``elevated_factor`` times the base — the paper's "# packets that
-    experience higher RTT".
-    """
-    rtts = series.rtts
-    if not rtts:
-        raise ValueError("empty latency series")
-    base = percentile(rtts, 0.10)
-    elevated = sum(1 for rtt in rtts if rtt > elevated_factor * base)
-    return Summary(
-        count=len(rtts),
-        mean=sum(rtts) / len(rtts),
-        p50=percentile(rtts, 0.50),
-        p99=percentile(rtts, 0.99),
-        maximum=max(rtts),
-        base_rtt=base,
-        elevated_count=elevated,
-    )

@@ -22,8 +22,8 @@ This module provides that cache:
 * **Invalidation** — epoch-based, reproducing §3.2's zero-cost state
   update at the cache layer.  Every rule-mutating operation
   (``install_pdr`` / ``remove_pdr`` / ``install_far`` / ``update_far``
-  / ``install_qer*`` / ``SessionTable.add``/``remove``) bumps a shared
-  :class:`RuleEpoch`; entries record the epoch at fill time and a hit
+  / ``install_qer*`` / ``SessionTable.add``/``remove``) ends in one
+  ``_publish`` call that bumps a shared :class:`RuleEpoch`; entries record the epoch at fill time and a hit
   whose recorded epoch is stale self-invalidates.  No scan, no
   callback fan-out on the data path — a rule change is one integer
   increment.
@@ -69,9 +69,6 @@ class RuleEpoch:
     def bump(self) -> int:
         """Invalidate every decision derived from the previous epoch."""
         self.value += 1
-        detector = _races._ACTIVE
-        if detector is not None:
-            detector.on_bump()
         return self.value
 
     def __repr__(self) -> str:

@@ -8,8 +8,9 @@ shared memory, e.g., PDRs and FARs."
 
 The session context owns its PDR classifier (pluggable: linear / TSS /
 PartitionSort) and the smart buffer.  Every rule-mutating operation
-bumps a :class:`~repro.up.flow_cache.RuleEpoch` so the UPF-U's flow
-cache self-invalidates without scanning — the zero-cost state update,
+ends in one publish call that bumps a
+:class:`~repro.up.flow_cache.RuleEpoch`, so the UPF-U's flow cache
+self-invalidates without scanning — the zero-cost state update,
 extended to the cache layer.
 """
 
@@ -108,7 +109,6 @@ class UPFSession:
                 label=f"session(seid={seid})",
                 owner="upf-c",
                 parts={"report_pending": "upf-u"},
-                rule_parts=_races.RULE_CONTAINERS,
             )
             detector.register(
                 self.buffer,
@@ -140,26 +140,19 @@ class UPFSession:
             self.classifier.remove_by_id(existing.match.rule_id)
         self.pdrs[pdr.pdr_id] = pdr
         self.classifier.insert(pdr.match)
-        self._note_rule_write("pdrs", self.pdrs, f"install_pdr({pdr.pdr_id})")
-        self.epoch.bump()
+        self._publish("pdrs", self.pdrs, f"install_pdr({pdr.pdr_id})")
 
     def remove_pdr(self, pdr_id: int) -> bool:
-        # Check membership before mutating: the pop must be
-        # post-dominated by the epoch bump (W002), and popping a
-        # missing id would take the no-bump early return with the
-        # container already touched.
-        if pdr_id not in self.pdrs:
+        pdr = self.pdrs.pop(pdr_id, None)
+        if pdr is None:
             return False
-        pdr = self.pdrs.pop(pdr_id)
         self.classifier.remove_by_id(pdr.match.rule_id)
-        self._note_rule_write("pdrs", self.pdrs, f"remove_pdr({pdr_id})")
-        self.epoch.bump()
+        self._publish("pdrs", self.pdrs, f"remove_pdr({pdr_id})")
         return True
 
     def install_far(self, far: FAR) -> None:
         self.fars[far.far_id] = far
-        self._note_rule_write("fars", self.fars, f"install_far({far.far_id})")
-        self.epoch.bump()
+        self._publish("fars", self.fars, f"install_far({far.far_id})")
 
     def update_far(self, far: FAR) -> None:
         """Merge an Update FAR into the existing rule.
@@ -171,48 +164,42 @@ class UPFSession:
         existing = self.fars.get(far.far_id)
         if existing is None:
             self.fars[far.far_id] = far
-            self._note_rule_write(
-                "fars", self.fars, f"update_far({far.far_id})"
-            )
-            self.epoch.bump()
-            return
-        action = existing.action
-        new = far.action
-        action.forward = new.forward
-        action.buffer = new.buffer
-        action.drop = new.drop
-        action.notify_cp = new.notify_cp
-        if new.outer_teid is not None:
-            action.outer_teid = new.outer_teid
-            action.outer_address = new.outer_address
-            action.destination_interface = new.destination_interface
-        self._note_rule_write("fars", self.fars, f"update_far({far.far_id})")
-        self.epoch.bump()
+        else:
+            action = existing.action
+            new = far.action
+            action.forward = new.forward
+            action.buffer = new.buffer
+            action.drop = new.drop
+            action.notify_cp = new.notify_cp
+            if new.outer_teid is not None:
+                action.outer_teid = new.outer_teid
+                action.outer_address = new.outer_address
+                action.destination_interface = new.destination_interface
+        self._publish("fars", self.fars, f"update_far({far.far_id})")
 
     def install_qer_enforcer(self, enforcer: "QerEnforcer") -> None:
         self.qer_enforcers[enforcer.qer_id] = enforcer
-        self._note_rule_write(
+        self._publish(
             "qer_enforcers",
             sorted(self.qer_enforcers),
             f"install_qer_enforcer({enforcer.qer_id})",
         )
-        self.epoch.bump()
 
     def install_usage_counter(self, counter: "UsageCounter") -> None:
         self.usage_counters[counter.urr_id] = counter
-        self._note_rule_write(
+        self._publish(
             "usage_counters",
             sorted(self.usage_counters),
             f"install_usage_counter({counter.urr_id})",
         )
-        self.epoch.bump()
 
-    def _note_rule_write(self, part: str, value, detail: str) -> None:
+    def _publish(self, part: str, value, detail: str) -> None:
+        """Publish a rule write: the race-detector note and the epoch
+        bump are one call, so a mutator cannot drop either alone."""
         detector = _races._ACTIVE
         if detector is not None:
-            detector.on_write(
-                self, part, value=value, rule_mutation=True, detail=detail
-            )
+            detector.on_write(self, part, value=value, detail=detail)
+        self.epoch.bump()
 
     # -- lookup ---------------------------------------------------------------
     def match_pdr(self, packet: Packet, key=None) -> Optional[PDR]:
@@ -319,12 +306,7 @@ class SessionTable(SessionTableView):
         if detector is not None:
             # Membership is control-plane state: only the UPF-C adds
             # or removes sessions; the UPF-U performs lookups.
-            detector.register(
-                self,
-                label="session-table",
-                owner="upf-c",
-                rule_parts=("sessions",),
-            )
+            detector.register(self, label="session-table", owner="upf-c")
 
     def add_removal_listener(
         self, listener: Callable[[UPFSession], None]
@@ -347,15 +329,7 @@ class SessionTable(SessionTableView):
         # Adopt the shared epoch: any later rule change on this session
         # invalidates the whole cache with one integer bump.
         session.epoch = self.epoch
-        detector = _races._ACTIVE
-        if detector is not None:
-            detector.on_write(
-                self,
-                "sessions",
-                value=sorted(self._by_seid),
-                detail=f"add(seid={session.seid})",
-            )
-        self.epoch.bump()
+        self._publish(f"add(seid={session.seid})")
 
     def remove(self, seid: int) -> Optional[UPFSession]:
         session = self._by_seid.pop(seid, None)
@@ -363,18 +337,19 @@ class SessionTable(SessionTableView):
             return None
         del self._teid_index[session.ul_teid]
         del self._ue_ip_index[session.ue_ip]
-        detector = _races._ACTIVE
-        if detector is not None:
-            detector.on_write(
-                self,
-                "sessions",
-                value=sorted(self._by_seid),
-                detail=f"remove(seid={seid})",
-            )
-        self.epoch.bump()
+        self._publish(f"remove(seid={seid})")
         for listener in self._removal_listeners:
             listener(session)
         return session
+
+    def _publish(self, detail: str) -> None:
+        """Publish a membership change: race-detector note, then bump."""
+        detector = _races._ACTIVE
+        if detector is not None:
+            detector.on_write(
+                self, "sessions", value=sorted(self._by_seid), detail=detail
+            )
+        self.epoch.bump()
 
     def by_teid(self, teid: int) -> Optional[UPFSession]:
         """UL lookup: which session owns this tunnel endpoint?"""

@@ -590,8 +590,8 @@ class UPFUserPlane(NetworkFunction):
 
         The run loop has already charged the batch's summed processing
         time, so the whole burst executes at a single simulation
-        instant — no yields inside (the race detector's atomic-section
-        check, W003, verifies this stays true).
+        instant — no yields inside (a yield would make this a generator,
+        and every test that drives a burst through it would fail).
         """
         packets = [  # repro: noqa[W001] -- one payload list per burst for process_burst, amortized over burst_size descriptors
             descriptor.payload

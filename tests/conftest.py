@@ -10,11 +10,8 @@ site and a field-level diff.  Descriptors still sitting in a transport
 at teardown are reported as leak warnings.
 
 ``pytest --race`` runs every test under the shared-state race detector
-(:mod:`repro.analysis.races`): cross-role same-instant conflicts,
-non-owner writes, and rule mutations missing an epoch bump fail the
-test with both access sites.  ``--race-trace PATH`` additionally
-appends every recorded access to a JSON-lines trace that
-``python -m repro.analysis.races PATH`` can replay offline.
+(:mod:`repro.analysis.races`): cross-role same-instant conflicts and
+non-owner writes fail the test with both access sites.
 """
 
 import types
@@ -42,17 +39,6 @@ def pytest_addoption(parser):
         help=(
             "run all tests under the shared-state race detector; "
             "ownership/conflict violations fail the test"
-        ),
-    )
-    parser.addoption(
-        "--race-trace",
-        action="store",
-        default=None,
-        metavar="PATH",
-        help=(
-            "with --race: append each test's recorded accesses to a "
-            "JSON-lines trace replayable via python -m "
-            "repro.analysis.races"
         ),
     )
 
@@ -104,10 +90,7 @@ def _race_detector(request):
     if not request.config.getoption("--race"):
         yield None
         return
-    trace_path = request.config.getoption("--race-trace")
-    with races.traced(record=trace_path is not None) as det:
+    with races.traced() as det:
         yield det
-    if trace_path is not None:
-        det.dump_trace(trace_path, header={"test": request.node.nodeid})
     if det.violations:
         pytest.fail(det.report(), pytrace=False)

@@ -79,8 +79,8 @@ class TestOneEngine:
         assert parses.calls == len(files) == 6
         assert tables.calls == 1
         assert graphs.calls == 1
-        # One CFG per function, shared by W002 and W005-W007 (the test
-        # file is not part of the program).
+        # One CFG per function, shared by W005-W007 (the test file is
+        # not part of the program).
         assert sorted(report.table.functions) == [
             "pkg.sim.engine.stamp",
             "pkg.up.session.Session.emit",
@@ -225,6 +225,21 @@ class TestUnusedSuppression:
             "unused suppression: U001 names no check",
         ]
 
+    def test_a_deleted_check_code_is_unknown(self, write_tree):
+        # W002 (epoch publish) and W003 (atomic sections) are gone: a
+        # comment still naming them excuses nothing.
+        report = self.run(write_tree, """
+            a = 0  # repro: noqa[W002] -- publish checked elsewhere
+            b = 0  # repro: noqa[W003]
+        """)
+        assert [(f.code, f.line) for f in report.findings] == [
+            ("U001", 2), ("U001", 3),
+        ]
+        assert [f.message.split(";")[0] for f in report.findings] == [
+            "unused suppression: W002 names no check",
+            "unused suppression: W003 names no check",
+        ]
+
     def test_comment_tokens_only(self):
         ctx = FileContext.parse("x.py", textwrap.dedent('''
             a = "# repro: noqa"
@@ -251,7 +266,7 @@ class TestReport:
         phases = list(data["timings"])
         assert phases[0] == "parse" and phases[-1] == "suppressions"
         assert phases.index("symbols") < phases.index("callgraph")
-        assert {"R001", "W002", "W005"} <= set(phases)
+        assert {"R001", "W004", "W005"} <= set(phases)
         assert "W001" not in phases  # no packet entry point in this tree
         assert all(seconds >= 0 for seconds in data["timings"].values())
 

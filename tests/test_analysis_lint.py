@@ -431,14 +431,53 @@ class TestNonOwnerMutationR008:
         assert "R008" in codes(findings)
 
     def test_exempt_inside_up_package(self):
+        # The UPF-U's flag and the session table's own index writes
+        # stay the up package's business; only the rule maps are
+        # narrowed to their session's mutators.
         findings = run_lint(
             """
-            def install(session):
-                session.pdrs[1] = "pdr"
+            def flush(session):
+                session.report_pending = False
+
+            def index(table, session):
+                table._by_seid[session.seid] = session
+                table._teid_index.pop(session.ul_teid)
             """,
             path="src/repro/up/session_extra.py",
         )
         assert "R008" not in codes(findings)
+
+    def test_session_writing_its_own_rule_maps_is_exempt(self):
+        findings = run_lint(
+            """
+            class Session:
+                def install_far(self, far):
+                    self.fars[far.far_id] = far
+                    self._publish("fars", self.fars, "install_far")
+            """,
+            path="src/repro/up/session_extra.py",
+        )
+        assert "R008" not in codes(findings)
+
+    @pytest.mark.parametrize("shape", [
+        # Update FAR written over the old rule instead of update_far.
+        "session.fars[far.far_id] = far",
+        # Create FAR without install_far.
+        "session.fars[create.far_id] = far_from_ie(create)",
+        # Create PDR without install_pdr.
+        "session.pdrs[pdr.pdr_id] = pdr",
+    ], ids=["update-far", "create-far", "create-pdr"])
+    def test_fires_on_handler_bypassing_the_mutator_inside_up(self, shape):
+        findings = run_lint(
+            f"""
+            class UPFControlPlane:
+                def _modify(self, session, far, create, pdr):
+                    {shape}
+            """,
+            path="src/repro/up/upf_c.py",
+        )
+        assert codes(findings) == ["R008"]
+        assert "call the session's mutator" in findings[0].message
 
     def test_reads_do_not_fire(self):
         findings = run_lint(
@@ -470,72 +509,6 @@ class TestNonOwnerMutationR008:
             path="src/repro/cp/smf_extra.py",
         )
         assert "R008" not in codes(findings)
-
-
-class TestMissingEpochBumpR009:
-    """R009, the function-local shadow of W002, is retired: W002 finds
-    each of its shapes (``tests/test_program_checks.py::
-    TestW002InterproceduralEpochBump`` has them interprocedurally —
-    ``test_callee_side_mutation_without_bump``,
-    ``test_caller_side_bump_discharges_helper_mutation``,
-    ``test_init_population_is_exempt``).  R009's own fixtures stay here,
-    run through W002, so the retirement is checked rather than asserted;
-    the class keeps its name because the tier-1 floor lists it."""
-
-    @staticmethod
-    def run(source):
-        return run_lint(
-            source, path="src/repro/up/session_extra.py", select=["W002"]
-        )
-
-    def test_fires_on_unbumped_rule_mutation(self):
-        findings = self.run(
-            """
-            def install_pdr(self, pdr):
-                self.pdrs[pdr.pdr_id] = pdr
-            """
-        )
-        assert codes(findings) == ["W002"]
-
-    def test_fires_on_unbumped_pop(self):
-        findings = self.run(
-            """
-            def remove_far(self, far_id):
-                self.fars.pop(far_id, None)
-            """
-        )
-        assert codes(findings) == ["W002"]
-
-    def test_bump_in_same_function_passes(self):
-        findings = self.run(
-            """
-            def install_pdr(self, pdr):
-                self.pdrs[pdr.pdr_id] = pdr
-                self.epoch.bump()
-            """
-        )
-        assert findings == []
-
-    def test_init_exempt(self):
-        findings = self.run(
-            """
-            class Session:
-                def __init__(self):
-                    self.pdrs = {}
-                    self.fars = {}
-            """
-        )
-        assert findings == []
-
-    def test_noqa_suppresses(self):
-        findings = self.run(
-            """
-            def install_pdr(self, pdr):
-                self.pdrs[pdr.pdr_id] = pdr  # repro: noqa[W002]
-            """
-        )
-        assert findings == []
-        assert "R009" not in RULE_REGISTRY
 
 
 class TestSuppression:
@@ -615,8 +588,13 @@ class TestRunnerAndCli:
     def test_cli_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in sorted(RULE_REGISTRY) + [f"W00{n}" for n in range(1, 9)]:
+        for code in sorted(RULE_REGISTRY) + ["W001"] + [
+            f"W00{n}" for n in range(4, 10)
+        ]:
             assert code in out
+        # The epoch-publish and atomic-section checks are gone: each
+        # hazard has one detector (DESIGN §6.1).
+        assert "W002" not in out and "W003" not in out
 
     def test_syntax_error_reported_not_raised(self, tmp_path):
         bad = tmp_path / "broken.py"

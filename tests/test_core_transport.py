@@ -542,13 +542,14 @@ class TestUnderInstrumentation:
         env, bus = make_bus()
         rules, seen = {}, []
         with races.traced(env=env) as det:
-            det.register(rules, "rules", owner="upf-c", rule_parts=("fars",))
+            det.register(rules, "rules", owner="upf-c")
 
             def handler(message, b):
                 seen.append((env._active_process, env.yield_generation))
                 with det.role("upf-c"):
                     det.on_write(rules, "fars", detail="bus handler")
-                det.on_bump()
+                with det.role("upf-u"):
+                    det.on_read(rules, "fars")
 
             bus.register("upf", handler)
             bus.send("smf", "upf", "msg", handler_time=handler_time)
@@ -556,25 +557,27 @@ class TestUnderInstrumentation:
         # One section per hop: the handler hop is the second firing.
         assert seen == [(None, generation)]
         assert det.violations == []
+        assert det.accesses == 2
 
     def test_resumed_sender_is_its_own_atomic_section(self):
         """The handler's section ends where the sender's begins, inside
-        one ``env.step()``: a bump by the sender comes too late for a
-        rule the handler wrote."""
+        one ``env.step()``: the sender reading a rule the handler wrote
+        at that instant, under another role, is a race."""
         env, bus = make_bus()
         rules, seen = {}, []
         with races.traced(env=env) as det:
-            det.register(rules, "rules", owner="upf-c", rule_parts=("fars",))
+            det.register(rules, "rules", owner="upf-c")
 
             def handler(message, b):
                 seen.append(("handler", env._active_process, env.yield_generation))
                 with det.role("upf-c"):
-                    det.on_write(rules, "fars", detail="handler, no bump")
+                    det.on_write(rules, "fars", detail="handler write")
 
             def sender():
                 yield bus.send("smf", "upf", "msg", handler_time=0.0)
                 seen.append(("sender", env._active_process, env.yield_generation))
-                det.on_bump()
+                with det.role("upf-u"):
+                    det.on_read(rules, "fars")
 
             bus.register("upf", handler)
             process = env.process(sender())
@@ -582,8 +585,11 @@ class TestUnderInstrumentation:
         # Start of the sender, the arrival hop, the in-place resume.
         assert seen == [("handler", None, 2), ("sender", process, 3)]
         [violation] = det.violations
-        assert violation.kind == "missing-epoch-bump"
-        assert violation.second.generation == 2
+        assert violation.kind == "conflicting-access"
+        assert violation.first.process == "<timer>"
+        assert (violation.first.generation, violation.second.generation) == (
+            2, 3,
+        )
 
     def test_hooks_and_span_are_done_when_the_sender_resumes(self):
         env, bus = make_bus()

@@ -170,8 +170,8 @@ class TestUmbrella:
         data = json.loads(capsys.readouterr().out)
         assert code == 0
         assert data["findings"] == []
-        expected = [f"R00{n}" for n in range(1, 9)] + [
-            f"W00{n}" for n in range(1, 10)
+        expected = [f"R00{n}" for n in range(1, 9)] + ["W001"] + [
+            f"W00{n}" for n in range(4, 10)
         ]
         assert data["codes"] == expected
         assert list(data["timings"]) == (

@@ -88,10 +88,6 @@ class TestDiamondCalls:
         assert chains["pkg.mod.d"][-1] == "pkg.mod.d"
         assert len(chains["pkg.mod.d"]) == 3
 
-    def test_roots_are_uncalled_functions(self, tmp_path):
-        _, graph = graph_for(tmp_path, self.FILES)
-        assert graph.roots() == ["pkg.mod.a"]
-
 
 class TestMethodResolution:
     FILES = {

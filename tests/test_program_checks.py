@@ -1,4 +1,4 @@
-"""W001–W004 and W009 semantic checks on seeded fixtures plus regression
+"""W001, W004 and W009 semantic checks on seeded fixtures plus regression
 tests for the true positives they surfaced in the real tree."""
 
 import os
@@ -10,7 +10,7 @@ from repro.analysis.analyzer import analyze, load_files
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-CODES = ["W001", "W002", "W003", "W004"]
+CODES = ["W001", "W004"]
 
 
 def write_pkg(tmp_path, files):
@@ -144,147 +144,6 @@ class TestW001HotPathBudget:
         assert "W001" not in report.codes
 
 
-class TestW002InterproceduralEpochBump:
-    def test_callee_side_mutation_without_bump(self, tmp_path):
-        report = run_checks(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/mod.py": """
-                class Session:
-                    def _install(self, k, v):
-                        self.pdrs[k] = v
-
-                    def public(self, k, v):
-                        self._install(k, v)
-            """,
-        }, entry_points=[])
-        assert codes(report) == ["W002"]
-        finding = report.findings[0]
-        assert ".pdrs" in finding.message
-        assert "bump" in finding.message
-        # Chain: the event-loop entry, the call into the helper, the site.
-        assert finding.chain[0] == "-> pkg.mod.Session.public"
-        assert any("_install" in step for step in finding.chain)
-        assert finding.line == 4  # the mutation, not the call
-
-    def test_caller_side_bump_discharges_helper_mutation(self, tmp_path):
-        report = run_checks(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/mod.py": """
-                class Session:
-                    def _install(self, k, v):
-                        self.pdrs[k] = v
-
-                    def public(self, k, v):
-                        self._install(k, v)
-                        self.epoch.bump()
-            """,
-        }, entry_points=[])
-        assert codes(report) == []
-
-    def test_bump_on_only_one_branch_is_flagged(self, tmp_path):
-        report = run_checks(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/mod.py": """
-                class Session:
-                    def public(self, k, v, fast):
-                        self.pdrs[k] = v
-                        if fast:
-                            return
-                        self.epoch.bump()
-            """,
-        }, entry_points=[])
-        assert codes(report) == ["W002"]
-
-    def test_bump_via_callee_that_always_bumps(self, tmp_path):
-        report = run_checks(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/mod.py": """
-                class Session:
-                    def _publish(self):
-                        self.epoch.bump()
-
-                    def public(self, k, v):
-                        self.pdrs[k] = v
-                        self._publish()
-            """,
-        }, entry_points=[])
-        assert codes(report) == []
-
-    def test_yield_with_pending_mutation(self, tmp_path):
-        report = run_checks(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/mod.py": """
-                class Session:
-                    def stepper(self, k, v):
-                        self.pdrs[k] = v
-                        yield
-                        self.epoch.bump()
-            """,
-        }, entry_points=[])
-        assert codes(report) == ["W002"]
-        assert "yield" in report.findings[0].message
-
-    def test_init_population_is_exempt(self, tmp_path):
-        report = run_checks(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/mod.py": """
-                class Session:
-                    def __init__(self):
-                        self.pdrs = {}
-                        self.pdrs[0] = None
-            """,
-        }, entry_points=[])
-        assert codes(report) == []
-
-
-class TestW003YieldInAtomic:
-    def test_helper_hidden_yield_in_atomic_section(self, tmp_path):
-        report = run_checks(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/mod.py": """
-                class NF:
-                    def run(self, detector):
-                        with detector.role("upf-u"):
-                            return list(self._work())
-
-                    def _work(self):
-                        yield 1
-            """,
-        }, entry_points=[])
-        assert codes(report) == ["W003"]
-        finding = report.findings[0]
-        assert "_work" in finding.message
-        assert any("_work" in step for step in finding.chain)
-
-    def test_direct_yield_in_atomic_section(self, tmp_path):
-        report = run_checks(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/mod.py": """
-                class NF:
-                    def run(self, detector):
-                        with detector.role("upf-u"):
-                            yield 1
-            """,
-        }, entry_points=[])
-        assert codes(report) == ["W003"]
-        assert "must not suspend" in report.findings[0].message
-
-    def test_non_yielding_section_is_clean(self, tmp_path):
-        report = run_checks(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/mod.py": """
-                class NF:
-                    def run(self, detector):
-                        with detector.role("upf-u"):
-                            return self._work()
-
-                    def _work(self):
-                        return 1
-            """,
-        }, entry_points=[])
-        assert codes(report) == []
-
-
 class TestW004Layering:
     def test_sim_importing_up_is_flagged(self, tmp_path):
         report = run_checks(tmp_path, {
@@ -350,18 +209,6 @@ def _load_repo_files(*relpaths):
 class TestRealTreeRegressions:
     """The true positives this analysis surfaced stay fixed."""
 
-    def test_remove_pdr_bumps_on_every_path(self):
-        # remove_pdr used to pop before the membership check, leaving
-        # the no-bump early return with the container already touched.
-        files = _load_repo_files(
-            "src/repro/up/__init__.py",
-            "src/repro/up/session.py",
-            "src/repro/up/flow_cache.py",
-        )
-        report = analyze(files, select=CODES, entry_points=[])
-        w002 = [f for f in report.findings if f.code == "W002"]
-        assert w002 == []
-
     def test_core5g_uses_the_up_facade(self):
         # cp/core5g.py used to import up submodules directly.
         files = _load_repo_files("src/repro/cp/core5g.py")
@@ -387,87 +234,6 @@ class TestRealTreeRegressions:
         assert "repro.up.upf_u.UPFUserPlane._pipeline" in report.hot_path
         assert "repro.up.keys.packet_key" in report.hot_path
         assert "repro.up.flow_cache.FlowCache.lookup" in report.hot_path
-
-
-def _session_source():
-    path = os.path.join(REPO_ROOT, "src", "repro", "up", "session.py")
-    with open(path, "r", encoding="utf-8") as handle:
-        return path, handle.read()
-
-
-def _without_bump(source, method, occurrence=0):
-    """``source`` with the ``occurrence``-th ``self.epoch.bump()`` of
-    ``UPFSession.<method>`` replaced by ``pass``."""
-    lines = source.splitlines(keepends=True)
-    start = next(
-        i for i, line in enumerate(lines)
-        if line.startswith(f"    def {method}(")
-    )
-    end = next(
-        (i for i in range(start + 1, len(lines))
-         if lines[i].startswith("    def ")),
-        len(lines),
-    )
-    sites = [
-        i for i in range(start, end) if "self.epoch.bump()" in lines[i]
-    ]
-    index = sites[occurrence]
-    lines[index] = lines[index].replace("self.epoch.bump()", "pass")
-    return "".join(lines)
-
-
-class TestW002MutationTable:
-    """The mutation table as a regression: take away one rule-container
-    writer's ``self.epoch.bump()`` in ``up/session.py`` and W002 must
-    name exactly that method."""
-
-    @pytest.fixture(scope="class")
-    def up_files(self):
-        return _load_repo_files("src/repro/up")
-
-    def _w002(self, up_files, mutated):
-        path, _ = _session_source()
-        files = [
-            (p, mutated if p == path else source) for p, source in up_files
-        ]
-        return analyze(files, select=["W002"]).findings
-
-    def test_unmutated_tree_is_clean(self, up_files):
-        assert self._w002(up_files, _session_source()[1]) == []
-
-    @pytest.mark.parametrize("method,occurrence", [
-        ("install_pdr", 0),
-        ("remove_pdr", 0),
-        ("install_far", 0),
-        ("update_far", 0),  # the insert branch
-        ("install_qer_enforcer", 0),
-        ("install_usage_counter", 0),
-    ])
-    def test_dropped_bump_is_one_w002_naming_the_method(
-        self, up_files, method, occurrence
-    ):
-        mutated = _without_bump(_session_source()[1], method, occurrence)
-        findings = self._w002(up_files, mutated)
-        assert [f.code for f in findings] == ["W002"]
-        assert f"mutated in {method}()" in findings[0].message
-        assert findings[0].chain[-1].startswith("-> mutation of .")
-        assert f"UPFSession.{method}:" in findings[0].chain[-1]
-
-    def test_in_place_update_far_branch_is_a_known_blind_spot(
-        self, up_files
-    ):
-        # update_far's second bump publishes an *in-place* change of an
-        # existing FAR: the object inside .fars is mutated, the
-        # container is not, so W002 (which watches the containers of
-        # lifecycle.RULE_CONTAINERS) cannot see it.  That branch is
-        # covered behaviourally instead, by
-        #   tests/test_up_flow_cache.py::TestEpochWiring::
-        #       test_every_mutator_bumps[update_far]
-        #   tests/test_up_flow_cache.py::TestPipelineFastPath::
-        #       test_update_far_invalidates
-        # which both update the existing FAR 2, i.e. take that branch.
-        mutated = _without_bump(_session_source()[1], "update_far", 1)
-        assert self._w002(up_files, mutated) == []
 
 
 class TestW009UnreachedDefinition:

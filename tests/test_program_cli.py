@@ -170,7 +170,7 @@ class TestRepoIntegration:
     ):
         monkeypatch.chdir(REPO_ROOT)
         code = run_cli([os.path.join("src", "repro"), "--json",
-                        "--select", "W001,W002,W003,W004"])
+                        "--select", "W001,W004"])
         data = json.loads(capsys.readouterr().out)
         assert code == 0
         assert data["findings"] == []

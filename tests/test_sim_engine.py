@@ -373,42 +373,48 @@ class TestTimers:
         assert hops == [(2, 0.5), (1, 1.0), (0, 1.5)]
 
     def test_firing_is_a_fresh_atomic_section_for_the_race_detector(self):
-        """A rule mutation inside a timer callback must be bumped in
-        that same callback: a bump in the next firing, even at the same
-        instant, is a different section and comes too late."""
+        """Two timers due at the same instant are two sections: a
+        cross-role write in one and read in the other conflict."""
         env = Environment()
         rules = {}
         with races.traced(env=env) as det:
-            det.register(rules, "rules", owner="upf-c", rule_parts=("fars",))
+            det.register(rules, "rules", owner="upf-c")
 
-            def mutate():
-                with det.role("upf-c"):
-                    det.on_write(rules, "fars", detail="timer, no bump")
+            def access(role, write):
+                with det.role(role):
+                    if write:
+                        det.on_write(rules, "fars", detail="timer write")
+                    else:
+                        det.on_read(rules, "fars")
 
-            env.call_later(1.0, mutate)
-            env.call_later(1.0, det.on_bump)
+            env.call_later(1.0, access, "upf-c", True)
+            env.call_later(1.0, access, "upf-u", False)
             env.run()
         [violation] = det.violations
-        assert violation.kind == "missing-epoch-bump"
-        assert violation.second.generation == 1
-        # Reported when the next firing began, not only at finish().
-        assert "before the next yield" in violation.detail
+        assert violation.kind == "conflicting-access"
+        assert (violation.first.generation, violation.second.generation) == (
+            1, 2,
+        )
+        assert violation.second.process == "<timer>"
 
-    def test_bump_inside_the_same_firing_discharges_the_mutation(self):
+    def test_accesses_inside_one_firing_never_conflict(self):
         env = Environment()
         rules = {}
         with races.traced(env=env) as det:
-            det.register(rules, "rules", owner="upf-c", rule_parts=("fars",))
+            det.register(rules, "rules", owner="upf-c")
 
-            def mutate_and_bump():
+            def write_then_read():
                 with det.role("upf-c"):
-                    det.on_write(rules, "fars", detail="timer, bumped")
-                det.on_bump()
+                    det.on_write(rules, "fars", detail="timer write")
+                with det.role("upf-u"):
+                    det.on_read(rules, "fars")
 
-            env.call_later(1.0, mutate_and_bump)
+            env.call_later(1.0, write_then_read)
             env.call_later(1.0, lambda: None)
             env.run()
         assert det.violations == []
+        assert det.accesses == 2
+        assert not det.firing
 
 
 class TestFire:
@@ -651,24 +657,27 @@ class TestCallTogether:
         assert seen == ["rest", "nested"] and env._batches == {}
 
     def test_a_firing_batch_is_one_atomic_section_for_the_race_detector(self):
-        """The counterpart of ``TestTimers``' two-timer case: a bump in
-        a later item of the same batch discharges the mutation."""
+        """The counterpart of ``TestTimers``' two-timer case: a read in
+        a later item of the same batch does not race a write in an
+        earlier one."""
         env = Environment()
         rules = {}
         with races.traced(env=env) as det:
-            det.register(rules, "rules", owner="upf-c", rule_parts=("fars",))
+            det.register(rules, "rules", owner="upf-c")
 
-            def item(bump):
-                if bump:
-                    det.on_bump()
-                else:
+            def item(write):
+                if write:
                     with det.role("upf-c"):
                         det.on_write(rules, "fars", detail="batch item")
+                else:
+                    with det.role("upf-u"):
+                        det.on_read(rules, "fars")
 
-            env.call_together(1.0, item, False)
             env.call_together(1.0, item, True)
+            env.call_together(1.0, item, False)
             env.run()
         assert det.violations == []
+        assert det.accesses == 2
         assert env.yield_generation == 1
 
     @given(

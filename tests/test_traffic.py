@@ -7,12 +7,7 @@ import pytest
 from repro.net import FiveTuple, Packet
 from repro.sim import Environment
 from repro.sim.engine import Process
-from repro.traffic import (
-    ConstantRateGenerator,
-    LatencySeries,
-    percentile,
-    summarize,
-)
+from repro.traffic import ConstantRateGenerator, LatencySeries, percentile
 
 
 class TestGenerator:
@@ -277,22 +272,3 @@ class TestLatencySeries:
     def test_empty_return_path_raises(self):
         with pytest.raises(ValueError):
             _ = LatencySeries().return_path
-
-
-class TestSummary:
-    def test_elevated_counting(self):
-        series = LatencySeries()
-        for index in range(90):
-            series.record(float(index), 0.001)
-        for index in range(90, 100):
-            series.record(float(index), 0.1)
-        summary = summarize(series)
-        assert summary.count == 100
-        assert summary.elevated_count == 10
-        # RTT = one-way + steady return path (1 ms each).
-        assert summary.base_rtt == pytest.approx(0.002, rel=0.1)
-        assert summary.maximum == pytest.approx(0.101, rel=0.1)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            summarize(LatencySeries())

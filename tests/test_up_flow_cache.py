@@ -425,15 +425,19 @@ class TestEpochWiring:
     @pytest.mark.parametrize(
         "mutate",
         [
+            lambda s: s.install_pdr(make_session(2, LinearClassifier).pdrs[2]),
             lambda s: s.install_far(FAR(far_id=7)),
             lambda s: s.update_far(FAR(far_id=2)),
+            lambda s: s.update_far(FAR(far_id=9)),
             lambda s: s.remove_pdr(1),
             lambda s: s.install_qer_enforcer(QerEnforcer(qer_id=5)),
             lambda s: s.install_usage_counter(UsageCounter(urr_id=5)),
         ],
         ids=[
+            "install_pdr",
             "install_far",
             "update_far",
+            "update_far-new",
             "remove_pdr",
             "install_qer_enforcer",
             "install_usage_counter",
@@ -447,6 +451,18 @@ class TestEpochWiring:
         mutate(session)
         assert table.epoch.value > before
 
+    def test_table_membership_changes_bump(self):
+        table = SessionTable()
+        before = table.epoch.value
+        table.add(make_session(1, LinearClassifier))
+        assert table.epoch.value == before + 1
+        table.remove(1)
+        assert table.epoch.value == before + 2
+        # Removing an unknown session changes nothing, so it publishes
+        # nothing.
+        table.remove(1)
+        assert table.epoch.value == before + 2
+
     def test_packet_key_matches_session_key(self):
         """Classifying on the shared pre-built key == letting the
         session build its own."""
@@ -454,6 +470,97 @@ class TestEpochWiring:
         session = make_session(3, LinearClassifier)
         matched = session.match_pdr(packet, key=packet_key(packet))
         assert matched is session.match_pdr(packet) is session.pdrs[1]
+
+
+class TestPublishThroughPfcp:
+    """A PFCP session modification must reach a flow the cache already
+    holds: each rule the UPF-C writes is published through the
+    session's mutator, never written into the rule maps directly."""
+
+    SUPI = "imsi-208930000009002"
+
+    def _warm_core(self):
+        from repro.cp import SystemConfig, scenario
+        from repro.cp.scenario import ATTACH
+        from repro.experiments.common import data_plane_core
+
+        config = SystemConfig.l25gc()
+        config.flow_cache = True
+        core = data_plane_core(config)
+        scenario.run(core, {self.SUPI: [*ATTACH, ("downlink", 10_000, 1e-3)]})
+        assert len(core.ues[self.SUPI].received) == 10
+        assert core.upf_u.flow_cache.hits == 9  # the flow is warm
+        return core, core.smf.context_for(self.SUPI, 1)
+
+    @staticmethod
+    def _dl(core, sm):
+        # The scenario's downlink flow: the same key as the warm entry.
+        return Packet(
+            direction=Direction.DOWNLINK,
+            flow=FiveTuple(
+                src_ip=core.DN_ADDRESS, dst_ip=sm.ue_ip,
+                src_port=80, dst_port=40000,
+            ),
+            created_at=core.env.now,
+        )
+
+    def test_paging_buffer_update_reaches_the_warm_flow(self):
+        from repro.cp import scenario
+
+        core, sm = self._warm_core()
+        ue = core.ues[self.SUPI]
+        # AN release: the SMF's buffer_for_paging Update FAR.
+        scenario.run(core, {self.SUPI: [("idle",)]})
+        packets = [self._dl(core, sm) for _ in range(3)]
+        outcomes = [core.upf_u.process(packet) for packet in packets]
+        assert outcomes == ["buffered"] * 3
+        # Paging: forward_again drains the buffer, in order.
+        scenario.run(core, {self.SUPI: [("page",)]})
+        assert ue.received[-3:] == packets
+        assert core.upf_u.process(self._dl(core, sm)) == "forwarded-dl"
+
+    def test_rules_created_by_a_modification_reach_the_warm_flow(self):
+        from repro.pfcp.messages import SessionModificationRequest
+
+        core, sm = self._warm_core()
+
+        def modify(*created):
+            core.upf_c.handle(SessionModificationRequest(
+                seid=sm.seid, sequence=core.smf.next_sequence(),
+                ies=list(created),
+            ))
+            return core.upf_u.process(self._dl(core, sm))
+
+        def far_3(flags, *params):
+            children = [pfcp_ies.FarIdIE(rule_id=3),
+                        pfcp_ies.ApplyActionIE(flags=flags)]
+            if params:
+                children.append(
+                    pfcp_ies.ForwardingParametersIE(children=list(params)))
+            return pfcp_ies.CreateFarIE(children=children)
+
+        # A dropping FAR 3 that nothing references yet.
+        assert modify(far_3(pfcp_ies.ACTION_DROP)) == "forwarded-dl"
+        # A DL PDR above the session's own (precedence 32) selects it.
+        pdr_3 = pfcp_ies.CreatePdrIE(children=[
+            pfcp_ies.PdrIdIE(rule_id=3),
+            pfcp_ies.PrecedenceIE(precedence=1),
+            pfcp_ies.PdiIE(children=[
+                pfcp_ies.SourceInterfaceIE(interface=pfcp_ies.CORE),
+                pfcp_ies.UeIpAddressIE(
+                    address=sm.ue_ip, source_or_destination=1),
+            ]),
+            pfcp_ies.FarIdIE(rule_id=3),
+        ])
+        assert modify(pdr_3) == "drop-action"
+        # FAR 3 re-created as forward-to-gNB: the decision follows.
+        forward = far_3(
+            pfcp_ies.ACTION_FORW,
+            pfcp_ies.DestinationInterfaceIE(interface=pfcp_ies.ACCESS),
+            pfcp_ies.OuterHeaderCreationIE(
+                teid=sm.dl_teid, address=sm.gnb_address),
+        )
+        assert modify(forward) == "forwarded-dl"
 
 
 # ----------------------------------------------------------------------
