@@ -10,9 +10,9 @@ tool, dynamically in two opt-in runtime detectors:
   (:mod:`.analyzer`, CLI in :mod:`.__main__`).  One run parses each
   file once and runs the file-local rules R001–R008 (:mod:`.rules`:
   determinism, frozen messages, single-writer ownership) and the
-  whole-program checks W001 and W004–W009 (:mod:`.program`: per-packet
-  allocation sites, layering, descriptor/session/resource lifecycles,
-  dead config, code that only tests reach).
+  whole-program checks W001, W004, W006, W008 and W009 (:mod:`.program`:
+  per-packet allocation sites, layering, the session lifecycle, dead
+  config, code that only tests reach).
   Exit 0 clean, 1 findings, 2 bad input.  Every exemption is an inline
   ``# repro: noqa[CODE] -- reason`` on the line it excuses; one that
   excuses nothing is itself a finding.

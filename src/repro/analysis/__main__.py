@@ -1,11 +1,11 @@
 """``python -m repro.analysis [paths]`` — the one static-analysis CLI.
 
-Runs R001–R008 and W001–W009 (:func:`repro.analysis.analyzer.analyze`)
-over the given files/directories, default ``src tests`` plus
-``examples benchmarks`` where they exist; the whole-program checks take
-the files outside any ``tests/`` directory, and W009 roots its reach at
-``tests/conftest.py``, ``examples/``, ``benchmarks/`` and the
-``__main__`` modules.
+Runs R001–R008, W001, W004, W006, W008 and W009
+(:func:`repro.analysis.analyzer.analyze`) over the given
+files/directories, default ``src tests`` plus ``examples benchmarks``
+where they exist; the whole-program checks take the files outside any
+``tests/`` directory, and W009 roots its reach at ``tests/conftest.py``,
+``examples/``, ``benchmarks/`` and the ``__main__`` modules.
 
 Options
 -------
@@ -122,7 +122,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description=(
             "Static analysis of the L25GC reproduction: determinism and "
             "ownership rules (R001-R008), hot-path, layering, "
-            "lifecycle and reach checks (W001, W004-W009)."
+            "lifecycle and reach checks (W001, W004, W006, W008, W009)."
         ),
     )
     parser.add_argument("paths", nargs="*")

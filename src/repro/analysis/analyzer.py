@@ -4,12 +4,13 @@ One run reads and parses every file once (one
 :class:`~repro.analysis.rules.FileContext` each, shared by the R-rules,
 the symbol table and the suppression filter), builds one symbol table,
 one call graph and one CFG per function over the production files
-(those outside any ``tests/`` directory), runs R001–R008, W001 and
-W004–W008 over them, runs W009 over every file (its roots are ``tests/conftest.py``,
-``examples/``, ``benchmarks/`` and the ``__main__`` modules; it runs
-only when those are in the set, and builds no program), and only then
-filters: it sees every finding before any is suppressed, which is what
-lets it report a ``repro: noqa`` that excused nothing.
+(those outside any ``tests/`` directory), runs R001–R008, W001, W004,
+W006 and W008 over them, runs W009 over every file (its roots are
+``tests/conftest.py``, ``examples/``, ``benchmarks/`` and the
+``__main__`` modules; it runs only when those are in the set, and
+builds no program), and only then filters: it sees every finding
+before any is suppressed, which is what lets it report a
+``repro: noqa`` that excused nothing.
 
 Exemptions are inline comments and nothing else — there is no baseline
 or budget file.  The property those guarded ("a suppression cannot
@@ -38,7 +39,7 @@ from .program.checks import (
 from .program.reach import check_w009, has_roots
 from .program.solver import Program
 from .program.symbols import SymbolTable, build_symbol_table
-from .program.typestate import check_typestate, check_w008
+from .program.typestate import check_w006, check_w008
 from .rules import (
     RULE_REGISTRY,
     SYNTAX_ERROR,
@@ -65,13 +66,9 @@ PROGRAM_CHECKS: Dict[str, Tuple[str, str]] = {
     "W004": ("layering",
              "Import edge pointing up the stack (sim/up/cp/"
              "instrumentation)."),
-    "W005": ("descriptor-typestate",
-             "Mutate-after-send / double-enqueue of a descriptor."),
     "W006": ("session-lifecycle",
-             "Session/rule use after remove, double establish, dangling "
-             "FAR reference."),
-    "W007": ("leak-on-raise",
-             "Resource still held on a raising path."),
+             "Session/rule use after remove: a rule call on a torn-down "
+             "session."),
     "W008": ("dead-config",
              "Config flag or metric instrument nothing observes."),
     "W009": ("unreached-definition",
@@ -244,9 +241,7 @@ def analyze(
         )
         checks: Dict[str, Callable[[], List[Finding]]] = {
             "W004": lambda: check_w004(table),
-            "W005": lambda: check_typestate(program, "W005"),
-            "W006": lambda: check_typestate(program, "W006"),
-            "W007": lambda: check_typestate(program, "W007"),
+            "W006": lambda: check_w006(program),
             "W008": lambda: check_w008(program),
         }
         if entries:  # else nothing to reach from: W001 does not run

@@ -1,10 +1,10 @@
 """Statement-level control-flow graphs with def/use and exception edges.
 
 The substrate :func:`~repro.analysis.program.solver.solve` runs its
-worklist fixpoints over: one graph per function, built once per run and
-shared by every path-sensitive check (W005–W007).  Each :class:`CFGNode` covers one statement (compound
-statements contribute a *header* node for their test/iterator plus
-nodes for their bodies) and carries:
+worklist fixpoints over: one graph per function, built once per run
+for the path-sensitive check W006.  Each :class:`CFGNode` covers one
+statement (compound statements contribute a *header* node for their
+test/iterator plus nodes for their bodies) and carries:
 
 * ``defs`` — local names (re)bound by the statement,
 * ``uses`` — local names read,
@@ -24,7 +24,7 @@ decision) to the innermost enclosing handler dispatch, else to the
 synthetic ``raise-exit`` node.  ``try/finally`` is modeled with one
 shared finally subgraph entered from both the normal and the
 exceptional side; this merges paths (a deliberate approximation) but
-keeps releases in ``finally`` visible on every route out of the block.
+keeps a ``finally`` body visible on every route out of the block.
 """
 
 from __future__ import annotations
@@ -77,11 +77,6 @@ class CFGNode:
     raises: bool = False
     succ: List[int] = field(default_factory=list)
     exc_succ: List[int] = field(default_factory=list)
-    #: For branch headers (if/while/for): the subset of ``succ`` entered
-    #: when the test is truthy (the body).  Everything else in ``succ``
-    #: is the implicit/explicit else path.  Lets a branch-aware analysis
-    #: propagate different states down the two arms.
-    body_succ: List[int] = field(default_factory=list)
 
     @property
     def may_raise(self) -> bool:
@@ -311,7 +306,6 @@ class _Builder:
         self.wire(preds, test)
         self.exc_edge(test)
         body_out = self.body(stmt.body, [test.index])
-        test.body_succ = list(test.succ)
         if stmt.orelse:
             else_out = self.body(stmt.orelse, [test.index])
         else:
@@ -344,7 +338,6 @@ class _Builder:
         breaks: List[int] = []
         self.loops.append((head.index, breaks))
         body_out = self.body(stmt.body, [head.index])
-        head.body_succ = list(head.succ)
         self.loops.pop()
         for out in body_out:
             self.nodes[out].succ.append(head.index)  # back edge

@@ -35,8 +35,8 @@ __all__ = [
 
 #: Instrumentation sub-packages: calls into them are gated behind
 #: ``is None`` checks on the fast path, so reachability (W001) and
-#: the effect summaries stop at their boundary, and W004 polices who
-#: may import them instead.
+#: the path-sensitive checks stop at their boundary, and W004 polices
+#: who may import them instead.
 INSTRUMENTATION = ("analysis", "obs")
 
 

@@ -43,9 +43,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields as dataclass_fields, is_dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-# Violation kinds and ownership-state names are the shared lifecycle
-# vocabulary: the static typestate checks (repro.analysis.dataflow,
-# W005) cite the same strings, so static and dynamic reports correlate.
+# Violation kinds and ownership-state names come from the shared
+# lifecycle vocabulary, where every detector's hazard names live.
 from .lifecycle import (
     DOUBLE_ENQUEUE,
     MUTATE_AFTER_SEND,

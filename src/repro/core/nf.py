@@ -159,16 +159,6 @@ class NetworkFunction:
     # ------------------------------------------------------------------
     # Descriptor I/O helpers
     # ------------------------------------------------------------------
-    def send_to_nf(self, descriptor: Descriptor, service_id: int) -> None:
-        """Queue a descriptor for another NF via the manager."""
-        descriptor.set_action(PacketAction.TO_NF, service_id)
-        self._tx(descriptor)
-
-    def send_out(self, descriptor: Descriptor, port: int = 0) -> None:
-        """Queue a descriptor for transmission out of a NIC port."""
-        descriptor.set_action(PacketAction.OUT, port)
-        self._tx(descriptor)
-
     def drop(self, descriptor: Descriptor) -> None:
         descriptor.set_action(PacketAction.DROP)
         self._tx(descriptor)

@@ -79,8 +79,8 @@ class TestOneEngine:
         assert parses.calls == len(files) == 6
         assert tables.calls == 1
         assert graphs.calls == 1
-        # One CFG per function, shared by W005-W007 (the test file is
-        # not part of the program).
+        # One CFG per function, built for W006 (the test file is not
+        # part of the program).
         assert sorted(report.table.functions) == [
             "pkg.sim.engine.stamp",
             "pkg.up.session.Session.emit",
@@ -126,20 +126,20 @@ class TestSyntaxError:
             "pkg/__init__.py": "",
             "pkg/broken.py": "def broken(:\n",
             "pkg/up.py": """
-                def emit(chan, desc, items=[]):
-                    chan.send(desc)
-                    desc.seq = 2
+                def drop(table, seid):
+                    s = table.remove(seid)
+                    s.install_far(3)
             """,
         })
         report = analyze(load_files(["pkg"]))
-        assert sorted(codes(report)) == ["R000", "W005"]
+        assert sorted(codes(report)) == ["R000", "W006"]
         broken = next(f for f in report.findings if f.code == "R000")
         assert broken.path.endswith("broken.py") and broken.line == 1
         assert "syntax error" in broken.message
         assert sorted(report.table.modules) == ["pkg", "pkg.up"]
         assert main(["pkg"]) == 1
         out = capsys.readouterr().out
-        assert out.count("R000") == 1 and "W005" in out
+        assert out.count("R000") == 1 and "W006" in out
 
     def test_r000_survives_select_and_noqa(self, write_tree):
         write_tree({"pkg/broken.py": "def broken(:  # repro: noqa\n"})
@@ -266,7 +266,7 @@ class TestReport:
         phases = list(data["timings"])
         assert phases[0] == "parse" and phases[-1] == "suppressions"
         assert phases.index("symbols") < phases.index("callgraph")
-        assert {"R001", "W004", "W005"} <= set(phases)
+        assert {"R001", "W004", "W006"} <= set(phases)
         assert "W001" not in phases  # no packet entry point in this tree
         assert all(seconds >= 0 for seconds in data["timings"].values())
 

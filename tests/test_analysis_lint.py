@@ -588,13 +588,14 @@ class TestRunnerAndCli:
     def test_cli_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in sorted(RULE_REGISTRY) + ["W001"] + [
-            f"W00{n}" for n in range(4, 10)
+        for code in sorted(RULE_REGISTRY) + [
+            "W001", "W004", "W006", "W008", "W009",
         ]:
             assert code in out
-        # The epoch-publish and atomic-section checks are gone: each
-        # hazard has one detector (DESIGN §6.1).
-        assert "W002" not in out and "W003" not in out
+        # The epoch-publish, atomic-section, descriptor and leak checks
+        # are gone: each hazard has one detector (DESIGN §6.1).
+        for code in ("W002", "W003", "W005", "W007"):
+            assert code not in out
 
     def test_syntax_error_reported_not_raised(self, tmp_path):
         bad = tmp_path / "broken.py"

@@ -26,7 +26,7 @@ from repro.net import Direction, FiveTuple, Packet, PacketKind
 from repro.pfcp.builder import build_session_establishment
 from repro.resiliency import ResiliencyFramework
 from repro.sim import MS, Environment
-from repro.up import FAR, FARAction, UPFSession
+from repro.up import FAR, FARAction, UPFControlPlane, UPFSession
 
 
 UE_IP = 0x0A3C0001
@@ -107,6 +107,28 @@ class TestSeededNonOwnerWrite:
         assert "prior write" in text
         assert "this  write" in text
         assert "report_pending" in text
+
+    def test_upf_c_writing_report_pending_in_modify_is_flagged(
+        self, monkeypatch
+    ):
+        """The write the note in ``UPFControlPlane._modify`` forbids:
+        the PFCP handler runs as "upf-c", so a ``report_pending`` write
+        from inside it is a non-owner write of UPF-U state."""
+        is_buffering = UPFControlPlane._is_buffering
+
+        def clearing(self, session, far_id):
+            session.report_pending = False
+            return is_buffering(self, session, far_id)
+
+        monkeypatch.setattr(UPFControlPlane, "_is_buffering", clearing)
+        env = Environment()
+        with races.traced(env=env) as det:
+            scenario.run(FiveGCore(env, SystemConfig.l25gc()), {SUPI: ATTACH})
+        [violation] = det.violations
+        assert violation.kind == "non-owner-write"
+        assert violation.part == "report_pending"
+        assert violation.owner == "upf-u"
+        assert violation.second.role == "upf-c"
 
     def test_owner_write_is_clean(self):
         with races.traced() as det:

@@ -2,11 +2,14 @@
 
 These tests commit the exact sins the zero-copy transports make
 possible — mutating a message after handing it to the bus, enqueuing
-one descriptor on two rings — and assert the sanitizer catches each
-with an actionable report: the offending send site and a field-level
-diff.
+one descriptor on two rings, writing a descriptor the NF platform has
+already handed over — and assert the sanitizer catches each with an
+actionable report: the offending send site and a field-level diff.
 """
 
+import inspect
+import linecache
+import os
 from dataclasses import dataclass, field
 
 import pytest
@@ -17,7 +20,15 @@ from repro.analysis.sanitizer import (
     SanitizerError,
     sanitized,
 )
-from repro.core import Channel, DEFAULT_COSTS, MessageBus, Ring
+from repro.core import (
+    Channel,
+    DEFAULT_COSTS,
+    MessageBus,
+    NetworkFunction,
+    NFManager,
+    PacketAction,
+    Ring,
+)
 from repro.core.pool import Descriptor
 from repro.sim import Environment
 
@@ -184,6 +195,59 @@ class TestRingIntegration:
             ring.enqueue(descriptor)  # fresh cycle, no use-after-dequeue
             ring.dequeue()
         assert san.violations == []
+
+
+class TestProductionHandoffs:
+    """The NF platform's three descriptor handoffs: a write through the
+    producer's reference between the handoff and its consumer is a
+    mutate-after-send naming the handoff's own enqueue line."""
+
+    @pytest.mark.parametrize(
+        "handoff",
+        [NFManager.inject, NFManager._route, NetworkFunction._tx],
+        ids=["NFManager.inject", "NFManager._route", "NF._tx"],
+    )
+    def test_write_before_the_consumer_names_the_send_site(
+        self, handoff, monkeypatch
+    ):
+        env = Environment()
+        manager = NFManager(env, pool_size=4)
+        first = NetworkFunction(env, "nf-1", service_id=1)
+        second = NetworkFunction(env, "nf-2", service_id=2)
+        for nf in (first, second):
+            manager.register(nf)
+            nf.start()  # running, but the poll loops never get to run
+        allocated = []
+        alloc = manager.pool.alloc
+        monkeypatch.setattr(
+            manager.pool, "alloc",
+            lambda payload=None: allocated.append(alloc(payload))
+            or allocated[-1],
+        )
+        with sanitized() as san:
+            if handoff is NFManager.inject:
+                assert manager.inject({"seq": 1}, 1)
+                consumer = first.rx_ring
+            elif handoff is NFManager._route:
+                manager._route(manager.pool.alloc({"seq": 1}).set_action(
+                    PacketAction.TO_NF, 2
+                ))
+                consumer = second.rx_ring
+            else:
+                first.drop(manager.pool.alloc({"seq": 1}))
+                consumer = first.tx_ring
+            [descriptor] = allocated
+            descriptor.meta["stamp"] = "late"  # stale producer reference
+            assert consumer.dequeue_burst(1) == [descriptor]
+        [violation] = san.violations
+        assert violation.kind == "mutate-after-send"
+        assert any(path.startswith("meta") for path, _, _ in violation.diff)
+        path, line = violation.send_site.rsplit(":", 1)
+        lines, start = inspect.getsourcelines(handoff)
+        assert path == inspect.getsourcefile(handoff)
+        assert start <= int(line) < start + len(lines)
+        assert "enqueue(descriptor)" in linecache.getline(path, int(line))
+        assert os.path.basename(path) in violation.report()
 
 
 class TestModes:

@@ -1,9 +1,9 @@
-"""The typestate checks (W005–W008) through ``python -m repro.analysis``.
+"""The lifecycle checks (W006, W008) through ``python -m repro.analysis``.
 
-These cases predate the single CLI (they drove the retired
-``repro.analysis.dataflow`` entry point and the ``all`` umbrella) and
-keep their names because the tier-1 floor lists them; new CLI behaviour
-is tested in ``tests/test_analysis_cli.py``.
+These cases predate the single CLI (they drove a separate entry point
+and an ``all`` umbrella) and keep their names because the tier-1 floor
+lists them; new CLI behaviour is tested in
+``tests/test_analysis_cli.py``.
 """
 
 import json
@@ -19,17 +19,17 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DIRTY = {
     "pkg/__init__.py": "",
     "pkg/up.py": """
-        def emit(chan, desc):
-            chan.send(desc)
-            desc.seq = 2
+        def drop(table, seid):
+            s = table.remove(seid)
+            s.install_far(3)
     """,
 }
 
 CLEAN = {
     "pkg/__init__.py": "",
     "pkg/up.py": """
-        def emit(chan, desc):
-            chan.send(desc)
+        def drop(table, seid):
+            s = table.remove(seid)
     """,
 }
 
@@ -56,7 +56,7 @@ class TestExitCodes:
         write_tree(DIRTY)
         assert main(["pkg"]) == 1
         out = capsys.readouterr().out
-        assert "W005" in out
+        assert "W006" in out
         assert "call chain:" in out
 
     def test_missing_path_exits_two(self, write_tree, capsys):
@@ -74,11 +74,11 @@ class TestExitCodes:
 class TestSelection:
     def test_select_other_code_skips_finding(self, write_tree):
         write_tree(DIRTY)
-        assert main(["pkg", "--select", "W006"]) == 0
+        assert main(["pkg", "--select", "W008"]) == 0
 
     def test_ignore_silences_finding(self, write_tree):
         write_tree(DIRTY)
-        assert main(["pkg", "--ignore", "W005"]) == 0
+        assert main(["pkg", "--ignore", "W006"]) == 0
 
 
 class TestFormats:
@@ -87,26 +87,26 @@ class TestFormats:
         assert main(["pkg", "--format", "github"]) == 1
         out = capsys.readouterr().out
         assert "::error file=" in out
-        assert "W005" in out
+        assert "W006" in out
 
     def test_json_payload(self, write_tree, capsys):
         write_tree(DIRTY)
         assert main(["pkg", "--json"]) == 1
         data = json.loads(capsys.readouterr().out)
-        assert data["findings"][0]["code"] == "W005"
+        assert data["findings"][0]["code"] == "W006"
         assert data["findings"][0]["chain"]
         assert data["stats"]["functions"] >= 1
 
 
 EXCUSED = """
-    def emit(chan, desc):
-        chan.send(desc)
-        desc.seq = 2  # repro: noqa[W005] -- fixture
+    def drop(table, seid):
+        s = table.remove(seid)
+        s.install_far(3)  # repro: noqa[W006] -- fixture
 """
 
 PAID_OFF = """
-    def emit(chan, desc):
-        chan.send(desc)  # repro: noqa[W005] -- fixture
+    def drop(table, seid):
+        s = table.remove(seid)  # repro: noqa[W006] -- fixture
 """
 
 
@@ -134,16 +134,16 @@ class TestBaseline:
         assert main(["pkg"]) == 1
         out = capsys.readouterr().out
         assert "U001" in out
-        assert "unused suppression: W005 does not fire here" in out
+        assert "unused suppression: W006 does not fire here" in out
 
     def test_stale_gate_scoped_to_selected_codes(
         self, tmp_path, write_tree, capsys
     ):
-        # A W005 exemption must not count as unused when only W006 runs.
+        # A W006 exemption must not count as unused when only W008 runs.
         write_tree({**CLEAN, "pkg/up.py": PAID_OFF})
-        assert main(["pkg", "--select", "W006"]) == 0
-        assert main(["pkg", "--ignore", "W005"]) == 0
-        assert main(["pkg", "--select", "W005"]) == 1
+        assert main(["pkg", "--select", "W008"]) == 0
+        assert main(["pkg", "--ignore", "W006"]) == 0
+        assert main(["pkg", "--select", "W006"]) == 1
 
 
 class TestRepoIntegration:
@@ -152,7 +152,7 @@ class TestRepoIntegration:
     ):
         monkeypatch.chdir(REPO_ROOT)
         code = main([os.path.join("src", "repro"), "--json",
-                     "--select", "W005,W006,W007,W008"])
+                     "--select", "W006,W008"])
         data = json.loads(capsys.readouterr().out)
         assert code == 0
         assert data["findings"] == []
@@ -170,8 +170,8 @@ class TestUmbrella:
         data = json.loads(capsys.readouterr().out)
         assert code == 0
         assert data["findings"] == []
-        expected = [f"R00{n}" for n in range(1, 9)] + ["W001"] + [
-            f"W00{n}" for n in range(4, 10)
+        expected = [f"R00{n}" for n in range(1, 9)] + [
+            "W001", "W004", "W006", "W008", "W009",
         ]
         assert data["codes"] == expected
         assert list(data["timings"]) == (
