@@ -29,7 +29,12 @@ class Classifier:
         raise NotImplementedError
 
     def remove(self, rule: Rule) -> bool:
-        """Remove a rule (matched by rule_id); True if it was present."""
+        """Remove a stored rule; True if it was present.
+
+        Pass the object that was inserted (a session passes the PDR it
+        maps): PartitionSort finds it by its ranges, then by rule_id,
+        so a rule whose ranges changed since insertion is not found.
+        """
         raise NotImplementedError
 
     def lookup(self, key: Sequence[int]) -> Optional[Rule]:
@@ -54,9 +59,9 @@ class Classifier:
     def remove_by_id(self, rule_id: int) -> bool:
         """Remove the stored rule carrying ``rule_id``; True if found.
 
-        Subclasses override this with an id-indexed fast path — the
-        default falls back to :meth:`rules`, which snapshots the whole
-        rule set and is O(n) regardless of structure.
+        The default snapshots :meth:`rules`, O(n) regardless of
+        structure; a caller holding the stored rule calls :meth:`remove`
+        instead, which needs no id index.
         """
         for existing in self.rules():
             if existing.rule_id == rule_id:

@@ -25,7 +25,7 @@ partition, mirroring the original algorithm's priority pruning.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .base import Classifier
 from .rule import FULL_DOMAIN, NUM_FIELDS, Rule
@@ -231,7 +231,7 @@ class PartitionSortClassifier(Classifier):
 
     name = "PDR-PS"
 
-    __slots__ = ("_field_order", "_partitions", "_count", "_by_id")
+    __slots__ = ("_field_order", "_partitions", "_count")
 
     def __init__(self, field_order: Optional[Sequence[int]] = None):
         self._field_order: _Dims = (
@@ -239,9 +239,6 @@ class PartitionSortClassifier(Classifier):
         )
         self._partitions: List[_SortableRuleset] = []
         self._count = 0
-        #: rule_id -> stored rule: removals by id locate the rule with
-        #: one dict probe, then binary-search only its partition.
-        self._by_id: Dict[int, Rule] = {}
 
     def insert(self, rule: Rule) -> None:
         # Try existing partitions, largest first — the original
@@ -249,14 +246,12 @@ class PartitionSortClassifier(Classifier):
         for partition in sorted(self._partitions, key=len, reverse=True):
             if partition.try_insert(rule):
                 self._count += 1
-                self._by_id[rule.rule_id] = rule
                 self._resort()
                 return
         fresh = _SortableRuleset(self._field_order)
         fresh.try_insert(rule)
         self._partitions.append(fresh)
         self._count += 1
-        self._by_id[rule.rule_id] = rule
         self._resort()
 
     def _resort(self) -> None:
@@ -270,17 +265,9 @@ class PartitionSortClassifier(Classifier):
                 self._count -= 1
                 if len(partition) == 0:
                     self._partitions.remove(partition)
-                self._by_id.pop(rule.rule_id, None)
                 self._resort()
                 return True
         return False
-
-    def remove_by_id(self, rule_id: int) -> bool:
-        """Id-indexed removal avoiding the rules() snapshot."""
-        rule = self._by_id.get(rule_id)
-        if rule is None:
-            return False
-        return self.remove(rule)
 
     def lookup(self, key: Sequence[int]) -> Optional[Rule]:
         best: Optional[Rule] = None

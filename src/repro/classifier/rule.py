@@ -14,14 +14,15 @@ wildcard matches per field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "FieldSpec",
     "PDI_FIELDS",
     "NUM_FIELDS",
     "FULL_DOMAIN",
+    "FIELD_INDEX",
     "Rule",
     "exact",
     "wildcard",
@@ -80,12 +81,24 @@ FULL_DOMAIN: Tuple[Tuple[int, int], ...] = tuple(
     (0, top) for top in _MAX_VALUES
 )
 
+#: Each field's position in a rule's ranges, by name.
+FIELD_INDEX: Dict[str, int] = {
+    spec.name: index for index, spec in enumerate(PDI_FIELDS)
+}
+
+#: ``exact(v)`` for ``v < 256`` (source interfaces, QFIs, protocols):
+#: shared like :data:`FULL_DOMAIN`, so PDRs naming the same small value
+#: hold one tuple.
+_SMALL_EXACT: Tuple[Tuple[int, int], ...] = tuple((v, v) for v in range(256))
+
 #: A packet, for classification purposes: one value per PDI field.
 PacketKey = Tuple[int, ...]
 
 
 def exact(value: int) -> Tuple[int, int]:
     """A range matching exactly ``value``."""
+    if 0 <= value < 256:
+        return _SMALL_EXACT[value]
     return (value, value)
 
 
@@ -134,6 +147,9 @@ class Rule:
         conversion happens in :mod:`repro.up.rules`).
     rule_id / far_id:
         Back references into the PFCP session state.
+
+    :class:`repro.up.rules.PDR` subclasses it: an installed PDR is the
+    object the classifier stores, with ``rule_id`` its PDR id.
     """
 
     ranges: Tuple[Tuple[int, int], ...]
@@ -173,26 +189,23 @@ class Rule:
         )
 
     @classmethod
-    def from_fields(
-        cls,
-        priority: int = 0,
-        rule_id: int = 0,
-        far_id: int = 0,
-        **field_ranges: Tuple[int, int],
-    ) -> "Rule":
+    def from_fields(cls, **fields) -> "Rule":
         """Build a rule naming only the constrained fields.
+
+        A keyword naming a field of the class (``priority``,
+        ``rule_id``, ..., and a subclass's own, such as a PDR's
+        ``urr_id``) is a constructor argument; any other names a PDI
+        field and is its range.
 
         >>> r = Rule.from_fields(dst_ip=exact(0x0A3C0001), protocol=exact(17))
         """
-        by_name = {spec.name: i for i, spec in enumerate(PDI_FIELDS)}
         ranges: List[Tuple[int, int]] = list(FULL_DOMAIN)
-        for name, value_range in field_ranges.items():
-            if name not in by_name:
+        arguments = {}
+        for name, value in fields.items():
+            if name in cls.__dataclass_fields__:
+                arguments[name] = value
+            elif name in FIELD_INDEX:
+                ranges[FIELD_INDEX[name]] = value
+            else:
                 raise ValueError(f"unknown PDI field: {name}")
-            ranges[by_name[name]] = value_range
-        return cls(
-            ranges=tuple(ranges),
-            priority=priority,
-            rule_id=rule_id,
-            far_id=far_id,
-        )
+        return cls(ranges=tuple(ranges), **arguments)

@@ -40,7 +40,7 @@ from ..net.packet import Direction, FiveTuple, Packet
 from ..pfcp import ies as pfcp_ies
 from ..pfcp.builder import build_session_establishment
 from ..sim.engine import Environment
-from ..up.rules import PDR
+from ..up.rules import PDR, precedence_to_priority
 from ..up.session import SessionTable, UPFSession
 from ..up.upf_u import UPFUserPlane
 
@@ -131,27 +131,20 @@ def _session_with_rules(
     # every lookup must consider them before falling through.
     import dataclasses
 
-    base = session.pdrs[2]
-    demoted = PDR(
-        pdr_id=base.pdr_id,
-        precedence=5000,
-        match=dataclasses.replace(base.match, priority=(1 << 16) - 5000),
-        far_id=base.far_id,
-        source_interface=base.source_interface,
+    session.install_pdr(
+        dataclasses.replace(
+            session.pdrs[2], priority=precedence_to_priority(5000)
+        )
     )
-    session.install_pdr(demoted)
     # Grow the PDR set with higher-precedence subflow filters that do
     # not match the probe flow (the scan cost the paper measures).
     generator = ClassBenchGenerator(seed=13)
     for index, rule in enumerate(generator.rules(extra_rules)):
-        match = dataclasses.replace(
-            rule, priority=(1 << 16) - (100 + index), rule_id=100 + index
-        )
         session.install_pdr(
             PDR(
-                pdr_id=100 + index,
-                precedence=100 + index,
-                match=match,
+                ranges=rule.ranges,
+                priority=precedence_to_priority(100 + index),
+                rule_id=100 + index,
                 far_id=2,
                 source_interface=pfcp_ies.CORE,
             )
@@ -187,8 +180,8 @@ _SHARD_GNB = 0xC0A80201
 
 def _resident_session(seid: int, ue_ip: int, ul_teid: int) -> UPFSession:
     """A minimal forwarding session: UL + DL PDR, forward FARs."""
-    from ..classifier import Rule, exact
-    from ..up.rules import FAR, FARAction
+    from ..classifier import exact
+    from ..up.rules import FAR
 
     session = UPFSession(
         seid=seid,
@@ -197,44 +190,33 @@ def _resident_session(seid: int, ue_ip: int, ul_teid: int) -> UPFSession:
         classifier_class=LinearClassifier,
         buffer_capacity=8,
     )
+    priority = precedence_to_priority(10)
     session.install_pdr(
-        PDR(
-            pdr_id=1,
-            precedence=10,
-            match=Rule.from_fields(
-                priority=100, rule_id=1, far_id=1,
-                teid=exact(ul_teid),
-                source_iface=exact(pfcp_ies.ACCESS),
-            ),
-            far_id=1,
+        PDR.from_fields(
+            priority=priority, rule_id=1, far_id=1,
             outer_header_removal=True,
             source_interface=pfcp_ies.ACCESS,
+            teid=exact(ul_teid),
+            source_iface=exact(pfcp_ies.ACCESS),
         )
     )
     session.install_pdr(
-        PDR(
-            pdr_id=2,
-            precedence=10,
-            match=Rule.from_fields(
-                priority=100, rule_id=2, far_id=2,
-                dst_ip=exact(ue_ip),
-                source_iface=exact(pfcp_ies.CORE),
-            ),
-            far_id=2,
+        PDR.from_fields(
+            priority=priority, rule_id=2, far_id=2,
             source_interface=pfcp_ies.CORE,
+            dst_ip=exact(ue_ip),
+            source_iface=exact(pfcp_ies.CORE),
         )
     )
     session.install_far(
-        FAR(far_id=1, action=FARAction(destination_interface=pfcp_ies.CORE))
+        FAR(far_id=1, destination_interface=pfcp_ies.CORE)
     )
     session.install_far(
         FAR(
             far_id=2,
-            action=FARAction(
-                destination_interface=pfcp_ies.ACCESS,
-                outer_teid=0x40000000 ^ ul_teid,
-                outer_address=_SHARD_GNB,
-            ),
+            destination_interface=pfcp_ies.ACCESS,
+            outer_teid=0x40000000 ^ ul_teid,
+            outer_address=_SHARD_GNB,
         )
     )
     return session

@@ -9,7 +9,7 @@ from .flow_cache import (
 )
 from .keys import packet_key, packet_keys
 from .qos import QerEnforcer, TokenBucket, UsageCounter
-from .rules import FAR, FARAction, PDR, far_from_ie, pdr_from_create_ie
+from .rules import FAR, PDR, far_from_ie, pdr_from_create_ie
 from .session import (
     SessionTable,
     SessionTableView,
@@ -31,7 +31,6 @@ __all__ = [
     "UsageCounter",
     "SmartBuffer",
     "FAR",
-    "FARAction",
     "PDR",
     "far_from_ie",
     "pdr_from_create_ie",

@@ -2,33 +2,49 @@
 
 The UPF-C decodes PFCP IEs into these runtime structures and stores
 them in the session context that lives in shared memory (§3.2, "zero
-cost state update").  Each PDR carries a
-:class:`~repro.classifier.rule.Rule` for the classifier; precedence
-follows PFCP semantics (lower value = higher priority), converted to
-the classifier's higher-wins priority internally.
+cost state update").  A PDR *is* its
+:class:`~repro.classifier.rule.Rule`: the object the session maps by
+id is the one its classifier stores, so a classifier hit is the PDR.
+Its one stored ordering is the classifier's higher-wins ``priority``;
+PFCP precedence (lower value = higher priority) is derived from it.
+A FAR holds its decoded Apply Action and forwarding parameters itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Optional, Tuple
 
-from ..classifier.rule import FULL_DOMAIN, PDI_FIELDS, Rule, exact
+from ..classifier.rule import FIELD_INDEX, FULL_DOMAIN, Rule, exact
 from ..pfcp import ies as pfcp_ies
 
-__all__ = ["PDR", "FAR", "FARAction", "pdr_from_create_ie", "far_from_ie"]
-
-_FIELD_INDEX = {spec.name: i for i, spec in enumerate(PDI_FIELDS)}
+__all__ = [
+    "PDR", "FAR", "precedence_to_priority", "pdr_from_create_ie",
+    "far_from_ie",
+]
 
 #: Largest PFCP precedence value we accept; used to invert precedence
 #: into the classifier's higher-wins priority.
 _MAX_PRECEDENCE = 1 << 16
 
 
-@dataclass(slots=True)
-class FARAction:
-    """The decoded Apply Action + forwarding parameters of a FAR."""
+@lru_cache(maxsize=1024)
+def precedence_to_priority(precedence: int) -> int:
+    """Classifier priority (higher wins) from PFCP precedence.
 
+    Cached, so PDRs of equal precedence share one priority int instead
+    of each owning one.
+    """
+    return _MAX_PRECEDENCE - precedence
+
+
+@dataclass(slots=True)
+class FAR:
+    """Forwarding Action Rule: the decoded Apply Action + forwarding
+    parameters."""
+
+    far_id: int
     forward: bool = True
     buffer: bool = False
     drop: bool = False
@@ -40,36 +56,30 @@ class FARAction:
 
 
 @dataclass(slots=True)
-class FAR:
-    """Forwarding Action Rule."""
+class PDR(Rule):
+    """Packet Detection Rule as installed in the data plane.
 
-    far_id: int
-    action: FARAction = field(default_factory=FARAction)
+    ``rule_id`` is the PDR id and ``far_id`` its FAR; the inherited
+    ``ranges`` are its PDI match fields.
+    """
 
-
-@dataclass(slots=True)
-class PDR:
-    """Packet Detection Rule as installed in the data plane."""
-
-    pdr_id: int
-    precedence: int
-    match: Rule
-    far_id: int
     qer_id: Optional[int] = None
     urr_id: Optional[int] = None
     outer_header_removal: bool = False
     source_interface: int = pfcp_ies.ACCESS
 
     @property
-    def priority(self) -> int:
-        """Classifier priority (higher wins), from PFCP precedence."""
-        return _MAX_PRECEDENCE - self.precedence
+    def pdr_id(self) -> int:
+        return self.rule_id
+
+    @property
+    def precedence(self) -> int:
+        """PFCP precedence (lower wins), from the classifier priority."""
+        return _MAX_PRECEDENCE - self.priority
 
 
-def _rule_from_pdi(
-    pdi: pfcp_ies.PdiIE, pdr_id: int, far_id: int, precedence: int
-) -> Rule:
-    """Convert a PDI grouped IE into a 20-dimension classifier rule.
+def _ranges_from_pdi(pdi: pfcp_ies.PdiIE) -> Tuple[Tuple[int, int], ...]:
+    """Convert a PDI grouped IE into the 20 classifier ranges.
 
     Unconstrained fields keep the shared
     :data:`~repro.classifier.rule.FULL_DOMAIN` tuples, so a PDR owns
@@ -78,32 +88,27 @@ def _rule_from_pdi(
     ranges = list(FULL_DOMAIN)
     source = pdi.child(pfcp_ies.SourceInterfaceIE)
     if source is not None:
-        ranges[_FIELD_INDEX["source_iface"]] = exact(source.interface)
+        ranges[FIELD_INDEX["source_iface"]] = exact(source.interface)
     fteid = pdi.child(pfcp_ies.FTeidIE)
     if fteid is not None and not fteid.choose:
-        ranges[_FIELD_INDEX["teid"]] = exact(fteid.teid)
+        ranges[FIELD_INDEX["teid"]] = exact(fteid.teid)
     ue_ip = pdi.child(pfcp_ies.UeIpAddressIE)
     if ue_ip is not None:
         key = "dst_ip" if ue_ip.source_or_destination else "src_ip"
-        ranges[_FIELD_INDEX[key]] = exact(ue_ip.address)
+        ranges[FIELD_INDEX[key]] = exact(ue_ip.address)
     qfi = pdi.child(pfcp_ies.QfiIE)
     if qfi is not None:
-        ranges[_FIELD_INDEX["qfi"]] = exact(qfi.qfi)
+        ranges[FIELD_INDEX["qfi"]] = exact(qfi.qfi)
     sdf = pdi.child(pfcp_ies.SdfFilterIE)
     if sdf is not None and sdf.tos is not None:
-        ranges[_FIELD_INDEX["tos"]] = exact(sdf.tos >> 8)
+        ranges[FIELD_INDEX["tos"]] = exact(sdf.tos >> 8)
     if sdf is not None and sdf.spi is not None:
-        ranges[_FIELD_INDEX["spi"]] = exact(sdf.spi)
+        ranges[FIELD_INDEX["spi"]] = exact(sdf.spi)
     if sdf is not None and sdf.flow_label is not None:
-        ranges[_FIELD_INDEX["flow_label"]] = exact(sdf.flow_label)
+        ranges[FIELD_INDEX["flow_label"]] = exact(sdf.flow_label)
     if sdf is not None and sdf.filter_id is not None:
-        ranges[_FIELD_INDEX["sdf_filter_id"]] = exact(sdf.filter_id & 0xFFFF)
-    return Rule(
-        ranges=tuple(ranges),
-        priority=_MAX_PRECEDENCE - precedence,
-        rule_id=pdr_id,
-        far_id=far_id,
-    )
+        ranges[FIELD_INDEX["sdf_filter_id"]] = exact(sdf.filter_id & 0xFFFF)
+    return tuple(ranges)
 
 
 def pdr_from_create_ie(create: pfcp_ies.CreatePdrIE) -> PDR:
@@ -124,9 +129,9 @@ def pdr_from_create_ie(create: pfcp_ies.CreatePdrIE) -> PDR:
     urr_ie = create.child(UrrIdIE)
     source = pdi.child(pfcp_ies.SourceInterfaceIE)
     return PDR(
-        pdr_id=pdr_id_ie.rule_id,
-        precedence=precedence,
-        match=_rule_from_pdi(pdi, pdr_id_ie.rule_id, far_id, precedence),
+        ranges=_ranges_from_pdi(pdi),
+        priority=precedence_to_priority(precedence),
+        rule_id=pdr_id_ie.rule_id,
         far_id=far_id,
         qer_id=qer_ie.rule_id if qer_ie else None,
         urr_id=urr_ie.rule_id if urr_ie else None,
@@ -141,20 +146,20 @@ def far_from_ie(create_or_update: "pfcp_ies._GroupedIE") -> FAR:
     far_id_ie = create_or_update.child(pfcp_ies.FarIdIE)
     if far_id_ie is None:
         raise ValueError("FAR IE without FAR ID")
+    far = FAR(far_id=far_id_ie.rule_id)
     apply_ie = create_or_update.child(pfcp_ies.ApplyActionIE)
-    action = FARAction()
     if apply_ie is not None:
-        action.forward = apply_ie.forward
-        action.buffer = apply_ie.buffer
-        action.drop = apply_ie.drop
-        action.notify_cp = apply_ie.notify_cp
+        far.forward = apply_ie.forward
+        far.buffer = apply_ie.buffer
+        far.drop = apply_ie.drop
+        far.notify_cp = apply_ie.notify_cp
     params = create_or_update.child(pfcp_ies.ForwardingParametersIE)
     if params is not None:
         destination = params.child(pfcp_ies.DestinationInterfaceIE)
         if destination is not None:
-            action.destination_interface = destination.interface
+            far.destination_interface = destination.interface
         outer = params.child(pfcp_ies.OuterHeaderCreationIE)
         if outer is not None:
-            action.outer_teid = outer.teid
-            action.outer_address = outer.address
-    return FAR(far_id=far_id_ie.rule_id, action=action)
+            far.outer_teid = outer.teid
+            far.outer_address = outer.address
+    return far

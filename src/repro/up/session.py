@@ -7,17 +7,17 @@ Each user session context stores a number of different rule sets in
 shared memory, e.g., PDRs and FARs."
 
 The session context owns its PDR classifier (pluggable: linear / TSS /
-PartitionSort) and the smart buffer.  Every rule-mutating operation
-ends in one publish call that bumps a
-:class:`~repro.up.flow_cache.RuleEpoch`, so the UPF-U's flow cache
-self-invalidates without scanning — the zero-cost state update,
-extended to the cache layer.
+PartitionSort) and the smart buffer.  Every rule mutation ends in one
+publish call that bumps a :class:`~repro.up.flow_cache.RuleEpoch`, so
+the UPF-U's flow cache self-invalidates without scanning — the
+zero-cost state update, extended to the cache layer.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, List, NamedTuple, Optional, Type
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Type
 
 from ..analysis import races as _races  # repro: noqa[W004] -- race-detector hooks, no-ops unless a detector is installed
 from ..classifier.base import Classifier
@@ -36,6 +36,12 @@ __all__ = [
     "SessionTable",
     "SessionTableView",
 ]
+
+#: The QoS maps of a session without QERs or URRs: one shared read-only
+#: empty mapping, swapped for the session's own dict on the first
+#: install.  A write that skips the install fails instead of reaching
+#: every session.
+_NONE_INSTALLED: Mapping = MappingProxyType({})
 
 
 class UPFSession:
@@ -90,9 +96,9 @@ class UPFSession:
         self.pdrs: Dict[int, PDR] = {}
         self.fars: Dict[int, FAR] = {}
         #: Installed QoS enforcers (gate + MBR policer), by QER id.
-        self.qer_enforcers: Dict[int, QerEnforcer] = {}
+        self.qer_enforcers: Mapping[int, QerEnforcer] = _NONE_INSTALLED
         #: Installed usage counters, by URR id.
-        self.usage_counters: Dict[int, UsageCounter] = {}
+        self.usage_counters: Mapping[int, UsageCounter] = _NONE_INSTALLED
         #: Rule-mutation epoch; rebound to the table's shared epoch by
         #: :meth:`SessionTable.add` so one counter covers all sessions.
         self.epoch = RuleEpoch()
@@ -134,19 +140,20 @@ class UPFSession:
 
     # -- rule management ----------------------------------------------------
     def install_pdr(self, pdr: PDR) -> None:
-        """Install or replace a PDR (and its classifier rule)."""
+        """Install or replace a PDR; the classifier stores the same
+        object, so ``pdrs`` is the one index by id."""
         existing = self.pdrs.get(pdr.pdr_id)
         if existing is not None:
-            self.classifier.remove_by_id(existing.match.rule_id)
+            self.classifier.remove(existing)
         self.pdrs[pdr.pdr_id] = pdr
-        self.classifier.insert(pdr.match)
+        self.classifier.insert(pdr)
         self._publish("pdrs", self.pdrs, f"install_pdr({pdr.pdr_id})")
 
     def remove_pdr(self, pdr_id: int) -> bool:
         pdr = self.pdrs.pop(pdr_id, None)
         if pdr is None:
             return False
-        self.classifier.remove_by_id(pdr.match.rule_id)
+        self.classifier.remove(pdr)
         self._publish("pdrs", self.pdrs, f"remove_pdr({pdr_id})")
         return True
 
@@ -165,19 +172,19 @@ class UPFSession:
         if existing is None:
             self.fars[far.far_id] = far
         else:
-            action = existing.action
-            new = far.action
-            action.forward = new.forward
-            action.buffer = new.buffer
-            action.drop = new.drop
-            action.notify_cp = new.notify_cp
-            if new.outer_teid is not None:
-                action.outer_teid = new.outer_teid
-                action.outer_address = new.outer_address
-                action.destination_interface = new.destination_interface
+            existing.forward = far.forward
+            existing.buffer = far.buffer
+            existing.drop = far.drop
+            existing.notify_cp = far.notify_cp
+            if far.outer_teid is not None:
+                existing.outer_teid = far.outer_teid
+                existing.outer_address = far.outer_address
+                existing.destination_interface = far.destination_interface
         self._publish("fars", self.fars, f"update_far({far.far_id})")
 
     def install_qer_enforcer(self, enforcer: "QerEnforcer") -> None:
+        if self.qer_enforcers is _NONE_INSTALLED:
+            self.qer_enforcers = {}
         self.qer_enforcers[enforcer.qer_id] = enforcer
         self._publish(
             "qer_enforcers",
@@ -186,6 +193,8 @@ class UPFSession:
         )
 
     def install_usage_counter(self, counter: "UsageCounter") -> None:
+        if self.usage_counters is _NONE_INSTALLED:
+            self.usage_counters = {}
         self.usage_counters[counter.urr_id] = counter
         self._publish(
             "usage_counters",
@@ -214,10 +223,7 @@ class UPFSession:
             detector.on_read(self, "pdrs")
         if key is None:
             key = packet_key(packet)
-        rule = self.classifier.lookup(key)
-        if rule is None:
-            return None
-        return self.pdrs.get(rule.rule_id)
+        return self.classifier.lookup(key)
 
 
 class SessionTableView(abc.ABC):

@@ -210,7 +210,7 @@ class UPFControlPlane:
             far = far_from_ie(update)
             was_buffering = self._is_buffering(session, far.far_id)
             session.update_far(far)
-            now_forwarding = far.action.forward and not far.action.buffer
+            now_forwarding = far.forward and not far.buffer
             if was_buffering and now_forwarding and self.upf_u is not None:
                 released += self.upf_u.flush_session(session)
         for create in message.find_all(pfcp_ies.CreatePdrIE):
@@ -246,7 +246,7 @@ class UPFControlPlane:
 
     def _is_buffering(self, session: UPFSession, far_id: int) -> bool:
         far = session.fars.get(far_id)
-        return far is not None and far.action.buffer
+        return far is not None and far.buffer
 
     # ------------------------------------------------------------------
     # QER / URR decoding

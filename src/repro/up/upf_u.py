@@ -386,10 +386,11 @@ class UPFUserPlane(NetworkFunction):
         enforcer: Optional[QerEnforcer] = None,
         counter: Optional[UsageCounter] = None,
     ) -> str:
-        """Apply one pre-resolved decision (slow path or cache hit)."""
-        action = far.action
+        """Apply one pre-resolved decision (slow path or cache hit).
+
+        A FAR holds its action, so its fields are read with no hop."""
         stats = self.stats
-        if action.drop:
+        if far.drop:
             stats.dropped_action += 1
             return "drop-action"
         # QoS enforcement (QER): gate + MBR token-bucket policing runs
@@ -404,7 +405,7 @@ class UPFUserPlane(NetworkFunction):
         if counter is not None and counter.account(packet):
             stats.usage_reports += 1
             self.usage_report_sink(session, counter)
-        if action.buffer:
+        if far.buffer:
             if len(session.buffer) >= self._effective_capacity(session):
                 session.buffer.dropped += 1
                 stats.dropped_buffer_full += 1
@@ -415,12 +416,12 @@ class UPFUserPlane(NetworkFunction):
             else:
                 stats.dropped_buffer_full += 1
                 outcome = "drop-buffer-full"
-            if action.notify_cp and not session.report_pending:
+            if far.notify_cp and not session.report_pending:
                 session.report_pending = True
                 stats.notifications += 1
                 self.notify_cp(session)
             return outcome
-        if not action.forward:
+        if not far.forward:
             stats.dropped_action += 1
             return "drop-action"
         return self._forward(packet, pdr, far, session)
@@ -432,10 +433,9 @@ class UPFUserPlane(NetworkFunction):
         far: FAR,
         session: UPFSession,
     ) -> str:
-        action = far.action
-        if action.destination_interface == pfcp_ies.ACCESS:
+        if far.destination_interface == pfcp_ies.ACCESS:
             # Downlink: encapsulate towards the gNB.
-            if action.outer_teid is None or action.outer_address is None:
+            if far.outer_teid is None or far.outer_address is None:
                 self.stats.dropped_action += 1
                 return "drop-action"
             # Empty between drains (entries expire), so the steady
@@ -444,9 +444,9 @@ class UPFUserPlane(NetworkFunction):
                 packet, session
             ):
                 return "drop-buffer-full"
-            packet.teid = action.outer_teid
+            packet.teid = far.outer_teid
             self.stats.forwarded_dl += 1
-            self.downlink_sink(packet, action.outer_teid, action.outer_address)
+            self.downlink_sink(packet, far.outer_teid, far.outer_address)
             return "forwarded-dl"
         # Uplink: outer header already removed by the PDR; to DN.
         if pdr.outer_header_removal:
@@ -528,20 +528,20 @@ class UPFUserPlane(NetworkFunction):
         # Either exit ends the buffering episode: the next one must
         # notify the CP (page the UE) again.
         session.report_pending = False
-        if far is None or far.action.outer_teid is None:
+        if far is None or far.outer_teid is None:
             self.stats.dropped_action += len(released)
             return 0
         reinject = self._reinject_cost()
         now = self.env.now
         start = max(now, self._drain_until.get(session.seid, now))
         for position, packet in enumerate(released):
-            packet.teid = far.action.outer_teid
+            packet.teid = far.outer_teid
             packet.meta["extra_delay"] = (
                 start + (position + 1) * reinject - now
             )
             self.stats.forwarded_dl += 1
             self.downlink_sink(
-                packet, far.action.outer_teid, far.action.outer_address
+                packet, far.outer_teid, far.outer_address
             )
         self._drain_until[session.seid] = start + len(released) * reinject
         tracer = _tracing.active()

@@ -255,7 +255,7 @@ class TestPartitionSortSpecifics:
                 ps.insert(rule)
             inserting = compared.calls
             for rule in extra:
-                ps.remove_by_id(rule.rule_id)
+                ps.remove(rule)
             removing = compared.calls - inserting
             assert len(ps) == size and len(ps._partitions) == 1
             assert rescans.calls == walks == 0

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import races
-from repro.classifier import LinearClassifier, Rule, exact
+from repro.classifier import LinearClassifier, exact
 from repro.cp import scenario
 from repro.cp.scenario import ATTACH
 from repro.deploy.rss import DEFAULT_RSS_KEY, toeplitz_hash32
@@ -36,7 +36,6 @@ from repro.pfcp.messages import SessionDeletionRequest
 from repro.sim import Environment
 from repro.up import (
     FAR,
-    FARAction,
     PDR,
     SessionTable,
     UPFSession,
@@ -75,17 +74,12 @@ def make_session(seid, classifier_class=LinearClassifier, qer=False,
         classifier_class=classifier_class,
     )
     session.install_pdr(
-        PDR(
-            pdr_id=1,
-            precedence=10,
-            match=Rule.from_fields(
-                priority=100,
-                rule_id=1,
-                far_id=1,
-                teid=exact(ul_teid),
-                source_iface=exact(pfcp_ies.ACCESS),
-            ),
+        PDR.from_fields(
+            priority=100,
+            rule_id=1,
             far_id=1,
+            teid=exact(ul_teid),
+            source_iface=exact(pfcp_ies.ACCESS),
             qer_id=1 if qer else None,
             urr_id=1 if urr else None,
             outer_header_removal=True,
@@ -93,33 +87,26 @@ def make_session(seid, classifier_class=LinearClassifier, qer=False,
         )
     )
     session.install_pdr(
-        PDR(
-            pdr_id=2,
-            precedence=10,
-            match=Rule.from_fields(
-                priority=100,
-                rule_id=2,
-                far_id=2,
-                dst_ip=exact(ue_ip),
-                source_iface=exact(pfcp_ies.CORE),
-            ),
+        PDR.from_fields(
+            priority=100,
+            rule_id=2,
             far_id=2,
+            dst_ip=exact(ue_ip),
+            source_iface=exact(pfcp_ies.CORE),
             qer_id=1 if qer else None,
             urr_id=1 if urr else None,
             source_interface=pfcp_ies.CORE,
         )
     )
     session.install_far(
-        FAR(far_id=1, action=FARAction(destination_interface=pfcp_ies.CORE))
+        FAR(far_id=1, destination_interface=pfcp_ies.CORE)
     )
     session.install_far(
         FAR(
             far_id=2,
-            action=FARAction(
-                destination_interface=pfcp_ies.ACCESS,
-                outer_teid=0x500 + seid,
-                outer_address=GNB,
-            ),
+            destination_interface=pfcp_ies.ACCESS,
+            outer_teid=0x500 + seid,
+            outer_address=GNB,
         )
     )
     if qer:
@@ -475,10 +462,10 @@ class TestShardedUserPlane:
         session = make_session(1)
         up.sessions.add(session)
         session.update_far(
-            FAR(far_id=2, action=FARAction(forward=False, buffer=True))
+            FAR(far_id=2, forward=False, buffer=True)
         )
         assert up.process(dl_packet(1)) == "buffered"
-        session.update_far(FAR(far_id=2, action=FARAction(forward=True)))
+        session.update_far(FAR(far_id=2, forward=True))
         assert up.flush_session(session) == 1
         assert up.flush_session(make_session(42)) == 0  # never added
 
@@ -832,15 +819,10 @@ class _Stack:
                 )
         elif op == "buffer-far" and session is not None:
             session.update_far(
-                FAR(
-                    far_id=2,
-                    action=FARAction(
-                        forward=False, buffer=True, notify_cp=True
-                    ),
-                )
+                FAR(far_id=2, forward=False, buffer=True, notify_cp=True)
             )
         elif op == "forward-far" and session is not None:
-            session.update_far(FAR(far_id=2, action=FARAction(forward=True)))
+            session.update_far(FAR(far_id=2, forward=True))
         elif op == "flush" and session is not None:
             self.upf.flush_session(session)
 

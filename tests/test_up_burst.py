@@ -27,7 +27,6 @@ from repro.pfcp import ies as pfcp_ies
 from repro.sim import MS, Environment
 from repro.up import (
     FAR,
-    FARAction,
     FlowCache,
     RuleEpoch,
     SessionTable,
@@ -277,12 +276,7 @@ class TestProcessBurst:
         (seq_table, seq_upf), (bur_table, bur_upf) = seq, bur = build_pair()
         for table in (seq_table, bur_table):
             table.by_seid(1).update_far(
-                FAR(
-                    far_id=2,
-                    action=FARAction(
-                        forward=False, buffer=True, notify_cp=True
-                    ),
-                )
+                FAR(far_id=2, forward=False, buffer=True, notify_cp=True)
             )
         seq_out = [seq_upf.process(dl_packet(1)) for _ in range(3)]
         bur_out = bur_upf.process_burst([dl_packet(1) for _ in range(3)])
@@ -323,12 +317,7 @@ class TestProcessBurst:
 
         for table, upf in (seq, bur):
             table.by_seid(1).update_far(
-                FAR(
-                    far_id=2,
-                    action=FARAction(
-                        forward=False, buffer=True, notify_cp=True
-                    ),
-                )
+                FAR(far_id=2, forward=False, buffer=True, notify_cp=True)
             )
             upf.notify_cp = on_notify
 

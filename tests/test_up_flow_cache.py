@@ -13,13 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.classifier import LinearClassifier, Rule, exact
+from repro.classifier import LinearClassifier, exact
 from repro.obs.metrics import MetricsRegistry
 from repro.pfcp import ies as pfcp_ies
 from repro.sim import Environment
 from repro.up import (
     FAR,
-    FARAction,
     FlowCache,
     PDR,
     QerEnforcer,
@@ -52,17 +51,12 @@ def make_session(seid, classifier_class, qer=False, urr=False):
         classifier_class=classifier_class,
     )
     session.install_pdr(
-        PDR(
-            pdr_id=1,
-            precedence=10,
-            match=Rule.from_fields(
-                priority=100,
-                rule_id=1,
-                far_id=1,
-                teid=exact(ul_teid),
-                source_iface=exact(pfcp_ies.ACCESS),
-            ),
+        PDR.from_fields(
+            priority=100,
+            rule_id=1,
             far_id=1,
+            teid=exact(ul_teid),
+            source_iface=exact(pfcp_ies.ACCESS),
             qer_id=1 if qer else None,
             urr_id=1 if urr else None,
             outer_header_removal=True,
@@ -70,33 +64,26 @@ def make_session(seid, classifier_class, qer=False, urr=False):
         )
     )
     session.install_pdr(
-        PDR(
-            pdr_id=2,
-            precedence=10,
-            match=Rule.from_fields(
-                priority=100,
-                rule_id=2,
-                far_id=2,
-                dst_ip=exact(ue_ip),
-                source_iface=exact(pfcp_ies.CORE),
-            ),
+        PDR.from_fields(
+            priority=100,
+            rule_id=2,
             far_id=2,
+            dst_ip=exact(ue_ip),
+            source_iface=exact(pfcp_ies.CORE),
             qer_id=1 if qer else None,
             urr_id=1 if urr else None,
             source_interface=pfcp_ies.CORE,
         )
     )
     session.install_far(
-        FAR(far_id=1, action=FARAction(destination_interface=pfcp_ies.CORE))
+        FAR(far_id=1, destination_interface=pfcp_ies.CORE)
     )
     session.install_far(
         FAR(
             far_id=2,
-            action=FARAction(
-                destination_interface=pfcp_ies.ACCESS,
-                outer_teid=0x500 + seid,
-                outer_address=GNB,
-            ),
+            destination_interface=pfcp_ies.ACCESS,
+            outer_teid=0x500 + seid,
+            outer_address=GNB,
         )
     )
     if qer:
@@ -248,19 +235,14 @@ class TestPipelineFastPath:
         upf.process(dl_packet(1))
         # Install a higher-priority DL PDR pointing at a drop FAR: the
         # cached decision must not survive.
-        session.install_far(FAR(far_id=9, action=FARAction(drop=True)))
+        session.install_far(FAR(far_id=9, drop=True))
         session.install_pdr(
-            PDR(
-                pdr_id=3,
-                precedence=1,
-                match=Rule.from_fields(
-                    priority=900,
-                    rule_id=3,
-                    far_id=9,
-                    dst_ip=exact(UE_BASE + 1),
-                    source_iface=exact(pfcp_ies.CORE),
-                ),
+            PDR.from_fields(
+                priority=900,
+                rule_id=3,
                 far_id=9,
+                dst_ip=exact(UE_BASE + 1),
+                source_iface=exact(pfcp_ies.CORE),
                 source_interface=pfcp_ies.CORE,
             )
         )
@@ -281,7 +263,7 @@ class TestPipelineFastPath:
         table.add(session)
         assert upf.process(dl_packet(1)) == "forwarded-dl"
         session.update_far(
-            FAR(far_id=2, action=FARAction(forward=False, buffer=True))
+            FAR(far_id=2, forward=False, buffer=True)
         )
         assert upf.process(dl_packet(1)) == "buffered"
 
@@ -336,10 +318,10 @@ class TestDrainStateLifecycle:
         session = make_session(1, LinearClassifier)
         table.add(session)
         session.update_far(
-            FAR(far_id=2, action=FARAction(forward=False, buffer=True))
+            FAR(far_id=2, forward=False, buffer=True)
         )
         upf.process(dl_packet(1))
-        session.update_far(FAR(far_id=2, action=FARAction(forward=True)))
+        session.update_far(FAR(far_id=2, forward=True))
         upf.flush_session(session)
         assert session.seid in upf._drain_until
         table.remove(1)
@@ -351,10 +333,10 @@ class TestDrainStateLifecycle:
             session = make_session(seid, LinearClassifier)
             table.add(session)
             session.update_far(
-                FAR(far_id=2, action=FARAction(forward=False, buffer=True))
+                FAR(far_id=2, forward=False, buffer=True)
             )
             upf.process(dl_packet(seid))
-            session.update_far(FAR(far_id=2, action=FARAction(forward=True)))
+            session.update_far(FAR(far_id=2, forward=True))
             upf.flush_session(session)
         table.remove(1)
         assert 1 not in upf._drain_until
@@ -622,15 +604,10 @@ class _Harness:
             table.remove(seid)
         elif op == "buffer-far" and session is not None:
             session.update_far(
-                FAR(
-                    far_id=2,
-                    action=FARAction(
-                        forward=False, buffer=True, notify_cp=True
-                    ),
-                )
+                FAR(far_id=2, forward=False, buffer=True, notify_cp=True)
             )
         elif op == "forward-far" and session is not None:
-            session.update_far(FAR(far_id=2, action=FARAction(forward=True)))
+            session.update_far(FAR(far_id=2, forward=True))
         elif op == "drop-pdr" and session is not None:
             if 2 in session.pdrs:
                 session.remove_pdr(2)

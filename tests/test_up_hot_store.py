@@ -33,7 +33,6 @@ from repro.net import Direction
 from repro.sim import Environment
 from repro.up import (
     FAR,
-    FARAction,
     SessionTable,
     UPFSession,
     UPFUserPlane,
@@ -124,7 +123,7 @@ class TestSessionTableSlab:
         table.add(session)
         assert session.epoch is table.epoch
         stamp = table.epoch.value
-        session.update_far(FAR(far_id=9, action=FARAction(drop=True)))
+        session.update_far(FAR(far_id=9, drop=True))
         assert table.epoch.value == stamp + 1
 
 
@@ -206,13 +205,10 @@ def _mutate(op, seid, table, upf):
         table.remove(seid)
     elif op == "buffer-far" and session is not None:
         session.update_far(
-            FAR(
-                far_id=2,
-                action=FARAction(forward=False, buffer=True, notify_cp=True),
-            )
+            FAR(far_id=2, forward=False, buffer=True, notify_cp=True)
         )
     elif op == "forward-far" and session is not None:
-        session.update_far(FAR(far_id=2, action=FARAction(forward=True)))
+        session.update_far(FAR(far_id=2, forward=True))
     elif op == "drop-pdr" and session is not None:
         if 2 in session.pdrs:
             session.remove_pdr(2)

@@ -4,11 +4,14 @@ import gc
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import races, sanitizer
 from repro.analysis.lifecycle import RULE_CONTAINERS
+from repro.classifier import LinearClassifier, exact
 from repro.classifier.partition_sort import PartitionSortClassifier
-from repro.classifier.rule import FULL_DOMAIN
+from repro.classifier.rule import FIELD_INDEX, FULL_DOMAIN
 from repro.net import Direction, FiveTuple, Packet
 from repro.pfcp import ies as pfcp_ies
 from repro.pfcp.builder import (
@@ -21,15 +24,19 @@ from repro.pfcp.messages import SessionDeletionRequest
 from repro.sim import Environment
 from repro.up import (
     FAR,
-    FARAction,
+    PDR,
     SessionTable,
     SmartBuffer,
     UPFControlPlane,
     UPFSession,
     UPFUserPlane,
+    UsageCounter,
     far_from_ie,
     pdr_from_create_ie,
 )
+from repro.up.rules import precedence_to_priority
+
+from .test_classifier_rule import key_of
 
 UE_IP = 0x0A3C0001
 GNB = 0xC0A80201
@@ -144,21 +151,24 @@ class TestSessionTable:
         """Per-session state is what ``UPFSession.__slots__`` declares:
         a later change cannot quietly grow it, and every rule container
         the analyser tracks is one of the declared attributes.  What a
-        decoded session owns -- its PDRs and their rules, its FARs and
-        their actions, its buffer and its classifier -- is closed too."""
+        decoded session owns -- its PDRs, its FARs, its buffer and its
+        classifier -- is closed too, and the classifier stores the
+        session's own PDR objects: one object per rule."""
         _env, table, _upf_u, upf_c, *_ = build_upf()
         establish(upf_c)
         session = table.by_seid(1)
         pdr, far = session.pdrs[1], session.fars[1]
-        assert isinstance(session.classifier, PartitionSortClassifier)
-        for obj in (
-            session, pdr, pdr.match, far, far.action, session.buffer,
-            session.classifier,
-        ):
+        classifier = session.classifier
+        assert isinstance(classifier, PartitionSortClassifier)
+        for obj in (session, pdr, far, session.buffer, classifier):
             assert not hasattr(obj, "__dict__"), type(obj).__name__
             with pytest.raises(AttributeError):
                 obj.undeclared = 1
         assert set(RULE_CONTAINERS) <= set(UPFSession.__slots__)
+        assert {id(r) for r in classifier.rules()} == {
+            id(p) for p in session.pdrs.values()
+        }
+        assert len(classifier) == len(session.pdrs) == 2
 
     def test_rules_share_the_full_domain_wildcards(self):
         """A decoded PDR owns only the ranges its PDI names; every other
@@ -166,11 +176,30 @@ class TestSessionTable:
         _env, table, _upf_u, upf_c, *_ = build_upf()
         establish(upf_c)
         for pdr in table.by_seid(1).pdrs.values():
-            ranges = pdr.match.ranges
+            ranges = pdr.ranges
             shared = [r is w for r, w in zip(ranges, FULL_DOMAIN)]
             constrained = [r != w for r, w in zip(ranges, FULL_DOMAIN)]
             assert shared == [not c for c in constrained]
             assert sum(constrained) == 2  # source_iface + TEID / UE IP
+
+    def test_sessions_share_small_ranges_and_empty_qos_maps(self):
+        """Across sessions, equal small ``exact`` ranges are one tuple,
+        and a session without QERs/URRs holds the one shared read-only
+        empty mapping until its first install swaps in its own dict."""
+        _env, table, _upf_u, upf_c, *_ = build_upf()
+        establish(upf_c)
+        establish(upf_c, seid=2, ue_ip=UE_IP + 1, ul_teid=0x101, dl_teid=0x501)
+        one, two = table.by_seid(1), table.by_seid(2)
+        iface = FIELD_INDEX["source_iface"]
+        for pdr_id in (1, 2):
+            mine, theirs = one.pdrs[pdr_id], two.pdrs[pdr_id]
+            assert mine.ranges[iface] is theirs.ranges[iface]
+        assert one.qer_enforcers is two.qer_enforcers
+        assert one.usage_counters is two.usage_counters
+        with pytest.raises(TypeError):
+            one.usage_counters[1] = UsageCounter(urr_id=1)
+        one.install_usage_counter(UsageCounter(urr_id=1))
+        assert 1 in one.usage_counters and not two.usage_counters
 
     def test_cached_decision_holds_the_table_s_session(self):
         """One object per session: what the pipeline memoizes after a
@@ -184,6 +213,61 @@ class TestSessionTable:
         assert entry.session is table.by_seid(1)
 
 
+#: One install or removal on a session: (verb, PDR id, TEID or None for
+#: wildcard, QFI or None, precedence).  Few ids, so most installs reuse
+#: one with new ranges or a new precedence.
+_PDR_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["install", "install", "remove"]),
+        st.integers(1, 5),
+        st.one_of(st.none(), st.integers(0, 3)),
+        st.one_of(st.none(), st.integers(0, 3)),
+        st.sampled_from([1, 10, 10, 255, 5000]),
+    ),
+    max_size=30,
+)
+
+
+@pytest.mark.parametrize(
+    "classifier_class", [PartitionSortClassifier, LinearClassifier]
+)
+@settings(max_examples=60, deadline=None)
+@given(ops=_PDR_OPS)
+def test_pdrs_is_the_one_index_of_the_classifier(classifier_class, ops):
+    """``session.pdrs`` is the only id index: after every install
+    (fresh or reused id) and removal, the classifier holds exactly the
+    mapped PDR objects, and ``match_pdr`` is a brute-force
+    highest-priority ``Rule.matches`` over them."""
+    session = UPFSession(
+        seid=1, ue_ip=UE_IP, ul_teid=0x100, classifier_class=classifier_class
+    )
+    keys = [key_of(teid=t, qfi=q) for t in range(4) for q in range(4)]
+    for verb, pdr_id, teid, qfi, precedence in ops:
+        if verb == "remove":
+            present = pdr_id in session.pdrs
+            assert session.remove_pdr(pdr_id) is present
+        else:
+            constrained = {}
+            if teid is not None:
+                constrained["teid"] = exact(teid)
+            if qfi is not None:
+                constrained["qfi"] = exact(qfi)
+            session.install_pdr(PDR.from_fields(
+                priority=precedence_to_priority(precedence),
+                rule_id=pdr_id, far_id=pdr_id, **constrained,
+            ))
+        assert len(session.classifier) == len(session.pdrs)
+        for key in keys:
+            hit = session.match_pdr(None, key=key)
+            matching = [p for p in session.pdrs.values() if p.matches(key)]
+            if not matching:
+                assert hit is None
+                continue
+            assert hit is session.pdrs[hit.pdr_id]
+            assert hit.matches(key)
+            assert hit.priority == max(p.priority for p in matching)
+
+
 class TestSessionBytes:
     """Bytes per installed session are pinned (§3.2: the session
     context is the table the paper shards to 1M sessions).  A two-PDR
@@ -191,7 +275,7 @@ class TestSessionBytes:
     tracemalloc, and the cost per session does not grow with the table.
     """
 
-    BOUND = 3500
+    BOUND = 2600
 
     @pytest.fixture(autouse=True)
     def _plain_layout(self):
@@ -242,6 +326,10 @@ class TestRuleDecoding:
         assert ul_pdr.outer_header_removal
         assert ul_pdr.source_interface == pfcp_ies.ACCESS
         assert dl_pdr.source_interface == pfcp_ies.CORE
+        # One stored ordering: precedence is derived from the priority,
+        # and equal precedences share one priority int.
+        assert ul_pdr.precedence == dl_pdr.precedence == 32
+        assert ul_pdr.priority is dl_pdr.priority
 
     def test_far_from_ie_merging_semantics(self):
         request = build_session_establishment(
@@ -250,8 +338,8 @@ class TestRuleDecoding:
         )
         fars = [far_from_ie(ie) for ie in request.find_all(pfcp_ies.CreateFarIE)]
         dl_far = next(far for far in fars if far.far_id == 2)
-        assert dl_far.action.outer_teid == 0x500
-        assert dl_far.action.outer_address == GNB
+        assert dl_far.outer_teid == 0x500
+        assert dl_far.outer_address == GNB
 
     def test_pdr_without_id_raises(self):
         with pytest.raises(ValueError):
@@ -352,14 +440,11 @@ class TestBufferingFlow:
         env, table, upf_u, upf_c, _, dl_sink, reports = build_upf()
         establish(upf_c)
         session = table.by_seid(1)
-        buffering = FAR(
-            far_id=2,
-            action=FARAction(forward=False, buffer=True, notify_cp=True),
-        )
+        buffering = FAR(far_id=2, forward=False, buffer=True, notify_cp=True)
         session.update_far(buffering)
         assert upf_u.process(dl_packet(seq=0)) == "buffered"
         # install (not update, which would keep the old outer header)
-        session.install_far(FAR(far_id=2, action=FARAction(forward=True)))
+        session.install_far(FAR(far_id=2, forward=True))
         assert upf_u.flush_session(session) == 0
         assert upf_u.stats.dropped_action == 1 and dl_sink == []
         session.update_far(buffering)
