@@ -17,6 +17,7 @@ from ..net.packet import FiveTuple, Packet
 __all__ = [
     "toeplitz_hash",
     "toeplitz_hash32",
+    "bucket_tables",
     "RSSIndirection",
     "DEFAULT_RSS_KEY",
 ]
@@ -98,8 +99,8 @@ def toeplitz_hash32(value: int, key: bytes = DEFAULT_RSS_KEY) -> int:
 
     Equivalent to ``toeplitz_hash(struct.pack("!I", value), key)`` but
     via four byte-table lookups — the form that survives a 1M-session
-    sweep.  The sharded dispatcher hashes the UL TEID and the DL UE IP
-    through this.
+    sweep.  It is the reference :func:`bucket_tables` builds the sharded
+    dispatcher's masked tables from.
     """
     t0, t1, t2, t3 = _byte_tables(key)
     return (
@@ -107,6 +108,22 @@ def toeplitz_hash32(value: int, key: bytes = DEFAULT_RSS_KEY) -> int:
         ^ t1[(value >> 16) & 0xFF]
         ^ t2[(value >> 8) & 0xFF]
         ^ t3[value & 0xFF]
+    )
+
+
+def bucket_tables(key: bytes, mask: int) -> Tuple[List[int], ...]:
+    """Four 256-entry tables whose XOR is ``toeplitz_hash32(v) & mask``.
+
+    Entry ``b`` of table ``i`` is the masked hash of byte ``i`` alone,
+    ``toeplitz_hash32(b << (24 - 8 * i), key) & mask``.  Toeplitz is
+    linear over GF(2) and ``&`` distributes over ``^``, so a dispatcher
+    indexes the tables with the four bytes of ``v`` and XORs the four
+    entries: one table walk, mask included, no call per packet.
+    """
+    return tuple(
+        [toeplitz_hash32(byte << (24 - 8 * index), key) & mask
+         for byte in range(256)]
+        for index in range(4)
     )
 
 

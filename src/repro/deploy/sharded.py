@@ -7,9 +7,9 @@ NIC-style dispatch the paper already leans on (§4: RSS segregates
 packets into per-unit receive queues):
 
 * :class:`ShardRouter` — an RSS indirection table programmed from a
-  consistent-hash ring.  Data-plane dispatch is two table lookups:
-  Toeplitz hash of the UL TEID or DL UE IP, masked to a bucket, bucket
-  to shard.  A shard failure remaps only that shard's buckets.
+  consistent-hash ring.  Dispatch is one walk of four byte tables (the
+  masked Toeplitz hash of the UL TEID or DL UE IP gives a bucket), then
+  bucket to shard.  A shard failure remaps only that shard's buckets.
 * TEID *steering* — Toeplitz is linear over GF(2), so the router
   allocates uplink TEIDs whose hash lands in the same bucket as the
   session's UE IP (the trick DPDK applications use to pin a flow to a
@@ -30,13 +30,13 @@ UEs to whole 5GC units, never sessions to shards.
 
 Ownership is unchanged from the single-UPF split: the UPF-C role is
 the only writer of session membership and rules (on every shard); each
-shard's UPF-U owns its runtime state.  The PR 4 race detector and the
-W001-W004 whole-program checks pass on this configuration as-is.
+shard's UPF-U owns its runtime state, as the race detector checks.
 """
 
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional
 
@@ -53,7 +53,7 @@ from ..up import (
     UPFSession,
     UPFUserPlane,
 )
-from .rss import DEFAULT_RSS_KEY, toeplitz_hash32, toeplitz_windows
+from .rss import DEFAULT_RSS_KEY, bucket_tables, toeplitz_windows
 
 __all__ = [
     "ShardRouter",
@@ -128,8 +128,8 @@ class ShardRouter:
     """Consistent-hash-programmed RSS indirection for shard dispatch.
 
     The data plane sees pure RSS: ``bucket = toeplitz(key32) & mask``,
-    ``shard = table[bucket]`` — the same two-step lookup a NIC
-    performs, so dispatch adds two table probes per packet.  The
+    ``shard = table[bucket]`` — the lookup a NIC performs, with hash
+    and mask read from four byte tables built once.  The
     control plane programs ``table`` from a consistent-hash ring
     (``VNODES`` virtual nodes per shard), so removing a shard moves
     only the buckets that pointed at it.
@@ -150,7 +150,7 @@ class ShardRouter:
         self.num_shards = num_shards
         self.table_size = table_size
         self.key = key
-        self._mask = table_size - 1
+        self._buckets = bucket_tables(key, table_size - 1)
         self._steering = _TeidSteering(key, table_size)
         self._ring: List[tuple] = []
         self._members: set = set()
@@ -190,14 +190,9 @@ class ShardRouter:
         return self._reprogram()
 
     def _successor(self, point: int) -> int:
-        lo, hi = 0, len(self._ring)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._ring[mid][0] < point:
-                lo = mid + 1
-            else:
-                hi = mid
-        return self._ring[lo % len(self._ring)][1]
+        """The shard of the first ring point at or after ``point``."""
+        index = bisect_left(self._ring, (point,))
+        return self._ring[index % len(self._ring)][1]
 
     def _reprogram(self) -> List[int]:
         moved = []
@@ -212,7 +207,9 @@ class ShardRouter:
     # -- dispatch -----------------------------------------------------------
     def bucket_of(self, value: int) -> int:
         """Indirection bucket of one 32-bit hash key (TEID / UE IP)."""
-        return toeplitz_hash32(value, self.key) & self._mask
+        b0, b1, b2, b3 = self._buckets
+        return (b0[value >> 24 & 0xFF] ^ b1[value >> 16 & 0xFF]
+                ^ b2[value >> 8 & 0xFF] ^ b3[value & 0xFF])
 
     def shard_for_teid(self, teid: int) -> int:
         return self.table[self.bucket_of(teid)]
@@ -223,10 +220,13 @@ class ShardRouter:
     def shard_for_packet(self, packet: Packet) -> int:
         """RSS dispatch: UL hashes the TEID, DL hashes the UE IP."""
         if packet.direction is Direction.UPLINK:
-            # TEID-less UL has no session anywhere; shard 0 of the
-            # current table drops it just like the single UPF would.
-            return self.table[self.bucket_of(packet.teid or 0)]
-        return self.table[self.bucket_of(packet.flow.dst_ip)]
+            # TEID-less UL has no session: bucket of 0, dropped there.
+            value = packet.teid or 0
+        else:
+            value = packet.flow.dst_ip
+        b0, b1, b2, b3 = self._buckets  # bucket_of, inlined
+        return self.table[b0[value >> 24 & 0xFF] ^ b1[value >> 16 & 0xFF]
+                          ^ b2[value >> 8 & 0xFF] ^ b3[value & 0xFF]]
 
     # -- steering -----------------------------------------------------------
     def steer_teid(self, ue_ip: int, base_teid: int) -> int:
@@ -574,6 +574,9 @@ class ShardedUserPlane:
                 registry.gauge(
                     f"flow_cache_hit_rate{{shard={index}}}"
                 ).set_function(lambda c=cache: c.hit_rate)
+                registry.gauge(
+                    f"flow_cache_declined{{shard={index}}}"
+                ).set_function(lambda c=cache: c.declined)
             shard.upf_u.stats.register_into(
                 registry, prefix=f"{prefix}{{shard={index}}}"
             )

@@ -27,9 +27,9 @@ This module provides that cache:
   whose recorded epoch is stale self-invalidates.  No scan, no
   callback fan-out on the data path — a rule change is one integer
   increment.
-* **Capacity** — an LRU bound keeps memory flat under millions of
-  distinct flows; evictions are counted so the experiments can see
-  thrash.
+* **Capacity** — an LRU bound keeps memory flat under many flows.  A
+  full cache admits one miss in ``FULL_ADMIT_INTERVAL`` (evicting the
+  LRU entry) and declines the rest, so it does not thrash (DESIGN §8).
 """
 
 from __future__ import annotations
@@ -50,6 +50,10 @@ __all__ = [
 #: that a steady working set of flows stays resident, small enough that
 #: the table is cache-friendly and memory stays flat under churn.
 DEFAULT_FLOW_CACHE_CAPACITY = 8192
+
+#: A full cache admits one miss in this many, like OVS's EMC
+#: (``emc-insert-inv-prob``); evicting more cannot raise the hit ratio.
+FULL_ADMIT_INTERVAL = 32
 
 
 class RuleEpoch:
@@ -111,7 +115,7 @@ class FlowCacheEntry:
 
 
 class FlowCache:
-    """Exact-match LRU cache of pipeline decisions.
+    """Exact-match LRU cache of pipeline decisions, throttled when full.
 
     Parameters
     ----------
@@ -132,6 +136,8 @@ class FlowCache:
         "evictions",
         "inserts",
         "purged",
+        "declined",
+        "_declines_left",
     )
 
     def __init__(
@@ -156,6 +162,9 @@ class FlowCache:
         self.inserts = 0
         #: Entries dropped eagerly on session removal.
         self.purged = 0
+        #: Misses a full cache did not admit (nothing built or evicted).
+        self.declined = 0
+        self._declines_left = 0
         detector = _races.active()
         if detector is not None:
             # The cache is UPF-U private state: only the forwarding
@@ -188,15 +197,11 @@ class FlowCache:
         return entry
 
     def insert(
-        self,
-        key: Hashable,
-        session: Any,
-        pdr: Any,
-        far: Any,
-        enforcer: Any = None,
-        counter: Any = None,
-    ) -> FlowCacheEntry:
-        """Memoize one slow-path decision under the current epoch."""
+        self, key: Hashable, session: Any, pdr: Any, far: Any,
+        enforcer: Any = None, counter: Any = None,
+    ) -> Optional[FlowCacheEntry]:
+        """Memoize one slow-path decision under the current epoch; None
+        when :meth:`_admit` declines a new key (a resident one is replaced)."""
         detector = _races._ACTIVE
         if detector is not None:
             detector.on_write(
@@ -206,9 +211,8 @@ class FlowCache:
         entries = self._entries
         if key in entries:
             del entries[key]
-        elif len(entries) >= self.capacity:
-            entries.popitem(last=False)
-            self.evictions += 1
+        elif not self._admit():
+            return None
         entry = FlowCacheEntry(  # repro: noqa[W001] -- cache-miss slow path only: the entry IS the memoization; never built on a hit
             self._epoch.value, session, pdr, far, enforcer, counter
         )
@@ -216,11 +220,34 @@ class FlowCache:
         self.inserts += 1
         return entry
 
+    def _admit(self) -> bool:
+        """Decide whether a miss on an absent key may fill a slot.
+
+        With room, every miss is admitted.  Once full, a deterministic
+        countdown admits the first miss, evicting the LRU entry, and
+        declines the next ``FULL_ADMIT_INTERVAL - 1``: under uniform
+        traffic every replacement policy keeps the same share of the
+        working set resident, so each eviction beyond that is pure cost.
+        Stale deletion and :meth:`purge_session` free slots, which the
+        next misses refill without waiting.
+        """
+        entries = self._entries
+        if len(entries) < self.capacity:
+            return True
+        if self._declines_left:
+            self._declines_left -= 1
+            self.declined += 1
+            return False
+        entries.popitem(last=False)
+        self.evictions += 1
+        self._declines_left = FULL_ADMIT_INTERVAL - 1
+        return True
+
     # ------------------------------------------------------------------
     # Bulk operations.  No caller left in src/ (process_burst probes
-    # per packet, DESIGN §12); kept unchanged because the frozen
-    # benchmarks/e2e drivers and layer probes name all three.  Removal
-    # belongs to a follow-up benchmark issue.
+    # per packet, DESIGN §12); kept because the frozen benchmarks/e2e
+    # drivers and layer probes name all three.  Removal belongs with
+    # the next change to the benchmark harness (ROADMAP item 1a).
     # ------------------------------------------------------------------
     def lookup_many(self, keys):
         """Bulk exact-match probe over a burst's distinct keys.
@@ -287,12 +314,12 @@ class FlowCache:
         position performs exactly what the sequential ``lookup`` +
         ``insert`` pair would have: a resident current-epoch entry is
         touched (hit); a stale entry is deleted and, when resolved,
-        re-filled; an absent key is a miss, filled when resolved (with
-        LRU eviction under capacity pressure).  LRU order, eviction
-        victims, and the hit/miss/stale/insert/eviction counters
-        therefore match one-at-a-time processing exactly when no
-        epoch bump lands mid-burst.  (The all-hit steady state takes
-        :meth:`touch_burst` instead.)
+        re-filled; an absent key is a miss, filled when resolved and
+        admitted by the :meth:`_admit` that :meth:`insert` uses.  LRU
+        order, eviction victims, and the hit/miss/stale/insert/
+        eviction/declined counters therefore match one-at-a-time
+        processing exactly when no epoch bump lands mid-burst.  (The
+        all-hit steady state takes :meth:`touch_burst` instead.)
         """
         detector = _races._ACTIVE
         if detector is not None:
@@ -302,9 +329,9 @@ class FlowCache:
             )
         entries = self._entries
         generation = self._epoch.value
-        capacity = self.capacity
         get = entries.get
-        hits = misses = stale = inserts = evictions = 0
+        admit = self._admit
+        hits = misses = stale = inserts = 0
         for i in range(start, len(keys)):
             key = keys[i]
             if key is None:
@@ -319,18 +346,14 @@ class FlowCache:
                 stale += 1
             misses += 1
             decision = resolved.get(key)
-            if decision is None:
+            if decision is None or not admit():
                 continue
-            if len(entries) >= capacity:
-                entries.popitem(last=False)
-                evictions += 1
             entries[key] = decision
             inserts += 1
         self.hits += hits
         self.misses += misses
         self.stale += stale
         self.inserts += inserts
-        self.evictions += evictions
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -387,6 +410,7 @@ class FlowCache:
             "evictions",
             "inserts",
             "purged",
+            "declined",
         ):
             registry.gauge(f"{prefix}.{name}").set_function(
                 lambda name=name: getattr(self, name)

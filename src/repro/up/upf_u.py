@@ -104,13 +104,13 @@ class UPFUserPlane(NetworkFunction):
         True for L25GC's DPDK pipeline, False for the kernel baseline —
         selects the per-packet cost in :meth:`processing_time`.
     flow_cache:
-        True enables the exact-match flow cache: the first packet of a
-        flow runs the full match pipeline and memoizes the decision;
-        steady-state packets resolve with one probe.  QER policing and
-        URR accounting still run per packet, so cache-on and cache-off
-        produce identical stats and outcomes.
+        True enables the exact-match flow cache: a flow's first packet
+        runs the full match pipeline and memoizes the decision; later
+        packets resolve with one probe.  QER/URR still run per packet,
+        so cache-on and cache-off produce identical stats and outcomes.
     flow_cache_capacity:
-        LRU bound on cached flows (see :mod:`repro.up.flow_cache`).
+        LRU bound on cached flows.  Once it is full, one miss in 32 is
+        cached, evicting the LRU flow (:mod:`repro.up.flow_cache`).
     burst_size:
         Packets processed per burst.  1 (the default) keeps the
         one-packet-per-call platform path; >1 sets the ring drain size

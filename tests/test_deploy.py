@@ -3,6 +3,8 @@
 import struct
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.deploy import (
     CanaryController,
@@ -10,13 +12,14 @@ from repro.deploy import (
     NodeSpec,
     PlacementEngine,
     RSSIndirection,
+    ShardRouter,
     UEAwareLoadBalancer,
     UnitHandle,
     hash_five_tuple,
     toeplitz_hash,
     toeplitz_hash32,
 )
-from repro.net import FiveTuple, Packet
+from repro.net import Direction, FiveTuple, Packet
 from repro.sim import Environment
 
 
@@ -158,6 +161,42 @@ class TestToeplitzKnownAnswers:
             toeplitz_hash32(a) ^ toeplitz_hash32(b)
         )
         assert toeplitz_hash32(0) == 0
+
+
+#: A non-default RSS key (40 bytes, like the Microsoft one).
+_OTHER_KEY = bytes((index * 37 + 11) & 0xFF for index in range(40))
+_ROUTERS = {size: ShardRouter(4, size, _OTHER_KEY) for size in (1, 8, 128)}
+_WORDS = st.integers(min_value=0, max_value=0xFFFFFFFF)
+
+
+class TestShardRouterTables:
+    """``ShardRouter`` dispatches through four precomputed byte tables;
+    they must equal the masked reference hash for any key and size."""
+
+    @given(value=_WORDS, size=st.sampled_from(sorted(_ROUTERS)))
+    def test_bucket_of_is_the_masked_reference_hash(self, value, size):
+        assert _ROUTERS[size].bucket_of(value) == (
+            toeplitz_hash32(value, _OTHER_KEY) & (size - 1)
+        )
+
+    @given(
+        teid=st.integers(min_value=1, max_value=0xFFFFFFFF),
+        ue_ip=_WORDS,
+        size=st.sampled_from(sorted(_ROUTERS)),
+    )
+    def test_shard_for_packet_reads_the_table_at_bucket_of(
+        self, teid, ue_ip, size
+    ):
+        router = _ROUTERS[size]
+        up_flow = FiveTuple(src_ip=ue_ip, dst_ip=_ip("8.8.8.8"))
+        down_flow = FiveTuple(src_ip=_ip("8.8.8.8"), dst_ip=ue_ip)
+        ul = Packet(direction=Direction.UPLINK, teid=teid, flow=up_flow)
+        dl = Packet(direction=Direction.DOWNLINK, flow=down_flow)
+        bare = Packet(direction=Direction.UPLINK, flow=up_flow)
+        table = router.table
+        assert router.shard_for_packet(ul) == table[router.bucket_of(teid)]
+        assert router.shard_for_packet(dl) == table[router.bucket_of(ue_ip)]
+        assert router.shard_for_packet(bare) == table[router.bucket_of(0)]
 
 
 class TestRSS:

@@ -561,6 +561,26 @@ class TestShardedUserPlane:
         )
         assert hits == 8
 
+    def test_register_into_exports_per_shard_declined(self):
+        # One slot per shard: a shard's first flow fills it, its second
+        # is admitted (evicting the first) and its later ones declined.
+        up = build_sharded(2, flow_cache_capacity=1)
+        registry = MetricsRegistry()
+        up.register_into(registry)
+        for seid in range(1, 9):
+            up.sessions.add(make_session(seid))
+            up.process(ul_packet(seid))
+        declined = [
+            registry.gauge(f"flow_cache_declined{{shard={i}}}").value
+            for i in (0, 1)
+        ]
+        assert declined == [
+            shard.upf_u.flow_cache.declined for shard in up.shards
+        ]
+        assert sum(declined) == 8 - sum(
+            min(len(shard.table), 2) for shard in up.shards
+        ) > 0
+
     def test_refused_failover_of_the_last_shard_changes_nothing(self):
         # Regression: the refusal used to come after the shard had been
         # marked unhealthy elsewhere, so every later establishment was

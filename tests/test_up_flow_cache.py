@@ -30,6 +30,7 @@ from repro.up import (
     UsageCounter,
     packet_key,
 )
+from repro.up.flow_cache import FULL_ADMIT_INTERVAL
 from repro.net import Direction, FiveTuple, Packet
 
 GNB = 0xC0A80201
@@ -206,6 +207,82 @@ class TestFlowCacheStructure:
         assert registry.gauge("flow_cache.misses").value == 1
         assert registry.gauge("flow_cache.entries").value == 1
         assert registry.gauge("flow_cache.hit_rate").value == 0.5
+        assert registry.gauge("flow_cache.declined").value == 0
+        for key in "abcde":  # three fill, "d" is admitted, "e" declined
+            cache.insert(key, None, 1, None)
+        assert registry.gauge("flow_cache.declined").value == 1
+
+    # -- admission once full (DESIGN §8) -------------------------------
+    def test_with_room_every_miss_is_admitted(self):
+        cache = FlowCache(RuleEpoch(), capacity=8)
+        for key in range(8):
+            assert cache.insert(key, None, key, None) is not None
+        assert len(cache) == cache.inserts == 8
+        assert (cache.evictions, cache.declined) == (0, 0)
+
+    @pytest.mark.parametrize("misses", [1, 2, 31, 32, 33, 64, 65, 200])
+    def test_full_cache_evicts_once_per_interval(self, misses):
+        cache = FlowCache(RuleEpoch(), capacity=4)
+        for key in range(4):
+            cache.insert(key, None, key, None)
+        admitted = [
+            cache.insert(("new", n), None, n, None) is not None
+            for n in range(misses)
+        ]
+        expected = 1 + (misses - 1) // FULL_ADMIT_INTERVAL
+        assert cache.evictions == sum(admitted) == expected
+        assert cache.declined == misses - expected
+        assert admitted[0] and not any(admitted[1:FULL_ADMIT_INTERVAL])
+        assert len(cache) == 4
+
+    def test_replacing_a_resident_key_is_never_declined(self):
+        cache = FlowCache(RuleEpoch(), capacity=2)
+        cache.insert("a", None, 1, None)
+        cache.insert("b", None, 2, None)
+        cache.insert("c", None, 3, None)  # admitted: evicts "a"
+        assert cache.insert("d", None, 4, None) is None  # declined
+        for _ in range(2 * FULL_ADMIT_INTERVAL):
+            assert cache.insert("b", None, 9, None) is not None
+        assert (cache.evictions, cache.declined) == (1, 1)
+        assert cache.lookup("b").pdr == 9
+
+    def test_a_stale_slot_is_refilled_by_the_next_miss(self):
+        epoch = RuleEpoch()
+        cache = FlowCache(epoch, capacity=2)
+        for key in "abc":  # "c" admitted: the countdown is running
+            cache.insert(key, None, key, None)
+        epoch.bump()
+        assert cache.lookup("b") is None and len(cache) == 1
+        assert cache.insert("d", None, "d", None) is not None
+        assert (cache.evictions, cache.declined) == (1, 0)
+
+    def test_a_purged_slot_is_refilled_by_the_next_miss(self):
+        cache = FlowCache(RuleEpoch(), capacity=2)
+        gone = object()
+        cache.insert("a", None, 1, None)
+        cache.insert("b", gone, 2, None)
+        cache.insert("c", gone, 3, None)  # admitted: evicts "a"
+        assert cache.purge_session(gone) == 2
+        assert cache.insert("d", None, 4, None) is not None
+        assert cache.insert("e", None, 5, None) is not None
+        assert (cache.evictions, cache.declined) == (1, 0)
+
+    def test_a_cycle_longer_than_the_cache_still_hits(self):
+        """LRU scores 0 hits on any round-robin cycle longer than the
+        cache: each flow is evicted just before it comes round again.
+        Admitting one miss in 32 keeps admitted flows resident."""
+        table, upf = build_stack(True, None, flow_cache_capacity=8)
+        table.add(make_session(1, LinearClassifier))
+        for _ in range(8):
+            for port in range(64):
+                assert upf.process(ul_packet(1, 1000 + port)) == (
+                    "forwarded-ul"
+                )
+        cache = upf.flow_cache
+        assert cache.hits > 0
+        assert cache.hits + cache.misses == 512
+        assert cache.evictions < cache.declined
+        assert upf.stats.forwarded_ul == 512
 
 
 # ----------------------------------------------------------------------
