@@ -142,7 +142,12 @@ class CallGraph:
             '  node [shape=box, fontsize=10, fontname="monospace"];',
         ]
         seen_edges: Set[Tuple[str, str]] = set()
-        for edge in self.edges:
+        # Caller, then call site, then callee: the text is the same on
+        # every run, whatever order a virtual fan-out was resolved in
+        # (it follows set iteration, so PYTHONHASHSEED).
+        for edge in sorted(
+            self.edges, key=lambda e: (e.caller, e.lineno, e.callee)
+        ):
             if keep is not None and (
                 edge.caller not in keep or edge.callee not in keep
             ):
@@ -155,7 +160,9 @@ class CallGraph:
             lines.append(
                 f'  "{_short(edge.caller)}" -> "{_short(edge.callee)}"{style};'
             )
-        for unknown in self.unknown:
+        for unknown in sorted(
+            self.unknown, key=lambda u: (u.caller, u.lineno, u.callee_repr)
+        ):
             if keep is not None and unknown.caller not in keep:
                 continue
             pair = (unknown.caller, f"?{unknown.callee_repr}")

@@ -269,6 +269,8 @@ class MetricsRegistry:
     ``counter`` / ``gauge`` / ``histogram`` are get-or-create: asking
     twice for the same name returns the same object, and asking for an
     existing name with a different kind raises — one name, one truth.
+    Reading an exported series goes through ``registry[name]``, which
+    creates nothing, so a misspelt name fails instead of reading 0.
     """
 
     def __init__(self):
@@ -317,6 +319,11 @@ class MetricsRegistry:
 
     def get(self, name: str) -> Optional[Metric]:
         return self._metrics.get(name)
+
+    def __getitem__(self, name: str) -> Metric:
+        """Read an existing series: a name nobody registered raises
+        ``KeyError``, where ``gauge(name)`` would create it and read 0."""
+        return self._metrics[name]
 
     def names(self) -> List[str]:
         return sorted(self._metrics)

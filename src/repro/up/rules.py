@@ -78,20 +78,25 @@ class PDR(Rule):
         return _MAX_PRECEDENCE - self.priority
 
 
-def _ranges_from_pdi(pdi: pfcp_ies.PdiIE) -> Tuple[Tuple[int, int], ...]:
+def _ranges_from_pdi(
+    pdi: pfcp_ies.PdiIE, teid: Optional[int] = None
+) -> Tuple[Tuple[int, int], ...]:
     """Convert a PDI grouped IE into the 20 classifier ranges.
 
     Unconstrained fields keep the shared
     :data:`~repro.classifier.rule.FULL_DOMAIN` tuples, so a PDR owns
-    only the ranges its PDI names.
+    only the ranges its PDI names.  ``teid``, when given, is matched
+    instead of the PDI's own F-TEID.
     """
     ranges = list(FULL_DOMAIN)
     source = pdi.child(pfcp_ies.SourceInterfaceIE)
     if source is not None:
         ranges[FIELD_INDEX["source_iface"]] = exact(source.interface)
     fteid = pdi.child(pfcp_ies.FTeidIE)
-    if fteid is not None and not fteid.choose:
-        ranges[FIELD_INDEX["teid"]] = exact(fteid.teid)
+    if teid is None and fteid is not None and not fteid.choose:
+        teid = fteid.teid
+    if teid is not None:
+        ranges[FIELD_INDEX["teid"]] = exact(teid)
     ue_ip = pdi.child(pfcp_ies.UeIpAddressIE)
     if ue_ip is not None:
         key = "dst_ip" if ue_ip.source_or_destination else "src_ip"
@@ -111,8 +116,14 @@ def _ranges_from_pdi(pdi: pfcp_ies.PdiIE) -> Tuple[Tuple[int, int], ...]:
     return tuple(ranges)
 
 
-def pdr_from_create_ie(create: pfcp_ies.CreatePdrIE) -> PDR:
-    """Decode a Create PDR grouped IE into a runtime PDR."""
+def pdr_from_create_ie(
+    create: pfcp_ies.CreatePdrIE, teid: Optional[int] = None
+) -> PDR:
+    """Decode a Create PDR grouped IE into a runtime PDR.
+
+    ``teid`` is the endpoint the UPF allocated for a CHOOSE F-TEID: the
+    PDR matches it, and the IE is left as it was received.
+    """
     pdr_id_ie = create.child(pfcp_ies.PdrIdIE)
     if pdr_id_ie is None:
         raise ValueError("Create PDR without PDR ID")
@@ -129,7 +140,7 @@ def pdr_from_create_ie(create: pfcp_ies.CreatePdrIE) -> PDR:
     urr_ie = create.child(UrrIdIE)
     source = pdi.child(pfcp_ies.SourceInterfaceIE)
     return PDR(
-        ranges=_ranges_from_pdi(pdi),
+        ranges=_ranges_from_pdi(pdi, teid),
         priority=precedence_to_priority(precedence),
         rule_id=pdr_id_ie.rule_id,
         far_id=far_id,

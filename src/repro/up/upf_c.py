@@ -11,7 +11,6 @@ forwarding path (§3.2).
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 from typing import Callable, List, Optional, Type
 
 from ..analysis import races as _races  # repro: noqa[W004] -- race-detector hooks, no-ops unless a detector is installed
@@ -134,19 +133,15 @@ class UPFControlPlane:
             pdi = create.child(pfcp_ies.PdiIE)
             fteid = pdi.child(pfcp_ies.FTeidIE) if pdi else None
             if fteid is not None:
-                if fteid.choose:
-                    teid = self.allocate_teid(ue_ip=ue_ip)
-                    # Swap in the allocated endpoint (IEs are frozen)
-                    # and re-decode the PDR with it.
-                    fteid = replace(fteid, teid=teid, choose=False)
-                    pdi.children[
-                        pdi.children.index(pdi.child(pfcp_ies.FTeidIE))
-                    ] = fteid
-                    pdr = pdr_from_create_ie(create)
-                    allocated.append(
-                        pfcp_ies.FTeidIE(teid=teid, address=self.address)
-                    )
                 ul_teid = fteid.teid
+                if fteid.choose:
+                    # Re-decode the PDR around the allocated endpoint;
+                    # the received request is left as it came.
+                    ul_teid = self.allocate_teid(ue_ip=ue_ip)
+                    pdr = pdr_from_create_ie(create, teid=ul_teid)
+                    allocated.append(
+                        pfcp_ies.FTeidIE(teid=ul_teid, address=self.address)
+                    )
             pdrs.append(pdr)
         session = UPFSession(
             seid=message.seid,

@@ -203,43 +203,45 @@ class UPFUserPlane(NetworkFunction):
         """
         detector = _races._ACTIVE
         if detector is None:
-            return self._process_packet(packet)
+            return self._pipeline(packet, None, _tracing._ACTIVE)
         with detector.role("upf-u"):
-            return self._process_packet(packet)
-
-    def _process_packet(self, packet: Packet) -> str:
-        tracer = _tracing.active()
-        if tracer is None:
-            return self._pipeline(packet, None, None)
-        span = tracer.start_span(
-            "upf-u.pipeline",
-            category="packet",
-            parent=tracer.context_of(packet) or tracer.current,
-            direction=packet.direction.name.lower(),
-            size=packet.size,
-        )
-        outcome = self._pipeline(packet, tracer, span)
-        span.end = self.env.now
-        span.attrs["outcome"] = outcome
-        return outcome
+            return self._pipeline(packet, None, _tracing._ACTIVE)
 
     def _pipeline(
         self,
         packet: Packet,
+        key,
         tracer: Optional["_tracing.Tracer"],
-        span: Optional["_tracing.Span"],
-        key=None,
     ) -> str:
-        """The one match-action implementation.
+        """The one match-action implementation, in one frame.
 
         ``key`` is the packet's classification key when the caller has
         already built it (:meth:`process_burst`, via ``packet_keys``).
         ``None`` means "not built": the cache-on path builds it here,
         except for a TEID-less UL packet, whose key would alias TEID 0
         — that packet bypasses the cache and stays ``None``.
+
+        A cache hit and the slow path resolve the same five locals
+        (session, PDR, FAR, QER enforcer, URR counter); one apply block
+        then acts on them.  ``tracer`` is the active tracer or None,
+        read once by the caller.
         """
+        session: Optional[UPFSession]
+        pdr: Optional[PDR]
+        far: Optional[FAR]
+        enforcer: Optional[QerEnforcer]
+        counter: Optional[UsageCounter]
+        if tracer is not None:
+            span = tracer.start_span(
+                "upf-u.pipeline",
+                category="packet",
+                parent=tracer.context_of(packet) or tracer.current,
+                direction=packet.direction.name.lower(),
+                size=packet.size,
+            )
         stats = self.stats
         cache = self.flow_cache
+        entry = None
         if cache is not None and (
             key is not None
             or packet.direction is not Direction.UPLINK
@@ -255,56 +257,135 @@ class UPFUserPlane(NetworkFunction):
                 tracer.instant(
                     "flow-cache", parent=span, hit=entry is not None
                 )
-            if entry is not None:
-                outcome = self._apply(
-                    packet,
-                    entry.session,
-                    entry.pdr,
-                    entry.far,
-                    entry.enforcer,
-                    entry.counter,
+        if entry is not None:
+            session, pdr, far = entry.session, entry.pdr, entry.far
+            enforcer, counter = entry.enforcer, entry.counter
+        else:
+            # The data-path session lookup (§3.2): TEID for UL, UE IP
+            # for DL, probing the table's index; the race-detector read
+            # is recorded against the table, the owner of membership.
+            detector = _races._ACTIVE
+            if detector is not None:
+                detector.on_read(self.sessions, "sessions")
+            if packet.direction is Direction.UPLINK:
+                teid = packet.teid
+                session = (
+                    None if teid is None
+                    else self.sessions.index.by_teid(teid)
                 )
+            else:
+                session = self.sessions.index.by_ue_ip(packet.flow.dst_ip)
+            if tracer is not None:
+                tracer.instant(
+                    "session-lookup", parent=span, hit=session is not None
+                )
+            if session is None:
+                stats.dropped_no_session += 1
                 if tracer is not None:
-                    tracer.instant("far-apply", parent=span, outcome=outcome)
-                return outcome
-        session = self._lookup_session(packet)
-        if tracer is not None:
-            tracer.instant(
-                "session-lookup", parent=span, hit=session is not None
+                    tracer.end_span(span, outcome="drop-no-session")
+                return "drop-no-session"
+            pdr = session.match_pdr(packet, key=key)
+            if tracer is not None:
+                tracer.instant(
+                    "pdr-match", parent=span, matched=pdr is not None
+                )
+            if pdr is None:
+                stats.dropped_no_pdr += 1
+                if tracer is not None:
+                    tracer.end_span(span, outcome="drop-no-pdr")
+                return "drop-no-pdr"
+            if detector is not None:
+                detector.on_read(session, "fars")
+            far = session.fars.get(pdr.far_id)
+            if far is None:
+                stats.dropped_no_pdr += 1
+                if tracer is not None:
+                    tracer.end_span(span, outcome="drop-no-far")
+                return "drop-no-far"
+            enforcer = (
+                session.qer_enforcers.get(pdr.qer_id)
+                if pdr.qer_id is not None
+                else None
             )
-        if session is None:
-            stats.dropped_no_session += 1
-            return "drop-no-session"
-        pdr = session.match_pdr(packet, key=key)
-        if tracer is not None:
-            tracer.instant("pdr-match", parent=span, matched=pdr is not None)
-        if pdr is None:
-            stats.dropped_no_pdr += 1
-            return "drop-no-pdr"
-        detector = _races._ACTIVE
-        if detector is not None:
-            detector.on_read(session, "fars")
-        far = session.fars.get(pdr.far_id)
-        if far is None:
-            stats.dropped_no_pdr += 1
-            return "drop-no-far"
-        enforcer = (
-            session.qer_enforcers.get(pdr.qer_id)
-            if pdr.qer_id is not None
-            else None
-        )
-        counter = (
-            session.usage_counters.get(pdr.urr_id)
-            if pdr.urr_id is not None
-            else None
-        )
-        if key is not None and cache is not None:
-            # Memoize the decision only — never the QER/URR verdicts,
-            # which are per-packet by nature.
-            cache.insert(key, session, pdr, far, enforcer, counter)
-        outcome = self._apply(packet, session, pdr, far, enforcer, counter)
+            counter = (
+                session.usage_counters.get(pdr.urr_id)
+                if pdr.urr_id is not None
+                else None
+            )
+            if key is not None and cache is not None:
+                # Memoize the decision only — never the QER/URR
+                # verdicts, which are per-packet by nature.
+                cache.insert(key, session, pdr, far, enforcer, counter)
+        # Apply the decision.  A FAR holds its action, so its fields
+        # are read with no hop.  QoS enforcement (QER: gate + MBR token
+        # bucket) runs before any forwarding or buffering decision,
+        # then usage metering (URR) counts the packet; both verdicts
+        # are per packet and never cached.
+        if far.drop:
+            stats.dropped_action += 1
+            outcome = "drop-action"
+        elif enforcer is not None and not enforcer.admit(
+            packet, self.env.now
+        ):
+            stats.dropped_qos += 1
+            outcome = "drop-qos"
+        else:
+            if counter is not None and counter.account(packet):
+                stats.usage_reports += 1
+                self.usage_report_sink(session, counter)
+            if far.buffer:
+                outcome = self._buffer(packet, session, far)
+            elif not far.forward:
+                stats.dropped_action += 1
+                outcome = "drop-action"
+            elif far.destination_interface == pfcp_ies.ACCESS:
+                # Downlink: encapsulate towards the gNB.  The drain map
+                # is empty between drains (entries expire), so the
+                # steady state pays a truth test, not a call.
+                if far.outer_teid is None or far.outer_address is None:
+                    stats.dropped_action += 1
+                    outcome = "drop-action"
+                elif self._drain_until and not self._admit_behind_drain(
+                    packet, session
+                ):
+                    outcome = "drop-buffer-full"
+                else:
+                    packet.teid = far.outer_teid
+                    stats.forwarded_dl += 1
+                    self.downlink_sink(
+                        packet, far.outer_teid, far.outer_address
+                    )
+                    outcome = "forwarded-dl"
+            else:
+                # Uplink: outer header already removed by the PDR; to DN.
+                if pdr.outer_header_removal:
+                    packet.teid = None
+                stats.forwarded_ul += 1
+                self.uplink_sink(packet)
+                outcome = "forwarded-ul"
         if tracer is not None:
             tracer.instant("far-apply", parent=span, outcome=outcome)
+            tracer.end_span(span, outcome=outcome)
+        return outcome
+
+    def _buffer(self, packet: Packet, session: UPFSession, far: FAR) -> str:
+        """A BUFF FAR: queue the packet in the session's buffer and, for
+        NOCP, raise one downlink data notification per episode."""
+        stats = self.stats
+        if len(session.buffer) >= self._effective_capacity(session):
+            session.buffer.dropped += 1
+            stats.dropped_buffer_full += 1
+            outcome = "drop-buffer-full"
+        elif session.buffer.push(packet):
+            stats.buffered += 1
+            outcome = "buffered"
+        else:
+            stats.dropped_buffer_full += 1
+            outcome = "drop-buffer-full"
+        if far.notify_cp and not session.report_pending:
+            session.report_pending = True
+            stats.notifications += 1
+            self.notify_cp(session)
         return outcome
 
     # ------------------------------------------------------------------
@@ -314,7 +395,7 @@ class UPFUserPlane(NetworkFunction):
         """Run the pipeline over a whole burst, in arrival order.
 
         ``[self.process(p) for p in packets]`` with the per-call
-        overhead taken out: one race-detector role, one tracer check
+        overhead taken out: one race-detector role, one tracer read
         and one vectorized key build (``packet_keys``) per burst, then
         :meth:`_pipeline` once per packet with its pre-built key.  Each
         packet is probed, resolved and applied before the next one is
@@ -335,11 +416,9 @@ class UPFUserPlane(NetworkFunction):
             return self._process_burst(packets)
 
     def _process_burst(self, packets) -> list:
-        if _tracing.active() is not None:
-            # Tracing wants a span per packet.
-            return [self._process_packet(packet) for packet in packets]  # repro: noqa[W001] -- tracer fallback (cold: only when a tracer is active), one list per burst
+        tracer = _tracing._ACTIVE
         return [  # repro: noqa[W001] -- the outcomes list, one per burst, amortized over burst_size packets
-            self._pipeline(packet, None, None, key)
+            self._pipeline(packet, key, tracer)
             for packet, key in zip(packets, packet_keys(packets))
         ]
 
@@ -360,100 +439,6 @@ class UPFUserPlane(NetworkFunction):
             else:
                 with detector.role("upf-u"):
                     self.flow_cache.purge_session(session)
-
-    def _lookup_session(self, packet: Packet) -> Optional[UPFSession]:
-        """The data-path session lookup (§3.2): TEID for UL, UE IP for DL.
-
-        Probes the table's index directly; the race-detector read is
-        recorded here, against the session table — the registered
-        owner of membership.
-        """
-        detector = _races._ACTIVE
-        if detector is not None:
-            detector.on_read(self.sessions, "sessions")
-        if packet.direction is Direction.UPLINK:
-            if packet.teid is None:
-                return None
-            return self.sessions.index.by_teid(packet.teid)
-        return self.sessions.index.by_ue_ip(packet.flow.dst_ip)
-
-    def _apply(
-        self,
-        packet: Packet,
-        session: UPFSession,
-        pdr: PDR,
-        far: FAR,
-        enforcer: Optional[QerEnforcer] = None,
-        counter: Optional[UsageCounter] = None,
-    ) -> str:
-        """Apply one pre-resolved decision (slow path or cache hit).
-
-        A FAR holds its action, so its fields are read with no hop."""
-        stats = self.stats
-        if far.drop:
-            stats.dropped_action += 1
-            return "drop-action"
-        # QoS enforcement (QER): gate + MBR token-bucket policing runs
-        # before any forwarding/buffering decision.  The enforcer and
-        # counter arrive pre-resolved (by the slow path or a cache
-        # hit); their verdicts are per-packet and never cached.
-        if enforcer is not None and not enforcer.admit(packet, self.env.now):
-            stats.dropped_qos += 1
-            return "drop-qos"
-        # Usage metering (URR): count the packet; raise a usage report
-        # when the volume threshold trips.
-        if counter is not None and counter.account(packet):
-            stats.usage_reports += 1
-            self.usage_report_sink(session, counter)
-        if far.buffer:
-            if len(session.buffer) >= self._effective_capacity(session):
-                session.buffer.dropped += 1
-                stats.dropped_buffer_full += 1
-                outcome = "drop-buffer-full"
-            elif session.buffer.push(packet):
-                stats.buffered += 1
-                outcome = "buffered"
-            else:
-                stats.dropped_buffer_full += 1
-                outcome = "drop-buffer-full"
-            if far.notify_cp and not session.report_pending:
-                session.report_pending = True
-                stats.notifications += 1
-                self.notify_cp(session)
-            return outcome
-        if not far.forward:
-            stats.dropped_action += 1
-            return "drop-action"
-        return self._forward(packet, pdr, far, session)
-
-    def _forward(
-        self,
-        packet: Packet,
-        pdr: PDR,
-        far: FAR,
-        session: UPFSession,
-    ) -> str:
-        if far.destination_interface == pfcp_ies.ACCESS:
-            # Downlink: encapsulate towards the gNB.
-            if far.outer_teid is None or far.outer_address is None:
-                self.stats.dropped_action += 1
-                return "drop-action"
-            # Empty between drains (entries expire), so the steady
-            # state pays a truth test, not a call per DL packet.
-            if self._drain_until and not self._admit_behind_drain(
-                packet, session
-            ):
-                return "drop-buffer-full"
-            packet.teid = far.outer_teid
-            self.stats.forwarded_dl += 1
-            self.downlink_sink(packet, far.outer_teid, far.outer_address)
-            return "forwarded-dl"
-        # Uplink: outer header already removed by the PDR; to DN.
-        if pdr.outer_header_removal:
-            packet.teid = None
-        self.stats.forwarded_ul += 1
-        self.uplink_sink(packet)
-        return "forwarded-ul"
 
     # ------------------------------------------------------------------
     # Buffer release (invoked by the UPF-C on FAR transitions)

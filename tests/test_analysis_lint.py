@@ -686,7 +686,7 @@ class TestBaseline:
         green on inline exemptions alone."""
         assert glob.glob(os.path.join(REPO_ROOT, "analysis-*.json")) == []
         assert repo_report.findings == []
-        assert repo_report.suppressed == 18  # 9 W001 + 8 W004 + 1 R001
+        assert repo_report.suppressed == 17  # 8 W001 + 8 W004 + 1 R001
 
 
 class TestGithubFormat:

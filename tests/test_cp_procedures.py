@@ -327,7 +327,7 @@ class TestDownlinkDeliveryPath:
         core.inject_downlink_burst(self._packets(env, session, 4))
         assert not env._heap  # nothing scheduled
         assert core.dl_unrouted == 4
-        assert registry.gauge("n3.dl_unrouted").value == 4
+        assert registry["n3.dl_unrouted"].value == 4
         assert ue.received == [] and core.gnbs[1].dropped == 0
 
     def test_gnb_buffering_is_decided_at_n3_arrival(self):

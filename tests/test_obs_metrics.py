@@ -164,6 +164,15 @@ class TestRegistry:
         assert [metric.name for metric in registry] == ["a", "b"]
 
 
+    def test_subscript_reads_only_registered_names(self):
+        registry = MetricsRegistry()
+        registry.gauge("flow_cache.hits").set(3)
+        assert registry["flow_cache.hits"].value == 3
+        with pytest.raises(KeyError):
+            registry["flow_cache.hit"]  # misspelt
+        assert "flow_cache.hit" not in registry  # the read created nothing
+
+
 class TestMetricExports:
     def _registry(self):
         registry = MetricsRegistry()

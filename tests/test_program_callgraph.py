@@ -224,6 +224,15 @@ class TestDotExport:
         # a -> b is outside the subgraph reachable from b.
         assert '"mod.a"' not in dot
 
+    def test_dot_text_does_not_depend_on_edge_order(self, tmp_path):
+        # Virtual fan-out is resolved in set order, which moves with
+        # PYTHONHASHSEED; the committed figure must not.
+        _, graph = graph_for(tmp_path, TestDiamondCalls.FILES)
+        dot = graph.to_dot()
+        graph.edges.reverse()
+        graph.unknown.reverse()
+        assert graph.to_dot() == dot
+
     def test_full_dot_has_every_edge(self, tmp_path):
         _, graph = graph_for(tmp_path, TestDiamondCalls.FILES)
         dot = graph.to_dot()

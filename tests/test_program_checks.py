@@ -222,10 +222,10 @@ class TestRealTreeRegressions:
 
     def test_full_tree_is_clean_against_committed_config(self):
         # No config is committed any more: the tree is clean on its
-        # inline exemptions (nine W001 sites, eight W004 imports).
+        # inline exemptions (eight W001 sites, eight W004 imports).
         report = analyze(_load_repo_files("src"), select=CODES)
         assert report.findings == []
-        assert report.suppressed == 17
+        assert report.suppressed == 16
 
     def test_hot_path_covers_the_packet_pipeline(self):
         report = analyze(

@@ -174,7 +174,7 @@ class TestRepoIntegration:
         data = json.loads(capsys.readouterr().out)
         assert code == 0
         assert data["findings"] == []
-        assert data["suppressed"] == 17  # 9 W001 sites + 8 W004 imports
+        assert data["suppressed"] == 16  # 8 W001 sites + 8 W004 imports
 
     def test_analyzer_is_not_imported_by_runtime_code(self):
         # Acceptance: disabled, the analyzer adds zero import-time cost.

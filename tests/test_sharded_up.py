@@ -543,20 +543,20 @@ class TestShardedUserPlane:
             up.process(ul_packet(seid))
             up.process(ul_packet(seid))
         per_shard_sessions = [
-            registry.gauge(f"sessions{{shard={i}}}").value for i in (0, 1)
+            registry[f"sessions{{shard={i}}}"].value for i in (0, 1)
         ]
         assert sum(per_shard_sessions) == 8
         assert sum(
-            registry.gauge(f"dispatched{{shard={i}}}").value for i in (0, 1)
+            registry[f"dispatched{{shard={i}}}"].value for i in (0, 1)
         ) == 16
-        assert registry.gauge("upf_u.forwarded").value == 16
-        assert registry.gauge("upf_u.forwarded_ul").value == 16
-        assert registry.gauge("upf_u.dropped").value == 0
-        assert registry.gauge("shard.count").value == 2
-        assert registry.gauge("shard.load_skew").value >= 1.0
-        assert registry.gauge("flow_cache.hit_rate").value == 0.5
+        assert registry["upf_u.forwarded"].value == 16
+        assert registry["upf_u.forwarded_ul"].value == 16
+        assert registry["upf_u.dropped"].value == 0
+        assert registry["shard.count"].value == 2
+        assert registry["shard.load_skew"].value >= 1.0
+        assert registry["flow_cache.hit_rate"].value == 0.5
         hits = sum(
-            registry.gauge(f"flow_cache_hits{{shard={i}}}").value
+            registry[f"flow_cache_hits{{shard={i}}}"].value
             for i in (0, 1)
         )
         assert hits == 8
@@ -571,7 +571,7 @@ class TestShardedUserPlane:
             up.sessions.add(make_session(seid))
             up.process(ul_packet(seid))
         declined = [
-            registry.gauge(f"flow_cache_declined{{shard={i}}}").value
+            registry[f"flow_cache_declined{{shard={i}}}"].value
             for i in (0, 1)
         ]
         assert declined == [
@@ -752,12 +752,12 @@ class TestFiveGCoreSharded:
         core = self._core(env, shards=2)
         self._attach(core, count=4)
         registry = core.metrics_registry()
-        assert registry.gauge("sessions.active").value == 4
-        assert registry.gauge("shard.count").value == 2
+        assert registry["sessions.active"].value == 4
+        assert registry["shard.count"].value == 2
         assert sum(
-            registry.gauge(f"sessions{{shard={i}}}").value for i in (0, 1)
+            registry[f"sessions{{shard={i}}}"].value for i in (0, 1)
         ) == 4
-        assert registry.gauge("shard.load_skew").value >= 1.0
+        assert registry["shard.load_skew"].value >= 1.0
 
     def test_sharded_attach_and_handover_race_clean(self):
         """The ISSUE's acceptance scenario: attach + handover on the

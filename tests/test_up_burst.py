@@ -7,7 +7,7 @@ machinery that property suites had to police (DESIGN §12).  What still
 has two sides is tested here: the two key builders against each other,
 the bulk ``FlowCache`` operations against per-packet probing, the
 ``process_burst`` wrapper (pre-built keys, the TEID-less cache bypass,
-the tracer fallback) against ``process``, sharded scatter/gather
+one span per packet under tracing) against ``process``, sharded scatter/gather
 against the unsharded pipeline, and the platform's burst polling
 against one-descriptor-per-poll.
 """
@@ -331,9 +331,13 @@ class TestProcessBurst:
         with scope as tracer:
             seq_out = [seq[1].process(p) for p in burst()]
             bur_out = bur[1].process_burst(burst())
-        if traced:  # the burst fell back to one span per packet
+        if traced:  # each burst packet gets the span process gives it
             pipelines = [s for s in tracer.spans if s.name == "upf-u.pipeline"]
             assert len(pipelines) == 2 * len(seq_out)
+            half = len(seq_out)
+            assert [s.attrs for s in pipelines[:half]] == [
+                s.attrs for s in pipelines[half:]
+            ]
         assert seq_out == bur_out
         assert seq_out == ["forwarded-ul", "drop-no-session", "buffered",
                            "drop-no-pdr", "forwarded-ul", "drop-no-pdr"]

@@ -203,14 +203,14 @@ class TestFlowCacheStructure:
         cache.insert("k", None, 1, None)
         cache.lookup("k")
         cache.lookup("gone")
-        assert registry.gauge("flow_cache.hits").value == 1
-        assert registry.gauge("flow_cache.misses").value == 1
-        assert registry.gauge("flow_cache.entries").value == 1
-        assert registry.gauge("flow_cache.hit_rate").value == 0.5
-        assert registry.gauge("flow_cache.declined").value == 0
+        assert registry["flow_cache.hits"].value == 1
+        assert registry["flow_cache.misses"].value == 1
+        assert registry["flow_cache.entries"].value == 1
+        assert registry["flow_cache.hit_rate"].value == 0.5
+        assert registry["flow_cache.declined"].value == 0
         for key in "abcde":  # three fill, "d" is admitted, "e" declined
             cache.insert(key, None, 1, None)
-        assert registry.gauge("flow_cache.declined").value == 1
+        assert registry["flow_cache.declined"].value == 1
 
     # -- admission once full (DESIGN §8) -------------------------------
     def test_with_room_every_miss_is_admitted(self):
@@ -458,8 +458,8 @@ class TestFullSystemWiring:
         assert len(ue.received) == 20
         assert core.upf_u.flow_cache.hits == 19  # first packet fills
         registry = core.metrics_registry()
-        assert registry.gauge("flow_cache.hits").value == 19
-        assert registry.gauge("flow_cache.hit_rate").value == 0.95
+        assert registry["flow_cache.hits"].value == 19
+        assert registry["flow_cache.hit_rate"].value == 0.95
 
     def test_cache_off_core_identical_delivery(self):
         cached_core, cached_ue = self._core_with_traffic(True)

@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 
 from repro.analysis import races
 from repro.classifier import LinearClassifier, PartitionSortClassifier
-from repro.net import Direction
 from repro.sim import Environment
 from repro.up import (
     FAR,
@@ -37,6 +36,7 @@ from repro.up import (
     UPFSession,
     UPFUserPlane,
 )
+from repro.up.session import SessionIndex
 
 from .test_up_flow_cache import UE_BASE, dl_packet, make_session, ul_packet
 
@@ -160,19 +160,16 @@ class TestSlabRaceSemantics:
 # Property: data-path index == control-plane view under churn
 # ----------------------------------------------------------------------
 class ControlPlaneViewUPF(UPFUserPlane):
-    """The oracle: identical pipeline, but the session lookup takes the
+    """The oracle: identical pipeline, but its table's index is the
     route the UPF-C takes (``SessionTable.by_teid`` / ``by_ue_ip``)
-    instead of probing the data-path index.  Any divergence between
+    instead of the two dicts' bound ``get``.  Any divergence between
     the two — a key one map lost, a stale entry for a removed session,
     two maps naming different objects — surfaces as an observable
     difference downstream."""
 
-    def _lookup_session(self, packet):
-        if packet.direction is not Direction.UPLINK:
-            return self.sessions.by_ue_ip(packet.flow.dst_ip)
-        if packet.teid is not None:
-            return self.sessions.by_teid(packet.teid)
-        return None
+    def __init__(self, env, sessions, **kwargs):
+        sessions.index = SessionIndex(sessions.by_teid, sessions.by_ue_ip)
+        super().__init__(env, sessions, **kwargs)
 
 
 SEIDS = (1, 2, 3)

@@ -484,6 +484,44 @@ class TestBufferingFlow:
         assert allocated is not None
         assert allocated.teid >= 0x1000
 
+    @staticmethod
+    def _choose_request():
+        """An establishment whose UL PDR asks the UPF to CHOOSE its
+        F-TEID; returns it with that PDR's PDI."""
+        request = build_session_establishment(
+            seid=1, sequence=1, ue_ip=UE_IP, upf_address=UPF, ul_teid=0,
+            gnb_address=GNB, dl_teid=0x500,
+        )
+        pdi = request.find(pfcp_ies.CreatePdrIE).child(pfcp_ies.PdiIE)
+        at = pdi.children.index(pdi.child(pfcp_ies.FTeidIE))
+        pdi.children[at] = pfcp_ies.FTeidIE(address=UPF, choose=True)
+        return request, pdi
+
+    def test_choose_fteid_establishment_leaves_the_request_alone(self):
+        env, table, upf_u, upf_c, ul_sink, *_ = build_upf()
+        request, pdi = self._choose_request()
+        allocated = upf_c.handle(request).find(pfcp_ies.FTeidIE)
+        assert allocated is not None and allocated.teid >= 0x1000
+        assert pdi.child(pfcp_ies.FTeidIE) == pfcp_ies.FTeidIE(
+            address=UPF, choose=True
+        )
+        # The session and its UL PDR match the allocated endpoint only.
+        assert table.by_seid(1).ul_teid == allocated.teid
+        assert upf_u.process(ul_packet(teid=allocated.teid)) == "forwarded-ul"
+        assert upf_u.process(ul_packet(teid=0)) == "drop-no-session"
+        assert len(ul_sink) == 1
+
+    def test_choose_fteid_request_handled_again_allocates_again(self):
+        env, table, upf_u, upf_c, *_ = build_upf()
+        request, _ = self._choose_request()
+        first = upf_c.handle(request).find(pfcp_ies.FTeidIE)
+        upf_c.handle(SessionDeletionRequest(seid=1, sequence=2))
+        second = upf_c.handle(request).find(pfcp_ies.FTeidIE)
+        assert second is not None and second.teid != first.teid
+        assert table.by_seid(1).ul_teid == second.teid
+        assert upf_u.process(ul_packet(teid=second.teid)) == "forwarded-ul"
+        assert upf_u.process(ul_packet(teid=first.teid)) == "drop-no-session"
+
     def test_modify_unknown_session_rejected(self):
         env, table, upf_u, upf_c, *_ = build_upf()
         response = upf_c.handle(
