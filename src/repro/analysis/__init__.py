@@ -10,9 +10,9 @@ tool, dynamically in two opt-in runtime detectors:
   (:mod:`.analyzer`, CLI in :mod:`.__main__`).  One run parses each
   file once and runs the file-local rules R001–R008 (:mod:`.rules`:
   determinism, frozen messages, single-writer ownership) and the
-  whole-program checks W001, W004, W006, W008 and W009 (:mod:`.program`:
-  per-packet allocation sites, layering, the session lifecycle, dead
-  config, code that only tests reach).
+  whole-program checks W001, W004, W008 and W009 (:mod:`.program`:
+  per-packet allocation sites, layering, dead config, code that only
+  tests reach).
   Exit 0 clean, 1 findings, 2 bad input.  Every exemption is an inline
   ``# repro: noqa[CODE] -- reason`` on the line it excuses; one that
   excuses nothing is itself a finding.
@@ -28,8 +28,8 @@ tool, dynamically in two opt-in runtime detectors:
   checked for cross-role same-instant conflicts and non-owner writes
   (``pytest --race``).
 * :mod:`.lifecycle` — the vocabulary all of the above share: state
-  names, violation kinds, the lifecycle API shapes, and the owner table
-  (which attributes are rule containers, which are ``up``-owned).
+  names, violation kinds, and the owner table (which attributes are
+  rule containers, which are ``up``-owned).
 
 Runtime code imports ``lifecycle``, ``races`` and ``sanitizer`` only;
 the analyser never loads with the data plane.  Every perf or scale PR

@@ -1,6 +1,6 @@
 """``python -m repro.analysis [paths]`` — the one static-analysis CLI.
 
-Runs R001–R008, W001, W004, W006, W008 and W009
+Runs R001–R008, W001, W004, W008 and W009
 (:func:`repro.analysis.analyzer.analyze`) over the given
 files/directories, default ``src tests`` plus ``examples benchmarks``
 where they exist; the whole-program checks take the files outside any
@@ -122,7 +122,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description=(
             "Static analysis of the L25GC reproduction: determinism and "
             "ownership rules (R001-R008), hot-path, layering, "
-            "lifecycle and reach checks (W001, W004, W006, W008, W009)."
+            "dead-config and reach checks (W001, W004, W008, W009)."
         ),
     )
     parser.add_argument("paths", nargs="*")

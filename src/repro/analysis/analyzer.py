@@ -2,15 +2,17 @@
 
 One run reads and parses every file once (one
 :class:`~repro.analysis.rules.FileContext` each, shared by the R-rules,
-the symbol table and the suppression filter), builds one symbol table,
-one call graph and one CFG per function over the production files
-(those outside any ``tests/`` directory), runs R001–R008, W001, W004,
-W006 and W008 over them, runs W009 over every file (its roots are
-``tests/conftest.py``, ``examples/``, ``benchmarks/`` and the
-``__main__`` modules; it runs only when those are in the set, and
-builds no program), and only then filters: it sees every finding
-before any is suppressed, which is what lets it report a
-``repro: noqa`` that excused nothing.
+the symbol table and the suppression filter), builds one symbol table
+and one call graph over the production files (those outside any
+``tests/`` directory), runs R001–R008, W001, W004 and W008 over them,
+runs W009 over every file (its roots are ``tests/conftest.py``,
+``examples/``, ``benchmarks/`` and the ``__main__`` modules; it runs
+only when those are in the set, and builds no program), and only then
+filters: it sees every finding before any is suppressed, which is what
+lets it report a ``repro: noqa`` that excused nothing.  No check builds
+a control-flow graph: a rule write on a removed session, the one
+path-sensitive hazard, is refused where it happens
+(``SessionTable.remove`` detaches the session's epoch).
 
 Exemptions are inline comments and nothing else — there is no baseline
 or budget file.  The property those guarded ("a suppression cannot
@@ -33,13 +35,13 @@ from typing import (
 from .program.callgraph import CallGraph, build_call_graph
 from .program.checks import (
     DEFAULT_PACKET_ENTRIES,
+    Program,
     check_w001,
     check_w004,
+    check_w008,
 )
 from .program.reach import check_w009, has_roots
-from .program.solver import Program
 from .program.symbols import SymbolTable, build_symbol_table
-from .program.typestate import check_w006, check_w008
 from .rules import (
     RULE_REGISTRY,
     SYNTAX_ERROR,
@@ -66,9 +68,6 @@ PROGRAM_CHECKS: Dict[str, Tuple[str, str]] = {
     "W004": ("layering",
              "Import edge pointing up the stack (sim/up/cp/"
              "instrumentation)."),
-    "W006": ("session-lifecycle",
-             "Session/rule use after remove: a rule call on a torn-down "
-             "session."),
     "W008": ("dead-config",
              "Config flag or metric instrument nothing observes."),
     "W009": ("unreached-definition",
@@ -167,6 +166,7 @@ class Report:
     graph: Optional[CallGraph] = None
     #: qualname -> witness chain from a packet entry point.
     hot_path: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
+    #: ``files``, plus the table and graph sizes when a program ran.
     stats: Dict[str, int] = field(default_factory=dict)
     #: phase -> wall seconds, in execution order: ``parse``, one entry
     #: per R-rule, ``symbols``, ``callgraph``, one per W-check,
@@ -241,7 +241,6 @@ def analyze(
         )
         checks: Dict[str, Callable[[], List[Finding]]] = {
             "W004": lambda: check_w004(table),
-            "W006": lambda: check_w006(program),
             "W008": lambda: check_w008(program),
         }
         if entries:  # else nothing to reach from: W001 does not run
@@ -257,7 +256,6 @@ def analyze(
             classes=len(table.classes),
             call_edges=len(program.graph.edges),
             unknown_edges=len(program.graph.unknown),
-            cfgs=program.cfgs_built,
         )
 
     if "W009" in wanted and has_roots(contexts):

@@ -3,8 +3,8 @@
 The dynamic sanitizer (:mod:`repro.analysis.sanitizer`), the race
 detector, and the static checks (:mod:`repro.analysis.program`,
 :mod:`repro.analysis.rules`) name their hazards and owned attributes
-here, once: the violation-kind strings, the API shapes W006 keys on,
-and the single-writer owner table R008 reads.
+here, once: the violation-kind strings and the single-writer owner
+table R008 reads.
 
 Protocols
 ---------
@@ -17,16 +17,19 @@ class.
 
 **Session** (PFCP establish/modify/delete)::
 
-    created -> installed -> removed -> installed   (re-establish/rehome)
+    created -> installed -> removed -> installed   (rehome/restore)
 
-  Rule installs (``install_pdr`` et al.) are legal only in ``created``
-  or ``installed``; any rule use after ``remove`` is a violation (W006).
-  A session table refuses a second ``add`` of the same SEID itself.
+  Enforced where it happens, not by a check here: every rule mutator
+  ends in an epoch bump, ``SessionTable.add`` binds the table's epoch
+  and ``SessionTable.remove`` a detached one whose bump raises
+  ``RuntimeError`` (``up/session.py``).  So rule writes are legal in
+  ``created`` and ``installed`` and refused in ``removed``; a table
+  refuses a second ``add`` of the same SEID itself.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Tuple
+from typing import Tuple
 
 __all__ = [
     "TRANSPORT_IN_FLIGHT",
@@ -35,12 +38,7 @@ __all__ = [
     "MUTATE_AFTER_SEND",
     "DOUBLE_ENQUEUE",
     "USE_AFTER_DEQUEUE",
-    "USE_AFTER_REMOVE",
     "DEAD_CONFIG",
-    "SESSION_INSTALL_METHODS",
-    "SESSION_ESTABLISH_METHODS",
-    "SESSION_REMOVE_METHODS",
-    "SESSION_CLASS_SUFFIX",
     "RULE_CONTAINERS",
     "SHARED_STRUCTURES",
 ]
@@ -60,31 +58,7 @@ TRANSPORT_CHECKED_OUT = "checked-out"
 MUTATE_AFTER_SEND = "mutate-after-send"
 DOUBLE_ENQUEUE = "double-enqueue"
 USE_AFTER_DEQUEUE = "use-after-dequeue"
-USE_AFTER_REMOVE = "use-after-remove"
 DEAD_CONFIG = "dead-config"
-
-# -- API shapes W006 keys on -------------------------------------------------
-
-#: Rule-lifecycle methods legal only on a non-``removed`` session.
-SESSION_INSTALL_METHODS: FrozenSet[str] = frozenset({
-    "install_pdr",
-    "remove_pdr",
-    "install_far",
-    "update_far",
-    "install_qer_enforcer",
-    "install_usage_counter",
-    "match_pdr",
-})
-
-#: Table methods that establish a session (argument -> ``installed``).
-SESSION_ESTABLISH_METHODS: FrozenSet[str] = frozenset({"add"})
-
-#: Table methods that tear a session down (by SEID; the *result* of the
-#: call is the removed session object, now ``removed``).
-SESSION_REMOVE_METHODS: FrozenSet[str] = frozenset({"remove"})
-
-#: Class-name suffix identifying session objects for W006.
-SESSION_CLASS_SUFFIX = "Session"
 
 # -- single-writer owner table (§3.2) ----------------------------------------
 # Declared once: the static ownership rule (R008) reads these two

@@ -1,4 +1,4 @@
-"""The whole-program half of the analyser: W001, W004, W006, W008, W009.
+"""The whole-program half of the analyser: W001, W004, W008, W009.
 
 Layers (each importable on its own), all working from the files
 :func:`repro.analysis.analyzer.analyze` has already parsed:
@@ -8,25 +8,26 @@ Layers (each importable on its own), all working from the files
 * :mod:`.callgraph` — call graph resolved through the symbol table;
   virtual calls fan out to overrides, unresolvable calls become
   explicit *unknown edges*.
-* :mod:`.cfg` — statement-level control-flow graphs with def/use
-  sets, attribute-write and call-site records, and explicit exception
-  edges.
-* :mod:`.solver` — the worklist dataflow solver over those CFGs and
-  :class:`Program`: the one symbol table, call graph and per-function
-  CFG cache a run shares.
-* :mod:`.checks` — the call-graph checks W001 and W004.
-* :mod:`.typestate` — the session lattice W006 and dead config W008.
+* :mod:`.checks` — :class:`Program` (the one symbol table and call
+  graph a run shares) and the checks W001, W004 and W008 over it.
 * :mod:`.reach` — W009, a name fixpoint from what a user runs over the
   parsed trees (no symbol table, no call graph).
+
+There is no control-flow graph and no dataflow solver: the one
+path-sensitive hazard they served, a rule write on a removed session,
+is refused at runtime by ``SessionTable.remove`` (``up/session.py``).
 
 Nothing in here is imported by runtime code: the per-packet path pays
 zero import-time or runtime cost for the analyser's existence.
 """
 
 from .callgraph import CallEdge, CallGraph, UnknownEdge, build_call_graph
-from .cfg import CFG, AttrWrite, CallSite, CFGNode, build_cfg
-from .checks import DEFAULT_PACKET_ENTRIES, AllocationSite, allocation_sites
-from .solver import Analysis, Program, solve
+from .checks import (
+    DEFAULT_PACKET_ENTRIES,
+    AllocationSite,
+    Program,
+    allocation_sites,
+)
 from .symbols import (
     ClassInfo,
     FunctionInfo,
@@ -38,13 +39,8 @@ from .symbols import (
 
 __all__ = [
     "AllocationSite",
-    "Analysis",
-    "AttrWrite",
-    "CFG",
-    "CFGNode",
     "CallEdge",
     "CallGraph",
-    "CallSite",
     "ClassInfo",
     "DEFAULT_PACKET_ENTRIES",
     "FunctionInfo",
@@ -54,8 +50,6 @@ __all__ = [
     "UnknownEdge",
     "allocation_sites",
     "build_call_graph",
-    "build_cfg",
     "build_symbol_table",
     "module_name_for",
-    "solve",
 ]

@@ -1,4 +1,4 @@
-"""The two call-graph checks W001 and W004.
+"""The whole-program checks W001, W004 and W008.
 
 ========  ==================================================================
 W001      Hot-path allocation: every allocation *site* (object
@@ -14,6 +14,10 @@ W004      Layering conformance: import edges may not point up the
           ``cp`` may not import each other's internals; the
           instrumentation packages ``analysis``/``obs`` are never
           imported from the hot-path package).
+W008      Dead config: a ``*Config`` dataclass field no expression in
+          the analyzed tree ever reads, and metric instruments created
+          and immediately discarded — configuration no reachable path
+          can observe.
 ========  ==================================================================
 
 Findings carry call-chain evidence and are suppressed by the same
@@ -24,20 +28,27 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..astutil import dotted, walk_own
+from ..lifecycle import DEAD_CONFIG
 from ..rules import Finding
-from .solver import Program
-from .symbols import INSTRUMENTATION, FunctionInfo, SymbolTable
+from .callgraph import CallGraph
+from .symbols import (
+    INSTRUMENTATION,
+    FunctionInfo,
+    SymbolTable,
+    instrumentation_modules,
+)
 
 __all__ = [
     "DEFAULT_PACKET_ENTRIES",
     "AllocationSite",
+    "Program",
     "allocation_sites",
     "check_w001",
     "check_w004",
-    "function_finding",
+    "check_w008",
 ]
 
 #: The UPF-U per-packet entry points (direct API + platform ring path,
@@ -50,23 +61,15 @@ DEFAULT_PACKET_ENTRIES = (
 )
 
 
-def function_finding(
-    func: FunctionInfo,
-    lineno: int,
-    code: str,
-    message: str,
-    chain: Sequence[str] = (),
-) -> Finding:
-    """An error-severity finding at ``lineno`` of ``func``'s file."""
-    return Finding(
-        path=func.path,
-        line=lineno,
-        col=1,
-        code=code,
-        severity="error",
-        message=message,
-        chain=tuple(chain),
-    )
+class Program:
+    """What one run shares between the whole-program checks: the one
+    symbol table and the one call graph."""
+
+    def __init__(self, table: SymbolTable, graph: CallGraph) -> None:
+        self.table = table
+        self.graph = graph
+        #: Module-name prefixes of the instrumentation packages.
+        self.stops = instrumentation_modules(table)
 
 
 # ---------------------------------------------------------------------------
@@ -171,15 +174,19 @@ def check_w001(
         for site in allocation_sites(table, func):
             what = site.kind + (f" ({site.detail})" if site.detail else "")
             findings.append(
-                function_finding(
-                    func,
-                    site.lineno,
-                    "W001",
-                    f"allocation site on the UPF-U per-packet path: {what} "
-                    f"in {func.name}(); hoist it off the hot path, or "
-                    "excuse it on this line with "
-                    "`# repro: noqa[W001] -- reason`",
-                    chain=[f"-> {step}" for step in chain],
+                Finding(
+                    path=func.path,
+                    line=site.lineno,
+                    col=1,
+                    code="W001",
+                    severity="error",
+                    message=(
+                        "allocation site on the UPF-U per-packet path: "
+                        f"{what} in {func.name}(); hoist it off the hot "
+                        "path, or excuse it on this line with "
+                        "`# repro: noqa[W001] -- reason`"
+                    ),
+                    chain=tuple(f"-> {step}" for step in chain),
                 )
             )
     return findings
@@ -242,3 +249,93 @@ def check_w004(table: SymbolTable) -> List[Finding]:
                     "imported from the per-packet forwarding path",
                 )
     return findings
+
+
+# ---------------------------------------------------------------------------
+# W008 — dead config
+# ---------------------------------------------------------------------------
+def check_w008(program: Program) -> List[Finding]:
+    table, stops = program.table, program.stops
+    findings: List[Finding] = []
+
+    # Every attribute name read anywhere in the analyzed tree.
+    reads: Set[str] = set()
+    discarded: List[Tuple[str, str, str, int]] = []
+    for module in table.modules.values():
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Attribute) and isinstance(
+                node.ctx, ast.Load
+            ):
+                reads.add(node.attr)
+            if (
+                isinstance(node, ast.Expr)
+                and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Attribute)
+                and node.value.func.attr in (
+                    "gauge", "counter", "histogram"
+                )
+            ):
+                discarded.append((
+                    module.path,
+                    module.name,
+                    node.value.func.attr,
+                    node.lineno,
+                ))
+
+    for cls_qualname in sorted(table.classes):
+        cls = table.classes[cls_qualname]
+        if not cls_qualname.split(".")[-1].endswith("Config"):
+            continue
+        if stops and cls.module.startswith(stops):
+            continue
+        for stmt in cls.node.body:
+            if not isinstance(stmt, ast.AnnAssign) or not isinstance(
+                stmt.target, ast.Name
+            ):
+                continue
+            name = stmt.target.id
+            if name.startswith("_") or name in reads:
+                continue
+            findings.append(
+                Finding(
+                    path=cls.path,
+                    line=stmt.lineno,
+                    col=1,
+                    code="W008",
+                    severity="warning",
+                    message=(
+                        f"{DEAD_CONFIG}: "
+                        f"{cls_qualname.split('.')[-1]} flag "
+                        f"'{name}' is never read on any reachable "
+                        "path; it configures nothing"
+                    ),
+                    chain=(
+                        f"-> declared at {cls_qualname}.{name}",
+                        "-> no attribute read of "
+                        f"'.{name}' anywhere in the analyzed tree",
+                    ),
+                )
+            )
+
+    for path, module, method, lineno in discarded:
+        if stops and module.startswith(stops):
+            continue
+        findings.append(
+            Finding(
+                path=path,
+                line=lineno,
+                col=1,
+                code="W008",
+                severity="warning",
+                message=(
+                    f"{DEAD_CONFIG}: metric {method}() instrument is "
+                    "created and immediately discarded; no reachable "
+                    "path can observe it"
+                ),
+                chain=(
+                    f"-> {module}:{lineno} {method}(...) result unused",
+                ),
+            )
+        )
+    return findings
+

@@ -3,7 +3,7 @@
 One pass over the already-parsed files builds :class:`SymbolTable`:
 modules with their import bindings, classes with resolved base classes
 and per-attribute types, and functions with qualified names.
-Everything downstream — the call graph, the CFGs, the W-checks —
+Everything downstream — the call graph and the W-checks —
 resolves names through this table instead of re-walking ASTs.
 
 Names are qualified as ``package.module.Class.method``; module names

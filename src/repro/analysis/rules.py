@@ -5,8 +5,7 @@ Each rule is a subclass of :class:`Rule` registered through
 every file once into a :class:`FileContext`, feeds it to each rule and
 collects the :class:`Finding` objects it yields.  Rules are purely
 syntactic (AST + source text), so the pass stays fast and
-dependency-free.  The whole-program checks W001, W004, W006, W008
-and W009
+dependency-free.  The whole-program checks W001, W004, W008 and W009
 (:mod:`repro.analysis.program`) report through the same
 :class:`Finding` and are suppressed by the same comments.
 

@@ -285,10 +285,10 @@ class ShardedSessionTable(SessionTableView):
     def rehome(self, seid: int, target: int) -> bool:
         """Move one session to ``target`` (rebalance after remap).
 
-        Remove-then-add through the shard tables, so the old shard's
-        removal listeners fire (flow-cache purge, drain-state drop) and
-        the session adopts the new shard's epoch.  In-flight buffered
-        packets travel with the session object.
+        Remove-then-add through the shard tables: the old shard's
+        removal listeners fire (flow-cache purge, drain-state drop), and
+        the session refuses rule writes until the target (or, on a
+        failed add, the source) adopts it.  Buffered packets go with it.
         """
         shard = self._shard_by_seid.get(seid)
         if shard is None or shard == target:

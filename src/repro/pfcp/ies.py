@@ -40,6 +40,7 @@ __all__ = [
     "ReportTypeIE",
     "PdiIE",
     "CreatePdrIE",
+    "RemovePdrIE",
     "ForwardingParametersIE",
     "CreateFarIE",
     "UpdateFarIE",
@@ -614,6 +615,14 @@ class CreatePdrIE(_GroupedIE):
     """Create PDR (type 1, grouped): PDR ID, precedence, PDI, FAR ID."""
 
     IE_TYPE: ClassVar[int] = 1
+
+
+@_register
+@dataclass(frozen=True)
+class RemovePdrIE(_GroupedIE):
+    """Remove PDR (type 15, grouped): the PDR ID to delete."""
+
+    IE_TYPE: ClassVar[int] = 15
 
 
 @_register

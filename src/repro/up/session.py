@@ -44,6 +44,21 @@ __all__ = [
 _NONE_INSTALLED: Mapping = MappingProxyType({})
 
 
+class _DetachedEpoch(RuleEpoch):
+    """The epoch of a session no table holds: its bump refuses."""
+
+    __slots__ = ()
+
+    def bump(self) -> int:
+        raise RuntimeError("rule write on a session no table holds")
+
+
+#: Bound by :meth:`SessionTable.remove`, rebound by the next
+#: :meth:`SessionTable.add`: every rule mutator ends in a bump, so a
+#: removed session refuses rule writes until a table holds it again.
+DETACHED_EPOCH: RuleEpoch = _DetachedEpoch()
+
+
 class UPFSession:
     """One PDU session's user-plane state (§3.2's session context).
 
@@ -100,7 +115,8 @@ class UPFSession:
         #: Installed usage counters, by URR id.
         self.usage_counters: Mapping[int, UsageCounter] = _NONE_INSTALLED
         #: Rule-mutation epoch; rebound to the table's shared epoch by
-        #: :meth:`SessionTable.add` so one counter covers all sessions.
+        #: :meth:`SessionTable.add` so one counter covers all sessions,
+        #: and to :data:`DETACHED_EPOCH` by :meth:`SessionTable.remove`.
         self.epoch = RuleEpoch()
         self.buffer = SmartBuffer(buffer_capacity)
         #: Set while the CP has been notified of buffered DL data and
@@ -204,7 +220,8 @@ class UPFSession:
 
     def _publish(self, part: str, value, detail: str) -> None:
         """Publish a rule write: the race-detector note and the epoch
-        bump are one call, so a mutator cannot drop either alone."""
+        bump are one call, so a mutator cannot drop either alone.  On
+        a removed session the bump raises :class:`RuntimeError`."""
         detector = _races._ACTIVE
         if detector is not None:
             detector.on_write(self, part, value=value, detail=detail)
@@ -242,7 +259,11 @@ class SessionTableView(abc.ABC):
 
     @abc.abstractmethod
     def remove(self, seid: int) -> Optional[UPFSession]:
-        """Remove and return a session, or None if unknown."""
+        """Remove and return a session, or None if unknown.
+
+        The returned session refuses rule writes (``RuntimeError``)
+        until a table adds it again.
+        """
 
     @abc.abstractmethod
     def by_seid(self, seid: int) -> Optional[UPFSession]:
@@ -293,6 +314,8 @@ class SessionTable(SessionTableView):
     The table owns the shared rule-mutation :attr:`epoch` consulted by
     the UPF-U's flow cache; membership changes bump it, and sessions
     adopt it on :meth:`add` so their rule mutations bump it too.
+    :meth:`remove` detaches the session (:data:`DETACHED_EPOCH`), so a
+    rule write on it raises instead of reaching no data path.
     """
 
     def __init__(self) -> None:
@@ -343,6 +366,7 @@ class SessionTable(SessionTableView):
             return None
         del self._teid_index[session.ul_teid]
         del self._ue_ip_index[session.ue_ip]
+        session.epoch = DETACHED_EPOCH
         self._publish(f"remove(seid={seid})")
         for listener in self._removal_listeners:
             listener(session)

@@ -209,7 +209,21 @@ class UPFControlPlane:
             if was_buffering and now_forwarding and self.upf_u is not None:
                 released += self.upf_u.flush_session(session)
         for create in message.find_all(pfcp_ies.CreatePdrIE):
-            session.install_pdr(pdr_from_create_ie(create))
+            # A CHOOSE F-TEID inside the PDI is allocated as in
+            # _establish: the PDR matches that endpoint, not every TEID.
+            pdi = create.child(pfcp_ies.PdiIE)
+            fteid = pdi.child(pfcp_ies.FTeidIE) if pdi else None
+            teid = None
+            if fteid is not None and fteid.choose:
+                teid = self.allocate_teid(ue_ip=session.ue_ip)
+                response_ies.append(
+                    pfcp_ies.FTeidIE(teid=teid, address=self.address)
+                )
+            session.install_pdr(pdr_from_create_ie(create, teid=teid))
+        for remove in message.find_all(pfcp_ies.RemovePdrIE):
+            pdr_id = remove.child(pfcp_ies.PdrIdIE)
+            if pdr_id is not None:
+                session.remove_pdr(pdr_id.rule_id)
         for create in message.find_all(pfcp_ies.CreateFarIE):
             session.install_far(far_from_ie(create))
         for qer_ie in message.find_all(qos_ies.CreateQerIE):

@@ -17,7 +17,6 @@ import pytest
 from repro.analysis import analyzer
 from repro.analysis.__main__ import main
 from repro.analysis.analyzer import analyze, load_files
-from repro.analysis.program import solver
 from repro.analysis.rules import FileContext
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -73,20 +72,22 @@ class TestOneEngine:
         parses = count_calls(ast, "parse")
         tables = count_calls(analyzer, "build_symbol_table")
         graphs = count_calls(analyzer, "build_call_graph")
-        cfgs = count_calls(solver, "build_cfg")
         report = analyze(files)
         assert codes(report) == ["R001"]
         assert parses.calls == len(files) == 6
         assert tables.calls == 1
         assert graphs.calls == 1
-        # One CFG per function, built for W006 (the test file is not
-        # part of the program).
+        # The program holds the production functions (the test file is
+        # not part of it), and no check builds a control-flow graph.
         assert sorted(report.table.functions) == [
             "pkg.sim.engine.stamp",
             "pkg.up.session.Session.emit",
             "pkg.up.session.Session.install",
         ]
-        assert cfgs.calls == report.stats["cfgs"] == 3
+        for gone in ("cfg", "solver", "typestate"):
+            name = f"repro.analysis.program.{gone}"
+            assert importlib.util.find_spec(name) is None, name
+        assert "cfgs" not in report.stats
 
     def test_file_local_rules_alone_build_no_program(
         self, write_tree, count_calls
@@ -125,21 +126,20 @@ class TestSyntaxError:
         write_tree({
             "pkg/__init__.py": "",
             "pkg/broken.py": "def broken(:\n",
-            "pkg/up.py": """
-                def drop(table, seid):
-                    s = table.remove(seid)
-                    s.install_far(3)
+            "pkg/conf.py": """
+                class KnobConfig:
+                    orphaned: bool = False
             """,
         })
         report = analyze(load_files(["pkg"]))
-        assert sorted(codes(report)) == ["R000", "W006"]
+        assert sorted(codes(report)) == ["R000", "W008"]
         broken = next(f for f in report.findings if f.code == "R000")
         assert broken.path.endswith("broken.py") and broken.line == 1
         assert "syntax error" in broken.message
-        assert sorted(report.table.modules) == ["pkg", "pkg.up"]
+        assert sorted(report.table.modules) == ["pkg", "pkg.conf"]
         assert main(["pkg"]) == 1
         out = capsys.readouterr().out
-        assert out.count("R000") == 1 and "W006" in out
+        assert out.count("R000") == 1 and "W008" in out
 
     def test_r000_survives_select_and_noqa(self, write_tree):
         write_tree({"pkg/broken.py": "def broken(:  # repro: noqa\n"})
@@ -261,12 +261,12 @@ class TestReport:
         assert data["suppressed"] == 0
         assert data["stats"] == {
             "files": 6, "modules": 5, "functions": 3, "classes": 1,
-            "call_edges": 0, "unknown_edges": 3, "cfgs": 3,
+            "call_edges": 0, "unknown_edges": 3,
         }
         phases = list(data["timings"])
         assert phases[0] == "parse" and phases[-1] == "suppressions"
         assert phases.index("symbols") < phases.index("callgraph")
-        assert {"R001", "W004", "W006"} <= set(phases)
+        assert {"R001", "W004", "W008"} <= set(phases)
         assert "W001" not in phases  # no packet entry point in this tree
         assert all(seconds >= 0 for seconds in data["timings"].values())
 

@@ -1,8 +1,9 @@
-"""Seeded-fixture tests for the lifecycle checks W006 and W008.
+"""Seeded-fixture tests for the dead-config check W008, the machinery
+it shares with every check, and the shared lifecycle vocabulary.
 
-Each fixture triggers exactly its intended finding, with the path
-evidence asserted; the "clean" twins prove the checks understand the
-repo's legal idioms (rehome, decoded rule ids).
+Each fixture triggers exactly its intended finding, with the evidence
+asserted; the "clean" twins prove the check understands the repo's
+legal idioms (private fields, instruments that are kept).
 """
 
 import textwrap
@@ -21,47 +22,12 @@ def run_checks(tmp_path, tree, checks=None):
         path.write_text(textwrap.dedent(source))
         files.append((str(path), path.read_text()))
     return analyze(
-        files, select=checks or ["W006", "W008"]
+        files, select=checks or ["W008"]
     )
 
 
 def codes(report):
     return [f.code for f in report.findings]
-
-
-class TestW006SessionLifecycle:
-    def test_use_after_remove(self, tmp_path):
-        report = run_checks(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/cp.py": """
-                class UPFSession:
-                    pass
-
-                class Handler:
-                    def modify(self, table):
-                        s = UPFSession()
-                        table.add(s)
-                        table.remove(s.seid)
-                        s.install_far(3)
-            """,
-        }, checks=["W006"])
-        assert codes(report) == ["W006"]
-        finding = report.findings[0]
-        assert lifecycle.USE_AFTER_REMOVE in finding.message
-        assert "'removed'" in finding.message
-        assert any("state 'removed'" in s for s in finding.chain)
-
-    def test_rehome_remove_then_add_is_legal(self, tmp_path):
-        report = run_checks(tmp_path, {
-            "pkg/__init__.py": "",
-            "pkg/cp.py": """
-                class Handler:
-                    def rehome(self, source, target, seid):
-                        s = source.remove(seid)
-                        target.add(s)
-            """,
-        }, checks=["W006"])
-        assert report.findings == []
 
 
 class TestW008DeadConfig:
@@ -111,45 +77,47 @@ class TestW008DeadConfig:
         assert report.findings == []
 
 
+DEAD_FLAG = """
+    class KnobConfig:
+        used: bool = True
+        orphaned: bool = False{comment}
+
+    def reader(cfg):
+        return cfg.used
+"""
+
+
 class TestSharedMachinery:
     def test_multi_code_noqa_suppresses_both(self, tmp_path):
         tree = {
             "pkg/__init__.py": "",
-            "pkg/up.py": """
-                def drop(table, seid):
-                    s = table.remove(seid)
-                    s.install_far(3)  # repro: noqa[W006,W008]
-            """,
+            "pkg/conf.py": DEAD_FLAG.format(
+                comment="  # repro: noqa[W004,W008]"
+            ),
         }
-        report = run_checks(tmp_path, tree, checks=["W006"])
-        assert report.findings == []  # W008 did not run: not judged
+        report = run_checks(tmp_path, tree, checks=["W008"])
+        assert report.findings == []  # W004 did not run: not judged
         assert report.suppressed == 1
-        # With W008 running too, its half of the comment excuses
+        # With W004 running too, its half of the comment excuses
         # nothing, which is itself reported.
-        report = run_checks(tmp_path, tree, checks=["W006", "W008"])
+        report = run_checks(tmp_path, tree, checks=["W004", "W008"])
         assert codes(report) == ["U001"]
-        assert "W008 does not fire here" in report.findings[0].message
+        assert "W004 does not fire here" in report.findings[0].message
 
     def test_noqa_for_other_code_does_not_suppress(self, tmp_path):
         report = run_checks(tmp_path, {
             "pkg/__init__.py": "",
-            "pkg/up.py": """
-                def drop(table, seid):
-                    s = table.remove(seid)
-                    s.install_far(3)  # repro: noqa[W008]
-            """,
-        }, checks=["W006"])
-        assert codes(report) == ["W006"]
+            "pkg/conf.py": DEAD_FLAG.format(
+                comment="  # repro: noqa[W004]"
+            ),
+        }, checks=["W008"])
+        assert codes(report) == ["W008"]
 
     def test_instrumentation_packages_are_skipped(self, tmp_path):
         report = run_checks(tmp_path, {
             "pkg/__init__.py": "",
             "pkg/analysis/__init__.py": "",
-            "pkg/analysis/probe.py": """
-                def drop(table, seid):
-                    s = table.remove(seid)
-                    s.install_far(3)
-            """,
+            "pkg/analysis/probe.py": DEAD_FLAG.format(comment=""),
         })
         assert report.findings == []
 
@@ -158,22 +126,12 @@ class TestSharedMachinery:
         # embed line numbers or shifting code would go stale.
         report = run_checks(tmp_path, {
             "pkg/__init__.py": "",
-            "pkg/up.py": """
-                def drop(table, seid):
-                    s = table.remove(seid)
-                    s.install_far(3)
-            """,
+            "pkg/conf.py": DEAD_FLAG.format(comment=""),
         })
         shifted = run_checks(tmp_path, {
             "pkg/__init__.py": "",
-            "pkg/up.py": """
-                # a comment pushing everything down
-
-
-                def drop(table, seid):
-                    s = table.remove(seid)
-                    s.install_far(3)
-            """,
+            "pkg/conf.py": "# a comment pushing everything down\n\n\n"
+            + textwrap.dedent(DEAD_FLAG.format(comment="")),
         })
         assert [f.message for f in report.findings] == [
             f.message for f in shifted.findings

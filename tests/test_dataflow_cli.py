@@ -1,4 +1,4 @@
-"""The lifecycle checks (W006, W008) through ``python -m repro.analysis``.
+"""The dead-config check W008 through ``python -m repro.analysis``.
 
 These cases predate the single CLI (they drove a separate entry point
 and an ``all`` umbrella) and keep their names because the tier-1 floor
@@ -18,18 +18,24 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 DIRTY = {
     "pkg/__init__.py": "",
-    "pkg/up.py": """
-        def drop(table, seid):
-            s = table.remove(seid)
-            s.install_far(3)
+    "pkg/conf.py": """
+        class KnobConfig:
+            used: bool = True
+            orphaned: bool = False
+
+        def reader(cfg):
+            return cfg.used
     """,
 }
 
 CLEAN = {
     "pkg/__init__.py": "",
-    "pkg/up.py": """
-        def drop(table, seid):
-            s = table.remove(seid)
+    "pkg/conf.py": """
+        class KnobConfig:
+            used: bool = True
+
+        def reader(cfg):
+            return cfg.used
     """,
 }
 
@@ -56,7 +62,7 @@ class TestExitCodes:
         write_tree(DIRTY)
         assert main(["pkg"]) == 1
         out = capsys.readouterr().out
-        assert "W006" in out
+        assert "W008" in out
         assert "call chain:" in out
 
     def test_missing_path_exits_two(self, write_tree, capsys):
@@ -74,11 +80,11 @@ class TestExitCodes:
 class TestSelection:
     def test_select_other_code_skips_finding(self, write_tree):
         write_tree(DIRTY)
-        assert main(["pkg", "--select", "W008"]) == 0
+        assert main(["pkg", "--select", "W004"]) == 0
 
     def test_ignore_silences_finding(self, write_tree):
         write_tree(DIRTY)
-        assert main(["pkg", "--ignore", "W006"]) == 0
+        assert main(["pkg", "--ignore", "W008"]) == 0
 
 
 class TestFormats:
@@ -86,27 +92,34 @@ class TestFormats:
         write_tree(DIRTY)
         assert main(["pkg", "--format", "github"]) == 1
         out = capsys.readouterr().out
-        assert "::error file=" in out
-        assert "W006" in out
+        # W008 is a warning-severity check.
+        assert "::warning file=" in out
+        assert "W008" in out
 
     def test_json_payload(self, write_tree, capsys):
         write_tree(DIRTY)
         assert main(["pkg", "--json"]) == 1
         data = json.loads(capsys.readouterr().out)
-        assert data["findings"][0]["code"] == "W006"
+        assert data["findings"][0]["code"] == "W008"
         assert data["findings"][0]["chain"]
         assert data["stats"]["functions"] >= 1
 
 
 EXCUSED = """
-    def drop(table, seid):
-        s = table.remove(seid)
-        s.install_far(3)  # repro: noqa[W006] -- fixture
+    class KnobConfig:
+        used: bool = True
+        orphaned: bool = False  # repro: noqa[W008] -- fixture
+
+    def reader(cfg):
+        return cfg.used
 """
 
 PAID_OFF = """
-    def drop(table, seid):
-        s = table.remove(seid)  # repro: noqa[W006] -- fixture
+    class KnobConfig:
+        used: bool = True  # repro: noqa[W008] -- fixture
+
+    def reader(cfg):
+        return cfg.used
 """
 
 
@@ -115,35 +128,35 @@ class TestBaseline:
     ``noqa`` (class and test names are the tier-1 floor's)."""
 
     def test_baseline_suppresses_and_exits_zero(self, write_tree, capsys):
-        write_tree({**DIRTY, "pkg/up.py": EXCUSED})
+        write_tree({**DIRTY, "pkg/conf.py": EXCUSED})
         assert main(["pkg", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["suppressed"] == 1
 
     def test_line_shift_keeps_baseline_valid(
         self, tmp_path, write_tree, capsys
     ):
-        write_tree({**DIRTY, "pkg/up.py": EXCUSED})
+        write_tree({**DIRTY, "pkg/conf.py": EXCUSED})
         shifted = "# leading comment\n\n" + textwrap.dedent(EXCUSED)
-        (tmp_path / "pkg" / "up.py").write_text(shifted)
+        (tmp_path / "pkg" / "conf.py").write_text(shifted)
         assert main(["pkg"]) == 0
 
     def test_fixed_finding_makes_baseline_stale(
         self, tmp_path, write_tree, capsys
     ):
-        write_tree({**CLEAN, "pkg/up.py": PAID_OFF})
+        write_tree({**CLEAN, "pkg/conf.py": PAID_OFF})
         assert main(["pkg"]) == 1
         out = capsys.readouterr().out
         assert "U001" in out
-        assert "unused suppression: W006 does not fire here" in out
+        assert "unused suppression: W008 does not fire here" in out
 
     def test_stale_gate_scoped_to_selected_codes(
         self, tmp_path, write_tree, capsys
     ):
-        # A W006 exemption must not count as unused when only W008 runs.
-        write_tree({**CLEAN, "pkg/up.py": PAID_OFF})
-        assert main(["pkg", "--select", "W008"]) == 0
-        assert main(["pkg", "--ignore", "W006"]) == 0
-        assert main(["pkg", "--select", "W006"]) == 1
+        # A W008 exemption must not count as unused when only W004 runs.
+        write_tree({**CLEAN, "pkg/conf.py": PAID_OFF})
+        assert main(["pkg", "--select", "W004"]) == 0
+        assert main(["pkg", "--ignore", "W008"]) == 0
+        assert main(["pkg", "--select", "W008"]) == 1
 
 
 class TestRepoIntegration:
@@ -152,7 +165,7 @@ class TestRepoIntegration:
     ):
         monkeypatch.chdir(REPO_ROOT)
         code = main([os.path.join("src", "repro"), "--json",
-                     "--select", "W006,W008"])
+                     "--select", "W008"])
         data = json.loads(capsys.readouterr().out)
         assert code == 0
         assert data["findings"] == []
@@ -171,7 +184,7 @@ class TestUmbrella:
         assert code == 0
         assert data["findings"] == []
         expected = [f"R00{n}" for n in range(1, 9)] + [
-            "W001", "W004", "W006", "W008", "W009",
+            "W001", "W004", "W008", "W009",
         ]
         assert data["codes"] == expected
         assert list(data["timings"]) == (

@@ -42,6 +42,10 @@ from repro.up import (
     UPFUserPlane,
 )
 
+from .test_up_pipeline import (
+    assert_accepts_rule_writes,
+    assert_refuses_rule_writes,
+)
 
 GNB = 0xC0A80201
 DN_IP = 0x08080808
@@ -349,6 +353,7 @@ class TestShardedSessionTable:
         assert tables[source].by_seid(1) is None
         assert tables[target].by_seid(1) is session
         assert session.epoch is tables[target].epoch
+        assert_accepts_rule_writes(session)
         # No-op moves report False.
         assert not view.rehome(1, target)
         assert not view.rehome(99, 0)
@@ -362,6 +367,17 @@ class TestShardedSessionTable:
         for seid in (1, 2, 3, 4):
             view.remove(seid)
         assert sorted(removed) == [1, 2, 3, 4]
+
+    def test_a_session_between_remove_and_add_refuses_rule_writes(self):
+        _, tables, view = self._view()
+        session = make_session(1)
+        view.add(session)
+        shard = view.shard_of(1)
+        assert view.remove(1) is session
+        assert_refuses_rule_writes(session, tables[shard])
+        view.add(session)
+        assert session.epoch is tables[view.shard_of(1)].epoch
+        assert_accepts_rule_writes(session)
 
     def test_lb_counters_track_placement(self):
         # The shard tables are the placement record: each session sits
@@ -419,6 +435,9 @@ class TestShardedSessionTable:
         assert tables[source].by_seid(1) is session
         assert view.by_seid(1) is session
         assert tables[target].by_seid(1) is None
+        # Restored, the session is writable again.
+        assert session.epoch is tables[source].epoch
+        assert_accepts_rule_writes(session)
 
 
 # ----------------------------------------------------------------------

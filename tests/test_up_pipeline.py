@@ -20,12 +20,16 @@ from repro.pfcp.builder import (
     build_path_switch,
     build_session_establishment,
 )
-from repro.pfcp.messages import SessionDeletionRequest
+from repro.pfcp.messages import (
+    SessionDeletionRequest,
+    SessionModificationRequest,
+)
 from repro.sim import Environment
 from repro.up import (
     FAR,
     PDR,
     SessionTable,
+    QerEnforcer,
     SmartBuffer,
     UPFControlPlane,
     UPFSession,
@@ -74,6 +78,39 @@ def establish(upf_c, seid=1, ue_ip=UE_IP, ul_teid=0x100, dl_teid=0x500):
         dl_teid=dl_teid,
     )
     return upf_c.handle(request)
+
+
+DETACHED = "rule write on a session no table holds"
+
+
+def rule_writes(session):
+    """One call per ``UPFSession`` rule mutator, each of which ends in
+    ``_publish``; id 9 is new to every fixture session."""
+    return [
+        lambda: session.install_pdr(PDR.from_fields(
+            priority=precedence_to_priority(32), rule_id=9, far_id=9,
+        )),
+        lambda: session.remove_pdr(9),
+        lambda: session.install_far(FAR(far_id=9, forward=True)),
+        lambda: session.update_far(FAR(far_id=9, drop=True)),
+        lambda: session.install_qer_enforcer(QerEnforcer(qer_id=9)),
+        lambda: session.install_usage_counter(UsageCounter(urr_id=9)),
+    ]
+
+
+def assert_refuses_rule_writes(session, table):
+    """Every mutator raises on ``session``; ``table``'s epoch (the one
+    its flow cache reads) does not move."""
+    before = table.epoch.value
+    for write in rule_writes(session):
+        with pytest.raises(RuntimeError, match=DETACHED):
+            write()
+    assert table.epoch.value == before
+
+
+def assert_accepts_rule_writes(session):
+    for write in rule_writes(session):
+        write()
 
 
 def dl_packet(ue_ip=UE_IP, seq=None):
@@ -141,11 +178,20 @@ class TestSessionTable:
 
     def test_remove_clears_all_keys(self):
         table = SessionTable()
-        table.add(UPFSession(seid=1, ue_ip=1, ul_teid=10))
-        assert table.remove(1) is not None
+        session = UPFSession(seid=1, ue_ip=1, ul_teid=10)
+        # A session no table has held yet keeps its own epoch and
+        # accepts writes (how unit tests drive a bare session).
+        assert_accepts_rule_writes(session)
+        table.add(session)
+        assert table.remove(1) is session
         assert table.by_teid(10) is None
         assert table.by_ue_ip(1) is None
         assert table.remove(1) is None
+        # Removed, it refuses rule writes; added again, it takes them.
+        assert_refuses_rule_writes(session, table)
+        table.add(session)
+        assert session.epoch is table.epoch
+        assert_accepts_rule_writes(session)
 
     def test_session_object_is_closed(self):
         """Per-session state is what ``UPFSession.__slots__`` declares:
@@ -382,15 +428,35 @@ class TestForwarding:
     def test_session_deletion_stops_forwarding(self):
         env, table, upf_u, upf_c, ul_sink, *_ = build_upf()
         establish(upf_c)
+        removed = table.by_seid(1)
         response = upf_c.handle(SessionDeletionRequest(seid=1, sequence=2))
         assert response.find(pfcp_ies.CauseIE).accepted
         upf_u.process(ul_packet())
         assert upf_u.stats.dropped_no_session == 1
+        # A rule write on the deleted session raises instead of landing
+        # where no packet can see it.
+        assert_refuses_rule_writes(removed, table)
+        # A re-establishment is a new session, and a writable one.
+        establish(upf_c)
+        assert_accepts_rule_writes(table.by_seid(1))
+        assert upf_u.process(ul_packet()) == "forwarded-ul"
 
     def test_delete_unknown_session(self):
         env, table, upf_u, upf_c, *_ = build_upf()
         response = upf_c.handle(SessionDeletionRequest(seid=42, sequence=1))
         assert not response.find(pfcp_ies.CauseIE).accepted
+
+    def test_remove_pdr_in_a_modification_stops_matching(self):
+        env, table, upf_u, upf_c, *_ = build_upf()
+        establish(upf_c)
+        assert upf_u.process(ul_packet()) == "forwarded-ul"
+        remove = pfcp_ies.RemovePdrIE(children=[pfcp_ies.PdrIdIE(rule_id=1)])
+        response = upf_c.handle(
+            SessionModificationRequest(seid=1, sequence=2, ies=[remove])
+        )
+        assert response.find(pfcp_ies.CauseIE).accepted
+        assert sorted(table.by_seid(1).pdrs) == [2]
+        assert upf_u.process(ul_packet()) == "drop-no-pdr"
 
 
 class TestBufferingFlow:
@@ -483,6 +549,30 @@ class TestBufferingFlow:
         allocated = response.find(pfcp_ies.FTeidIE)
         assert allocated is not None
         assert allocated.teid >= 0x1000
+
+    def test_create_pdr_with_choose_in_a_modification_allocates(self):
+        # The CHOOSE F-TEID sits inside the Create PDR's PDI, not at the
+        # top level of the message: the PDR must match the endpoint the
+        # UPF allocated (and returned), not every TEID.
+        env, table, upf_u, upf_c, *_ = build_upf()
+        establish(upf_c)
+        create = pfcp_ies.CreatePdrIE(children=[
+            pfcp_ies.PdrIdIE(rule_id=3),
+            pfcp_ies.PrecedenceIE(precedence=32),
+            pfcp_ies.PdiIE(children=[
+                pfcp_ies.SourceInterfaceIE(interface=pfcp_ies.ACCESS),
+                pfcp_ies.FTeidIE(address=UPF, choose=True),
+            ]),
+            pfcp_ies.FarIdIE(rule_id=1),
+        ])
+        response = upf_c.handle(
+            SessionModificationRequest(seid=1, sequence=2, ies=[create])
+        )
+        allocated = response.find(pfcp_ies.FTeidIE)
+        assert allocated is not None and allocated.teid >= 0x1000
+        assert allocated.address == UPF
+        pdr = table.by_seid(1).pdrs[3]
+        assert pdr.ranges[FIELD_INDEX["teid"]] == exact(allocated.teid)
 
     @staticmethod
     def _choose_request():
