@@ -568,8 +568,9 @@ class NonOwnerMutationRule(Rule):
     reaching in from any other module bypasses both the epoch publish
     protocol and the race detector's ownership model.  Inside ``up``
     the rule maps are the session's own: a handler writing
-    ``session.fars[...]`` instead of calling ``update_far`` skips the
-    publish, and the flow cache keeps serving the old rule."""
+    ``session.fars[...]`` instead of committing a ``RuleDelta`` through
+    ``UPFSession.apply`` skips the publish, and the flow cache keeps
+    serving the old rule."""
 
     code = "R008"
     name = "non-owner-shared-write"
@@ -582,7 +583,7 @@ class NonOwnerMutationRule(Rule):
         for node, attr, receiver in attr_mutations(ctx.tree, watched):
             if receiver == "self":
                 # A class defining its own attribute of the same name
-                # owns it; inside up/ that is the session's mutators.
+                # owns it; inside up/ that is UPFSession.apply.
                 continue
             if inside_up:
                 message = (

@@ -38,7 +38,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 from ..analysis import races as _races
 from ..core.costs import DEFAULT_COSTS, CostModel
@@ -246,7 +246,8 @@ class ShardedSessionTable(SessionTableView):
 
     Routes by the same hashes as the data plane: ``add`` places the
     session on the shard its UE IP's bucket maps to (after checking
-    the UL TEID was steered into the same bucket), lookups route by
+    each uplink TEID was steered into the same bucket, as a rule
+    commit's ``index_teids`` does for the TEIDs it adds), lookups route by
     key, and ``rehome`` implements the rebalance move.  The shard
     tables are the only record of placement; ``_shard_by_seid`` is
     their SEID index, written only after a table accepted the session.
@@ -267,14 +268,30 @@ class ShardedSessionTable(SessionTableView):
             # A shard table only knows the SEIDs it holds itself.
             raise ValueError(f"duplicate SEID {session.seid}")
         shard = self.router.shard_for_ue_ip(session.ue_ip)
-        if self.router.shard_for_teid(session.ul_teid) != shard:
-            raise ValueError(
-                f"UL TEID {session.ul_teid:#x} hashes to a different "
-                f"shard than UE IP {session.ue_ip:#x}; allocate TEIDs "
-                "via ShardRouter.steer_teid"
-            )
+        self._check_steered(session, session.uplink_teids())
         self.tables[shard].add(session)
         self._shard_by_seid[session.seid] = shard
+
+    def index_teids(
+        self, session: UPFSession, added: Set[int], dropped: Set[int]
+    ) -> None:
+        shard = self._shard_by_seid.get(session.seid)
+        if shard is None:
+            raise ValueError(f"SEID {session.seid} is not in this table")
+        self._check_steered(session, added)
+        self.tables[shard].index_teids(session, added, dropped)
+
+    def _check_steered(self, session: UPFSession, teids) -> None:
+        """Every uplink TEID must share the UE IP's RSS bucket, so a
+        session's UL and DL land on one shard under any bucket map."""
+        bucket = self.router.bucket_of(session.ue_ip)
+        for teid in teids:
+            if self.router.bucket_of(teid) != bucket:
+                raise self._refuse_teid(
+                    f"UL TEID {teid:#x} hashes to a different bucket "
+                    f"than UE IP {session.ue_ip:#x}; allocate TEIDs via "
+                    "ShardRouter.steer_teid"
+                )
 
     def remove(self, seid: int) -> Optional[UPFSession]:
         shard = self._shard_by_seid.pop(seid, None)

@@ -41,7 +41,7 @@ from ..pfcp import ies as pfcp_ies
 from ..pfcp.builder import build_session_establishment
 from ..sim.engine import Environment
 from ..up.rules import PDR, precedence_to_priority
-from ..up.session import SessionTable, UPFSession
+from ..up.session import RuleDelta, SessionTable, UPFSession
 from ..up.upf_u import UPFUserPlane
 
 __all__ = [
@@ -131,24 +131,23 @@ def _session_with_rules(
     # every lookup must consider them before falling through.
     import dataclasses
 
-    session.install_pdr(
-        dataclasses.replace(
-            session.pdrs[2], priority=precedence_to_priority(5000)
-        )
+    demoted = dataclasses.replace(
+        session.pdrs[2], priority=precedence_to_priority(5000)
     )
     # Grow the PDR set with higher-precedence subflow filters that do
     # not match the probe flow (the scan cost the paper measures).
     generator = ClassBenchGenerator(seed=13)
-    for index, rule in enumerate(generator.rules(extra_rules)):
-        session.install_pdr(
-            PDR(
-                ranges=rule.ranges,
-                priority=precedence_to_priority(100 + index),
-                rule_id=100 + index,
-                far_id=2,
-                source_interface=pfcp_ies.CORE,
-            )
+    filters = tuple(
+        PDR(
+            ranges=rule.ranges,
+            priority=precedence_to_priority(100 + index),
+            rule_id=100 + index,
+            far_id=2,
+            source_interface=pfcp_ies.CORE,
         )
+        for index, rule in enumerate(generator.rules(extra_rules))
+    )
+    session.apply(RuleDelta(pdrs=(demoted, *filters)), table)
     packet = Packet(
         direction=Direction.DOWNLINK,
         flow=FiveTuple(src_ip=1, dst_ip=ue_ip, src_port=80, dst_port=4000),
@@ -191,34 +190,32 @@ def _resident_session(seid: int, ue_ip: int, ul_teid: int) -> UPFSession:
         buffer_capacity=8,
     )
     priority = precedence_to_priority(10)
-    session.install_pdr(
-        PDR.from_fields(
-            priority=priority, rule_id=1, far_id=1,
-            outer_header_removal=True,
-            source_interface=pfcp_ies.ACCESS,
-            teid=exact(ul_teid),
-            source_iface=exact(pfcp_ies.ACCESS),
-        )
-    )
-    session.install_pdr(
-        PDR.from_fields(
-            priority=priority, rule_id=2, far_id=2,
-            source_interface=pfcp_ies.CORE,
-            dst_ip=exact(ue_ip),
-            source_iface=exact(pfcp_ies.CORE),
-        )
-    )
-    session.install_far(
-        FAR(far_id=1, destination_interface=pfcp_ies.CORE)
-    )
-    session.install_far(
-        FAR(
-            far_id=2,
-            destination_interface=pfcp_ies.ACCESS,
-            outer_teid=0x40000000 ^ ul_teid,
-            outer_address=_SHARD_GNB,
-        )
-    )
+    session.apply(RuleDelta(
+        pdrs=(
+            PDR.from_fields(
+                priority=priority, rule_id=1, far_id=1,
+                outer_header_removal=True,
+                source_interface=pfcp_ies.ACCESS,
+                teid=exact(ul_teid),
+                source_iface=exact(pfcp_ies.ACCESS),
+            ),
+            PDR.from_fields(
+                priority=priority, rule_id=2, far_id=2,
+                source_interface=pfcp_ies.CORE,
+                dst_ip=exact(ue_ip),
+                source_iface=exact(pfcp_ies.CORE),
+            ),
+        ),
+        fars=(
+            FAR(far_id=1, destination_interface=pfcp_ies.CORE),
+            FAR(
+                far_id=2,
+                destination_interface=pfcp_ies.ACCESS,
+                outer_teid=0x40000000 ^ ul_teid,
+                outer_address=_SHARD_GNB,
+            ),
+        ),
+    ))
     return session
 
 

@@ -21,6 +21,7 @@ from typing import ClassVar, Dict, List, Optional, Type
 __all__ = [
     "IE",
     "CauseIE",
+    "OffendingIeIE",
     "NodeIdIE",
     "FSeidIE",
     "PdrIdIE",
@@ -68,6 +69,8 @@ ACTION_DUPL = 0x10
 CAUSE_ACCEPTED = 1
 CAUSE_REQUEST_REJECTED = 64
 CAUSE_SESSION_NOT_FOUND = 65
+CAUSE_MANDATORY_IE_MISSING = 66
+CAUSE_RULE_CREATION_MODIFICATION_FAILURE = 73
 
 
 def _register(cls: Type["IE"]) -> Type["IE"]:
@@ -176,6 +179,23 @@ class CauseIE(IE):
     @property
     def accepted(self) -> bool:
         return self.cause == CAUSE_ACCEPTED
+
+
+@_register
+@dataclass(frozen=True)
+class OffendingIeIE(IE):
+    """Offending IE (type 40): the type of the IE a rejection names."""
+
+    IE_TYPE: ClassVar[int] = 40
+    PAYLOAD_SIZE: ClassVar[int] = struct.calcsize("!H")
+    ie_type: int = 0
+
+    def payload(self) -> bytes:
+        return struct.pack("!H", self.ie_type)
+
+    @classmethod
+    def parse(cls, data: bytes) -> "OffendingIeIE":
+        return cls(ie_type=struct.unpack("!H", data[:2])[0])
 
 
 @_register

@@ -10,11 +10,7 @@ from .flow_cache import (
 from .keys import packet_key, packet_keys
 from .qos import QerEnforcer, TokenBucket, UsageCounter
 from .rules import FAR, PDR, far_from_ie, pdr_from_create_ie
-from .session import (
-    SessionTable,
-    SessionTableView,
-    UPFSession,
-)
+from .session import RuleDelta, SessionTable, SessionTableView, UPFSession
 from .upf_c import UPFControlPlane
 from .upf_u import ForwardingStats, UPFUserPlane
 
@@ -34,6 +30,7 @@ __all__ = [
     "PDR",
     "far_from_ie",
     "pdr_from_create_ie",
+    "RuleDelta",
     "SessionTable",
     "SessionTableView",
     "UPFSession",

@@ -20,10 +20,10 @@ This module provides that cache:
   cached: QER policing and URR accounting are per-packet actions and
   always execute.
 * **Invalidation** — epoch-based, reproducing §3.2's zero-cost state
-  update at the cache layer.  Every rule-mutating operation
-  (``install_pdr`` / ``remove_pdr`` / ``install_far`` / ``update_far``
-  / ``install_qer*`` / ``SessionTable.add``/``remove``) ends in one
-  ``_publish`` call that bumps a shared :class:`RuleEpoch`; entries record the epoch at fill time and a hit
+  update at the cache layer.  A rule commit (``UPFSession.apply``, one
+  per PFCP request) and a ``SessionTable.add``/``remove`` each bump a
+  shared :class:`RuleEpoch` once, in one ``_publish`` call; entries
+  record the epoch at fill time and a hit
   whose recorded epoch is stale self-invalidates.  No scan, no
   callback fan-out on the data path — a rule change is one integer
   increment.

@@ -14,14 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Type
 
 from ..classifier.rule import FIELD_INDEX, FULL_DOMAIN, Rule, exact
 from ..pfcp import ies as pfcp_ies
+from ..pfcp import qos_ies
+from .qos import QerEnforcer, TokenBucket, UsageCounter
 
 __all__ = [
-    "PDR", "FAR", "precedence_to_priority", "pdr_from_create_ie",
-    "far_from_ie",
+    "PDR", "FAR", "RuleError", "precedence_to_priority",
+    "pdr_from_create_ie", "far_from_ie", "qer_from_ie", "urr_from_ie",
 ]
 
 #: Largest PFCP precedence value we accept; used to invert precedence
@@ -37,6 +39,15 @@ def precedence_to_priority(precedence: int) -> int:
     of each owning one.
     """
     return _MAX_PRECEDENCE - precedence
+
+
+class RuleError(ValueError):
+    """A refused rule: its TS 29.244 cause and offending IE type."""
+
+    def __init__(self, message: str, ie_type: int,
+                 cause: int = pfcp_ies.CAUSE_MANDATORY_IE_MISSING):
+        super().__init__(message)
+        self.ie_type, self.cause = ie_type, cause
 
 
 @dataclass(slots=True)
@@ -116,6 +127,16 @@ def _ranges_from_pdi(
     return tuple(ranges)
 
 
+def required_child(group: pfcp_ies.IE, cls: Type[pfcp_ies.IE]):
+    """``group``'s child of class ``cls``; its absence is cause 66."""
+    child = group.child(cls)
+    if child is None:
+        raise RuleError(
+            f"{type(group).__name__} without {cls.__name__}", cls.IE_TYPE
+        )
+    return child
+
+
 def pdr_from_create_ie(
     create: pfcp_ies.CreatePdrIE, teid: Optional[int] = None
 ) -> PDR:
@@ -124,25 +145,18 @@ def pdr_from_create_ie(
     ``teid`` is the endpoint the UPF allocated for a CHOOSE F-TEID: the
     PDR matches it, and the IE is left as it was received.
     """
-    pdr_id_ie = create.child(pfcp_ies.PdrIdIE)
-    if pdr_id_ie is None:
-        raise ValueError("Create PDR without PDR ID")
+    pdr_id = required_child(create, pfcp_ies.PdrIdIE).rule_id
+    far_id = required_child(create, pfcp_ies.FarIdIE).rule_id
+    pdi = required_child(create, pfcp_ies.PdiIE)
     precedence_ie = create.child(pfcp_ies.PrecedenceIE)
     precedence = precedence_ie.precedence if precedence_ie else 255
-    far_id_ie = create.child(pfcp_ies.FarIdIE)
-    far_id = far_id_ie.rule_id if far_id_ie else 0
-    pdi = create.child(pfcp_ies.PdiIE)
-    if pdi is None:
-        raise ValueError("Create PDR without PDI")
-    from ..pfcp.qos_ies import UrrIdIE
-
     qer_ie = create.child(pfcp_ies.QerIdIE)
-    urr_ie = create.child(UrrIdIE)
+    urr_ie = create.child(qos_ies.UrrIdIE)
     source = pdi.child(pfcp_ies.SourceInterfaceIE)
     return PDR(
         ranges=_ranges_from_pdi(pdi, teid),
         priority=precedence_to_priority(precedence),
-        rule_id=pdr_id_ie.rule_id,
+        rule_id=pdr_id,
         far_id=far_id,
         qer_id=qer_ie.rule_id if qer_ie else None,
         urr_id=urr_ie.rule_id if urr_ie else None,
@@ -154,10 +168,7 @@ def pdr_from_create_ie(
 
 def far_from_ie(create_or_update: "pfcp_ies._GroupedIE") -> FAR:
     """Decode a Create/Update FAR grouped IE into a runtime FAR."""
-    far_id_ie = create_or_update.child(pfcp_ies.FarIdIE)
-    if far_id_ie is None:
-        raise ValueError("FAR IE without FAR ID")
-    far = FAR(far_id=far_id_ie.rule_id)
+    far = FAR(far_id=required_child(create_or_update, pfcp_ies.FarIdIE).rule_id)
     apply_ie = create_or_update.child(pfcp_ies.ApplyActionIE)
     if apply_ie is not None:
         far.forward = apply_ie.forward
@@ -174,3 +185,29 @@ def far_from_ie(create_or_update: "pfcp_ies._GroupedIE") -> FAR:
             far.outer_teid = outer.teid
             far.outer_address = outer.address
     return far
+
+
+def qer_from_ie(create: qos_ies.CreateQerIE) -> QerEnforcer:
+    """Decode a Create QER grouped IE into its gate + MBR enforcer."""
+    qer = QerEnforcer(qer_id=required_child(create, pfcp_ies.QerIdIE).rule_id)
+    qfi = create.child(pfcp_ies.QfiIE)
+    if qfi is not None:
+        qer.qfi = qfi.qfi
+    gate = create.child(qos_ies.GateStatusIE)
+    if gate is not None:
+        qer.ul_gate_open, qer.dl_gate_open = gate.ul_open, gate.dl_open
+    mbr = create.child(qos_ies.MbrIE)
+    if mbr is not None and mbr.ul_kbps:
+        qer.ul_bucket = TokenBucket(mbr.ul_kbps * 1000.0)
+    if mbr is not None and mbr.dl_kbps:
+        qer.dl_bucket = TokenBucket(mbr.dl_kbps * 1000.0)
+    return qer
+
+
+def urr_from_ie(create: qos_ies.CreateUrrIE) -> UsageCounter:
+    """Decode a Create URR grouped IE into its usage counter."""
+    threshold = create.child(qos_ies.VolumeThresholdIE)
+    return UsageCounter(
+        urr_id=required_child(create, qos_ies.UrrIdIE).rule_id,
+        volume_threshold_bytes=threshold.total_bytes if threshold else None,
+    )

@@ -7,9 +7,9 @@ Each user session context stores a number of different rule sets in
 shared memory, e.g., PDRs and FARs."
 
 The session context owns its PDR classifier (pluggable: linear / TSS /
-PartitionSort) and the smart buffer.  Every rule mutation ends in one
-publish call that bumps a :class:`~repro.up.flow_cache.RuleEpoch`, so
-the UPF-U's flow cache self-invalidates without scanning — the
+PartitionSort) and the smart buffer.  :meth:`UPFSession.apply` commits
+a :class:`RuleDelta` with one publish that bumps a :class:`RuleEpoch`,
+so the UPF-U's flow cache self-invalidates without scanning — the
 zero-cost state update, extended to the cache layer.
 """
 
@@ -17,21 +17,24 @@ from __future__ import annotations
 
 import abc
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Type
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Type
 
 from ..analysis import races as _races  # repro: noqa[W004] -- race-detector hooks, no-ops unless a detector is installed
 from ..classifier.base import Classifier
 from ..classifier.partition_sort import PartitionSortClassifier
+from ..classifier.rule import FIELD_INDEX
 from ..net.packet import Packet
+from ..pfcp.ies import ACCESS, CAUSE_RULE_CREATION_MODIFICATION_FAILURE, FTeidIE
 from .buffer import DEFAULT_UPF_BUFFER_PACKETS, SmartBuffer
 from .flow_cache import RuleEpoch
 from .keys import packet_key, packet_keys
 from .qos import QerEnforcer, UsageCounter
-from .rules import FAR, PDR
+from .rules import FAR, PDR, RuleError
 
 __all__ = [
     "packet_key",
     "packet_keys",
+    "RuleDelta",
     "UPFSession",
     "SessionTable",
     "SessionTableView",
@@ -44,19 +47,24 @@ __all__ = [
 _NONE_INSTALLED: Mapping = MappingProxyType({})
 
 
-class _DetachedEpoch(RuleEpoch):
-    """The epoch of a session no table holds: its bump refuses."""
-
-    __slots__ = ()
-
-    def bump(self) -> int:
-        raise RuntimeError("rule write on a session no table holds")
-
-
 #: Bound by :meth:`SessionTable.remove`, rebound by the next
-#: :meth:`SessionTable.add`: every rule mutator ends in a bump, so a
-#: removed session refuses rule writes until a table holds it again.
-DETACHED_EPOCH: RuleEpoch = _DetachedEpoch()
+#: :meth:`SessionTable.add`: :meth:`UPFSession.apply` refuses a session
+#: holding it, so a removed session takes no rule write until a table
+#: holds it again.
+DETACHED_EPOCH = RuleEpoch()
+
+
+class RuleDelta(NamedTuple):
+    """One PFCP request's rule changes, decoded whole before any write;
+    ``fteids`` are the F-TEIDs allocated for the response."""
+
+    pdrs: Sequence[PDR] = ()
+    removed_pdrs: Sequence[int] = ()
+    fars: Sequence[FAR] = ()
+    far_updates: Sequence[FAR] = ()
+    qers: Sequence[QerEnforcer] = ()
+    urrs: Sequence[UsageCounter] = ()
+    fteids: Sequence[FTeidIE] = ()
 
 
 class UPFSession:
@@ -114,7 +122,7 @@ class UPFSession:
         self.qer_enforcers: Mapping[int, QerEnforcer] = _NONE_INSTALLED
         #: Installed usage counters, by URR id.
         self.usage_counters: Mapping[int, UsageCounter] = _NONE_INSTALLED
-        #: Rule-mutation epoch; rebound to the table's shared epoch by
+        #: Rule-commit epoch; rebound to the table's shared epoch by
         #: :meth:`SessionTable.add` so one counter covers all sessions,
         #: and to :data:`DETACHED_EPOCH` by :meth:`SessionTable.remove`.
         self.epoch = RuleEpoch()
@@ -155,76 +163,79 @@ class UPFSession:
         self._report_pending = value
 
     # -- rule management ----------------------------------------------------
-    def install_pdr(self, pdr: PDR) -> None:
-        """Install or replace a PDR; the classifier stores the same
-        object, so ``pdrs`` is the one index by id."""
-        existing = self.pdrs.get(pdr.pdr_id)
-        if existing is not None:
-            self.classifier.remove(existing)
-        self.pdrs[pdr.pdr_id] = pdr
-        self.classifier.insert(pdr)
-        self._publish("pdrs", self.pdrs, f"install_pdr({pdr.pdr_id})")
+    def uplink_teids(self, pdrs=None) -> Set[int]:
+        """The TEIDs the table indexes this session by: ``ul_teid`` and
+        each TEID an ACCESS PDR (of ``pdrs``, default its own) matches."""
+        teids, index = {self.ul_teid}, FIELD_INDEX["teid"]
+        for pdr in self.pdrs.values() if pdrs is None else pdrs:
+            low, high = pdr.ranges[index]
+            if low == high and pdr.source_interface == ACCESS:
+                teids.add(low)
+        return teids
 
-    def remove_pdr(self, pdr_id: int) -> bool:
-        pdr = self.pdrs.pop(pdr_id, None)
-        if pdr is None:
-            return False
-        self.classifier.remove(pdr)
-        self._publish("pdrs", self.pdrs, f"remove_pdr({pdr_id})")
-        return True
+    def apply(
+        self, delta: RuleDelta, table: Optional["SessionTableView"] = None
+    ) -> None:
+        """Commit a delta, the one rule write path, in field order: a
+        created rule replaces one of its id, a FAR update merges into
+        the held FAR.  A removed session refuses (``RuntimeError``), and
+        ``table``, the view holding the session, may refuse an uplink
+        TEID the delta adds (``RuleError``), both before any write; then
+        :meth:`_publish` runs once."""
+        if self.epoch is DETACHED_EPOCH:
+            raise RuntimeError("rule write on a session no table holds")
+        if table is not None and (delta.pdrs or delta.removed_pdrs):
+            after = {i: pdr for i, pdr in self.pdrs.items()
+                     if i not in delta.removed_pdrs}
+            after.update((pdr.pdr_id, pdr) for pdr in delta.pdrs)
+            old, new = self.uplink_teids(), self.uplink_teids(after.values())
+            if old != new:
+                table.index_teids(self, new - old, old - new)
+        parts = []
+        if delta.pdrs or delta.removed_pdrs:
+            for pdr_id in delta.removed_pdrs:
+                pdr = self.pdrs.pop(pdr_id, None)
+                if pdr is not None:
+                    self.classifier.remove(pdr)
+            for pdr in delta.pdrs:
+                held = self.pdrs.get(pdr.pdr_id)
+                if held is not None:
+                    self.classifier.remove(held)
+                self.pdrs[pdr.pdr_id] = pdr
+                self.classifier.insert(pdr)
+            parts.append(("pdrs", self.pdrs))
+        if delta.fars or delta.far_updates:
+            for far in delta.fars:
+                self.fars[far.far_id] = far
+            for far in delta.far_updates:
+                # Partial: an update without forwarding parameters keeps
+                # the outer header (paging re-activation keeps the gNB).
+                held = self.fars.setdefault(far.far_id, far)
+                held.forward, held.buffer = far.forward, far.buffer
+                held.drop, held.notify_cp = far.drop, far.notify_cp
+                if far.outer_teid is not None:
+                    held.outer_teid = far.outer_teid
+                    held.outer_address = far.outer_address
+                    held.destination_interface = far.destination_interface
+            parts.append(("fars", self.fars))
+        if delta.qers:  # a new dict: the first replaces _NONE_INSTALLED
+            self.qer_enforcers = {
+                **self.qer_enforcers, **{q.qer_id: q for q in delta.qers}}
+            parts.append(("qer_enforcers", sorted(self.qer_enforcers)))
+        if delta.urrs:
+            self.usage_counters = {
+                **self.usage_counters, **{u.urr_id: u for u in delta.urrs}}
+            parts.append(("usage_counters", sorted(self.usage_counters)))
+        if parts:
+            self._publish(parts)
 
-    def install_far(self, far: FAR) -> None:
-        self.fars[far.far_id] = far
-        self._publish("fars", self.fars, f"install_far({far.far_id})")
-
-    def update_far(self, far: FAR) -> None:
-        """Merge an Update FAR into the existing rule.
-
-        PFCP updates are partial: an update without forwarding
-        parameters keeps the previous outer header (that is how the
-        paging re-activation retains the gNB endpoint).
-        """
-        existing = self.fars.get(far.far_id)
-        if existing is None:
-            self.fars[far.far_id] = far
-        else:
-            existing.forward = far.forward
-            existing.buffer = far.buffer
-            existing.drop = far.drop
-            existing.notify_cp = far.notify_cp
-            if far.outer_teid is not None:
-                existing.outer_teid = far.outer_teid
-                existing.outer_address = far.outer_address
-                existing.destination_interface = far.destination_interface
-        self._publish("fars", self.fars, f"update_far({far.far_id})")
-
-    def install_qer_enforcer(self, enforcer: "QerEnforcer") -> None:
-        if self.qer_enforcers is _NONE_INSTALLED:
-            self.qer_enforcers = {}
-        self.qer_enforcers[enforcer.qer_id] = enforcer
-        self._publish(
-            "qer_enforcers",
-            sorted(self.qer_enforcers),
-            f"install_qer_enforcer({enforcer.qer_id})",
-        )
-
-    def install_usage_counter(self, counter: "UsageCounter") -> None:
-        if self.usage_counters is _NONE_INSTALLED:
-            self.usage_counters = {}
-        self.usage_counters[counter.urr_id] = counter
-        self._publish(
-            "usage_counters",
-            sorted(self.usage_counters),
-            f"install_usage_counter({counter.urr_id})",
-        )
-
-    def _publish(self, part: str, value, detail: str) -> None:
-        """Publish a rule write: the race-detector note and the epoch
-        bump are one call, so a mutator cannot drop either alone.  On
-        a removed session the bump raises :class:`RuntimeError`."""
+    def _publish(self, parts) -> None:
+        """Publish a commit: one race-detector note per rule map it
+        wrote, then one epoch bump."""
         detector = _races._ACTIVE
         if detector is not None:
-            detector.on_write(self, part, value=value, detail=detail)
+            for part, value in parts:
+                detector.on_write(self, part, value=value, detail="apply")
         self.epoch.bump()
 
     # -- lookup ---------------------------------------------------------------
@@ -264,6 +275,20 @@ class SessionTableView(abc.ABC):
         The returned session refuses rule writes (``RuntimeError``)
         until a table adds it again.
         """
+
+    @abc.abstractmethod
+    def index_teids(
+        self, session: UPFSession, added: Set[int], dropped: Set[int]
+    ) -> None:
+        """Re-key a session's uplink TEIDs (the caller publishes); a
+        TEID it cannot index raises RuleError before any write."""
+
+    @staticmethod
+    def _refuse_teid(message: str) -> RuleError:
+        """Why a rule commit cannot index an uplink TEID (cause 73)."""
+        return RuleError(
+            message, FTeidIE.IE_TYPE, CAUSE_RULE_CREATION_MODIFICATION_FAILURE
+        )
 
     @abc.abstractmethod
     def by_seid(self, seid: int) -> Optional[UPFSession]:
@@ -340,20 +365,17 @@ class SessionTable(SessionTableView):
     def add_removal_listener(
         self, listener: Callable[[UPFSession], None]
     ) -> None:
-        """Register a callback invoked with each removed session."""
         self._removal_listeners.append(listener)
 
     def add(self, session: UPFSession) -> None:
         if session.seid in self._by_seid:
             raise ValueError(f"duplicate SEID {session.seid}")
-        if session.ul_teid in self._teid_index:
-            raise ValueError(f"duplicate UL TEID {session.ul_teid}")
         if session.ue_ip in self._ue_ip_index:
             raise ValueError(f"duplicate UE IP {session.ue_ip}")
-        # Every key checked before any map is touched: a failed add
-        # leaves the table unchanged.
+        # Every key checked before any map is touched (index_teids
+        # checks the TEIDs first): a failed add leaves the table as it was.
+        self.index_teids(session, session.uplink_teids(), ())
         self._by_seid[session.seid] = session
-        self._teid_index[session.ul_teid] = session
         self._ue_ip_index[session.ue_ip] = session
         # Adopt the shared epoch: any later rule change on this session
         # invalidates the whole cache with one integer bump.
@@ -364,13 +386,25 @@ class SessionTable(SessionTableView):
         session = self._by_seid.pop(seid, None)
         if session is None:
             return None
-        del self._teid_index[session.ul_teid]
+        for teid in session.uplink_teids():  # skips one never indexed
+            if self._teid_index.get(teid) is session:
+                del self._teid_index[teid]
         del self._ue_ip_index[session.ue_ip]
         session.epoch = DETACHED_EPOCH
         self._publish(f"remove(seid={seid})")
         for listener in self._removal_listeners:
             listener(session)
         return session
+
+    def index_teids(
+        self, session: UPFSession, added: Set[int], dropped: Set[int]
+    ) -> None:
+        for teid in added:
+            if teid in self._teid_index:
+                raise self._refuse_teid(f"duplicate UL TEID {teid}")
+        for teid in dropped:
+            del self._teid_index[teid]
+        self._teid_index.update(dict.fromkeys(added, session))
 
     def _publish(self, detail: str) -> None:
         """Publish a membership change: race-detector note, then bump."""
@@ -382,14 +416,12 @@ class SessionTable(SessionTableView):
         self.epoch.bump()
 
     def by_teid(self, teid: int) -> Optional[UPFSession]:
-        """UL lookup: which session owns this tunnel endpoint?"""
         detector = _races._ACTIVE
         if detector is not None:
             detector.on_read(self, "sessions")
         return self._teid_index.get(teid)
 
     def by_ue_ip(self, ue_ip: int) -> Optional[UPFSession]:
-        """DL lookup: which session owns this UE address?"""
         detector = _races._ACTIVE
         if detector is not None:
             detector.on_read(self, "sessions")

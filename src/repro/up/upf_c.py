@@ -11,7 +11,7 @@ forwarding path (§3.2).
 from __future__ import annotations
 
 import itertools
-from typing import Callable, List, Optional, Type
+from typing import Callable, Optional, Type
 
 from ..analysis import races as _races  # repro: noqa[W004] -- race-detector hooks, no-ops unless a detector is installed
 from ..classifier.base import Classifier
@@ -29,9 +29,12 @@ from ..pfcp.messages import (
     SessionModificationResponse,
     SessionReportRequest,
 )
-from .qos import QerEnforcer, TokenBucket, UsageCounter
-from .rules import far_from_ie, pdr_from_create_ie
-from .session import SessionTableView, UPFSession
+from .qos import UsageCounter
+from .rules import (
+    RuleError, far_from_ie, pdr_from_create_ie, qer_from_ie,
+    required_child, urr_from_ie,
+)
+from .session import RuleDelta, SessionTableView, UPFSession
 from .upf_u import UPFUserPlane
 
 __all__ = ["UPFControlPlane"]
@@ -103,200 +106,133 @@ class UPFControlPlane:
     def _dispatch(self, message: PFCPMessage) -> PFCPMessage:
         self.messages_handled += 1
         if isinstance(message, SessionEstablishmentRequest):
-            return self._establish(message)
-        if isinstance(message, SessionModificationRequest):
-            return self._modify(message)
-        if isinstance(message, SessionDeletionRequest):
-            return self._delete(message)
-        raise ValueError(f"UPF-C cannot handle {message.name}")
+            handler, response = self._establish, SessionEstablishmentResponse
+        elif isinstance(message, SessionModificationRequest):
+            handler, response = self._modify, SessionModificationResponse
+        elif isinstance(message, SessionDeletionRequest):
+            handler, response = self._delete, SessionDeletionResponse
+        else:
+            raise ValueError(f"UPF-C cannot handle {message.name}")
+        try:
+            cause, ies = handler(message)
+        except RuleError as error:
+            # Refused whole, before any write (TS 29.244 §7.5).
+            cause = error.cause
+            ies = (pfcp_ies.OffendingIeIE(ie_type=error.ie_type),)
+        return response(
+            seid=message.seid,
+            sequence=message.sequence,
+            ies=[pfcp_ies.CauseIE(cause=cause), *ies],
+        )
 
     # ------------------------------------------------------------------
-    def _establish(
-        self, message: SessionEstablishmentRequest
-    ) -> SessionEstablishmentResponse:
-        creates = message.find_all(pfcp_ies.CreatePdrIE)
-        fars = message.find_all(pfcp_ies.CreateFarIE)
+    # Each handler returns the response's cause and its further IEs.
+    def _establish(self, message: SessionEstablishmentRequest):
         # Pre-scan the UE IP: a CHOOSE F-TEID allocation needs the DL
         # hash key up front (shard steering), and the UE IP IE may
         # arrive in a later Create PDR than the F-TEID.
-        ue_ip = 0
-        for create in creates:
-            pdi = create.child(pfcp_ies.PdiIE)
-            ue_ip_ie = pdi.child(pfcp_ies.UeIpAddressIE) if pdi else None
-            if ue_ip_ie is not None:
-                ue_ip = ue_ip_ie.address
-        ul_teid = 0
-        allocated: List[pfcp_ies.IE] = []
-        pdrs = []
-        for create in creates:
-            pdr = pdr_from_create_ie(create)
-            pdi = create.child(pfcp_ies.PdiIE)
-            fteid = pdi.child(pfcp_ies.FTeidIE) if pdi else None
-            if fteid is not None:
-                ul_teid = fteid.teid
-                if fteid.choose:
-                    # Re-decode the PDR around the allocated endpoint;
-                    # the received request is left as it came.
-                    ul_teid = self.allocate_teid(ue_ip=ue_ip)
-                    pdr = pdr_from_create_ie(create, teid=ul_teid)
-                    allocated.append(
-                        pfcp_ies.FTeidIE(teid=ul_teid, address=self.address)
-                    )
-            pdrs.append(pdr)
+        pdis = [create.child(pfcp_ies.PdiIE)
+                for create in message.find_all(pfcp_ies.CreatePdrIE)]
+        ue_ips = [pdi.child(pfcp_ies.UeIpAddressIE) for pdi in pdis if pdi]
+        ue_ip = next((ie.address for ie in reversed(ue_ips) if ie), 0)
         session = UPFSession(
-            seid=message.seid,
-            ue_ip=ue_ip,
-            ul_teid=ul_teid,
-            classifier_class=self.classifier_class,
-            buffer_capacity=self.buffer_capacity,
+            message.seid, ue_ip, 0, self.classifier_class,
+            self.buffer_capacity,
         )
-        for pdr in pdrs:
-            session.install_pdr(pdr)
-        for far_ie in fars:
-            session.install_far(far_from_ie(far_ie))
-        for qer_ie in message.find_all(qos_ies.CreateQerIE):
-            session.install_qer_enforcer(self._decode_qer(qer_ie))
-        for urr_ie in message.find_all(qos_ies.CreateUrrIE):
-            session.install_usage_counter(self._decode_urr(urr_ie))
+        delta = self._decode(message, session)
+        # The UL hash key: the uplink endpoint a PDR names (else 0).
+        session.ul_teid = max(session.uplink_teids(delta.pdrs))
+        session.apply(delta)
         try:
             self.sessions.add(session)
         except ValueError:
             # A retransmitted or colliding request (duplicate SEID, UL
             # TEID or UE IP; sharded: a TEID steered off the UE-IP
-            # bucket).  add() left the table as it was; answer instead
-            # of letting the error escape the N4 handler.
-            return SessionEstablishmentResponse(
-                seid=message.seid,
-                sequence=message.sequence,
-                ies=[pfcp_ies.CauseIE(cause=pfcp_ies.CAUSE_REQUEST_REJECTED)],
-            )
-        return SessionEstablishmentResponse(
-            seid=message.seid,
-            sequence=message.sequence,
-            ies=[pfcp_ies.CauseIE(cause=pfcp_ies.CAUSE_ACCEPTED)] + allocated,
-        )
+            # bucket).  add() left the table as it was.
+            return pfcp_ies.CAUSE_REQUEST_REJECTED, ()
+        return pfcp_ies.CAUSE_ACCEPTED, delta.fteids
 
-    def _modify(
-        self, message: SessionModificationRequest
-    ) -> SessionModificationResponse:
+    def _modify(self, message: SessionModificationRequest):
         session = self.sessions.by_seid(message.seid)
         if session is None:
-            return SessionModificationResponse(
-                seid=message.seid,
-                sequence=message.sequence,
-                ies=[
-                    pfcp_ies.CauseIE(cause=pfcp_ies.CAUSE_SESSION_NOT_FOUND)
-                ],
-            )
-        response_ies: List[pfcp_ies.IE] = [
-            pfcp_ies.CauseIE(cause=pfcp_ies.CAUSE_ACCEPTED)
-        ]
-        # F-TEID with CHOOSE: allocate a fresh endpoint (handover prep).
-        for fteid in message.find_all(pfcp_ies.FTeidIE):
-            if fteid.choose:
-                response_ies.append(
-                    pfcp_ies.FTeidIE(
-                        teid=self.allocate_teid(ue_ip=session.ue_ip),
-                        address=self.address,
-                    )
-                )
-        released = 0
-        for update in message.find_all(pfcp_ies.UpdateFarIE):
-            far = far_from_ie(update)
-            was_buffering = self._is_buffering(session, far.far_id)
-            session.update_far(far)
-            now_forwarding = far.forward and not far.buffer
-            if was_buffering and now_forwarding and self.upf_u is not None:
-                released += self.upf_u.flush_session(session)
-        for create in message.find_all(pfcp_ies.CreatePdrIE):
-            # A CHOOSE F-TEID inside the PDI is allocated as in
-            # _establish: the PDR matches that endpoint, not every TEID.
-            pdi = create.child(pfcp_ies.PdiIE)
-            fteid = pdi.child(pfcp_ies.FTeidIE) if pdi else None
-            teid = None
-            if fteid is not None and fteid.choose:
-                teid = self.allocate_teid(ue_ip=session.ue_ip)
-                response_ies.append(
-                    pfcp_ies.FTeidIE(teid=teid, address=self.address)
-                )
-            session.install_pdr(pdr_from_create_ie(create, teid=teid))
-        for remove in message.find_all(pfcp_ies.RemovePdrIE):
-            pdr_id = remove.child(pfcp_ies.PdrIdIE)
-            if pdr_id is not None:
-                session.remove_pdr(pdr_id.rule_id)
-        for create in message.find_all(pfcp_ies.CreateFarIE):
-            session.install_far(far_from_ie(create))
-        for qer_ie in message.find_all(qos_ies.CreateQerIE):
-            session.install_qer_enforcer(self._decode_qer(qer_ie))
-        for urr_ie in message.find_all(qos_ies.CreateUrrIE):
-            session.install_usage_counter(self._decode_urr(urr_ie))
+            return pfcp_ies.CAUSE_SESSION_NOT_FOUND, ()
+        delta = self._decode(message, session)
+        # BUFF -> FORW releases the smart buffer, after the commit.
+        flush = any(
+            self._is_buffering(session, far.far_id)
+            and far.forward and not far.buffer
+            for far in delta.far_updates
+        )
+        session.apply(delta, self.sessions)
+        if flush and self.upf_u is not None:
+            self.upf_u.flush_session(session)
         # Note: ``report_pending`` is UPF-U state; the flush above
         # already cleared it (flush_session runs under the "upf-u"
         # role).  The UPF-C must not write it — the race detector
         # flags that as a non-owner write.
-        return SessionModificationResponse(
-            seid=message.seid, sequence=message.sequence, ies=response_ies
-        )
+        return pfcp_ies.CAUSE_ACCEPTED, delta.fteids
 
-    def _delete(
-        self, message: SessionDeletionRequest
-    ) -> SessionDeletionResponse:
-        removed = self.sessions.remove(message.seid)
-        cause = (
-            pfcp_ies.CAUSE_ACCEPTED
-            if removed is not None
-            else pfcp_ies.CAUSE_SESSION_NOT_FOUND
-        )
-        return SessionDeletionResponse(
-            seid=message.seid,
-            sequence=message.sequence,
-            ies=[pfcp_ies.CauseIE(cause=cause)],
-        )
+    def _delete(self, message: SessionDeletionRequest):
+        if self.sessions.remove(message.seid) is None:
+            return pfcp_ies.CAUSE_SESSION_NOT_FOUND, ()
+        return pfcp_ies.CAUSE_ACCEPTED, ()
+
+    def _decode(self, message: PFCPMessage, session: UPFSession) -> RuleDelta:
+        """Decode a whole Establishment or Modification into one delta:
+        every IE decoded, every FAR/QER/URR a PDR names resolved against
+        ``session`` plus the request, before a CHOOSE F-TEID is
+        allocated; a :class:`RuleError` leaves everything as it was."""
+        def allocate():
+            teid = self.allocate_teid(ue_ip=session.ue_ip)
+            return pfcp_ies.FTeidIE(teid=teid, address=self.address)
+
+        pdrs, removed, fars, updates, qers, urrs = [], [], [], [], [], []
+        chosen, bare = [], 0  # Create PDRs, and bare F-TEIDs, to CHOOSE
+        for ie in message.ies:  # one pass, not a find_all per kind
+            kind = type(ie)
+            if kind is pfcp_ies.CreatePdrIE:
+                pdrs.append(pdr_from_create_ie(ie))
+                fteid = ie.child(pfcp_ies.PdiIE).child(pfcp_ies.FTeidIE)
+                if fteid is not None and fteid.choose:
+                    chosen.append((len(pdrs) - 1, ie))
+            elif kind is pfcp_ies.RemovePdrIE:
+                removed.append(required_child(ie, pfcp_ies.PdrIdIE).rule_id)
+            elif kind is pfcp_ies.CreateFarIE:
+                fars.append(far_from_ie(ie))
+            elif kind is pfcp_ies.UpdateFarIE:
+                updates.append(far_from_ie(ie))
+            elif kind is qos_ies.CreateQerIE:
+                qers.append(qer_from_ie(ie))
+            elif kind is qos_ies.CreateUrrIE:
+                urrs.append(urr_from_ie(ie))
+            elif kind is pfcp_ies.FTeidIE and ie.choose:
+                bare += 1
+        if pdrs:  # each FAR, QER and URR a PDR names is held or created
+            far_ids = session.fars.keys() | {far.far_id for far in fars}
+            qer_ids = {None, *session.qer_enforcers, *(q.qer_id for q in qers)}
+            urr_ids = {None, *session.usage_counters, *(u.urr_id for u in urrs)}
+            for pdr in pdrs:
+                if (pdr.far_id not in far_ids or pdr.qer_id not in qer_ids
+                        or pdr.urr_id not in urr_ids):
+                    raise RuleError(
+                        f"Create PDR {pdr.pdr_id} names a rule not held",
+                        pfcp_ies.CreatePdrIE.IE_TYPE,
+                        pfcp_ies.CAUSE_RULE_CREATION_MODIFICATION_FAILURE,
+                    )
+        # Checked: allocate the bare CHOOSE F-TEIDs (handover prep), then
+        # each Create PDR's, decoding that PDR again around its endpoint
+        # (the request is left as it came).
+        fteids = [allocate() for _ in range(bare)]
+        for index, create in chosen:
+            fteids.append(allocate())
+            pdrs[index] = pdr_from_create_ie(create, fteids[-1].teid)
+        return RuleDelta(pdrs, removed, fars, updates, qers, urrs, fteids)
 
     def _is_buffering(self, session: UPFSession, far_id: int) -> bool:
         far = session.fars.get(far_id)
         return far is not None and far.buffer
 
-    # ------------------------------------------------------------------
-    # QER / URR decoding
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _decode_qer(qer_ie: qos_ies.CreateQerIE) -> QerEnforcer:
-        qer_id_ie = qer_ie.child(pfcp_ies.QerIdIE)
-        if qer_id_ie is None:
-            raise ValueError("Create QER without QER ID")
-        enforcer = QerEnforcer(qer_id=qer_id_ie.rule_id)
-        qfi = qer_ie.child(pfcp_ies.QfiIE)
-        if qfi is not None:
-            enforcer.qfi = qfi.qfi
-        gate = qer_ie.child(qos_ies.GateStatusIE)
-        if gate is not None:
-            enforcer.ul_gate_open = gate.ul_open
-            enforcer.dl_gate_open = gate.dl_open
-        mbr = qer_ie.child(qos_ies.MbrIE)
-        if mbr is not None:
-            if mbr.ul_kbps:
-                enforcer.ul_bucket = TokenBucket(mbr.ul_kbps * 1000.0)
-            if mbr.dl_kbps:
-                enforcer.dl_bucket = TokenBucket(mbr.dl_kbps * 1000.0)
-        return enforcer
-
-    @staticmethod
-    def _decode_urr(urr_ie: qos_ies.CreateUrrIE) -> UsageCounter:
-        urr_id_ie = urr_ie.child(qos_ies.UrrIdIE)
-        if urr_id_ie is None:
-            raise ValueError("Create URR without URR ID")
-        threshold = urr_ie.child(qos_ies.VolumeThresholdIE)
-        return UsageCounter(
-            urr_id=urr_id_ie.rule_id,
-            volume_threshold_bytes=(
-                threshold.total_bytes if threshold else None
-            ),
-        )
-
-    # ------------------------------------------------------------------
-    # Usage reporting (URR volume-threshold trigger)
-    # ------------------------------------------------------------------
+    # -- usage reporting (URR volume-threshold trigger) ------------------
     def on_usage_threshold(
         self, session: UPFSession, counter: UsageCounter
     ) -> None:
@@ -320,9 +256,7 @@ class UPFControlPlane:
         )
         self.send_report(report)
 
-    # ------------------------------------------------------------------
-    # Downlink data notification (paging trigger)
-    # ------------------------------------------------------------------
+    # -- downlink data notification (paging trigger) ---------------------
     def on_buffered_data(self, session: UPFSession) -> None:
         """UPF-U callback: first DL packet buffered for an idle UE."""
         report = build_downlink_report(

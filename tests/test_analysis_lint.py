@@ -451,20 +451,21 @@ class TestNonOwnerMutationR008:
         findings = run_lint(
             """
             class Session:
-                def install_far(self, far):
-                    self.fars[far.far_id] = far
-                    self._publish("fars", self.fars, "install_far")
+                def apply(self, delta):
+                    for far in delta.fars:
+                        self.fars[far.far_id] = far
+                    self._publish([("fars", self.fars)])
             """,
             path="src/repro/up/session_extra.py",
         )
         assert "R008" not in codes(findings)
 
     @pytest.mark.parametrize("shape", [
-        # Update FAR written over the old rule instead of update_far.
+        # Update FAR written over the old rule instead of a delta.
         "session.fars[far.far_id] = far",
-        # Create FAR without install_far.
+        # Create FAR without UPFSession.apply.
         "session.fars[create.far_id] = far_from_ie(create)",
-        # Create PDR without install_pdr.
+        # Create PDR without UPFSession.apply.
         "session.pdrs[pdr.pdr_id] = pdr",
     ], ids=["update-far", "create-far", "create-pdr"])
     def test_fires_on_handler_bypassing_the_mutator_inside_up(self, shape):

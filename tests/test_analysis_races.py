@@ -26,7 +26,7 @@ from repro.net import Direction, FiveTuple, Packet, PacketKind
 from repro.pfcp.builder import build_session_establishment
 from repro.resiliency import ResiliencyFramework
 from repro.sim import MS, Environment
-from repro.up import FAR, UPFControlPlane, UPFSession
+from repro.up import FAR, RuleDelta, UPFControlPlane, UPFSession
 
 
 UE_IP = 0x0A3C0001
@@ -380,7 +380,7 @@ class TestDetectorCore:
         assert races.active() is None
         session = _session()
         session.report_pending = True
-        session.install_far(FAR(far_id=1))
+        session.apply(RuleDelta(fars=(FAR(far_id=1),)))
         assert races.active() is None
 
 

@@ -498,6 +498,53 @@ class TestN4Sizing:
             assert record.handler_time == message.HANDLER_TIME
 
 
+class TestRefusedModification:
+    """A Session Modification the UPF refuses reaches the SMF as its
+    cause, mid-scenario: nothing escapes the N4 handler, the session
+    keeps every rule, and the UE's later operations still run."""
+
+    def test_smf_gets_cause_66_with_the_offending_ie(self):
+        from repro.pfcp import ies, qos_ies
+        from repro.pfcp.messages import SessionModificationRequest
+
+        env = Environment()
+        core = FiveGCore(env, SystemConfig.l25gc())
+        exchanged = []
+
+        def malformed():
+            yield env.timeout(0.5)  # after ATTACH, before the handover
+            seid = core.smf.context_for(SUPI, 1).seid
+            session = core.sessions.by_seid(seid)
+            before = (dict(session.fars), dict(session.pdrs))
+            far_9 = ies.CreateFarIE(children=[
+                ies.FarIdIE(rule_id=9),
+                ies.ApplyActionIE(flags=ies.ACTION_FORW),
+            ])
+            request = SessionModificationRequest(
+                seid=seid, sequence=99,
+                ies=[far_9, qos_ies.CreateQerIE(children=[])],
+            )
+            response = yield from core.n4_exchange(request)
+            exchanged.append((response, before, session))
+
+        env.process(malformed())
+        results = scenario.run(
+            core, {SUPI: [*ATTACH, ("wait", 1.0), ("handover", 2)]}
+        )
+        assert [result.event for _, result in results] == [
+            "registration", "session-request", "handover",
+        ]
+        ((response, before, session),) = exchanged
+        assert response.find(CauseIE).cause == ies.CAUSE_MANDATORY_IE_MISSING
+        assert response.find(ies.OffendingIeIE).ie_type == (
+            ies.QerIdIE.IE_TYPE
+        )
+        assert 9 not in session.fars and not session.qer_enforcers
+        assert set(session.pdrs) == set(before[1])
+        # The handover after it moved the DL FAR to the target gNB.
+        assert session.fars[2].outer_address == core.gnbs[2].address
+
+
 class TestDuplicateEstablishment:
     """A retransmitted or colliding N4 Session Establishment Request is
     answered ``Request rejected``; the UPF's state is untouched."""

@@ -62,6 +62,7 @@ class TestScalarIEs:
         "ie",
         [
             ies.CauseIE(cause=CAUSE_ACCEPTED),
+            ies.OffendingIeIE(ie_type=ies.QerIdIE.IE_TYPE),
             ies.NodeIdIE(address=0xC0A80101),
             ies.FSeidIE(seid=99, address=0x0A000001),
             ies.PdrIdIE(rule_id=12),
@@ -86,6 +87,22 @@ class TestScalarIEs:
         decoded = decode_ies(ie.encode())
         assert len(decoded) == 1
         assert decoded[0] == ie
+
+    @pytest.mark.parametrize("cause, missing", [
+        (ies.CAUSE_MANDATORY_IE_MISSING, ies.QerIdIE.IE_TYPE),
+        (ies.CAUSE_RULE_CREATION_MODIFICATION_FAILURE, ies.CreatePdrIE.IE_TYPE),
+    ])
+    def test_rejection_cause_and_offending_ie_roundtrip(self, cause, missing):
+        """TS 29.244 §8.2.1 causes 66 and 73, and the Offending IE
+        (type 40) that names the IE type a rejection is about."""
+        assert (ies.CAUSE_MANDATORY_IE_MISSING,
+                ies.CAUSE_RULE_CREATION_MODIFICATION_FAILURE) == (66, 73)
+        assert ies.OffendingIeIE.IE_TYPE == 40
+        pair = [ies.CauseIE(cause=cause), ies.OffendingIeIE(ie_type=missing)]
+        wire = ies.encode_ies(pair)
+        assert wire[4 + 1 + 4:] == bytes([0, missing])  # 16-bit IE type
+        assert decode_ies(wire) == pair
+        assert not decode_ies(wire)[0].accepted
 
     def test_sdf_filter_full_roundtrip(self):
         sdf = ies.SdfFilterIE(
@@ -232,6 +249,7 @@ def _maybe(strategy):
 #: Every non-grouped IE class with each field inside its wire range.
 SCALAR_FIELDS = {
     ies.CauseIE: dict(cause=U8),
+    ies.OffendingIeIE: dict(ie_type=U16),
     ies.NodeIdIE: dict(address=U32),
     ies.FSeidIE: dict(seid=U64, address=U32),
     ies.PdrIdIE: dict(rule_id=U16),

@@ -37,6 +37,7 @@ from repro.sim import Environment
 from repro.up import (
     FAR,
     PDR,
+    RuleDelta,
     SessionTable,
     UPFSession,
     UPFUserPlane,
@@ -45,6 +46,10 @@ from repro.up import (
 from .test_up_pipeline import (
     assert_accepts_rule_writes,
     assert_refuses_rule_writes,
+    assert_second_uplink_endpoint_is_indexed,
+    choose_pdr,
+    modify,
+    refusal,
 )
 
 GNB = 0xC0A80201
@@ -77,54 +82,50 @@ def make_session(seid, classifier_class=LinearClassifier, qer=False,
         ul_teid=ul_teid,
         classifier_class=classifier_class,
     )
-    session.install_pdr(
-        PDR.from_fields(
-            priority=100,
-            rule_id=1,
-            far_id=1,
-            teid=exact(ul_teid),
-            source_iface=exact(pfcp_ies.ACCESS),
-            qer_id=1 if qer else None,
-            urr_id=1 if urr else None,
-            outer_header_removal=True,
-            source_interface=pfcp_ies.ACCESS,
-        )
-    )
-    session.install_pdr(
-        PDR.from_fields(
-            priority=100,
-            rule_id=2,
-            far_id=2,
-            dst_ip=exact(ue_ip),
-            source_iface=exact(pfcp_ies.CORE),
-            qer_id=1 if qer else None,
-            urr_id=1 if urr else None,
-            source_interface=pfcp_ies.CORE,
-        )
-    )
-    session.install_far(
-        FAR(far_id=1, destination_interface=pfcp_ies.CORE)
-    )
-    session.install_far(
-        FAR(
-            far_id=2,
-            destination_interface=pfcp_ies.ACCESS,
-            outer_teid=0x500 + seid,
-            outer_address=GNB,
-        )
-    )
-    if qer:
-        session.install_qer_enforcer(
+    session.apply(RuleDelta(
+        pdrs=(
+            PDR.from_fields(
+                priority=100,
+                rule_id=1,
+                far_id=1,
+                teid=exact(ul_teid),
+                source_iface=exact(pfcp_ies.ACCESS),
+                qer_id=1 if qer else None,
+                urr_id=1 if urr else None,
+                outer_header_removal=True,
+                source_interface=pfcp_ies.ACCESS,
+            ),
+            PDR.from_fields(
+                priority=100,
+                rule_id=2,
+                far_id=2,
+                dst_ip=exact(ue_ip),
+                source_iface=exact(pfcp_ies.CORE),
+                qer_id=1 if qer else None,
+                urr_id=1 if urr else None,
+                source_interface=pfcp_ies.CORE,
+            ),
+        ),
+        fars=(
+            FAR(far_id=1, destination_interface=pfcp_ies.CORE),
+            FAR(
+                far_id=2,
+                destination_interface=pfcp_ies.ACCESS,
+                outer_teid=0x500 + seid,
+                outer_address=GNB,
+            ),
+        ),
+        qers=(
             QerEnforcer(
                 qer_id=1,
                 ul_bucket=TokenBucket(8000.0, burst_bytes=300),
                 dl_bucket=TokenBucket(8000.0, burst_bytes=300),
-            )
-        )
-    if urr:
-        session.install_usage_counter(
-            UsageCounter(urr_id=1, volume_threshold_bytes=256)
-        )
+            ),
+        ) if qer else (),
+        urrs=(
+            UsageCounter(urr_id=1, volume_threshold_bytes=256),
+        ) if urr else (),
+    ))
     return session
 
 
@@ -480,11 +481,11 @@ class TestShardedUserPlane:
         up = build_sharded()
         session = make_session(1)
         up.sessions.add(session)
-        session.update_far(
-            FAR(far_id=2, forward=False, buffer=True)
-        )
+        session.apply(RuleDelta(far_updates=(
+            FAR(far_id=2, forward=False, buffer=True),
+        )))
         assert up.process(dl_packet(1)) == "buffered"
-        session.update_far(FAR(far_id=2, forward=True))
+        session.apply(RuleDelta(far_updates=(FAR(far_id=2, forward=True),)))
         assert up.flush_session(session) == 1
         assert up.flush_session(make_session(42)) == 0  # never added
 
@@ -698,6 +699,34 @@ class TestShardedControlPlane:
             up.router.shard_for_ue_ip(session.ue_ip)
         )
 
+    def test_second_uplink_endpoint_is_indexed(self):
+        """The CHOOSE Create PDR's TEID is steered into the session's
+        UE-IP bucket and indexed on its shard, and unindexed with the
+        PDR."""
+        up, cp = self._cp()
+        self._establish(cp, seid=1)
+        assert_second_uplink_endpoint_is_indexed(
+            cp, up.process, seid=1, ue_ip=UE_BASE + 1
+        )
+
+    def test_an_unsteered_uplink_teid_is_refused(self):
+        up, cp = self._cp()
+        self._establish(cp, seid=1)
+        session = up.sessions.by_seid(1)
+        bucket = up.router.bucket_of(session.ue_ip)
+        teid = next(t for t in range(0x9000, 0xA000)
+                    if up.router.bucket_of(t) != bucket)
+        create = choose_pdr()
+        pdi = create.child(pfcp_ies.PdiIE)
+        pdi.children[1] = pfcp_ies.FTeidIE(teid=teid, address=cp.address)
+        epoch = up.shards[up.sessions.shard_of(1)].table.epoch.value
+        assert refusal(modify(cp, create)) == (
+            pfcp_ies.CAUSE_RULE_CREATION_MODIFICATION_FAILURE,
+            pfcp_ies.FTeidIE.IE_TYPE,
+        )
+        assert 3 not in session.pdrs and up.sessions.by_teid(teid) is None
+        assert up.shards[up.sessions.shard_of(1)].table.epoch.value == epoch
+
     def test_deletion_releases_the_shard(self):
         up, cp = self._cp()
         self._establish(cp, seid=1)
@@ -857,11 +886,13 @@ class _Stack:
                     self.usage.get(seid, (0, 0))[1] + counter.downlink_bytes,
                 )
         elif op == "buffer-far" and session is not None:
-            session.update_far(
-                FAR(far_id=2, forward=False, buffer=True, notify_cp=True)
-            )
+            session.apply(RuleDelta(far_updates=(
+                FAR(far_id=2, forward=False, buffer=True, notify_cp=True),
+            )))
         elif op == "forward-far" and session is not None:
-            session.update_far(FAR(far_id=2, forward=True))
+            session.apply(RuleDelta(far_updates=(
+                FAR(far_id=2, forward=True),
+            )))
         elif op == "flush" and session is not None:
             self.upf.flush_session(session)
 

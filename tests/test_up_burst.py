@@ -28,6 +28,7 @@ from repro.sim import MS, Environment
 from repro.up import (
     FAR,
     FlowCache,
+    RuleDelta,
     RuleEpoch,
     SessionTable,
     UPFUserPlane,
@@ -275,9 +276,9 @@ class TestProcessBurst:
     def test_buffering_notifies_once_per_episode(self):
         (seq_table, seq_upf), (bur_table, bur_upf) = seq, bur = build_pair()
         for table in (seq_table, bur_table):
-            table.by_seid(1).update_far(
-                FAR(far_id=2, forward=False, buffer=True, notify_cp=True)
-            )
+            table.by_seid(1).apply(RuleDelta(far_updates=(
+                FAR(far_id=2, forward=False, buffer=True, notify_cp=True),
+            )))
         seq_out = [seq_upf.process(dl_packet(1)) for _ in range(3)]
         bur_out = bur_upf.process_burst([dl_packet(1) for _ in range(3)])
         assert seq_out == bur_out == ["buffered"] * 3
@@ -313,12 +314,12 @@ class TestProcessBurst:
             # Under --race the rule write is the CP's, not the UPF-U's.
             detector = races.active()
             with detector.role("upf-c") if detector else nullcontext():
-                notified.remove_pdr(2)
+                notified.apply(RuleDelta(removed_pdrs=(2,)))
 
         for table, upf in (seq, bur):
-            table.by_seid(1).update_far(
-                FAR(far_id=2, forward=False, buffer=True, notify_cp=True)
-            )
+            table.by_seid(1).apply(RuleDelta(far_updates=(
+                FAR(far_id=2, forward=False, buffer=True, notify_cp=True),
+            )))
             upf.notify_cp = on_notify
 
         def burst():

@@ -22,6 +22,7 @@ from repro.up import (
     FlowCache,
     PDR,
     QerEnforcer,
+    RuleDelta,
     RuleEpoch,
     SessionTable,
     TokenBucket,
@@ -51,54 +52,50 @@ def make_session(seid, classifier_class, qer=False, urr=False):
         ul_teid=ul_teid,
         classifier_class=classifier_class,
     )
-    session.install_pdr(
-        PDR.from_fields(
-            priority=100,
-            rule_id=1,
-            far_id=1,
-            teid=exact(ul_teid),
-            source_iface=exact(pfcp_ies.ACCESS),
-            qer_id=1 if qer else None,
-            urr_id=1 if urr else None,
-            outer_header_removal=True,
-            source_interface=pfcp_ies.ACCESS,
-        )
-    )
-    session.install_pdr(
-        PDR.from_fields(
-            priority=100,
-            rule_id=2,
-            far_id=2,
-            dst_ip=exact(ue_ip),
-            source_iface=exact(pfcp_ies.CORE),
-            qer_id=1 if qer else None,
-            urr_id=1 if urr else None,
-            source_interface=pfcp_ies.CORE,
-        )
-    )
-    session.install_far(
-        FAR(far_id=1, destination_interface=pfcp_ies.CORE)
-    )
-    session.install_far(
-        FAR(
-            far_id=2,
-            destination_interface=pfcp_ies.ACCESS,
-            outer_teid=0x500 + seid,
-            outer_address=GNB,
-        )
-    )
-    if qer:
-        session.install_qer_enforcer(
+    session.apply(RuleDelta(
+        pdrs=(
+            PDR.from_fields(
+                priority=100,
+                rule_id=1,
+                far_id=1,
+                teid=exact(ul_teid),
+                source_iface=exact(pfcp_ies.ACCESS),
+                qer_id=1 if qer else None,
+                urr_id=1 if urr else None,
+                outer_header_removal=True,
+                source_interface=pfcp_ies.ACCESS,
+            ),
+            PDR.from_fields(
+                priority=100,
+                rule_id=2,
+                far_id=2,
+                dst_ip=exact(ue_ip),
+                source_iface=exact(pfcp_ies.CORE),
+                qer_id=1 if qer else None,
+                urr_id=1 if urr else None,
+                source_interface=pfcp_ies.CORE,
+            ),
+        ),
+        fars=(
+            FAR(far_id=1, destination_interface=pfcp_ies.CORE),
+            FAR(
+                far_id=2,
+                destination_interface=pfcp_ies.ACCESS,
+                outer_teid=0x500 + seid,
+                outer_address=GNB,
+            ),
+        ),
+        qers=(
             QerEnforcer(
                 qer_id=1,
                 ul_bucket=TokenBucket(8000.0, burst_bytes=300),
                 dl_bucket=TokenBucket(8000.0, burst_bytes=300),
-            )
-        )
-    if urr:
-        session.install_usage_counter(
-            UsageCounter(urr_id=1, volume_threshold_bytes=256)
-        )
+            ),
+        ) if qer else (),
+        urrs=(
+            UsageCounter(urr_id=1, volume_threshold_bytes=256),
+        ) if urr else (),
+    ))
     return session
 
 
@@ -312,17 +309,15 @@ class TestPipelineFastPath:
         upf.process(dl_packet(1))
         # Install a higher-priority DL PDR pointing at a drop FAR: the
         # cached decision must not survive.
-        session.install_far(FAR(far_id=9, drop=True))
-        session.install_pdr(
-            PDR.from_fields(
+        session.apply(RuleDelta(fars=(FAR(far_id=9, drop=True),)))
+        session.apply(RuleDelta(pdrs=(PDR.from_fields(
                 priority=900,
                 rule_id=3,
                 far_id=9,
                 dst_ip=exact(UE_BASE + 1),
                 source_iface=exact(pfcp_ies.CORE),
                 source_interface=pfcp_ies.CORE,
-            )
-        )
+            ),)))
         assert upf.process(dl_packet(1)) == "drop-action"
         assert upf.flow_cache.stale >= 1
 
@@ -331,7 +326,7 @@ class TestPipelineFastPath:
         session = make_session(1, LinearClassifier)
         table.add(session)
         assert upf.process(ul_packet(1)) == "forwarded-ul"
-        session.remove_pdr(1)
+        session.apply(RuleDelta(removed_pdrs=(1,)))
         assert upf.process(ul_packet(1)) == "drop-no-pdr"
 
     def test_update_far_invalidates(self):
@@ -339,9 +334,9 @@ class TestPipelineFastPath:
         session = make_session(1, LinearClassifier)
         table.add(session)
         assert upf.process(dl_packet(1)) == "forwarded-dl"
-        session.update_far(
-            FAR(far_id=2, forward=False, buffer=True)
-        )
+        session.apply(RuleDelta(far_updates=(
+            FAR(far_id=2, forward=False, buffer=True),
+        )))
         assert upf.process(dl_packet(1)) == "buffered"
 
     def test_session_removal_invalidates_and_purges(self):
@@ -394,11 +389,11 @@ class TestDrainStateLifecycle:
         table, upf = build_stack(False, None)
         session = make_session(1, LinearClassifier)
         table.add(session)
-        session.update_far(
-            FAR(far_id=2, forward=False, buffer=True)
-        )
+        session.apply(RuleDelta(far_updates=(
+            FAR(far_id=2, forward=False, buffer=True),
+        )))
         upf.process(dl_packet(1))
-        session.update_far(FAR(far_id=2, forward=True))
+        session.apply(RuleDelta(far_updates=(FAR(far_id=2, forward=True),)))
         upf.flush_session(session)
         assert session.seid in upf._drain_until
         table.remove(1)
@@ -409,11 +404,13 @@ class TestDrainStateLifecycle:
         for seid in (1, 2):
             session = make_session(seid, LinearClassifier)
             table.add(session)
-            session.update_far(
-                FAR(far_id=2, forward=False, buffer=True)
-            )
+            session.apply(RuleDelta(far_updates=(
+                FAR(far_id=2, forward=False, buffer=True),
+            )))
             upf.process(dl_packet(seid))
-            session.update_far(FAR(far_id=2, forward=True))
+            session.apply(RuleDelta(far_updates=(
+                FAR(far_id=2, forward=True),
+            )))
             upf.flush_session(session)
         table.remove(1)
         assert 1 not in upf._drain_until
@@ -484,13 +481,15 @@ class TestEpochWiring:
     @pytest.mark.parametrize(
         "mutate",
         [
-            lambda s: s.install_pdr(make_session(2, LinearClassifier).pdrs[2]),
-            lambda s: s.install_far(FAR(far_id=7)),
-            lambda s: s.update_far(FAR(far_id=2)),
-            lambda s: s.update_far(FAR(far_id=9)),
-            lambda s: s.remove_pdr(1),
-            lambda s: s.install_qer_enforcer(QerEnforcer(qer_id=5)),
-            lambda s: s.install_usage_counter(UsageCounter(urr_id=5)),
+            lambda s: s.apply(RuleDelta(pdrs=(
+                make_session(2, LinearClassifier).pdrs[2],
+            ))),
+            lambda s: s.apply(RuleDelta(fars=(FAR(far_id=7),))),
+            lambda s: s.apply(RuleDelta(far_updates=(FAR(far_id=2),))),
+            lambda s: s.apply(RuleDelta(far_updates=(FAR(far_id=9),))),
+            lambda s: s.apply(RuleDelta(removed_pdrs=(1,))),
+            lambda s: s.apply(RuleDelta(qers=(QerEnforcer(qer_id=5),))),
+            lambda s: s.apply(RuleDelta(urrs=(UsageCounter(urr_id=5),))),
         ],
         ids=[
             "install_pdr",
@@ -503,12 +502,14 @@ class TestEpochWiring:
         ],
     )
     def test_every_mutator_bumps(self, mutate):
+        """Each kind of rule delta, committed alone, bumps the table's
+        epoch exactly once."""
         table = SessionTable()
         session = make_session(1, LinearClassifier)
         table.add(session)
         before = table.epoch.value
         mutate(session)
-        assert table.epoch.value > before
+        assert table.epoch.value == before + 1
 
     def test_table_membership_changes_bump(self):
         table = SessionTable()
@@ -680,18 +681,20 @@ class _Harness:
         elif op == "del":
             table.remove(seid)
         elif op == "buffer-far" and session is not None:
-            session.update_far(
-                FAR(far_id=2, forward=False, buffer=True, notify_cp=True)
-            )
+            session.apply(RuleDelta(far_updates=(
+                FAR(far_id=2, forward=False, buffer=True, notify_cp=True),
+            )))
         elif op == "forward-far" and session is not None:
-            session.update_far(FAR(far_id=2, forward=True))
+            session.apply(RuleDelta(far_updates=(
+                FAR(far_id=2, forward=True),
+            )))
         elif op == "drop-pdr" and session is not None:
             if 2 in session.pdrs:
-                session.remove_pdr(2)
+                session.apply(RuleDelta(removed_pdrs=(2,)))
             else:
                 # Re-install the DL PDR removed by a previous op.
                 fresh = make_session(seid, self.classifier_class)
-                session.install_pdr(fresh.pdrs[2])
+                session.apply(RuleDelta(pdrs=(fresh.pdrs[2],)))
         elif op == "flush" and session is not None:
             upf.flush_session(session)
 

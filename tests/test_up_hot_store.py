@@ -32,6 +32,7 @@ from repro.classifier import LinearClassifier, PartitionSortClassifier
 from repro.sim import Environment
 from repro.up import (
     FAR,
+    RuleDelta,
     SessionTable,
     UPFSession,
     UPFUserPlane,
@@ -123,7 +124,7 @@ class TestSessionTableSlab:
         table.add(session)
         assert session.epoch is table.epoch
         stamp = table.epoch.value
-        session.update_far(FAR(far_id=9, drop=True))
+        session.apply(RuleDelta(far_updates=(FAR(far_id=9, drop=True),)))
         assert table.epoch.value == stamp + 1
 
 
@@ -201,17 +202,17 @@ def _mutate(op, seid, table, upf):
     elif op == "del":
         table.remove(seid)
     elif op == "buffer-far" and session is not None:
-        session.update_far(
-            FAR(far_id=2, forward=False, buffer=True, notify_cp=True)
-        )
+        session.apply(RuleDelta(far_updates=(
+            FAR(far_id=2, forward=False, buffer=True, notify_cp=True),
+        )))
     elif op == "forward-far" and session is not None:
-        session.update_far(FAR(far_id=2, forward=True))
+        session.apply(RuleDelta(far_updates=(FAR(far_id=2, forward=True),)))
     elif op == "drop-pdr" and session is not None:
         if 2 in session.pdrs:
-            session.remove_pdr(2)
+            session.apply(RuleDelta(removed_pdrs=(2,)))
         else:
             fresh = make_session(seid, PartitionSortClassifier)
-            session.install_pdr(fresh.pdrs[2])
+            session.apply(RuleDelta(pdrs=(fresh.pdrs[2],)))
     elif op == "flush" and session is not None:
         upf.flush_session(session)
 

@@ -14,6 +14,7 @@ from repro.classifier.partition_sort import PartitionSortClassifier
 from repro.classifier.rule import FIELD_INDEX, FULL_DOMAIN
 from repro.net import Direction, FiveTuple, Packet
 from repro.pfcp import ies as pfcp_ies
+from repro.pfcp import qos_ies
 from repro.pfcp.builder import (
     build_buffering_update,
     build_forward_update,
@@ -30,6 +31,7 @@ from repro.up import (
     PDR,
     SessionTable,
     QerEnforcer,
+    RuleDelta,
     SmartBuffer,
     UPFControlPlane,
     UPFSession,
@@ -83,34 +85,54 @@ def establish(upf_c, seid=1, ue_ip=UE_IP, ul_teid=0x100, dl_teid=0x500):
 DETACHED = "rule write on a session no table holds"
 
 
-def rule_writes(session):
-    """One call per ``UPFSession`` rule mutator, each of which ends in
-    ``_publish``; id 9 is new to every fixture session."""
+def rule_writes():
+    """One delta per kind of rule write ``UPFSession.apply`` commits;
+    id 9 is new to every fixture session."""
     return [
-        lambda: session.install_pdr(PDR.from_fields(
+        RuleDelta(pdrs=(PDR.from_fields(
             priority=precedence_to_priority(32), rule_id=9, far_id=9,
-        )),
-        lambda: session.remove_pdr(9),
-        lambda: session.install_far(FAR(far_id=9, forward=True)),
-        lambda: session.update_far(FAR(far_id=9, drop=True)),
-        lambda: session.install_qer_enforcer(QerEnforcer(qer_id=9)),
-        lambda: session.install_usage_counter(UsageCounter(urr_id=9)),
+        ),)),
+        RuleDelta(removed_pdrs=(9,)),
+        RuleDelta(fars=(FAR(far_id=9, forward=True),)),
+        RuleDelta(far_updates=(FAR(far_id=9, drop=True),)),
+        RuleDelta(qers=(QerEnforcer(qer_id=9),)),
+        RuleDelta(urrs=(UsageCounter(urr_id=9),)),
     ]
 
 
+def rule_state(session):
+    """What a rule write can change: the four rule maps by value and
+    the classifier's rules by identity."""
+    return (
+        repr(session.pdrs),
+        repr(session.fars),
+        repr(dict(session.qer_enforcers)),
+        repr(dict(session.usage_counters)),
+        sorted(map(id, session.classifier.rules())),
+    )
+
+
 def assert_refuses_rule_writes(session, table):
-    """Every mutator raises on ``session``; ``table``'s epoch (the one
-    its flow cache reads) does not move."""
-    before = table.epoch.value
-    for write in rule_writes(session):
+    """Every rule write raises on ``session`` and changes nothing: its
+    maps and classifier keep their contents, and ``table``'s epoch (the
+    one its flow cache reads) does not move."""
+    before, epoch = rule_state(session), table.epoch.value
+    # Plus writes over rules every fixture session holds: its uplink
+    # PDR 1 and a partial update of its FAR 2.
+    held = [
+        RuleDelta(removed_pdrs=(1,)),
+        RuleDelta(far_updates=(FAR(far_id=2, forward=False, buffer=True),)),
+    ]
+    for delta in rule_writes() + held:
         with pytest.raises(RuntimeError, match=DETACHED):
-            write()
-    assert table.epoch.value == before
+            session.apply(delta, table)
+        assert rule_state(session) == before
+    assert table.epoch.value == epoch
 
 
 def assert_accepts_rule_writes(session):
-    for write in rule_writes(session):
-        write()
+    for delta in rule_writes():
+        session.apply(delta)
 
 
 def dl_packet(ue_ip=UE_IP, seq=None):
@@ -244,7 +266,7 @@ class TestSessionTable:
         assert one.usage_counters is two.usage_counters
         with pytest.raises(TypeError):
             one.usage_counters[1] = UsageCounter(urr_id=1)
-        one.install_usage_counter(UsageCounter(urr_id=1))
+        one.apply(RuleDelta(urrs=(UsageCounter(urr_id=1),)))
         assert 1 in one.usage_counters and not two.usage_counters
 
     def test_cached_decision_holds_the_table_s_session(self):
@@ -290,18 +312,18 @@ def test_pdrs_is_the_one_index_of_the_classifier(classifier_class, ops):
     keys = [key_of(teid=t, qfi=q) for t in range(4) for q in range(4)]
     for verb, pdr_id, teid, qfi, precedence in ops:
         if verb == "remove":
-            present = pdr_id in session.pdrs
-            assert session.remove_pdr(pdr_id) is present
+            session.apply(RuleDelta(removed_pdrs=(pdr_id,)))
+            assert pdr_id not in session.pdrs
         else:
             constrained = {}
             if teid is not None:
                 constrained["teid"] = exact(teid)
             if qfi is not None:
                 constrained["qfi"] = exact(qfi)
-            session.install_pdr(PDR.from_fields(
+            session.apply(RuleDelta(pdrs=(PDR.from_fields(
                 priority=precedence_to_priority(precedence),
                 rule_id=pdr_id, far_id=pdr_id, **constrained,
-            ))
+            ),)))
         assert len(session.classifier) == len(session.pdrs)
         for key in keys:
             hit = session.match_pdr(None, key=key)
@@ -459,6 +481,173 @@ class TestForwarding:
         assert upf_u.process(ul_packet()) == "drop-no-pdr"
 
 
+def choose_pdr(pdr_id=3, far_id=1, extra=()):
+    """A Create PDR on the access side whose PDI asks the UPF to CHOOSE
+    the F-TEID: a second uplink endpoint of the session."""
+    return pfcp_ies.CreatePdrIE(children=[
+        pfcp_ies.PdrIdIE(rule_id=pdr_id),
+        pfcp_ies.PrecedenceIE(precedence=32),
+        pfcp_ies.PdiIE(children=[
+            pfcp_ies.SourceInterfaceIE(interface=pfcp_ies.ACCESS),
+            pfcp_ies.FTeidIE(address=UPF, choose=True),
+        ]),
+        pfcp_ies.FarIdIE(rule_id=far_id),
+        *extra,
+    ])
+
+
+def modify(upf_c, *ies, seid=1, sequence=2):
+    return upf_c.handle(
+        SessionModificationRequest(seid=seid, sequence=sequence, ies=list(ies))
+    )
+
+
+def assert_second_uplink_endpoint_is_indexed(upf_c, process, seid, ue_ip):
+    """A Modification's CHOOSE Create PDR returns a TEID the table
+    indexes: an uplink packet to it is forwarded, and after Remove PDR
+    it is ``drop-no-session`` again."""
+    response = modify(upf_c, choose_pdr(), seid=seid)
+    assert response.find(pfcp_ies.CauseIE).accepted
+    teid = response.find(pfcp_ies.FTeidIE).teid
+    session = upf_c.sessions.by_seid(seid)
+    assert teid != session.ul_teid
+    assert upf_c.sessions.by_teid(teid) is session
+    assert process(ul_packet(teid=teid, ue_ip=ue_ip)) == "forwarded-ul"
+    remove = pfcp_ies.RemovePdrIE(children=[pfcp_ies.PdrIdIE(rule_id=3)])
+    assert modify(upf_c, remove, seid=seid, sequence=3).find(
+        pfcp_ies.CauseIE).accepted
+    assert upf_c.sessions.by_teid(teid) is None
+    assert process(ul_packet(teid=teid, ue_ip=ue_ip)) == "drop-no-session"
+    # The session's own endpoint is untouched by either write.
+    assert upf_c.sessions.by_teid(session.ul_teid) is session
+
+
+def refusal(response):
+    """(cause, offending IE type) of a refused response."""
+    offending = response.find(pfcp_ies.OffendingIeIE)
+    return (response.find(pfcp_ies.CauseIE).cause,
+            offending and offending.ie_type)
+
+
+class TestRequestIsOneTransaction:
+    """A Session Establishment or Modification is applied whole or
+    refused whole with a cause, the session left as it was (TS 29.244
+    §7.5); no exception leaves ``UPFControlPlane.handle``."""
+
+    def _established(self):
+        env, table, upf_u, upf_c, *_ = build_upf()
+        establish(upf_c)
+        session = table.by_seid(1)
+        return table, upf_u, upf_c, session
+
+    def test_failed_modification_applies_none_of_it(self):
+        table, _upf_u, upf_c, session = self._established()
+        before, epoch = rule_state(session), table.epoch.value
+        far_9 = pfcp_ies.CreateFarIE(children=[
+            pfcp_ies.FarIdIE(rule_id=9),
+            pfcp_ies.ApplyActionIE(flags=pfcp_ies.ACTION_FORW),
+        ])
+        no_qer_id = qos_ies.CreateQerIE(children=[])
+        response = modify(upf_c, far_9, no_qer_id)
+        assert refusal(response) == (
+            pfcp_ies.CAUSE_MANDATORY_IE_MISSING, pfcp_ies.QerIdIE.IE_TYPE
+        )
+        assert 9 not in session.fars
+        assert rule_state(session) == before
+        assert table.epoch.value == epoch
+
+    @pytest.mark.parametrize("ie", [
+        pfcp_ies.FarIdIE(rule_id=77),
+        pfcp_ies.QerIdIE(rule_id=77),
+        qos_ies.UrrIdIE(rule_id=77),
+    ], ids=["far", "qer", "urr"])
+    def test_create_pdr_naming_an_absent_rule_is_refused(self, ie):
+        table, _upf_u, upf_c, session = self._established()
+        before, epoch = rule_state(session), table.epoch.value
+        teids = upf_c._teid_counter
+        if isinstance(ie, pfcp_ies.FarIdIE):
+            create = choose_pdr(far_id=ie.rule_id)
+        else:
+            create = choose_pdr(extra=[ie])
+        response = modify(upf_c, create)
+        assert refusal(response) == (
+            pfcp_ies.CAUSE_RULE_CREATION_MODIFICATION_FAILURE,
+            pfcp_ies.CreatePdrIE.IE_TYPE,
+        )
+        assert rule_state(session) == before
+        assert table.epoch.value == epoch
+        # Refused before the CHOOSE F-TEID was allocated.
+        assert next(teids) == 0x1000
+
+    def test_create_pdr_and_the_rule_it_names_in_one_request(self):
+        table, upf_u, upf_c, session = self._established()
+        far_9 = pfcp_ies.CreateFarIE(children=[
+            pfcp_ies.FarIdIE(rule_id=9),
+            pfcp_ies.ApplyActionIE(flags=pfcp_ies.ACTION_DROP),
+        ])
+        epoch = table.epoch.value
+        response = modify(upf_c, choose_pdr(far_id=9), far_9)
+        assert response.find(pfcp_ies.CauseIE).accepted
+        assert session.pdrs[3].far_id == 9 and session.fars[9].drop
+        assert table.epoch.value == epoch + 1  # one commit, one bump
+        teid = response.find(pfcp_ies.FTeidIE).teid
+        assert upf_u.process(ul_packet(teid=teid)) == "drop-action"
+
+    def test_remove_and_create_of_one_pdr_in_a_request_replace_it(self):
+        """Removes commit before creates, whatever the IE order: a
+        Remove PDR and a Create PDR of one id replace that PDR."""
+        table, upf_u, upf_c, session = self._established()
+        remove = pfcp_ies.RemovePdrIE(children=[pfcp_ies.PdrIdIE(rule_id=3)])
+        response = modify(upf_c, choose_pdr(), remove)
+        assert response.find(pfcp_ies.CauseIE).accepted
+        teid = response.find(pfcp_ies.FTeidIE).teid
+        assert session.pdrs[3].ranges[FIELD_INDEX["teid"]] == exact(teid)
+        assert table.by_teid(teid) is session
+        assert upf_u.process(ul_packet(teid=teid)) == "forwarded-ul"
+
+    def test_refused_establishment_adds_nothing(self):
+        _env, table, _upf_u, upf_c, *_ = build_upf()
+        request = build_session_establishment(
+            seid=1, sequence=1, ue_ip=UE_IP, upf_address=UPF, ul_teid=0x100,
+            gnb_address=GNB, dl_teid=0x500,
+        )
+        request.ies.append(qos_ies.CreateUrrIE(children=[]))
+        assert refusal(upf_c.handle(request)) == (
+            pfcp_ies.CAUSE_MANDATORY_IE_MISSING, qos_ies.UrrIdIE.IE_TYPE
+        )
+        assert len(table) == 0 and table.epoch.value == 0
+
+    def test_an_uplink_teid_another_session_holds_is_refused(self):
+        table, _upf_u, upf_c, session = self._established()
+        establish(upf_c, seid=2, ue_ip=UE_IP + 1, ul_teid=0x101,
+                  dl_teid=0x501)
+        before = rule_state(session)
+        create = choose_pdr()
+        pdi = create.child(pfcp_ies.PdiIE)
+        pdi.children[1] = pfcp_ies.FTeidIE(teid=0x101, address=UPF)
+        assert refusal(modify(upf_c, create)) == (
+            pfcp_ies.CAUSE_RULE_CREATION_MODIFICATION_FAILURE,
+            pfcp_ies.FTeidIE.IE_TYPE,
+        )
+        assert rule_state(session) == before
+        assert table.by_teid(0x101) is table.by_seid(2)
+
+    def test_second_uplink_endpoint_is_indexed(self):
+        _table, upf_u, upf_c, _session = self._established()
+        assert_second_uplink_endpoint_is_indexed(
+            upf_c, upf_u.process, seid=1, ue_ip=UE_IP
+        )
+
+    def test_refused_writes_do_not_land_when_the_session_is_re_added(self):
+        table, upf_u, _upf_c, session = self._established()
+        before = rule_state(session)
+        table.remove(1)
+        assert_refuses_rule_writes(session, table)
+        table.add(session)
+        assert rule_state(session) == before
+        assert upf_u.process(ul_packet()) == "forwarded-ul"
+
+
 class TestBufferingFlow:
     def test_buffering_update_buffers_and_notifies_once(self):
         env, table, upf_u, upf_c, _, dl_sink, reports = build_upf()
@@ -507,13 +696,13 @@ class TestBufferingFlow:
         establish(upf_c)
         session = table.by_seid(1)
         buffering = FAR(far_id=2, forward=False, buffer=True, notify_cp=True)
-        session.update_far(buffering)
+        session.apply(RuleDelta(far_updates=(buffering,)))
         assert upf_u.process(dl_packet(seq=0)) == "buffered"
-        # install (not update, which would keep the old outer header)
-        session.install_far(FAR(far_id=2, forward=True))
+        # create (not update, which would keep the old outer header)
+        session.apply(RuleDelta(fars=(FAR(far_id=2, forward=True),)))
         assert upf_u.flush_session(session) == 0
         assert upf_u.stats.dropped_action == 1 and dl_sink == []
-        session.update_far(buffering)
+        session.apply(RuleDelta(far_updates=(buffering,)))
         assert upf_u.process(dl_packet(seq=1)) == "buffered"
         assert upf_u.stats.notifications == len(reports) == 2
 

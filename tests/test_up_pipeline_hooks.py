@@ -19,6 +19,7 @@ from repro.up import (
     FAR,
     PDR,
     QerEnforcer,
+    RuleDelta,
     SessionTable,
     UPFUserPlane,
     UsageCounter,
@@ -54,31 +55,32 @@ class _Tracer(spans.Tracer):
 
 
 def _drop_pdr(session):
-    session.remove_pdr(1)
+    session.apply(RuleDelta(removed_pdrs=(1,)))
 
 
 def _dangling_far(session):
-    session.remove_pdr(1)
+    session.apply(RuleDelta(removed_pdrs=(1,)))
     fresh = make_session(1, LinearClassifier).pdrs[1]
-    session.install_pdr(
+    session.apply(RuleDelta(pdrs=(
         PDR(ranges=fresh.ranges, priority=fresh.priority, rule_id=1,
-            far_id=9, source_interface=fresh.source_interface)
-    )
+            far_id=9, source_interface=fresh.source_interface),
+    )))
 
 
 def _buffer(session):
-    session.update_far(FAR(far_id=2, forward=False, buffer=True,
-                           notify_cp=True))
+    session.apply(RuleDelta(far_updates=(
+        FAR(far_id=2, forward=False, buffer=True, notify_cp=True),
+    )))
 
 
 def _gate_closed(session):
-    session.install_qer_enforcer(QerEnforcer(qer_id=1, ul_gate_open=False))
+    session.apply(RuleDelta(qers=(QerEnforcer(qer_id=1, ul_gate_open=False),)))
 
 
 def _report_every_byte(session):
-    session.install_usage_counter(
-        UsageCounter(urr_id=1, volume_threshold_bytes=1)
-    )
+    session.apply(RuleDelta(urrs=(
+        UsageCounter(urr_id=1, volume_threshold_bytes=1),
+    )))
 
 
 def _run(case, flow_cache, warm=0):
