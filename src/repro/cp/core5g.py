@@ -417,7 +417,7 @@ class FiveGCore:
             self._n3_delay = (active, delay)
         if packet.meta:
             delay += packet.meta.pop("extra_delay", 0.0)
-        self.env.call_together(delay, gnb.receive_downlink, packet, ue)
+        self.env.call_together(delay, gnb.receive_downlink_batch, (packet, ue))
 
     def _report_to_smf(self, report: SessionReportRequest) -> None:
         """UPF-C -> SMF downlink data report, then the paging hook."""

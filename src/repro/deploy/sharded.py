@@ -268,8 +268,8 @@ class ShardedSessionTable(SessionTableView):
             # A shard table only knows the SEIDs it holds itself.
             raise ValueError(f"duplicate SEID {session.seid}")
         shard = self.router.shard_for_ue_ip(session.ue_ip)
-        self._check_steered(session, session.uplink_teids())
-        self.tables[shard].add(session)
+        self._check_steered(session, uplink_teids := session.uplink_teids())
+        self.tables[shard].add(session, uplink_teids)
         self._shard_by_seid[session.seid] = shard
 
     def index_teids(

@@ -11,7 +11,7 @@ packet-loss arithmetic of §5.4.2 (Eq. 1) emerges from the model.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..net.packet import Packet
 from ..sim.engine import Environment
@@ -101,17 +101,29 @@ class GNodeB:
         )
 
     def receive_downlink(self, packet: Packet, ue: UserEquipment) -> None:
-        """A DL packet arrived from the UPF over N3.
+        """One DL packet arrived from the UPF over N3: a one-item
+        :meth:`receive_downlink_batch`."""
+        self.receive_downlink_batch(((packet, ue),))
 
-        Buffering mode queues it (tail drop — the limited gNB buffer of
-        challenge 2); otherwise it goes over the air to the UE.
+    def receive_downlink_batch(
+        self, items: Iterable[Tuple[Packet, UserEquipment]]
+    ) -> None:
+        """DL ``(packet, ue)`` pairs arrived from the UPF over N3.
+
+        A buffering UE's packet is queued (tail drop — the limited gNB
+        buffer of challenge 2); the others go over the air together.
         """
-        store = self._buffers.get(ue.supi)
-        if store is not None:
-            if not store.put_nowait_drop(packet):
-                self.dropped += 1
-            return
-        self.env.call_together(self.radio_latency, self._air_delivery, packet, ue)
+        buffers = self._buffers
+        if buffers:
+            air = []
+            for item in items:
+                store = buffers.get(item[1].supi)
+                if store is None:
+                    air.append(item)
+                elif not store.put_nowait_drop(item[0]):
+                    self.dropped += 1
+            items = air
+        self.env.call_together(self.radio_latency, self._air_delivery, *items)
 
     def drain_buffer(self, ue: UserEquipment) -> List[Packet]:
         """Release all buffered packets for hairpin forwarding.
@@ -124,14 +136,18 @@ class GNodeB:
             return []
         return store.clear()
 
-    def _air_delivery(self, packet: Packet, ue: UserEquipment) -> None:
-        """The packet reaches the far end of the air hop."""
-        if ue.supi in self.connected:
-            ue.deliver(packet, self.env.now)
-            self.delivered += 1
-        else:
-            # The UE left mid-flight (handover race): the packet is lost.
-            self.dropped += 1
+    def _air_delivery(
+        self, items: Iterable[Tuple[Packet, UserEquipment]]
+    ) -> None:
+        """The packets reach the far end of the air hop."""
+        now, connected = self.env.now, self.connected
+        for packet, ue in items:
+            if ue.supi in connected:
+                ue.deliver(packet, now)
+                self.delivered += 1
+            else:
+                # The UE left mid-flight (handover race): the packet is lost.
+                self.dropped += 1
 
     def __repr__(self) -> str:
         return (

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 from ..net.packet import Packet
 from ..sim.engine import Environment
@@ -142,25 +142,41 @@ class N3IWF:
         return teid
 
     def receive_downlink(self, packet: Packet, ue: UserEquipment) -> None:
-        """ESP-encapsulate and carry the packet over the WiFi leg."""
-        sa = self.sa_for(ue.supi, packet.meta.get("pdu_session_id", 1))
-        if sa is None:
-            sa = self.sa_for(ue.supi, None)
-        if sa is None or ue.supi not in self.connected:
-            self.dropped += 1
-            return
-        sa.packets += 1
-        packet.meta["esp_spi"] = sa.spi
-        packet.size += ESP_OVERHEAD
-        delay = self.ipsec_overhead + self.wifi_latency
-        self.env.call_together(delay, self._wifi_delivery, packet, ue)
+        """One DL packet from the UPF: a one-item
+        :meth:`receive_downlink_batch`."""
+        self.receive_downlink_batch(((packet, ue),))
 
-    def _wifi_delivery(self, packet: Packet, ue: UserEquipment) -> None:
-        if ue.supi in self.connected:
-            ue.deliver(packet, self.env.now)
-            self.delivered += 1
-        else:
-            self.dropped += 1
+    def receive_downlink_batch(
+        self, items: Iterable[Tuple[Packet, UserEquipment]]
+    ) -> None:
+        """ESP-encapsulate each packet and carry them over the WiFi leg
+        together; a packet without an SA or a connected UE is dropped."""
+        wifi = []
+        for item in items:
+            packet, ue = item
+            sa = self.sa_for(ue.supi, packet.meta.get("pdu_session_id", 1))
+            if sa is None:
+                sa = self.sa_for(ue.supi, None)
+            if sa is None or ue.supi not in self.connected:
+                self.dropped += 1
+                continue
+            sa.packets += 1
+            packet.meta["esp_spi"] = sa.spi
+            packet.size += ESP_OVERHEAD
+            wifi.append(item)
+        delay = self.ipsec_overhead + self.wifi_latency
+        self.env.call_together(delay, self._wifi_delivery, *wifi)
+
+    def _wifi_delivery(
+        self, items: Iterable[Tuple[Packet, UserEquipment]]
+    ) -> None:
+        now, connected = self.env.now, self.connected
+        for packet, ue in items:
+            if ue.supi in connected:
+                ue.deliver(packet, now)
+                self.delivered += 1
+            else:
+                self.dropped += 1
 
     def __repr__(self) -> str:
         return (

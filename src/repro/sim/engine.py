@@ -258,7 +258,7 @@ class Environment:
         self._heap: List[tuple] = []
         self._counter = itertools.count()
         self._active_process: Optional[Process] = None
-        #: Open :meth:`call_together` batches, ``(when, fn) -> [args, ...]``;
+        #: Open :meth:`call_together` batches, ``(when, fn) -> [item, ...]``;
         #: each has exactly one heap entry, so it is empty when the heap is.
         self._batches: dict = {}
         #: Monotonic count of process resumes and timer firings; each
@@ -303,8 +303,8 @@ class Environment:
         last hop fires the one event a caller waits on
         (``MessageBus.send``, :meth:`Event.fire`); code that itself
         yields is a process.  Items that cross one delay to one callback
-        together (a packet hop) share an entry, and give up this FIFO
-        contract, through the sibling :meth:`call_together`.
+        together (a packet hop) share an entry and one call, and give up
+        this FIFO contract, through the sibling :meth:`call_together`.
         """
         if delay < 0:
             raise SimulationError(f"negative timer delay: {delay!r}")
@@ -313,40 +313,42 @@ class Environment:
         )
 
     def call_together(
-        self, delay: float, fn: Callable[..., Any], *args: Any
+        self, delay: float, fn: Callable[..., Any], *items: Any
     ) -> None:
-        """Call ``fn(*args)`` ``delay`` seconds from now, on a timer
-        shared with every other item due at that instant for ``fn``.
+        """Hand ``items`` to ``fn`` ``delay`` seconds from now, in one
+        call shared with every other item due at that instant for ``fn``.
 
         The first item for a ``(now + delay, fn)`` pushes one heap entry
-        and opens a batch, later ones join it, and the entry runs ``fn``
-        per item in arrival order.  Each item fires at the instant
-        :meth:`call_later` would give it, but in its batch's FIFO slot:
-        it can pass an unrelated entry scheduled earlier for that
-        instant.  A firing batch is one atomic section for the race
+        and opens a batch, later ones join it; a push with no items
+        schedules nothing.  The entry calls ``fn(batch)`` once, with an
+        iterator over the batch in arrival order.  Each item is due at
+        the instant :meth:`call_later` would give it, but in its batch's
+        FIFO slot: it can pass an unrelated entry scheduled earlier for
+        that instant.  A firing batch is one atomic section for the race
         detector (one ``on_resume``, one ``yield_generation`` bump).
         An item pushed for the same instant and callback meanwhile
-        opens a fresh batch; if an item raises, the unfired rest is
-        back on the heap, in the batch's slot (``seq`` is below every
-        entry still queued for the instant), before the exception
-        leaves :meth:`step`.
+        opens a fresh batch; if ``fn`` raises, the items it has not
+        consumed are back on the heap, in the batch's slot (``seq`` is
+        below every entry still queued for the instant), before the
+        exception leaves :meth:`step`.
         """
         if delay < 0:
             raise SimulationError(f"negative timer delay: {delay!r}")
+        if not items:
+            return
         when = self._now + delay
         batch = self._batches.get((when, fn))
         if batch is None:
             self._batches[when, fn] = batch = []
             slot = (when, next(self._counter), fn)
             heapq.heappush(self._heap, (*slot[:2], self._fire_batch, slot))
-        batch.append(args)
+        batch += items
 
     def _fire_batch(self, *slot: Any) -> None:
         when, seq, fn = slot
         items = iter(self._batches.pop((when, fn)))
         try:
-            for args in items:
-                fn(*args)
+            fn(items)
         except BaseException:
             rest = list(items)
             reopened = self._batches.get((when, fn))

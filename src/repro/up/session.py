@@ -367,14 +367,20 @@ class SessionTable(SessionTableView):
     ) -> None:
         self._removal_listeners.append(listener)
 
-    def add(self, session: UPFSession) -> None:
+    def add(
+        self, session: UPFSession, uplink_teids: Optional[Set[int]] = None
+    ) -> None:
+        """Install a session; ``uplink_teids`` is its
+        :meth:`UPFSession.uplink_teids`, when the caller already has it."""
         if session.seid in self._by_seid:
             raise ValueError(f"duplicate SEID {session.seid}")
         if session.ue_ip in self._ue_ip_index:
             raise ValueError(f"duplicate UE IP {session.ue_ip}")
+        if uplink_teids is None:
+            uplink_teids = session.uplink_teids()
         # Every key checked before any map is touched (index_teids
         # checks the TEIDs first): a failed add leaves the table as it was.
-        self.index_teids(session, session.uplink_teids(), ())
+        self.index_teids(session, uplink_teids, ())
         self._by_seid[session.seid] = session
         self._ue_ip_index[session.ue_ip] = session
         # Adopt the shared epoch: any later rule change on this session

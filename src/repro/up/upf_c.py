@@ -77,7 +77,6 @@ class UPFControlPlane:
         self.buffer_capacity = buffer_capacity
         self._teid_counter = itertools.count(0x1000)
         self._report_seq = itertools.count(1)
-        self.messages_handled = 0
 
     # ------------------------------------------------------------------
     def allocate_teid(self, ue_ip: int = 0) -> int:
@@ -104,7 +103,6 @@ class UPFControlPlane:
             return self._dispatch(message)
 
     def _dispatch(self, message: PFCPMessage) -> PFCPMessage:
-        self.messages_handled += 1
         if isinstance(message, SessionEstablishmentRequest):
             handler, response = self._establish, SessionEstablishmentResponse
         elif isinstance(message, SessionModificationRequest):

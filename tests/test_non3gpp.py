@@ -129,6 +129,22 @@ class TestN3IWF:
         assert {packet.delivered_at for packet in ue.received} == {hop}
         assert env.now == pytest.approx(hop)
 
+    def test_an_n3_batch_is_one_step_per_hop_in_order(self):
+        """An N3 batch crosses the N3IWF in one call and the WiFi leg on
+        one timer, ESP-encapsulated and in arrival order."""
+        env, n3iwf, ue = self._n3iwf_and_ue()
+        n3iwf.establish_signalling_sa(ue)
+        items = [(Packet(seq=seq, size=100 + seq), ue) for seq in range(5)]
+        env.call_together(0.001, n3iwf.receive_downlink_batch, *items)
+        assert count_steps(env) == 2
+        assert [packet.seq for packet in ue.received] == list(range(5))
+        assert [packet.size for packet in ue.received] == [
+            100 + seq + ESP_OVERHEAD for seq in range(5)
+        ]
+        hop = 0.001 + (n3iwf.ipsec_overhead + n3iwf.wifi_latency)
+        assert {packet.delivered_at for packet in ue.received} == {hop}
+        assert (n3iwf.delivered, n3iwf.dropped) == (5, 0)
+
     def test_departure_during_the_wifi_hop_is_a_drop(self):
         env, n3iwf, ue = self._n3iwf_and_ue()
         n3iwf.establish_signalling_sa(ue)

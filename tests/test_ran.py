@@ -159,6 +159,49 @@ class TestGNodeB:
         assert [packet.seq for packet in ue.received] == list(range(5))
         assert {packet.delivered_at for packet in ue.received} == {0.001}
 
+    def test_a_mixed_n3_batch_keeps_order_and_tail_drop(self):
+        """One N3 batch, one buffering UE and one connected UE: the
+        buffered packets stay off the air batch, each UE keeps its
+        order, and the full buffer tail-drops."""
+        env, gnb, ue = self._gnb_and_ue(radio_latency=0.001, buffer_packets=2)
+        mover = UserEquipment(supi="imsi-mover")
+        mover.register(1, "guti-2")
+        gnb.connect(mover)
+        gnb.start_buffering(mover)
+        aired = []
+        air = gnb._air_delivery
+
+        def spy(items):
+            items = list(items)
+            aired.extend(packet.seq for packet, _ in items)
+            air(iter(items))
+
+        gnb._air_delivery = spy
+        items = []
+        for seq in range(4):
+            items += [(Packet(seq=seq), mover), (Packet(seq=10 + seq), ue)]
+        env.call_together(0.002, gnb.receive_downlink_batch, *items)
+        assert count_steps(env) == 2
+        assert aired == [10, 11, 12, 13]
+        assert [packet.seq for packet in ue.received] == [10, 11, 12, 13]
+        assert [packet.seq for packet in gnb.drain_buffer(mover)] == [0, 1]
+        assert mover.received == []
+        assert (gnb.delivered, gnb.dropped) == (4, 2)
+
+    def test_an_all_buffered_n3_batch_adds_no_air_step(self):
+        env, gnb, ue = self._gnb_and_ue()
+        gnb.start_buffering(ue)
+        items = [(Packet(seq=seq), ue) for seq in range(3)]
+        env.call_together(0.002, gnb.receive_downlink_batch, *items)
+        assert count_steps(env) == 1
+        assert len(gnb._buffers[ue.supi]) == 3 and ue.received == []
+
+    def test_a_zero_item_push_schedules_nothing(self):
+        env, gnb, _ = self._gnb_and_ue()
+        env.call_together(0.002, gnb.receive_downlink_batch)
+        gnb.receive_downlink_batch(iter(()))
+        assert env._heap == [] and env._batches == {}
+
     def test_teid_allocation_unique(self):
         env, gnb, _ = self._gnb_and_ue()
         teids = {gnb.allocate_dl_teid() for _ in range(100)}

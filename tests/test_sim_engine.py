@@ -521,22 +521,23 @@ class TestFire:
 
 
 class TestCallTogether:
-    """``call_together`` coalesces items per ``(instant, callback)``:
-    the fire times of ``call_later``, another order within an instant."""
+    """``call_together`` coalesces items per ``(instant, callback)`` into
+    one call with an iterator over the batch: the fire times of
+    ``call_later``, another order within an instant."""
 
     def test_items_for_one_instant_and_callback_share_one_step(self):
         env = Environment()
-        seen = []
+        calls = []
 
-        def callback(*args):
-            seen.append((env.now, env.yield_generation, args))
+        def callback(batch):
+            calls.append((env.now, env.yield_generation, list(batch)))
 
         env.call_together(1.5, callback, 1, "a")
         env.call_together(1.5, callback, 2)
-        env.call_together(1.5, callback)
+        env.call_together(1.5, callback)  # no items: nothing to deliver
         assert count_steps(env) == 1
-        # One firing, one atomic section, arrival order.
-        assert seen == [(1.5, 1, (1, "a")), (1.5, 1, (2,)), (1.5, 1, ())]
+        # One firing, one call, one atomic section, arrival order.
+        assert calls == [(1.5, 1, [1, "a", 2])]
         assert env._batches == {}
 
     @pytest.mark.parametrize(
@@ -552,7 +553,12 @@ class TestCallTogether:
     ):
         env = Environment()
         seen = []
-        a = lambda tag: seen.append((tag, env.now))  # noqa: E731
+        if schedule == "call_later":
+            a = lambda tag: seen.append((tag, env.now))  # noqa: E731
+        else:
+            a = lambda batch: seen.extend(  # noqa: E731
+                (tag, env.now) for tag in batch
+            )
         getattr(env, schedule)(1.0, a, "a-1")
         env.call_later(1.0, lambda: seen.append(("b", env.now)))
         getattr(env, schedule)(1.0, a, "a-2")
@@ -563,7 +569,7 @@ class TestCallTogether:
     def test_another_callback_or_instant_is_another_batch(self):
         env = Environment()
         seen = []
-        first, second = seen.append, lambda tag: seen.append(tag)
+        first, second = seen.extend, lambda batch: seen.extend(batch)
         env.call_together(2.0, first, "first@2")
         env.call_together(1.0, first, "first@1")
         env.call_together(1.0, second, "second@1")
@@ -577,26 +583,35 @@ class TestCallTogether:
     def test_bound_methods_of_one_object_coalesce(self):
         """``obj.method`` is a new object at each lookup; it must still
         name the same batch (the gNB hops pass bound methods)."""
+
+        class Sink:
+            def __init__(self):
+                self.calls = []
+
+            def take(self, batch):
+                self.calls.append(list(batch))
+
         env = Environment()
-        seen = []
-        env.call_together(1.0, seen.append, 1)
-        env.call_together(1.0, seen.append, 2)
-        assert count_steps(env) == 1 and seen == [1, 2]
+        sink = Sink()
+        env.call_together(1.0, sink.take, 1)
+        env.call_together(1.0, sink.take, 2)
+        assert count_steps(env) == 1 and sink.calls == [[1, 2]]
 
     def test_negative_delay_raises(self):
         env = Environment()
         with pytest.raises(SimulationError):
-            env.call_together(-1e-9, print)
+            env.call_together(-1e-9, print, "item")
         assert next_time(env) == float("inf") and env._batches == {}
 
     def test_item_pushed_while_its_batch_fires_opens_a_fresh_batch(self):
         env = Environment()
         seen = []
 
-        def callback(tag):
-            seen.append((tag, env.now, env.yield_generation))
-            if tag == "first":
-                env.call_together(0.0, callback, "nested")
+        def callback(batch):
+            for tag in batch:
+                seen.append((tag, env.now, env.yield_generation))
+                if tag == "first":
+                    env.call_together(0.0, callback, "nested")
 
         env.call_together(1.0, callback, "first")
         env.call_together(1.0, callback, "second")
@@ -609,10 +624,11 @@ class TestCallTogether:
         env = Environment()
         seen = []
 
-        def callback(tag):
-            if tag == "bad":
-                raise ValueError("mid-batch")
-            seen.append((tag, env.now))
+        def callback(batch):
+            for tag in batch:
+                if tag == "bad":
+                    raise ValueError("mid-batch")
+                seen.append((tag, env.now))
 
         for tag in ("ok-1", "bad", "ok-2", "ok-3"):
             env.call_together(1.0, callback, tag)
@@ -631,10 +647,11 @@ class TestCallTogether:
     def test_a_raising_last_item_leaves_nothing_behind(self):
         env = Environment()
 
-        def boom():
-            raise ValueError("last")
+        def boom(batch):
+            for _ in batch:
+                raise ValueError("last")
 
-        env.call_together(1.0, boom)
+        env.call_together(1.0, boom, "only")
         with pytest.raises(ValueError, match="last"):
             env.run()
         assert next_time(env) == float("inf") and env._batches == {}
@@ -643,11 +660,12 @@ class TestCallTogether:
         env = Environment()
         seen = []
 
-        def callback(tag):
-            if tag == "reenter-then-raise":
-                env.call_together(0.0, callback, "nested")
-                raise ValueError("mid-batch")
-            seen.append(tag)
+        def callback(batch):
+            for tag in batch:
+                if tag == "reenter-then-raise":
+                    env.call_together(0.0, callback, "nested")
+                    raise ValueError("mid-batch")
+                seen.append(tag)
 
         env.call_together(1.0, callback, "reenter-then-raise")
         env.call_together(1.0, callback, "rest")
@@ -665,16 +683,17 @@ class TestCallTogether:
         with races.traced(env=env) as det:
             det.register(rules, "rules", owner="upf-c")
 
-            def item(write):
-                if write:
-                    with det.role("upf-c"):
-                        det.on_write(rules, "fars", detail="batch item")
-                else:
-                    with det.role("upf-u"):
-                        det.on_read(rules, "fars")
+            def items(batch):
+                for write in batch:
+                    if write:
+                        with det.role("upf-c"):
+                            det.on_write(rules, "fars", detail="batch item")
+                    else:
+                        with det.role("upf-u"):
+                            det.on_read(rules, "fars")
 
-            env.call_together(1.0, item, True)
-            env.call_together(1.0, item, False)
+            env.call_together(1.0, items, True)
+            env.call_together(1.0, items, False)
             env.run()
         assert det.violations == []
         assert det.accesses == 2
@@ -697,10 +716,18 @@ class TestCallTogether:
         def drive(schedule):
             env = Environment()
             fired = []
-            callbacks = [
-                lambda payload, cb=cb: fired.append((env.now, cb, payload))
-                for cb in range(3)
-            ]
+            if schedule == "call_later":
+                callbacks = [
+                    lambda payload, cb=cb: fired.append((env.now, cb, payload))
+                    for cb in range(3)
+                ]
+            else:
+                callbacks = [
+                    lambda batch, cb=cb: fired.extend(
+                        (env.now, cb, payload) for payload in batch
+                    )
+                    for cb in range(3)
+                ]
             steps = 0
             for payload, op in enumerate(ops):
                 if op[0] == "push":
