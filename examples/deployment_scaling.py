@@ -1,66 +1,80 @@
 #!/usr/bin/env python3
-"""Deployment strategy demo (§4): 5GC units behind a UE-aware LB,
-RSS spreading, and a canary rollout of a new UPF version.
+"""Deployment demo (§4): per-shard UPF failover and a canary rollout.
+
+A four-shard UPF-U serves 16 attached UEs.  One shard fails: its
+sessions move to the survivors and every UE still receives downlink.
+The shard recovers and gets back exactly the sessions it lost.  Then a
+new UPF version takes a growing share of the NF manager's traffic.
+The script exits non-zero if a downlink packet is lost after the
+failure or the recovered shard does not get its sessions back.
 
     python examples/deployment_scaling.py
 """
 
-from repro.core import NFManager, NetworkFunction
-from repro.deploy import (
-    CanaryController,
-    NodeSpec,
-    PlacementEngine,
-    RSSIndirection,
-    UEAwareLoadBalancer,
-    UnitHandle,
-)
-from repro.net import FiveTuple, Packet
+from repro.core import NFManager, NFStatus, NetworkFunction
+from repro.cp import FiveGCore, SystemConfig, scenario
+from repro.net import Direction, FiveTuple, Packet
 from repro.sim import Environment
 
-
-def load_balancing() -> None:
-    print("--- UE-aware load balancing ---")
-    lb = UEAwareLoadBalancer()
-    for unit_id in range(3):
-        lb.add_unit(UnitHandle(unit_id=unit_id, capacity_sessions=100))
-    for index in range(30):
-        lb.assign(f"imsi-2089300000{index:05d}")
-    print(f"session distribution      : {lb.distribution()}")
-    # Affinity: the same UE always lands on the same unit.
-    first = lb.assign("imsi-208930000000005").unit_id
-    again = lb.assign("imsi-208930000000005").unit_id
-    print(f"affinity held             : unit {first} == unit {again}")
-    # A unit fails; its UEs transparently move (state via replicas).
-    lb.mark_failed(first)
-    moved = lb.assign("imsi-208930000000005").unit_id
-    print(f"after unit {first} failure     : UE re-pinned to unit {moved}")
+UES = 16
+SHARDS = 4
 
 
-def rss_spreading() -> None:
-    print("\n--- RSS across 4 receive queues ---")
-    rss = RSSIndirection(num_queues=4)
-    flows = [
-        FiveTuple(src_ip=0x0A000000 + index, dst_ip=0x08080808,
-                  src_port=40000 + index, dst_port=443)
-        for index in range(64)
-    ]
-    packets = [Packet(flow=flow) for flow in flows for _ in range(4)]
-    queues = rss.dispatch(packets)
-    print(f"per-queue packet counts   : {[len(queue) for queue in queues]}")
+def shard_failover() -> None:
+    print(f"--- per-shard failover: {UES} UEs on {SHARDS} UPF-U shards ---")
+    env = Environment()
+    core = FiveGCore(env, SystemConfig(upf_shards=SHARDS))
+    supis = [f"imsi-2089300000{index:05d}" for index in range(UES)]
+    scenario.run(core, {supi: scenario.ATTACH for supi in supis})
+    upf_u = core.upf_u
+
+    def seids_by_shard():
+        return {shard.shard_id: {s.seid for s in shard.table.sessions()}
+                for shard in upf_u.shards}
+
+    before = seids_by_shard()
+    print(f"sessions per shard        : "
+          f"{[len(before[i]) for i in range(SHARDS)]}")
+    victim = max(before, key=lambda shard_id: len(before[shard_id]))
+    moved = upf_u.mark_failed(victim)
+    print(f"shard {victim} failed            : {moved} sessions rehomed")
+
+    received = {supi: len(core.ues[supi].received) for supi in supis}
+    for supi in supis:
+        core.inject_downlink(Packet(
+            direction=Direction.DOWNLINK,
+            flow=FiveTuple(src_ip=core.DN_ADDRESS,
+                           dst_ip=core.smf.context_for(supi, 1).ue_ip,
+                           src_port=443, dst_port=40000),
+            created_at=env.now,
+        ))
+    env.run()
+    delivered = sum(
+        len(core.ues[supi].received) - received[supi] for supi in supis)
+    print(f"downlink after failover   : {delivered} of {UES} forwarded")
+    if delivered != UES:
+        raise SystemExit(f"{UES - delivered} downlink packet(s) lost "
+                         f"after shard {victim} failed")
+
+    returned = upf_u.mark_recovered(victim)
+    after = seids_by_shard()
+    print(f"shard {victim} recovered         : {returned} sessions "
+          f"returned, per shard {[len(after[i]) for i in range(SHARDS)]}")
+    if after[victim] != before[victim] or returned != len(before[victim]):
+        raise SystemExit(f"shard {victim} got back {sorted(after[victim])}, "
+                         f"not its sessions {sorted(before[victim])}")
 
 
 def canary_rollout() -> None:
     print("\n--- canary rollout of upf-u v2 ---")
     env = Environment()
     manager = NFManager(env)
-    stable = NetworkFunction(env, "upf-u", service_id=2, instance_id=0)
-    canary = NetworkFunction(env, "upf-u-v2", service_id=2, instance_id=1)
-    for nf in (stable, canary):
+    for instance_id, name in ((0, "upf-u"), (1, "upf-u-v2")):
+        nf = NetworkFunction(env, name, service_id=2, instance_id=instance_id)
         manager.register(nf)
-        nf.status = nf.status.__class__.RUNNING
-    controller = CanaryController(manager, service_id=2)
+        nf.status = NFStatus.RUNNING
     for share in (0.0, 0.1, 0.5, 1.0):
-        controller.set_canary_share(share)
+        manager.set_canary_weights(2, {0: 1.0 - share, 1: share})
         hits = sum(
             1 for _ in range(1000)
             if manager.lookup(2).instance_id == 1
@@ -69,22 +83,6 @@ def canary_rollout() -> None:
               f"{hits / 10:.1f}% of traffic to v2")
 
 
-def placement() -> None:
-    print("\n--- placement onto 12-core nodes ---")
-    from repro.deploy import FiveGCUnit
-    env = Environment()
-    nodes = [NodeSpec(node_id=index, cores=12) for index in range(2)]
-    engine = PlacementEngine(nodes)
-    for unit_id in range(4):
-        unit = FiveGCUnit(env, unit_id=unit_id)
-        node = engine.place(unit)
-        print(f"unit {unit_id} -> "
-              f"{'node ' + str(node.node_id) if node else 'REJECTED'}")
-    print(f"node utilization          : {engine.utilization()}")
-
-
 if __name__ == "__main__":
-    load_balancing()
-    rss_spreading()
+    shard_failover()
     canary_rollout()
-    placement()

@@ -18,7 +18,7 @@ Subpackages
 ``repro.up``          user plane: PDR/FAR pipeline, smart buffering
 ``repro.ran``         UE / gNB simulator (N1/N2)
 ``repro.resiliency``  replication, packet logger, failover
-``repro.deploy``      5GC units, UE-aware LB, canary rollout
+``repro.deploy``      Toeplitz RSS, sharded UPF-U and its failover, slices
 ``repro.baselines``   free5GC and ONVM-UPF comparison systems
 ``repro.tcpmodel``    TCP dynamics and page-load-time model
 ``repro.traffic``     generators and measurement tooling

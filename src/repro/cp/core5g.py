@@ -19,6 +19,7 @@ from ..classifier.linear import LinearClassifier
 from ..classifier.partition_sort import PartitionSortClassifier
 from ..core.costs import DEFAULT_COSTS, Channel, CostModel
 from ..core.transport import MessageBus
+from ..deploy.sharded import ShardedUPFControlPlane, ShardedUserPlane
 from ..net.addresses import AddressAllocator, ip_to_int
 from ..net.packet import Direction, Packet
 from ..obs.metrics import MetricsRegistry
@@ -175,15 +176,8 @@ class FiveGCore:
             self.bus.register(nf.name, nf.handle_message)
             self.nrf.register_nf(nf.name.upper(), f"{nf.name}-inst-1", nf.name)
 
-        # User plane: one pipeline, or N sharded workers behind RSS
-        # dispatch (function-level import: repro.deploy pulls this
-        # module back in through deploy.unit).
+        # User plane: one pipeline, or N sharded workers behind RSS dispatch.
         if self.config.upf_shards > 1:
-            from ..deploy.sharded import (
-                ShardedUPFControlPlane,
-                ShardedUserPlane,
-            )
-
             self.upf_u = ShardedUserPlane(
                 env,
                 self.config.upf_shards,

@@ -1,13 +1,6 @@
-"""Deployment: 5GC units, UE-aware LB, RSS, sharding, canary, placement."""
+"""Deployment: Toeplitz RSS, the sharded UPF and its failover, slices."""
 
-from .lb import UEAwareLoadBalancer, UnitHandle
-from .rss import (
-    DEFAULT_RSS_KEY,
-    RSSIndirection,
-    hash_five_tuple,
-    toeplitz_hash,
-    toeplitz_hash32,
-)
+from .rss import DEFAULT_RSS_KEY, toeplitz_hash, toeplitz_hash32
 from .sharded import (
     ShardedSessionTable,
     ShardedUPFControlPlane,
@@ -16,14 +9,9 @@ from .sharded import (
     UPFShard,
 )
 from .slicing import NetworkSlice, SliceManager, SNssai
-from .unit import CanaryController, FiveGCUnit, NodeSpec, PlacementEngine
 
 __all__ = [
-    "UEAwareLoadBalancer",
-    "UnitHandle",
     "DEFAULT_RSS_KEY",
-    "RSSIndirection",
-    "hash_five_tuple",
     "toeplitz_hash",
     "toeplitz_hash32",
     "ShardRouter",
@@ -34,8 +22,4 @@ __all__ = [
     "NetworkSlice",
     "SliceManager",
     "SNssai",
-    "CanaryController",
-    "FiveGCUnit",
-    "NodeSpec",
-    "PlacementEngine",
 ]

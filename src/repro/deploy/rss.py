@@ -1,24 +1,21 @@
-"""Receive Side Scaling: spreading packets across cores / 5GC units.
+"""Receive Side Scaling: the Toeplitz hash behind shard dispatch.
 
 Modern NICs hash configurable header fields into a receive-queue index
 (§4: "we leverage RSS offered by modern NICs to segregate incoming
-packets into different receive queues...").  We implement the Toeplitz
-hash used by Intel NICs over the IPv4 five-tuple, plus the indirection
-table mapping hash values to queues.
+packets into different receive queues...").  This module holds the
+Toeplitz hash used by Intel NICs and the byte tables
+:class:`~repro.deploy.sharded.ShardRouter` dispatches a UPF shard's
+receive queue with (TEID on uplink, UE IP on downlink).
 """
 
 from __future__ import annotations
 
-import struct
-from typing import Dict, List, Sequence, Tuple
-
-from ..net.packet import FiveTuple, Packet
+from typing import Dict, List, Tuple
 
 __all__ = [
     "toeplitz_hash",
     "toeplitz_hash32",
     "bucket_tables",
-    "RSSIndirection",
     "DEFAULT_RSS_KEY",
 ]
 
@@ -34,7 +31,7 @@ DEFAULT_RSS_KEY = bytes(
 )
 
 
-def toeplitz_hash(data: bytes, key: bytes = DEFAULT_RSS_KEY) -> int:
+def toeplitz_hash(data: bytes, key: bytes = DEFAULT_RSS_KEY) -> int:  # repro: noqa[W009] -- the reference toeplitz_hash32 is checked against (test_deploy.py::test_hash32_matches_generic_toeplitz)
     """The Toeplitz hash over ``data`` with the given key."""
     if len(key) < len(data) + 4:
         raise ValueError("RSS key too short for input")
@@ -125,39 +122,3 @@ def bucket_tables(key: bytes, mask: int) -> Tuple[List[int], ...]:
          for byte in range(256)]
         for index in range(4)
     )
-
-
-def hash_five_tuple(flow: FiveTuple, key: bytes = DEFAULT_RSS_KEY) -> int:
-    """RSS input for TCP/UDP over IPv4: src ip, dst ip, src/dst port."""
-    data = struct.pack(
-        "!IIHH", flow.src_ip, flow.dst_ip, flow.src_port, flow.dst_port
-    )
-    return toeplitz_hash(data, key)
-
-
-class RSSIndirection:
-    """The NIC's indirection table: hash LSBs -> receive queue.
-
-    >>> rss = RSSIndirection(num_queues=4)
-    >>> 0 <= rss.queue_for(FiveTuple(src_ip=1, dst_ip=2)) < 4
-    True
-    """
-
-    def __init__(self, num_queues: int, table_size: int = 128):
-        if num_queues <= 0:
-            raise ValueError("need at least one queue")
-        self.num_queues = num_queues
-        self.table: List[int] = [
-            index % num_queues for index in range(table_size)
-        ]
-
-    def queue_for(self, flow: FiveTuple, key: bytes = DEFAULT_RSS_KEY) -> int:
-        value = hash_five_tuple(flow, key)
-        return self.table[value % len(self.table)]
-
-    def dispatch(self, packets: Sequence[Packet]) -> List[List[Packet]]:
-        """Split a burst into per-queue lists (same flow -> same queue)."""
-        queues: List[List[Packet]] = [[] for _ in range(self.num_queues)]
-        for packet in packets:
-            queues[self.queue_for(packet.flow)].append(packet)
-        return queues

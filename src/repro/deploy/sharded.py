@@ -25,8 +25,7 @@ packets into per-unit receive queues):
 
 Each fact has one record: where a session lives is the shard table
 holding it (plus a SEID index written beside it), and which shards
-serve is the router's membership.  The UE-aware load balancer pins
-UEs to whole 5GC units, never sessions to shards.
+serve is the router's membership.
 
 Ownership is unchanged from the single-UPF split: the UPF-C role is
 the only writer of session membership and rules (on every shard); each
@@ -172,7 +171,7 @@ class ShardRouter:
         self._ring.sort()
         self._members.add(shard)
 
-    def add_shard(self, shard: int) -> List[int]:  # repro: noqa[W009] -- readmits a recovered shard for ShardedUserPlane.mark_recovered (ROADMAP item 7)
+    def add_shard(self, shard: int) -> List[int]:
         """(Re-)admit a shard; returns the buckets that moved."""
         if shard in self._members:
             return []
@@ -539,7 +538,7 @@ class ShardedUserPlane:
         self.failovers += 1
         return self._rebalance()
 
-    def mark_recovered(self, shard_id: int) -> int:  # repro: noqa[W009] -- the recovery half of per-shard S-BFD failover, ROADMAP item 7
+    def mark_recovered(self, shard_id: int) -> int:
         """Readmit a shard and pull its buckets' sessions back."""
         self.router.add_shard(shard_id)
         return self._rebalance()

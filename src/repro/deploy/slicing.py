@@ -2,17 +2,14 @@
 
 "Network slices can be supported by logically assigning different
 service IDs" — each slice (S-NSSAI) maps to a service-id range on the
-shared-memory platform and, at deployment scale, to the 5GC units that
-serve it.  A slice-aware selector (the NSSF's job) picks the unit for a
-new UE session from its subscribed slice.
+shared-memory platform.  A slice-aware selector (the NSSF's job) picks
+the slice for a new UE session from its subscriptions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-from .lb import UEAwareLoadBalancer, UnitHandle
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 __all__ = ["SNssai", "NetworkSlice", "SliceManager"]
 
@@ -30,16 +27,12 @@ class SNssai:  # repro: noqa[W009] -- ROADMAP item 8 wires slices end to end or 
 
 @dataclass
 class NetworkSlice:  # repro: noqa[W009] -- ROADMAP item 8 wires slices end to end or deletes this module
-    """One slice: its S-NSSAI, service-id block and member units."""
+    """One slice: its S-NSSAI and service-id block."""
 
     snssai: SNssai
     #: Service ids [base, base+width) reserved on the NF platform.
     service_id_base: int = 0
     service_id_width: int = 16
-    #: The LB managing this slice's 5GC units.
-    balancer: UEAwareLoadBalancer = field(
-        default_factory=UEAwareLoadBalancer
-    )
 
     def service_id(self, function_index: int) -> int:
         """The platform service id of the slice's n-th NF."""
@@ -94,8 +87,8 @@ class SliceManager:  # repro: noqa[W009] -- ROADMAP item 8 wires slices end to e
 
     def select(
         self, supi: str, requested: Optional[SNssai] = None
-    ) -> Tuple[NetworkSlice, Optional[UnitHandle]]:
-        """NSSF-style selection: pick the slice and a unit within it.
+    ) -> NetworkSlice:
+        """NSSF-style selection: pick the slice for a UE's session.
 
         Uses the requested S-NSSAI when the UE subscribes to it, else
         the UE's default (first subscribed) slice.
@@ -111,9 +104,7 @@ class SliceManager:  # repro: noqa[W009] -- ROADMAP item 8 wires slices end to e
             chosen = requested
         else:
             chosen = subscriptions[0]
-        network_slice = self.slice_for(chosen)
-        unit = network_slice.balancer.assign(supi)
-        return network_slice, unit
+        return self.slice_for(chosen)
 
     # ------------------------------------------------------------------
     def service_blocks_disjoint(self) -> bool:

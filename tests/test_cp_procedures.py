@@ -554,15 +554,12 @@ class TestDuplicateEstablishment:
     def _state(self, core):
         sessions = core.sessions.sessions()
         tables = getattr(core.sessions, "tables", [core.sessions])
-        lb = getattr(core.upf_u, "lb", None)
         return (
             sorted((s.seid, s.ul_teid, s.ue_ip) for s in sessions),
             [core.sessions.by_seid(s.seid) is s
              and core.sessions.by_teid(s.ul_teid) is s
              and core.sessions.by_ue_ip(s.ue_ip) is s for s in sessions],
             [(len(table), table.epoch.value) for table in tables],
-            lb and (dict(lb.affinity),
-                    {uid: unit.sessions for uid, unit in lb.units.items()}),
         )
 
     def _exchange(self, env, core, **fields):

@@ -1,17 +1,16 @@
-"""Integrated Fig 5 scenario: a serving region with multiple 5GC units
-behind the UE-aware LB, surviving a unit failure without re-attach.
+"""Integrated Fig 5 scenario: a serving region with two 5GC units,
+surviving the failure of the primary unit without re-attach.
 
-This ties the deployment layer (§4) to the resiliency framework (§3.5)
-end to end: UE state checkpointed from the primary unit restores into a
-replica unit's NFs, the UPF session is reconstructed from the restored
-SM context, and data flows again — no re-registration.
+This ties two cores to the resiliency framework (§3.5) end to end: UE
+state checkpointed from the primary unit (unit 0) restores into the
+survivor's (unit 1) NFs, the UPF session is reconstructed from the
+restored SM context, and data flows again — no re-registration.
 """
 
 import pytest
 
 from repro.cp import FiveGCore, ProcedureRunner, SystemConfig
 from repro.cp.nfs import AMF, SMF
-from repro.deploy import UEAwareLoadBalancer, UnitHandle
 from repro.net import Direction, FiveTuple, Packet, PacketKind
 from repro.pfcp.builder import build_session_establishment
 from repro.ran import RMState
@@ -22,24 +21,18 @@ SUPI = "imsi-208930000050001"
 
 
 class Region:
-    """Two 5GC units + LB + resiliency, in one simulation."""
+    """Two 5GC units + resiliency, in one simulation."""
 
     def __init__(self):
         self.env = Environment()
-        self.units = {
-            unit_id: FiveGCore(self.env, SystemConfig.l25gc())
-            for unit_id in (0, 1)
-        }
-        for core in self.units.values():
+        # Unit 0 serves the UE and fails; unit 1 takes over.
+        self.primary, self.survivor = (
+            FiveGCore(self.env, SystemConfig.l25gc()) for _ in range(2)
+        )
+        for core in (self.primary, self.survivor):
             for gnb in core.gnbs.values():
                 gnb.radio_latency = 0.0
-        self.lb = UEAwareLoadBalancer()
-        for unit_id in self.units:
-            self.lb.add_unit(UnitHandle(unit_id=unit_id))
         self.framework = None
-
-    def primary_for(self, supi):
-        return self.units[self.lb.assign(supi).unit_id]
 
 
 @pytest.fixture
@@ -48,8 +41,8 @@ def region():
 
 
 def onboard(region, supi=SUPI):
-    """Register + session on the LB-chosen unit, with replication."""
-    core = region.primary_for(supi)
+    """Register + session on the primary unit, with replication."""
+    core = region.primary
     runner = ProcedureRunner(core)
     ue = core.add_ue(supi)
     framework = ResiliencyFramework(
@@ -80,12 +73,7 @@ def fail_over(region, primary, ue, detail):
     """Fail the primary unit; restore state into the survivor."""
     framework = region.framework
     framework.stop()
-    failed_id = next(
-        unit_id for unit_id, core in region.units.items() if core is primary
-    )
-    region.lb.mark_failed(failed_id)
-    survivor = region.units[region.lb.assign(ue.supi).unit_id]
-    assert survivor is not primary
+    survivor = region.survivor
 
     # Restore control-plane state from the remote replica.
     survivor.amf.restore(framework.remote.stores["amf"].state)
@@ -163,14 +151,3 @@ class TestRegionFailover:
 
         assert ue.cm_state is CMState.CONNECTED
         assert len(ue.received) >= 1
-
-    def test_lb_affinity_moves_once(self, region):
-        primary, ue, detail = onboard(region)
-        survivor, _ = fail_over(region, primary, ue, detail)
-        survivor_id = next(
-            unit_id for unit_id, core in region.units.items()
-            if core is survivor
-        )
-        # Subsequent lookups stay pinned to the survivor.
-        for _ in range(5):
-            assert region.lb.assign(ue.supi).unit_id == survivor_id

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.deploy import NetworkSlice, SliceManager, SNssai, UnitHandle
+from repro.deploy import NetworkSlice, SliceManager, SNssai
 from repro.net import (
     FiveTuple,
     GTPUHeader,
@@ -93,11 +93,6 @@ class TestSlicing:
         manager = SliceManager()
         embb = manager.create_slice(SNssai(sst=1, sd="010203"))
         urllc = manager.create_slice(SNssai(sst=2, sd="000001"))
-        for network_slice in (embb, urllc):
-            for unit_id in range(2):
-                network_slice.balancer.add_unit(
-                    UnitHandle(unit_id=unit_id, capacity_sessions=10)
-                )
         return manager, embb, urllc
 
     def test_service_id_blocks_disjoint(self):
@@ -121,11 +116,8 @@ class TestSlicing:
         manager, embb, urllc = self._manager()
         manager.subscribe("imsi-1", embb.snssai)
         manager.subscribe("imsi-1", urllc.snssai)
-        chosen, unit = manager.select("imsi-1")
-        assert chosen is embb  # default = first subscribed
-        assert unit is not None
-        chosen, _ = manager.select("imsi-1", requested=urllc.snssai)
-        assert chosen is urllc
+        assert manager.select("imsi-1") is embb  # default = first subscribed
+        assert manager.select("imsi-1", requested=urllc.snssai) is urllc
 
     def test_unsubscribed_slice_rejected(self):
         manager, embb, urllc = self._manager()
@@ -137,19 +129,6 @@ class TestSlicing:
         manager, _, _ = self._manager()
         with pytest.raises(KeyError):
             manager.select("imsi-ghost")
-
-    def test_slice_isolation_of_units(self):
-        """UEs of different slices land on their own slice's units."""
-        manager, embb, urllc = self._manager()
-        manager.subscribe("imsi-e", embb.snssai)
-        manager.subscribe("imsi-u", urllc.snssai)
-        _, embb_unit = manager.select("imsi-e")
-        _, urllc_unit = manager.select("imsi-u")
-        assert embb.balancer.distribution()[embb_unit.unit_id] == 1
-        assert urllc.balancer.distribution()[urllc_unit.unit_id] == 1
-        # The other slice's balancer is untouched.
-        assert sum(embb.balancer.distribution().values()) == 1
-        assert sum(urllc.balancer.distribution().values()) == 1
 
     def test_subscription_idempotent(self):
         manager, embb, _ = self._manager()
