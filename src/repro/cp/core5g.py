@@ -240,6 +240,7 @@ class FiveGCore:
         self.dl_unrouted = 0
         #: (session count, N3 delay at it); costs are fixed after first use.
         self._n3_delay: Tuple[int, float] = (-1, 0.0)
+        self._session_count = self.sessions.size
         #: Packets that reached the data network (UL sink).
         self.dn_received: List[Packet] = []
         #: Called when a downlink data report arrives at the SMF
@@ -403,12 +404,12 @@ class FiveGCore:
         # from (or queued behind) a buffer drain additionally carry the
         # extra delay the UPF-U computed.
         active, delay = self._n3_delay
-        if active != len(self.sessions):
-            active = len(self.sessions)
+        count = self._session_count()
+        if active != count:
             delay = self.costs.forward_latency(
-                self.config.fast_path, max(1, active)
+                self.config.fast_path, max(1, count)
             ) + self.costs.lan_propagation
-            self._n3_delay = (active, delay)
+            self._n3_delay = (count, delay)
         if packet.meta:
             delay += packet.meta.pop("extra_delay", 0.0)
         self.env.call_together(delay, gnb.receive_downlink_batch, (packet, ue))

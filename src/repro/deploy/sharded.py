@@ -258,6 +258,7 @@ class ShardedSessionTable(SessionTableView):
         self.router = router
         self.tables = tables
         self._shard_by_seid: Dict[int, int] = {}
+        self.size = self._shard_by_seid.__len__
 
     def shard_of(self, seid: int) -> Optional[int]:
         return self._shard_by_seid.get(seid)
@@ -527,19 +528,25 @@ class ShardedUserPlane:
     def mark_failed(self, shard_id: int) -> int:
         """Fail a shard: ring removal, then session rebalance.
 
-        Returns the number of sessions moved.  The router refuses to
-        remove the last serving shard; that ``ValueError`` leaves
-        everything unchanged.  Rebalance is control-plane work
-        (membership writes), so it runs under the "upf-c" role; each
-        move fires the failed shard's removal listeners, purging its
-        flow-cache entries and drain state.
+        Returns the number of sessions moved: 0, with no failover
+        counted and no rescan, for a shard already out of the ring.
+        The router refuses to remove the last serving shard; that
+        ``ValueError`` leaves everything unchanged.  Rebalance is
+        control-plane work (membership writes), so it runs under the
+        "upf-c" role; each move fires the failed shard's removal
+        listeners, purging its flow-cache entries and drain state.
         """
+        if shard_id not in self.router._members:
+            return 0
         self.router.remove_shard(shard_id)
         self.failovers += 1
         return self._rebalance()
 
     def mark_recovered(self, shard_id: int) -> int:
-        """Readmit a shard and pull its buckets' sessions back."""
+        """Readmit a shard and pull its buckets' sessions back (0 and
+        no rescan when it is already serving)."""
+        if shard_id in self.router._members:
+            return 0
         self.router.add_shard(shard_id)
         return self._rebalance()
 

@@ -27,14 +27,14 @@ This module provides that cache:
   whose recorded epoch is stale self-invalidates.  No scan, no
   callback fan-out on the data path — a rule change is one integer
   increment.
-* **Capacity** — an LRU bound keeps memory flat under many flows.  A
-  full cache admits one miss in ``FULL_ADMIT_INTERVAL`` (evicting the
-  LRU entry) and declines the rest, so it does not thrash (DESIGN §8).
+* **Capacity** — CLOCK (second-chance) keeps memory flat under many
+  flows: a hit sets one reference bit, and a full cache admits one
+  miss in ``FULL_ADMIT_INTERVAL`` (the hand evicts the first entry not
+  hit since it last passed) and declines the rest (DESIGN §8).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Hashable, Optional
 
 from ..analysis import races as _races  # repro: noqa[W004] -- race-detector hooks, no-ops unless a detector is installed
@@ -46,7 +46,7 @@ __all__ = [
     "FlowCache",
 ]
 
-#: Default LRU bound.  Sized like OVS's EMC (8k entries): large enough
+#: Default capacity.  Sized like OVS's EMC (8k entries): large enough
 #: that a steady working set of flows stays resident, small enough that
 #: the table is cache-friendly and memory stays flat under churn.
 DEFAULT_FLOW_CACHE_CAPACITY = 8192
@@ -94,17 +94,26 @@ class FlowCacheEntry:
         The matched rule, its forwarding action, and the QER enforcer
         / URR counter it names (None when it names none).  Only the
         match is cached: QER/URR verdicts are per packet.
+    referenced, slot:
+        CLOCK state: set by every hit, cleared by the passing hand;
+        the index of the entry's key in the cache's ring.
     """
 
-    __slots__ = ("generation", "session", "pdr", "far", "enforcer", "counter")
+    __slots__ = (
+        "generation", "session", "pdr", "far", "enforcer", "counter",
+        "referenced", "slot",
+    )
 
-    def __init__(self, generation, session, pdr, far, enforcer, counter):
+    def __init__(self, generation, session, pdr, far, enforcer, counter,
+                 slot=-1):
         self.generation = generation
         self.session = session
         self.pdr = pdr
         self.far = far
         self.enforcer = enforcer
         self.counter = counter
+        self.referenced = False
+        self.slot = slot
 
     def __repr__(self) -> str:
         return (
@@ -115,7 +124,10 @@ class FlowCacheEntry:
 
 
 class FlowCache:
-    """Exact-match LRU cache of pipeline decisions, throttled when full.
+    """Exact-match CLOCK cache of pipeline decisions, throttled when full.
+
+    A resident key sits in one slot of a ring of at most ``capacity``
+    keys; slots freed by stale deletion or a purge go on a free list.
 
     Parameters
     ----------
@@ -123,13 +135,16 @@ class FlowCache:
         The shared :class:`RuleEpoch` bumped by every rule mutation
         (normally ``SessionTable.epoch``).
     capacity:
-        LRU bound on resident entries.
+        Bound on resident entries.
     """
 
     __slots__ = (
         "_epoch",
         "capacity",
         "_entries",
+        "_ring",
+        "_free",
+        "_hand",
         "hits",
         "misses",
         "stale",
@@ -149,14 +164,20 @@ class FlowCache:
             raise ValueError(f"capacity must be positive: {capacity!r}")
         self._epoch = epoch
         self.capacity = capacity
-        self._entries: "OrderedDict[Hashable, FlowCacheEntry]" = OrderedDict()
+        self._entries: "dict[Hashable, FlowCacheEntry]" = {}
+        #: Ring slot -> resident key (None while the slot is free).
+        self._ring: "list[Optional[Hashable]]" = []
+        #: Slots vacated by stale deletion or a purge, refilled first.
+        self._free: "list[int]" = []
+        #: The next slot the eviction sweep examines.
+        self._hand = 0
         #: Fast-path hits (valid entry, current epoch).
         self.hits = 0
         #: Probes that found nothing usable (absent or stale).
         self.misses = 0
         #: Misses caused specifically by epoch invalidation.
         self.stale = 0
-        #: Entries dropped to enforce the LRU capacity bound.
+        #: Entries dropped to enforce the capacity bound.
         self.evictions = 0
         #: Entries filled by the slow path.
         self.inserts = 0
@@ -174,34 +195,13 @@ class FlowCache:
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
-    def lookup(self, key: Hashable) -> Optional[FlowCacheEntry]:
-        """One exact-match probe; None on miss or stale entry."""
-        detector = _races._ACTIVE
-        if detector is not None:
-            detector.on_read(self, "entries")
-        entries = self._entries
-        entry = entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        if entry.generation != self._epoch.value:
-            # Lazy invalidation: the epoch moved since fill time, so
-            # the decision may no longer be derivable — drop and re-run
-            # the pipeline.
-            del entries[key]
-            self.stale += 1
-            self.misses += 1
-            return None
-        entries.move_to_end(key)
-        self.hits += 1
-        return entry
-
     def insert(
         self, key: Hashable, session: Any, pdr: Any, far: Any,
         enforcer: Any = None, counter: Any = None,
     ) -> Optional[FlowCacheEntry]:
         """Memoize one slow-path decision under the current epoch; None
-        when :meth:`_admit` declines a new key (a resident one is replaced)."""
+        when :meth:`_admit` declines a new key (a resident one is
+        replaced in its slot)."""
         detector = _races._ACTIVE
         if detector is not None:
             detector.on_write(
@@ -209,39 +209,92 @@ class FlowCache:
                 detail=f"insert(seid={getattr(session, 'seid', None)})",  # repro: noqa[W001] -- race-detector instrumentation, gated behind `detector is not None`
             )
         entries = self._entries
-        if key in entries:
-            del entries[key]
-        elif not self._admit():
-            return None
+        resident = entries.get(key)
+        if resident is not None:
+            slot = resident.slot
+        else:
+            slot = self._admit(key)
+            if slot is None:
+                return None
         entry = FlowCacheEntry(  # repro: noqa[W001] -- cache-miss slow path only: the entry IS the memoization; never built on a hit
-            self._epoch.value, session, pdr, far, enforcer, counter
+            self._epoch.value, session, pdr, far, enforcer, counter, slot
         )
         entries[key] = entry
         self.inserts += 1
         return entry
 
-    def _admit(self) -> bool:
-        """Decide whether a miss on an absent key may fill a slot.
+    def _admit(self, key: Hashable) -> Optional[int]:
+        """Give an absent key a ring slot, or None to decline its miss.
 
-        With room, every miss is admitted.  Once full, a deterministic
-        countdown admits the first miss, evicting the LRU entry, and
-        declines the next ``FULL_ADMIT_INTERVAL - 1``: under uniform
-        traffic every replacement policy keeps the same share of the
-        working set resident, so each eviction beyond that is pure cost.
-        Stale deletion and :meth:`purge_session` free slots, which the
-        next misses refill without waiting.
+        With room, every miss is admitted: a free slot first, then a
+        new one at the ring's end.  Once full, a deterministic
+        countdown admits the first miss and declines the next
+        ``FULL_ADMIT_INTERVAL - 1``: under uniform traffic every
+        replacement policy keeps the same share of the working set
+        resident, so each eviction beyond that is pure cost.  The
+        admitted miss sweeps the hand, clearing each reference bit it
+        passes, and evicts the first entry whose bit was already clear
+        — one not hit since the hand last passed it.  Stale deletion
+        and :meth:`purge_session` free slots, which the next misses
+        refill without waiting.
         """
-        entries = self._entries
-        if len(entries) < self.capacity:
-            return True
-        if self._declines_left:
+        ring = self._ring
+        free = self._free
+        if free:
+            slot = free.pop()
+        elif len(ring) < self.capacity:
+            slot = len(ring)
+            ring.append(None)
+        elif self._declines_left:
             self._declines_left -= 1
             self.declined += 1
-            return False
-        entries.popitem(last=False)
-        self.evictions += 1
-        self._declines_left = FULL_ADMIT_INTERVAL - 1
-        return True
+            return None
+        else:
+            entries = self._entries
+            capacity = self.capacity
+            slot = self._hand
+            while True:
+                victim = entries[ring[slot]]
+                if not victim.referenced:
+                    break
+                victim.referenced = False
+                slot += 1
+                if slot == capacity:
+                    slot = 0
+            del entries[ring[slot]]
+            self._hand = slot + 1 if slot + 1 < capacity else 0
+            self.evictions += 1
+            self._declines_left = FULL_ADMIT_INTERVAL - 1
+        ring[slot] = key
+        return slot
+
+    def _vacate(self, key: Hashable, entry: FlowCacheEntry) -> None:
+        """Drop a resident entry and return its slot to the free list."""
+        del self._entries[key]
+        self._ring[entry.slot] = None
+        self._free.append(entry.slot)
+
+    def lookup(self, key: Hashable) -> Optional[FlowCacheEntry]:
+        """One exact-match probe; None on miss or stale entry.  A hit
+        hashes the key once: recency is one reference bit."""
+        detector = _races._ACTIVE
+        if detector is not None:
+            detector.on_read(self, "entries")
+        entry = self._entries.get(key)
+        if entry is None:
+            self.misses += 1
+            return None
+        if entry.generation != self._epoch.value:
+            # Lazy invalidation: the epoch moved since fill time, so
+            # the decision may no longer be derivable — drop and re-run
+            # the pipeline.
+            self._vacate(key, entry)
+            self.stale += 1
+            self.misses += 1
+            return None
+        entry.referenced = True
+        self.hits += 1
+        return entry
 
     # ------------------------------------------------------------------
     # Bulk operations.  No caller left in src/ (process_burst probes
@@ -253,15 +306,15 @@ class FlowCache:
         """Bulk exact-match probe over a burst's distinct keys.
 
         One race-detector read and one epoch load cover the whole
-        batch.  Unlike :meth:`lookup` this performs *no* LRU movement,
-        counter update, or stale-entry deletion — those effects replay
-        per packet in :meth:`commit_burst` so the cache evolves exactly
+        batch.  Unlike :meth:`lookup` this sets *no* reference bit,
+        counter or stale-entry deletion — those effects replay per
+        packet in :meth:`commit_burst` so the cache evolves exactly
         as it would under one-at-a-time processing.
 
         Returns ``(found, stale)``: ``found`` maps each key holding a
         current-epoch entry to that entry; ``stale`` is the set of keys
         whose resident entry predates the epoch (left in place so the
-        replay deletes each one at its packet's LRU position).
+        replay deletes each one in its packet's turn).
         """
         detector = _races._ACTIVE
         if detector is not None:
@@ -281,27 +334,23 @@ class FlowCache:
         return found, stale
 
     def touch_burst(self, touch_keys, hits: int) -> None:
-        """All-hit fast path: fold one burst's LRU touches and hits.
+        """All-hit fast path: fold one burst's reference bits and hits.
 
         Precondition (asserted by the caller's probe): every distinct
         key of the burst is resident at the current epoch, so the
-        per-packet replay would be pure ``move_to_end`` touches.
-        Replaying touches in arrival order leaves each key at its
-        *last* occurrence's position, so one ``move_to_end`` per
-        distinct key in last-occurrence order (``touch_keys``)
-        produces the identical final LRU order with far fewer
-        20-field-tuple hashes; ``hits`` (the burst's cache-keyed
-        packet count) folds into the hit counter exactly as the
-        per-packet replay would.
+        per-packet replay would only set reference bits.  One bit per
+        distinct key (``touch_keys``) leaves the state the replay
+        would; ``hits`` (the burst's cache-keyed packet count) folds
+        into the hit counter exactly as the per-packet replay would.
         """
         detector = _races._ACTIVE
         if detector is not None:
             detector.on_write(
                 self, "entries", detail=f"touch_burst({hits} packets)"
             )
-        move_to_end = self._entries.move_to_end
+        entries = self._entries
         for key in touch_keys:
-            move_to_end(key)
+            entries[key].referenced = True
         self.hits += hits
 
     def commit_burst(self, keys, resolved, start: int = 0) -> None:
@@ -312,14 +361,15 @@ class FlowCache:
         skipped); ``resolved`` maps each distinct key with an
         apply-able decision to its :class:`FlowCacheEntry`.  Each
         position performs exactly what the sequential ``lookup`` +
-        ``insert`` pair would have: a resident current-epoch entry is
-        touched (hit); a stale entry is deleted and, when resolved,
-        re-filled; an absent key is a miss, filled when resolved and
-        admitted by the :meth:`_admit` that :meth:`insert` uses.  LRU
-        order, eviction victims, and the hit/miss/stale/insert/
-        eviction/declined counters therefore match one-at-a-time
-        processing exactly when no epoch bump lands mid-burst.  (The
-        all-hit steady state takes :meth:`touch_burst` instead.)
+        ``insert`` pair would have, through the same helpers: a
+        resident current-epoch entry is referenced (hit); a stale
+        entry is vacated and, when resolved, re-filled; an absent key
+        is a miss, filled when resolved and admitted by :meth:`_admit`.
+        Slots, bits, the hand, eviction victims, and the hit/miss/
+        stale/insert/eviction/declined counters therefore match
+        one-at-a-time processing exactly when no epoch bump lands
+        mid-burst.  (The all-hit steady state takes :meth:`touch_burst`
+        instead.)
         """
         detector = _races._ACTIVE
         if detector is not None:
@@ -339,15 +389,20 @@ class FlowCache:
             entry = get(key)
             if entry is not None:
                 if entry.generation == generation:
-                    entries.move_to_end(key)
+                    entry.referenced = True
                     hits += 1
                     continue
-                del entries[key]
+                self._vacate(key, entry)
                 stale += 1
             misses += 1
             decision = resolved.get(key)
-            if decision is None or not admit():
+            if decision is None:
                 continue
+            slot = admit(key)
+            if slot is None:
+                continue
+            decision.referenced = False
+            decision.slot = slot
             entries[key] = decision
             inserts += 1
         self.hits += hits
@@ -362,8 +417,8 @@ class FlowCache:
         """Eagerly drop a removed session's entries (frees the refs).
 
         The epoch bump already guarantees correctness; this exists so a
-        deleted session's context is not pinned in memory until LRU
-        pressure happens to evict its flows.
+        deleted session's context is not pinned in memory until the
+        hand happens to evict its flows.
         """
         detector = _races._ACTIVE
         if detector is not None:
@@ -371,12 +426,12 @@ class FlowCache:
                 self, "entries",
                 detail=f"purge_session(seid={getattr(session, 'seid', None)})",
             )
-        entries = self._entries
         dead = [
-            key for key, entry in entries.items() if entry.session is session
+            (key, entry) for key, entry in self._entries.items()
+            if entry.session is session
         ]
-        for key in dead:
-            del entries[key]
+        for key, entry in dead:
+            self._vacate(key, entry)
         self.purged += len(dead)
         return len(dead)
 
@@ -385,6 +440,9 @@ class FlowCache:
         if detector is not None:
             detector.on_write(self, "entries", detail="clear()")
         self._entries.clear()
+        self._ring.clear()
+        self._free.clear()
+        self._hand = 0
 
     def __len__(self) -> int:
         return len(self._entries)

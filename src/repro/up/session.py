@@ -264,6 +264,10 @@ class SessionTableView(abc.ABC):
     modify / delete are shard-agnostic.
     """
 
+    #: ``len(table)`` as one C call (a dict's bound ``__len__``), for
+    #: readers on the per-packet path.
+    size: Callable[[], int]
+
     @abc.abstractmethod
     def add(self, session: UPFSession) -> None:
         """Install a new session (duplicate keys raise ValueError)."""
@@ -345,6 +349,7 @@ class SessionTable(SessionTableView):
 
     def __init__(self) -> None:
         self._by_seid: Dict[int, UPFSession] = {}
+        self.size = self._by_seid.__len__
         self._teid_index: Dict[int, UPFSession] = {}
         self._ue_ip_index: Dict[int, UPFSession] = {}
         #: What the UPF-U probes per packet.

@@ -109,8 +109,8 @@ class UPFUserPlane(NetworkFunction):
         packets resolve with one probe.  QER/URR still run per packet,
         so cache-on and cache-off produce identical stats and outcomes.
     flow_cache_capacity:
-        LRU bound on cached flows.  Once it is full, one miss in 32 is
-        cached, evicting the LRU flow (:mod:`repro.up.flow_cache`).
+        Bound on cached flows.  Once it is full, one miss in 32 is
+        cached, evicting by CLOCK (:mod:`repro.up.flow_cache`).
     burst_size:
         Packets processed per burst.  1 (the default) keeps the
         one-packet-per-call platform path; >1 sets the ring drain size

@@ -338,6 +338,16 @@ class TestShardedSessionTable:
             assert view.by_ue_ip(session.ue_ip) is session
         assert {s.seid for s in view.sessions()} == {1, 2, 3}
 
+    def test_size_is_the_live_session_count(self):
+        """``size`` is the bound C call per-packet readers use for
+        ``len``: it must follow every add and remove."""
+        _, tables, view = self._view()
+        for seid in (1, 2, 3):
+            view.add(make_session(seid))
+        view.remove(2)
+        assert view.size() == len(view) == 2
+        assert sum(table.size() for table in tables) == 2
+
     def test_remove_unknown_is_none(self):
         _, _, view = self._view()
         assert view.remove(99) is None
@@ -806,6 +816,29 @@ class TestFiveGCoreSharded:
             registry[f"sessions{{shard={i}}}"].value for i in (0, 1)
         ) == 4
         assert registry["shard.load_skew"].value >= 1.0
+
+    def test_repeated_membership_changes_are_no_ops(self):
+        """Failing a failed shard, or recovering a serving one, moves
+        nothing, counts no failover and rescans no session."""
+        from repro.cp import FiveGCore, SystemConfig
+
+        core = FiveGCore(Environment(), SystemConfig(upf_shards=4))
+        self._attach(core, count=8)
+        up = core.upf_u
+        up.mark_failed(1)
+        rehomed = up.sessions_rehomed
+        table = list(up.router.table)
+        rescans = []
+        for shard in up.shards:
+            shard.table.sessions = (
+                lambda original=shard.table.sessions:
+                rescans.append(1) or original()
+            )
+        assert up.mark_failed(1) == 0
+        assert up.failovers == 1 and up.sessions_rehomed == rehomed
+        assert up.mark_recovered(0) == 0
+        assert (up.sessions_rehomed, up.router.table) == (rehomed, table)
+        assert rescans == []
 
     def test_sharded_attach_and_handover_race_clean(self):
         """The ISSUE's acceptance scenario: attach + handover on the

@@ -28,6 +28,7 @@ from repro.sim import MS, Environment
 from repro.up import (
     FAR,
     FlowCache,
+    FlowCacheEntry,
     RuleDelta,
     RuleEpoch,
     SessionTable,
@@ -35,8 +36,9 @@ from repro.up import (
     packet_key,
     packet_keys,
 )
+from repro.up.flow_cache import FULL_ADMIT_INTERVAL
 
-from .test_up_flow_cache import dl_packet, make_session, ul_packet
+from .test_up_flow_cache import cache_state, dl_packet, make_session, ul_packet
 
 DN_IP = 0x08080808
 UE_BASE = 0x0A3C0000
@@ -64,11 +66,8 @@ def assert_equivalent(seq, bur):
     (seq_table, seq_upf), (bur_table, bur_upf) = seq, bur
     assert seq_upf.stats == bur_upf.stats
     if seq_upf.flow_cache is not None:
-        sc, bc = seq_upf.flow_cache, bur_upf.flow_cache
-        assert list(sc._entries) == list(bc._entries)
-        for name in ("hits", "misses", "stale", "inserts", "evictions",
-                     "purged"):
-            assert getattr(sc, name) == getattr(bc, name), name
+        assert cache_state(seq_upf.flow_cache) == cache_state(
+            bur_upf.flow_cache)
 
 
 # ----------------------------------------------------------------------
@@ -150,32 +149,36 @@ class TestFlowCacheBurstOps:
         assert list(cache._entries) == ["a", "b", "c"]
 
     def test_commit_burst_replays_sequentially(self):
-        """commit_burst == the same key sequence via lookup/insert."""
+        """commit_burst == the same key sequence via lookup/insert: the
+        same resident keys, bits, slots, ring, hand and counters."""
         epoch_a, epoch_b = RuleEpoch(), RuleEpoch()
-        seq = FlowCache(epoch_a, capacity=2)
-        bur = FlowCache(epoch_b, capacity=2)
+        seq = FlowCache(epoch_a, capacity=3)
+        bur = FlowCache(epoch_b, capacity=3)
         for cache in (seq, bur):
-            cache.insert("a", None, 1, None)
-        keys = ["a", "b", "a", "c", "b"]
+            cache.insert("a", None, "a", None)
+            cache.insert("s", None, "s", None)
+        for epoch in (epoch_a, epoch_b):
+            epoch.bump()
+        for cache in (seq, bur):
+            cache.insert("a", None, "a", None)  # "s" stays stale
+        # A stale hit, a fill, two sweeps' worth of misses, declines.
+        keys = ["a", "s", "b", "a", "c", "d", "b", "e", None, "c"]
+        keys += [("x", n) for n in range(FULL_ADMIT_INTERVAL)] + ["f", "a"]
         resolved = {
-            key: entry
-            for key, entry in (
-                (k, type(seq._entries["a"])(0, None, k, None, None, None))
-                for k in ("b", "c")
-            )
+            key: FlowCacheEntry(epoch_b.value, None, key, None, None, None)
+            for key in ["s", "b", "c", "d", "e", "f"]
+            + [("x", n) for n in range(FULL_ADMIT_INTERVAL)]
         }
         for key in keys:  # sequential oracle
+            if key is None:
+                continue
             if seq.lookup(key) is None and key in resolved:
                 decision = resolved[key]
                 seq.insert(key, decision.session, decision.pdr,
                            decision.far, decision.enforcer, decision.counter)
         bur.commit_burst(keys, resolved)
-        assert list(seq._entries) == list(bur._entries)
-        assert (seq.hits, seq.misses, seq.evictions) == (
-            bur.hits, bur.misses, bur.evictions)
-        # inserts diverge only through FlowCacheEntry construction in
-        # insert(); the counter itself must match.
-        assert seq.inserts == bur.inserts
+        assert cache_state(seq) == cache_state(bur)
+        assert seq.evictions >= 2 and seq.stale == 1 and seq.declined > 0
 
     def test_commit_burst_skips_none_keys(self):
         cache = FlowCache(RuleEpoch(), capacity=4)
@@ -183,17 +186,21 @@ class TestFlowCacheBurstOps:
         assert (cache.hits, cache.misses) == (0, 0)
 
     def test_touch_burst_orders_by_last_occurrence(self):
+        """The all-hit replay sets each distinct key's bit once: the
+        state per-packet lookups reach, whatever the touch order."""
         seq = FlowCache(RuleEpoch(), capacity=4)
         bur = FlowCache(RuleEpoch(), capacity=4)
         for cache in (seq, bur):
-            for key in ("a", "b", "c"):
+            for key in ("a", "b", "c", "d"):
                 cache.insert(key, None, key, None)
         touches = ["b", "a", "b", "c", "a"]
         for key in touches:
             seq.lookup(key)
         # Distinct keys in last-occurrence order: b, c, a.
         bur.touch_burst(["b", "c", "a"], hits=len(touches))
-        assert list(seq._entries) == list(bur._entries) == ["b", "c", "a"]
+        assert cache_state(seq) == cache_state(bur)
+        assert [entry.referenced for entry in bur._entries.values()] == [
+            True, True, True, False]
         assert seq.hits == bur.hits == 5
 
 

@@ -135,6 +135,44 @@ def build_stack(flow_cache, classifier_class, **kwargs):
     return table, upf
 
 
+def cache_state(cache):
+    """Everything that decides a FlowCache's future: resident keys with
+    each entry's decision, reference bit and slot, the ring, the free
+    list, the hand, the admission countdown and the counters."""
+    return (
+        [
+            (key, entry.generation, entry.pdr, entry.referenced, entry.slot)
+            for key, entry in cache._entries.items()
+        ],
+        list(cache._ring),
+        list(cache._free),
+        cache._hand,
+        cache._declines_left,
+        tuple(
+            getattr(cache, name)
+            for name in ("hits", "misses", "stale", "evictions", "inserts",
+                         "purged", "declined")
+        ),
+    )
+
+
+def assert_ring_invariants(cache):
+    """Each resident key in exactly one ring slot, its entry pointing
+    back at it; no free slot holding a resident key; within capacity."""
+    ring, free, entries = cache._ring, cache._free, cache._entries
+    assert len(cache) <= cache.capacity
+    assert len(ring) <= cache.capacity
+    assert 0 <= cache._hand < cache.capacity
+    for key, entry in entries.items():
+        assert ring[entry.slot] == key
+        assert sum(1 for held in ring if held == key) == 1
+    assert len(set(free)) == len(free)
+    for slot in free:
+        assert ring[slot] is None
+    # Every slot is either resident or free.
+    assert len(entries) + len(free) == len(ring)
+
+
 # ----------------------------------------------------------------------
 # FlowCache unit tests
 # ----------------------------------------------------------------------
@@ -280,6 +318,139 @@ class TestFlowCacheStructure:
         assert cache.hits + cache.misses == 512
         assert cache.evictions < cache.declined
         assert upf.stats.forwarded_ul == 512
+
+
+class TestFlowCacheClock:
+    """CLOCK replacement: a hit sets a reference bit; the admitted miss
+    of a full cache sweeps the hand, clearing bits, and evicts the
+    first entry whose bit was already clear."""
+
+    def test_unreferenced_entry_is_evicted_before_a_referenced_one(self):
+        cache = FlowCache(RuleEpoch(), capacity=3)
+        for key in "abc":
+            cache.insert(key, None, key, None)
+        cache.lookup("a")
+        cache.lookup("c")
+        cache.insert("d", None, "d", None)
+        assert "b" not in cache and {"a", "c", "d"} <= set(cache._entries)
+        # The hand cleared "a" on its way to "b" and stopped past "b".
+        entries = cache._entries
+        assert not entries["a"].referenced and entries["c"].referenced
+        assert entries["d"].slot == 1 and cache._hand == 2
+        assert cache.evictions == 1
+
+    def test_the_hand_wraps(self):
+        cache = FlowCache(RuleEpoch(), capacity=2)
+        cache.insert("a", None, 1, None)
+        cache.insert("b", None, 2, None)
+        cache.lookup("a")
+        cache.lookup("b")
+        # Both referenced: one full turn clears both, then "a" goes.
+        cache.insert("c", None, 3, None)
+        assert cache._ring == ["c", "b"] and cache._hand == 1
+        for n in range(FULL_ADMIT_INTERVAL - 1):
+            assert cache.insert(("declined", n), None, n, None) is None
+        # The next admitted miss evicts "b" (its bit cleared) and the
+        # hand wraps from the last slot back to slot 0.
+        cache.insert("d", None, 4, None)
+        assert cache._ring == ["c", "d"] and cache._hand == 0
+        assert cache.evictions == 2
+        assert_ring_invariants(cache)
+
+    def test_a_free_slot_is_reused_before_any_eviction(self):
+        epoch = RuleEpoch()
+        cache = FlowCache(epoch, capacity=3)
+        for key in "abc":
+            cache.insert(key, None, key, None)
+        epoch.bump()
+        assert cache.lookup("b") is None  # stale: slot 1 freed
+        assert cache._free == [1] and cache._ring[1] is None
+        cache.insert("b", None, "b", None)  # re-filled under the new epoch
+        cache.insert("d", None, "d", None)  # no room left: evicts
+        assert cache._entries["b"].slot == 1 and cache._free == []
+        assert cache.evictions == 1 and "b" in cache
+        assert_ring_invariants(cache)
+
+    def test_a_purged_slot_is_reused_before_any_eviction(self):
+        cache = FlowCache(RuleEpoch(), capacity=3)
+        gone = object()
+        cache.insert("a", None, 1, None)
+        cache.insert("b", gone, 2, None)
+        cache.insert("c", None, 3, None)
+        assert cache.purge_session(gone) == 1
+        cache.insert("d", None, 4, None)
+        assert cache._entries["d"].slot == 1
+        assert (cache.evictions, cache.declined) == (0, 0)
+        assert_ring_invariants(cache)
+
+    def test_replacing_a_resident_key_keeps_its_slot(self):
+        cache = FlowCache(RuleEpoch(), capacity=2)
+        cache.insert("a", None, 1, None)
+        cache.insert("b", None, 2, None)
+        cache.insert("a", None, 9, None)
+        assert cache._ring == ["a", "b"] and cache._entries["a"].slot == 0
+
+    def test_clear_resets_the_ring(self):
+        epoch = RuleEpoch()
+        cache = FlowCache(epoch, capacity=2)
+        for key in "abc":
+            cache.insert(key, None, key, None)
+        epoch.bump()
+        cache.lookup("b")
+        cache.clear()
+        assert (cache._ring, cache._free, cache._hand) == ([], [], 0)
+        cache.insert("d", None, 4, None)
+        assert cache._entries["d"].slot == 0
+
+    def test_a_hot_set_survives_a_cold_scan(self):
+        """Hot flows hit between sweeps, so the hand always finds their
+        bits set; the cold scan (longer than the cache) is evicted
+        instead.  FIFO would evict the hot flows, the oldest inserts,
+        and each would then wait for an admitted miss."""
+        cache = FlowCache(RuleEpoch(), capacity=8)
+        hot = [("hot", n) for n in range(4)]
+        hot_misses = 0
+        for round_ in range(40 * FULL_ADMIT_INTERVAL):
+            for key in hot:
+                if cache.lookup(key) is None:
+                    hot_misses += 1
+                    cache.insert(key, None, key, None)
+            cold = ("cold", round_)
+            if cache.lookup(cold) is None:
+                cache.insert(cold, None, cold, None)
+        assert hot_misses == len(hot)  # the first round's fills only
+        assert cache.evictions >= 39
+        assert all(key in cache for key in hot)
+        assert_ring_invariants(cache)
+
+
+_cache_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.integers(0, 7), st.integers(0, 1)),
+        st.tuples(st.just("lookup"), st.integers(0, 7), st.just(0)),
+        st.tuples(st.just("bump"), st.just(0), st.just(0)),
+        st.tuples(st.just("purge"), st.just(0), st.integers(0, 1)),
+    ),
+    max_size=120,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), _cache_ops)
+def test_ring_invariants_hold_under_any_op_sequence(capacity, ops):
+    epoch = RuleEpoch()
+    cache = FlowCache(epoch, capacity=capacity)
+    sessions = (object(), object())
+    for op, key, session in ops:
+        if op == "insert":
+            cache.insert(key, sessions[session], key, None)
+        elif op == "lookup":
+            cache.lookup(key)
+        elif op == "bump":
+            epoch.bump()
+        else:
+            cache.purge_session(sessions[session])
+        assert_ring_invariants(cache)
 
 
 # ----------------------------------------------------------------------

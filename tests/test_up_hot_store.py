@@ -39,7 +39,9 @@ from repro.up import (
 )
 from repro.up.session import SessionIndex
 
-from .test_up_flow_cache import UE_BASE, dl_packet, make_session, ul_packet
+from .test_up_flow_cache import (
+    UE_BASE, cache_state, dl_packet, make_session, ul_packet,
+)
 
 
 def _snapshot(table):
@@ -276,11 +278,8 @@ def _replay(ops, flow_cache):
                     ), attr
             assert len(hot_session.buffer) == len(cold_session.buffer)
     if flow_cache:
-        hc, cc = hot_upf.flow_cache, cold_upf.flow_cache
-        assert list(hc._entries) == list(cc._entries)
-        for name in ("hits", "misses", "stale", "inserts", "evictions",
-                     "purged"):
-            assert getattr(hc, name) == getattr(cc, name), name
+        assert cache_state(hot_upf.flow_cache) == cache_state(
+            cold_upf.flow_cache)
     live = sum(1 for seid in SEIDS if hot_table.by_seid(seid) is not None)
     assert len(hot_table) == live
     assert len(hot_table._teid_index) == len(hot_table._ue_ip_index) == live
